@@ -362,24 +362,32 @@ def body_from_spec(spec: dict, base_dir: str = ".") -> BodyOracle:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise BodyError("body description needs a 'kind' field")
     kind = spec["kind"]
+
+    def need(key):
+        if key not in spec:
+            raise BodyError(f"{kind} spec needs {key!r}")
+        return spec[key]
+
     if kind == "ball":
-        center = [_num(x) for x in spec["center"]]
-        return make_ball(center, _num(spec["radius"]))
+        center = [_num(x) for x in need("center")]
+        return make_ball(center, _num(need("radius")))
     if kind == "ellipsoid":
-        center = [_num(x) for x in spec["center"]]
-        return make_ellipsoid(center, [_num(x) for x in spec["semi_axes"]])
+        center = [_num(x) for x in need("center")]
+        return make_ellipsoid(center, [_num(x) for x in need("semi_axes")])
     if kind == "polytope":
         return wrap_polytope(_polytope_from_spec(spec, base_dir))
     if kind == "cap":
-        poly = _polytope_from_spec(spec["polytope"], base_dir)
-        center = [_num(x) for x in spec["center"]]
-        return glue_cap(poly, center, _num(spec["radius"]))
+        poly = _polytope_from_spec(need("polytope"), base_dir)
+        center = [_num(x) for x in need("center")]
+        return glue_cap(poly, center, _num(need("radius")))
     raise BodyError(f"unknown body kind {kind!r}")
 
 
 def _polytope_from_spec(spec: dict, base_dir: str) -> Polytope:
     import os
 
+    if not isinstance(spec, dict):
+        raise BodyError("polytope spec must be an object")
     if "off" in spec:
         from .offio import load_polytope
 
@@ -392,4 +400,4 @@ def _polytope_from_spec(spec: dict, base_dir: str) -> Polytope:
     if "vertices" in spec:
         pts = [tuple(_num(x) for x in row) for row in spec["vertices"]]
         return convex_hull(pts)
-    raise BodyError("polytope description needs 'vertices' or 'off'")
+    raise BodyError("polytope spec needs 'vertices' or 'off'")

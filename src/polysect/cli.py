@@ -577,11 +577,18 @@ def _write_text(path: str, text: str):
             fh.write(text)
 
 
+def _env_seed() -> int:
+    try:
+        return int(os.environ.get("POLYSECT_SEED", "0"))
+    except ValueError:
+        raise ValueError("POLYSECT_SEED must be an integer") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("POLYSECT_SEED", "0"))
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         report, svg_payload, code = _HANDLERS[args.command](args)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _write_text(args.report, text)

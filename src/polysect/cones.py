@@ -31,7 +31,6 @@ from .geometry import (
     as_point,
     as_vector,
     is_zero_vector,
-    norm2,
     nullspace,
     vadd,
     vdot,
@@ -134,8 +133,8 @@ def _lift_base_facets(base: Polytope, w: Vector) -> tuple[Halfspace, ...]:
     out = []
     for hs in base.halfspaces:
         m = tuple(Fraction(0) for _ in range(d))
-        for a_j, b_j in zip(hs.normal, span.basis):
-            m = vadd(m, vscale(b_j, a_j / norm2(b_j)))
+        for a_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
+            m = vadd(m, vscale(b_j, a_j / n2))
         c = hs.offset + vdot(m, span.base)
         n = vsub(m, vscale(w, c))
         out.append(_canonical_halfspace(n, Fraction(0)))
@@ -216,8 +215,9 @@ def _separating_functional(z: Point, poly: Polytope) -> Vector:
         for hs in poly.halfspaces:
             if hs.evaluate(cz) > 0:
                 m = tuple(Fraction(0) for _ in range(poly.ambient_dim))
-                for n_j, b_j in zip(hs.normal, poly.span.basis):
-                    m = vadd(m, vscale(b_j, n_j / norm2(b_j)))
+                span = poly.span
+                for n_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
+                    m = vadd(m, vscale(b_j, n_j / n2))
                 return vneg(m)
     else:
         for hs in poly.halfspaces:
@@ -286,7 +286,10 @@ def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
         ray_points = list(sec.ambient_vertices)
 
     chart_rays = [
-        tuple(vdot(r, b) / norm2(b) for b in anchored.basis) for r in ray_points
+        tuple(
+            vdot(r, b) / n2 for b, n2 in zip(anchored.basis, anchored.basis_norm2s)
+        )
+        for r in ray_points
     ]
     origin = tuple(Fraction(0) for _ in range(anchored.dim))
     chart_cone = _cone_from_rays(origin, chart_rays, w_chart)

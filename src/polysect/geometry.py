@@ -11,6 +11,7 @@ orthonormal for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -268,6 +269,14 @@ class AffineFlat:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def basis_norm2s(self) -> tuple[Fraction, ...]:
+        """Squared lengths of the basis vectors, computed once per flat.
+
+        Not a field, so equality and hashing still see only base and basis.
+        """
+        return tuple(norm2(b) for b in self.basis)
+
     @property
     def ambient_dim(self) -> int:
         return len(self.base)
@@ -277,7 +286,9 @@ class AffineFlat:
         if len(point) != self.ambient_dim:
             raise DimensionMismatch("point dimension differs from flat")
         rel = vsub(point, self.base)
-        coeffs = tuple(vdot(rel, b) / norm2(b) for b in self.basis)
+        coeffs = tuple(
+            vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)
+        )
         if self.point_at(coeffs) != point:
             return None
         return coeffs
@@ -293,12 +304,16 @@ class AffineFlat:
     def project_point(self, point: Point) -> Point:
         """Orthogonal projection of any ambient point onto the flat."""
         rel = vsub(point, self.base)
-        coeffs = tuple(vdot(rel, b) / norm2(b) for b in self.basis)
+        coeffs = tuple(
+            vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)
+        )
         return self.point_at(coeffs)
 
     def projected_coordinates(self, point: Point) -> tuple[Fraction, ...]:
         rel = vsub(point, self.base)
-        return tuple(vdot(rel, b) / norm2(b) for b in self.basis)
+        return tuple(
+            vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)
+        )
 
     def normal_directions(self) -> tuple[Vector, ...]:
         """Orthogonal basis of the orthogonal complement of the direction space."""

@@ -112,7 +112,9 @@ class IntHull:
     """Full-dimensional hull: true vertices and merged (irredundant) facets.
 
     facets are (normal, offset, vertex index tuple) with normal·x <= offset
-    inside and normal·v == offset exactly on the facet's vertices.
+    inside.  Each facet's tuple is exactly the set of true vertices tight on
+    it (normal·v == offset), in increasing index order, so callers can take
+    facet-vertex incidence from here instead of re-evaluating hyperplanes.
     """
 
     vertex_indices: tuple[int, ...]
@@ -218,19 +220,27 @@ def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
         key = (tuple(x // g for x in f.normal), f.offset // g)
         merged.setdefault(key, set()).update(f.vertices)
 
+    # One scan finds the candidates tight on each merged hyperplane.  A
+    # candidate is a true vertex when its tight normals have full rank, and
+    # each facet keeps exactly the true vertices of its tight set.
     candidates = sorted(set().union(*merged.values()))
-    hyperplanes = list(merged.keys())
-    true_vertices = []
-    for v in candidates:
-        active = [n for (n, c) in hyperplanes if _dot(n, points[v]) == c]
-        if len(active) >= k and int_rank(active) == k:
-            true_vertices.append(v)
+    tight = {
+        (n, c): [v for v in candidates if _dot(n, points[v]) == c]
+        for (n, c) in merged
+    }
+    active: dict[int, list[IntVec]] = {}
+    for (n, _), verts in tight.items():
+        for v in verts:
+            active.setdefault(v, []).append(n)
+    true_vertices = [
+        v for v in candidates if len(active[v]) >= k and int_rank(active[v]) == k
+    ]
     vert_set = set(true_vertices)
 
     out_facets = []
-    for (n, c) in hyperplanes:
-        fverts = tuple(v for v in true_vertices if _dot(n, points[v]) == c)
-        if len(fverts) < k or not set(fverts) <= vert_set:
+    for (n, c), verts in tight.items():
+        fverts = tuple(v for v in verts if v in vert_set)
+        if len(fverts) < k:
             raise HullError("merged facet lost its vertices")
         out_facets.append((n, c, fverts))
     out_facets.sort(key=lambda t: (t[0], t[1]))

@@ -9,7 +9,6 @@ boundary tests all stay in rational arithmetic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -105,7 +104,7 @@ class Polytope:
 
     `span` is the affine hull with an orthogonal chart basis; halfspaces and
     chart_vertices live in that chart.  Face-lattice queries beyond facets
-    (edges) are computed lazily under a lock.
+    (edges) are computed lazily and cached.
     """
 
     __slots__ = (
@@ -114,7 +113,6 @@ class Polytope:
         "span",
         "halfspaces",
         "facet_vertices",
-        "_edge_lock",
         "_edges",
     )
 
@@ -124,7 +122,6 @@ class Polytope:
         self.span: AffineFlat | None = span
         self.halfspaces: tuple[Halfspace, ...] = halfspaces
         self.facet_vertices: tuple[frozenset[int], ...] = facet_vertices
-        self._edge_lock = threading.Lock()
         self._edges: tuple[tuple[int, int], ...] | None = None
 
     # -- basic geometry -----------------------------------------------------
@@ -219,12 +216,9 @@ class Polytope:
         return FaceRef(self, frozenset(self.active_facets(cv)))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Vertex index pairs forming 1-faces (computed once, thread-safe)."""
-        if self._edges is not None:
-            return self._edges
-        with self._edge_lock:
-            if self._edges is None:
-                self._edges = self._compute_edges()
+        """Vertex index pairs forming 1-faces (computed once)."""
+        if self._edges is None:
+            self._edges = self._compute_edges()
         return self._edges
 
     def _compute_edges(self):
@@ -323,12 +317,14 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 
     base = pts[0]
     ortho: list[Vector] = []
+    ortho_n2: list[Fraction] = []
     for p in pts[1:]:
         w = vsub(p, base)
-        for b in ortho:
-            w = vsub(w, vscale(b, vdot(w, b) / norm2(b)))
+        for b, n2 in zip(ortho, ortho_n2):
+            w = vsub(w, vscale(b, vdot(w, b) / n2))
         if not is_zero_vector(w):
             ortho.append(w)
+            ortho_n2.append(norm2(w))
         if len(ortho) == d:
             break
     k = len(ortho)
@@ -343,15 +339,16 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         span = AffineFlat(base, tuple(ortho))
         chart_pts = [span.projected_coordinates(p) for p in pts]
 
+    # Each entry of facets pairs a halfspace with the input indices of its
+    # vertices.
     if k == 1:
-        coords = [(cv[0], i) for i, cv in enumerate(chart_pts)]
-        lo = min(coords)
-        hi = max(coords)
-        vert_idx = [lo[1], hi[1]]
-        halfspaces = (
-            _canonical_halfspace((Fraction(-1),), -lo[0]),
-            _canonical_halfspace((Fraction(1),), hi[0]),
-        )
+        lo = min(range(len(pts)), key=lambda i: chart_pts[i])
+        hi = max(range(len(pts)), key=lambda i: chart_pts[i])
+        vert_idx = [lo, hi]
+        facets = [
+            (_canonical_halfspace((Fraction(-1),), -chart_pts[lo][0]), (lo,)),
+            (_canonical_halfspace((Fraction(1),), chart_pts[hi][0]), (hi,)),
+        ]
     else:
         scales = [
             lcm(*[cv[j].denominator for cv in chart_pts]) for j in range(k)
@@ -360,23 +357,27 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
             tuple(int(cv[j] * scales[j]) for j in range(k)) for cv in chart_pts
         ]
         data = _hull.hull_full_dim(int_pts)
-        vert_idx = list(data.vertex_indices)
-        halfspaces = tuple(
-            _canonical_halfspace(
-                tuple(Fraction(n[j] * scales[j]) for j in range(k)), Fraction(c)
+        vert_idx = data.vertex_indices
+        # Scaling axis j by scales[j] and dividing by a positive gcd keep
+        # which vertices are tight, so the hull's incidences carry over.
+        facets = [
+            (
+                _canonical_halfspace(
+                    tuple(Fraction(n[j] * scales[j]) for j in range(k)), Fraction(c)
+                ),
+                fverts,
             )
-            for (n, c, _) in data.facets
-        )
+            for (n, c, fverts) in data.facets
+        ]
 
     order = sorted(vert_idx, key=lambda i: pts[i])
+    position = {i: pos for pos, i in enumerate(order)}
     vertices = tuple(pts[i] for i in order)
     chart_vertices = tuple(chart_pts[i] for i in order)
-    halfspaces = tuple(sorted(halfspaces, key=lambda h: (h.normal, h.offset)))
+    facets.sort(key=lambda f: (f[0].normal, f[0].offset))
+    halfspaces = tuple(hs for hs, _ in facets)
     facet_vertices = tuple(
-        frozenset(
-            i for i, cv in enumerate(chart_vertices) if hs.evaluate(cv) == 0
-        )
-        for hs in halfspaces
+        frozenset(position[i] for i in fverts) for _, fverts in facets
     )
     return Polytope(vertices, chart_vertices, span, halfspaces, facet_vertices)
 
@@ -473,10 +474,7 @@ def convex_hull_interval(pts: list[Point]) -> Polytope:
         _canonical_halfspace((Fraction(1),), hi[0]),
     )
     verts = (lo, hi)
-    facet_vertices = tuple(
-        frozenset(i for i, v in enumerate(verts) if hs.evaluate(v) == 0)
-        for hs in halfspaces
-    )
+    facet_vertices = (frozenset((0,)), frozenset((1,)))
     return Polytope(verts, verts, span, halfspaces, facet_vertices)
 
 
@@ -655,7 +653,9 @@ def supporting_line_test(line: AffineFlat, body: Polytope) -> bool:
                 return False
             # line lies inside the body's span: clip in the chart
             cb = span.coordinates(line.base)
-            cd = tuple(vdot(u, bb) / norm2(bb) for bb in span.basis)
+            cd = tuple(
+                vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s)
+            )
             return _classify_line_interval(body, cb, cd)
         t0 = nonzero[0][1] / nonzero[0][0]
         if any(a * t0 != b for a, b in cons):
@@ -734,7 +734,9 @@ def diamond_hull(face, p, q) -> Polytope:
             raise DiamondConfigError("segment misses the face's affine hull")
         # segment inside the affine hull: clip its parameter range against Q
         cb = span.coordinates(p)
-        cd = tuple(vdot(u, bb) / norm2(bb) for bb in span.basis)
+        cd = tuple(
+            vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s)
+        )
         clipped = _interval_clip(Q.halfspaces, cb, cd)
         if clipped is None:
             raise DiamondConfigError("segment misses the face")

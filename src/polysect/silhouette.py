@@ -101,7 +101,7 @@ class WalkResult:
 
 
 def _chart_point(chart: AffineFlat, v: Point) -> ChartPoint:
-    return tuple(vdot(v, b) / norm2(b) for b in chart.basis)
+    return tuple(vdot(v, b) / n2 for b, n2 in zip(chart.basis, chart.basis_norm2s))
 
 
 def _cross2(a, b) -> Fraction:

@@ -232,6 +232,22 @@ class TestBodyFromSpec:
         with pytest.raises(BodyError):
             body_from_spec({"kind": "torus"})
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "ball", "center": [0, 0, 0]}, "ball spec needs 'radius'"),
+            ({"kind": "ellipsoid", "semi_axes": [1, 1]}, "ellipsoid spec needs 'center'"),
+            ({"kind": "cap", "center": [0, 0, 0], "radius": 1}, "cap spec needs 'polytope'"),
+            ({"kind": "cap", "polytope": {}, "center": [0, 0, 0], "radius": 1},
+             "polytope spec needs 'vertices' or 'off'"),
+            ({"kind": "cap", "polytope": "cube.off", "center": [0, 0, 0], "radius": 1},
+             "polytope spec must be an object"),
+        ],
+    )
+    def test_missing_key_rejected(self, spec, message):
+        with pytest.raises(BodyError, match=message):
+            body_from_spec(spec)
+
     def test_bool_coordinate_rejected(self):
         with pytest.raises(BodyError):
             body_from_spec({"kind": "ball", "center": [True, 0, 0], "radius": 1})

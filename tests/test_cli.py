@@ -233,6 +233,20 @@ class TestPlumbing:
         )
         assert rep["seed"] == 41
 
+    def test_bad_env_seed_is_error(self, cube_off, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("POLYSECT_SEED", "abc")
+        code, _ = run(["klee-k1", "--body", cube_off, "--flats", "2"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "error: POLYSECT_SEED must be an integer\n"
+
+    def test_spec_missing_key_is_error(self, tmp_path, capsys):
+        code, _ = run(
+            ["klee-k1", "--body-json", '{"kind": "ball", "center": [0, 0, 0]}'],
+            tmp_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: ball spec needs 'radius'\n"
+
     def test_inline_body_json(self, tmp_path):
         code, rep = run(
             ["klee-k1", "--body-json",

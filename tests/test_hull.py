@@ -154,6 +154,32 @@ class TestHullAgainstBruteForce:
         for n, c, _ in out.facets:
             assert all(sum(x * y for x, y in zip(n, p)) <= c for p in pts)
 
+    def test_facet_tuples_are_tight_true_vertices(self):
+        # degenerate inputs: points on facets, on edges and inside
+        square = [(0, 0), (4, 0), (4, 4), (0, 4), (2, 0), (4, 2), (1, 1), (0, 3)]
+        cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+        cube += [(1, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1), (2, 1, 1)]
+        cross = []
+        for i in range(4):
+            for s in (2, -2):
+                v = [0, 0, 0, 0]
+                v[i] = s
+                cross.append(tuple(v))
+        cross += [(1, 1, 0, 0), (0, 0, 0, 0), (1, 0, 0, 1)]
+        rng = random.Random(11)
+        lattice = [
+            [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(14)]
+            for k in (2, 3, 4)
+        ]
+        for pts in [square, cube, cross] + lattice:
+            out = hull_full_dim(pts)
+            for n, c, fverts in out.facets:
+                tight = tuple(
+                    v for v in out.vertex_indices
+                    if sum(x * y for x, y in zip(n, pts[v])) == c
+                )
+                assert fverts == tight
+
     def test_insertion_order_does_not_change_answer(self):
         rng = random.Random(7)
         pts = [(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(12)]

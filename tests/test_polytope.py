@@ -20,8 +20,12 @@ from polysect import (
     supporting_line_test,
     vertices_of,
 )
-from polysect.geometry import vdot, vsub
-from polysect.polytope import DiamondConfigError
+from polysect.geometry import GeometryError, vdot, vsub
+from polysect.polytope import (
+    DiamondConfigError,
+    convex_hull_interval,
+    restrict_halfspaces,
+)
 
 import helpers
 
@@ -104,6 +108,59 @@ class TestConvexHull:
         assume(poly.dim == 2)
         for p in set(pts):
             assert (p in poly.vertices) == helpers.is_extreme_oracle(pts, p)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# a coarse grid makes facets with more vertices than the dimension common
+lattice = st.integers(min_value=-1, max_value=1).map(F)
+grids = st.sampled_from((lattice, rationals))
+
+
+def points(dim, min_size, max_size, coords=rationals):
+    return st.lists(st.tuples(*[coords] * dim), min_size=min_size, max_size=max_size)
+
+
+def rederived_incidence(poly):
+    """Reference incidence: every halfspace evaluated at every chart vertex."""
+    return tuple(
+        frozenset(
+            i for i, cv in enumerate(poly.chart_vertices) if hs.evaluate(cv) == 0
+        )
+        for hs in poly.halfspaces
+    )
+
+
+class TestFacetIncidence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.sampled_from((2, 3, 4)), grids).flatmap(
+            lambda dg: points(dg[0], 1, 12, dg[1])
+        )
+    )
+    def test_cloud_matches_rederived_incidence(self, pts):
+        poly = convex_hull(pts)
+        assert poly.facet_vertices == rederived_incidence(poly)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_flat_cloud_matches_rederived_incidence(self, data):
+        # clouds on a line, plane or 3-flat inside 3-D or 4-D space
+        d = data.draw(st.sampled_from((3, 4)), label="ambient dim")
+        m = data.draw(st.integers(1, d - 1), label="flat dim")
+        base = data.draw(st.tuples(*[rationals] * d), label="base")
+        dirs = data.draw(points(d, m, m), label="directions")
+        grid = data.draw(grids, label="coefficient grid")
+        coeffs = data.draw(points(m, 1, 12, grid), label="coefficients")
+        pts = [
+            tuple(base[i] + sum(c[j] * dirs[j][i] for j in range(m)) for i in range(d))
+            for c in coeffs
+        ]
+        poly = convex_hull(pts)
+        assert poly.dim <= m
+        assert poly.facet_vertices == rederived_incidence(poly)
+        if poly.dim == 1:
+            seg = convex_hull_interval(list(poly.chart_vertices))
+            assert seg.facet_vertices == rederived_incidence(seg)
 
 
 class TestFaces:
@@ -298,6 +355,40 @@ class TestVerticesOf:
         back = vertices_of(body.hpolytope)
         assert back is not None
         assert back.vertices == body.vertices
+
+
+class TestSectionDifferential:
+    """section() against the H-route: restrict_halfspaces, then vertices_of."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_section_matches_halfspace_route(self, data):
+        d = data.draw(st.sampled_from((3, 4)), label="ambient dim")
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        pts = data.draw(points(d, d + 1, 2 * d + 1, small), label="body points")
+        body = convex_hull(pts)
+        assume(body.dim == d)
+        m = data.draw(st.integers(1, d - 1), label="flat dim")
+        base = data.draw(
+            st.one_of(
+                st.just(body.interior_point()),
+                st.sampled_from(body.vertices),
+                st.tuples(*[small] * d),
+            ),
+            label="flat base",
+        )
+        dirs = data.draw(points(d, m, m, small), label="flat directions")
+        try:
+            flat = AffineFlat.spanning(base, dirs)
+        except GeometryError:
+            assume(False)
+        sec = section(body, flat)
+        restricted = restrict_halfspaces(body.halfspaces, flat)
+        ref = None if restricted is None else vertices_of(restricted)
+        if sec is None or ref is None:
+            assert sec is None and ref is None
+        else:
+            assert set(sec.polytope.vertices) == set(ref.vertices)
 
 
 class TestSupportingLine:
