@@ -7,9 +7,11 @@ cap body conv(polytope ∪ ball) evaluates membership through the identity
 conv(A ∪ B) = union over t of (t·A + (1-t)·B), which turns the question
 into a one-dimensional convex minimization over t.
 
-Planar sections of a body are sampled by ray bisection from an interior
-point of the section; the resulting boundary points (ordered by polar
-angle) feed the polygonality detector.
+Planar sections of a body are sampled along rays from an interior point
+of the section: bodies with a closed-form ray_interval (balls, ellipsoids)
+give the boundary point directly, others by ray bisection of the membership
+oracle.  The resulting boundary points (ordered by polar angle) feed the
+polygonality detector.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .polytope import Polytope, convex_hull
 
 class BodyError(GeometryError):
     pass
+
+
+class FlatMissesBody(BodyError):
+    """A section flat has no chart point in the body's interior."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,10 @@ class BodyOracle:
     exact: bool = False
     name: str = "body"
     polytope: Polytope | None = None
+    ray_interval: (
+        Callable[[Sequence[float], Sequence[float]], tuple[float, float] | None]
+        | None
+    ) = None
 
 
 def _fdot(a, b) -> float:
@@ -89,7 +99,13 @@ def make_ball(center, radius) -> BodyOracle:
     def member(x):
         return _fnorm(tuple(xi - ci for xi, ci in zip(x, c))) <= r + 1e-12
 
-    return BodyOracle(len(c), support, member, c, 1e-12, False, "ball")
+    def ray_interval(z, u):
+        w = tuple(zi - ci for zi, ci in zip(z, c))
+        return _sphere_interval(w, u, (r + 1e-12) ** 2)
+
+    return BodyOracle(
+        len(c), support, member, c, 1e-12, False, "ball", None, ray_interval
+    )
 
 
 def make_ellipsoid(center, semi_axes) -> BodyOracle:
@@ -113,7 +129,36 @@ def make_ellipsoid(center, semi_axes) -> BodyOracle:
             <= 1.0 + 1e-12
         )
 
-    return BodyOracle(len(c), support, member, c, 1e-12, False, "ellipsoid")
+    def ray_interval(z, u):
+        w = tuple((zi - ci) / ai for zi, ci, ai in zip(z, c, a))
+        v = tuple(ui / ai for ui, ai in zip(u, a))
+        return _sphere_interval(w, v, 1.0 + 1e-12)
+
+    return BodyOracle(
+        len(c), support, member, c, 1e-12, False, "ellipsoid", None, ray_interval
+    )
+
+
+def _sphere_interval(w, v, rr):
+    """Roots of |w + t*v|^2 = rr as (t0, t1), or None when the line misses.
+
+    Stable form of the quadratic formula: with q = -(b + sign(b)*sqrt(disc))
+    the roots are q/a and cc/q, so no root is a difference of near-equal
+    terms.
+    """
+    a = _fdot(v, v)
+    if a == 0:
+        raise BodyError("ray direction must be nonzero")
+    b = _fdot(w, v)
+    cc = _fdot(w, w) - rr
+    disc = b * b - a * cc
+    if disc < 0:
+        return None
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    if q == 0:
+        return (0.0, 0.0)
+    t0, t1 = q / a, cc / q
+    return (t0, t1) if t0 <= t1 else (t1, t0)
 
 
 def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
@@ -138,47 +183,62 @@ def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
     )
 
 
-def _closest_point_on_polytope(poly: Polytope, p) -> tuple[float, ...]:
-    """Float closest point of a full-dimensional 3-polytope (outside case)."""
+def _closest_point_finder(poly: Polytope):
+    """Float closest point of a full-dimensional 3-polytope (outside case).
+
+    The facet data (normal, offset, n.n, and the facet's edges in
+    rotational order with their outward edge normals and squared lengths)
+    is built once; the returned function does only the per-point work.
+    """
     verts = [tuple(float(x) for x in v) for v in poly.vertices]
-    best = None
-    best_pt = None
-
-    def consider(q):
-        nonlocal best, best_pt
-        d = _fnorm(tuple(a - b for a, b in zip(p, q)))
-        if best is None or d < best:
-            best, best_pt = d, q
-
+    facets = []
     for hs, face in zip(poly.halfspaces, poly.facet_vertices):
         n = tuple(float(x) for x in hs.normal)
-        c = float(hs.offset)
-        nn = _fdot(n, n)
-        t = (_fdot(n, p) - c) / nn
-        proj = tuple(pi - t * ni for pi, ni in zip(p, n))
         pts = [verts[i] for i in face]
-        # inside the facet polygon iff on the inner side of every edge plane
-        inside = True
         centroid = tuple(sum(q[i] for q in pts) / len(pts) for i in range(3))
         m = len(pts)
         order = _order_polygon(pts, centroid, n)
+        edges = []
         for k in range(m):
             a = pts[order[k]]
             b = pts[order[(k + 1) % m]]
             e = tuple(bi - ai for ai, bi in zip(a, b))
-            out = _cross3f(e, n)
-            if _fdot(out, tuple(pi - ai for pi, ai in zip(proj, a))) > 1e-12:
-                inside = False
-            # edge segment candidate
-            ee = _fdot(e, e)
-            if ee > 0:
-                s = max(0.0, min(1.0, _fdot(tuple(pi - ai for pi, ai in zip(p, a)), e) / ee))
-                consider(tuple(ai + s * ei for ai, ei in zip(a, e)))
-        if inside:
-            consider(proj)
-    for v in verts:
-        consider(v)
-    return best_pt
+            edges.append((a, e, _cross3f(e, n), _fdot(e, e)))
+        facets.append((n, float(hs.offset), _fdot(n, n), tuple(edges)))
+
+    def closest(p) -> tuple[float, ...]:
+        # unrolled 3-D arithmetic in the operation order of _fdot and _fnorm,
+        # so the points equal those of the generic per-call form
+        px, py, pz = p
+        best = None
+        best_pt = None
+
+        def consider(q):
+            nonlocal best, best_pt
+            d = math.sqrt((px - q[0]) ** 2 + (py - q[1]) ** 2 + (pz - q[2]) ** 2)
+            if best is None or d < best:
+                best, best_pt = d, q
+
+        for (nx, ny, nz), c, nn, edges in facets:
+            t = (nx * px + ny * py + nz * pz - c) / nn
+            qx, qy, qz = px - t * nx, py - t * ny, pz - t * nz
+            # inside the facet polygon iff on the inner side of every edge plane
+            inside = True
+            for (ax, ay, az), (ex, ey, ez), (ox, oy, oz), ee in edges:
+                if ox * (qx - ax) + oy * (qy - ay) + oz * (qz - az) > 1e-12:
+                    inside = False
+                # edge segment candidate
+                if ee > 0:
+                    s = ((px - ax) * ex + (py - ay) * ey + (pz - az) * ez) / ee
+                    s = max(0.0, min(1.0, s))
+                    consider((ax + s * ex, ay + s * ey, az + s * ez))
+            if inside:
+                consider((qx, qy, qz))
+        for v in verts:
+            consider(v)
+        return best_pt
+
+    return closest
 
 
 def _cross3f(a, b):
@@ -218,6 +278,7 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
         raise BodyError("ball radius must be positive")
     ball = make_ball(c, r)
     pwrap = wrap_polytope(poly)
+    closest_point = _closest_point_finder(poly)
 
     def support(u):
         hp, pp = pwrap.support(u)
@@ -237,7 +298,7 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
             if poly.contains(xq) != "outside":
                 d = 0.0
             else:
-                q = _closest_point_on_polytope(poly, scaled)
+                q = closest_point(scaled)
                 d = _fnorm(tuple(a - b for a, b in zip(scaled, q)))
             return t * d - (1.0 - t) * r
 
@@ -259,9 +320,11 @@ def sample_section_boundary(
 ) -> SectionSample:
     """Sample the boundary of body ∩ flat at `count` polar angles.
 
-    The flat must be 2-dimensional and meet the body's interior; boundary
-    points come from 60-step ray bisection of the membership oracle and are
-    returned in chart coordinates of the flat's orthonormalized basis.
+    The flat must be 2-dimensional and meet the body's interior
+    (FlatMissesBody otherwise); boundary points come from the body's
+    ray_interval, or else from 60-step ray bisection of the membership
+    oracle, and are returned in chart coordinates of the flat's
+    orthonormalized basis.
     """
     if flat.dim != 2:
         raise BodyError("section sampling needs a 2-dimensional flat")
@@ -278,14 +341,48 @@ def sample_section_boundary(
 
     x0 = _interior_chart_point(body, at)
     if x0 is None:
-        raise BodyError("flat misses the body's interior")
-    pts, angles = _radial_sweep(body, at, x0, count)
+        raise FlatMissesBody("flat misses the body's interior")
+    pts, angles = _radial_sweep(body, at, (u1, u2), x0, count)
     # recenter once: the centroid is better-conditioned than the first hit
     cx = sum(p[0] for p in pts) / count
     cy = sum(p[1] for p in pts) / count
     if body.member(at(cx, cy)):
-        pts, angles = _radial_sweep(body, at, (cx, cy), count)
+        pts, angles = _radial_sweep(body, at, (u1, u2), (cx, cy), count)
     return SectionSample(flat, tuple(pts), tuple(angles))
+
+
+def check_sampling(boundary_points: int, tau: float) -> None:
+    """Reject sampling parameters that no tester can use.
+
+    Fewer than 8 boundary points cannot show a polygon; a NaN tau compares
+    false everywhere and would pass every flatness test.
+    """
+    if boundary_points < 8:
+        raise BodyError("need at least 8 boundary points")
+    if not (math.isfinite(tau) and tau > 0):
+        raise BodyError("tau must be finite and positive")
+
+
+def ray_exit(inside: Callable[[float], bool], ceiling: float) -> float | None:
+    """Exit parameter of a ray whose start (t = 0) is inside, by bisection.
+
+    The step doubles from t = 1 until inside(t) fails, then 60 bisection
+    steps narrow the crossing; None when the ray is still inside beyond
+    `ceiling`.
+    """
+    lo, hi = 0.0, 1.0
+    while inside(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > ceiling:
+            return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _interior_chart_point(body: BodyOracle, at):
@@ -309,29 +406,26 @@ def _interior_chart_point(body: BodyOracle, at):
     return None
 
 
-def _radial_sweep(body: BodyOracle, at, x0, count):
+def _radial_sweep(body: BodyOracle, at, frame, x0, count):
+    u1, u2 = frame
+    start = at(*x0)
     pts = []
     angles = []
     for j in range(count):
         th = 2.0 * math.pi * j / count
         ct, st = math.cos(th), math.sin(th)
-
-        def inside(t):
-            return body.member(at(x0[0] + t * ct, x0[1] + t * st))
-
-        lo, hi = 0.0, 1.0
-        while inside(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > 2.0**40:
+        if body.ray_interval is not None:
+            # x0 is inside, so the interval holds 0 up to rounding
+            u = tuple(ct * a1 + st * a2 for a1, a2 in zip(u1, u2))
+            span = body.ray_interval(start, u)
+            t = max(span[1], 0.0) if span is not None else 0.0
+        else:
+            t = ray_exit(
+                lambda s: body.member(at(x0[0] + s * ct, x0[1] + s * st)),
+                2.0**40,
+            )
+            if t is None:
                 raise BodyError("section boundary ray never left the body")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if inside(mid):
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
         pts.append((x0[0] + t * ct, x0[1] + t * st))
         angles.append(th)
     return pts, angles

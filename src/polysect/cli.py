@@ -502,8 +502,19 @@ def _add_body_flags(p):
     p.add_argument("--tau", type=float, default=1e-9, help="flatness tolerance")
 
 
+class _UsageError(Exception):
+    """A malformed command line (unknown flag, missing argument, bad type)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors follow the error contract: one "error:" line, exit 1;
+    # subparsers are built from the same class
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polysect",
         description="Exact polytope sections, shadows, visual cones and "
         "polyhedrality criteria.",
@@ -585,8 +596,8 @@ def _env_seed() -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _env_seed()
         report, svg_payload, code = _HANDLERS[args.command](args)
@@ -598,7 +609,7 @@ def main(argv=None) -> int:
             points, opts = svg_payload
             _write_text(args.svg, render_polygon(points, **opts))
         return code
-    except (GeometryError, ValueError, OSError) as e:
+    except (_UsageError, GeometryError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

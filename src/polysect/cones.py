@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
+from .bodies import SectionSample, check_sampling, ray_exit
 from .geometry import (
     AffineFlat,
     DimensionMismatch,
@@ -420,25 +421,6 @@ def _random_float_frame(rng: random.Random, dim: int, k: int):
             return tuple(vecs)
 
 
-RATIONALIZE_DENOMINATOR = 2**20
-
-
-def rationalize(v, den: int = RATIONALIZE_DENOMINATOR) -> Vector:
-    return tuple(Fraction(round(float(x) * den), den) for x in v)
-
-
-def _random_exact_subspace(rng: random.Random, apex: Point, dim: int, k: int) -> AffineFlat:
-    while True:
-        frame = _random_float_frame(rng, dim, k)
-        dirs = [rationalize(f) for f in frame]
-        try:
-            flat = AffineFlat.spanning(apex, dirs)
-        except GeometryError:
-            continue
-        if flat.dim == k:
-            return flat
-
-
 def _orthonormal_complement_3d(w):
     # any vector not parallel to w, then two Gram-Schmidt steps
     pick = (1.0, 0.0, 0.0) if abs(w[0]) <= 0.9 else (0.0, 1.0, 0.0)
@@ -489,19 +471,7 @@ def _boundary_radius(member, w, e1, e2, theta):
     def direction(r):
         return tuple(wi + r * (c * ai + s * bi) for wi, ai, bi in zip(w, e1, e2))
 
-    lo, hi = 0.0, 1.0
-    while member(direction(hi)):
-        lo = hi
-        hi *= 2.0
-        if hi > 2.0**30:
-            return None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if member(direction(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return ray_exit(lambda r: member(direction(r)), 2.0**30)
 
 
 def _scan_three_dim(member, hint, rng: random.Random, n: int, tau: float):
@@ -520,7 +490,6 @@ def _scan_three_dim(member, hint, rng: random.Random, n: int, tau: float):
             return None
         pts.append((rad * math.cos(th), rad * math.sin(th)))
         angles.append(th)
-    from .bodies import SectionSample
     from .criteria import polygonality_detect
 
     sample = SectionSample(None, tuple(pts), tuple(angles))
@@ -548,28 +517,20 @@ def mirkil_scan(
     """
     if samples < 0:
         raise ConeError("sample budget must be nonnegative")
+    check_sampling(boundary_points, tau)
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
     if samples == 0:
         return MirkilReport(
             "polyhedral-consistent", 0, 0, seed, True, None, ("zero-budget",)
         )
+    if oracle.exact is not None:
+        return MirkilReport(
+            "polyhedral-consistent", samples, samples, seed, False, None,
+            ("exact cone: every section is polyhedral by construction",),
+        )
     rng = random.Random(seed)
     notes: list[str] = []
-    if oracle.exact is not None:
-        for _ in range(samples):
-            if oracle.dim == 3:
-                rng.random()
-                continue
-            flat = _random_exact_subspace(
-                rng, oracle.exact.apex, oracle.dim, 3
-            )
-            cone_section(oracle.exact, flat)
-        notes.append("exact cone: every section is polyhedral by construction")
-        return MirkilReport(
-            "polyhedral-consistent", samples, samples, seed, False, None, tuple(notes)
-        )
-
     for i in range(samples):
         if oracle.dim == 3:
             frame: tuple = ()

@@ -22,9 +22,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .bodies import (
-    BodyError,
     BodyOracle,
+    FlatMissesBody,
     SectionSample,
+    check_sampling,
     sample_section_boundary,
 )
 from .geometry import (
@@ -91,6 +92,8 @@ def polygonality_detect(sample: SectionSample, tau: float = 1e-9) -> Polygonalit
     n = len(pts)
     if n < 8:
         raise CriterionError("polygonality detection needs at least 8 points")
+    if not (math.isfinite(tau) and tau > 0):
+        raise CriterionError("tau must be finite and positive")
     diam = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -242,6 +245,7 @@ def klee_section_test(
         criterion = "K1" if delta is None else "T1.1"
     if flats < 0:
         raise CriterionError("flat budget must be nonnegative")
+    check_sampling(boundary_points, tau)
     d = poly.ambient_dim if poly is not None else oracle.dim
     if not 2 <= k <= d - 1:
         raise CriterionError("section dimension k must satisfy 2 <= k <= d-1")
@@ -266,7 +270,7 @@ def klee_section_test(
         used += 1
         try:
             samp = sample_section_boundary(oracle, flat, boundary_points)
-        except BodyError:
+        except FlatMissesBody:
             notes.append(f"sample {i}: coverage violation (flat misses interior)")
             continue
         verdict = polygonality_detect(samp, tau)
@@ -275,7 +279,7 @@ def klee_section_test(
         try:
             samp4 = sample_section_boundary(oracle, flat, 4 * boundary_points)
             verdict4 = polygonality_detect(samp4, tau)
-        except BodyError:
+        except FlatMissesBody:
             verdict4 = None
         if verdict4 is not None and verdict4.kind == "curved":
             witness = KleeWitness(
@@ -370,6 +374,7 @@ def klee_projection_test(
     poly, oracle, name, exact = _resolve_body(body)
     if subspaces < 0:
         raise CriterionError("subspace budget must be nonnegative")
+    check_sampling(boundary_points, tau)
     d = poly.ambient_dim if poly is not None else oracle.dim
     if not 2 <= k <= d - 1:
         raise CriterionError("projection dimension k must satisfy 2 <= k <= d-1")
@@ -504,6 +509,7 @@ def visual_cone_test(
     """
     from .cones import mirkil_scan, visual_cone
 
+    check_sampling(boundary_points, tau)
     poly, oracle, name, exact = _resolve_body(body)
     rng = random.Random(seed)
     if isinstance(apex_source, tuple) and apex_source and apex_source[0] == "sphere":
@@ -544,10 +550,11 @@ def visual_cone_test(
 def _ray_hit_cone_oracle(body: BodyOracle, apex):
     """Directional membership for the visual cone of an oracle body.
 
-    A direction is in the cone iff the ray from the apex meets the body:
-    the Minkowski gauge of the body (anchored at its interior hint) is
-    convex along the ray, so a ternary search finds its minimum and the
-    comparison with 1 decides the hit.
+    A direction is in the cone iff the ray from the apex meets the body.
+    With a closed-form ray_interval that is t1 >= 0; otherwise the
+    Minkowski gauge of the body (anchored at its interior hint) is convex
+    along the ray, so a ternary search finds its minimum and the comparison
+    with 1 decides the hit.
     """
     from .cones import ConeError, ConeOracle
 
@@ -584,6 +591,9 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
         if nu == 0:
             return True
         uu = tuple(x / nu for x in u)
+        if body.ray_interval is not None:
+            span = body.ray_interval(z, uu)
+            return span is not None and span[1] >= 0.0
         at = lambda t: tuple(zi + t * ui for zi, ui in zip(z, uu))
         # cheap pass: any coarse sample inside decides immediately
         for j in range(1, 33):

@@ -88,3 +88,78 @@ def edge_plane_crossings(edges, normal, offset):
             t = va / (va - vb)
             out.append(vadd(a, vscale(vsub(b, a), t)))
     return sorted(set(out))
+
+
+def closest_point_on_polytope_reference(poly, p):
+    """Float closest point of a full-dimensional 3-polytope (outside case).
+
+    The per-call form: every call rebuilds the facet normals and orders each
+    facet's vertices by angle.  Reference for the cap body's precomputed
+    facet data, which must give bit-identical points.
+    """
+    import math
+
+    def fdot(a, b):
+        return sum(float(x) * float(y) for x, y in zip(a, b))
+
+    def fnorm(v):
+        return math.sqrt(sum(float(x) ** 2 for x in v))
+
+    def funit(v):
+        n = fnorm(v)
+        return tuple(x / n for x in v) if n > 1e-15 else None
+
+    def cross(a, b):
+        return (
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        )
+
+    def order_polygon(pts, centroid, normal):
+        ref = tuple(a - b for a, b in zip(pts[0], centroid))
+        e1 = funit(ref) or (1.0, 0.0, 0.0)
+        e2 = funit(cross(normal, e1))
+        ang = []
+        for i, q in enumerate(pts):
+            d = tuple(a - b for a, b in zip(q, centroid))
+            ang.append((math.atan2(fdot(d, e2), fdot(d, e1)), i))
+        return [i for _, i in sorted(ang)]
+
+    verts = [tuple(float(x) for x in v) for v in poly.vertices]
+    best = None
+    best_pt = None
+
+    def consider(q):
+        nonlocal best, best_pt
+        d = fnorm(tuple(a - b for a, b in zip(p, q)))
+        if best is None or d < best:
+            best, best_pt = d, q
+
+    for hs, face in zip(poly.halfspaces, poly.facet_vertices):
+        n = tuple(float(x) for x in hs.normal)
+        c = float(hs.offset)
+        nn = fdot(n, n)
+        t = (fdot(n, p) - c) / nn
+        proj = tuple(pi - t * ni for pi, ni in zip(p, n))
+        pts = [verts[i] for i in face]
+        inside = True
+        centroid = tuple(sum(q[i] for q in pts) / len(pts) for i in range(3))
+        m = len(pts)
+        order = order_polygon(pts, centroid, n)
+        for k in range(m):
+            a = pts[order[k]]
+            b = pts[order[(k + 1) % m]]
+            e = tuple(bi - ai for ai, bi in zip(a, b))
+            out = cross(e, n)
+            if fdot(out, tuple(pi - ai for pi, ai in zip(proj, a))) > 1e-12:
+                inside = False
+            ee = fdot(e, e)
+            if ee > 0:
+                s = max(0.0, min(1.0, fdot(tuple(pi - ai for pi, ai in zip(p, a)), e) / ee))
+                consider(tuple(ai + s * ei for ai, ei in zip(a, e)))
+        if inside:
+            consider(proj)
+    for v in verts:
+        consider(v)
+    return best_pt

@@ -1,20 +1,29 @@
 """Support-function body oracles and boundary sampling."""
 
+import dataclasses
 import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES
+from helpers import (
+    CUBE_VERTICES,
+    centered_polytope,
+    closest_point_on_polytope_reference,
+)
 
 from polysect.bodies import (
     BodyError,
+    FlatMissesBody,
+    _closest_point_finder,
     body_from_spec,
     glue_cap,
     make_ball,
     make_ellipsoid,
+    ray_exit,
     sample_section_boundary,
     wrap_polytope,
 )
@@ -129,6 +138,19 @@ class TestGlueCap:
         assert not self.body.member((-1.0, -1.0, -1.2))
         assert not self.body.member((1.5, 1.0, 1.0))
 
+    def test_precomputed_closest_points_match_reference(self):
+        rng = random.Random(5)
+        polys = [cube()] + [centered_polytope(rng, 3, 12) for _ in range(3)]
+        for poly in polys:
+            closest = _closest_point_finder(poly)
+            checked = 0
+            while checked < 40:
+                p = tuple(rng.uniform(-6.0, 6.0) for _ in range(3))
+                if poly.contains(tuple(F(x) for x in p)) != "outside":
+                    continue
+                assert closest(p) == closest_point_on_polytope_reference(poly, p)
+                checked += 1
+
     def test_support_is_max_of_pieces(self):
         h, _ = self.body.support((1.0, 0.0, 0.0))
         assert abs(h - 2.0) < 1e-6
@@ -136,6 +158,95 @@ class TestGlueCap:
         assert abs(h - 1.0) < 1e-6
         h, _ = self.body.support((0.0, 1.0, 0.0))
         assert abs(h - 1.0) < 1e-6
+
+
+coords = st.floats(-3.0, 3.0)
+lengths = st.floats(0.1, 10.0)
+
+
+@st.composite
+def smooth_bodies(draw):
+    center = draw(st.tuples(coords, coords, coords))
+    if draw(st.booleans()):
+        return make_ball(center, draw(lengths))
+    return make_ellipsoid(center, draw(st.tuples(lengths, lengths, lengths)))
+
+
+@st.composite
+def interior_rays(draw):
+    """(body, interior point z, direction u) with z at most 0.95 of the way out."""
+    body = draw(smooth_bodies())
+    v = draw(st.tuples(coords, coords, coords))
+    u = draw(st.tuples(coords, coords, coords))
+    assume(math.hypot(*v) > 0.1 and math.hypot(*u) > 0.1)
+    _, edge = body.support(v)
+    frac = draw(st.floats(0.0, 0.95))
+    c = body.interior_hint
+    z = tuple(ci + frac * (ei - ci) for ci, ei in zip(c, edge))
+    return body, z, u
+
+
+class TestRayInterval:
+    """Closed-form ray intervals against the member bisection they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(interior_rays())
+    def test_exit_matches_bisection(self, case):
+        body, z, u = case
+        t0, t1 = body.ray_interval(z, u)
+        assert t0 < 0 < t1
+
+        def along(t):
+            return tuple(zi + t * ui for zi, ui in zip(z, u))
+
+        fallback = dataclasses.replace(body, ray_interval=None)
+        t_bisect = ray_exit(lambda t: fallback.member(along(t)), 2.0**40)
+        assert abs(t1 - t_bisect) <= 1e-9 * t_bisect
+        assert body.member(along(t1 * (1 - 1e-8)))
+        assert not body.member(along(t1 * (1 + 1e-8)))
+        assert body.member(along(t0 * (1 - 1e-8)))
+        assert not body.member(along(t0 * (1 + 1e-8)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(smooth_bodies(), st.integers(0, 10_000))
+    def test_section_sample_matches_bisection(self, body, seed):
+        rng = random.Random(seed)
+        base = tuple(F(round(c * 64), 64) for c in body.interior_hint)
+        dirs = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(2)]
+        assume(any(any(d) for d in dirs))
+        flat = AffineFlat.spanning(base, dirs)
+        assume(flat.dim == 2)
+        fast = sample_section_boundary(body, flat, 16)
+        fallback = dataclasses.replace(body, ray_interval=None)
+        slow = sample_section_boundary(fallback, flat, 16)
+        scale = max(math.hypot(*p) for p in slow.points)
+        assert fast.angles == slow.angles
+        for p, q in zip(fast.points, slow.points):
+            assert math.dist(p, q) <= 1e-9 * scale
+
+    def test_same_tolerance_as_member(self):
+        # member accepts 1e-12 beyond the surface; the interval ends there
+        ball = make_ball((0, 0, 0), 1)
+        ell = make_ellipsoid((0, 0, 0), (1, 2, 2))
+        for body in (ball, ell):
+            _, t1 = body.ray_interval((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+            assert body.member((t1 - 1e-14, 0.0, 0.0))
+            assert not body.member((t1 + 1e-14, 0.0, 0.0))
+            assert t1 > 1.0 + 4e-13
+
+    def test_line_missing_the_body(self):
+        ball = make_ball((0, 0, 0), 1)
+        assert ball.ray_interval((0.0, 0.0, 2.0), (1.0, 0.0, 0.0)) is None
+        ell = make_ellipsoid((0, 0, 0), (2, 1, 1))
+        assert ell.ray_interval((0.0, 1.5, 0.0), (1.0, 0.0, 0.0)) is None
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(BodyError):
+            make_ball((0, 0, 0), 1).ray_interval((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    def test_bodies_without_closed_form(self):
+        assert wrap_polytope(cube()).ray_interval is None
+        assert glue_cap(cube(), (1, 0, 0), 1).ray_interval is None
 
 
 class TestSampleSectionBoundary:
@@ -167,7 +278,7 @@ class TestSampleSectionBoundary:
     def test_flat_missing_interior_raises(self):
         ball = make_ball((0, 0, 0), 1)
         flat = AffineFlat.spanning((F(0), F(0), F(5)), [(1, 0, 0), (0, 1, 0)])
-        with pytest.raises(BodyError, match="interior"):
+        with pytest.raises(FlatMissesBody, match="interior"):
             sample_section_boundary(ball, flat, 16)
 
     def test_needs_two_dim_flat(self):

@@ -247,6 +247,30 @@ class TestPlumbing:
         assert code == 1
         assert capsys.readouterr().err == "error: ball spec needs 'radius'\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["klee-k1", "--flats", "2", "--boundary-points", "4"],
+             "need at least 8 boundary points"),
+            (["klee-k1", "--flats", "2", "--tau", "nan"],
+             "tau must be finite and positive"),
+            (["section"], "the following arguments are required: --flat"),
+        ],
+    )
+    def test_malformed_call_is_one_error_line(
+        self, argv, message, ball_json, tmp_path, capsys
+    ):
+        code, rep = run([argv[0], "--body", ball_json] + argv[1:], tmp_path)
+        assert code == 1
+        assert rep is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["klee-k1", "--help"])
+        assert exc.value.code == 0
+        assert "--boundary-points" in capsys.readouterr().out
+
     def test_inline_body_json(self, tmp_path):
         code, rep = run(
             ["klee-k1", "--body-json",

@@ -1,5 +1,6 @@
 """Polygonality detection, Klee-style testers, certificates, and drift."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -9,14 +10,17 @@ import pytest
 from helpers import CUBE_VERTICES, centered_polytope
 
 from polysect.bodies import (
+    BodyError,
+    BodyOracle,
     SectionSample,
     make_ball,
     make_ellipsoid,
     wrap_polytope,
 )
-from polysect.cones import ConeError
+from polysect.cones import ConeError, ball_visual_cone_oracle, mirkil_scan
 from polysect.criteria import (
     CriterionError,
+    _ray_hit_cone_oracle,
     DriftConfig,
     default_normal_family,
     drift_config_from_geometry,
@@ -100,6 +104,11 @@ class TestPolygonalityDetect:
         verdict = polygonality_detect(polar_sample(lambda t: 1000.0, 32))
         assert verdict.kind == "curved"
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(CriterionError, match="tau"):
+            polygonality_detect(polar_sample(lambda t: 1.0, 32), tau=tau)
+
     def test_loose_tau_accepts_circle(self):
         verdict = polygonality_detect(polar_sample(lambda t: 1.0, 32), tau=0.5)
         assert verdict.kind == "polygon"
@@ -180,6 +189,52 @@ class TestKleeSectionTest:
         assert any("miss" in n for n in rep.notes)
 
 
+    def test_oracle_notes_mention_missed_flats(self):
+        # most central planes pass far from a small off-center ball
+        rep = klee_section_test(make_ball((5, 0, 0), 0.5), 4, seed=0)
+        assert rep.verdict == "polytope-consistent"
+        assert any("flat misses interior" in n for n in rep.notes)
+
+    def test_other_body_errors_are_not_coverage_notes(self):
+        # an oracle that never says "outside": the ray search gives up, and
+        # that is an error, not a flat that missed the body
+        endless = BodyOracle(
+            3, lambda u: (0.0, (0.0, 0.0, 0.0)), lambda x: True, (0.0, 0.0, 0.0)
+        )
+        with pytest.raises(BodyError, match="never left"):
+            klee_section_test(endless, 1)
+
+
+def _ball():
+    return make_ball((0, 0, 0), 1)
+
+
+SAMPLING_ENTRY_POINTS = {
+    "K1-cube": lambda **kw: klee_section_test(cube(), 1, **kw),
+    "K1-ball": lambda **kw: klee_section_test(_ball(), 1, **kw),
+    "K2-ball": lambda **kw: klee_projection_test(_ball(), 1, **kw),
+    "T1.2-ball": lambda **kw: visual_cone_test(_ball(), [(0, 0, 3)], **kw),
+    "mirkil": lambda **kw: mirkil_scan(
+        ball_visual_cone_oracle((0, 0, 3), (0, 0, 0), 1.0), 1, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLING_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"boundary_points": 7}, "at least 8 boundary points"),
+        ({"tau": float("nan")}, "tau must be finite and positive"),
+        ({"tau": float("inf")}, "tau must be finite and positive"),
+        ({"tau": 0.0}, "tau must be finite and positive"),
+    ],
+)
+def test_bad_sampling_parameters_rejected_up_front(entry, params, message):
+    with pytest.raises(BodyError, match=message):
+        SAMPLING_ENTRY_POINTS[entry](**params)
+
+
 class TestKleeProjectionTest:
     def test_cube_is_consistent(self):
         rep = klee_projection_test(cube(), 10, seed=4)
@@ -244,6 +299,31 @@ class TestVisualConeTest:
         assert rep.witness is not None
         assert rep.witness.kind == "visual-cone"
         assert rep.witness.apex is not None
+
+    def test_ray_hit_oracle_matches_gauge_search(self):
+        # the closed-form ray interval and the gauge search (bodies without
+        # one) must agree away from the cone's boundary
+        ball = make_ball((0.1, -0.2, 0.3), 1.5)
+        apex = (0.5, 0.2, 4.0)
+        fast = _ray_hit_cone_oracle(ball, apex)
+        slow = _ray_hit_cone_oracle(
+            dataclasses.replace(ball, ray_interval=None), apex
+        )
+        to_center = [c - a for a, c in zip(apex, ball.interior_hint)]
+        dist = math.hypot(*to_center)
+        half = math.asin(1.5 / dist)
+        axis = [x / dist for x in to_center]
+        rng = random.Random(4)
+        hits = 0
+        for _ in range(40):
+            u = [a + 0.6 * rng.gauss(0.0, 1.0) for a in axis]
+            cos_angle = sum(a * b for a, b in zip(u, axis)) / math.hypot(*u)
+            angle = math.acos(max(-1.0, min(1.0, cos_angle)))
+            if abs(angle - half) < 1e-3:
+                continue
+            assert fast.member(u) == slow.member(u) == (angle < half)
+            hits += angle < half
+        assert 0 < hits < 40
 
     def test_apex_inside_exact_body_raises(self):
         with pytest.raises(ConeError):
