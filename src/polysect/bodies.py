@@ -5,7 +5,8 @@ support point) and member(x) -> bool (membership within the body's
 tolerance).  Balls, ellipsoids and exact polytopes have closed forms; the
 cap body conv(polytope ∪ ball) evaluates membership through the identity
 conv(A ∪ B) = union over t of (t·A + (1-t)·B), which turns the question
-into a one-dimensional convex minimization over t.
+into a one-dimensional convex minimization over t, searched in floats
+until a sample or a convexity bound settles it.
 
 Planar sections of a body are sampled along rays from an interior point
 of the section: bodies with a closed-form ray_interval (balls, ellipsoids)
@@ -184,11 +185,13 @@ def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
 
 
 def _closest_point_finder(poly: Polytope):
-    """Float closest point of a full-dimensional 3-polytope (outside case).
+    """Float (inside, closest) tests for a full-dimensional 3-polytope.
 
-    The facet data (normal, offset, n.n, and the facet's edges in
-    rotational order with their outward edge normals and squared lengths)
-    is built once; the returned function does only the per-point work.
+    inside(p) holds when p satisfies every float facet plane n.p <= c;
+    closest(p) is the closest point of the polytope to an outside p.  The
+    facet data (normal, offset, n.n, and the facet's edges in rotational
+    order with their outward edge normals and squared lengths) is built
+    once; the returned functions do only the per-point work.
     """
     verts = [tuple(float(x) for x in v) for v in poly.vertices]
     facets = []
@@ -205,6 +208,11 @@ def _closest_point_finder(poly: Polytope):
             e = tuple(bi - ai for ai, bi in zip(a, b))
             edges.append((a, e, _cross3f(e, n), _fdot(e, e)))
         facets.append((n, float(hs.offset), _fdot(n, n), tuple(edges)))
+    planes = [(nx, ny, nz, c) for (nx, ny, nz), c, _, _ in facets]
+
+    def inside(p) -> bool:
+        px, py, pz = p
+        return all(nx * px + ny * py + nz * pz <= c for nx, ny, nz, c in planes)
 
     def closest(p) -> tuple[float, ...]:
         # unrolled 3-D arithmetic in the operation order of _fdot and _fnorm,
@@ -238,7 +246,7 @@ def _closest_point_finder(poly: Polytope):
             consider(v)
         return best_pt
 
-    return closest
+    return inside, closest
 
 
 def _cross3f(a, b):
@@ -278,7 +286,7 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
         raise BodyError("ball radius must be positive")
     ball = make_ball(c, r)
     pwrap = wrap_polytope(poly)
-    closest_point = _closest_point_finder(poly)
+    inside, closest_point = _closest_point_finder(poly)
 
     def support(u):
         hp, pp = pwrap.support(u)
@@ -294,25 +302,77 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
             scaled = tuple(
                 (xi - (1.0 - t) * ci) / t for xi, ci in zip(x, c)
             )
-            xq = tuple(Fraction(v) for v in scaled)
-            if poly.contains(xq) != "outside":
+            if inside(scaled):
                 d = 0.0
             else:
                 q = closest_point(scaled)
                 d = _fnorm(tuple(a - b for a, b in zip(scaled, q)))
             return t * d - (1.0 - t) * r
 
-        lo, hi = 1e-9, 1.0
-        for _ in range(80):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if f(m1) <= f(m2):
-                hi = m2
-            else:
-                lo = m1
-        return f(0.5 * (lo + hi)) <= 1e-9
+        return _convex_min_at_most(f, 1e-9, 1.0, 1e-9)
 
     return BodyOracle(3, support, member, pwrap.interior_hint, 1e-9, False, "cap")
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _convex_min_at_most(f, lo: float, hi: float, level: float) -> bool:
+    """Whether the minimum of a convex f over [lo, hi] is at most `level`.
+
+    A golden-section search that stops on the first certificate: a sample
+    at or below `level` proves yes, and a convexity lower bound from the
+    four bracket samples above `level` proves no.  When the bracket gets
+    narrower than 1e-15 without either, the midpoint sample decides.
+    """
+    ts = [lo, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo), hi]
+    fs = [f(t) for t in ts]
+    while True:
+        if min(fs) <= level:
+            return True
+        if _convex_lower_bound(ts, fs) > level:
+            return False
+        if ts[3] - ts[0] < 1e-15:
+            return f(0.5 * (ts[0] + ts[3])) <= level
+        if fs[1] <= fs[2]:
+            # the minimum lies in [t0, t2]; the old t1 becomes the new t2
+            t = ts[2] - _INV_PHI * (ts[2] - ts[0])
+            ts = [ts[0], t, ts[1], ts[2]]
+            fs = [fs[0], f(t), fs[1], fs[2]]
+        else:
+            t = ts[1] + _INV_PHI * (ts[3] - ts[1])
+            ts = [ts[1], ts[2], t, ts[3]]
+            fs = [fs[1], fs[2], f(t), fs[3]]
+
+
+def _convex_lower_bound(ts, fs) -> float:
+    """Lower bound on [t0, t3] of a convex f sampled at t0 < t1 < t2 < t3.
+
+    Outside the chord between two samples a convex function lies above the
+    chord's line (secant extension).  Each gap between samples is bounded by
+    the extended neighbouring chords, and the maximum of two lines is
+    smallest at a gap end or where they cross.
+    """
+    if not ts[0] < ts[1] < ts[2] < ts[3]:
+        return -math.inf
+    s = [(fs[i + 1] - fs[i]) / (ts[i + 1] - ts[i]) for i in range(3)]
+    gaps = (
+        (ts[0], ts[1], ((ts[1], fs[1], s[1]),)),
+        (ts[1], ts[2], ((ts[1], fs[1], s[0]), (ts[2], fs[2], s[2]))),
+        (ts[2], ts[3], ((ts[2], fs[2], s[1]),)),
+    )
+    bound = math.inf
+    for a, b, lines in gaps:
+        candidates = [a, b]
+        if len(lines) == 2:
+            (t0, f0, k0), (t1, f1, k1) = lines
+            if k0 != k1:
+                cross = (f1 - f0 + k0 * t0 - k1 * t1) / (k0 - k1)
+                if a < cross < b:
+                    candidates.append(cross)
+        for t in candidates:
+            bound = min(bound, max(f0 + k * (t - t0) for t0, f0, k in lines))
+    return bound
 
 
 def sample_section_boundary(

@@ -499,7 +499,19 @@ def _add_body_flags(p):
     p.add_argument("--report", default="-", help="report path (default stdout)")
     p.add_argument("--svg", help="write an SVG rendering of 2-dim output")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--tau", type=float, default=1e-9, help="flatness tolerance")
+    p.add_argument("--tau", type=_tau, default=1e-9, help="flatness tolerance")
+
+
+def _tau(text: str) -> float:
+    # every command takes --tau and echoes it into its report, so a NaN or
+    # infinite value would make the report invalid JSON
+    try:
+        tau = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tau) and tau > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
+    return tau
 
 
 class _UsageError(Exception):

@@ -297,11 +297,6 @@ def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
     return ConeSection(cone.apex, anchored, chart_cone)
 
 
-def is_polyhedral_exact(cone: PolyCone) -> bool:
-    """A cone in generator form is polyhedral; kept for interface symmetry."""
-    return True
-
-
 # ---------------------------------------------------------------------------
 # oracle cones and the subspace scan
 
@@ -312,7 +307,10 @@ class ConeOracle:
 
     member(u) answers whether the ray apex + t*u (t >= 0) stays in the cone;
     axis_hint is a roughly-interior direction.  When `exact` is set the scan
-    uses exact sections instead of sampling.
+    uses exact sections instead of sampling.  ray_interval(w, d), when set,
+    is the closed-form counterpart of BodyOracle.ray_interval: the interval
+    (r0, r1) of {r : member(w + r*d)} under member's tolerance, with
+    infinite ends for unbounded rays, or None when the line misses the cone.
     """
 
     dim: int
@@ -321,6 +319,10 @@ class ConeOracle:
     axis_hint: tuple[float, ...]
     exact: PolyCone | None = None
     name: str = "cone"
+    ray_interval: (
+        Callable[[Sequence[float], Sequence[float]], tuple[float, float] | None]
+        | None
+    ) = None
 
 
 @dataclass(frozen=True)
@@ -378,12 +380,6 @@ def cone_oracle_from_exact(cone: PolyCone, name: str = "exact-cone") -> ConeOrac
     )
 
 
-def exact_cone_oracle_sampling_only(cone: PolyCone, name: str = "cone") -> ConeOracle:
-    """Same membership oracle, but scanned by sampling (for testing the scan)."""
-    full = cone_oracle_from_exact(cone, name)
-    return ConeOracle(full.dim, full.apex, full.member, full.axis_hint, None, name)
-
-
 def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
     """The round cone of directions from `apex` that hit the ball (closed)."""
     z = _to_floats(apex)
@@ -395,14 +391,68 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
     if dist <= radius:
         raise ConeError("apex must lie strictly outside the ball")
     cos_half = math.sqrt(1.0 - (radius / dist) ** 2)
+    unit_axis = tuple(a / dist for a in axis)
+    k = cos_half - 1e-12
 
     def member(u):
         nu = _fnorm(u)
         if nu == 0:
             return True
-        return _fdot(u, axis) / (nu * dist) >= cos_half - 1e-12
+        return _fdot(u, axis) / (nu * dist) >= k
 
-    return ConeOracle(len(z), z, member, tuple(a / dist for a in axis), None, "ball-visual-cone")
+    def ray_interval(w, d):
+        # u = w + r*d is in the cone iff u.a >= 0 and (u.a)^2 >= k^2 |u|^2
+        p, q = _fdot(w, unit_axis), _fdot(d, unit_axis)
+        kk = k * k
+        a = q * q - kk * _fdot(d, d)
+        b = p * q - kk * _fdot(w, d)
+        c = p * p - kk * _fdot(w, w)
+        span = _nappe_interval(a, b, c, q)
+        if span is None:
+            return None
+        # the forward nappe is the half-line p + q*r >= 0
+        r0, r1 = span
+        if q > 0:
+            r0 = max(r0, -p / q)
+        elif q < 0:
+            r1 = min(r1, -p / q)
+        elif p < 0:
+            return None
+        return (r0, r1) if r0 <= r1 else None
+
+    # squaring u.a >= k|u| needs k > 0; k <= 0 only when the apex sits on
+    # the sphere to within rounding, and then the scan bisects member
+    return ConeOracle(
+        len(z), z, member, unit_axis, None, "ball-visual-cone",
+        ray_interval if k > 0 else None,
+    )
+
+
+def _nappe_interval(a, b, c, q):
+    """The part of {r : a*r^2 + 2*b*r + c >= 0} on the forward nappe's side.
+
+    The set is the line's meet with a double cone.  When a > 0 the line's
+    direction lies inside the double cone and the set is two rays, one per
+    nappe; the forward one points along sign(q).  Otherwise the set is one
+    interval (or empty).  Roots use the stable form of the quadratic formula.
+    """
+    inf = math.inf
+    if a == 0:
+        if b == 0:
+            return (-inf, inf) if c >= 0 else None
+        root = -c / (2.0 * b)
+        return (root, inf) if b > 0 else (-inf, root)
+    disc = b * b - a * c
+    if disc < 0:
+        return (-inf, inf) if a > 0 else None
+    s = -(b + math.copysign(math.sqrt(disc), b))
+    if s == 0:
+        lo = hi = 0.0
+    else:
+        lo, hi = sorted((s / a, c / s))
+    if a < 0:
+        return (lo, hi)
+    return (hi, inf) if q > 0 else (-inf, lo)
 
 
 def _random_float_frame(rng: random.Random, dim: int, k: int):
@@ -465,8 +515,14 @@ def _find_interior_direction(member, hint):
     return w
 
 
-def _boundary_radius(member, w, e1, e2, theta):
+def _boundary_radius(member, ray_interval, w, e1, e2, theta):
+    """Exit radius of w + r*(cos θ e1 + sin θ e2); None beyond 2^30."""
     c, s = math.cos(theta), math.sin(theta)
+    if ray_interval is not None:
+        span = ray_interval(w, tuple(c * ai + s * bi for ai, bi in zip(e1, e2)))
+        # w is inside, so the interval holds 0 up to rounding
+        r1 = max(span[1], 0.0) if span is not None else 0.0
+        return r1 if r1 < 2.0**30 else None
 
     def direction(r):
         return tuple(wi + r * (c * ai + s * bi) for wi, ai, bi in zip(w, e1, e2))
@@ -474,7 +530,7 @@ def _boundary_radius(member, w, e1, e2, theta):
     return ray_exit(lambda r: member(direction(r)), 2.0**30)
 
 
-def _scan_three_dim(member, hint, rng: random.Random, n: int, tau: float):
+def _scan_three_dim(member, ray_interval, hint, rng: random.Random, n: int, tau: float):
     """One cross-section scan; returns (points, triple, area) when curved."""
     w = _find_interior_direction(member, hint)
     offset = rng.uniform(0.0, 2.0 * math.pi / n)
@@ -485,7 +541,7 @@ def _scan_three_dim(member, hint, rng: random.Random, n: int, tau: float):
     angles = []
     for j in range(n):
         th = offset + 2.0 * math.pi * j / n
-        rad = _boundary_radius(member, w, e1, e2, th)
+        rad = _boundary_radius(member, ray_interval, w, e1, e2, th)
         if rad is None:
             return None
         pts.append((rad * math.cos(th), rad * math.sin(th)))
@@ -535,20 +591,25 @@ def mirkil_scan(
         if oracle.dim == 3:
             frame: tuple = ()
             member3 = oracle.member
+            ray3 = oracle.ray_interval
             hint3 = oracle.axis_hint
         else:
             frame = _random_float_frame(rng, oracle.dim, 3)
-            member3 = lambda s, fr=frame: oracle.member(
-                tuple(
-                    sum(si * fi[j] for si, fi in zip(s, fr))
-                    for j in range(oracle.dim)
-                )
+            lift = lambda s, fr=frame: tuple(
+                sum(si * fi[j] for si, fi in zip(s, fr)) for j in range(oracle.dim)
             )
+            member3 = lambda s, lift=lift: oracle.member(lift(s))
+            ray3 = None
+            if oracle.ray_interval is not None:
+                # the frame map is linear, so ray parameters carry over
+                ray3 = lambda w, d, lift=lift: oracle.ray_interval(lift(w), lift(d))
             hint3 = tuple(_fdot(oracle.axis_hint, f) for f in frame)
-        found = _scan_three_dim(member3, hint3, rng, boundary_points, tau)
+        found = _scan_three_dim(member3, ray3, hint3, rng, boundary_points, tau)
         if found is not None:
             # soundness: the witness must survive a doubled sampling density
-            confirm = _scan_three_dim(member3, hint3, rng, 2 * boundary_points, tau)
+            confirm = _scan_three_dim(
+                member3, ray3, hint3, rng, 2 * boundary_points, tau
+            )
             if confirm is None:
                 notes.append(f"sample {i}: witness failed doubled-density re-verification")
                 continue

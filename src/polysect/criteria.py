@@ -182,6 +182,9 @@ class CriterionReport:
 
 
 RATIONALIZE_DENOMINATOR = 2**20
+# Beyond this a section flat's points (up to |delta| * RATIONALIZE_DENOMINATOR
+# from the origin) have squared norms that overflow the float oracles.
+MAX_DELTA = 1e100
 
 
 def _rationalize(v, den: int = RATIONALIZE_DENOMINATOR) -> Vector:
@@ -210,9 +213,12 @@ def _resolve_body(body) -> tuple[Polytope | None, BodyOracle | None, str, bool]:
 def _delta_value(delta, direction) -> float:
     if delta is None:
         return 0.0
-    if callable(delta):
-        return float(delta(direction))
-    return float(delta)
+    value = float(delta(direction)) if callable(delta) else float(delta)
+    if not math.isfinite(value):
+        raise CriterionError("delta must be finite")
+    if abs(value) > MAX_DELTA:
+        raise CriterionError("delta must be at most 1e100 in absolute value")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +251,8 @@ def klee_section_test(
         criterion = "K1" if delta is None else "T1.1"
     if flats < 0:
         raise CriterionError("flat budget must be nonnegative")
+    if delta is not None and not callable(delta):
+        _delta_value(delta, None)
     check_sampling(boundary_points, tau)
     d = poly.ambient_dim if poly is not None else oracle.dim
     if not 2 <= k <= d - 1:

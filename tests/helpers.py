@@ -163,3 +163,56 @@ def closest_point_on_polytope_reference(poly, p):
     for v in verts:
         consider(v)
     return best_pt
+
+
+def glue_cap_member_reference(poly, center, radius):
+    """The cap body's membership test by a fixed 80-step ternary search.
+
+    Each step decides containment of the scaled point exactly on Fractions.
+    Reference for the cap member's certificate-stopped float search, which
+    must give the same verdicts.
+    """
+    from polysect.bodies import _closest_point_finder, make_ball, wrap_polytope
+
+    c = tuple(float(x) for x in center)
+    r = float(radius)
+    ball = make_ball(c, r)
+    pwrap = wrap_polytope(poly)
+    _, closest_point = _closest_point_finder(poly)
+
+    def member(x):
+        if pwrap.member(x) or ball.member(x):
+            return True
+
+        def f(t):
+            scaled = tuple((xi - (1.0 - t) * ci) / t for xi, ci in zip(x, c))
+            if poly.contains(tuple(F(v) for v in scaled)) != "outside":
+                d = 0.0
+            else:
+                q = closest_point(scaled)
+                d = sum((a - b) ** 2 for a, b in zip(scaled, q)) ** 0.5
+            return t * d - (1.0 - t) * r
+
+        lo, hi = 1e-9, 1.0
+        for _ in range(80):
+            m1 = lo + (hi - lo) / 3
+            m2 = hi - (hi - lo) / 3
+            if f(m1) <= f(m2):
+                hi = m2
+            else:
+                lo = m1
+        return f(0.5 * (lo + hi)) <= 1e-9
+
+    return member
+
+
+def exact_cone_oracle_sampling_only(cone, name="cone"):
+    """An exact cone's membership oracle without the exact short-cut.
+
+    mirkil_scan then samples its cross-sections by bisection of member, the
+    route every cone oracle without a closed-form ray_interval takes.
+    """
+    from polysect.cones import ConeOracle, cone_oracle_from_exact
+
+    full = cone_oracle_from_exact(cone, name)
+    return ConeOracle(full.dim, full.apex, full.member, full.axis_hint, None, name)

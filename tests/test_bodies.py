@@ -13,12 +13,14 @@ from helpers import (
     CUBE_VERTICES,
     centered_polytope,
     closest_point_on_polytope_reference,
+    glue_cap_member_reference,
 )
 
 from polysect.bodies import (
     BodyError,
     FlatMissesBody,
     _closest_point_finder,
+    _convex_min_at_most,
     body_from_spec,
     glue_cap,
     make_ball,
@@ -142,14 +144,41 @@ class TestGlueCap:
         rng = random.Random(5)
         polys = [cube()] + [centered_polytope(rng, 3, 12) for _ in range(3)]
         for poly in polys:
-            closest = _closest_point_finder(poly)
+            inside, closest = _closest_point_finder(poly)
             checked = 0
             while checked < 40:
                 p = tuple(rng.uniform(-6.0, 6.0) for _ in range(3))
                 if poly.contains(tuple(F(x) for x in p)) != "outside":
+                    assert inside(p)
                     continue
+                assert not inside(p)
                 assert closest(p) == closest_point_on_polytope_reference(poly, p)
                 checked += 1
+
+    def test_member_matches_reference(self):
+        # random points and points 1e-7 (relative) inside and outside the
+        # boundary along rays, on four caps
+        rng = random.Random(8)
+        caps = [(cube(), (1.0, 0.0, 0.0), 1.0), (cube(), (1.0, 0.2, -0.1), 0.8)]
+        for _ in range(2):
+            poly = centered_polytope(rng, 3, 12)
+            vertex = tuple(float(x) for x in poly.vertices[0])
+            caps.append((poly, vertex, rng.uniform(0.5, 1.5)))
+        for poly, center, radius in caps:
+            body = glue_cap(poly, center, radius)
+            reference = glue_cap_member_reference(poly, center, radius)
+            points = [tuple(rng.uniform(-4.0, 4.0) for _ in range(3)) for _ in range(16)]
+            z = body.interior_hint
+            for _ in range(8):
+                u = tuple(rng.gauss(0.0, 1.0) for _ in range(3))
+                t = ray_exit(
+                    lambda s: body.member(tuple(a + s * b for a, b in zip(z, u))),
+                    2.0**40,
+                )
+                for scale in (1 - 1e-7, 1 + 1e-7):
+                    points.append(tuple(a + scale * t * b for a, b in zip(z, u)))
+            for x in points:
+                assert body.member(x) == reference(x), x
 
     def test_support_is_max_of_pieces(self):
         h, _ = self.body.support((1.0, 0.0, 0.0))
@@ -158,6 +187,44 @@ class TestGlueCap:
         assert abs(h - 1.0) < 1e-6
         h, _ = self.body.support((0.0, 1.0, 0.0))
         assert abs(h - 1.0) < 1e-6
+
+
+class TestConvexMinAtMost:
+    """The certificate-stopped golden-section search behind cap membership."""
+
+    def counted(self, f):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return f(t)
+
+        return g, calls
+
+    @pytest.mark.parametrize("shift", [-0.5, -1e-3, 1e-3, 0.5])
+    def test_decides_by_the_minimum(self, shift):
+        f, calls = self.counted(lambda t: (t - 0.3) ** 2 + shift)
+        assert _convex_min_at_most(f, 1e-9, 1.0, 0.0) == (shift <= 0)
+        assert len(calls) < 40
+
+    def test_nonsmooth_minimum(self):
+        # a kink, as the distance to a polytope has
+        f, calls = self.counted(lambda t: abs(t - 0.61) * 3 + 1e-4)
+        assert not _convex_min_at_most(f, 1e-9, 1.0, 0.0)
+        assert len(calls) < 40
+
+    def test_minimum_at_an_end(self):
+        assert _convex_min_at_most(lambda t: 1.0 - t, 0.0, 1.0, 1e-9)
+        assert not _convex_min_at_most(lambda t: 1.0 + t, 0.0, 1.0, 0.5)
+
+    def test_undecided_falls_back_to_the_midpoint(self):
+        # the minimum equals the level between samples: no sample reaches it
+        # and no bound exceeds it, so the bracket narrows to 1e-15 and the
+        # midpoint sample, a hair above the level, decides
+        f, calls = self.counted(lambda t: 1e-9 + abs(t - 1 / 3))
+        assert not _convex_min_at_most(f, 0.0, 1.0, 1e-9)
+        assert len(calls) == 77
+        assert abs(calls[-2] - calls[-3]) < 1e-15
 
 
 coords = st.floats(-3.0, 3.0)

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import CUBE_VERTICES
 
@@ -253,7 +256,7 @@ class TestPlumbing:
             (["klee-k1", "--flats", "2", "--boundary-points", "4"],
              "need at least 8 boundary points"),
             (["klee-k1", "--flats", "2", "--tau", "nan"],
-             "tau must be finite and positive"),
+             "argument --tau: must be finite and positive"),
             (["section"], "the following arguments are required: --flat"),
         ],
     )
@@ -264,6 +267,45 @@ class TestPlumbing:
         assert code == 1
         assert rep is None
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["section", "--flat", "n=1,1,1;c=0"],
+            ["project", "--xi", "0,0,1"],
+            ["cone", "--apex", "0,0,3"],
+            ["klee-k1", "--flats", "1"],
+            ["klee-k2", "--subspaces", "1"],
+            ["t11", "--flats", "1", "--delta", "0.25"],
+            ["t12", "--apexes", "1"],
+            ["epsilon", "--p", "1,1,1", "--q=-1,-1,-1"],
+            ["walk", "--xi", "0,0,1"],
+            ["mirkil", "--apex", "0,0,3"],
+        ],
+    )
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tau_rejected_on_every_command(
+        self, argv, tau, cube_off, tmp_path, capsys
+    ):
+        code, rep = run(
+            [argv[0], "--body", cube_off] + argv[1:] + [f"--tau={tau}"], tmp_path
+        )
+        assert code == 1
+        assert rep is None
+        assert (
+            capsys.readouterr().err
+            == "error: argument --tau: must be finite and positive\n"
+        )
+
+    @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+    def test_non_finite_delta_is_error(self, delta, ball_json, cube_off, tmp_path, capsys):
+        for body in (ball_json, cube_off):
+            code, rep = run(
+                ["t11", "--body", body, "--flats", "2", f"--delta={delta}"], tmp_path
+            )
+            assert code == 1
+            assert rep is None
+            assert capsys.readouterr().err == "error: delta must be finite\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -371,3 +413,71 @@ class TestDeterminism:
             assert code == 2
             outputs.append(report.read_bytes() + svg.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def body_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bodies")
+    (root / "cube.off").write_text(emit_off(convex_hull(CUBE_VERTICES)))
+    (root / "ball.json").write_text(
+        json.dumps({"kind": "ball", "center": [0, 0, 0], "radius": 1})
+    )
+    return {"cube": str(root / "cube.off"), "ball": str(root / "ball.json")}
+
+
+FLOAT_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.25", "1e300", "1e400"]
+INT_VALUES = ["nan", "inf", "-1", "0", "7", "8", "16", "1e9", "2.5"]
+# an oracle body samples every boundary point it is asked for, so a huge
+# count only runs long; exact bodies take these flags without sampling
+HUGE_INT = "123456789012345678901234567890"
+
+# command -> (fixed arguments, numeric flags it takes)
+FUZZ_COMMANDS = {
+    "section": (["--flat", "n=1,1,1;c=0"], ["--tau", "--samples"]),
+    "klee-k1": (["--flats", "1"], ["--tau", "--boundary-points"]),
+    "klee-k2": (["--subspaces", "1"], ["--tau", "--boundary-points"]),
+    "t11": (["--flats", "2"], ["--tau", "--boundary-points", "--delta"]),
+    "t12": (["--apexes", "1", "--sections-per-apex", "1"],
+            ["--tau", "--boundary-points"]),
+    "mirkil": (["--apex", "0,0,3"], ["--tau", "--boundary-points", "--samples"]),
+}
+
+
+@st.composite
+def fuzzed_calls(draw):
+    body = draw(st.sampled_from(["ball", "cube"]))
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    fixed, flags = FUZZ_COMMANDS[command]
+    argv = [command, *fixed]
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=1, unique=True)):
+        if flag in ("--tau", "--delta"):
+            value = draw(st.sampled_from(FLOAT_VALUES))
+        else:
+            ints = INT_VALUES + ([HUGE_INT] if body == "cube" else [])
+            value = draw(st.sampled_from(ints))
+        argv.append(f"{flag}={value}")
+    if command == "t11" and not any(a.startswith("--delta") for a in argv):
+        argv.append("--delta=0.25")
+    return body, argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(fuzzed_calls())
+    def test_numeric_flags_never_crash(self, body_files, call):
+        body, argv = call
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv[:1] + ["--body", body_files[body]] + argv[1:])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            json.loads(out.getvalue(), parse_constant=_no_constant)

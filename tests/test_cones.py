@@ -1,20 +1,28 @@
 """Visual cones, exact cone sections, and the polyhedrality scan."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES, centered_polytope, is_extreme_oracle
+from helpers import (
+    CUBE_VERTICES,
+    centered_polytope,
+    exact_cone_oracle_sampling_only,
+    is_extreme_oracle,
+)
 
+from polysect.bodies import ray_exit
 from polysect.cones import (
     ConeError,
+    ConeOracle,
     ball_visual_cone_oracle,
     cone_oracle_from_exact,
     cone_section,
-    exact_cone_oracle_sampling_only,
     from_generators,
-    is_polyhedral_exact,
     mirkil_scan,
     primitive_direction,
     visual_cone,
@@ -147,10 +155,6 @@ class TestFromGenerators:
         with pytest.raises(ConeError, match="lineality"):
             from_generators((0, 0, 0), [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
 
-    def test_polyhedral_checker(self):
-        cone = from_generators((0, 0, 0), [(1, 0, 1), (0, 1, 1), (-1, 0, 1)])
-        assert is_polyhedral_exact(cone)
-
 
 class TestConeSection:
     def setup_method(self):
@@ -276,3 +280,116 @@ class TestMirkilScan:
         a = mirkil_scan(oracle, 6, seed=9)
         b = mirkil_scan(oracle, 6, seed=9)
         assert a == b
+
+
+coords = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def ball_cone_rays(draw):
+    """(oracle, interior direction w, direction d) for a ball's visual cone.
+
+    w is a unit direction at most 0.9 of the half-angle off the axis.  d
+    keeps an angular margin from the cone's boundary, so the exit is either
+    clearly finite or clearly absent, as the scan's boundary rays are.
+    """
+    dim = draw(st.sampled_from((3, 4)))
+    center = draw(st.tuples(*[coords] * dim))
+    radius = draw(st.floats(0.1, 3.0))
+    u = draw(st.tuples(*[coords] * dim))
+    assume(math.hypot(*u) > 0.1)
+    reach = draw(st.floats(1.1, 8.0)) * radius / math.hypot(*u)
+    apex = tuple(c + reach * x for c, x in zip(center, u))
+    oracle = ball_visual_cone_oracle(apex, center, radius)
+    axis = oracle.axis_hint
+    half = math.asin(radius / math.dist(apex, center))
+    v = draw(st.tuples(*[coords] * dim))
+    side = tuple(x - sum(a * b for a, b in zip(v, axis)) * a for x, a in zip(v, axis))
+    assume(math.hypot(*side) > 0.1)
+    tilt = draw(st.floats(0.0, 0.9)) * half
+    w = tuple(
+        math.cos(tilt) * a + math.sin(tilt) * x / math.hypot(*side)
+        for a, x in zip(axis, side)
+    )
+    d = draw(st.tuples(*[coords] * dim))
+    nd = math.hypot(*d)
+    assume(nd > 0.1)
+    # a line through the apex (u = 0) is degenerate; the scan's lines have
+    # d orthogonal to w and stay at distance 1 from it
+    wd = sum(a * b for a, b in zip(w, d)) / nd
+    assume(1.0 - wd * wd > 0.01)
+    off_axis = math.acos(max(-1.0, min(1.0, sum(a * b for a, b in zip(d, axis)) / nd)))
+    assume(abs(off_axis - half) > 0.05)
+    return oracle, w, d
+
+
+class TestConeRayInterval:
+    """Closed-form cone exits against the member bisection they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_cone_rays())
+    def test_exit_matches_bisection(self, case):
+        oracle, w, d = case
+        fallback = dataclasses.replace(oracle, ray_interval=None)
+
+        def along(r):
+            return tuple(wi + r * di for wi, di in zip(w, d))
+
+        r_bisect = ray_exit(lambda r: fallback.member(along(r)), 2.0**30)
+        r0, r1 = oracle.ray_interval(w, d)
+        assert r0 < 0 < r1
+        if r_bisect is None:
+            assert r1 == math.inf
+            return
+        assert abs(r1 - r_bisect) <= 1e-9 * r_bisect
+        assert oracle.member(along(r1 * (1 - 1e-8)))
+        assert not oracle.member(along(r1 * (1 + 1e-8)))
+
+    def test_lines_missing_the_cone(self):
+        oracle = ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0)
+        # in the plane orthogonal to the axis through the apex
+        assert oracle.ray_interval((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) is None
+        # meets only the backward nappe, which member rejects, with the
+        # axis component of d zero, negative and positive
+        for d in ((0.1, 0.0, 0.0), (1.0, 0.0, 0.1), (1.0, 0.0, -0.1)):
+            assert oracle.ray_interval((0.0, 0.0, 1.0), d) is None
+
+    def test_same_tolerance_as_member(self):
+        # member accepts cosines down to cos_half - 1e-12; the exit is there
+        oracle = ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0)
+        w, d = oracle.axis_hint, (1.0, 0.0, 0.0)
+        _, r1 = oracle.ray_interval(w, d)
+        at = lambda r: tuple(wi + r * di for wi, di in zip(w, d))
+        assert oracle.member(at(r1 - 5e-14))
+        assert not oracle.member(at(r1 + 5e-14))
+
+    def test_unbounded_ray(self):
+        oracle = ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0)
+        r0, r1 = oracle.ray_interval((0.0, 0.0, -1.0), (0.0, 0.01, -1.0))
+        assert r1 == math.inf and r0 < 0
+
+    def test_positional_construction_has_no_closed_form(self):
+        oracle = ConeOracle(3, (0.0, 0.0, 0.0), lambda u: True, (0.0, 0.0, 1.0))
+        assert oracle.ray_interval is None
+        assert cone_oracle_from_exact(visual_cone((0, 0, 3), cube())).ray_interval is None
+
+    @pytest.mark.parametrize(
+        "apex, center, radius, seed",
+        [
+            ((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0, 0),
+            ((2.0, -1.0, 0.5), (0.1, 0.2, -0.3), 1.5, 4),
+            ((0.3, 5.0, 1.0), (0.0, 0.0, 0.0), 2.5, 7),
+            ((0.0, 0.0, 0.0, 3.0), (0.0, 0.0, 0.0, 0.0), 1.0, 1),
+            ((1.0, 2.0, -1.0, 0.5), (0.0, 0.0, 0.5, 0.0), 1.2, 5),
+        ],
+    )
+    def test_mirkil_scan_same_verdict_as_bisection(self, apex, center, radius, seed):
+        # witness triples may differ: a round section ties on triple area
+        oracle = ball_visual_cone_oracle(apex, center, radius)
+        fallback = dataclasses.replace(oracle, ray_interval=None)
+        fast = mirkil_scan(oracle, 3, seed=seed, boundary_points=32)
+        slow = mirkil_scan(fallback, 3, seed=seed, boundary_points=32)
+        assert (fast.verdict, fast.samples_used) == (slow.verdict, slow.samples_used)
+        assert fast.verdict == "non-polyhedral"
+        assert fast.notes == slow.notes
+        assert len(fast.witness.points) == len(slow.witness.points)

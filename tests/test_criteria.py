@@ -209,6 +209,36 @@ def _ball():
     return make_ball((0, 0, 0), 1)
 
 
+class TestDeltaChecks:
+    """A section offset must be a finite, float-safe number."""
+
+    @pytest.mark.parametrize("body", [cube, _ball])
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            (float("inf"), "delta must be finite"),
+            (float("-inf"), "delta must be finite"),
+            (float("nan"), "delta must be finite"),
+            (1e101, "at most 1e100"),
+            (-1e300, "at most 1e100"),
+        ],
+    )
+    def test_constant_delta_checked_up_front(self, body, delta, message):
+        with pytest.raises(CriterionError, match=message):
+            klee_section_test(body(), 0, delta=delta)
+
+    @pytest.mark.parametrize("body", [cube, _ball])
+    def test_callable_delta_value_checked(self, body):
+        with pytest.raises(CriterionError, match="delta must be finite"):
+            klee_section_test(body(), 2, delta=lambda u: float("nan"))
+
+    def test_largest_delta_misses_the_body(self):
+        for body in (cube(), _ball()):
+            rep = klee_section_test(body, 2, delta=1e100)
+            assert rep.verdict == "polytope-consistent"
+            assert all("coverage violation" in n for n in rep.notes)
+
+
 SAMPLING_ENTRY_POINTS = {
     "K1-cube": lambda **kw: klee_section_test(cube(), 1, **kw),
     "K1-ball": lambda **kw: klee_section_test(_ball(), 1, **kw),
