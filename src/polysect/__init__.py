@@ -1,163 +1,21 @@
-"""polysect: exact rational polytope kernel and convexity criteria testers."""
+"""polysect: exact rational polytope kernel and convexity criteria testers.
 
-from .bodies import (
-    BodyError,
-    BodyOracle,
-    SectionSample,
-    body_from_spec,
-    glue_cap,
-    make_ball,
-    make_ellipsoid,
-    sample_section_boundary,
-    wrap_polytope,
-)
-from .cones import (
-    ConeError,
-    ConeOracle,
-    MirkilReport,
-    MirkilWitness,
-    PolyCone,
-    ball_visual_cone_oracle,
-    ConeSection,
-    from_generators,
-    primitive_direction,
-    cone_oracle_from_exact,
-    cone_section,
-    mirkil_scan,
-    visual_cone,
-)
-from .criteria import (
-    CriterionError,
-    CriterionReport,
-    DriftConfig,
-    DriftResult,
-    EpsilonCert,
-    KleeWitness,
-    PolygonalityVerdict,
-    default_normal_family,
-    drift_config_from_geometry,
-    drift_inequality_eval,
-    epsilon_certificate,
-    klee_projection_test,
-    klee_section_test,
-    no_extreme_in_cone,
-    polygonality_detect,
-    sphere_apexes,
-    visual_cone_test,
-)
-from .geometry import (
-    AffineFlat,
-    DimensionMismatch,
-    GeometryError,
-    Segment,
-    as_point,
-    as_vector,
-    frac,
-    identity_flat,
-)
-from .polytope import (
-    FaceRef,
-    Halfspace,
-    HPolytope,
-    Polytope,
-    PolytopeError,
-    Projection,
-    Section,
-    UnboundedPolyhedron,
-    VPolytope,
-    check_diamond_boundary,
-    convex_hull,
-    diamond_hull,
-    is_extreme,
-    project,
-    section,
-    supporting_line_test,
-    vertices_of,
-)
-from .silhouette import (
-    StepOutcome,
-    WalkError,
-    WalkResult,
-    WalkState,
-    lift_line,
-    shadow_chart,
-    shadow_walk,
-    step_g,
-)
+The top level re-exports the names of the README's library example; every
+other name is imported from its module (polysect.polytope, polysect.bodies,
+polysect.criteria, ...).
+"""
+
+from .cones import visual_cone
+from .geometry import AffineFlat
+from .polytope import convex_hull, section
+from .silhouette import shadow_walk
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineFlat",
-    "BodyError",
-    "BodyOracle",
-    "ConeError",
-    "ConeOracle",
-    "ConeSection",
-    "CriterionError",
-    "CriterionReport",
-    "DimensionMismatch",
-    "DriftConfig",
-    "DriftResult",
-    "EpsilonCert",
-    "FaceRef",
-    "GeometryError",
-    "HPolytope",
-    "Halfspace",
-    "KleeWitness",
-    "MirkilReport",
-    "MirkilWitness",
-    "PolyCone",
-    "PolygonalityVerdict",
-    "Polytope",
-    "PolytopeError",
-    "Projection",
-    "Section",
-    "SectionSample",
-    "Segment",
-    "StepOutcome",
-    "UnboundedPolyhedron",
-    "VPolytope",
-    "WalkError",
-    "WalkResult",
-    "WalkState",
-    "as_point",
-    "as_vector",
-    "ball_visual_cone_oracle",
-    "body_from_spec",
-    "check_diamond_boundary",
-    "cone_oracle_from_exact",
-    "cone_section",
     "convex_hull",
-    "default_normal_family",
-    "diamond_hull",
-    "drift_config_from_geometry",
-    "drift_inequality_eval",
-    "epsilon_certificate",
-    "frac",
-    "from_generators",
-    "glue_cap",
-    "identity_flat",
-    "is_extreme",
-    "klee_projection_test",
-    "klee_section_test",
-    "lift_line",
-    "make_ball",
-    "make_ellipsoid",
-    "mirkil_scan",
-    "no_extreme_in_cone",
-    "polygonality_detect",
-    "primitive_direction",
-    "project",
-    "sample_section_boundary",
     "section",
-    "shadow_chart",
     "shadow_walk",
-    "sphere_apexes",
-    "step_g",
-    "supporting_line_test",
-    "vertices_of",
     "visual_cone",
-    "visual_cone_test",
-    "wrap_polytope",
 ]

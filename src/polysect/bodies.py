@@ -18,11 +18,14 @@ polygonality detector.
 from __future__ import annotations
 
 import math
+import os
+import random
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .geometry import AffineFlat, DimensionMismatch, GeometryError, vdot, vsub
+from .geometry import AffineFlat, DimensionMismatch, GeometryError
 from .polytope import Polytope, convex_hull
 
 
@@ -76,12 +79,49 @@ class BodyOracle:
     ) = None
 
 
+# The float oracles square coordinates; beyond this magnitude they overflow.
+MAX_MAGNITUDE = 1e100
+
+
 def _fdot(a, b) -> float:
     return sum(float(x) * float(y) for x, y in zip(a, b))
 
 
 def _fnorm(v) -> float:
-    return math.sqrt(sum(float(x) ** 2 for x in v))
+    try:
+        return math.sqrt(sum(float(x) ** 2 for x in v))
+    except OverflowError:  # float ** raises where x * x would give inf
+        return math.inf
+
+
+def _funit(v):
+    n = _fnorm(v)
+    return tuple(x / n for x in v) if n > 1e-15 else None
+
+
+def _gauss_unit(rng: random.Random, d: int) -> tuple[float, ...]:
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        n = math.sqrt(sum(x * x for x in v))
+        if n > 1e-9:
+            return tuple(x / n for x in v)
+
+
+def _orthonormal_frame(rng: random.Random, d: int, k: int):
+    """k orthonormal float vectors in dimension d (Gram-Schmidt on gaussians)."""
+    while True:
+        vecs = []
+        for _ in range(k):
+            v = list(_gauss_unit(rng, d))
+            for u in vecs:
+                dot = sum(a * b for a, b in zip(v, u))
+                v = [a - dot * b for a, b in zip(v, u)]
+            n = math.sqrt(sum(x * x for x in v))
+            if n < 1e-6:
+                break
+            vecs.append(tuple(x / n for x in v))
+        if len(vecs) == k:
+            return tuple(vecs)
 
 
 def make_ball(center, radius) -> BodyOracle:
@@ -269,11 +309,6 @@ def _order_polygon(pts, centroid, normal):
     return [i for _, i in sorted(ang)]
 
 
-def _funit(v):
-    n = _fnorm(v)
-    return tuple(x / n for x in v) if n > 1e-15 else None
-
-
 def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
     """conv(polytope ∪ ball): an exact polytope with one round bump glued on."""
     if poly.ambient_dim != 3:
@@ -281,11 +316,19 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
     if poly.dim != 3:
         raise BodyError("cap bodies need a full-dimensional polytope")
     c = tuple(float(x) for x in center)
+    if len(c) != 3:
+        raise DimensionMismatch("cap center must be 3-dimensional")
     r = float(radius)
     if r <= 0:
         raise BodyError("ball radius must be positive")
     ball = make_ball(c, r)
     pwrap = wrap_polytope(poly)
+    # the member test squares vertex coordinates and facet normals in floats
+    # (huge normals come from huge coordinates or huge denominators)
+    data = [x for v in poly.vertices for x in v]
+    data += [x for hs in poly.halfspaces for x in hs.normal]
+    if any(abs(x) > MAX_MAGNITUDE for x in data):
+        raise BodyError("cap polytope is too large for float arithmetic")
     inside, closest_point = _closest_point_finder(poly)
 
     def support(u):
@@ -496,15 +539,23 @@ def _radial_sweep(body: BodyOracle, at, frame, x0, count):
 
 
 def _num(x) -> Fraction:
-    if isinstance(x, bool):
-        raise BodyError("booleans are not numbers")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise BodyError(f"cannot interpret {x!r} as a number")
+    """A finite rational from a JSON number or a string such as "1/2"."""
+    shown = reprlib.repr(x)  # a huge number or string would fill the line
+    if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction)):
+        raise BodyError(f"cannot interpret {shown} as a number")
+    try:
+        value = Fraction(x)
+    except (ValueError, ArithmeticError):
+        raise BodyError(f"{shown} is not a finite number") from None
+    if abs(value) > MAX_MAGNITUDE:
+        raise BodyError(f"{shown} is beyond 1e100 in absolute value")
+    return value
+
+
+def _vec(x, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(x, (list, tuple)):
+        raise BodyError(f"{what} must be a list of numbers")
+    return tuple(_num(v) for v in x)
 
 
 def body_from_spec(spec: dict, base_dir: str = ".") -> BodyOracle:
@@ -523,35 +574,34 @@ def body_from_spec(spec: dict, base_dir: str = ".") -> BodyOracle:
         return spec[key]
 
     if kind == "ball":
-        center = [_num(x) for x in need("center")]
-        return make_ball(center, _num(need("radius")))
+        return make_ball(_vec(need("center"), "center"), _num(need("radius")))
     if kind == "ellipsoid":
-        center = [_num(x) for x in need("center")]
-        return make_ellipsoid(center, [_num(x) for x in need("semi_axes")])
+        center = _vec(need("center"), "center")
+        return make_ellipsoid(center, _vec(need("semi_axes"), "semi_axes"))
     if kind == "polytope":
         return wrap_polytope(_polytope_from_spec(spec, base_dir))
     if kind == "cap":
         poly = _polytope_from_spec(need("polytope"), base_dir)
-        center = [_num(x) for x in need("center")]
+        center = _vec(need("center"), "center")
         return glue_cap(poly, center, _num(need("radius")))
     raise BodyError(f"unknown body kind {kind!r}")
 
 
 def _polytope_from_spec(spec: dict, base_dir: str) -> Polytope:
-    import os
-
     if not isinstance(spec, dict):
         raise BodyError("polytope spec must be an object")
     if "off" in spec:
         from .offio import load_polytope
 
         path = spec["off"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path, "r", encoding="utf-8") as fh:
+        if not isinstance(path, str):
+            raise BodyError("polytope spec 'off' must be a path string")
+        with open(os.path.join(base_dir, path), "r", encoding="utf-8") as fh:
             poly, _warnings = load_polytope(fh.read())
         return poly
     if "vertices" in spec:
-        pts = [tuple(_num(x) for x in row) for row in spec["vertices"]]
-        return convex_hull(pts)
+        rows = spec["vertices"]
+        if not isinstance(rows, (list, tuple)):
+            raise BodyError("vertices must be a list of points")
+        return convex_hull([_vec(row, "a vertex") for row in rows])
     raise BodyError("polytope spec needs 'vertices' or 'off'")

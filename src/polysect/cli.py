@@ -44,7 +44,6 @@ from .geometry import (
     GeometryError,
     nullspace,
     solve_particular,
-    vdot,
 )
 from .offio import load_polytope
 from .polytope import Polytope, project, section

@@ -22,7 +22,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .bodies import SectionSample, check_sampling, ray_exit
+from .bodies import (
+    SectionSample,
+    _cross3f,
+    _fdot,
+    _fnorm,
+    _funit,
+    _orthonormal_frame,
+    check_sampling,
+    ray_exit,
+)
 from .geometry import (
     AffineFlat,
     DimensionMismatch,
@@ -44,7 +53,6 @@ from .polytope import (
     Polytope,
     _canonical_halfspace,
     convex_hull,
-    convex_hull_interval,
     section as _polytope_section,
     vertices_of,
 )
@@ -152,7 +160,7 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
             raise ConeError("functional is not strictly positive on a generator")
     base_pts = [vscale(g, 1 / vdot(w, g)) for g in gens]
     d = len(apex)
-    base = convex_hull_interval(base_pts) if d == 1 else convex_hull(base_pts)
+    base = convex_hull(base_pts)
     rays = tuple(sorted(primitive_direction(v) for v in base.vertices))
     if d == 1:
         halfspaces = (_canonical_halfspace(vneg(rays[0]), Fraction(0)),)
@@ -345,23 +353,6 @@ class MirkilReport:
     notes: tuple[str, ...] = ()
 
 
-def _to_floats(v) -> tuple[float, ...]:
-    return tuple(float(x) for x in v)
-
-
-def _fnorm(v) -> float:
-    return math.sqrt(sum(x * x for x in v))
-
-
-def _funit(v):
-    n = _fnorm(v)
-    return tuple(x / n for x in v) if n > 0 else None
-
-
-def _fdot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def cone_oracle_from_exact(cone: PolyCone, name: str = "exact-cone") -> ConeOracle:
     def member(u):
         return cone.contains_direction(tuple(Fraction(float(x)) for x in u))
@@ -369,21 +360,21 @@ def cone_oracle_from_exact(cone: PolyCone, name: str = "exact-cone") -> ConeOrac
     if cone.generators:
         acc = [0.0] * cone.ambient_dim
         for g in cone.generators:
-            gu = _funit(_to_floats(g))
+            gu = _funit(g)
             for i, x in enumerate(gu):
                 acc[i] += x
-        hint = _funit(acc) or _to_floats(cone.generators[0])
+        hint = _funit(acc) or tuple(float(x) for x in cone.generators[0])
     else:
         hint = tuple(0.0 for _ in range(cone.ambient_dim))
     return ConeOracle(
-        cone.ambient_dim, _to_floats(cone.apex), member, hint, cone, name
+        cone.ambient_dim, tuple(float(x) for x in cone.apex), member, hint, cone, name
     )
 
 
 def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
     """The round cone of directions from `apex` that hit the ball (closed)."""
-    z = _to_floats(apex)
-    c = _to_floats(center)
+    z = tuple(float(x) for x in apex)
+    c = tuple(float(x) for x in center)
     if len(z) != len(c):
         raise DimensionMismatch("apex and center dimensions disagree")
     axis = tuple(b - a for a, b in zip(z, c))
@@ -455,32 +446,11 @@ def _nappe_interval(a, b, c, q):
     return (hi, inf) if q > 0 else (-inf, lo)
 
 
-def _random_float_frame(rng: random.Random, dim: int, k: int):
-    while True:
-        vecs = []
-        for _ in range(k):
-            v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-            for u in vecs:
-                d = _fdot(v, u)
-                v = [x - d * y for x, y in zip(v, u)]
-            n = _fnorm(v)
-            if n < 1e-6:
-                break
-            vecs.append(tuple(x / n for x in v))
-        if len(vecs) == k:
-            return tuple(vecs)
-
-
 def _orthonormal_complement_3d(w):
     # any vector not parallel to w, then two Gram-Schmidt steps
     pick = (1.0, 0.0, 0.0) if abs(w[0]) <= 0.9 else (0.0, 1.0, 0.0)
     e1 = _funit(tuple(p - _fdot(pick, w) * x for p, x in zip(pick, w)))
-    e2 = (
-        w[1] * e1[2] - w[2] * e1[1],
-        w[2] * e1[0] - w[0] * e1[2],
-        w[0] * e1[1] - w[1] * e1[0],
-    )
-    return e1, e2
+    return e1, _cross3f(w, e1)
 
 
 def _fibonacci_directions(n: int):
@@ -594,7 +564,7 @@ def mirkil_scan(
             ray3 = oracle.ray_interval
             hint3 = oracle.axis_hint
         else:
-            frame = _random_float_frame(rng, oracle.dim, 3)
+            frame = _orthonormal_frame(rng, oracle.dim, 3)
             lift = lambda s, fr=frame: tuple(
                 sum(si * fi[j] for si, fi in zip(s, fr)) for j in range(oracle.dim)
             )

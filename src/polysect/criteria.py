@@ -19,12 +19,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .bodies import (
     BodyOracle,
     FlatMissesBody,
     SectionSample,
+    _cross3f,
+    _gauss_unit,
+    _orthonormal_frame,
     check_sampling,
     sample_section_boundary,
 )
@@ -189,14 +192,6 @@ MAX_DELTA = 1e100
 
 def _rationalize(v, den: int = RATIONALIZE_DENOMINATOR) -> Vector:
     return tuple(Fraction(round(float(x) * den), den) for x in v)
-
-
-def _gauss_unit(rng: random.Random, d: int) -> tuple[float, ...]:
-    while True:
-        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        n = math.sqrt(sum(x * x for x in v))
-        if n > 1e-9:
-            return tuple(x / n for x in v)
 
 
 def _resolve_body(body) -> tuple[Polytope | None, BodyOracle | None, str, bool]:
@@ -438,33 +433,13 @@ def _exact_projection_check(poly: Polytope, E: AffineFlat) -> None:
     """Shadow via project() must equal the hull of extreme projected vertices."""
     proj = project(poly, E)
     pts = [E.projected_coordinates(v) for v in poly.vertices]
-    hull = convex_hull(pts) if E.dim > 1 else None
-    if hull is None:
-        from .polytope import convex_hull_interval
-
-        hull = convex_hull_interval(pts)
+    hull = convex_hull(pts)
     ext = [p for p in dict.fromkeys(pts) if is_extreme(p, hull)]
-    rehull = convex_hull(ext) if E.dim > 1 else hull
+    rehull = convex_hull(ext)
     if proj.polytope.vertices != rehull.vertices:
         raise CriterionError("projection disagrees with the extreme-point hull")
     if proj.polytope.halfspaces != rehull.halfspaces:
         raise CriterionError("projection facets disagree with the extreme-point hull")
-
-
-def _orthonormal_frame(rng, d, k):
-    while True:
-        vecs = []
-        for _ in range(k):
-            v = list(_gauss_unit(rng, d))
-            for u in vecs:
-                dot = sum(a * b for a, b in zip(v, u))
-                v = [a - dot * b for a, b in zip(v, u)]
-            n = math.sqrt(sum(x * x for x in v))
-            if n < 1e-6:
-                break
-            vecs.append(tuple(x / n for x in v))
-        if len(vecs) == k:
-            return tuple(vecs)
 
 
 def _support_shadow(oracle: BodyOracle, frame, count):
@@ -906,19 +881,10 @@ def drift_config_from_geometry(
     if wn < 1e-12:
         raise CriterionError("q_n must lie off the segment's line")
     wp = tuple(x / wn for x in w_perp)
-    nrm = (
-        uh[1] * wp[2] - uh[2] * wp[1],
-        uh[2] * wp[0] - uh[0] * wp[2],
-        uh[0] * wp[1] - uh[1] * wp[0],
-    )
+    nrm = _cross3f(uh, wp)
     # section-plane direction: tilt between the offset and its normal
     h2 = tuple(
         math.cos(tilt) * a + math.sin(tilt) * b for a, b in zip(wp, nrm)
-    )
-    h3 = (
-        uh[1] * h2[2] - uh[2] * h2[1],
-        uh[2] * h2[0] - uh[0] * h2[2],
-        uh[0] * h2[1] - uh[1] * h2[0],
     )
     l_hat = tuple(
         math.cos(gamma) * a + math.sin(gamma) * b for a, b in zip(uh, h2)

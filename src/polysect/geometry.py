@@ -15,7 +15,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Point = tuple[Fraction, ...]
 Vector = tuple[Fraction, ...]
 
@@ -100,10 +99,6 @@ def cross3(a: Vector, b: Vector) -> Vector:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def to_floats(v: Sequence[Fraction]) -> tuple[float, ...]:
-    return tuple(float(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +328,6 @@ def identity_flat(dim: int) -> AffineFlat:
         tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
     )
     return AffineFlat(base, basis)
-
-
-def flat_coordinates(flat: AffineFlat, point: Point) -> tuple[Fraction, ...] | None:
-    """Exact chart coordinates of `point` on `flat`, or None if off the flat."""
-    return flat.coordinates(point)
 
 
 @dataclass(frozen=True)

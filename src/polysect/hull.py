@@ -10,7 +10,6 @@ coplanar simplicial facets that get merged at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -45,9 +44,6 @@ def det4(m) -> int:
         total += sign * m[0][c] * det3(minor)
         sign = -sign
     return total
-
-
-_DETS = {2: det2, 3: det3, 4: det4}
 
 
 def int_rank(rows: Sequence[IntVec]) -> int:
@@ -246,35 +242,3 @@ def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
     out_facets.sort(key=lambda t: (t[0], t[1]))
 
     return IntHull(tuple(true_vertices), tuple(out_facets))
-
-
-def brute_force_facets(points: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
-    """Independent O(n^k) facet oracle for tests: every supporting hyperplane
-    through k affinely independent points with all points on one side."""
-    k = len(points[0])
-    seen = set()
-    out = []
-    for combo in combinations(range(len(points)), k):
-        p0 = points[combo[0]]
-        diffs = [tuple(a - b for a, b in zip(points[i], p0)) for i in combo[1:]]
-        if int_rank(diffs) < k - 1:
-            continue
-        n = facet_normal(diffs, k)
-        if not any(n):
-            continue
-        c = _dot(n, p0)
-        sides = {(_dot(n, q) > c) - (_dot(n, q) < c) for q in points}
-        sides.discard(0)
-        if len(sides) != 1:
-            continue
-        if 1 in sides:
-            n, c = tuple(-x for x in n), -c
-        g = 0
-        for x in n:
-            g = gcd(g, abs(x))
-        g = gcd(g, abs(c)) or 1
-        key = (tuple(x // g for x in n), c // g)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return sorted(out)

@@ -77,28 +77,6 @@ def _canonical_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfsp
     return Halfspace(tuple(Fraction(x // g) for x in ints), Fraction(c // g))
 
 
-@dataclass(frozen=True)
-class VPolytope:
-    """Vertex form: the extreme points only."""
-
-    vertices: tuple[Point, ...]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.vertices[0]) if self.vertices else 0
-
-
-@dataclass(frozen=True)
-class HPolytope:
-    """Halfspace form: an irredundant intersection of closed halfspaces."""
-
-    halfspaces: tuple[Halfspace, ...]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.halfspaces[0].normal) if self.halfspaces else 0
-
-
 class Polytope:
     """Immutable exact polytope with vertex form, halfspace form, incidence.
 
@@ -134,15 +112,6 @@ class Polytope:
     def dim(self) -> int:
         return len(self.chart_vertices[0])
 
-    @property
-    def vpolytope(self) -> VPolytope:
-        return VPolytope(self.vertices)
-
-    @property
-    def hpolytope(self) -> HPolytope:
-        """Halfspace form in chart coordinates (ambient when full-dimensional)."""
-        return HPolytope(self.halfspaces)
-
     def __repr__(self):
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, vertices={len(self.vertices)})"
 
@@ -152,13 +121,6 @@ class Polytope:
         if self.span is None or self.dim == self.ambient_dim:
             return tuple(point)
         return self.span.coordinates(tuple(point))
-
-    def to_ambient(self, chart_point: Sequence[Fraction]) -> Point:
-        if self.dim == 0:
-            return self.vertices[0]
-        if self.span is None or self.dim == self.ambient_dim:
-            return tuple(chart_point)
-        return self.span.point_at(tuple(chart_point))
 
     def chart_contains(self, chart_point: Sequence[Fraction]) -> str:
         """Relative classification in the span chart: interior/boundary/outside."""
@@ -300,7 +262,7 @@ def _dim0_polytope(point: Point) -> Polytope:
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    """Exact convex hull of rational points (ambient dimension 2 to 4).
+    """Exact convex hull of rational points (ambient dimension 1 to 4).
 
     Lower-dimensional input is handled inside its affine span: the span is
     reported on the result and the halfspace form lives in the span chart.
@@ -312,8 +274,8 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     for p in pts:
         if len(p) != d:
             raise DimensionMismatch("points live in different dimensions")
-    if d not in (2, 3, 4):
-        raise PolytopeError(f"ambient dimension {d} unsupported (need 2..4)")
+    if d not in (1, 2, 3, 4):
+        raise PolytopeError(f"ambient dimension {d} unsupported (need 1..4)")
 
     base = pts[0]
     ortho: list[Vector] = []
@@ -386,26 +348,16 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 # vertex enumeration from halfspace data
 
 
-def _as_halfspace_list(h) -> list[Halfspace]:
-    if isinstance(h, HPolytope):
-        items = list(h.halfspaces)
-    elif isinstance(h, Polytope):
-        items = list(h.halfspaces)
-    else:
-        items = list(h)
-    if not items:
-        raise PolytopeError("no halfspaces")
-    return [hs.canonical() for hs in items]
-
-
-def vertices_of(halfspace_data) -> Polytope | None:
+def vertices_of(halfspaces: Iterable[Halfspace]) -> Polytope | None:
     """Enumerate the vertex form of a bounded halfspace intersection.
 
     Basic points come from d-subsets of halfspace boundaries (classical
     basic-solution enumeration); returns None for an empty intersection and
     raises UnboundedPolyhedron when a recession direction exists.
     """
-    hss = _as_halfspace_list(halfspace_data)
+    hss = [hs.canonical() for hs in halfspaces]
+    if not hss:
+        raise PolytopeError("no halfspaces")
     d = len(hss[0].normal)
     for hs in hss:
         if len(hs.normal) != d:
@@ -457,25 +409,7 @@ def vertices_of(halfspace_data) -> Polytope | None:
             found.setdefault(tuple(x))
     if not found:
         return None
-    if d == 1:
-        return convex_hull_interval(list(found))
     return convex_hull(list(found))
-
-
-def convex_hull_interval(pts: list[Point]) -> Polytope:
-    """Hull of 1-dimensional points (kept separate: the engine starts at 2)."""
-    lo = min(pts)
-    hi = max(pts)
-    if lo == hi:
-        return _dim0_polytope(lo)
-    span = identity_flat(1)
-    halfspaces = (
-        _canonical_halfspace((Fraction(-1),), -lo[0]),
-        _canonical_halfspace((Fraction(1),), hi[0]),
-    )
-    verts = (lo, hi)
-    facet_vertices = (frozenset((0,)), frozenset((1,)))
-    return Polytope(verts, verts, span, halfspaces, facet_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +459,7 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
         pts = _hyperplane_slice_points(current, n, c)
         if not pts:
             return None
-        current = convex_hull(pts) if len(pts[0]) > 1 else convex_hull_interval(pts)
+        current = convex_hull(pts)
 
     chart_pts = []
     for v in current.vertices:
@@ -533,10 +467,7 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
         if cv is None:
             raise PolytopeError("section vertex fell off the flat")
         chart_pts.append(cv)
-    if len(chart_pts[0]) == 1:
-        sec_poly = convex_hull_interval(chart_pts)
-    else:
-        sec_poly = convex_hull(chart_pts)
+    sec_poly = convex_hull(chart_pts)
     ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
 
     probe = flat.point_at(sec_poly.interior_point())
@@ -558,33 +489,9 @@ def project(body: Polytope, subspace: AffineFlat) -> Projection:
     if subspace.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("subspace and body dimensions disagree")
     chart_pts = [subspace.projected_coordinates(v) for v in body.vertices]
-    if subspace.dim == 1:
-        poly = convex_hull_interval(chart_pts)
-    else:
-        poly = convex_hull(chart_pts)
+    poly = convex_hull(chart_pts)
     ambient = tuple(subspace.point_at(cv) for cv in poly.vertices)
     return Projection(poly, subspace, ambient)
-
-
-def restrict_halfspaces(halfspaces, flat: AffineFlat) -> tuple[Halfspace, ...] | None:
-    """Rewrite ambient halfspaces in a flat's chart coordinates.
-
-    Substituting x = base + sum_j s_j b_j into n.x <= c gives the chart
-    constraint (n.b_j)_j . s <= c - n.base.  Constraints with zero chart
-    normal are either vacuous or prove the flat misses the set entirely, in
-    which case None is returned.  Together with vertices_of this is an
-    independent route to sections of full-dimensional bodies.
-    """
-    out = []
-    for hs in halfspaces:
-        n = tuple(vdot(hs.normal, b) for b in flat.basis)
-        c = hs.offset - vdot(hs.normal, flat.base)
-        if all(x == 0 for x in n):
-            if c < 0:
-                return None
-            continue
-        out.append(_canonical_halfspace(n, c))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

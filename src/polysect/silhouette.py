@@ -34,7 +34,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .polytope import Polytope, PolytopeError, convex_hull, is_extreme, section
+from .polytope import Polytope, convex_hull, is_extreme, section
 
 
 class WalkError(GeometryError):

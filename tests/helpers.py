@@ -9,9 +9,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 from polysect import convex_hull
 from polysect.geometry import solve_linear, vadd, vdot, vscale, vsub
+from polysect.hull import facet_normal, int_rank
+from polysect.polytope import _canonical_halfspace
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, den: int = 8) -> F:
@@ -216,3 +219,58 @@ def exact_cone_oracle_sampling_only(cone, name="cone"):
 
     full = cone_oracle_from_exact(cone, name)
     return ConeOracle(full.dim, full.apex, full.member, full.axis_hint, None, name)
+
+
+def brute_force_facets(points):
+    """Independent O(n^k) facet oracle for integer points: every supporting
+    hyperplane through k affinely independent points with all points on one
+    side, as sorted canonical (normal, offset) pairs."""
+    k = len(points[0])
+    seen = set()
+    out = []
+    for combo in combinations(range(len(points)), k):
+        p0 = points[combo[0]]
+        diffs = [tuple(a - b for a, b in zip(points[i], p0)) for i in combo[1:]]
+        if int_rank(diffs) < k - 1:
+            continue
+        n = facet_normal(diffs, k)
+        if not any(n):
+            continue
+        c = sum(x * y for x, y in zip(n, p0))
+        vals = [sum(x * y for x, y in zip(n, q)) for q in points]
+        sides = {(v > c) - (v < c) for v in vals}
+        sides.discard(0)
+        if len(sides) != 1:
+            continue
+        if 1 in sides:
+            n, c = tuple(-x for x in n), -c
+        g = 0
+        for x in n:
+            g = gcd(g, abs(x))
+        g = gcd(g, abs(c)) or 1
+        key = (tuple(x // g for x in n), c // g)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return sorted(out)
+
+
+def restrict_halfspaces(halfspaces, flat):
+    """Rewrite ambient halfspaces in a flat's chart coordinates.
+
+    Substituting x = base + sum_j s_j b_j into n.x <= c gives the chart
+    constraint (n.b_j)_j . s <= c - n.base.  Constraints with zero chart
+    normal are either vacuous or prove the flat misses the set entirely, in
+    which case None is returned.  Together with vertices_of this is an
+    independent route to sections of full-dimensional bodies.
+    """
+    out = []
+    for hs in halfspaces:
+        n = tuple(vdot(hs.normal, b) for b in flat.basis)
+        c = hs.offset - vdot(hs.normal, flat.base)
+        if all(x == 0 for x in n):
+            if c < 0:
+                return None
+            continue
+        out.append(_canonical_halfspace(n, c))
+    return tuple(out)

@@ -29,7 +29,7 @@ from polysect.bodies import (
     sample_section_boundary,
     wrap_polytope,
 )
-from polysect.geometry import AffineFlat
+from polysect.geometry import AffineFlat, DimensionMismatch
 from polysect.polytope import convex_hull
 
 TOL = 1e-9
@@ -425,6 +425,48 @@ class TestBodyFromSpec:
     def test_missing_key_rejected(self, spec, message):
         with pytest.raises(BodyError, match=message):
             body_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "ball", "center": 5, "radius": 1}, "center must be a list"),
+            ({"kind": "ball", "center": None, "radius": 1}, "center must be a list"),
+            ({"kind": "polytope", "vertices": 5}, "vertices must be a list of points"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": math.inf}, "not a finite"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": "1/0"}, "not a finite"),
+            ({"kind": "polytope", "off": 5}, "'off' must be a path string"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": "1e999"}, "beyond 1e100"),
+            ({"kind": "ball", "center": [1e300, 0, 0], "radius": 1}, "beyond 1e100"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": 10**400}, "beyond 1e100"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": math.nan}, "not a finite"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": "nan"}, "not a finite"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": "-1/0"}, "not a finite"),
+            ({"kind": "ball", "center": [0, 0, 0], "radius": [1]}, "cannot interpret"),
+            ({"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": "1,1,1"},
+             "semi_axes must be a list"),
+            ({"kind": "polytope", "vertices": [[0, 0, 0], 5]}, "a vertex must be a list"),
+        ],
+    )
+    def test_malformed_value_rejected(self, spec, message):
+        with pytest.raises(BodyError, match=message):
+            body_from_spec(spec)
+
+    def test_largest_value_accepted(self):
+        oracle = body_from_spec({"kind": "ball", "center": [-1e100, 0, 0], "radius": 1e100})
+        assert oracle.member((-1e100, 0.0, 0.0))
+
+    def test_cap_beyond_float_range_rejected(self):
+        # a tiny coordinate with a huge denominator gives huge integer normals
+        tiny = "1/" + "1" + "0" * 160
+        vertices = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, tiny]]
+        spec = {"kind": "cap", "polytope": {"vertices": vertices},
+                "center": [0, 0, 0], "radius": 1}
+        with pytest.raises(BodyError, match="too large for float arithmetic"):
+            body_from_spec(spec)
+
+    def test_cap_center_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            glue_cap(cube(), (1, 0), 1)
 
     def test_bool_coordinate_rejected(self):
         with pytest.raises(BodyError):

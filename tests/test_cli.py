@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import CUBE_VERTICES
 
@@ -465,19 +465,96 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# what a JSON body spec may hold where a number or a list belongs
+SPEC_NUMBERS = [0, 1, -1, 3, 0.5, "1/2", "-3/2", "0.25"]
+SPEC_JUNK = [
+    None, True, "abc", "1/0", "nan", "1e999", float("nan"), float("inf"),
+    float("-inf"), 1e300, -1e300, 10**400, 1e-300, [], {}, {"a": [1]}, [[1, 2]],
+]
+spec_junk = st.sampled_from(SPEC_JUNK)
+spec_numbers = st.one_of(st.sampled_from(SPEC_NUMBERS), spec_junk)
+spec_vectors = st.one_of(
+    st.lists(st.sampled_from(SPEC_NUMBERS), min_size=3, max_size=3),
+    st.lists(spec_numbers, max_size=5),
+    spec_junk,
+)
+# the fields of a polytope spec; CUBE_OFF stands for a valid OFF file's path
+polytope_fields = st.one_of(
+    st.fixed_dictionaries({"vertices": st.one_of(
+        st.just([[int(x) for x in v] for v in CUBE_VERTICES]),
+        st.lists(spec_vectors, max_size=6),
+        spec_junk,
+    )}),
+    st.fixed_dictionaries({"off": st.sampled_from(
+        ["CUBE_OFF", "missing.off", "", 5, None, ["a"]]
+    )}),
+    st.just({}),
+)
+SPEC_FIELDS = {
+    "center": spec_vectors,
+    "radius": spec_numbers,
+    "semi_axes": spec_vectors,
+    "polytope": st.one_of(polytope_fields, spec_junk),
+}
+KIND_FIELDS = {
+    "ball": ("center", "radius"),
+    "ellipsoid": ("center", "semi_axes"),
+    "polytope": (),
+    "cap": ("polytope", "center", "radius"),
+}
+
+
+@st.composite
+def body_specs(draw):
+    """Body specs of every kind with missing keys, wrong types and bad numbers."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(spec_junk)
+    if draw(st.integers(0, 9)) == 0:
+        kind = draw(st.sampled_from(["torus", 5, None]))
+    else:
+        kind = draw(st.sampled_from(sorted(KIND_FIELDS)))
+    spec = {"kind": kind}
+    if kind == "polytope":
+        spec.update(draw(polytope_fields))
+    for key in KIND_FIELDS.get(kind, ("center", "radius")):
+        if draw(st.integers(0, 5)) > 0:  # else the key is missing
+            spec[key] = draw(SPEC_FIELDS[key])
+    return spec
+
+
+def _check_contract(argv):
+    """Exit 0/1/2, no traceback, one error line on 1, valid JSON otherwise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
 class TestFuzz:
     @settings(max_examples=40, deadline=None)
     @given(fuzzed_calls())
     def test_numeric_flags_never_crash(self, body_files, call):
         body, argv = call
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv[:1] + ["--body", body_files[body]] + argv[1:])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code == 1:
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
-        else:
-            json.loads(out.getvalue(), parse_constant=_no_constant)
+        _check_contract(argv[:1] + ["--body", body_files[body]] + argv[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(body_specs())
+    @example({"kind": "ball", "center": 5, "radius": 1})
+    @example({"kind": "ball", "center": None, "radius": 1})
+    @example({"kind": "polytope", "vertices": 5})
+    @example({"kind": "ball", "center": [0, 0, 0], "radius": float("inf")})
+    @example({"kind": "ball", "center": [0, 0, 0], "radius": "1/0"})
+    @example({"kind": "polytope", "off": 5})
+    @example({"kind": "ball", "center": [1e300, 0, 0], "radius": 1e300})
+    def test_body_specs_never_crash(self, body_files, spec):
+        text = json.dumps(spec).replace('"CUBE_OFF"', json.dumps(body_files["cube"]))
+        _check_contract(
+            ["klee-k1", "--body-json", text, "--flats", "1", "--boundary-points", "8"]
+        )

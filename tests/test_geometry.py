@@ -13,7 +13,6 @@ from polysect.geometry import (
     dist2,
     frac,
     identity_flat,
-    flat_coordinates,
     is_zero_vector,
     matrix_rank,
     norm2,
@@ -147,7 +146,7 @@ class TestAffineFlat:
     def test_off_flat_returns_none(self):
         flat = AffineFlat.spanning((0, 0, 0), [(1, 0, 0)])
         assert flat.coordinates((F(0), F(1), F(0))) is None
-        assert flat_coordinates(flat, (F(2), F(0), F(0))) == (F(2),)
+        assert flat.coordinates((F(2), F(0), F(0))) == (F(2),)
 
     def test_normal_directions_complement(self):
         flat = AffineFlat.spanning((0, 0, 0), [(1, 1, 0), (0, 0, 1)])

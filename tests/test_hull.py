@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from polysect.geometry import matrix_rank
 from polysect.hull import (
     DegenerateInput,
-    brute_force_facets,
     det2,
     det3,
     det4,
@@ -18,6 +17,7 @@ from polysect.hull import (
 )
 
 import helpers
+from helpers import brute_force_facets
 
 
 def permanent_det(m):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polysect import convex_hull
+from polysect.polytope import convex_hull
 from polysect.offio import OffFormatError, emit_off, load_polytope, parse_off
 
 import helpers

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polysect import (
-    AffineFlat,
+from polysect.geometry import AffineFlat, GeometryError, identity_flat, vsub
+from polysect.polytope import (
+    DiamondConfigError,
     Halfspace,
-    Polytope,
     PolytopeError,
     UnboundedPolyhedron,
     check_diamond_boundary,
@@ -20,14 +20,9 @@ from polysect import (
     supporting_line_test,
     vertices_of,
 )
-from polysect.geometry import GeometryError, vdot, vsub
-from polysect.polytope import (
-    DiamondConfigError,
-    convex_hull_interval,
-    restrict_halfspaces,
-)
 
 import helpers
+from helpers import restrict_halfspaces
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +83,25 @@ class TestConvexHull:
         assert pt.contains((F(1), F(2))) == "interior"
         assert pt.contains((F(1), F(3))) == "outside"
 
+    def test_one_dimensional_input(self):
+        pt = convex_hull([(2,)])
+        assert pt.dim == 0 and pt.vertices == ((F(2),),) and pt.span is None
+        seg = convex_hull([(3,), (F(-1, 2),), (1,), (3,)])
+        assert seg.vertices == seg.chart_vertices == ((F(-1, 2),), (F(3),))
+        assert seg.span == identity_flat(1)
+        assert seg.halfspaces == (
+            Halfspace((F(-2),), F(1)),
+            Halfspace((F(1),), F(3)),
+        )
+        assert seg.facet_vertices == (frozenset({0}), frozenset({1}))
+        assert seg.contains((F(0),)) == "interior"
+        assert seg.contains((F(3),)) == "boundary"
+        assert seg.contains((F(4),)) == "outside"
+
+    def test_ambient_dimension_five_rejected(self):
+        with pytest.raises(PolytopeError, match="unsupported"):
+            convex_hull([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+
     def test_four_dimensional_cube(self):
         hc = convex_hull(list(product((-1, 1), repeat=4)))
         assert len(hc.vertices) == 16
@@ -133,10 +147,13 @@ def rederived_incidence(poly):
 class TestFacetIncidence:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.tuples(st.sampled_from((2, 3, 4)), grids).flatmap(
+        st.tuples(st.sampled_from((1, 2, 3, 4)), grids).flatmap(
             lambda dg: points(dg[0], 1, 12, dg[1])
         )
     )
+    @example([(F(2),)])
+    @example([(F(3),), (F(-1, 2),)])
+    @example([(F(1),), (F(3),), (F(2),), (F(1),), (F(5, 2),), (F(-1),)])
     def test_cloud_matches_rederived_incidence(self, pts):
         poly = convex_hull(pts)
         assert poly.facet_vertices == rederived_incidence(poly)
@@ -159,7 +176,7 @@ class TestFacetIncidence:
         assert poly.dim <= m
         assert poly.facet_vertices == rederived_incidence(poly)
         if poly.dim == 1:
-            seg = convex_hull_interval(list(poly.chart_vertices))
+            seg = convex_hull(list(poly.chart_vertices))
             assert seg.facet_vertices == rederived_incidence(seg)
 
 
@@ -305,7 +322,7 @@ class TestProjection:
 
 class TestVerticesOf:
     def test_cube_round_trip(self, cube):
-        poly = vertices_of(cube.hpolytope)
+        poly = vertices_of(cube.halfspaces)
         assert poly.vertices == cube.vertices
         assert poly.halfspaces == cube.halfspaces
 
@@ -344,7 +361,7 @@ class TestVerticesOf:
 
     def test_simplex_round_trip(self):
         simplex = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        poly = vertices_of(simplex.hpolytope)
+        poly = vertices_of(simplex.halfspaces)
         assert poly.vertices == simplex.vertices
 
     @settings(max_examples=15, deadline=None)
@@ -352,7 +369,7 @@ class TestVerticesOf:
     def test_random_round_trips(self, seed):
         rng = random.Random(seed)
         body = helpers.centered_polytope(rng, 3, 8, den=2)
-        back = vertices_of(body.hpolytope)
+        back = vertices_of(body.halfspaces)
         assert back is not None
         assert back.vertices == body.vertices
 
