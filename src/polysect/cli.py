@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bodies import BodyOracle, body_from_spec, sample_section_boundary
+from .bodies import MAX_MAGNITUDE, BodyOracle, body_from_spec, sample_section_boundary
 from .cones import (
     ball_visual_cone_oracle,
     cone_oracle_from_exact,
@@ -94,6 +94,9 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"bad vector {text!r}: {e}") from None
     if not parts:
         raise ValueError(f"bad vector {text!r}: empty")
+    # the same bound as body specs: beyond it float() overflows downstream
+    if any(abs(x) > MAX_MAGNITUDE for x in parts):
+        raise ValueError(f"bad vector {text!r}: a value is beyond 1e100 in absolute value")
     return tuple(parts)
 
 
@@ -111,7 +114,12 @@ def parse_flat(text: str, dim: int) -> tuple[AffineFlat, tuple, Fraction]:
     if "n" not in fields or "c" not in fields:
         raise ValueError(f'bad flat spec {text!r}: expected "n=...;c=..."')
     normal = parse_vector(fields["n"])
-    offset = Fraction(fields["c"])
+    try:
+        offset = Fraction(fields["c"])
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"bad flat spec {text!r}: {e}") from None
+    if abs(offset) > MAX_MAGNITUDE:
+        raise ValueError(f"bad flat spec {text!r}: c is beyond 1e100 in absolute value")
     if len(normal) != dim:
         raise ValueError(
             f"flat normal has {len(normal)} components, body lives in {dim}"

@@ -379,6 +379,9 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
         raise DimensionMismatch("apex and center dimensions disagree")
     axis = tuple(b - a for a, b in zip(z, c))
     dist = _fnorm(axis)
+    if not math.isfinite(dist):
+        # squaring overflowed: the axis would read as the zero vector
+        raise ConeError("apex is too far from the ball for float arithmetic")
     if dist <= radius:
         raise ConeError("apex must lie strictly outside the ball")
     cos_half = math.sqrt(1.0 - (radius / dist) ** 2)

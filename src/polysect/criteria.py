@@ -234,9 +234,11 @@ def klee_section_test(
     """Sample k-dimensional sections and test each for polygonality.
 
     Flats are intersections of hyperplanes {x . xi = delta(xi)} over seeded
-    random directions xi; delta=None means central sections.  Exact
-    polytopes get exact sections (always polygons, so the run checks the
-    flat family's interior coverage); oracle bodies are boundary-sampled
+    random directions xi; delta=None means central sections.  An exact
+    section is always a polygon, so for exact polytopes the run only checks
+    the flat family's interior coverage; it decides that from the body's
+    image under the flat's normals and builds no section (_coverage_note
+    says why that is exact).  Oracle bodies are boundary-sampled
     and a curved section, re-verified at 4x density, refutes.  Flats that
     miss the interior are reported as coverage violations, never silently
     skipped.
@@ -305,7 +307,7 @@ def klee_section_test(
 
 
 def _exact_section_sample(poly, rng, d, k, delta) -> str | None:
-    """One exact section; returns a coverage-violation note or None."""
+    """One exact k-flat; returns a coverage-violation note or None."""
     while True:
         normals_f = [_gauss_unit(rng, d) for _ in range(d - k)]
         normals = [_rationalize(f) for f in normals_f]
@@ -322,12 +324,25 @@ def _exact_section_sample(poly, rng, d, k, delta) -> str | None:
         if flat.dim != k:
             continue
         break
-    sec = section(poly, flat)
-    if sec is None:
+    # exact sections are polytopes by construction; only coverage is checked
+    return _coverage_note(poly, normals, offsets)
+
+
+def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
+    """Coverage of the flat {x : N x = o} (rows of N independent), unbuilt.
+
+    The flat meets P iff o lies in the image N(P) = conv{N v}, and it meets
+    relint P iff o lies in relint N(P), since a linear map sends relint P
+    onto relint N(P) (Rockafellar, Convex Analysis, Thm 6.6).  One hull of
+    the d-k dimensional image decides both, for bodies of any dimension;
+    `contains` classifies relative to the image's own span.
+    """
+    image = convex_hull([tuple(vdot(n, v) for n in normals) for v in poly.vertices])
+    where = image.contains(tuple(offsets))
+    if where == "outside":
         return "coverage violation (flat misses the body)"
-    if not sec.meets_interior:
+    if where != "interior":
         return "coverage violation (flat misses the interior)"
-    # exact sections are polytopes by construction; nothing to refute
     return None
 
 

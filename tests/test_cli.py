@@ -297,6 +297,52 @@ class TestPlumbing:
             == "error: argument --tau: must be finite and positive\n"
         )
 
+    @pytest.mark.parametrize(
+        "body, argv, vector",
+        [
+            ("ball", ["mirkil", "--apex", "{}"], "1e400,0,0"),
+            ("cube", ["mirkil", "--apex", "{}"], "1e400,0,0"),
+            ("ball", ["mirkil", "--apex", "{}"], "0,0,1e155"),
+            ("cube", ["cone", "--apex", "{}"], "0,0,-1e101"),
+            ("cube", ["project", "--xi", "{}"], "0,0,1e400"),
+            ("cube", ["walk", "--xi", "{}"], "1e400,0,1"),
+            ("cube", ["project", "--basis", "{};0,1,0"], "1e400,0,0"),
+            ("cube", ["epsilon", "--p", "{}", "--q=-1,-1,-1"], "1e400,1,1"),
+            ("cube", ["epsilon", "--p", "1,1,1", "--q={}"], "-1e400,-1,-1"),
+            ("cube", ["section", "--flat", "n={};c=0"], "1e400,1,1"),
+        ],
+    )
+    def test_vector_beyond_float_range_is_error(
+        self, body, argv, vector, ball_json, cube_off, tmp_path, capsys
+    ):
+        path = ball_json if body == "ball" else cube_off
+        argv = [a.format(vector) for a in argv]
+        code, rep = run([argv[0], "--body", path] + argv[1:], tmp_path)
+        assert code == 1
+        assert rep is None
+        assert capsys.readouterr().err == (
+            f"error: bad vector {vector!r}: a value is beyond 1e100 in absolute value\n"
+        )
+
+    @pytest.mark.parametrize(
+        "offset, reason",
+        [
+            ("1e400", "c is beyond 1e100 in absolute value"),
+            ("-1e101", "c is beyond 1e100 in absolute value"),
+            ("1/0", "Fraction(1, 0)"),
+            ("x", "Invalid literal for Fraction: 'x'"),
+        ],
+    )
+    def test_bad_flat_offset_is_error(
+        self, offset, reason, ball_json, cube_off, tmp_path, capsys
+    ):
+        for body in (ball_json, cube_off):
+            flat = f"n=1,1,1;c={offset}"
+            code, rep = run(["section", "--body", body, "--flat", flat], tmp_path)
+            assert code == 1
+            assert rep is None
+            assert capsys.readouterr().err == f"error: bad flat spec {flat!r}: {reason}\n"
+
     @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
     def test_non_finite_delta_is_error(self, delta, ball_json, cube_off, tmp_path, capsys):
         for body in (ball_json, cube_off):

@@ -277,11 +277,10 @@ class TestMirkilScan:
 
     @pytest.mark.parametrize("far", [1e155, 1e200])
     def test_far_apex_does_not_overflow(self, far):
-        # squaring the apex distance overflows; the norm reads inf, so the
-        # cone is degenerate and the scan finds nothing, but it does not raise
-        oracle = ball_visual_cone_oracle((0.0, 0.0, far), (0.0, 0.0, 0.0), 1.0)
-        rep = mirkil_scan(oracle, 2, seed=0)
-        assert rep.verdict == "polyhedral-consistent"
+        # squaring the apex distance overflows; a round cone must not be
+        # answered from the zero axis that an infinite norm would give
+        with pytest.raises(ConeError, match="too far"):
+            ball_visual_cone_oracle((0.0, 0.0, far), (0.0, 0.0, 0.0), 1.0)
 
     def test_determinism(self):
         oracle = ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0)

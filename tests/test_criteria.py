@@ -1,11 +1,13 @@
 """Polygonality detection, Klee-style testers, certificates, and drift."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import CUBE_VERTICES, centered_polytope
 
@@ -17,9 +19,11 @@ from polysect.bodies import (
     make_ellipsoid,
     wrap_polytope,
 )
+from polysect import criteria
 from polysect.cones import ConeError, ball_visual_cone_oracle, mirkil_scan
 from polysect.criteria import (
     CriterionError,
+    _coverage_note,
     _ray_hit_cone_oracle,
     DriftConfig,
     default_normal_family,
@@ -33,7 +37,8 @@ from polysect.criteria import (
     sphere_apexes,
     visual_cone_test,
 )
-from polysect.polytope import convex_hull
+from polysect.geometry import AffineFlat, nullspace, solve_particular
+from polysect.polytope import convex_hull, section
 
 OCTA_VERTICES = [
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
@@ -203,6 +208,155 @@ class TestKleeSectionTest:
         )
         with pytest.raises(BodyError, match="never left"):
             klee_section_test(endless, 1)
+
+
+MISSES_BODY = "coverage violation (flat misses the body)"
+MISSES_INTERIOR = "coverage violation (flat misses the interior)"
+
+TESSERACT = [tuple(F(s) for s in signs) for signs in itertools.product((-1, 1), repeat=4)]
+SIMPLEX4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+TRIANGLE3 = [(0, 0, 0), (2, 0, 0), (0, 2, 0)]
+SEGMENT3 = [(0, 0, 0), (2, 2, 2)]
+SQUARE4 = [(1, 1, 0, 0), (1, -1, 0, 0), (-1, 1, 0, 0), (-1, -1, 0, 0)]
+
+
+def _fractions(normals, offsets):
+    return [tuple(F(x) for x in n) for n in normals], [F(o) for o in offsets]
+
+
+def section_note(poly, normals, offsets):
+    """The coverage note that a built section() gives: the reference."""
+    normals, offsets = _fractions(normals, offsets)
+    flat = AffineFlat.spanning(solve_particular(normals, offsets), nullspace(normals))
+    assert flat.dim == poly.ambient_dim - len(normals)
+    sec = section(poly, flat)
+    if sec is None:
+        return MISSES_BODY
+    if not sec.meets_interior:
+        return MISSES_INTERIOR
+    return None
+
+
+# (body vertices, normals of the flat, offsets, the note section() gives)
+COVERAGE_CASES = {
+    "cube, plane through a vertex": (CUBE_VERTICES, [(1, 1, 1)], [3], MISSES_INTERIOR),
+    "cube, plane along an edge": (CUBE_VERTICES, [(1, 1, 0)], [2], MISSES_INTERIOR),
+    "cube, facet plane": (CUBE_VERTICES, [(0, 0, 1)], [1], MISSES_INTERIOR),
+    "cube, plane past a facet": (CUBE_VERTICES, [(0, 0, 1)], [2], MISSES_BODY),
+    "cube, plane past a vertex": (CUBE_VERTICES, [(1, 1, 1)], [F(7, 2)], MISSES_BODY),
+    "cube, central plane": (CUBE_VERTICES, [(1, 1, 1)], [0], None),
+    "cube, plane near a vertex": (CUBE_VERTICES, [(1, 1, 1)], [F(5, 2)], None),
+    "tesseract, 2-flat of a 2-face": (
+        TESSERACT, [(0, 0, 1, 0), (0, 0, 0, 1)], [1, 1], MISSES_INTERIOR),
+    "tesseract, 2-flat across a 2-face": (
+        TESSERACT, [(0, 1, 0, 0), (0, 0, 1, 1)], [0, 2], MISSES_INTERIOR),
+    "tesseract, 2-flat along an edge": (
+        TESSERACT, [(1, 1, 0, 0), (0, 0, 1, 0)], [2, 1], MISSES_INTERIOR),
+    "tesseract, 2-flat through a vertex": (
+        TESSERACT, [(1, 1, 0, 0), (0, 0, 1, 1)], [2, 2], MISSES_INTERIOR),
+    "tesseract, 2-flat inside a facet": (
+        TESSERACT, [(1, 0, 0, 0), (0, 1, 1, 0)], [1, 0], MISSES_INTERIOR),
+    "tesseract, 2-flat past a 2-face": (
+        TESSERACT, [(0, 0, 1, 0), (0, 0, 0, 1)], [1, F(3, 2)], MISSES_BODY),
+    "tesseract, central 2-flat": (
+        TESSERACT, [(1, 1, 0, 0), (0, 0, 1, 1)], [0, 0], None),
+    "tesseract, 2-flat near a vertex": (
+        TESSERACT, [(1, 1, 0, 0), (0, 0, 1, 1)], [1, 1], None),
+    "tesseract, facet 3-flat": (TESSERACT, [(0, 0, 0, 1)], [1], MISSES_INTERIOR),
+    "tesseract, 3-flat through a vertex": (
+        TESSERACT, [(1, 1, 1, 1)], [4], MISSES_INTERIOR),
+    "tesseract, 3-flat past a vertex": (TESSERACT, [(1, 1, 1, 1)], [5], MISSES_BODY),
+    "tesseract, 3-flat near a vertex": (TESSERACT, [(1, 1, 1, 1)], [3], None),
+    "simplex, 2-flat of a 2-face": (
+        SIMPLEX4, [(1, 0, 0, 0), (0, 1, 0, 0)], [0, 0], MISSES_INTERIOR),
+    "simplex, 2-flat through an edge": (
+        SIMPLEX4, [(1, 0, 0, 0), (0, 1, 0, 0)], [F(1, 2), F(1, 2)], MISSES_INTERIOR),
+    "simplex, 2-flat through the interior": (
+        SIMPLEX4, [(1, 0, 0, 0), (0, 1, 0, 0)], [F(1, 4), F(1, 4)], None),
+    "simplex, 2-flat past a vertex": (
+        SIMPLEX4, [(1, 0, 0, 0), (0, 1, 0, 0)], [1, 1], MISSES_BODY),
+    "triangle, its own plane": (TRIANGLE3, [(0, 0, 1)], [0], None),
+    "triangle, parallel plane": (TRIANGLE3, [(0, 0, 1)], [1], MISSES_BODY),
+    "triangle, plane across it": (TRIANGLE3, [(1, 0, 0)], [1], None),
+    "triangle, slanted plane across it": (TRIANGLE3, [(1, 0, 1)], [F(1, 2)], None),
+    "triangle, plane through a vertex": (TRIANGLE3, [(1, 0, 0)], [2], MISSES_INTERIOR),
+    "triangle, plane along an edge": (TRIANGLE3, [(1, 1, 0)], [2], MISSES_INTERIOR),
+    "triangle, plane past a vertex": (TRIANGLE3, [(1, 0, 0)], [3], MISSES_BODY),
+    "segment, plane across it": (SEGMENT3, [(1, 0, 0)], [1], None),
+    "segment, plane through an end": (SEGMENT3, [(1, 0, 0)], [0], MISSES_INTERIOR),
+    "segment, plane containing it": (SEGMENT3, [(1, -1, 0)], [0], None),
+    "segment, parallel plane": (SEGMENT3, [(1, -1, 0)], [1], MISSES_BODY),
+    "segment, plane past an end": (SEGMENT3, [(1, 0, 0)], [-1], MISSES_BODY),
+    "square, its own 2-flat": (SQUARE4, [(0, 0, 1, 0), (0, 0, 0, 1)], [0, 0], None),
+    "square, parallel 2-flat": (
+        SQUARE4, [(0, 0, 1, 0), (0, 0, 0, 1)], [1, 0], MISSES_BODY),
+    "square, 2-flat across it": (
+        SQUARE4, [(1, 0, 0, 0), (0, 0, 1, 0)], [0, 0], None),
+    "square, 2-flat through its center": (
+        SQUARE4, [(1, 0, 0, 0), (0, 1, 0, 0)], [0, 0], None),
+    "square, slanted 2-flat through it": (
+        SQUARE4, [(1, 0, 1, 0), (0, 1, 0, 1)], [F(1, 2), 0], None),
+    "square, 2-flat along an edge": (
+        SQUARE4, [(1, 0, 0, 0), (0, 0, 1, 0)], [1, 0], MISSES_INTERIOR),
+    "square, 2-flat through a vertex": (
+        SQUARE4, [(1, 0, 0, 0), (0, 1, 0, 0)], [1, 1], MISSES_INTERIOR),
+    "square, 2-flat past an edge": (
+        SQUARE4, [(1, 0, 0, 0), (0, 1, 0, 0)], [2, 0], MISSES_BODY),
+    "square, 3-flat through a vertex": (SQUARE4, [(1, 1, 0, 0)], [2], MISSES_INTERIOR),
+    "square, 3-flat containing it": (SQUARE4, [(0, 0, 1, 0)], [0], None),
+}
+
+
+@st.composite
+def clouds_and_flats(draw):
+    """A small integer cloud in 3-D or 4-D (flat when its last coordinate is
+    pinned) and a flat through one of its points, a midpoint or anywhere."""
+    d = draw(st.sampled_from((3, 4)))
+    k = draw(st.integers(2, d - 1))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8 if d == 3 else 6))
+    if draw(st.booleans()):
+        pts = [p[:-1] + (0,) for p in pts]
+    normals = draw(st.lists(st.tuples(*[coord] * d), min_size=d - k, max_size=d - k))
+    assume(len(nullspace(normals)) == k)
+    image = [tuple(sum(a * b for a, b in zip(n, p)) for n in normals) for p in pts]
+    mode = draw(st.sampled_from(("point", "midpoint", "anywhere")))
+    if mode == "point":
+        offsets = draw(st.sampled_from(image))
+    elif mode == "midpoint":
+        a, b = draw(st.sampled_from(image)), draw(st.sampled_from(image))
+        offsets = tuple(F(x + y, 2) for x, y in zip(a, b))
+    else:
+        offsets = tuple(F(draw(st.integers(-12, 12)), 2) for _ in normals)
+    return convex_hull(pts), normals, offsets
+
+
+class TestCoverageFromImage:
+    """The image hull N(P) gives the coverage note that a built section gives."""
+
+    @pytest.mark.parametrize("case", sorted(COVERAGE_CASES))
+    def test_constructed_flats(self, case):
+        vertices, normals, offsets, expected = COVERAGE_CASES[case]
+        poly = convex_hull(vertices)
+        assert section_note(poly, normals, offsets) == expected
+        assert _coverage_note(poly, *_fractions(normals, offsets)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(clouds_and_flats())
+    def test_clouds_match_sections(self, case):
+        poly, normals, offsets = case
+        expected = section_note(poly, normals, offsets)
+        assert _coverage_note(poly, *_fractions(normals, offsets)) == expected
+
+    @pytest.mark.parametrize(
+        "dim, k, delta", [(3, 2, None), (3, 2, 2), (4, 2, 0.25), (4, 2, 2), (4, 3, 1.5)]
+    )
+    def test_reports_match_the_section_route(self, dim, k, delta, monkeypatch):
+        # the tester draws the same flats either way, so whole reports agree
+        bodies = [centered_polytope(random.Random(seed), dim, 8) for seed in range(3)]
+        ours = [klee_section_test(b, 12, seed=5, k=k, delta=delta) for b in bodies]
+        monkeypatch.setattr(criteria, "_coverage_note", section_note)
+        assert ours == [klee_section_test(b, 12, seed=5, k=k, delta=delta) for b in bodies]
 
 
 def _ball():
