@@ -38,39 +38,19 @@ class FlatMissesBody(BodyError):
 
 
 @dataclass(frozen=True)
-class SectionSample:
-    """Boundary points of a planar section, ordered by polar angle.
-
-    Points are 2-dimensional chart coordinates; angles[i] is the polar
-    angle of points[i] around the interior chart point used for sampling.
-    flat is None when the sample came from a synthetic chart (cone scans).
-    """
-
-    flat: AffineFlat | None
-    points: tuple[tuple[float, float], ...]
-    angles: tuple[float, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class BodyOracle:
     """A convex body seen through support and membership queries.
 
     support(u) returns (h(u), p) with h the support function and p a point
-    of the body attaining it.  member(x) answers membership within `tau`.
-    `exact` marks bodies whose answers carry no floating-point error beyond
-    the query encoding; `polytope` is set when the body wraps one.
+    of the body attaining it.  member(x) answers membership within the
+    body's own tolerance.  `polytope` is set when the body wraps one; the
+    testers then decide exactly on it.
     """
 
     dim: int
     support: Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]
     member: Callable[[Sequence[float]], bool]
     interior_hint: tuple[float, ...]
-    tau: float = 1e-9
-    exact: bool = False
     name: str = "body"
     polytope: Polytope | None = None
     ray_interval: (
@@ -144,9 +124,7 @@ def make_ball(center, radius) -> BodyOracle:
         w = tuple(zi - ci for zi, ci in zip(z, c))
         return _sphere_interval(w, u, (r + 1e-12) ** 2)
 
-    return BodyOracle(
-        len(c), support, member, c, 1e-12, False, "ball", None, ray_interval
-    )
+    return BodyOracle(len(c), support, member, c, "ball", None, ray_interval)
 
 
 def make_ellipsoid(center, semi_axes) -> BodyOracle:
@@ -175,9 +153,7 @@ def make_ellipsoid(center, semi_axes) -> BodyOracle:
         v = tuple(ui / ai for ui, ai in zip(u, a))
         return _sphere_interval(w, v, 1.0 + 1e-12)
 
-    return BodyOracle(
-        len(c), support, member, c, 1e-12, False, "ellipsoid", None, ray_interval
-    )
+    return BodyOracle(len(c), support, member, c, "ellipsoid", None, ray_interval)
 
 
 def _sphere_interval(w, v, rr):
@@ -219,9 +195,7 @@ def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
         xq = tuple(Fraction(float(xi)) for xi in x)
         return poly.contains(xq) != "outside"
 
-    return BodyOracle(
-        poly.ambient_dim, support, member, hint, 0.0, True, name, poly
-    )
+    return BodyOracle(poly.ambient_dim, support, member, hint, name, poly)
 
 
 def _closest_point_finder(poly: Polytope):
@@ -354,7 +328,7 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
 
         return _convex_min_at_most(f, 1e-9, 1.0, 1e-9)
 
-    return BodyOracle(3, support, member, pwrap.interior_hint, 1e-9, False, "cap")
+    return BodyOracle(3, support, member, pwrap.interior_hint, "cap")
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -420,14 +394,15 @@ def _convex_lower_bound(ts, fs) -> float:
 
 def sample_section_boundary(
     body: BodyOracle, flat: AffineFlat, count: int
-) -> SectionSample:
+) -> tuple[tuple[float, float], ...]:
     """Sample the boundary of body ∩ flat at `count` polar angles.
 
     The flat must be 2-dimensional and meet the body's interior
     (FlatMissesBody otherwise); boundary points come from the body's
     ray_interval, or else from 60-step ray bisection of the membership
-    oracle, and are returned in chart coordinates of the flat's
-    orthonormalized basis.
+    oracle.  They are returned in chart coordinates of the flat's
+    orthonormalized basis, point j on the ray at angle 2πj/count around
+    an interior chart point.
     """
     if flat.dim != 2:
         raise BodyError("section sampling needs a 2-dimensional flat")
@@ -445,13 +420,13 @@ def sample_section_boundary(
     x0 = _interior_chart_point(body, at)
     if x0 is None:
         raise FlatMissesBody("flat misses the body's interior")
-    pts, angles = _radial_sweep(body, at, (u1, u2), x0, count)
+    pts = _radial_sweep(body, at, (u1, u2), x0, count)
     # recenter once: the centroid is better-conditioned than the first hit
     cx = sum(p[0] for p in pts) / count
     cy = sum(p[1] for p in pts) / count
     if body.member(at(cx, cy)):
-        pts, angles = _radial_sweep(body, at, (u1, u2), (cx, cy), count)
-    return SectionSample(flat, tuple(pts), tuple(angles))
+        pts = _radial_sweep(body, at, (u1, u2), (cx, cy), count)
+    return pts
 
 
 def check_sampling(boundary_points: int, tau: float) -> None:
@@ -513,7 +488,6 @@ def _radial_sweep(body: BodyOracle, at, frame, x0, count):
     u1, u2 = frame
     start = at(*x0)
     pts = []
-    angles = []
     for j in range(count):
         th = 2.0 * math.pi * j / count
         ct, st = math.cos(th), math.sin(th)
@@ -530,8 +504,7 @@ def _radial_sweep(body: BodyOracle, at, frame, x0, count):
             if t is None:
                 raise BodyError("section boundary ray never left the body")
         pts.append((x0[0] + t * ct, x0[1] + t * st))
-        angles.append(th)
-    return pts, angles
+    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------

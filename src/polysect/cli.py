@@ -227,8 +227,8 @@ def _cmd_section(args):
         if sec.polytope.ambient_dim == 2:
             svg = (chart, {"closed": sec.polytope.dim == 2})
         return report, svg, 0
-    sample = sample_section_boundary(body.oracle, flat, args.samples)
-    verdict = polygonality_detect(sample, tau=args.tau)
+    points = sample_section_boundary(body.oracle, flat, args.samples)
+    verdict = polygonality_detect(points, tau=args.tau)
     polygon = verdict.kind == "polygon"
     report.update(
         verdict="polytope-consistent" if polygon else "non-polytope",
@@ -239,7 +239,7 @@ def _cmd_section(args):
         witness_area=verdict.witness_area,
     )
     markers = list(verdict.witness_triple) if verdict.witness_triple else None
-    svg = (list(sample.points), {"closed": True, "marker_indices": markers})
+    svg = (list(points), {"closed": True, "marker_indices": markers})
     return report, svg, 0 if polygon else 2
 
 
@@ -318,33 +318,19 @@ def _criterion_report(args, body, rep, command):
     return out, svg, 0 if rep.verdict == "polytope-consistent" else 2
 
 
-def _cmd_klee_k1(args):
+def _cmd_sections(args):
+    # klee-k1 has no --delta: central sections (K1); t11 requires one (T1.1)
     body = load_body(args)
     rep = klee_section_test(
         body.tester_arg,
         args.flats,
         args.seed,
         k=args.k,
+        delta=getattr(args, "delta", None),
         boundary_points=args.boundary_points,
         tau=args.tau,
-        criterion="K1",
     )
-    return _criterion_report(args, body, rep, "klee-k1")
-
-
-def _cmd_t11(args):
-    body = load_body(args)
-    rep = klee_section_test(
-        body.tester_arg,
-        args.flats,
-        args.seed,
-        k=args.k,
-        delta=args.delta,
-        boundary_points=args.boundary_points,
-        tau=args.tau,
-        criterion="T1.1",
-    )
-    return _criterion_report(args, body, rep, "t11")
+    return _criterion_report(args, body, rep, args.command)
 
 
 def _cmd_klee_k2(args):
@@ -490,9 +476,9 @@ _HANDLERS = {
     "section": _cmd_section,
     "project": _cmd_project,
     "cone": _cmd_cone,
-    "klee-k1": _cmd_klee_k1,
+    "klee-k1": _cmd_sections,
     "klee-k2": _cmd_klee_k2,
-    "t11": _cmd_t11,
+    "t11": _cmd_sections,
     "t12": _cmd_t12,
     "epsilon": _cmd_epsilon,
     "walk": _cmd_walk,
@@ -506,19 +492,27 @@ def _add_body_flags(p):
     p.add_argument("--report", default="-", help="report path (default stdout)")
     p.add_argument("--svg", help="write an SVG rendering of 2-dim output")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--tau", type=_tau, default=1e-9, help="flatness tolerance")
+    p.add_argument("--tau", type=_positive, default=1e-9, help="flatness tolerance")
 
 
-def _tau(text: str) -> float:
-    # every command takes --tau and echoes it into its report, so a NaN or
-    # infinite value would make the report invalid JSON
+def _positive(text: str) -> float:
+    # --tau and --radius are echoed into reports, so a NaN or infinite
+    # value would make the report invalid JSON
     try:
-        tau = float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(tau) and tau > 0):
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError("must be finite and positive")
-    return tau
+    return value
+
+
+def _radius(text: str) -> float:
+    # the oracles square apex coordinates: the body-spec magnitude bound
+    radius = _positive(text)
+    if radius > MAX_MAGNITUDE:
+        raise argparse.ArgumentTypeError("must be at most 1e100")
+    return radius
 
 
 class _UsageError(Exception):
@@ -578,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("t12", help="visual-cone polyhedrality test")
     _add_body_flags(p)
     p.add_argument("--apexes", type=int, default=8, help="sampled apex count")
-    p.add_argument("--radius", type=float, default=None, help="apex sphere radius")
+    p.add_argument("--radius", type=_radius, default=None, help="apex sphere radius")
     p.add_argument("--sections-per-apex", type=int, default=2)
     p.add_argument("--boundary-points", type=int, default=32)
 

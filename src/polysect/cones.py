@@ -23,7 +23,6 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .bodies import (
-    SectionSample,
     _cross3f,
     _fdot,
     _fnorm,
@@ -32,6 +31,7 @@ from .bodies import (
     check_sampling,
     ray_exit,
 )
+from .criteria import _confirmed_curve, _sample_loop
 from .geometry import (
     AffineFlat,
     DimensionMismatch,
@@ -503,29 +503,24 @@ def _boundary_radius(member, ray_interval, w, e1, e2, theta):
     return ray_exit(lambda r: member(direction(r)), 2.0**30)
 
 
-def _scan_three_dim(member, ray_interval, hint, rng: random.Random, n: int, tau: float):
-    """One cross-section scan; returns (points, triple, area) when curved."""
+def _scan_three_dim(member, ray_interval, hint, rng: random.Random, n: int):
+    """n boundary points of one cross-section, at a random angle offset.
+
+    None when no bounded cross-section was found.
+    """
     w = _find_interior_direction(member, hint)
     offset = rng.uniform(0.0, 2.0 * math.pi / n)
     if w is None:
         return None
     e1, e2 = _orthonormal_complement_3d(w)
     pts = []
-    angles = []
     for j in range(n):
         th = offset + 2.0 * math.pi * j / n
         rad = _boundary_radius(member, ray_interval, w, e1, e2, th)
         if rad is None:
             return None
         pts.append((rad * math.cos(th), rad * math.sin(th)))
-        angles.append(th)
-    from .criteria import polygonality_detect
-
-    sample = SectionSample(None, tuple(pts), tuple(angles))
-    verdict = polygonality_detect(sample, tau)
-    if verdict.kind == "curved":
-        return pts, verdict.witness_triple, verdict.witness_area
-    return None
+    return tuple(pts)
 
 
 def mirkil_scan(
@@ -541,26 +536,23 @@ def mirkil_scan(
     For ambient dimension 3 the full cone's 2-dimensional cross-section is
     scanned directly; for dimension 4 random 3-subspaces through the apex
     are drawn first.  Exact cones short-circuit: their sections are
-    polyhedral by construction.  The verdict is one-sided: a witness
-    refutes, "polyhedral-consistent" only reports the surviving budget.
+    polyhedral by construction.  The verdict is one-sided: a witness, a
+    curved section that stays curved at doubled density, refutes;
+    "polyhedral-consistent" only reports the surviving budget.
     """
     if samples < 0:
         raise ConeError("sample budget must be nonnegative")
     check_sampling(boundary_points, tau)
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
-    if samples == 0:
-        return MirkilReport(
-            "polyhedral-consistent", 0, 0, seed, True, None, ("zero-budget",)
-        )
-    if oracle.exact is not None:
+    if oracle.exact is not None and samples:
         return MirkilReport(
             "polyhedral-consistent", samples, samples, seed, False, None,
             ("exact cone: every section is polyhedral by construction",),
         )
     rng = random.Random(seed)
-    notes: list[str] = []
-    for i in range(samples):
+
+    def trial(i, notes):
         if oracle.dim == 3:
             frame: tuple = ()
             member3 = oracle.member
@@ -568,30 +560,27 @@ def mirkil_scan(
             hint3 = oracle.axis_hint
         else:
             frame = _orthonormal_frame(rng, oracle.dim, 3)
-            lift = lambda s, fr=frame: tuple(
-                sum(si * fi[j] for si, fi in zip(s, fr)) for j in range(oracle.dim)
+            lift = lambda s: tuple(
+                sum(si * fi[j] for si, fi in zip(s, frame)) for j in range(oracle.dim)
             )
-            member3 = lambda s, lift=lift: oracle.member(lift(s))
+            member3 = lambda s: oracle.member(lift(s))
             ray3 = None
             if oracle.ray_interval is not None:
                 # the frame map is linear, so ray parameters carry over
-                ray3 = lambda w, d, lift=lift: oracle.ray_interval(lift(w), lift(d))
+                ray3 = lambda w, d: oracle.ray_interval(lift(w), lift(d))
             hint3 = tuple(_fdot(oracle.axis_hint, f) for f in frame)
-        found = _scan_three_dim(member3, ray3, hint3, rng, boundary_points, tau)
-        if found is not None:
-            # soundness: the witness must survive a doubled sampling density
-            confirm = _scan_three_dim(
-                member3, ray3, hint3, rng, 2 * boundary_points, tau
-            )
-            if confirm is None:
-                notes.append(f"sample {i}: witness failed doubled-density re-verification")
-                continue
-            pts, triple, area = confirm
-            witness = MirkilWitness(i, frame, tuple(pts), triple, area)
-            notes.append("witness re-verified at doubled sampling density")
-            return MirkilReport(
-                "non-polyhedral", samples, i + 1, seed, False, witness, tuple(notes)
-            )
+        draw = lambda n: _scan_three_dim(member3, ray3, hint3, rng, n)
+        found = _confirmed_curve(draw, boundary_points, 2, tau)
+        if found is False:
+            notes.append(f"sample {i}: witness failed doubled-density re-verification")
+        if not found:
+            return None
+        points, verdict = found
+        notes.append("witness re-verified at doubled sampling density")
+        return MirkilWitness(i, frame, points, verdict.witness_triple, verdict.witness_area)
+
+    witness, used, notes = _sample_loop(samples, trial)
+    verdict = "non-polyhedral" if witness is not None else "polyhedral-consistent"
     return MirkilReport(
-        "polyhedral-consistent", samples, samples, seed, False, None, tuple(notes)
+        verdict, samples, used, seed, samples == 0, witness, tuple(notes)
     )

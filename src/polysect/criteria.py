@@ -24,7 +24,6 @@ from typing import Iterable
 from .bodies import (
     BodyOracle,
     FlatMissesBody,
-    SectionSample,
     _cross3f,
     _gauss_unit,
     _orthonormal_frame,
@@ -81,8 +80,8 @@ def _triple_area(a, b, c) -> float:
     )
 
 
-def polygonality_detect(sample: SectionSample, tau: float = 1e-9) -> PolygonalityVerdict:
-    """Decide whether angularly-ordered boundary points trace a polygon.
+def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
+    """Decide whether angularly-ordered 2-D boundary points trace a polygon.
 
     Corners are consecutive triples whose triangle area exceeds
     tau * diameter^2; cyclically adjacent corners collapse into one vertex
@@ -91,8 +90,7 @@ def polygonality_detect(sample: SectionSample, tau: float = 1e-9) -> Polygonalit
     verdict is "curved" with the highest-area triple as witness.  Repeated
     consecutive points (support-point plateaus) are naturally zero-area.
     """
-    pts = sample.points
-    n = len(pts)
+    n = len(points)
     if n < 8:
         raise CriterionError("polygonality detection needs at least 8 points")
     if not (math.isfinite(tau) and tau > 0):
@@ -100,7 +98,7 @@ def polygonality_detect(sample: SectionSample, tau: float = 1e-9) -> Polygonalit
     diam = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            d = math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
             if d > diam:
                 diam = d
     tau_area = tau * diam * diam
@@ -108,7 +106,7 @@ def polygonality_detect(sample: SectionSample, tau: float = 1e-9) -> Polygonalit
         return PolygonalityVerdict("polygon", 0, None, 0.0, tau_area, 0.0)
 
     areas = [
-        _triple_area(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n)
+        _triple_area(points[i - 1], points[i], points[(i + 1) % n]) for i in range(n)
     ]
     best = max(range(n), key=lambda i: areas[i])
     witness = ((best - 1) % n, best, (best + 1) % n)
@@ -137,12 +135,12 @@ def polygonality_detect(sample: SectionSample, tau: float = 1e-9) -> Polygonalit
     for t in range(g):
         a_idx = groups[t][-1]
         b_idx = groups[(t + 1) % g][0]
-        a, b = pts[a_idx], pts[b_idx]
+        a, b = points[a_idx], points[b_idx]
         ab = math.hypot(b[0] - a[0], b[1] - a[1])
         i = (a_idx + 1) % n
         while i != b_idx:
             if ab > 0:
-                sag = 2.0 * _triple_area(a, pts[i], b) / ab
+                sag = 2.0 * _triple_area(a, points[i], b) / ab
                 if sag > tau_chord:
                     w = ((i - 1) % n, i, (i + 1) % n)
                     return PolygonalityVerdict(
@@ -182,6 +180,61 @@ class CriterionReport:
     seed: int
     witness: KleeWitness | None
     notes: tuple[str, ...] = ()
+
+
+def _report(criterion, name, exact, budget, outcome, boundary_points, tau, seed):
+    witness, used, notes = outcome
+    verdict = "non-polytope" if witness is not None else "polytope-consistent"
+    return CriterionReport(
+        criterion, verdict, name, exact, budget, used,
+        boundary_points, tau, seed, witness, tuple(notes),
+    )
+
+
+def _sample_loop(budget: int, trial):
+    """Run trial(i, notes) for i < budget until one returns a witness.
+
+    Returns (witness or None, samples used, notes).  A witness at sample i
+    used i + 1 samples and ends the run; a clean run used the whole budget.
+    A zero budget is noted, so a run that sampled nothing says so.
+    """
+    notes: list[str] = [] if budget else ["zero-budget"]
+    for i in range(budget):
+        witness = trial(i, notes)
+        if witness is not None:
+            return witness, i + 1, notes
+    return None, budget, notes
+
+
+def _confirmed_curve(draw, count: int, factor: int, tau: float):
+    """The refutation rule: a curved sample must stay curved when denser.
+
+    draw(n) gives n ordered boundary points, or None when it cannot.
+    Returns None when draw(count) does not look curved, False when
+    draw(factor * count) fails to confirm it, and otherwise the denser
+    (points, verdict).
+    """
+    points = draw(count)
+    if points is None or polygonality_detect(points, tau).kind != "curved":
+        return None
+    points = draw(factor * count)
+    if points is None:
+        return False
+    verdict = polygonality_detect(points, tau)
+    return (points, verdict) if verdict.kind == "curved" else False
+
+
+def _klee_witness(found, i, notes, kind, normals, offsets) -> KleeWitness | None:
+    """The witness of a 4x-confirmed curve at sample i, noting a failure."""
+    if found is False:
+        notes.append(f"sample {i}: witness failed 4x re-verification")
+    if not found:
+        return None
+    points, verdict = found
+    return KleeWitness(
+        i, kind, normals, offsets, points,
+        verdict.witness_triple, verdict.witness_area, True,
+    )
 
 
 RATIONALIZE_DENOMINATOR = 2**20
@@ -229,12 +282,12 @@ def klee_section_test(
     delta=None,
     boundary_points: int = 48,
     tau: float = 1e-9,
-    criterion: str | None = None,
 ) -> CriterionReport:
     """Sample k-dimensional sections and test each for polygonality.
 
     Flats are intersections of hyperplanes {x . xi = delta(xi)} over seeded
-    random directions xi; delta=None means central sections.  An exact
+    random directions xi; delta=None means central sections (criterion
+    "K1"), any other delta non-central ones ("T1.1").  An exact
     section is always a polygon, so for exact polytopes the run only checks
     the flat family's interior coverage; it decides that from the body's
     image under the flat's normals and builds no section (_coverage_note
@@ -244,8 +297,6 @@ def klee_section_test(
     skipped.
     """
     poly, oracle, name, exact = _resolve_body(body)
-    if criterion is None:
-        criterion = "K1" if delta is None else "T1.1"
     if flats < 0:
         raise CriterionError("flat budget must be nonnegative")
     if delta is not None and not callable(delta):
@@ -259,51 +310,25 @@ def klee_section_test(
     if poly is None and d != 3:
         raise CriterionError("oracle section sampling supports dimension 3 only")
     rng = random.Random(seed)
-    notes: list[str] = []
-    if flats == 0:
-        notes.append("zero-budget")
-    used = 0
-    witness = None
-    for i in range(flats):
+
+    def trial(i, notes):
         if poly is not None:
-            outcome = _exact_section_sample(poly, rng, d, k, delta)
-            used += 1
-            if outcome is not None:
-                notes.append(f"sample {i}: {outcome}")
-            continue
+            note = _exact_section_sample(poly, rng, d, k, delta)
+            if note is not None:
+                notes.append(f"sample {i}: {note}")
+            return None
         flat, xi, dv = _oracle_flat(rng, d, delta)
-        used += 1
+        draw = lambda n: sample_section_boundary(oracle, flat, n)
         try:
-            samp = sample_section_boundary(oracle, flat, boundary_points)
+            found = _confirmed_curve(draw, boundary_points, 4, tau)
         except FlatMissesBody:
             notes.append(f"sample {i}: coverage violation (flat misses interior)")
-            continue
-        verdict = polygonality_detect(samp, tau)
-        if verdict.kind != "curved":
-            continue
-        try:
-            samp4 = sample_section_boundary(oracle, flat, 4 * boundary_points)
-            verdict4 = polygonality_detect(samp4, tau)
-        except FlatMissesBody:
-            verdict4 = None
-        if verdict4 is not None and verdict4.kind == "curved":
-            witness = KleeWitness(
-                i,
-                "section",
-                (xi,),
-                (dv,),
-                samp4.points,
-                verdict4.witness_triple,
-                verdict4.witness_area,
-                True,
-            )
-            break
-        notes.append(f"sample {i}: witness failed 4x re-verification")
-    verdict_str = "non-polytope" if witness is not None else "polytope-consistent"
-    return CriterionReport(
-        criterion, verdict_str, name, exact, flats, used,
-        boundary_points, tau, seed, witness, tuple(notes),
-    )
+            return None
+        return _klee_witness(found, i, notes, "section", (xi,), (dv,))
+
+    criterion = "K1" if delta is None else "T1.1"
+    outcome = _sample_loop(flats, trial)
+    return _report(criterion, name, exact, flats, outcome, boundary_points, tau, seed)
 
 
 def _exact_section_sample(poly, rng, d, k, delta) -> str | None:
@@ -399,38 +424,19 @@ def klee_projection_test(
     if poly is None and k != 2:
         raise CriterionError("oracle bodies support k = 2 only")
     rng = random.Random(seed)
-    notes: list[str] = []
-    if subspaces == 0:
-        notes.append("zero-budget")
-    used = 0
-    witness = None
     origin = tuple(Fraction(0) for _ in range(d))
-    for i in range(subspaces):
+
+    def trial(i, notes):
         if poly is not None:
-            E = _random_subspace_exact(rng, origin, d, k)
-            used += 1
-            _exact_projection_check(poly, E)
-            continue
+            _exact_projection_check(poly, _random_subspace_exact(rng, origin, d, k))
+            return None
         frame = _orthonormal_frame(rng, d, 2)
-        used += 1
-        pts = _support_shadow(oracle, frame, boundary_points)
-        verdict = polygonality_detect(SectionSample(None, pts, ()), tau)
-        if verdict.kind != "curved":
-            continue
-        pts4 = _support_shadow(oracle, frame, 4 * boundary_points)
-        verdict4 = polygonality_detect(SectionSample(None, pts4, ()), tau)
-        if verdict4.kind == "curved":
-            witness = KleeWitness(
-                i, "projection", frame, (), pts4,
-                verdict4.witness_triple, verdict4.witness_area, True,
-            )
-            break
-        notes.append(f"sample {i}: witness failed 4x re-verification")
-    verdict_str = "non-polytope" if witness is not None else "polytope-consistent"
-    return CriterionReport(
-        "K2", verdict_str, name, exact, subspaces, used,
-        boundary_points, tau, seed, witness, tuple(notes),
-    )
+        draw = lambda n: _support_shadow(oracle, frame, n)
+        found = _confirmed_curve(draw, boundary_points, 4, tau)
+        return _klee_witness(found, i, notes, "projection", frame, ())
+
+    outcome = _sample_loop(subspaces, trial)
+    return _report("K2", name, exact, subspaces, outcome, boundary_points, tau, seed)
 
 
 def _random_subspace_exact(rng, origin, d, k) -> AffineFlat:
@@ -515,34 +521,27 @@ def visual_cone_test(
         apexes = sphere_apexes(center, float(radius), budget, rng)
     else:
         apexes = [tuple(float(x) for x in a) for a in apex_source]
-    notes: list[str] = []
-    if not apexes:
-        notes.append("zero-budget")
-    used = 0
-    witness = None
-    for i, apex in enumerate(apexes):
-        used += 1
+
+    def trial(i, notes):
+        apex = apexes[i]
         if poly is not None:
             cone = visual_cone(_rationalize(apex), poly)
             notes.append(f"apex {i}: exact cone, {cone.extreme_ray_count} extreme rays")
-            continue
-        cone_oracle = _ray_hit_cone_oracle(oracle, apex)
+            return None
         report = mirkil_scan(
-            cone_oracle, sections_per_apex, seed=seed + i,
+            _ray_hit_cone_oracle(oracle, apex), sections_per_apex, seed=seed + i,
             boundary_points=boundary_points, tau=tau,
         )
-        if report.verdict == "non-polyhedral":
-            w = report.witness
-            witness = KleeWitness(
-                i, "visual-cone", (), (), w.points, w.triple,
-                w.triple_area, True, apex=apex,
-            )
-            break
-    verdict_str = "non-polytope" if witness is not None else "polytope-consistent"
-    return CriterionReport(
-        "T1.2", verdict_str, name, exact, len(apexes), used,
-        boundary_points, tau, seed, witness, tuple(notes),
-    )
+        w = report.witness
+        if w is None:
+            return None
+        return KleeWitness(
+            i, "visual-cone", (), (), w.points, w.triple,
+            w.triple_area, True, apex=apex,
+        )
+
+    outcome = _sample_loop(len(apexes), trial)
+    return _report("T1.2", name, exact, len(apexes), outcome, boundary_points, tau, seed)
 
 
 def _ray_hit_cone_oracle(body: BodyOracle, apex):

@@ -147,36 +147,35 @@ def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return rows, pivots, n
 
 
+def _solve(matrix, rhs) -> tuple[tuple[Fraction, ...] | None, int]:
+    """(one solution with free variables at 0, or None if inconsistent; free count)."""
+    rows, pivots, n = _eliminate(matrix, rhs)
+    pivot_rows = {r for r, _ in pivots}
+    if any(row[n] != 0 for i, row in enumerate(rows) if i not in pivot_rows):
+        return None, n - len(pivots)
+    values = [ZERO] * n
+    for r, c in pivots:
+        values[c] = rows[r][n]
+    return tuple(values), n - len(pivots)
+
+
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LinearSolution:
     """Solve matrix @ x = rhs exactly.
 
     Flags rank deficiency instead of guessing: an inconsistent system is
     "no_solution", a consistent one with free columns is "underdetermined".
     """
-    rows, pivots, n = _eliminate(matrix, rhs)
-    pivot_rows = {r for r, _ in pivots}
-    for i, row in enumerate(rows):
-        if i not in pivot_rows and row[n] != 0:
-            return LinearSolution("no_solution")
-    if len(pivots) < n:
+    values, free = _solve(matrix, rhs)
+    if values is None:
+        return LinearSolution("no_solution")
+    if free:
         return LinearSolution("underdetermined")
-    values = [ZERO] * n
-    for r, c in pivots:
-        values[c] = rows[r][n]
-    return LinearSolution("unique", tuple(values))
+    return LinearSolution("unique", values)
 
 
 def solve_particular(matrix, rhs) -> tuple[Fraction, ...] | None:
     """One exact solution of a consistent system (free variables set to 0)."""
-    rows, pivots, n = _eliminate(matrix, rhs)
-    pivot_rows = {r for r, _ in pivots}
-    for i, row in enumerate(rows):
-        if i not in pivot_rows and row[n] != 0:
-            return None
-    values = [ZERO] * n
-    for r, c in pivots:
-        values[c] = rows[r][n]
-    return tuple(values)
+    return _solve(matrix, rhs)[0]
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
@@ -194,13 +193,6 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
             v[c] = -rows[r][fc]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots, _ = _eliminate(rows, [ZERO] * len(rows))
-    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +320,3 @@ def identity_flat(dim: int) -> AffineFlat:
         tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
     )
     return AffineFlat(base, basis)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Closed segment between two distinct points."""
-
-    start: Point
-    end: Point
-
-    def __post_init__(self):
-        require_same_dim(self.start, self.end)
-        if self.start == self.end:
-            raise GeometryError("degenerate segment: endpoints coincide")
-
-    def point_at(self, t: Fraction) -> Point:
-        return vadd(self.start, vscale(vsub(self.end, self.start), frac(t) if not isinstance(t, Fraction) else t))
-
-    @property
-    def midpoint(self) -> Point:
-        return self.point_at(Fraction(1, 2))
-
-    @property
-    def direction(self) -> Vector:
-        return vsub(self.end, self.start)

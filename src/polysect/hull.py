@@ -24,26 +24,12 @@ class DegenerateInput(HullError):
     """Points do not affinely span the requested dimension."""
 
 
-def det2(m) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def det3(m) -> int:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-
-
-def det4(m) -> int:
-    total = 0
-    sign = 1
-    for c in range(4):
-        minor = [[m[r][cc] for cc in range(4) if cc != c] for r in (1, 2, 3)]
-        total += sign * m[0][c] * det3(minor)
-        sign = -sign
-    return total
 
 
 def int_rank(rows: Sequence[IntVec]) -> int:

@@ -507,28 +507,43 @@ def is_extreme(point, body) -> bool:
     return p in poly.vertices
 
 
-def _interval_clip(halfspaces, base, direction):
-    """Parameter interval of {base + t*direction} inside the halfspaces.
+def _line_interval(body: Polytope, base, u):
+    """Exact parameter interval {t : base + t*u in body} as (lo, hi), or None.
 
-    Returns (lo, hi) with None for an unbounded end, or None when empty.
+    A line in the body's affine hull is clipped against the facets in the
+    hull's chart.  Any other line meets the hull in at most one point t0,
+    and the interval is (t0, t0) when that point lies in the body.
     """
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for hs in halfspaces:
-        a = vdot(hs.normal, direction)
-        b = hs.offset - vdot(hs.normal, base)
+    span = body.span
+    if span is None:  # a single point: every direction is normal to its hull
+        origin, normals = body.vertices[0], identity_flat(len(u)).basis
+    else:
+        origin, normals = span.base, span.normal_directions()
+    cons = [(vdot(n, u), vdot(n, vsub(origin, base))) for n in normals]
+    crossing = next(((a, b) for a, b in cons if a != 0), None)
+    if crossing is not None:
+        t0 = crossing[1] / crossing[0]
+        if any(a * t0 != b for a, b in cons):
+            return None
+        if body.contains(vadd(base, vscale(u, t0))) == "outside":
+            return None
+        return (t0, t0)
+    if any(b != 0 for _, b in cons):
+        return None
+    cb = span.coordinates(base)
+    cd = tuple(vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s))
+    lo = hi = None
+    for hs in body.halfspaces:
+        a = vdot(hs.normal, cd)
+        b = hs.offset - vdot(hs.normal, cb)
         if a == 0:
             if b < 0:
                 return None
         elif a > 0:
-            t = b / a
-            hi = t if hi is None or t < hi else hi
+            hi = b / a if hi is None else min(hi, b / a)
         else:
-            t = b / a
-            lo = t if lo is None or t > lo else lo
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return (lo, hi)
+            lo = b / a if lo is None else max(lo, b / a)
+    return (lo, hi) if lo <= hi else None
 
 
 def supporting_line_test(line: AffineFlat, body: Polytope) -> bool:
@@ -536,55 +551,17 @@ def supporting_line_test(line: AffineFlat, body: Polytope) -> bool:
 
     False when the line misses the body or passes through the (relative)
     interior; true exactly when the nonempty intersection sits inside the
-    boundary.
+    boundary.  A chord meets the relative interior iff its midpoint does;
+    a single point is all relative interior, so no line supports it.
     """
     if line.dim != 1:
         raise PolytopeError("supporting_line_test needs a 1-dimensional flat")
     if line.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("line and body dimensions disagree")
-    u = line.basis[0]
-
-    if body.dim < body.ambient_dim:
-        if body.dim == 0:
-            # A single point is all relative interior, so no line supports it.
-            return False
-        span = body.span
-        cons = []
-        for n in span.normal_directions():
-            a = vdot(n, u)
-            b = vdot(n, vsub(span.base, line.base))
-            cons.append((a, b))
-        nonzero = [(a, b) for a, b in cons if a != 0]
-        if not nonzero:
-            if any(b != 0 for _, b in cons):
-                return False
-            # line lies inside the body's span: clip in the chart
-            cb = span.coordinates(line.base)
-            cd = tuple(
-                vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s)
-            )
-            return _classify_line_interval(body, cb, cd)
-        t0 = nonzero[0][1] / nonzero[0][0]
-        if any(a * t0 != b for a, b in cons):
-            return False
-        pt = line.point_at((t0,))
-        return body.contains(pt) == "boundary"
-
-    return _classify_line_interval(body, tuple(line.base), u)
-
-
-def _classify_line_interval(body: Polytope, chart_base, chart_dir) -> bool:
-    result = _interval_clip(body.halfspaces, chart_base, chart_dir)
-    if result is None:
+    chord = _line_interval(body, line.base, line.basis[0])
+    if chord is None:
         return False
-    lo, hi = result
-    if lo is None or hi is None:
-        raise UnboundedPolyhedron("line clipping hit an unbounded polytope")
-    if lo == hi:
-        return True
-    mid = (lo + hi) / 2
-    pt = vadd(tuple(chart_base), vscale(chart_dir, mid))
-    return body.chart_contains(pt) != "interior"
+    return body.contains(line.point_at(((chord[0] + chord[1]) / 2,))) != "interior"
 
 
 # ---------------------------------------------------------------------------
@@ -614,60 +591,14 @@ def diamond_hull(face, p, q) -> Polytope:
     if len(p) != Q.ambient_dim or len(q) != Q.ambient_dim:
         raise DimensionMismatch("segment and face dimensions disagree")
 
-    u = vsub(q, p)
-    if Q.dim == 0:
-        target = Q.vertices[0]
-        # p + t*u == target must have a solution with 0 < t < 1
-        ts = {(target[i] - p[i]) / u[i] for i in range(len(u)) if u[i] != 0}
-        consistent = len(ts) == 1 and all(
-            p[i] == target[i] for i in range(len(u)) if u[i] == 0
-        )
-        if not consistent:
-            raise DiamondConfigError("segment misses the face")
-        (t,) = ts
-        if t == 0 or t == 1:
-            raise DiamondConfigError("segment meets the face at an endpoint")
-        if not (0 < t < 1):
-            raise DiamondConfigError("segment misses the face")
-        return convex_hull(Q.vertices + (p, q))
-
-    span = Q.span
-    cons = []
-    for n in span.normal_directions():
-        cons.append((vdot(n, u), vdot(n, vsub(span.base, p))))
-    nonzero = [(a, b) for a, b in cons if a != 0]
-    if not nonzero:
-        if any(b != 0 for _, b in cons):
-            raise DiamondConfigError("segment misses the face's affine hull")
-        # segment inside the affine hull: clip its parameter range against Q
-        cb = span.coordinates(p)
-        cd = tuple(
-            vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s)
-        )
-        clipped = _interval_clip(Q.halfspaces, cb, cd)
-        if clipped is None:
-            raise DiamondConfigError("segment misses the face")
-        lo, hi = clipped
-        lo = max(lo, Fraction(0)) if lo is not None else Fraction(0)
-        hi = min(hi, Fraction(1)) if hi is not None else Fraction(1)
-        if lo > hi:
-            raise DiamondConfigError("segment misses the face")
-        if lo != hi:
-            raise DiamondConfigError("segment overlaps the face in more than a point")
-        if lo == 0 or lo == 1:
-            raise DiamondConfigError("segment meets the face at an endpoint")
-        return convex_hull(Q.vertices + (p, q))
-
-    t = nonzero[0][1] / nonzero[0][0]
-    if any(a * t != b for a, b in cons):
-        raise DiamondConfigError("segment misses the face's affine hull")
-    if t == 0 or t == 1:
-        raise DiamondConfigError("segment meets the face at an endpoint")
-    if not (0 < t < 1):
+    chord = _line_interval(Q, p, vsub(q, p))
+    if chord is None or chord[0] > 1 or chord[1] < 0:
         raise DiamondConfigError("segment misses the face")
-    x = vadd(p, vscale(u, t))
-    if Q.contains(x) == "outside":
-        raise DiamondConfigError("segment crosses the face's hull off the face")
+    lo, hi = max(chord[0], Fraction(0)), min(chord[1], Fraction(1))
+    if lo != hi:
+        raise DiamondConfigError("segment overlaps the face in more than a point")
+    if lo == 0 or lo == 1:
+        raise DiamondConfigError("segment meets the face at an endpoint")
     return convex_hull(Q.vertices + (p, q))
 
 

@@ -39,6 +39,22 @@ def centered_polytope(rng, dim, base_points, lo=-4, hi=4, den=8):
         return convex_hull([vsub(v, c) for v in poly.vertices])
 
 
+def matrix_rank(rows) -> int:
+    """Rank of a rational matrix by plain Gaussian elimination."""
+    mat = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] / mat[rank][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
 def in_hull_exact(points, x) -> bool:
     """Is x in conv(points)?  Barycentric search over small affine subsets."""
     pts = list(points)

@@ -353,6 +353,28 @@ class TestPlumbing:
             assert rep is None
             assert capsys.readouterr().err == "error: delta must be finite\n"
 
+    @pytest.mark.parametrize(
+        "radius, reason",
+        [
+            ("inf", "must be finite and positive"),
+            ("nan", "must be finite and positive"),
+            ("0", "must be finite and positive"),
+            ("-1", "must be finite and positive"),
+            ("1e300", "must be at most 1e100"),
+            ("1e101", "must be at most 1e100"),
+        ],
+    )
+    def test_bad_apex_radius_is_error(
+        self, radius, reason, ball_json, cube_off, tmp_path, capsys
+    ):
+        for body in (ball_json, cube_off):
+            code, rep = run(
+                ["t12", "--body", body, "--apexes", "1", f"--radius={radius}"], tmp_path
+            )
+            assert code == 1
+            assert rep is None
+            assert capsys.readouterr().err == f"error: argument --radius: {reason}\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["klee-k1", "--help"])
@@ -484,7 +506,7 @@ FUZZ_COMMANDS = {
     "klee-k2": (["--subspaces", "1"], ["--tau", "--boundary-points"]),
     "t11": (["--flats", "2"], ["--tau", "--boundary-points", "--delta"]),
     "t12": (["--apexes", "1", "--sections-per-apex", "1"],
-            ["--tau", "--boundary-points"]),
+            ["--tau", "--boundary-points", "--radius"]),
     "mirkil": (["--apex", "0,0,3"], ["--tau", "--boundary-points", "--samples"]),
 }
 
@@ -496,7 +518,7 @@ def fuzzed_calls(draw):
     fixed, flags = FUZZ_COMMANDS[command]
     argv = [command, *fixed]
     for flag in draw(st.lists(st.sampled_from(flags), min_size=1, unique=True)):
-        if flag in ("--tau", "--delta"):
+        if flag in ("--tau", "--delta", "--radius"):
             value = draw(st.sampled_from(FLOAT_VALUES))
         else:
             ints = INT_VALUES + ([HUGE_INT] if body == "cube" else [])

@@ -3,18 +3,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import matrix_rank
+
 from polysect.geometry import (
     AffineFlat,
     DimensionMismatch,
     GeometryError,
-    Segment,
     as_point,
     cross3,
     dist2,
     frac,
     identity_flat,
     is_zero_vector,
-    matrix_rank,
     norm2,
     nullspace,
     orthogonalize,
@@ -169,14 +169,3 @@ class TestAffineFlat:
         flat = identity_flat(3)
         assert flat.coordinates((F(1), F(2), F(3))) == (F(1), F(2), F(3))
         assert flat.normal_directions() == ()
-
-
-class TestSegment:
-    def test_degenerate_rejected(self):
-        with pytest.raises(GeometryError):
-            Segment((F(1), F(1)), (F(1), F(1)))
-
-    def test_points_along(self):
-        seg = Segment((F(0), F(0)), (F(2), F(2)))
-        assert seg.midpoint == (F(1), F(1))
-        assert seg.point_at(F(1, 4)) == (F(1, 2), F(1, 2))

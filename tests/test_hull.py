@@ -5,19 +5,16 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polysect.geometry import matrix_rank
 from polysect.hull import (
     DegenerateInput,
-    det2,
     det3,
-    det4,
     facet_normal,
     hull_full_dim,
     int_rank,
 )
 
 import helpers
-from helpers import brute_force_facets
+from helpers import brute_force_facets, matrix_rank
 
 
 def permanent_det(m):
@@ -43,18 +40,11 @@ ints = st.integers(min_value=-6, max_value=6)
 
 class TestDeterminants:
     def test_known_values(self):
-        assert det2(((1, 2), (3, 4))) == -2
         assert det3(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
-        assert det4(((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 5))) == 120
 
     @given(st.tuples(*[st.tuples(ints, ints, ints)] * 3))
     def test_det3_matches_permutation_expansion(self, m):
         assert det3(m) == permanent_det(m)
-
-    @settings(max_examples=60)
-    @given(st.tuples(*[st.tuples(ints, ints, ints, ints)] * 4))
-    def test_det4_matches_permutation_expansion(self, m):
-        assert det4(m) == permanent_det(m)
 
 
 class TestIntRank:
