@@ -196,17 +196,15 @@ def _point_list(points):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (report dict, svg payload or None, exit code)
+# command handlers: each takes the parsed args and the loaded body and returns
+# (report dict, svg payload or None, exit code); main adds command, body and
+# seed to every report
 
 
-def _cmd_section(args):
-    body = load_body(args)
+def _cmd_section(args, body):
     flat, normal, offset = parse_flat(args.flat, body.dim)
     report = {
-        "command": "section",
-        "body": body.describe(),
         "flat": {"normal": jsonable(normal), "offset": jsonable(offset)},
-        "seed": args.seed,
         "tau": args.tau,
     }
     if body.poly is not None:
@@ -243,10 +241,9 @@ def _cmd_section(args):
     return report, svg, 0 if polygon else 2
 
 
-def _cmd_project(args):
-    body = load_body(args)
+def _cmd_project(args, body):
     poly = body.need_polytope("project")
-    if args.xi:
+    if args.xi is not None:
         xi = parse_vector(args.xi)
         if len(xi) != 3 or poly.ambient_dim != 3:
             raise GeometryError("--xi projection needs a 3-dimensional body")
@@ -257,10 +254,7 @@ def _cmd_project(args):
     shadow = project(poly, flat)
     chart = _ccw_order(shadow.polytope.vertices)
     report = {
-        "command": "project",
-        "body": body.describe(),
         "subspace": {"base": jsonable(flat.base), "basis": jsonable(flat.basis)},
-        "seed": args.seed,
         "verdict": "polytope-consistent",
         "vertex_count": len(shadow.polytope.vertices),
         "chart_vertices": _point_list(chart),
@@ -272,8 +266,7 @@ def _cmd_project(args):
     return report, svg, 0
 
 
-def _cmd_cone(args):
-    body = load_body(args)
+def _cmd_cone(args, body):
     poly = body.need_polytope("cone")
     apex = parse_vector(args.apex)
     cone = visual_cone(apex, poly)
@@ -282,10 +275,7 @@ def _cmd_cone(args):
         for hs in (cone.halfspaces or ())
     ]
     report = {
-        "command": "cone",
-        "body": body.describe(),
         "apex": jsonable(cone.apex),
-        "seed": args.seed,
         "verdict": "success",
         "extreme_ray_count": cone.extreme_ray_count,
         "rays": _point_list(cone.generators),
@@ -294,56 +284,49 @@ def _cmd_cone(args):
     return report, None, 0
 
 
-def _criterion_report(args, body, rep, command):
+def _tester_report(verdict, witness, notes, requested, used, boundary_points):
+    """The part shared by every sampled tester's report; a witness exits 2."""
     out = {
-        "command": command,
-        "body": body.describe(),
-        "criterion": rep.criterion,
-        "verdict": rep.verdict,
-        "exact": rep.exact,
-        "seed": rep.seed,
-        "tau": rep.tau,
+        "verdict": verdict,
         "budgets": {
-            "requested": rep.budget,
-            "samples_used": rep.samples_used,
-            "boundary_points": rep.boundary_points,
+            "requested": requested,
+            "samples_used": used,
+            "boundary_points": boundary_points,
         },
-        "witness": jsonable(rep.witness),
-        "notes": list(rep.notes),
+        "witness": jsonable(witness),
+        "notes": list(notes),
     }
     svg = None
-    if rep.witness is not None and rep.witness.points:
-        markers = list(rep.witness.triple) if rep.witness.triple else None
-        svg = (list(rep.witness.points), {"closed": True, "marker_indices": markers})
-    return out, svg, 0 if rep.verdict == "polytope-consistent" else 2
+    if witness is not None and witness.points:
+        markers = list(witness.triple) if witness.triple else None
+        svg = (list(witness.points), {"closed": True, "marker_indices": markers})
+    return out, svg, 0 if witness is None else 2
 
 
-def _cmd_sections(args):
-    # klee-k1 has no --delta: central sections (K1); t11 requires one (T1.1)
-    body = load_body(args)
-    rep = klee_section_test(
-        body.tester_arg,
-        args.flats,
-        args.seed,
-        k=args.k,
-        delta=getattr(args, "delta", None),
-        boundary_points=args.boundary_points,
-        tau=args.tau,
+def _criterion_report(rep):
+    out, svg, code = _tester_report(
+        rep.verdict, rep.witness, rep.notes,
+        rep.budget, rep.samples_used, rep.boundary_points,
     )
-    return _criterion_report(args, body, rep, args.command)
+    out.update(criterion=rep.criterion, exact=rep.exact, tau=rep.tau)
+    return out, svg, code
 
 
-def _cmd_klee_k2(args):
-    body = load_body(args)
-    rep = klee_projection_test(
-        body.tester_arg,
-        args.subspaces,
-        args.seed,
-        k=args.k,
-        boundary_points=args.boundary_points,
-        tau=args.tau,
-    )
-    return _criterion_report(args, body, rep, "klee-k2")
+def _cmd_sections(args, body):
+    # klee-k1 has no --delta: central sections (K1); t11 requires one (T1.1);
+    # klee-k2 draws subspaces and projects (K2)
+    if args.command == "klee-k2":
+        rep = klee_projection_test(
+            body.tester_arg, args.subspaces, args.seed, k=args.k,
+            boundary_points=args.boundary_points, tau=args.tau,
+        )
+    else:
+        rep = klee_section_test(
+            body.tester_arg, args.flats, args.seed, k=args.k,
+            delta=getattr(args, "delta", None),
+            boundary_points=args.boundary_points, tau=args.tau,
+        )
+    return _criterion_report(rep)
 
 
 def _default_sphere(body: BodyInput):
@@ -367,8 +350,7 @@ def _default_sphere(body: BodyInput):
     return tuple(center), 3.0 * reach
 
 
-def _cmd_t12(args):
-    body = load_body(args)
+def _cmd_t12(args, body):
     center, radius = _default_sphere(body)
     if args.radius is not None:
         radius = args.radius
@@ -381,22 +363,18 @@ def _cmd_t12(args):
         boundary_points=args.boundary_points,
         tau=args.tau,
     )
-    out, svg, code = _criterion_report(args, body, rep, "t12")
+    out, svg, code = _criterion_report(rep)
     out["sphere"] = {"center": list(center), "radius": radius}
     return out, svg, code
 
 
-def _cmd_epsilon(args):
-    body = load_body(args)
+def _cmd_epsilon(args, body):
     poly = body.need_polytope("epsilon")
     p = parse_vector(args.p)
     q = parse_vector(args.q)
     cert = epsilon_certificate(poly, p, q, seed=args.seed)
     excluded = no_extreme_in_cone(poly, p, q, cert.epsilon)
     report = {
-        "command": "epsilon",
-        "body": body.describe(),
-        "seed": args.seed,
         "verdict": "success" if excluded else "certificate-violated",
         "certificate": jsonable(cert),
         "no_extreme_in_cone": excluded,
@@ -404,16 +382,12 @@ def _cmd_epsilon(args):
     return report, None, 0 if excluded else 2
 
 
-def _cmd_walk(args):
-    body = load_body(args)
+def _cmd_walk(args, body):
     poly = body.need_polytope("walk")
     xi = parse_vector(args.xi)
     result = shadow_walk(poly, xi)
     report = {
-        "command": "walk",
-        "body": body.describe(),
         "xi": jsonable(xi),
-        "seed": args.seed,
         "verdict": "success",
         "vertex_count": len(result.vertices),
         "vertices": _point_list(result.vertices),
@@ -425,12 +399,11 @@ def _cmd_walk(args):
     return report, svg, 0
 
 
-def _cmd_mirkil(args):
-    body = load_body(args)
+def _cmd_mirkil(args, body):
     apex = parse_vector(args.apex)
     if body.poly is not None:
         cone = visual_cone(apex, body.poly)
-        oracle = cone_oracle_from_exact(cone, body.name)
+        oracle = cone_oracle_from_exact(cone)
     elif body.spec is not None and body.spec.get("kind") == "ball":
         center = [float(Fraction(str(c))) for c in body.spec.get("center", [0, 0, 0])]
         radius = float(Fraction(str(body.spec.get("radius", 1))))
@@ -446,30 +419,14 @@ def _cmd_mirkil(args):
         boundary_points=args.boundary_points,
         tau=args.tau,
     )
-    report = {
-        "command": "mirkil",
-        "body": body.describe(),
-        "apex": jsonable(apex),
-        "criterion": "Mirkil",
-        "verdict": rep.verdict,
-        "seed": rep.seed,
-        "tau": args.tau,
-        "budgets": {
-            "requested": rep.samples_requested,
-            "samples_used": rep.samples_used,
-            "boundary_points": args.boundary_points,
-        },
-        "zero_budget": rep.zero_budget,
-        "witness": jsonable(rep.witness),
-        "notes": list(rep.notes),
-    }
-    svg = None
-    if rep.witness is not None:
-        svg = (
-            list(rep.witness.points),
-            {"closed": True, "marker_indices": list(rep.witness.triple)},
-        )
-    return report, svg, 0 if rep.verdict == "polyhedral-consistent" else 2
+    out, svg, code = _tester_report(
+        rep.verdict, rep.witness, rep.notes,
+        rep.samples_requested, rep.samples_used, args.boundary_points,
+    )
+    out.update(
+        apex=jsonable(apex), criterion="Mirkil", tau=args.tau, zero_budget=rep.zero_budget
+    )
+    return out, svg, code
 
 
 _HANDLERS = {
@@ -477,7 +434,7 @@ _HANDLERS = {
     "project": _cmd_project,
     "cone": _cmd_cone,
     "klee-k1": _cmd_sections,
-    "klee-k2": _cmd_klee_k2,
+    "klee-k2": _cmd_sections,
     "t11": _cmd_sections,
     "t12": _cmd_t12,
     "epsilon": _cmd_epsilon,
@@ -505,6 +462,30 @@ def _positive(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError("must be finite and positive")
     return value
+
+
+# upper bounds on counts: polygonality_detect is O(n^2) in a point count, and
+# a 4x re-verification samples four times the points; a budget multiplies
+# whole samples
+MAX_POINTS = 1024
+MAX_BUDGET = 1000
+
+
+def _at_most(limit: int):
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        return value
+
+    return count
+
+
+_points = _at_most(MAX_POINTS)
+_budget = _at_most(MAX_BUDGET)
 
 
 def _radius(text: str) -> float:
@@ -539,12 +520,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("section", help="cut the body with a hyperplane")
     _add_body_flags(p)
     p.add_argument("--flat", required=True, help='hyperplane "n=1,1,1;c=0"')
-    p.add_argument("--samples", type=int, default=48, help="oracle boundary samples")
+    p.add_argument("--samples", type=_points, default=48, help="oracle boundary samples")
 
     p = sub.add_parser("project", help="orthogonal shadow of a polytope")
     _add_body_flags(p)
-    p.add_argument("--xi", help="project along this direction (3-dim)")
-    p.add_argument("--basis", help='subspace basis "1,0,0;0,1,0"')
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--xi", help="project along this direction (3-dim)")
+    target.add_argument("--basis", help='subspace basis "1,0,0;0,1,0"')
 
     p = sub.add_parser("cone", help="visual cone from an outside apex")
     _add_body_flags(p)
@@ -552,29 +534,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("klee-k1", help="central-section polyhedrality test")
     _add_body_flags(p)
-    p.add_argument("--flats", type=int, default=20, help="number of sampled flats")
+    p.add_argument("--flats", type=_budget, default=20, help="number of sampled flats")
     p.add_argument("--k", type=int, default=2, help="section dimension")
-    p.add_argument("--boundary-points", type=int, default=48)
+    p.add_argument("--boundary-points", type=_points, default=48)
 
     p = sub.add_parser("klee-k2", help="projection polyhedrality test")
     _add_body_flags(p)
-    p.add_argument("--subspaces", type=int, default=20)
+    p.add_argument("--subspaces", type=_budget, default=20)
     p.add_argument("--k", type=int, default=2, help="shadow dimension")
-    p.add_argument("--boundary-points", type=int, default=64)
+    p.add_argument("--boundary-points", type=_points, default=64)
 
     p = sub.add_parser("t11", help="non-central-section polyhedrality test")
     _add_body_flags(p)
-    p.add_argument("--flats", type=int, default=20)
+    p.add_argument("--flats", type=_budget, default=20)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--delta", type=float, required=True, help="section offset")
-    p.add_argument("--boundary-points", type=int, default=48)
+    p.add_argument("--boundary-points", type=_points, default=48)
 
     p = sub.add_parser("t12", help="visual-cone polyhedrality test")
     _add_body_flags(p)
-    p.add_argument("--apexes", type=int, default=8, help="sampled apex count")
+    p.add_argument("--apexes", type=_budget, default=8, help="sampled apex count")
     p.add_argument("--radius", type=_radius, default=None, help="apex sphere radius")
-    p.add_argument("--sections-per-apex", type=int, default=2)
-    p.add_argument("--boundary-points", type=int, default=32)
+    p.add_argument("--sections-per-apex", type=_budget, default=2)
+    p.add_argument("--boundary-points", type=_points, default=32)
 
     p = sub.add_parser("epsilon", help="extreme-point exclusion certificate")
     _add_body_flags(p)
@@ -588,8 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mirkil", help="cone polyhedrality scan")
     _add_body_flags(p)
     p.add_argument("--apex", required=True, help="cone apex, e.g. 0,0,3")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--boundary-points", type=int, default=64)
+    p.add_argument("--samples", type=_budget, default=10)
+    p.add_argument("--boundary-points", type=_points, default=64)
     return parser
 
 
@@ -613,7 +595,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _env_seed()
-        report, svg_payload, code = _HANDLERS[args.command](args)
+        body = load_body(args)
+        report, svg_payload, code = _HANDLERS[args.command](args, body)
+        report.update(command=args.command, body=body.describe(), seed=args.seed)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _write_text(args.report, text)
         if args.svg:

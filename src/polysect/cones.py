@@ -311,7 +311,7 @@ def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
 
 @dataclass(frozen=True)
 class ConeOracle:
-    """Directional membership oracle for a cone with a known apex.
+    """Directional membership oracle for a cone.
 
     member(u) answers whether the ray apex + t*u (t >= 0) stays in the cone;
     axis_hint is a roughly-interior direction.  When `exact` is set the scan
@@ -322,11 +322,9 @@ class ConeOracle:
     """
 
     dim: int
-    apex: tuple[float, ...]
     member: Callable[[Sequence[float]], bool]
     axis_hint: tuple[float, ...]
     exact: PolyCone | None = None
-    name: str = "cone"
     ray_interval: (
         Callable[[Sequence[float], Sequence[float]], tuple[float, float] | None]
         | None
@@ -353,7 +351,7 @@ class MirkilReport:
     notes: tuple[str, ...] = ()
 
 
-def cone_oracle_from_exact(cone: PolyCone, name: str = "exact-cone") -> ConeOracle:
+def cone_oracle_from_exact(cone: PolyCone) -> ConeOracle:
     def member(u):
         return cone.contains_direction(tuple(Fraction(float(x)) for x in u))
 
@@ -366,9 +364,7 @@ def cone_oracle_from_exact(cone: PolyCone, name: str = "exact-cone") -> ConeOrac
         hint = _funit(acc) or tuple(float(x) for x in cone.generators[0])
     else:
         hint = tuple(0.0 for _ in range(cone.ambient_dim))
-    return ConeOracle(
-        cone.ambient_dim, tuple(float(x) for x in cone.apex), member, hint, cone, name
-    )
+    return ConeOracle(cone.ambient_dim, member, hint, cone)
 
 
 def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
@@ -417,8 +413,7 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
     # squaring u.a >= k|u| needs k > 0; k <= 0 only when the apex sits on
     # the sphere to within rounding, and then the scan bisects member
     return ConeOracle(
-        len(z), z, member, unit_axis, None, "ball-visual-cone",
-        ray_interval if k > 0 else None,
+        len(z), member, unit_axis, None, ray_interval if k > 0 else None
     )
 
 

@@ -609,7 +609,7 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
         return g(0.5 * (lo + hi)) <= 1.0 + 1e-7
 
     axis_hint = tuple(h - a for h, a in zip(hint, z))
-    return ConeOracle(body.dim, z, member, axis_hint, None, f"visual-cone({body.name})")
+    return ConeOracle(body.dim, member, axis_hint)
 
 
 # ---------------------------------------------------------------------------

@@ -446,23 +446,29 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
 
     The flat is intersected one bounding hyperplane at a time; at each stage
     new vertices are edge crossings or on-plane vertices of the current
-    polytope, so everything stays rational.
+    polytope, so everything stays rational.  The last stage's slice points
+    are already the section's vertices, each once: an on-plane vertex is
+    extreme, a crossing lies in the relative interior of one edge and is
+    extreme in the slice, so they are hulled once, in the flat's chart.
     """
     if flat.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("flat and body dimensions disagree")
     if flat.dim >= body.ambient_dim:
         raise PolytopeError("section flat must be a proper flat")
 
+    normals = flat.normal_directions()
     current = body
-    for n in flat.normal_directions():
-        c = vdot(n, flat.base)
-        pts = _hyperplane_slice_points(current, n, c)
+    for i, n in enumerate(normals):
+        pts = _hyperplane_slice_points(current, n, vdot(n, flat.base))
         if not pts:
             return None
-        current = convex_hull(pts)
+        if i + 1 < len(normals):
+            current = convex_hull(pts)
 
     chart_pts = []
-    for v in current.vertices:
+    # sorted, as an ambient hull lists vertices: a lower-dimensional chart
+    # hull takes its span's base point from the first input point
+    for v in sorted(pts):
         cv = flat.coordinates(v)
         if cv is None:
             raise PolytopeError("section vertex fell off the flat")

@@ -14,7 +14,7 @@ finitely many steps on polytopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
@@ -27,14 +27,13 @@ from .geometry import (
     cross3,
     is_zero_vector,
     norm2,
-    nullspace,
     vadd,
     vdot,
     vneg,
     vscale,
     vsub,
 )
-from .polytope import Polytope, convex_hull, is_extreme, section
+from .polytope import Polytope, convex_hull, is_extreme
 
 
 class WalkError(GeometryError):
@@ -78,8 +77,6 @@ class WalkState:
     center: ChartPoint
     current: ChartPoint
     apex: Point | None = None
-    angle: float = 0.0
-    visited: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -125,11 +122,13 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
 
     Builds the visual cone from an apex on the lifted line; the facets
     whose normals annihilate ξ are the ones whose relative boundary holds
-    the direction -ξ.  One active facet: its supporting plane cuts the
-    body in the face shading a whole shadow edge, and the counterclockwise
-    endpoint is the next point.  Two or more: the current point is an
-    isolated extreme and the counterclockwise-most forward endpoint of the
-    active facets continues the walk.
+    the direction -ξ.  The plane of an active facet passes through the apex
+    and supports the body, so it meets the body in the face spanned by the
+    body vertices on it.  One active facet: that face shades a whole shadow
+    edge, and the counterclockwise endpoint is the next point.  Two or
+    more: the current point is an isolated extreme and the
+    counterclockwise-most forward endpoint of the active facets continues
+    the walk.
     """
     from .cones import visual_cone
 
@@ -149,15 +148,13 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
         raise WalkError("point lies in the shadow's interior, not its boundary")
 
     candidates: list[tuple[ChartPoint, ChartPoint]] = []  # (g, f) per facet
-    segments = []
     for n in active:
-        flat = AffineFlat.spanning(apex, nullspace([n]))
-        sec = section(body, flat)
-        if sec is None:
-            raise WalkError("active cone facet misses the body")
-        pts = [_chart_point(chart, v) for v in sec.ambient_vertices]
-        a, b = _segment_endpoints(pts)
-        segments.append((a, b))
+        level = vdot(n, apex)
+        pts = [_chart_point(chart, v) for v in body.vertices if vdot(n, v) == level]
+        # collinear points: the lexicographic extremes are the segment's ends
+        a, b = min(pts), max(pts)
+        if a == b:
+            raise WalkError("facet section projects to a point")
         for g, f in ((a, b), (b, a)):
             if g == x:
                 continue
@@ -181,31 +178,15 @@ def _d2(a, b) -> Fraction:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def _segment_endpoints(pts: list[ChartPoint]) -> tuple[ChartPoint, ChartPoint]:
-    """The two extreme points of collinear chart points."""
-    if not pts:
-        raise WalkError("empty facet section")
-    a, b = pts[0], pts[0]
-    best = Fraction(0)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = _d2(pts[i], pts[j])
-            if d > best:
-                best, a, b = d, pts[i], pts[j]
-    if a == b:
-        raise WalkError("facet section projects to a point")
-    return a, b
-
-
-def shadow_walk(body: Polytope, xi, *, verify: bool = True) -> WalkResult:
+def shadow_walk(body: Polytope, xi) -> WalkResult:
     """Enumerate the shadow's extreme points counterclockwise by walking.
 
     Starts from the chart support point in direction (1, 0) (stepping off
     it first when it is edge-interior), emits every isolated extreme in
     strictly increasing polar angle, and stops on returning to the first
     one.  Termination within |vertices| + 2 steps is guaranteed for
-    polytopes; exceeding the bound raises.  With verify=True each emitted
-    point is checked extreme on the hulled shadow.
+    polytopes; exceeding the bound raises.  Each emitted point is checked
+    extreme on the hulled shadow.
     """
     if body.ambient_dim != 3 or body.dim != 3:
         raise WalkError("shadow walks need a full-dimensional 3-polytope")
@@ -223,9 +204,7 @@ def shadow_walk(body: Polytope, xi, *, verify: bool = True) -> WalkResult:
     emitted: list[ChartPoint] = []
     max_steps = len(body.vertices) + 2
     steps = 0
-    shadow_hull = None
-    if verify:
-        shadow_hull = convex_hull(projected)
+    shadow_hull = convex_hull(projected)
     while steps < max_steps:
         outcome = step_g(body, state)
         steps += 1
@@ -238,15 +217,10 @@ def shadow_walk(body: Polytope, xi, *, verify: bool = True) -> WalkResult:
                 prev = emitted[-1]
                 if _cross2(vsub(prev, center), vsub(v, center)) <= 0:
                     raise WalkError("walk angle failed to increase")
-            if verify and not is_extreme(v, shadow_hull):
+            if not is_extreme(v, shadow_hull):
                 raise WalkError("walk emitted a non-extreme shadow point")
             emitted.append(v)
-            state.visited.append(v)
         state.current = outcome.next_point
-        state.angle = math.atan2(
-            float(state.current[1] - center[1]),
-            float(state.current[0] - center[0]),
-        )
         if emitted and state.current == emitted[0]:
             break
     else:

@@ -225,7 +225,7 @@ def glue_cap_member_reference(poly, center, radius):
     return member
 
 
-def exact_cone_oracle_sampling_only(cone, name="cone"):
+def exact_cone_oracle_sampling_only(cone):
     """An exact cone's membership oracle without the exact short-cut.
 
     mirkil_scan then samples its cross-sections by bisection of member, the
@@ -233,8 +233,94 @@ def exact_cone_oracle_sampling_only(cone, name="cone"):
     """
     from polysect.cones import ConeOracle, cone_oracle_from_exact
 
-    full = cone_oracle_from_exact(cone, name)
-    return ConeOracle(full.dim, full.apex, full.member, full.axis_hint, None, name)
+    full = cone_oracle_from_exact(cone)
+    return ConeOracle(full.dim, full.member, full.axis_hint)
+
+
+def section_two_hulls(body, flat):
+    """section() that hulls the last stage in ambient space, then again in
+    the flat's chart.  Reference for the library's single chart hull."""
+    from polysect.polytope import Section, _hyperplane_slice_points
+
+    current = body
+    for n in flat.normal_directions():
+        pts = _hyperplane_slice_points(current, n, vdot(n, flat.base))
+        if not pts:
+            return None
+        current = convex_hull(pts)
+    chart_pts = [flat.coordinates(v) for v in current.vertices]
+    assert None not in chart_pts
+    sec_poly = convex_hull(chart_pts)
+    ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
+    probe = flat.point_at(sec_poly.interior_point())
+    return Section(sec_poly, flat, ambient, body.contains(probe) == "interior")
+
+
+def polytope_fields(poly):
+    """Every field of a Polytope, edges included, as one comparable tuple."""
+    return (
+        poly.vertices, poly.chart_vertices, poly.span, poly.halfspaces,
+        poly.facet_vertices, poly.edges(),
+    )
+
+
+def section_fields(sec):
+    if sec is None:
+        return None
+    return (
+        polytope_fields(sec.polytope), sec.flat, sec.ambient_vertices,
+        sec.meets_interior,
+    )
+
+
+def step_g_via_sections(body, state):
+    """The walk step that cut each active facet's plane with section() and
+    took the farthest pair of the section's chart points as the shadow
+    edge.  Reference for step_g's tight-vertex faces."""
+    from polysect.cones import visual_cone
+    from polysect.geometry import AffineFlat, nullspace, vneg
+    from polysect.silhouette import (
+        StepOutcome, WalkError, _chart_point, _cross2, _d2, _make_apex,
+    )
+
+    xi, chart, x = state.xi, state.chart, state.current
+    apex = _make_apex(body, chart, x, xi)
+    state.apex = apex
+    cone = visual_cone(apex, body)
+    if cone.halfspaces is None:
+        raise WalkError("visual cone unexpectedly degenerate")
+    if not cone.contains_direction(vneg(xi)):
+        raise WalkError("point lies outside the shadow")
+    active = [hs.normal for hs in cone.halfspaces if vdot(hs.normal, xi) == 0]
+    if not active:
+        raise WalkError("point lies in the shadow's interior, not its boundary")
+    candidates = []
+    for n in active:
+        sec = section_two_hulls(body, AffineFlat.spanning(apex, nullspace([n])))
+        if sec is None:
+            raise WalkError("active cone facet misses the body")
+        pts = [_chart_point(chart, v) for v in sec.ambient_vertices]
+        a = b = pts[0]
+        best = F(0)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if _d2(pts[i], pts[j]) > best:
+                    best, a, b = _d2(pts[i], pts[j]), pts[i], pts[j]
+        if a == b:
+            raise WalkError("facet section projects to a point")
+        for g, f in ((a, b), (b, a)):
+            if g != x and _cross2(vsub(x, state.center), vsub(g, x)) > 0:
+                candidates.append((g, f))
+    if not candidates:
+        raise WalkError("no forward endpoint found on the active facets")
+    best_g, best_f = candidates[0]
+    for g, f in candidates[1:]:
+        turn = _cross2(vsub(g, x), vsub(best_g, x))
+        if turn > 0 or (turn == 0 and _d2(g, x) > _d2(best_g, x)):
+            best_g, best_f = g, f
+    if len(active) >= 2:
+        return StepOutcome("isolated-extreme", best_g, tuple(active), None)
+    return StepOutcome("edge", best_g, tuple(active), (best_f, best_g))
 
 
 def brute_force_facets(points):

@@ -126,6 +126,17 @@ class TestProjectConeWalk:
         assert code == 0
         assert rep["vertex_count"] == 4
 
+    def test_counts_at_their_bounds_are_accepted(self, cube_off, tmp_path):
+        # an exact cone answers without sampling, so the bounds cost nothing
+        code, rep = run(
+            ["mirkil", "--body", cube_off, "--apex", "0,0,3", "--samples", "1000",
+             "--boundary-points", "1024"],
+            tmp_path,
+        )
+        assert code == 0
+        assert rep["budgets"]["requested"] == 1000
+        assert rep["budgets"]["boundary_points"] == 1024
+
     def test_cone_rays(self, cube_off, tmp_path):
         code, rep = run(
             ["cone", "--body", cube_off, "--apex", "0,0,3"], tmp_path
@@ -258,6 +269,28 @@ class TestPlumbing:
             (["klee-k1", "--flats", "2", "--tau", "nan"],
              "argument --tau: must be finite and positive"),
             (["section"], "the following arguments are required: --flat"),
+            (["project"], "one of the arguments --xi --basis is required"),
+            (["project", "--xi", "0,0,1", "--basis", "1,0,0;0,1,0"],
+             "argument --basis: not allowed with argument --xi"),
+            (["section", "--flat", "n=1,1,1;c=0", "--samples", "1025"],
+             "argument --samples: must be at most 1024"),
+            (["klee-k1", "--boundary-points", "1025"],
+             "argument --boundary-points: must be at most 1024"),
+            (["klee-k1", "--flats", "1001"], "argument --flats: must be at most 1000"),
+            (["t11", "--flats", "1001", "--delta", "0.25"],
+             "argument --flats: must be at most 1000"),
+            (["klee-k2", "--subspaces", "1001"],
+             "argument --subspaces: must be at most 1000"),
+            (["t12", "--apexes", "1001"], "argument --apexes: must be at most 1000"),
+            (["t12", "--sections-per-apex", "1001"],
+             "argument --sections-per-apex: must be at most 1000"),
+            (["t12", "--boundary-points", "1025"],
+             "argument --boundary-points: must be at most 1024"),
+            (["mirkil", "--apex", "0,0,3", "--samples", "1001"],
+             "argument --samples: must be at most 1000"),
+            (["mirkil", "--apex", "0,0,3", "--boundary-points", "1025"],
+             "argument --boundary-points: must be at most 1024"),
+            (["klee-k1", "--flats", "2.5"], "argument --flats: invalid int value: '2.5'"),
         ],
     )
     def test_malformed_call_is_one_error_line(
@@ -495,8 +528,7 @@ def body_files(tmp_path_factory):
 
 FLOAT_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.25", "1e300", "1e400"]
 INT_VALUES = ["nan", "inf", "-1", "0", "7", "8", "16", "1e9", "2.5"]
-# an oracle body samples every boundary point it is asked for, so a huge
-# count only runs long; exact bodies take these flags without sampling
+# beyond every count bound, so it fails up front on oracle bodies too
 HUGE_INT = "123456789012345678901234567890"
 
 # command -> (fixed arguments, numeric flags it takes)
@@ -521,8 +553,7 @@ def fuzzed_calls(draw):
         if flag in ("--tau", "--delta", "--radius"):
             value = draw(st.sampled_from(FLOAT_VALUES))
         else:
-            ints = INT_VALUES + ([HUGE_INT] if body == "cube" else [])
-            value = draw(st.sampled_from(ints))
+            value = draw(st.sampled_from(INT_VALUES + [HUGE_INT]))
         argv.append(f"{flag}={value}")
     if command == "t11" and not any(a.startswith("--delta") for a in argv):
         argv.append("--delta=0.25")

@@ -376,7 +376,7 @@ class TestConeRayInterval:
         assert r1 == math.inf and r0 < 0
 
     def test_positional_construction_has_no_closed_form(self):
-        oracle = ConeOracle(3, (0.0, 0.0, 0.0), lambda u: True, (0.0, 0.0, 1.0))
+        oracle = ConeOracle(3, lambda u: True, (0.0, 0.0, 1.0))
         assert oracle.ray_interval is None
         assert cone_oracle_from_exact(visual_cone((0, 0, 3), cube())).ray_interval is None
 

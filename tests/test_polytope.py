@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polysect.geometry import AffineFlat, GeometryError, identity_flat, vsub
+from polysect.geometry import AffineFlat, GeometryError, identity_flat, nullspace, vsub
 from polysect.polytope import (
     DiamondConfigError,
     Halfspace,
@@ -406,6 +406,55 @@ class TestSectionDifferential:
             assert sec is None and ref is None
         else:
             assert set(sec.polytope.vertices) == set(ref.vertices)
+
+
+@st.composite
+def sections_through_faces(draw):
+    """A body (possibly flat) and a flat through one of its vertices, edge
+    midpoints or facet centroids, or through any point; for full-dimensional
+    bodies the flat may lie in a hyperplane supporting the body at that face."""
+    d = draw(st.sampled_from((3, 4)), label="ambient dim")
+    pts = draw(points(d, 2, 2 * d + 2, draw(grids)), label="body points")
+    if draw(st.booleans(), label="flat body"):
+        pts = [p[:-1] + (F(0),) for p in pts]
+    body = convex_hull(pts)
+    faces = [(i,) for i in range(len(body.vertices))] + list(body.edges())
+    faces += [tuple(sorted(f)) for f in body.facet_vertices]
+    face = draw(st.sampled_from(faces), label="face")
+    base = tuple(sum(c) / len(face) for c in zip(*(body.vertices[i] for i in face)))
+    if draw(st.booleans(), label="base anywhere"):
+        base = draw(st.tuples(*[rationals] * d), label="base")
+    m = draw(st.integers(1, d - 1), label="flat dim")
+    if body.dim == d and draw(st.booleans(), label="supporting"):
+        normal = (F(0),) * d
+        for hs, verts in zip(body.halfspaces, body.facet_vertices):
+            if set(face) <= verts:
+                normal = tuple(a + b for a, b in zip(normal, hs.normal))
+        dirs = draw(st.permutations(nullspace([normal])), label="directions")[:m]
+    else:
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        dirs = draw(points(d, m, m, small), label="directions")
+    try:
+        return body, AffineFlat.spanning(base, dirs)
+    except GeometryError:
+        assume(False)
+
+
+class TestSectionOneChartHull:
+    """section() hulls the last slice points once, in the chart; the route
+    that hulls them in ambient space first gives the same Section."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sections_through_faces())
+    @example(  # a flat triangle cut in a segment listed against sorted order
+        (convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)]),
+         AffineFlat.spanning((F(3, 2), 0, 0), [(-1, F(3, 2), 0), (0, 0, 1)]))
+    )
+    def test_every_field_matches_two_hulls(self, case):
+        body, flat = case
+        assert helpers.section_fields(section(body, flat)) == helpers.section_fields(
+            helpers.section_two_hulls(body, flat)
+        )
 
 
 class TestSupportingLine:

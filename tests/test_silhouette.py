@@ -5,10 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES
+from helpers import CUBE_VERTICES, step_g_via_sections
 
-from polysect.geometry import cross3, vdot
+from polysect import silhouette
+from polysect.geometry import as_vector, cross3, vdot
 from polysect.polytope import convex_hull, project
 from polysect.silhouette import (
     WalkError,
@@ -212,3 +214,67 @@ class TestShadowWalk:
         assert result.xi == (0, 0, 1)
         assert result.start == (1, -1)
         assert len(result.angles) == len(result.vertices)
+
+
+# a vertical triangle face whose middle vertex projects between the others,
+# and a vertical edge along xi = (0, 0, 1)
+VERTICAL_TRIANGLE = [(0, 0, 0), (2, 0, 0), (1, 0, 2), (1, 1, 1)]
+VERTICAL_EDGE = [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
+lattice_clouds = st.lists(
+    st.tuples(*[st.integers(-2, 2).map(F)] * 3), min_size=4, max_size=14
+)
+rational_clouds = st.lists(
+    st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3), min_size=4, max_size=14
+)
+directions = st.one_of(
+    st.sampled_from([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)]),
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+)
+
+
+def _attempt(step, body, state):
+    try:
+        return step(body, state), state.apex
+    except WalkError as e:
+        return str(e), state.apex
+
+
+class TestFaceRoute:
+    """step_g reads each face off the tight vertices; the route that cut the
+    body with section() and took the farthest chart pair gives the same steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(lattice_clouds, rational_clouds), directions)
+    @example(VERTICAL_TRIANGLE, (0, 0, 1))
+    @example(VERTICAL_EDGE, (0, 0, 1))
+    def test_steps_match_section_route(self, pts, xi):
+        body = convex_hull(pts)
+        if body.dim != 3:
+            return
+        xi = as_vector(xi)
+        chart = shadow_chart(xi)
+        shadow = project(body, chart).polytope.vertices
+        n = len(shadow)
+        center = tuple(sum(c) / n for c in zip(*shadow))
+        # shadow vertices, midpoints of vertex pairs (boundary or interior)
+        # and the centroid (interior)
+        points = set(shadow) | {center}
+        points |= {tuple((a + b) / 2 for a, b in zip(p, q)) for p in shadow for q in shadow}
+        for x in sorted(points):
+            new = _attempt(step_g, body, WalkState(xi, chart, center, x))
+            old = _attempt(step_g_via_sections, body, WalkState(xi, chart, center, x))
+            assert new == old
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(lattice_clouds, rational_clouds), directions)
+    @example(VERTICAL_TRIANGLE, (0, 0, 1))
+    @example(VERTICAL_EDGE, (0, 0, 1))
+    def test_walk_matches_section_route(self, pts, xi):
+        body = convex_hull(pts)
+        if body.dim != 3:
+            return
+        new = shadow_walk(body, xi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(silhouette, "step_g", step_g_via_sections)
+            old = shadow_walk(body, xi)
+        assert new == old
