@@ -9,6 +9,7 @@ boundary tests all stay in rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -189,18 +190,27 @@ class Polytope:
             return ()
         if k == 1:
             return ((0, 1),) if len(self.vertices) == 2 else ()
+        # a pair spans an edge when the facets it shares have rank k - 1, so
+        # only pairs on a common facet are tried, through a vertex-facet index
+        incident = [[] for _ in self.vertices]
+        for f, verts in enumerate(self.facet_vertices):
+            for v in verts:
+                incident[v].append(f)
         out = []
-        for i, j in combinations(range(len(self.vertices)), 2):
-            common = [
-                f for f, verts in enumerate(self.facet_vertices) if i in verts and j in verts
-            ]
-            if len(common) < k - 1:
-                continue
-            rows = [
-                tuple(int(x) for x in self.halfspaces[f].normal) for f in common
-            ]
-            if _hull.int_rank(rows) == k - 1:
-                out.append((i, j))
+        for i, facets in enumerate(incident):
+            shared = Counter(
+                j for f in facets for j in self.facet_vertices[f] if j > i
+            )
+            for j in sorted(shared):
+                if shared[j] < k - 1:
+                    continue
+                rows = [
+                    tuple(int(x) for x in self.halfspaces[f].normal)
+                    for f in facets
+                    if j in self.facet_vertices[f]
+                ]
+                if _hull.int_rank(rows) == k - 1:
+                    out.append((i, j))
         return tuple(out)
 
     def boundary_cycle(self) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from polysect import convex_hull
 from polysect.geometry import solve_linear, vadd, vdot, vscale, vsub
@@ -273,14 +273,60 @@ def section_fields(sec):
     )
 
 
+def lattice_sphere(n2):
+    """The integer points with |p|^2 = n2, sorted; every one is extreme."""
+    r = isqrt(n2)
+    span = range(-r, r + 1)
+    return sorted(
+        (x, y, z) for x in span for y in span for z in span if x * x + y * y + z * z == n2
+    )
+
+
+def edges_by_pair_scan(poly):
+    """Polytope.edges() as it tested every vertex pair against every facet.
+    Reference for the vertex-facet index."""
+    k = poly.dim
+    if k <= 0:
+        return ()
+    if k == 1:
+        return ((0, 1),) if len(poly.vertices) == 2 else ()
+    out = []
+    for i, j in combinations(range(len(poly.vertices)), 2):
+        common = [
+            f for f, verts in enumerate(poly.facet_vertices) if i in verts and j in verts
+        ]
+        if len(common) < k - 1:
+            continue
+        rows = [tuple(int(x) for x in poly.halfspaces[f].normal) for f in common]
+        if int_rank(rows) == k - 1:
+            out.append((i, j))
+    return tuple(out)
+
+
+def _make_apex(body, chart, x, xi):
+    """A point of the lifted line far beyond the body's support along xi."""
+    from polysect.geometry import norm2
+    from polysect.silhouette import WalkError
+
+    vals = [vdot(xi, v) for v in body.vertices]
+    top, bottom = max(vals), min(vals)
+    spread = top - bottom
+    if spread == 0:
+        raise WalkError("body is flat along the walk direction")
+    p = chart.point_at(tuple(F(c) for c in x))
+    t = (top + 3 * spread - vdot(p, xi)) / norm2(xi)
+    return vadd(p, vscale(xi, t))
+
+
 def step_g_via_sections(body, state):
-    """The walk step that cut each active facet's plane with section() and
-    took the farthest pair of the section's chart points as the shadow
-    edge.  Reference for step_g's tight-vertex faces."""
+    """The walk step that built the whole visual cone from the apex, cut each
+    active facet's plane with section() and took the farthest pair of the
+    section's chart points as the shadow edge.  Reference for step_g's
+    angular scan of the vertex images."""
     from polysect.cones import visual_cone
     from polysect.geometry import AffineFlat, nullspace, vneg
     from polysect.silhouette import (
-        StepOutcome, WalkError, _chart_point, _cross2, _d2, _make_apex,
+        StepOutcome, WalkError, _chart_point, _cross2, _d2,
     )
 
     xi, chart, x = state.xi, state.chart, state.current

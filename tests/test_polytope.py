@@ -180,6 +180,44 @@ class TestFacetIncidence:
             assert seg.facet_vertices == rederived_incidence(seg)
 
 
+class TestEdgeIndex:
+    """edges() finds pairs through a vertex-facet index; the scan of every
+    pair against every facet gives the same tuple."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.sampled_from((1, 2, 3, 4)), grids).flatmap(
+            lambda dg: points(dg[0], 1, 14, dg[1])
+        )
+    )
+    def test_cloud_matches_pair_scan(self, pts):
+        poly = convex_hull(pts)
+        assert poly.edges() == helpers.edges_by_pair_scan(poly)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_flat_cloud_matches_pair_scan(self, data):
+        d = data.draw(st.sampled_from((3, 4)), label="ambient dim")
+        m = data.draw(st.integers(1, d - 1), label="flat dim")
+        dirs = data.draw(points(d, m, m), label="directions")
+        coeffs = data.draw(points(m, 1, 12, lattice), label="coefficients")
+        pts = [
+            tuple(sum(c[j] * dirs[j][i] for j in range(m)) for i in range(d))
+            for c in coeffs
+        ]
+        poly = convex_hull(pts)
+        assert poly.edges() == helpers.edges_by_pair_scan(poly)
+
+    def test_lattice_sphere_matches_pair_scan(self):
+        pts = random.Random(3).sample(helpers.lattice_sphere(426), 150)
+        poly = convex_hull(pts)
+        assert len(poly.vertices) == 150
+        edges = poly.edges()
+        assert edges == helpers.edges_by_pair_scan(poly)
+        # Euler: V - E + F = 2 for a 3-polytope
+        assert 150 - len(edges) + len(poly.halfspaces) == 2
+
+
 class TestFaces:
     def test_face_of_vertex_and_edge(self, cube):
         corner = cube.face_of((F(1), F(1), F(1)))

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES, step_g_via_sections
+from helpers import CUBE_VERTICES, lattice_sphere, step_g_via_sections
 
 from polysect import silhouette
 from polysect.geometry import as_vector, cross3, vdot
@@ -240,8 +240,9 @@ def _attempt(step, body, state):
 
 
 class TestFaceRoute:
-    """step_g reads each face off the tight vertices; the route that cut the
-    body with section() and took the farthest chart pair gives the same steps."""
+    """step_g wraps the vertex images around the point; the route that built
+    the whole visual cone, cut each active facet's plane with section() and
+    took the farthest chart pair gives the same steps, errors and apexes."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(lattice_clouds, rational_clouds), directions)
@@ -257,9 +258,12 @@ class TestFaceRoute:
         n = len(shadow)
         center = tuple(sum(c) / n for c in zip(*shadow))
         # shadow vertices, midpoints of vertex pairs (boundary or interior)
-        # and the centroid (interior)
+        # and the centroid (interior); then each of those points mirrored
+        # away from the centroid, 2p - center: outside for every vertex and
+        # boundary midpoint, inside or outside for the others
         points = set(shadow) | {center}
         points |= {tuple((a + b) / 2 for a, b in zip(p, q)) for p in shadow for q in shadow}
+        points |= {tuple(2 * a - c for a, c in zip(p, center)) for p in points}
         for x in sorted(points):
             new = _attempt(step_g, body, WalkState(xi, chart, center, x))
             old = _attempt(step_g_via_sections, body, WalkState(xi, chart, center, x))
@@ -273,6 +277,17 @@ class TestFaceRoute:
         body = convex_hull(pts)
         if body.dim != 3:
             return
+        new = shadow_walk(body, xi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(silhouette, "step_g", step_g_via_sections)
+            old = shadow_walk(body, xi)
+        assert new == old
+
+    @pytest.mark.parametrize("xi", [(0, 0, 1), (1, 2, 3)])
+    def test_lattice_sphere_walk_matches_section_route(self, xi):
+        # 60 extreme points; along (0, 0, 1) antipodal pairs give vertical edges
+        body = convex_hull(random.Random(1).sample(lattice_sphere(94), 60))
+        assert len(body.vertices) == 60
         new = shadow_walk(body, xi)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(silhouette, "step_g", step_g_via_sections)
