@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 from .bodies import (
@@ -95,12 +96,11 @@ def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
         raise CriterionError("polygonality detection needs at least 8 points")
     if not (math.isfinite(tau) and tau > 0):
         raise CriterionError("tau must be finite and positive")
-    diam = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
-            if d > diam:
-                diam = d
+    # math.dist is the same C norm as math.hypot(dx, dy): the same float
+    diam = max(
+        max(map(math.dist, repeat(points[i], n - i - 1), points[i + 1:]))
+        for i in range(n - 1)
+    )
     tau_area = tau * diam * diam
     if diam == 0.0:
         return PolygonalityVerdict("polygon", 0, None, 0.0, tau_area, 0.0)
@@ -454,8 +454,7 @@ def _exact_projection_check(poly: Polytope, E: AffineFlat) -> None:
     """Shadow via project() must equal the hull of extreme projected vertices."""
     proj = project(poly, E)
     pts = [E.projected_coordinates(v) for v in poly.vertices]
-    hull = convex_hull(pts)
-    ext = [p for p in dict.fromkeys(pts) if is_extreme(p, hull)]
+    ext = [p for p in dict.fromkeys(pts) if is_extreme(p, proj.polytope)]
     rehull = convex_hull(ext)
     if proj.polytope.vertices != rehull.vertices:
         raise CriterionError("projection disagrees with the extreme-point hull")

@@ -116,8 +116,8 @@ def _initial_simplex(points: Sequence[IntVec], k: int) -> list[int]:
     raise DegenerateInput(f"points span only {len(diffs)} of {k} dimensions")
 
 
-def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
-    """Convex hull of integer points that affinely span their space."""
+def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
+    """The incremental hull's simplicial facets, coplanar ones not merged."""
     if not points:
         raise HullError("no points")
     k = len(points[0])
@@ -192,36 +192,35 @@ def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
         for ridge in horizon:
             add_facet(oriented(tuple(sorted(ridge)) + (ip,)))
 
+    return list(facets.values())
+
+
+def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
+    """Convex hull of integer points that affinely span their space."""
     # Merge coplanar simplicial facets by canonical oriented hyperplane.
     merged: dict[tuple[IntVec, int], set[int]] = {}
-    for f in facets.values():
-        g = 0
-        for x in f.normal:
-            g = gcd(g, abs(x))
-        g = gcd(g, abs(f.offset)) or 1
+    for f in _simplicial_facets(points):
+        g = gcd(*f.normal, f.offset)
         key = (tuple(x // g for x in f.normal), f.offset // g)
         merged.setdefault(key, set()).update(f.vertices)
+    k = len(points[0])
 
-    # One scan finds the candidates tight on each merged hyperplane.  A
-    # candidate is a true vertex when its tight normals have full rank, and
-    # each facet keeps exactly the true vertices of its tight set.
-    candidates = sorted(set().union(*merged.values()))
-    tight = {
-        (n, c): [v for v in candidates if _dot(n, points[v]) == c]
-        for (n, c) in merged
-    }
+    # Incidence is read off the merged sets, with no rescan: hull ∩ H is the
+    # union of the simplicial facets on H, so a true vertex is in the set of
+    # every facet it is tight on (full rank there), and a candidate that is
+    # not extreme keeps rank < k on any subset of its tight normals.
     active: dict[int, list[IntVec]] = {}
-    for (n, _), verts in tight.items():
+    for (n, _), verts in merged.items():
         for v in verts:
             active.setdefault(v, []).append(n)
-    true_vertices = [
-        v for v in candidates if len(active[v]) >= k and int_rank(active[v]) == k
-    ]
+    true_vertices = sorted(
+        v for v, ns in active.items() if len(ns) >= k and int_rank(ns) == k
+    )
     vert_set = set(true_vertices)
 
     out_facets = []
-    for (n, c), verts in tight.items():
-        fverts = tuple(v for v in verts if v in vert_set)
+    for (n, c), verts in merged.items():
+        fverts = tuple(sorted(vert_set.intersection(verts)))
         if len(fverts) < k:
             raise HullError("merged facet lost its vertices")
         out_facets.append((n, c, fverts))

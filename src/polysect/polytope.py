@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -69,21 +70,22 @@ def _canonical_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfsp
     if is_zero_vector(tuple(normal)):
         raise PolytopeError("halfspace needs a nonzero normal")
     scale = lcm(*[x.denominator for x in normal], offset.denominator)
-    ints = [int(x * scale) for x in normal]
-    c = int(offset * scale)
-    g = 0
-    for x in ints:
-        g = _hull.gcd(g, abs(x))
-    g = _hull.gcd(g, abs(c)) or 1
-    return Halfspace(tuple(Fraction(x // g) for x in ints), Fraction(c // g))
+    return _integer_halfspace([int(x * scale) for x in normal], int(offset * scale))
+
+
+def _integer_halfspace(normal: Sequence[int], offset: int) -> Halfspace:
+    """{normal . x <= offset} with the common gcd divided out."""
+    g = gcd(*normal, offset)
+    return Halfspace(tuple(Fraction(x // g) for x in normal), Fraction(offset // g))
 
 
 class Polytope:
     """Immutable exact polytope with vertex form, halfspace form, incidence.
 
     `span` is the affine hull with an orthogonal chart basis; halfspaces and
-    chart_vertices live in that chart.  Face-lattice queries beyond facets
-    (edges) are computed lazily and cached.
+    chart_vertices live in that chart, and the halfspaces are canonical
+    integer ones (see `convex_hull`).  Edges and the int facet data that
+    `chart_contains` reads are computed lazily and cached.
     """
 
     __slots__ = (
@@ -93,6 +95,7 @@ class Polytope:
         "halfspaces",
         "facet_vertices",
         "_edges",
+        "_int_halfspaces",
     )
 
     def __init__(self, vertices, chart_vertices, span, halfspaces, facet_vertices):
@@ -102,6 +105,7 @@ class Polytope:
         self.halfspaces: tuple[Halfspace, ...] = halfspaces
         self.facet_vertices: tuple[frozenset[int], ...] = facet_vertices
         self._edges: tuple[tuple[int, int], ...] | None = None
+        self._int_halfspaces: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     # -- basic geometry -----------------------------------------------------
 
@@ -124,12 +128,23 @@ class Polytope:
         return self.span.coordinates(tuple(point))
 
     def chart_contains(self, chart_point: Sequence[Fraction]) -> str:
-        """Relative classification in the span chart: interior/boundary/outside."""
+        """Relative classification in the span chart: interior/boundary/outside.
+
+        The halfspaces are integer, so the point is scaled once by the
+        (positive) lcm of its denominators and each facet is evaluated in ints.
+        """
         if self.dim == 0:
             return "interior"
+        if self._int_halfspaces is None:
+            self._int_halfspaces = tuple(
+                (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
+                for hs in self.halfspaces
+            )
+        den = lcm(*[x.denominator for x in chart_point])
+        p = [x.numerator * (den // x.denominator) for x in chart_point]
         boundary = False
-        for hs in self.halfspaces:
-            v = hs.evaluate(chart_point)
+        for normal, offset in self._int_halfspaces:
+            v = sum(map(mul, normal, p)) - offset * den
             if v > 0:
                 return "outside"
             if v == 0:
@@ -276,6 +291,8 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 
     Lower-dimensional input is handled inside its affine span: the span is
     reported on the result and the halfspace form lives in the span chart.
+    Every halfspace is canonical: an integer normal and offset with no
+    common factor (a Fraction with denominator 1 in each entry).
     """
     pts = list(dict.fromkeys(as_point(p) for p in points))
     if not pts:
@@ -333,12 +350,7 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         # Scaling axis j by scales[j] and dividing by a positive gcd keep
         # which vertices are tight, so the hull's incidences carry over.
         facets = [
-            (
-                _canonical_halfspace(
-                    tuple(Fraction(n[j] * scales[j]) for j in range(k)), Fraction(c)
-                ),
-                fverts,
-            )
+            (_integer_halfspace([n[j] * scales[j] for j in range(k)], c), fverts)
             for (n, c, fverts) in data.facets
         ]
 

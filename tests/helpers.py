@@ -6,6 +6,7 @@ can serve as an oracle for the fast library implementations.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -13,7 +14,7 @@ from math import gcd, isqrt
 
 from polysect import convex_hull
 from polysect.geometry import solve_linear, vadd, vdot, vscale, vsub
-from polysect.hull import facet_normal, int_rank
+from polysect.hull import IntHull, _simplicial_facets, facet_normal, int_rank
 from polysect.polytope import _canonical_halfspace
 
 
@@ -367,6 +368,62 @@ def step_g_via_sections(body, state):
     if len(active) >= 2:
         return StepOutcome("isolated-extreme", best_g, tuple(active), None)
     return StepOutcome("edge", best_g, tuple(active), (best_f, best_g))
+
+
+def hull_by_rescan(points):
+    """hull_full_dim as it rescanned every candidate against every merged
+    hyperplane for its tight set.  Reference for reading incidence off the
+    merged simplicial facets."""
+    k = len(points[0])
+    merged = {}
+    for f in _simplicial_facets(points):
+        g = 0
+        for x in f.normal:
+            g = gcd(g, abs(x))
+        g = gcd(g, abs(f.offset)) or 1
+        key = (tuple(x // g for x in f.normal), f.offset // g)
+        merged.setdefault(key, set()).update(f.vertices)
+    candidates = sorted(set().union(*merged.values()))
+    tight = {
+        (n, c): [v for v in candidates if sum(x * y for x, y in zip(n, points[v])) == c]
+        for (n, c) in merged
+    }
+    active = {}
+    for (n, _), verts in tight.items():
+        for v in verts:
+            active.setdefault(v, []).append(n)
+    true_vertices = [
+        v for v in candidates if len(active[v]) >= k and int_rank(active[v]) == k
+    ]
+    vert_set = set(true_vertices)
+    facets = sorted(
+        (n, c, tuple(v for v in verts if v in vert_set))
+        for (n, c), verts in tight.items()
+    )
+    return IntHull(tuple(true_vertices), tuple(facets))
+
+
+def chart_contains_by_evaluate(poly, chart_point):
+    """Polytope.chart_contains as it evaluated each Halfspace in Fractions.
+    Reference for the integer evaluation."""
+    if poly.dim == 0:
+        return "interior"
+    vals = [hs.evaluate(chart_point) for hs in poly.halfspaces]
+    if any(v > 0 for v in vals):
+        return "outside"
+    return "boundary" if any(v == 0 for v in vals) else "interior"
+
+
+def diameter_by_pair_loop(points):
+    """polygonality_detect's diameter as the pair loop over math.hypot gave
+    it.  Reference for the math.dist rows."""
+    diam = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
+            if d > diam:
+                diam = d
+    return diam
 
 
 def brute_force_facets(points):

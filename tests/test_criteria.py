@@ -9,7 +9,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES, centered_polytope, exact_cone_oracle_sampling_only
+from helpers import (
+    CUBE_VERTICES,
+    centered_polytope,
+    diameter_by_pair_loop,
+    exact_cone_oracle_sampling_only,
+)
 
 from polysect.bodies import (
     BodyError,
@@ -119,6 +124,37 @@ class TestPolygonalityDetect:
     def test_loose_tau_accepts_circle(self):
         verdict = polygonality_detect(polar_sample(lambda t: 1.0, 32), tau=0.5)
         assert verdict.kind == "polygon"
+
+
+class TestDiameterBits:
+    """The math.dist rows give the pair loop's math.hypot float, bit for bit."""
+
+    def check(self, pts):
+        got = polygonality_detect(tuple(pts)).diameter
+        assert got.hex() == diameter_by_pair_loop(pts).hex()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 2),
+            min_size=8,
+            max_size=60,
+        )
+    )
+    def test_random_floats(self, pts):
+        self.check(pts)
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 255, 1024])
+    def test_regular_polygons(self, n):
+        for r, phase in ((1.0, 0.0), (1e-3, 0.3), (7e5, 1.1)):
+            angles = [phase + 2 * math.pi * i / n for i in range(n)]
+            self.check([(r * math.cos(a), r * math.sin(a)) for a in angles])
+
+    def test_repeated_points(self):
+        rng = random.Random(2)
+        self.check([(0.5, -2.0)] * 12)
+        pts = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
+        self.check([p for p in pts for _ in range(rng.randint(1, 4))] + pts)
 
 
 class TestKleeSectionTest:

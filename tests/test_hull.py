@@ -182,3 +182,44 @@ class TestHullAgainstBruteForce:
             out = hull_full_dim(shuffled)
             assert facets_as_set(out.facets) == base_facets
             assert sorted(shuffled[i] for i in out.vertex_indices) == base_verts
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """Small lattice boxes (coplanar and collinear runs), doubled so that
+    midpoints stay integral, plus midpoints (points inside facets and edges)
+    and duplicated points."""
+    k = draw(st.sampled_from((2, 3, 4)))
+    box = st.integers(-draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    base = draw(st.lists(st.tuples(*[box] * k), min_size=k + 1, max_size=16))
+    pts = [tuple(2 * x for x in p) for p in base]
+    index = st.integers(0, len(pts) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=8))
+    pts += [tuple((a + b) // 2 for a, b in zip(pts[i], pts[j])) for i, j in pairs]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return draw(st.permutations(pts))
+
+
+class TestIncidenceFromMergedFacets:
+    """The whole IntHull equals the route that rescanned every candidate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_clouds())
+    def test_degenerate_clouds_match_rescan(self, pts):
+        k = len(pts[0])
+        assume(int_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts]) == k)
+        assert hull_full_dim(pts) == helpers.hull_by_rescan(pts)
+
+    def test_lattice_sphere_with_inner_points_matches_rescan(self):
+        rng = random.Random(4)
+        sphere = rng.sample(helpers.lattice_sphere(94), 60)
+        # doubled, with chord midpoints: inside the body or on its facets
+        pts = [tuple(2 * x for x in p) for p in sphere]
+        pts += [
+            tuple(a + b for a, b in zip(p, q))
+            for p, q in (rng.sample(sphere, 2) for _ in range(20))
+        ]
+        pts += rng.sample(pts, 5)
+        out = hull_full_dim(pts)
+        assert len(out.vertex_indices) == 60
+        assert out == helpers.hull_by_rescan(pts)

@@ -218,6 +218,76 @@ class TestEdgeIndex:
         assert 150 - len(edges) + len(poly.halfspaces) == 2
 
 
+def _mean(points):
+    return tuple(sum(c) / len(points) for c in zip(*points))
+
+
+def contains_probes(poly):
+    """Chart points with their expected class: vertices, edge midpoints,
+    facet centroids, the vertex centroid and points pushed outside."""
+    cvs = poly.chart_vertices
+    centre = _mean(cvs)
+    probes = [(v, "boundary") for v in cvs]
+    probes += [
+        (_mean([cvs[i], cvs[j]]), "boundary" if poly.dim > 1 else "interior")
+        for i, j in poly.edges()
+    ]
+    facet_centres = [_mean([cvs[i] for i in verts]) for verts in poly.facet_vertices]
+    probes += [(f, "boundary") for f in facet_centres]
+    probes.append((centre, "interior"))
+    for p in list(cvs) + facet_centres:
+        for t in (F(1, 3), F(2), F(7, 5)):
+            q = tuple(c + t * (x - c) for x, c in zip(p, centre))
+            probes.append((q, "interior" if t < 1 else "outside"))
+    return probes
+
+
+class TestIntegerContains:
+    """chart_contains evaluates integer facets at a denominator-cleared
+    point; Halfspace.evaluate in Fractions gives the same class."""
+
+    def check(self, poly):
+        for q, expected in contains_probes(poly):
+            got = poly.chart_contains(q)
+            assert got == helpers.chart_contains_by_evaluate(poly, q) == expected
+            assert poly.contains(poly.span.point_at(q)) == got
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.sampled_from((1, 2, 3, 4)), grids).flatmap(
+            lambda dg: points(dg[0], 1, 12, dg[1])
+        )
+    )
+    def test_full_dimensional_cloud(self, pts):
+        poly = convex_hull(pts)
+        assume(poly.dim == len(pts[0]))
+        assert all(x.denominator == 1 for hs in poly.halfspaces for x in hs.normal)
+        self.check(poly)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_flat_cloud(self, data):
+        d = data.draw(st.sampled_from((2, 3, 4)), label="ambient dim")
+        m = data.draw(st.integers(1, d - 1), label="flat dim")
+        base = data.draw(st.tuples(*[rationals] * d), label="base")
+        dirs = data.draw(points(d, m, m), label="directions")
+        coeffs = data.draw(points(m, 1, 12, data.draw(grids)), label="coefficients")
+        pts = [
+            tuple(base[i] + sum(c[j] * dirs[j][i] for j in range(m)) for i in range(d))
+            for c in coeffs
+        ]
+        poly = convex_hull(pts)
+        assume(0 < poly.dim < d)
+        self.check(poly)
+        normal = poly.span.normal_directions()[0]
+        off_span = tuple(x + n for x, n in zip(poly.vertices[0], normal))
+        assert poly.contains(off_span) == "outside"
+
+    def test_lattice_sphere(self):
+        poly = convex_hull(random.Random(3).sample(helpers.lattice_sphere(94), 60))
+        self.check(poly)
+
+
 class TestFaces:
     def test_face_of_vertex_and_edge(self, cube):
         corner = cube.face_of((F(1), F(1), F(1)))
