@@ -9,10 +9,12 @@ into a one-dimensional convex minimization over t, searched in floats
 until a sample or a convexity bound settles it.
 
 Planar sections of a body are sampled along rays from an interior point
-of the section: bodies with a closed-form ray_interval (balls, ellipsoids)
-give the boundary point directly, others by ray bisection of the membership
-oracle.  The resulting boundary points (ordered by polar angle) feed the
-polygonality detector.
+of the section (radial_sweep).  Every exit comes from one primitive,
+ray_exit: the upper end of a closed-form ray_interval (balls, ellipsoids),
+or else doubling and bisection of the membership oracle along the same ray,
+up to BODY_CEILING, which no spec body reaches.  The cone scan in `cones`
+samples its cross-sections with the same sweep.  The resulting boundary
+points (ordered by polar angle) feed the polygonality detector.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ class BodyOracle:
 
 # The float oracles square coordinates; beyond this magnitude they overflow.
 MAX_MAGNITUDE = 1e100
+# Spec bodies lie within ±2·MAX_MAGNITUDE (a cap's ball may reach past its
+# polytope's box), so a unit-speed ray from an interior point leaves one
+# long before this parameter.
+BODY_CEILING = 1e102
 
 
 def _fdot(a, b) -> float:
@@ -157,25 +163,44 @@ def make_ellipsoid(center, semi_axes) -> BodyOracle:
 
 
 def _sphere_interval(w, v, rr):
-    """Roots of |w + t*v|^2 = rr as (t0, t1), or None when the line misses.
-
-    Stable form of the quadratic formula: with q = -(b + sign(b)*sqrt(disc))
-    the roots are q/a and cc/q, so no root is a difference of near-equal
-    terms.
-    """
+    """Roots of |w + t*v|^2 = rr as (t0, t1), or None when the line misses."""
     a = _fdot(v, v)
     if a == 0:
         raise BodyError("ray direction must be nonzero")
     b = _fdot(w, v)
     cc = _fdot(w, w) - rr
-    disc = b * b - a * cc
+    # |w + t*v|^2 <= rr is -(a*t^2 + 2*b*t + cc) >= 0 with -a < 0: one interval
+    return _nappe_interval(-a, -b, -cc, 0.0)
+
+
+def _nappe_interval(a, b, c, q):
+    """The part of {r : a*r^2 + 2*b*r + c >= 0} on the forward nappe's side.
+
+    The set is a line's meet with a double cone (or, for a < 0, with a
+    sphere's inside).  When a > 0 the line's direction lies inside the
+    double cone and the set is two rays, one per nappe; the forward one
+    points along sign(q).  Otherwise the set is one interval (or empty).
+    Stable form of the quadratic formula: with s = -(b + sign(b)*sqrt(disc))
+    the roots are s/a and c/s, so no root is a difference of near-equal
+    terms.
+    """
+    inf = math.inf
+    if a == 0:
+        if b == 0:
+            return (-inf, inf) if c >= 0 else None
+        root = -c / (2.0 * b)
+        return (root, inf) if b > 0 else (-inf, root)
+    disc = b * b - a * c
     if disc < 0:
-        return None
-    q = -(b + math.copysign(math.sqrt(disc), b))
-    if q == 0:
-        return (0.0, 0.0)
-    t0, t1 = q / a, cc / q
-    return (t0, t1) if t0 <= t1 else (t1, t0)
+        return (-inf, inf) if a > 0 else None
+    s = -(b + math.copysign(math.sqrt(disc), b))
+    if s == 0:
+        lo = hi = 0.0
+    else:
+        lo, hi = sorted((s / a, c / s))
+    if a < 0:
+        return (lo, hi)
+    return (hi, inf) if q > 0 else (-inf, lo)
 
 
 def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
@@ -398,11 +423,10 @@ def sample_section_boundary(
     """Sample the boundary of body ∩ flat at `count` polar angles.
 
     The flat must be 2-dimensional and meet the body's interior
-    (FlatMissesBody otherwise); boundary points come from the body's
-    ray_interval, or else from 60-step ray bisection of the membership
-    oracle.  They are returned in chart coordinates of the flat's
-    orthonormalized basis, point j on the ray at angle 2πj/count around
-    an interior chart point.
+    (FlatMissesBody otherwise); boundary points are ray exits (ray_exit)
+    from an interior chart point, found by radial_sweep.  They are returned
+    in chart coordinates of the flat's orthonormalized basis, point j on
+    the ray at angle 2πj/count around the interior chart point.
     """
     if flat.dim != 2:
         raise BodyError("section sampling needs a 2-dimensional flat")
@@ -417,15 +441,24 @@ def sample_section_boundary(
     def at(cx, cy):
         return tuple(b + cx * a1 + cy * a2 for b, a1, a2 in zip(base, u1, u2))
 
+    def sweep(x0):
+        rel = radial_sweep(
+            body.member, body.ray_interval, at(*x0), (u1, u2), count, 0.0,
+            BODY_CEILING,
+        )
+        if rel is None:
+            raise BodyError("section boundary ray never left the body")
+        return tuple((x0[0] + px, x0[1] + py) for px, py in rel)
+
     x0 = _interior_chart_point(body, at)
     if x0 is None:
         raise FlatMissesBody("flat misses the body's interior")
-    pts = _radial_sweep(body, at, (u1, u2), x0, count)
+    pts = sweep(x0)
     # recenter once: the centroid is better-conditioned than the first hit
     cx = sum(p[0] for p in pts) / count
     cy = sum(p[1] for p in pts) / count
     if body.member(at(cx, cy)):
-        pts = _radial_sweep(body, at, (u1, u2), (cx, cy), count)
+        pts = sweep((cx, cy))
     return pts
 
 
@@ -441,13 +474,23 @@ def check_sampling(boundary_points: int, tau: float) -> None:
         raise BodyError("tau must be finite and positive")
 
 
-def ray_exit(inside: Callable[[float], bool], ceiling: float) -> float | None:
-    """Exit parameter of a ray whose start (t = 0) is inside, by bisection.
+def ray_exit(member, ray_interval, start, u, ceiling: float) -> float | None:
+    """Exit parameter r of the ray start + r*u, for a start inside.
 
-    The step doubles from t = 1 until inside(t) fails, then 60 bisection
-    steps narrow the crossing; None when the ray is still inside beyond
-    `ceiling`.
+    With a closed-form ray_interval (a BodyOracle's or a ConeOracle's) the
+    exit is its upper end.  Otherwise the step doubles from r = 1 until
+    member fails, then 60 bisection steps narrow the crossing.  None when
+    the exit lies at or beyond `ceiling`, or the doubling passes it.
     """
+    if ray_interval is not None:
+        span = ray_interval(start, u)
+        # start is inside, so the interval holds 0 up to rounding
+        r = max(span[1], 0.0) if span is not None else 0.0
+        return r if r < ceiling else None
+
+    def inside(r):
+        return member(tuple(si + r * ui for si, ui in zip(start, u)))
+
     lo, hi = 0.0, 1.0
     while inside(hi):
         lo = hi
@@ -461,6 +504,26 @@ def ray_exit(inside: Callable[[float], bool], ceiling: float) -> float | None:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
+    """Ray exits from `start` at the angles offset + 2πj/count, j < count.
+
+    The ray at angle θ runs along cos θ·e1 + sin θ·e2 for the orthonormal
+    frame (e1, e2); its exit r (ray_exit) is returned as the chart offset
+    (r cos θ, r sin θ) from start.  None when a ray reaches `ceiling`.
+    """
+    e1, e2 = frame
+    pts = []
+    for j in range(count):
+        th = offset + 2.0 * math.pi * j / count
+        ct, st = math.cos(th), math.sin(th)
+        u = tuple(ct * a1 + st * a2 for a1, a2 in zip(e1, e2))
+        r = ray_exit(member, ray_interval, start, u, ceiling)
+        if r is None:
+            return None
+        pts.append((r * ct, r * st))
+    return tuple(pts)
 
 
 def _interior_chart_point(body: BodyOracle, at):
@@ -482,29 +545,6 @@ def _interior_chart_point(body: BodyOracle, at):
         if body.member(at(*cand)):
             return cand
     return None
-
-
-def _radial_sweep(body: BodyOracle, at, frame, x0, count):
-    u1, u2 = frame
-    start = at(*x0)
-    pts = []
-    for j in range(count):
-        th = 2.0 * math.pi * j / count
-        ct, st = math.cos(th), math.sin(th)
-        if body.ray_interval is not None:
-            # x0 is inside, so the interval holds 0 up to rounding
-            u = tuple(ct * a1 + st * a2 for a1, a2 in zip(u1, u2))
-            span = body.ray_interval(start, u)
-            t = max(span[1], 0.0) if span is not None else 0.0
-        else:
-            t = ray_exit(
-                lambda s: body.member(at(x0[0] + s * ct, x0[1] + s * st)),
-                2.0**40,
-            )
-            if t is None:
-                raise BodyError("section boundary ray never left the body")
-        pts.append((x0[0] + t * ct, x0[1] + t * st))
-    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ reduce to exact polytope operations on that base.
 Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: random 3-dimensional subspaces
 through the apex, a 2-dimensional cross-section of each, and a polygonality
-verdict per section.  The scan refutes polyhedrality or stays consistent;
-it never proves it.
+verdict per section.  Cross-sections are sampled by the section sweep of
+`bodies` (radial_sweep and its ray_exit), with rays up to 2^30.  The scan
+refutes polyhedrality or stays consistent; it never proves it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .bodies import (
     _fdot,
     _fnorm,
     _funit,
+    _nappe_interval,
     _orthonormal_frame,
     check_sampling,
-    ray_exit,
+    radial_sweep,
 )
 from .criteria import _confirmed_curve, _sample_loop
 from .geometry import (
@@ -54,7 +56,6 @@ from .polytope import (
     _canonical_halfspace,
     convex_hull,
     section as _polytope_section,
-    vertices_of,
 )
 
 
@@ -114,9 +115,6 @@ class PolyCone:
             return False
         return self.base.contains(vscale(u, 1 / t)) != "outside"
 
-    def contains_point(self, point) -> bool:
-        return self.contains_direction(vsub(as_point(point), self.apex))
-
 
 @dataclass(frozen=True)
 class ConeSection:
@@ -169,49 +167,6 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
     else:
         halfspaces = None
     return PolyCone(tuple(apex), rays, base.dim + 1, halfspaces, tuple(w), base)
-
-
-def _positive_functional(gens: list[Vector]) -> Vector:
-    """A w with w.g > 0 for every generator; raises when the cone is not pointed.
-
-    w is a relative-interior point of the dual {w : w.g >= 0} clipped to the
-    unit box; strict positivity on every generator certifies pointedness.
-    """
-    d = len(gens[0])
-    if d == 1:
-        signs = {1 if g[0] > 0 else -1 for g in gens}
-        if len(signs) > 1:
-            raise ConeError("generators span a line: the cone is not pointed")
-        return (Fraction(next(iter(signs))),)
-    hss = [Halfspace(vneg(primitive_direction(g)), Fraction(0)) for g in gens]
-    for axis in range(d):
-        for sign in (1, -1):
-            n = tuple(Fraction(sign if i == axis else 0) for i in range(d))
-            hss.append(Halfspace(n, Fraction(1)))
-    dual = vertices_of(hss)
-    w = dual.interior_point()
-    for g in gens:
-        if vdot(w, g) <= 0:
-            raise ConeError("cone has a lineality direction (not pointed)")
-    return w
-
-
-def from_generators(apex, directions) -> PolyCone:
-    """Cone from arbitrary generators, reduced to its extreme rays.
-
-    Requires a pointed cone; a lineality direction is detected and rejected.
-    """
-    apex = as_point(apex)
-    gens = [as_vector(g) for g in directions]
-    for g in gens:
-        if len(g) != len(apex):
-            raise DimensionMismatch("generator dimension differs from the apex")
-    gens = [g for g in gens if not is_zero_vector(g)]
-    if not gens:
-        zero = tuple(Fraction(0) for _ in apex)
-        return PolyCone(apex, (), 0, None, zero, None)
-    w = _positive_functional(gens)
-    return _cone_from_rays(apex, gens, w)
 
 
 def _separating_functional(z: Point, poly: Polytope) -> Vector:
@@ -319,6 +274,7 @@ class ConeOracle:
     is the closed-form counterpart of BodyOracle.ray_interval: the interval
     (r0, r1) of {r : member(w + r*d)} under member's tolerance, with
     infinite ends for unbounded rays, or None when the line misses the cone.
+    The scan's ray_exit reads exits off it, and bisects member without it.
     """
 
     dim: int
@@ -417,33 +373,6 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
     )
 
 
-def _nappe_interval(a, b, c, q):
-    """The part of {r : a*r^2 + 2*b*r + c >= 0} on the forward nappe's side.
-
-    The set is the line's meet with a double cone.  When a > 0 the line's
-    direction lies inside the double cone and the set is two rays, one per
-    nappe; the forward one points along sign(q).  Otherwise the set is one
-    interval (or empty).  Roots use the stable form of the quadratic formula.
-    """
-    inf = math.inf
-    if a == 0:
-        if b == 0:
-            return (-inf, inf) if c >= 0 else None
-        root = -c / (2.0 * b)
-        return (root, inf) if b > 0 else (-inf, root)
-    disc = b * b - a * c
-    if disc < 0:
-        return (-inf, inf) if a > 0 else None
-    s = -(b + math.copysign(math.sqrt(disc), b))
-    if s == 0:
-        lo = hi = 0.0
-    else:
-        lo, hi = sorted((s / a, c / s))
-    if a < 0:
-        return (lo, hi)
-    return (hi, inf) if q > 0 else (-inf, lo)
-
-
 def _orthonormal_complement_3d(w):
     # any vector not parallel to w, then two Gram-Schmidt steps
     pick = (1.0, 0.0, 0.0) if abs(w[0]) <= 0.9 else (0.0, 1.0, 0.0)
@@ -483,39 +412,18 @@ def _find_interior_direction(member, hint):
     return w
 
 
-def _boundary_radius(member, ray_interval, w, e1, e2, theta):
-    """Exit radius of w + r*(cos θ e1 + sin θ e2); None beyond 2^30."""
-    c, s = math.cos(theta), math.sin(theta)
-    if ray_interval is not None:
-        span = ray_interval(w, tuple(c * ai + s * bi for ai, bi in zip(e1, e2)))
-        # w is inside, so the interval holds 0 up to rounding
-        r1 = max(span[1], 0.0) if span is not None else 0.0
-        return r1 if r1 < 2.0**30 else None
-
-    def direction(r):
-        return tuple(wi + r * (c * ai + s * bi) for wi, ai, bi in zip(w, e1, e2))
-
-    return ray_exit(lambda r: member(direction(r)), 2.0**30)
-
-
 def _scan_three_dim(member, ray_interval, hint, rng: random.Random, n: int):
     """n boundary points of one cross-section, at a random angle offset.
 
-    None when no bounded cross-section was found.
+    None when no bounded cross-section was found (no interior direction,
+    or a ray still inside at 2^30).
     """
     w = _find_interior_direction(member, hint)
     offset = rng.uniform(0.0, 2.0 * math.pi / n)
     if w is None:
         return None
-    e1, e2 = _orthonormal_complement_3d(w)
-    pts = []
-    for j in range(n):
-        th = offset + 2.0 * math.pi * j / n
-        rad = _boundary_radius(member, ray_interval, w, e1, e2, th)
-        if rad is None:
-            return None
-        pts.append((rad * math.cos(th), rad * math.sin(th)))
-    return tuple(pts)
+    frame = _orthonormal_complement_3d(w)
+    return radial_sweep(member, ray_interval, w, frame, n, offset, 2.0**30)
 
 
 def mirkil_scan(

@@ -312,33 +312,41 @@ def klee_section_test(
     rng = random.Random(seed)
 
     def trial(i, notes):
+        flat, normals, offsets, normals_f, offsets_f = _draw_flat(rng, d, k, delta)
         if poly is not None:
-            note = _exact_section_sample(poly, rng, d, k, delta)
+            # exact sections are polytopes by construction; only coverage is checked
+            note = _coverage_note(poly, normals, offsets)
             if note is not None:
                 notes.append(f"sample {i}: {note}")
             return None
-        flat, xi, dv = _oracle_flat(rng, d, delta)
         draw = lambda n: sample_section_boundary(oracle, flat, n)
         try:
             found = _confirmed_curve(draw, boundary_points, 4, tau)
         except FlatMissesBody:
             notes.append(f"sample {i}: coverage violation (flat misses interior)")
             return None
-        return _klee_witness(found, i, notes, "section", (xi,), (dv,))
+        return _klee_witness(
+            found, i, notes, "section", tuple(normals_f), tuple(offsets_f)
+        )
 
     criterion = "K1" if delta is None else "T1.1"
     outcome = _sample_loop(flats, trial)
     return _report(criterion, name, exact, flats, outcome, boundary_points, tau, seed)
 
 
-def _exact_section_sample(poly, rng, d, k, delta) -> str | None:
-    """One exact k-flat; returns a coverage-violation note or None."""
+def _draw_flat(rng, d, k, delta):
+    """A seeded k-flat {x : N x = o} with d - k gaussian unit normals.
+
+    Returns (flat, rational N, rational o, float N, float o): the floats are
+    the drawn normals and their offsets delta(normal), the rationals those
+    rounded onto the 1/RATIONALIZE_DENOMINATOR grid.  A draw whose rounded
+    normals are dependent is redrawn.
+    """
     while True:
         normals_f = [_gauss_unit(rng, d) for _ in range(d - k)]
+        offsets_f = [_delta_value(delta, f) for f in normals_f]
         normals = [_rationalize(f) for f in normals_f]
-        offsets = [Fraction(0)] * len(normals)
-        for j, f in enumerate(normals_f):
-            offsets[j] = _rationalize((_delta_value(delta, f),))[0]
+        offsets = [_rationalize((v,))[0] for v in offsets_f]
         base = solve_particular(normals, offsets)
         if base is None:
             continue
@@ -346,11 +354,8 @@ def _exact_section_sample(poly, rng, d, k, delta) -> str | None:
             flat = AffineFlat.spanning(base, nullspace(normals))
         except GeometryError:
             continue
-        if flat.dim != k:
-            continue
-        break
-    # exact sections are polytopes by construction; only coverage is checked
-    return _coverage_note(poly, normals, offsets)
+        if flat.dim == k:
+            return flat, normals, offsets, normals_f, offsets_f
 
 
 def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
@@ -369,26 +374,6 @@ def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
     if where != "interior":
         return "coverage violation (flat misses the interior)"
     return None
-
-
-def _oracle_flat(rng, d, delta):
-    while True:
-        xi = _gauss_unit(rng, d)
-        xr = _rationalize(xi)
-        if is_zero_vector(xr):
-            continue
-        dv = _delta_value(delta, xi)
-        dr = _rationalize((dv,))[0]
-        j = next(i for i, x in enumerate(xr) if x != 0)
-        base = tuple(
-            dr / xr[j] if i == j else Fraction(0) for i in range(d)
-        )
-        try:
-            flat = AffineFlat.spanning(base, nullspace([xr]))
-        except GeometryError:
-            continue
-        if flat.dim == d - 1:
-            return flat, xi, dv
 
 
 # ---------------------------------------------------------------------------

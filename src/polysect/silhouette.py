@@ -69,13 +69,6 @@ def shadow_chart(xi) -> AffineFlat:
     return AffineFlat((Fraction(0),) * 3, (e1, e2))
 
 
-def lift_line(x: ChartPoint, xi) -> AffineFlat:
-    """The ambient line over a chart point, directed along ξ."""
-    chart = shadow_chart(xi)
-    base = chart.point_at(tuple(Fraction(c) for c in x))
-    return AffineFlat(base, (as_vector(xi),))
-
-
 @dataclass(frozen=True)
 class _Frame:
     """What every step of one walk reads: the body's vertex images in the

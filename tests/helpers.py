@@ -479,3 +479,168 @@ def restrict_halfspaces(halfspaces, flat):
             continue
         out.append(_canonical_halfspace(n, c))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# test-only constructors and the routes the library's ray primitive replaced
+
+
+def _positive_functional(gens):
+    """A w with w.g > 0 for every generator; raises when the cone is not pointed.
+
+    w is a relative-interior point of the dual {w : w.g >= 0} clipped to the
+    unit box; strict positivity on every generator certifies pointedness.
+    """
+    from polysect.cones import ConeError, primitive_direction
+    from polysect.geometry import vneg
+    from polysect.polytope import Halfspace, vertices_of
+
+    d = len(gens[0])
+    if d == 1:
+        signs = {1 if g[0] > 0 else -1 for g in gens}
+        if len(signs) > 1:
+            raise ConeError("generators span a line: the cone is not pointed")
+        return (F(next(iter(signs))),)
+    hss = [Halfspace(vneg(primitive_direction(g)), F(0)) for g in gens]
+    for axis in range(d):
+        for sign in (1, -1):
+            n = tuple(F(sign if i == axis else 0) for i in range(d))
+            hss.append(Halfspace(n, F(1)))
+    dual = vertices_of(hss)
+    w = dual.interior_point()
+    for g in gens:
+        if vdot(w, g) <= 0:
+            raise ConeError("cone has a lineality direction (not pointed)")
+    return w
+
+
+def from_generators(apex, directions):
+    """Cone from arbitrary generators, reduced to its extreme rays.
+
+    Requires a pointed cone; a lineality direction is detected and rejected.
+    """
+    from polysect.cones import PolyCone, _cone_from_rays
+    from polysect.geometry import (
+        DimensionMismatch, as_point, as_vector, is_zero_vector,
+    )
+
+    apex = as_point(apex)
+    gens = [as_vector(g) for g in directions]
+    for g in gens:
+        if len(g) != len(apex):
+            raise DimensionMismatch("generator dimension differs from the apex")
+    gens = [g for g in gens if not is_zero_vector(g)]
+    if not gens:
+        zero = tuple(F(0) for _ in apex)
+        return PolyCone(apex, (), 0, None, zero, None)
+    w = _positive_functional(gens)
+    return _cone_from_rays(apex, gens, w)
+
+
+def cone_contains_point(cone, point) -> bool:
+    """Exact: is the point in the cone (its direction from the apex is)?"""
+    from polysect.geometry import as_point
+
+    return cone.contains_direction(vsub(as_point(point), cone.apex))
+
+
+def lift_line(x, xi):
+    """The ambient line over a shadow-chart point, directed along ξ."""
+    from polysect.geometry import AffineFlat, as_vector
+    from polysect.silhouette import shadow_chart
+
+    base = shadow_chart(xi).point_at(tuple(F(c) for c in x))
+    return AffineFlat(base, (as_vector(xi),))
+
+
+def hexagonal_prism_oracle():
+    """A hexagonal prism seen through float oracles only (polytope=None)."""
+    import dataclasses
+
+    from polysect.bodies import wrap_polytope
+
+    hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    vertices = [
+        (F(x).limit_denominator(1000), F(y).limit_denominator(1000), F(z))
+        for x, y in hexagon for z in (-1, 1)
+    ]
+    return dataclasses.replace(
+        wrap_polytope(convex_hull(vertices)), polytope=None, name="prism"
+    )
+
+
+def sphere_interval_reference(w, v, rr):
+    """Roots of |w + t*v|^2 = rr as (t0, t1), or None when the line misses.
+
+    The stable quadratic written out on its own, as the ball and ellipsoid
+    ray intervals computed it before they shared the cone's root code.
+    """
+    from polysect.bodies import BodyError, _fdot
+
+    a = _fdot(v, v)
+    if a == 0:
+        raise BodyError("ray direction must be nonzero")
+    b = _fdot(w, v)
+    cc = _fdot(w, w) - rr
+    disc = b * b - a * cc
+    if disc < 0:
+        return None
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    if q == 0:
+        return (0.0, 0.0)
+    t0, t1 = q / a, cc / q
+    return (t0, t1) if t0 <= t1 else (t1, t0)
+
+
+def sample_section_boundary_chart_form(body, flat, count):
+    """sample_section_boundary with bisection probes in chart form.
+
+    Bodies without ray_interval probe at(x0 + s*cos θ, x0 + s*sin θ), the
+    flat's chart point mapped out, with the exit ceiling 2^40, as the
+    section sweep did before it shared ray_exit with the cone scan.  Bodies
+    with ray_interval take its exit, as the library does.
+    """
+    from polysect.bodies import BodyError, _funit, _interior_chart_point
+
+    base = tuple(float(x) for x in flat.base)
+    u1 = _funit(tuple(float(x) for x in flat.basis[0]))
+    u2 = _funit(tuple(float(x) for x in flat.basis[1]))
+
+    def at(cx, cy):
+        return tuple(b + cx * a1 + cy * a2 for b, a1, a2 in zip(base, u1, u2))
+
+    def exit_of(inside):
+        lo, hi = 0.0, 1.0
+        while inside(hi):
+            lo, hi = hi, 2.0 * hi
+            if hi > 2.0**40:
+                raise BodyError("section boundary ray never left the body")
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    def sweep(x0):
+        start = at(*x0)
+        pts = []
+        for j in range(count):
+            th = 2.0 * math.pi * j / count
+            ct, st = math.cos(th), math.sin(th)
+            if body.ray_interval is not None:
+                u = tuple(ct * a1 + st * a2 for a1, a2 in zip(u1, u2))
+                span = body.ray_interval(start, u)
+                t = max(span[1], 0.0) if span is not None else 0.0
+            else:
+                t = exit_of(
+                    lambda s: body.member(at(x0[0] + s * ct, x0[1] + s * st))
+                )
+            pts.append((x0[0] + t * ct, x0[1] + t * st))
+        return tuple(pts)
+
+    x0 = _interior_chart_point(body, at)
+    pts = sweep(x0)
+    cx = sum(p[0] for p in pts) / count
+    cy = sum(p[1] for p in pts) / count
+    if body.member(at(cx, cy)):
+        pts = sweep((cx, cy))
+    return pts

@@ -7,13 +7,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     CUBE_VERTICES,
     centered_polytope,
     closest_point_on_polytope_reference,
     glue_cap_member_reference,
+    hexagonal_prism_oracle,
+    sample_section_boundary_chart_form,
+    sphere_interval_reference,
 )
 
 from polysect.bodies import (
@@ -21,6 +24,7 @@ from polysect.bodies import (
     FlatMissesBody,
     _closest_point_finder,
     _convex_min_at_most,
+    _sphere_interval,
     body_from_spec,
     glue_cap,
     make_ball,
@@ -29,6 +33,7 @@ from polysect.bodies import (
     sample_section_boundary,
     wrap_polytope,
 )
+from polysect.criteria import klee_section_test, polygonality_detect
 from polysect.geometry import AffineFlat, DimensionMismatch
 from polysect.polytope import convex_hull
 
@@ -170,10 +175,7 @@ class TestGlueCap:
             z = body.interior_hint
             for _ in range(8):
                 u = tuple(rng.gauss(0.0, 1.0) for _ in range(3))
-                t = ray_exit(
-                    lambda s: body.member(tuple(a + s * b for a, b in zip(z, u))),
-                    2.0**40,
-                )
+                t = ray_exit(body.member, None, z, u, 2.0**40)
                 for scale in (1 - 1e-7, 1 + 1e-7):
                     points.append(tuple(a + scale * t * b for a, b in zip(z, u)))
             for x in points:
@@ -266,7 +268,7 @@ class TestRayInterval:
             return tuple(zi + t * ui for zi, ui in zip(z, u))
 
         fallback = dataclasses.replace(body, ray_interval=None)
-        t_bisect = ray_exit(lambda t: fallback.member(along(t)), 2.0**40)
+        t_bisect = ray_exit(fallback.member, None, z, u, 2.0**40)
         assert abs(t1 - t_bisect) <= 1e-9 * t_bisect
         assert body.member(along(t1 * (1 - 1e-8)))
         assert not body.member(along(t1 * (1 + 1e-8)))
@@ -358,6 +360,106 @@ class TestSampleSectionBoundary:
         flat = AffineFlat.spanning((F(0),) * 3, [(1, 0, 0), (0, 1, 0)])
         with pytest.raises(BodyError):
             sample_section_boundary(ball, flat, 4)
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def sphere_lines(draw):
+    """(w, v, rr): a line w + t*v in dimension 2-4 and a squared radius."""
+    dim = draw(st.integers(2, 4))
+    w = draw(st.lists(finite, min_size=dim, max_size=dim))
+    v = draw(st.lists(finite, min_size=dim, max_size=dim))
+    return w, v, draw(st.floats(0.0, 1e12))
+
+
+def _same_roots(w, v, rr):
+    # repr tells -0.0 from 0.0, so equal reprs mean bit-identical tuples
+    try:
+        expected = repr(sphere_interval_reference(w, v, rr))
+    except BodyError:
+        with pytest.raises(BodyError):
+            _sphere_interval(w, v, rr)
+        return
+    assert repr(_sphere_interval(w, v, rr)) == expected, (w, v, rr)
+
+
+class TestMergedRayRoutes:
+    """The shared quadratic and ray primitive against the routes they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sphere_lines())
+    @example(([0.0, 0.0], [0.0, 0.0], 1.0))
+    @example(([1.0, 0.0], [0.0, 1.0], 1.0))
+    @example(([-0.0, 2.0], [1.0, -0.0], 4.0))
+    @example(([1.0, 0.0], [1.0, 0.0], 1.0))  # a root at -0.0
+    def test_sphere_roots_bit_identical(self, case):
+        _same_roots(*case)
+
+    def test_sphere_roots_bit_identical_on_seeded_lines(self):
+        rng = random.Random(11)
+        for _ in range(20_000):
+            dim = rng.randint(2, 4)
+            scale = 10.0 ** rng.randint(-6, 6)
+            w = [rng.gauss(0.0, scale) for _ in range(dim)]
+            v = [rng.gauss(0.0, 10.0 ** rng.randint(-3, 3)) for _ in range(dim)]
+            _same_roots(w, v, (rng.uniform(0.0, 2.0) * scale) ** 2)
+
+    @pytest.mark.parametrize(
+        "body, counts",
+        [
+            pytest.param(lambda: glue_cap(cube(), (1, 0, 0), 1), (16,), id="cap"),
+            pytest.param(
+                lambda: glue_cap(cube(), (1, 0.2, -0.1), 0.8), (16,), id="cap-offset"
+            ),
+            # curved at 16 points (too few for a hexagon), a polygon at 64
+            pytest.param(hexagonal_prism_oracle, (16, 64), id="hexagonal-prism"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_section_sweep_matches_chart_form(self, body, counts, seed):
+        # the two bisections probe the same ray points with different
+        # rounding, so points agree to a tolerance and verdicts exactly
+        body = body()
+        rng = random.Random(seed)
+        base = tuple(F(rng.randint(-8, 8), 32) for _ in range(3))
+        while True:
+            dirs = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(2)]
+            flat = AffineFlat.spanning(base, dirs)
+            if flat.dim == 2:
+                break
+        for count in counts:
+            new = sample_section_boundary(body, flat, count)
+            old = sample_section_boundary_chart_form(body, flat, count)
+            scale = max(math.hypot(*p) for p in old)
+            for p, q in zip(new, old):
+                assert math.dist(p, q) <= 1e-12 * scale
+            a, b = polygonality_detect(new), polygonality_detect(old)
+            assert (a.kind, a.witness_triple) == (b.kind, b.witness_triple)
+
+
+def _cap_spec(scale):
+    cube_vertices = [[scale * c for c in v] for v in CUBE_VERTICES]
+    return {"kind": "cap", "polytope": {"vertices": cube_vertices},
+            "center": [scale, 0, 0], "radius": scale}
+
+
+class TestBodyCeiling:
+    """Bisected ray exits give up at BODY_CEILING, beyond every spec body."""
+
+    def test_scaled_cap_gives_the_unit_verdict(self):
+        # 1e13 across: exits from an interior point lie beyond 2^40 (1.1e12)
+        reports = [
+            klee_section_test(body_from_spec(_cap_spec(s)), 1, 1, boundary_points=8)
+            for s in (1, 10**13)
+        ]
+        unit, scaled = [
+            (r.verdict, r.samples_used, r.notes, r.witness.sample_index, r.witness.triple)
+            for r in reports
+        ]
+        assert unit[0] == "non-polytope"
+        assert scaled == unit
 
 
 class TestBodyFromSpec:

@@ -1,15 +1,17 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import shlex
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import CUBE_VERTICES
 
-from polysect.cli import main, parse_flat, parse_vector
+from polysect.cli import EXAMPLES, main, parse_flat, parse_vector
 from polysect.offio import emit_off
 from polysect.polytope import convex_hull
 
@@ -514,6 +516,67 @@ class TestDeterminism:
             assert code == 2
             outputs.append(report.read_bytes() + svg.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (exit code, SHA-256 of stdout, {SVG file: SHA-256}) of each documented
+# example, recorded before the section sweep and the cone scan shared one
+# ray-exit primitive
+EXAMPLE_OUTPUTS = {
+    'section --body cube.off --flat "n=1,1,1;c=0" --svg hex.svg': (
+        0, "815cdf6a5c3fe8c9c9e8085172dd990631a48f5f859324d080d3b1a6a409457f",
+        {"hex.svg": "68823ef18e5156aa83051823d9eb5985bd354e9b399ea63277770e1362365ad6"},
+    ),
+    "project --body cube.off --xi 0,0,1": (
+        0, "a4f5be2a00f2526badf7945910674c799e99e37bd5228fe6d0e13be28fbb45de", {},
+    ),
+    "cone --body cube.off --apex 0,0,3": (
+        0, "390c756ec342c53f4bedb3edd9cb7c5a23410a9f6f20a735c76cf71050b8bec8", {},
+    ),
+    "klee-k1 --body ball.json --flats 5 --seed 7": (
+        2, "46cbd63a9254e1d50581d721bb6053846646d575c0d1888769b7cca8d2d69c79", {},
+    ),
+    "klee-k2 --body cube.off --subspaces 10 --seed 3": (
+        0, "27d3d2c21cbafec0cc9e5c21171e14b9ac96257d32aa838a6d8b47e44759f6ca", {},
+    ),
+    "t11 --body cube.off --flats 8 --delta 0.25 --seed 1": (
+        0, "2c6efe482104337a4cc3878a1761be442f6f86be2071175562dc33f3a16135a9", {},
+    ),
+    "t12 --body cube.off --apexes 4 --seed 5": (
+        0, "1f678daa296f175644617905a4464c4af35ecac2b9ca6d5aaff90c60fcb8be12", {},
+    ),
+    "epsilon --body cube.off --p 1,1,1 --q=-1,-1,-1": (
+        0, "f2e67f59787172f8e6470cc0ecc0d0ea7ae0ad4cc2eaa073a0e97eb5c67be0cd", {},
+    ),
+    "walk --body cube.off --xi 0,0,1 --svg walk.svg": (
+        0, "8454156592763a7bff3c9765de1cbdcfdb6d13af96a4371b72bb834eb191cc35",
+        {"walk.svg": "409c2d9a7e725a03bdc959ef3e2d75fb5c004bad5643e39499aad5e5914950d2"},
+    ),
+    "mirkil --body ball.json --apex 0,0,3 --samples 10 --seed 2": (
+        2, "0dcde351f1ed27ac90ca1685510fa7d3a1b09c80273688b0fad5abede8f99350", {},
+    ),
+}
+
+
+def test_documented_examples_are_golden(cube_off, ball_json, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("POLYSECT_SEED", raising=False)
+    commands = [
+        line.strip()[len("polysect "):]
+        for line in EXAMPLES.splitlines()
+        if line.strip().startswith("polysect ")
+    ]
+    assert sorted(commands) == sorted(EXAMPLE_OUTPUTS)
+    for command in commands:
+        code = main(shlex.split(command))
+        stdout = capsys.readouterr().out
+        svgs = {p.name: _sha(p.read_bytes()) for p in tmp_path.glob("*.svg")}
+        for p in tmp_path.glob("*.svg"):
+            p.unlink()
+        assert (code, _sha(stdout.encode()), svgs) == EXAMPLE_OUTPUTS[command], command
 
 
 @pytest.fixture(scope="module")

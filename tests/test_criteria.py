@@ -14,6 +14,7 @@ from helpers import (
     centered_polytope,
     diameter_by_pair_loop,
     exact_cone_oracle_sampling_only,
+    hexagonal_prism_oracle,
 )
 
 from polysect.bodies import (
@@ -457,18 +458,6 @@ def test_bad_sampling_parameters_rejected_up_front(entry, params, message):
         SAMPLING_ENTRY_POINTS[entry](**params)
 
 
-def _hexagonal_prism_oracle():
-    """A hexagonal prism seen through float oracles only (polytope=None)."""
-    hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
-    vertices = [
-        (F(x).limit_denominator(1000), F(y).limit_denominator(1000), F(z))
-        for x, y in hexagon for z in (-1, 1)
-    ]
-    return dataclasses.replace(
-        wrap_polytope(convex_hull(vertices)), polytope=None, name="prism"
-    )
-
-
 def _cube_cone_sampled():
     return exact_cone_oracle_sampling_only(visual_cone((0, 0, 3), cube()))
 
@@ -509,11 +498,11 @@ PINNED_CASES = {
     ),
     "mirkil-cube-cone-8": lambda: mirkil_scan(_cube_cone_sampled(), 3, seed=0, boundary_points=8),
     "mirkil-cube-cone-16": lambda: mirkil_scan(_cube_cone_sampled(), 3, seed=0, boundary_points=16),
-    "K1-prism-0": lambda: klee_section_test(_hexagonal_prism_oracle(), 3, seed=0, boundary_points=8),
-    "K1-prism-1": lambda: klee_section_test(_hexagonal_prism_oracle(), 3, seed=1, boundary_points=8),
-    "K1-prism-2": lambda: klee_section_test(_hexagonal_prism_oracle(), 3, seed=2, boundary_points=8),
-    "K2-prism-0": lambda: klee_projection_test(_hexagonal_prism_oracle(), 3, seed=0, boundary_points=8),
-    "K2-prism-1": lambda: klee_projection_test(_hexagonal_prism_oracle(), 3, seed=1, boundary_points=8),
+    "K1-prism-0": lambda: klee_section_test(hexagonal_prism_oracle(), 3, seed=0, boundary_points=8),
+    "K1-prism-1": lambda: klee_section_test(hexagonal_prism_oracle(), 3, seed=1, boundary_points=8),
+    "K1-prism-2": lambda: klee_section_test(hexagonal_prism_oracle(), 3, seed=2, boundary_points=8),
+    "K2-prism-0": lambda: klee_projection_test(hexagonal_prism_oracle(), 3, seed=0, boundary_points=8),
+    "K2-prism-1": lambda: klee_projection_test(hexagonal_prism_oracle(), 3, seed=1, boundary_points=8),
 }
 
 def _each(indices, text):

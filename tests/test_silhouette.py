@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES, lattice_sphere, step_g_via_sections
+from helpers import CUBE_VERTICES, lattice_sphere, lift_line, step_g_via_sections
 
 from polysect import silhouette
 from polysect.geometry import as_vector, cross3, vdot
@@ -15,7 +15,6 @@ from polysect.polytope import convex_hull, project
 from polysect.silhouette import (
     WalkError,
     WalkState,
-    lift_line,
     shadow_chart,
     shadow_walk,
     step_g,
