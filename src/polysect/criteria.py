@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import mul
 from typing import Iterable
 
 from .bodies import (
@@ -40,8 +41,10 @@ from .geometry import (
     as_vector,
     dist2,
     is_zero_vector,
+    int_scaled,
     norm2,
     nullspace,
+    require_same_dim,
     solve_particular,
     vadd,
     vdot,
@@ -53,7 +56,6 @@ from .polytope import (
     convex_hull,
     is_extreme,
     project,
-    section,
 )
 
 
@@ -653,9 +655,11 @@ def epsilon_certificate(
         raise CriterionError("both points must lie in the body")
     mid = vscale(vadd(p, q), Fraction(1, 2))
     d = body.ambient_dim
-    full_dim = body.dim == d
+    # the body is convex and holds p and q, so it holds mid, and mid is
+    # interior exactly when no facet is tight there
+    tight = body.active_facets(body.to_chart(mid))
 
-    if full_dim and body.contains(mid) == "interior":
+    if body.dim == d and not tight:
         # inscribed ball at the midpoint; exact distances, float trig
         r2_min = None
         for hs in body.halfspaces:
@@ -673,47 +677,65 @@ def epsilon_certificate(
             (branch1, branch2), radius=radius,
         )
 
-    # boundary segment: most transverse family flat through the midpoint
+    # boundary segment: most transverse family flat through the midpoint.
+    # The score (N·U)² / (N·N · U·U) on integer multiples N, U of nu and u
+    # is the rational (nu·u)² / (|nu|² |u|²); U·U is common to all, so two
+    # scores compare by cross-multiplying (N·U)² and N·N.
     u = vsub(q, p)
+    (U,), _ = int_scaled((u,))
     if family is None:
         family = default_normal_family(d, seed=seed)
     best = None
-    best_score = None
     for nu in family:
         nu = as_vector(nu)
-        dot = vdot(u, nu)
+        require_same_dim(u, nu)
+        (N,), _ = int_scaled((nu,))
+        dot = sum(map(mul, N, U))
         if dot == 0:
             continue
-        score = dot * dot / (norm2(u) * norm2(nu))
-        if best_score is None or score > best_score:
-            best, best_score = nu, score
+        num, n2 = dot * dot, sum(map(mul, N, N))
+        if best is None or num * best_n2 > best_num * n2:
+            best, best_num, best_n2, best_int = nu, num, n2, N
     if best is None:
         raise CriterionError(
             "family-coverage failure: no flat transversal to the segment"
         )
+
+    # The section S of the body by the flat H meets relint P (H separates p
+    # from q), so S's facets through mid are the S ∩ F for the facets F of
+    # P tight at mid.  Their vertices are the slice points in a tight F: a
+    # vertex of P on H that F holds, or the crossing of an edge (i, j) with
+    # H when F holds both i and j.
+    (M, *V), scale = int_scaled((mid,) + body.vertices)
+    level = sum(map(mul, best_int, M))
+    sides = [sum(map(mul, best_int, v)) - level for v in V]
+    tight_sets = [body.facet_vertices[f] for f in tight]
+    slice_pts = []
+    kept = []
+    for i, a in enumerate(sides):
+        if a == 0:
+            slice_pts.append(body.vertices[i])
+            if any(i in fv for fv in tight_sets):
+                kept.append(body.vertices[i])
+    for i, j in body.edges():
+        a, b = sides[i], sides[j]
+        if a * b < 0:
+            # v_i + a/(a-b)·(v_j - v_i), with v = V/scale
+            den = (a - b) * scale
+            x = tuple(Fraction(a * y - b * w, den) for w, y in zip(V[i], V[j]))
+            slice_pts.append(x)
+            if any(i in fv and j in fv for fv in tight_sets):
+                kept.append(x)
+    # listed in the flat's chart order, as the section's vertices are
     flat = AffineFlat.spanning(mid, nullspace([best]))
-    sec = section(body, flat)
-    if sec is None:
-        raise CriterionError("transversal flat unexpectedly missed the body")
-    spoly = sec.polytope
-    x_chart = spoly.to_chart(flat.coordinates(mid))
-    if x_chart is None:
-        raise CriterionError("midpoint fell off its own section")
-    vertex_ids: set[int] = set()
-    for hs, face in zip(spoly.halfspaces, spoly.facet_vertices):
-        if hs.evaluate(x_chart) == 0:
-            vertex_ids.update(face)
-    xs = [
-        sec.ambient_vertices[i]
-        for i in sorted(vertex_ids)
-        if sec.ambient_vertices[i] != mid
-    ]
+    xs = sorted((x for x in kept if x != mid), key=flat.projected_coordinates)
     delta = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
     branches = [delta]
     for xj in xs:
         branches.append(_angle(vsub(xj, p), vsub(q, p)))
     eps = 0.5 * min(branches)
-    interior_pt = flat.point_at(spoly.interior_point())
+    # the slice points are S's vertices, so this is S's vertex centroid
+    interior_pt = tuple(sum(c) / len(slice_pts) for c in zip(*slice_pts))
     return EpsilonCert(
         p, q, "boundary-segment", eps, mid, tuple(branches),
         flat_normal=best, flat_offset=vdot(best, mid),
@@ -729,19 +751,20 @@ def _angle(a: Vector, b: Vector) -> float:
     return math.acos(max(-1.0, min(1.0, num / den)))
 
 
-def _angle_below(dot_: Fraction, a2: Fraction, b2: Fraction, cos_bound: Fraction) -> bool:
+def _angle_below(dot_: int, a2: int, b2: int, cos_bound: Fraction) -> bool:
     """Exact test: is the angle between vectors (dot, |a|², |b|²) < bound?
 
-    Compares cos(angle) > cos_bound via squared quantities only.
+    Compares cos(angle) > cos_bound via squared quantities only, in ints:
+    cos_bound = c/e with e > 0.
     """
-    ab = a2 * b2
-    if cos_bound <= 0:
+    c, e = cos_bound.numerator, cos_bound.denominator
+    if c <= 0:
         if dot_ >= 0:
-            return dot_ > 0 or cos_bound < 0
-        return dot_ * dot_ < cos_bound * cos_bound * ab
+            return dot_ > 0 or c < 0
+        return dot_ * dot_ * e * e < c * c * a2 * b2
     if dot_ <= 0:
         return False
-    return dot_ * dot_ > cos_bound * cos_bound * ab
+    return dot_ * dot_ * e * e > c * c * a2 * b2
 
 
 def no_extreme_in_cone(body, p, q, epsilon: float) -> bool:
@@ -749,26 +772,34 @@ def no_extreme_in_cone(body, p, q, epsilon: float) -> bool:
 
     The angle comparison uses the exactly-representable rationalization of
     cos(ε); since certificates halve a strict bound, the sub-ulp slack
-    cannot flip a certified verdict.
+    cannot flip a certified verdict.  The points are scaled to integers by
+    one common denominator s: lengths² and dot products scale by s², and
+    each comparison has the same power of s on both sides.
     """
-    if epsilon <= 0:
-        raise CriterionError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise CriterionError("epsilon must be positive and finite")
     poly = body if isinstance(body, Polytope) else convex_hull(body)
     p = as_point(p)
     q = as_point(q)
     u = vsub(q, p)
     if is_zero_vector(u):
         raise CriterionError("p and q must differ")
+    require_same_dim(p, poly.vertices[0])
     eps2 = Fraction(epsilon) ** 2
     cos_bound = Fraction(math.cos(min(epsilon, math.pi)))
-    u2 = norm2(u)
-    for y in poly.vertices:
-        if y == p:
+    (P, Q, *Y), s = int_scaled((p, q) + poly.vertices)
+    U = [b - a for a, b in zip(P, Q)]
+    u2 = sum(map(mul, U, U))
+    # |w|² >= eps2 becomes |W|² · eps2.denominator >= eps2.numerator · s²
+    far = eps2.numerator * s * s
+    for y in Y:
+        if y == P:
             continue
-        w = vsub(y, p)
-        if norm2(w) >= eps2:
+        W = [b - a for a, b in zip(P, y)]
+        w2 = sum(map(mul, W, W))
+        if w2 * eps2.denominator >= far:
             continue
-        if _angle_below(vdot(w, u), norm2(w), u2, cos_bound):
+        if _angle_below(sum(map(mul, W, U)), w2, u2, cos_bound):
             return False
     return True
 

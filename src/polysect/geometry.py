@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
@@ -89,6 +90,17 @@ def dist2(p: Point, q: Point) -> Fraction:
 
 def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
+
+
+def int_scaled(vectors: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The vectors times den, as ints, and den: the lcm of all denominators.
+
+    den is positive, so a linear or quadratic form of the scaled vectors has
+    the sign of the rational one, scaled by a power of den.
+    """
+    vectors = list(vectors)
+    den = lcm(*[x.denominator for v in vectors for x in v])
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
 
 def cross3(a: Vector, b: Vector) -> Vector:

@@ -4,7 +4,9 @@ This is the package's only hot loop, so it works on denominator-cleared
 integer points (the caller scales each axis independently, which is a
 linear bijection and preserves the whole face lattice).  Orientation
 predicates are exact integer determinants; degenerate inserts produce
-coplanar simplicial facets that get merged at the end.
+coplanar simplicial facets that get merged at the end.  Each inserted
+point is tested against every live facet, with the dot product written
+out per dimension on flat int tuples; there is no conflict graph.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
     ref_den = k + 1
 
     facets: dict[int, _Facet] = {}
+    # each live facet's plane as one flat int tuple, normal + (offset,), for
+    # the inline visibility tests below
+    planes: dict[int, IntVec] = {}
     ridge_owners: dict[frozenset[int], list[int]] = {}
     next_id = 0
 
@@ -151,12 +156,14 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
         fid = next_id
         next_id += 1
         facets[fid] = f
+        planes[fid] = f.normal + (f.offset,)
         for drop in range(k):
             ridge = frozenset(f.vertices[:drop] + f.vertices[drop + 1:])
             ridge_owners.setdefault(ridge, []).append(fid)
 
     def remove_facet(fid: int) -> None:
         f = facets.pop(fid)
+        del planes[fid]
         for drop in range(k):
             ridge = frozenset(f.vertices[:drop] + f.vertices[drop + 1:])
             owners = ridge_owners[ridge]
@@ -172,7 +179,21 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
     for ip, p in enumerate(points):
         if ip in in_simplex:
             continue
-        visible = [fid for fid, f in facets.items() if _dot(f.normal, p) > f.offset]
+        if k == 3:
+            x, y, z = p
+            visible = [
+                fid for fid, (a, b, c, o) in planes.items() if a * x + b * y + c * z > o
+            ]
+        elif k == 2:
+            x, y = p
+            visible = [fid for fid, (a, b, o) in planes.items() if a * x + b * y > o]
+        else:
+            x, y, z, w = p
+            visible = [
+                fid
+                for fid, (a, b, c, e, o) in planes.items()
+                if a * x + b * y + c * z + e * w > o
+            ]
         if not visible:
             continue
         visible_set = set(visible)

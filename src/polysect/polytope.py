@@ -26,6 +26,7 @@ from .geometry import (
     Vector,
     as_point,
     identity_flat,
+    int_scaled,
     is_zero_vector,
     norm2,
     nullspace,
@@ -85,7 +86,7 @@ class Polytope:
     `span` is the affine hull with an orthogonal chart basis; halfspaces and
     chart_vertices live in that chart, and the halfspaces are canonical
     integer ones (see `convex_hull`).  Edges and the int facet data that
-    `chart_contains` reads are computed lazily and cached.
+    `chart_contains` and `active_facets` read are computed lazily and cached.
     """
 
     __slots__ = (
@@ -135,21 +136,30 @@ class Polytope:
         """
         if self.dim == 0:
             return "interior"
-        if self._int_halfspaces is None:
-            self._int_halfspaces = tuple(
-                (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
-                for hs in self.halfspaces
-            )
-        den = lcm(*[x.denominator for x in chart_point])
-        p = [x.numerator * (den // x.denominator) for x in chart_point]
         boundary = False
-        for normal, offset in self._int_halfspaces:
-            v = sum(map(mul, normal, p)) - offset * den
+        for v in self._int_slacks(chart_point):
             if v > 0:
                 return "outside"
             if v == 0:
                 boundary = True
         return "boundary" if boundary else "interior"
+
+    def _int_slacks(self, chart_point: Sequence[Fraction]):
+        """normal·p - offset per facet, times the lcm of p's denominators.
+
+        The scale is positive, so each value has the sign of the facet's
+        exact slack; the integer facet data is built once per polytope.
+        """
+        if self._int_halfspaces is None:
+            self._int_halfspaces = tuple(
+                (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
+                for hs in self.halfspaces
+            )
+        (p,), den = int_scaled((chart_point,))
+        return (
+            sum(map(mul, normal, p)) - offset * den
+            for normal, offset in self._int_halfspaces
+        )
 
     def contains(self, point: Point) -> str:
         """Relative classification of an ambient point (interior = rel. interior)."""
@@ -179,9 +189,8 @@ class Polytope:
     # -- faces ---------------------------------------------------------------
 
     def active_facets(self, chart_point: Sequence[Fraction]) -> tuple[int, ...]:
-        return tuple(
-            i for i, hs in enumerate(self.halfspaces) if hs.evaluate(chart_point) == 0
-        )
+        """Indices of the facets tight at a chart point (evaluated in ints)."""
+        return tuple(i for i, v in enumerate(self._int_slacks(chart_point)) if v == 0)
 
     def facet(self, index: int) -> "FaceRef":
         return FaceRef(self, frozenset((index,)))

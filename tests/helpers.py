@@ -644,3 +644,189 @@ def sample_section_boundary_chart_form(body, flat, count):
     if body.member(at(cx, cy)):
         pts = sweep((cx, cy))
     return pts
+
+
+def simplicial_facets_by_dot_scan(points):
+    """hull._simplicial_facets as it tested visibility through a generator
+    dot product on each live facet.  Reference for the unrolled int scan."""
+    from polysect.hull import HullError, _Facet, _initial_simplex
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    if not points:
+        raise HullError("no points")
+    k = len(points[0])
+    if k not in (2, 3, 4):
+        raise HullError(f"unsupported hull dimension {k}")
+    simplex = _initial_simplex(points, k)
+    ref_sum = tuple(sum(points[i][c] for i in simplex) for c in range(k))
+    ref_den = k + 1
+    facets = {}
+    ridge_owners = {}
+    next_id = 0
+
+    def oriented(verts):
+        p0 = points[verts[0]]
+        diffs = [tuple(a - b for a, b in zip(points[v], p0)) for v in verts[1:]]
+        n = facet_normal(diffs, k)
+        c = dot(n, p0)
+        side = dot(n, ref_sum) - c * ref_den
+        if side > 0:
+            n = tuple(-x for x in n)
+            c = -c
+        elif side == 0:
+            raise HullError("reference point landed on a facet hyperplane")
+        return _Facet(verts, n, c)
+
+    def ridges(f):
+        return [frozenset(f.vertices[:d] + f.vertices[d + 1:]) for d in range(k)]
+
+    def add_facet(f):
+        nonlocal next_id
+        facets[next_id] = f
+        for ridge in ridges(f):
+            ridge_owners.setdefault(ridge, []).append(next_id)
+        next_id += 1
+
+    def remove_facet(fid):
+        for ridge in ridges(facets.pop(fid)):
+            ridge_owners[ridge].remove(fid)
+            if not ridge_owners[ridge]:
+                del ridge_owners[ridge]
+
+    for drop in range(k + 1):
+        add_facet(oriented(tuple(simplex[:drop] + simplex[drop + 1:])))
+    in_simplex = set(simplex)
+    for ip, p in enumerate(points):
+        if ip in in_simplex:
+            continue
+        visible = [fid for fid, f in facets.items() if dot(f.normal, p) > f.offset]
+        if not visible:
+            continue
+        visible_set = set(visible)
+        horizon = []
+        for fid in visible:
+            for ridge in ridges(facets[fid]):
+                owners = ridge_owners[ridge]
+                if len(owners) != 2:
+                    raise HullError("hull boundary lost ridge pairing")
+                other = owners[0] if owners[1] == fid else owners[1]
+                if other not in visible_set:
+                    horizon.append(ridge)
+        for fid in visible:
+            remove_facet(fid)
+        for ridge in horizon:
+            add_facet(oriented(tuple(sorted(ridge)) + (ip,)))
+    return list(facets.values())
+
+
+def epsilon_certificate_by_section(body, p, q, family=None, seed=0):
+    """criteria.epsilon_certificate as it built the whole section through the
+    midpoint, hulled it in the flat's chart and kept the section facets
+    through the midpoint, scoring the family in Fractions.  Reference for
+    reading the section facets off the body's tight facets."""
+    from polysect.criteria import (
+        CriterionError, EpsilonCert, _angle, default_normal_family,
+    )
+    from polysect.geometry import AffineFlat, as_point, as_vector, dist2, norm2, nullspace
+    from polysect.polytope import section
+
+    p = as_point(p)
+    q = as_point(q)
+    if p == q:
+        raise CriterionError("certificate needs two distinct points")
+    if body.contains(p) == "outside" or body.contains(q) == "outside":
+        raise CriterionError("both points must lie in the body")
+    mid = vscale(vadd(p, q), F(1, 2))
+    d = body.ambient_dim
+    if body.dim == d and body.contains(mid) == "interior":
+        r2_min = None
+        for hs in body.halfspaces:
+            num = hs.offset - vdot(hs.normal, mid)
+            val = float(num) / math.sqrt(float(norm2(hs.normal)))
+            if r2_min is None or val < r2_min:
+                r2_min = val
+        dist_px = math.sqrt(float(dist2(p, mid)))
+        radius = min(r2_min, 0.99 * dist_px)
+        branch1 = math.sqrt(max(dist_px * dist_px - radius * radius, 0.0))
+        branch2 = math.asin(min(radius / dist_px, 1.0))
+        eps = 0.5 * min(branch1, branch2)
+        return EpsilonCert(
+            p, q, "interior-crossing", eps, mid, (branch1, branch2), radius=radius,
+        )
+
+    u = vsub(q, p)
+    if family is None:
+        family = default_normal_family(d, seed=seed)
+    best = None
+    best_score = None
+    for nu in family:
+        nu = as_vector(nu)
+        dot = vdot(u, nu)
+        if dot == 0:
+            continue
+        score = dot * dot / (norm2(u) * norm2(nu))
+        if best_score is None or score > best_score:
+            best, best_score = nu, score
+    if best is None:
+        raise CriterionError("family-coverage failure: no flat transversal to the segment")
+    flat = AffineFlat.spanning(mid, nullspace([best]))
+    sec = section(body, flat)
+    spoly = sec.polytope
+    x_chart = spoly.to_chart(flat.coordinates(mid))
+    vertex_ids = set()
+    for hs, face in zip(spoly.halfspaces, spoly.facet_vertices):
+        if hs.evaluate(x_chart) == 0:
+            vertex_ids.update(face)
+    xs = [
+        sec.ambient_vertices[i] for i in sorted(vertex_ids)
+        if sec.ambient_vertices[i] != mid
+    ]
+    delta = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
+    branches = [delta]
+    for xj in xs:
+        branches.append(_angle(vsub(xj, p), vsub(q, p)))
+    eps = 0.5 * min(branches)
+    interior_pt = flat.point_at(spoly.interior_point())
+    return EpsilonCert(
+        p, q, "boundary-segment", eps, mid, tuple(branches),
+        flat_normal=best, flat_offset=vdot(best, mid),
+        vertex_set=tuple(xs), distance=delta, interior_point=interior_pt,
+    )
+
+
+def hull_by_dot_scan(points):
+    """hull_full_dim on the simplicial facets of the generator-dot scan."""
+    from unittest import mock
+
+    import polysect.hull as hull
+
+    with mock.patch.object(hull, "_simplicial_facets", simplicial_facets_by_dot_scan):
+        return hull.hull_full_dim(points)
+
+
+def no_extreme_in_cone_in_fractions(body, p, q, epsilon):
+    """criteria.no_extreme_in_cone as it compared Fraction lengths and dot
+    products.  Reference for the common-denominator integer route."""
+    from polysect.geometry import as_point, norm2
+
+    p, q = as_point(p), as_point(q)
+    u = vsub(q, p)
+    eps2 = F(epsilon) ** 2
+    cos_bound = F(math.cos(min(epsilon, math.pi)))
+    u2 = norm2(u)
+    for y in body.vertices:
+        if y == p:
+            continue
+        w = vsub(y, p)
+        w2 = norm2(w)
+        if w2 >= eps2:
+            continue
+        dot, ab = vdot(w, u), w2 * u2
+        if cos_bound <= 0:
+            if dot > 0 or (dot == 0 and cos_bound < 0) or dot * dot < cos_bound ** 2 * ab:
+                return False
+        elif dot > 0 and dot * dot > cos_bound ** 2 * ab:
+            return False
+    return True

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import helpers
 from helpers import (
     CUBE_VERTICES,
     centered_polytope,
@@ -48,7 +49,7 @@ from polysect.criteria import (
     sphere_apexes,
     visual_cone_test,
 )
-from polysect.geometry import AffineFlat, nullspace, solve_particular
+from polysect.geometry import AffineFlat, DimensionMismatch, nullspace, solve_particular
 from polysect.polytope import convex_hull, section
 
 OCTA_VERTICES = [
@@ -793,6 +794,184 @@ class TestNoExtremeInCone:
     def test_p_itself_never_counts(self):
         body = cube()
         assert no_extreme_in_cone(body, (1, 1, 1), (-1, -1, -1), 1e-6)
+
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(CriterionError, match="finite"):
+            no_extreme_in_cone(cube(), (1, 1, 1), (-1, -1, -1), float("nan"))
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("-inf")])
+    def test_infinite_epsilon_rejected(self, eps):
+        with pytest.raises(CriterionError, match="finite"):
+            no_extreme_in_cone(cube(), (1, 1, 1), (-1, -1, -1), eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.floats(1e-3, 4.0),
+        st.sampled_from((2, 3, 4)),
+    )
+    def test_matches_fraction_route(self, seed, eps, d):
+        rng = random.Random(seed)
+        body = centered_polytope(rng, d, d + 4)
+        verts = body.vertices
+        p, q = rng.sample(verts, 2)
+        if rng.random() < 0.5:  # a q that is no vertex
+            q = tuple((a + b) / 3 for a, b in zip(q, rng.choice(verts)))
+        assume(p != q)
+        got = no_extreme_in_cone(body, p, q, eps)
+        assert got == helpers.no_extreme_in_cone_in_fractions(body, p, q, eps)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except CriterionError as exc:
+        return f"CriterionError: {exc}"
+
+
+def _same_certificate(body, p, q, **kwargs):
+    got = _outcome(epsilon_certificate, body, p, q, **kwargs)
+    assert got == _outcome(helpers.epsilon_certificate_by_section, body, p, q, **kwargs)
+    return got
+
+
+@st.composite
+def embedded_bodies(draw):
+    """A polytope of dimension 1 to d in R^d, d in 2..4: a small lattice cloud
+    in R^k mapped by a rational affine map (segments and polygons in 3-D
+    and 4-D among them)."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    k = draw(st.integers(1, d))
+    small = st.integers(-3, 3)
+    cloud = draw(st.lists(st.tuples(*[small] * k), min_size=2, max_size=10, unique=True))
+    if k == d:
+        pts = cloud
+    else:
+        den = st.sampled_from((1, 2, 3))
+        basis = [
+            [F(draw(small), draw(den)) for _ in range(d)] for _ in range(k)
+        ]
+        shift = [F(draw(small), 2) for _ in range(d)]
+        pts = [
+            tuple(shift[c] + sum(x * b[c] for x, b in zip(pt, basis)) for c in range(d))
+            for pt in cloud
+        ]
+    body = convex_hull(pts)
+    assume(body.dim >= 1)
+    return body
+
+
+def _body_point(draw, body):
+    """A vertex, an edge midpoint, a facet's vertex centroid or the body's."""
+    verts = body.vertices
+    kind = draw(st.sampled_from(("vertex", "edge", "facet", "centroid")))
+    if kind == "edge" and body.edges():
+        i, j = draw(st.sampled_from(body.edges()))
+        return tuple((a + b) / 2 for a, b in zip(verts[i], verts[j]))
+    if kind == "facet" and body.facet_vertices:
+        ids = sorted(draw(st.sampled_from(body.facet_vertices)))
+        return tuple(sum(c) / len(ids) for c in zip(*(verts[i] for i in ids)))
+    if kind == "centroid":
+        return body.interior_point()
+    return draw(st.sampled_from(verts))
+
+
+class TestEpsilonWithoutSection:
+    """The boundary case read off the tight facets and edges gives the
+    certificate that the whole section through the midpoint gave, by repr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_section_route(self, data):
+        body = data.draw(embedded_bodies())
+        d = body.ambient_dim
+        if body.edges() and data.draw(st.booleans()):
+            i, j = data.draw(st.sampled_from(body.edges()))
+            p, q = body.vertices[i], body.vertices[j]
+        else:
+            p, q = _body_point(data.draw, body), _body_point(data.draw, body)
+        assume(p != q)
+        family = None
+        if data.draw(st.booleans()):
+            vec = st.tuples(*[st.integers(-2, 2)] * d)
+            family = data.draw(st.lists(vec, min_size=1, max_size=4))
+        _same_certificate(body, p, q, family=family, seed=data.draw(st.integers(0, 99)))
+
+    def test_vertex_of_the_body_on_the_flat(self):
+        body = cube()
+        p, q, family = (1, 1, 1), (1, -1, -1), [(0, 1, 1)]
+        _same_certificate(body, p, q, family=family)
+        cert = epsilon_certificate(body, p, q, family=family)
+        # y + z = 0 holds four cube vertices; the two on the facet x = 1 count
+        assert cert.case == "boundary-segment"
+        assert set(cert.vertex_set) == {(1, 1, -1), (1, -1, 1)}
+        assert cert.interior_point == (0, 0, 0)
+
+    def test_midpoint_as_a_crossing(self):
+        rng = random.Random(5)
+        for _ in range(3):
+            body = centered_polytope(rng, 3, 14)
+            for i, j in body.edges():
+                p, q = body.vertices[i], body.vertices[j]
+                _same_certificate(body, p, q)
+                cert = epsilon_certificate(body, p, q)
+                assert cert.case == "boundary-segment"
+                assert cert.midpoint not in cert.vertex_set
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [(0, 0, 2), (0, 0, 1)],  # equal scores: the first wins
+            [(0, 1, 1), (0, 1, -1), (0, 0, 1)],
+            [(0, 0, 0), (1, 0, 0), (1, 1, 3)],
+            [(F(1, 3), F(-2, 7), F(5, 2))],
+        ],
+    )
+    def test_explicit_families(self, family):
+        body = cube()
+        for p, q in [((1, 1, 1), (1, 1, -1)), ((1, 1, 1), (1, -1, -1)),
+                     ((1, F(1, 2), F(1, 2)), (1, F(-1, 2), F(-1, 2)))]:
+            _same_certificate(body, p, q, family=family)
+        cert = epsilon_certificate(body, (1, 1, 1), (1, 1, -1), family=family)
+        if family[0] == (0, 0, 2):
+            assert cert.flat_normal == (0, 0, 2)
+
+    def test_family_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            epsilon_certificate(cube(), (1, 1, 1), (1, 1, -1), family=[(0, 1)])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0, 0, 0), (1, 2, 3)],
+            [(0, 0, 0), (2, 0, 2), (2, 2, 4), (0, 2, 2), (1, 3, 4)],
+            [(1, 0, 0, 1), (F(5, 2), 1, 0, 2)],
+            [(0, 0, 0, 0), (2, 0, 1, 1), (2, 2, 0, 1), (0, 2, -1, 0), (3, 1, 1, F(3, 2))],
+            [(0, 0, 0, 0), (2, 0, 1, 1), (2, 2, 0, 1), (0, 2, -1, 0), (1, 1, 3, 1)],
+        ],
+    )
+    def test_segments_and_polygons_in_three_and_four_dimensions(self, pts):
+        body = convex_hull(pts)
+        assert body.dim < body.ambient_dim
+        assert body.dim < 3 or body.ambient_dim == 4
+        verts = body.vertices
+        cands = list(verts) + [body.interior_point()]
+        cands += [tuple((a + b) / 2 for a, b in zip(verts[i], verts[j]))
+                  for i, j in body.edges()]
+        for p, q in itertools.permutations(cands, 2):
+            _same_certificate(body, p, q)
+
+    def test_lattice_sphere(self):
+        body = convex_hull(random.Random(3).sample(helpers.lattice_sphere(426), 150))
+        rng = random.Random(8)
+        verts = body.vertices
+        pairs = [tuple(verts[i] for i in rng.choice(body.edges())) for _ in range(6)]
+        pairs += [tuple(rng.sample(verts, 2)) for _ in range(3)]
+        for fv in rng.sample(body.facet_vertices, 3):
+            ids = sorted(fv)
+            pairs.append((verts[ids[0]], verts[ids[-1]]))
+        for p, q in pairs:
+            _same_certificate(body, p, q)
 
 
 class TestDriftInequality:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polysect.hull import (
     DegenerateInput,
+    _simplicial_facets,
     det3,
     facet_normal,
     hull_full_dim,
@@ -223,3 +224,34 @@ class TestIncidenceFromMergedFacets:
         out = hull_full_dim(pts)
         assert len(out.vertex_indices) == 60
         assert out == helpers.hull_by_rescan(pts)
+
+
+class TestUnrolledVisibilityScan:
+    """The inline per-dimension visibility test builds the same simplicial
+    facets, in the same order, and the same IntHull as the generator dot."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_clouds())
+    def test_degenerate_clouds_match_dot_scan(self, pts):
+        k = len(pts[0])
+        assume(int_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts]) == k)
+        assert _simplicial_facets(pts) == helpers.simplicial_facets_by_dot_scan(pts)
+        assert hull_full_dim(pts) == helpers.hull_by_dot_scan(pts)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_wide_clouds_with_duplicates_match_dot_scan(self, k):
+        rng = random.Random(k)
+        for _ in range(20):
+            pts = [tuple(rng.randint(-10**6, 10**6) for _ in range(k)) for _ in range(25)]
+            # a coplanar run on the first coordinate hyperplane, and repeats
+            pts += [(10**6,) + tuple(rng.randint(-9, 9) for _ in range(k - 1)) for _ in range(6)]
+            pts += rng.sample(pts, 4)
+            rng.shuffle(pts)
+            assert _simplicial_facets(pts) == helpers.simplicial_facets_by_dot_scan(pts)
+            assert hull_full_dim(pts) == helpers.hull_by_dot_scan(pts)
+
+    def test_lattice_sphere_matches_dot_scan(self):
+        pts = random.Random(3).sample(helpers.lattice_sphere(426), 150)
+        out = hull_full_dim(pts)
+        assert len(out.vertex_indices) == 150
+        assert out == helpers.hull_by_dot_scan(pts)
