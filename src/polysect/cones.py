@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .bodies import (
@@ -42,6 +43,7 @@ from .geometry import (
     Vector,
     as_point,
     as_vector,
+    int_scaled,
     is_zero_vector,
     nullspace,
     vadd,
@@ -50,10 +52,12 @@ from .geometry import (
     vscale,
     vsub,
 )
+from .hull import int_pivots
 from .polytope import (
     Halfspace,
     Polytope,
     _canonical_halfspace,
+    _integer_halfspace,
     convex_hull,
     section as _polytope_section,
 )
@@ -133,18 +137,23 @@ def _lift_base_facets(base: Polytope, w: Vector) -> tuple[Halfspace, ...]:
 
     A chart constraint a.s <= b on {w.y = 1} becomes m.y <= b + m.base0 with
     m = sum_j (a_j/|b_j|^2) b_j, and homogenizing against w.y = 1 yields
-    (m - c*w).y <= 0 on the whole cone.
+    (m - c*w).y <= 0 on the whole cone.  It runs in integers: b_j / |b_j|^2
+    is r_j B_j on the span's grid basis, so L m is an integer vector for
+    the lcm L of the r_j's denominators, and the normal times L den^2 is
+    one too, with den the common denominator of base0 and w.
     """
     span = base.span
-    d = len(w)
+    basis, rs = span._grid_basis
+    scale = lcm(*[r.denominator for r in rs])
+    axes = [[r.numerator * (scale // r.denominator) * x for x in b] for r, b in zip(rs, basis)]
+    (o, wi), den = int_scaled((span.base, w))
     out = []
     for hs in base.halfspaces:
-        m = tuple(Fraction(0) for _ in range(d))
-        for a_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
-            m = vadd(m, vscale(b_j, a_j / n2))
-        c = hs.offset + vdot(m, span.base)
-        n = vsub(m, vscale(w, c))
-        out.append(_canonical_halfspace(n, Fraction(0)))
+        m = [0] * len(w)
+        for a, axis in zip(hs.normal, axes):
+            m = [x + a.numerator * y for x, y in zip(m, axis)]
+        c = den * scale * hs.offset.numerator + sum(map(mul, m, o))
+        out.append(_integer_halfspace([den * den * x - c * y for x, y in zip(m, wi)], 0))
     return tuple(sorted(out, key=lambda h: (h.normal, h.offset)))
 
 
@@ -170,23 +179,19 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
 
 
 def _separating_functional(z: Point, poly: Polytope) -> Vector:
-    """A w with w.(v - z) > 0 for every vertex v of the body (z outside)."""
-    if poly.dim < poly.ambient_dim:
-        zp = poly.span.project_point(z) if poly.span is not None else poly.vertices[0]
-        if zp != z:
-            return vsub(zp, z)
-        cz = poly.to_chart(z)
-        for hs in poly.halfspaces:
-            if hs.evaluate(cz) > 0:
-                m = tuple(Fraction(0) for _ in range(poly.ambient_dim))
-                span = poly.span
-                for n_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
-                    m = vadd(m, vscale(b_j, n_j / n2))
-                return vneg(m)
-    else:
-        for hs in poly.halfspaces:
-            if hs.evaluate(z) > 0:
-                return vneg(hs.normal)
+    """A w with w.(v - z) > 0 for every vertex v of a lower-dimensional
+    body (z outside)."""
+    zp = poly.span.project_point(z) if poly.span is not None else poly.vertices[0]
+    if zp != z:
+        return vsub(zp, z)
+    cz = poly.to_chart(z)
+    for hs in poly.halfspaces:
+        if hs.evaluate(cz) > 0:
+            m = tuple(Fraction(0) for _ in range(poly.ambient_dim))
+            span = poly.span
+            for n_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
+                m = vadd(m, vscale(b_j, n_j / n2))
+            return vneg(m)
     raise ConeError("no separating halfspace found for an outside point")
 
 
@@ -194,6 +199,17 @@ def visual_cone(apex, body) -> PolyCone:
     """Cone of rays from an exterior apex through the body, reduced.
 
     The apex must be strictly outside (inside or boundary is rejected).
+    On a full-dimensional body only the rays that can be extreme are
+    hulled, by the horizon rule of Quickhull (Barber, Dobkin & Huhdanpaa
+    1996): when every facet through a vertex strictly sees the apex, or
+    every one strictly hides it, the vertex's ray passes through the
+    body's interior, so its base point is interior to the cone's base and
+    the vertex is dropped.  A facet with the apex on its plane keeps the
+    vertex.  The vertices up to the last one that raises the rank of the
+    rays are kept too: they fix the base hull's chart (its first point and
+    pivots), so the base, its span and the halfspaces are those of the
+    hull over every vertex.  The facet slacks at the apex are integers
+    (`Polytope._int_slacks`).
     """
     if isinstance(body, Polytope):
         poly = body
@@ -202,11 +218,30 @@ def visual_cone(apex, body) -> PolyCone:
     z = as_point(apex)
     if len(z) != poly.ambient_dim:
         raise DimensionMismatch("apex dimension differs from the body")
-    if poly.contains(z) != "outside":
+    if poly.dim < poly.ambient_dim:
+        if poly.contains(z) != "outside":
+            raise ConeError("apex must lie strictly outside the body")
+        w = _separating_functional(z, poly)
+        return _cone_from_rays(z, [vsub(v, z) for v in poly.vertices], w)
+    slacks = list(poly._int_slacks(z))
+    seen = next((f for f, s in enumerate(slacks) if s > 0), None)
+    if seen is None:
         raise ConeError("apex must lie strictly outside the body")
-    w = _separating_functional(z, poly)
-    gens = [vsub(v, z) for v in poly.vertices]
-    return _cone_from_rays(z, gens, w)
+    # per vertex, the union over its facets of 1 (sees the apex), 2 (hides
+    # it) and 4 (apex on the facet's plane)
+    sides = [0] * len(poly.vertices)
+    for s, verts in zip(slacks, poly.facet_vertices):
+        bit = 1 if s > 0 else 2 if s < 0 else 4
+        for v in verts:
+            sides[v] |= bit
+    rank_rays = (int_scaled((vsub(v, z),))[0][0] for v in poly.vertices)
+    last = int_pivots(rank_rays, len(z))[-1]
+    gens = [
+        vsub(v, z)
+        for i, v in enumerate(poly.vertices)
+        if i <= last or sides[i] not in (1, 2)
+    ]
+    return _cone_from_rays(z, gens, vneg(poly.halfspaces[seen].normal))
 
 
 def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:

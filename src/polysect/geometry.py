@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
@@ -313,6 +314,45 @@ class AffineFlat:
         return tuple(
             vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)
         )
+
+    @cached_property
+    def _grid_basis(self) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+        """Each basis vector b_j as coprime ints B_j = b_j / s_j (s_j > 0),
+        and r_j = 1 / (s_j |B_j|^2), so that x.b_j / |b_j|^2 = r_j (x.B_j).
+        Computed once per flat, like `basis_norm2s`."""
+        ints, rs = [], []
+        for b in self.basis:
+            den = lcm(*[x.denominator for x in b])
+            row = [x.numerator * (den // x.denominator) for x in b]
+            g = gcd(*row)
+            row = tuple(x // g for x in row)
+            ints.append(row)
+            rs.append(Fraction(den, g * sum(map(mul, row, row))))
+        return tuple(ints), tuple(rs)
+
+    def chart_grid(self, points: Iterable[Sequence[Fraction]]):
+        """`projected_coordinates` of many points at once, on an integer grid.
+
+        Returns (rows, factors): with D the lcm of every denominator of the
+        points and the base, row i is ((D p_i - D base) . B_j)_j over the
+        basis vectors scaled to coprime ints, and chart coordinate j of p_i
+        is rows[i][j] * factors[j].  Every factor is positive, so the rows
+        are the chart points under a positive scaling of each axis: signs,
+        orientations, hull faces and the lexicographic order carry over.
+        """
+        pts = list(points)
+        d = self.ambient_dim
+        for p in pts:
+            if len(p) != d:
+                raise DimensionMismatch("point dimension differs from flat")
+        ints, den = int_scaled([self.base, *pts])
+        basis, rs = self._grid_basis
+        offsets = [sum(map(mul, ints[0], b)) for b in basis]
+        rows = [
+            tuple(sum(map(mul, p, b)) - o for b, o in zip(basis, offsets))
+            for p in ints[1:]
+        ]
+        return rows, tuple(r / den for r in rs)
 
     def normal_directions(self) -> tuple[Vector, ...]:
         """Orthogonal basis of the orthogonal complement of the direction space."""

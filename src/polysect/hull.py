@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
 
@@ -53,6 +53,40 @@ def int_rank(rows: Sequence[IntVec]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def int_pivots(rows: Iterable[IntVec], limit: int) -> list[int]:
+    """Indices of the rows that raise the rank of the rows before them.
+
+    Stops once the rank reaches limit, so a lazy iterable is read no
+    further than its last pivot.  Fraction-free elimination (Bareiss-style
+    cross-multiplication): each kept row is reduced against the earlier
+    ones, so it is zero in their pivot columns.
+    """
+    kept: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    out = []
+    for i, row in enumerate(rows):
+        r = list(row)
+        for c, b in kept:
+            if r[c]:
+                f, g = b[c], r[c]
+                r = [f * x - g * y for x, y in zip(r, b)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        kept.append((c, r))
+        out.append(i)
+        if len(out) == limit:
+            break
+    return out
+
+
+def affine_pivots(points: Sequence[IntVec], limit: int) -> list[int]:
+    """Indices i > 0 of the points whose difference from points[0] raises
+    the rank of the differences before it, up to rank limit."""
+    p0 = points[0]
+    diffs = (tuple(a - b for a, b in zip(p, p0)) for p in points[1:])
+    return [i + 1 for i in int_pivots(diffs, limit)]
 
 
 def facet_normal(diffs: Sequence[IntVec], k: int) -> IntVec:
@@ -106,16 +140,10 @@ class IntHull:
 
 
 def _initial_simplex(points: Sequence[IntVec], k: int) -> list[int]:
-    chosen = [0]
-    diffs: list[IntVec] = []
-    for i in range(1, len(points)):
-        cand = tuple(a - b for a, b in zip(points[i], points[chosen[0]]))
-        if int_rank(diffs + [cand]) > len(diffs):
-            diffs.append(cand)
-            chosen.append(i)
-            if len(diffs) == k:
-                return chosen
-    raise DegenerateInput(f"points span only {len(diffs)} of {k} dimensions")
+    pivots = affine_pivots(points, k)
+    if len(pivots) < k:
+        raise DegenerateInput(f"points span only {len(pivots)} of {k} dimensions")
+    return [0] + pivots
 
 
 def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:

@@ -28,7 +28,6 @@ from .geometry import (
     identity_flat,
     int_scaled,
     is_zero_vector,
-    norm2,
     nullspace,
     orthogonalize,
     solve_linear,
@@ -122,6 +121,8 @@ class Polytope:
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, vertices={len(self.vertices)})"
 
     def to_chart(self, point: Point) -> Point | None:
+        if len(point) != self.ambient_dim:
+            raise DimensionMismatch("point dimension differs from the polytope")
         if self.dim == 0:
             return () if tuple(point) == self.vertices[0] else None
         if self.span is None or self.dim == self.ambient_dim:
@@ -155,6 +156,8 @@ class Polytope:
                 (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
                 for hs in self.halfspaces
             )
+        if len(chart_point) != self.dim:
+            raise DimensionMismatch("chart point dimension differs from the polytope")
         (p,), den = int_scaled((chart_point,))
         return (
             sum(map(mul, normal, p)) - offset * den
@@ -300,8 +303,15 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 
     Lower-dimensional input is handled inside its affine span: the span is
     reported on the result and the halfspace form lives in the span chart.
-    Every halfspace is canonical: an integer normal and offset with no
-    common factor (a Fraction with denominator 1 in each entry).
+    The span is found on integers: with each axis scaled by the lcm of its
+    denominators, the points whose differences from the first raise the
+    integer rank are the pivots, and Gram-Schmidt runs on the pivot
+    differences alone.  Full-dimensional input is hulled on the scaled
+    points and keeps its points as chart vertices; lower-dimensional input
+    is hulled on its `chart_grid` rows, and chart coordinates are made for
+    the returned vertices only.  Every halfspace is canonical: an integer
+    normal and offset with no common factor (a Fraction with denominator 1
+    in each entry).
     """
     pts = list(dict.fromkeys(as_point(p) for p in points))
     if not pts:
@@ -313,60 +323,67 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     if d not in (1, 2, 3, 4):
         raise PolytopeError(f"ambient dimension {d} unsupported (need 1..4)")
 
-    base = pts[0]
-    ortho: list[Vector] = []
-    ortho_n2: list[Fraction] = []
-    for p in pts[1:]:
-        w = vsub(p, base)
-        for b, n2 in zip(ortho, ortho_n2):
-            w = vsub(w, vscale(b, vdot(w, b) / n2))
-        if not is_zero_vector(w):
-            ortho.append(w)
-            ortho_n2.append(norm2(w))
-        if len(ortho) == d:
-            break
-    k = len(ortho)
-
-    if k == 0:
-        return _dim0_polytope(base)
-
-    if k == d:
+    scales = [lcm(*[p[j].denominator for p in pts]) for j in range(d)]
+    grid = [
+        tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales))
+        for p in pts
+    ]
+    pivots = _hull.affine_pivots(grid, d)
+    if not pivots:
+        return _dim0_polytope(pts[0])
+    if len(pivots) == d:
         span = identity_flat(d)
-        chart_pts = pts
+        factors = tuple(Fraction(1, s) for s in scales)
     else:
-        span = AffineFlat(base, tuple(ortho))
-        chart_pts = [span.projected_coordinates(p) for p in pts]
+        base = pts[0]
+        span = AffineFlat(base, orthogonalize(vsub(pts[i], base) for i in pivots))
+        grid, factors = span.chart_grid(pts)
+    return _hull_of_grid(grid, factors, span, pts)
 
-    # Each entry of facets pairs a halfspace with the input indices of its
-    # vertices.
-    if k == 1:
-        lo = min(range(len(pts)), key=lambda i: chart_pts[i])
-        hi = max(range(len(pts)), key=lambda i: chart_pts[i])
+
+def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
+    """The hull of chart points given as the rows of an integer grid.
+
+    Chart coordinate j of point i is grid[i][j] * factors[j], every factor
+    is positive, the rows are distinct and they span the chart.  `points`
+    are the same points in the coordinates the result reports; without
+    them the chart points are reported, as for a shadow.  A grid facet
+    n.g <= c is sum_j (n_j / f_j) s_j <= c in chart coordinates s, an
+    integer halfspace once multiplied by the lcm of the factors'
+    numerators.  Chart coordinates are made for the hull's vertices only.
+    """
+
+    def chart(i):
+        return tuple(map(mul, grid[i], factors))
+
+    if len(factors) == 1:
+        lo = min(range(len(grid)), key=grid.__getitem__)
+        hi = max(range(len(grid)), key=grid.__getitem__)
         vert_idx = [lo, hi]
         facets = [
-            (_canonical_halfspace((Fraction(-1),), -chart_pts[lo][0]), (lo,)),
-            (_canonical_halfspace((Fraction(1),), chart_pts[hi][0]), (hi,)),
+            (_canonical_halfspace((Fraction(-1),), -chart(lo)[0]), (lo,)),
+            (_canonical_halfspace((Fraction(1),), chart(hi)[0]), (hi,)),
         ]
     else:
-        scales = [
-            lcm(*[cv[j].denominator for cv in chart_pts]) for j in range(k)
-        ]
-        int_pts = [
-            tuple(int(cv[j] * scales[j]) for j in range(k)) for cv in chart_pts
-        ]
-        data = _hull.hull_full_dim(int_pts)
+        data = _hull.hull_full_dim(grid)
         vert_idx = data.vertex_indices
-        # Scaling axis j by scales[j] and dividing by a positive gcd keep
-        # which vertices are tight, so the hull's incidences carry over.
+        scale = lcm(*[f.numerator for f in factors])
+        axis = [f.denominator * (scale // f.numerator) for f in factors]
         facets = [
-            (_integer_halfspace([n[j] * scales[j] for j in range(k)], c), fverts)
+            (_integer_halfspace(list(map(mul, n, axis)), c * scale), fverts)
             for (n, c, fverts) in data.facets
         ]
 
-    order = sorted(vert_idx, key=lambda i: pts[i])
+    if points is None:
+        points = charts = {i: chart(i) for i in vert_idx}
+    elif span.dim < span.ambient_dim:
+        charts = {i: chart(i) for i in vert_idx}
+    else:
+        charts = points
+    order = sorted(vert_idx, key=points.__getitem__)
     position = {i: pos for pos, i in enumerate(order)}
-    vertices = tuple(pts[i] for i in order)
-    chart_vertices = tuple(chart_pts[i] for i in order)
+    vertices = tuple(points[i] for i in order)
+    chart_vertices = tuple(charts[i] for i in order)
     facets.sort(key=lambda f: (f[0].normal, f[0].offset))
     halfspaces = tuple(hs for hs, _ in facets)
     facet_vertices = tuple(
@@ -522,11 +539,20 @@ class Projection:
 
 
 def project(body: Polytope, subspace: AffineFlat) -> Projection:
-    """Orthogonal projection: project every vertex, then hull in the chart."""
+    """Orthogonal projection: hull the vertices' `chart_grid` rows.
+
+    A shadow that does not span the chart is hulled by `convex_hull` of its
+    chart points, inside its own span.
+    """
     if subspace.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("subspace and body dimensions disagree")
-    chart_pts = [subspace.projected_coordinates(v) for v in body.vertices]
-    poly = convex_hull(chart_pts)
+    grid, factors = subspace.chart_grid(body.vertices)
+    grid = list(dict.fromkeys(grid))
+    k = len(factors)
+    if len(_hull.affine_pivots(grid, k)) == k:
+        poly = _hull_of_grid(grid, factors, identity_flat(k))
+    else:
+        poly = convex_hull([tuple(map(mul, g, factors)) for g in grid])
     ambient = tuple(subspace.point_at(cv) for cv in poly.vertices)
     return Projection(poly, subspace, ambient)
 

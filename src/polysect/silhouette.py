@@ -15,7 +15,10 @@ chart without building the cone: such a facet's plane contains the lifted
 line, so it is the preimage of a chart line through the current point that
 supports the shadow along an edge.  One angular scan of the vertex images
 around the point wraps the cone around -ξ, as gift wrapping does (Jarvis
-1973; Chand & Kapur 1970).
+1973; Chand & Kapur 1970).  The scan runs on the images' integer
+`chart_grid` rows, and `shadow_walk` takes only the kind and the next
+point from each step; the apex and the facet normals are what `step_g`
+adds for callers that read them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .geometry import (
     AffineFlat,
@@ -32,6 +36,8 @@ from .geometry import (
     Vector,
     as_vector,
     cross3,
+    identity_flat,
+    int_scaled,
     is_zero_vector,
     norm2,
     vadd,
@@ -39,7 +45,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .polytope import Polytope, _canonical_halfspace, convex_hull, is_extreme
+from .polytope import Polytope, _canonical_halfspace, _hull_of_grid
 
 
 class WalkError(GeometryError):
@@ -72,31 +78,44 @@ def shadow_chart(xi) -> AffineFlat:
 @dataclass(frozen=True)
 class _Frame:
     """What every step of one walk reads: the body's vertex images in the
-    chart, the same images on an integer grid (images times `scale`) and
-    the ξ-height of the apexes."""
+    chart, the same images as `chart_grid` rows (image i is grid[i] times
+    `factors`, axis by axis), the sum of the rows and the ξ-height of the
+    apexes.  A chart point on the grid is a triple (a, b, q) for the grid
+    point (a/q, b/q)."""
 
     body: Polytope
     images: tuple[ChartPoint, ...]
     grid: tuple[tuple[int, int], ...]
-    scale: int
+    factors: tuple[Fraction, Fraction]
+    total: tuple[int, int]
     apex_level: Fraction
 
 
 def _frame(body: Polytope, chart: AffineFlat, xi: Vector) -> _Frame:
-    heights = [vdot(xi, v) for v in body.vertices]
+    vs, den = int_scaled(body.vertices)
+    (xs,), xden = int_scaled((xi,))
+    heights = [sum(map(mul, v, xs)) for v in vs]
     top, bottom = max(heights), min(heights)
     if top == bottom:
         raise WalkError("body is flat along the walk direction")
-    images = tuple(_chart_point(chart, v) for v in body.vertices)
-    scale = math.lcm(*(c.denominator for p in images for c in p))
-    grid = tuple((int(a * scale), int(b * scale)) for a, b in images)
+    grid, (f1, f2) = chart.chart_grid(body.vertices)
+    images = tuple((a * f1, b * f2) for a, b in grid)
     # the scan below needs the images to span the chart
     g0 = grid[0]
     rays = [(g[0] - g0[0], g[1] - g0[1]) for g in grid]
     far = max(rays, key=lambda d: abs(d[0]) + abs(d[1]))
     if all(_cross2(far, d) == 0 for d in rays):
         raise WalkError("the shadow along the walk direction is not 2-dimensional")
-    return _Frame(body, images, grid, scale, top + 3 * (top - bottom))
+    total = (sum(g[0] for g in grid), sum(g[1] for g in grid))
+    apex_level = Fraction(top + 3 * (top - bottom), den * xden)
+    return _Frame(body, images, tuple(grid), (f1, f2), total, apex_level)
+
+
+def _on_grid(frame: _Frame, p: ChartPoint) -> tuple[int, int, int]:
+    """The chart point p on the frame's grid, as (a, b, q)."""
+    a, b = p[0] / frame.factors[0], p[1] / frame.factors[1]
+    q = math.lcm(a.denominator, b.denominator)
+    return int(a * q), int(b * q), q
 
 
 @dataclass
@@ -127,10 +146,6 @@ class WalkResult:
     start: ChartPoint
 
 
-def _chart_point(chart: AffineFlat, v: Point) -> ChartPoint:
-    return tuple(vdot(v, b) / n2 for b, n2 in zip(chart.basis, chart.basis_norm2s))
-
-
 def _cross2(a, b) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -138,7 +153,7 @@ def _cross2(a, b) -> Fraction:
 _INTERIOR = "point lies in the shadow's interior, not its boundary"
 
 
-def _wrap(frame: _Frame, x: ChartPoint):
+def _wrap(frame: _Frame, x: tuple[int, int, int]):
     """Wrap the vertex images around x: the rays (hi, lo) and whether x is
     inside an edge, or a WalkError when x is not on the shadow's boundary.
 
@@ -151,14 +166,15 @@ def _wrap(frame: _Frame, x: ChartPoint):
     shows as r = 0, as a ray against r, or as an angle over π
     (cross(lo, hi) < 0).  An angle of exactly π puts x inside an edge;
     under π, x is a vertex if it is an image and outside if not.
-    Everything runs on the integer grid, scaled so that x is a grid point.
+    Everything runs on the integer grid, scaled by q so that x = (ox, oy, q)
+    is a grid point, and the rays are in those units.  The grid's axes are
+    scaled apart, which keeps every side, turn and order of rays along one
+    direction that the scan reads.
     """
-    ox, oy = x[0] * frame.scale, x[1] * frame.scale
-    q = math.lcm(ox.denominator, oy.denominator)
-    ox, oy = int(ox * q), int(oy * q)
+    ox, oy, q = x
     grid = frame.grid if q == 1 else [(a * q, b * q) for a, b in frame.grid]
-    rx = sum(g[0] for g in grid) - len(grid) * ox
-    ry = sum(g[1] for g in grid) - len(grid) * oy
+    rx = frame.total[0] * q - len(grid) * ox
+    ry = frame.total[1] * q - len(grid) * oy
     if rx == 0 and ry == 0:
         raise WalkError(_INTERIOR)
     hi = lo = None
@@ -216,6 +232,36 @@ def _facet_normal(state: WalkState, u) -> Vector:
     return _canonical_halfspace(n, Fraction(0)).normal
 
 
+def _step(frame: _Frame, x: tuple[int, int, int], center: tuple[int, int, int]):
+    """The walk's move from the shadow-boundary point x: its kind ("edge" or
+    "isolated-extreme"), the image index of the next point, the index of
+    the other end of the edge x lies inside (None at a vertex: the other
+    end is x), and `_wrap`'s rays hi and lo.  x and the center are grid
+    points (a, b, q).
+
+    The face of each active cone facet runs from x out to the farthest
+    image on its chart line (see `step_g`), so the candidates are the far
+    ends of the rays hi and lo.  The counterclockwise-most one that moves
+    forward, counterclockwise of x around the center, is next.
+    """
+    hi, lo, inside_edge = _wrap(frame, x)
+    (ox, oy, q), (cx, cy, n) = x, center
+    # x - center, in units of 1 / (q n); the rays are in units of 1 / q
+    ux, uy = n * ox - q * cx, n * oy - q * cy
+    candidates = [ray for ray in (hi, lo) if ux * ray[1][1] - uy * ray[1][0] > 0]
+    if not candidates:
+        raise WalkError("no forward endpoint found on the active facets")
+
+    best = candidates[0]
+    for ray in candidates[1:]:
+        turn = _cross2(ray[1], best[1])
+        if turn > 0 or (turn == 0 and _farther(ray, best)):
+            best = ray
+    if not inside_edge:
+        return "isolated-extreme", best[2], None, hi, lo
+    return "edge", best[2], (lo if best is hi else hi)[2], hi, lo
+
+
 def step_g(body: Polytope, state: WalkState) -> StepOutcome:
     """One walk step from the current shadow-boundary point.
 
@@ -233,8 +279,10 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
     active facets continues the walk.  No face projects to a point: each
     active facet's chart line holds an image other than x.
 
-    The vertex images and the apex height are computed once per walk and
-    kept in `state.frame`.
+    The move itself is `_step`, which `shadow_walk` runs alone; this adds
+    the apex (kept in `state.apex`) and the canonical facet normals.  The
+    vertex images and the apex height are computed once per walk and kept
+    in `state.frame`.
     """
     frame = state.frame
     if frame is None or frame.body is not body:
@@ -243,35 +291,15 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
     x = state.current
     p = state.chart.point_at(tuple(Fraction(c) for c in x))
     state.apex = vadd(p, vscale(xi, (frame.apex_level - vdot(p, xi)) / norm2(xi)))
-    hi, lo, inside_edge = _wrap(frame, x)
-    a, b = frame.images[hi[2]], frame.images[lo[2]]
-    hi_normal = _facet_normal(state, hi[1])
-    if inside_edge:
-        active = (hi_normal,)
-        faces = ((a, b), (b, a))
-    else:
-        lo_normal = _facet_normal(state, (-lo[1][0], -lo[1][1]))
-        active = tuple(sorted((hi_normal, lo_normal)))
-        faces = ((a, x), (b, x))
-    # forward = counterclockwise of x around the shadow's center
-    candidates = [
-        (g, f) for g, f in faces if _cross2(vsub(x, state.center), vsub(g, x)) > 0
-    ]
-    if not candidates:
-        raise WalkError("no forward endpoint found on the active facets")
-
-    best_g, best_f = candidates[0]
-    for g, f in candidates[1:]:
-        turn = _cross2(vsub(g, x), vsub(best_g, x))
-        if turn > 0 or (turn == 0 and _d2(g, x) > _d2(best_g, x)):
-            best_g, best_f = g, f
-    if inside_edge:
-        return StepOutcome("edge", best_g, active, (best_f, best_g))
-    return StepOutcome("isolated-extreme", best_g, active, None)
-
-
-def _d2(a, b) -> Fraction:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+    kind, g, f, hi, lo = _step(frame, _on_grid(frame, x), _on_grid(frame, state.center))
+    best = frame.images[g]
+    # the rays are on the grid: back to chart directions, axis by axis
+    f1, f2 = frame.factors
+    hi_normal = _facet_normal(state, (hi[1][0] * f1, hi[1][1] * f2))
+    if kind == "edge":
+        return StepOutcome(kind, best, (hi_normal,), (frame.images[f], best))
+    lo_normal = _facet_normal(state, (-lo[1][0] * f1, -lo[1][1] * f2))
+    return StepOutcome(kind, best, tuple(sorted((hi_normal, lo_normal))), None)
 
 
 def shadow_walk(body: Polytope, xi) -> WalkResult:
@@ -281,51 +309,59 @@ def shadow_walk(body: Polytope, xi) -> WalkResult:
     it first when it is edge-interior), emits every isolated extreme in
     strictly increasing polar angle, and stops on returning to the first
     one.  Termination within |vertices| + 2 steps is guaranteed for
-    polytopes; exceeding the bound raises.  Each emitted point is checked
-    extreme on the hulled shadow.
+    polytopes; exceeding the bound raises.  Each step is `_step` alone: the
+    apex and the facet normals that `step_g` reports are never read here.
+    Each emitted point is checked against the vertices of the shadow,
+    hulled once from the frame's grid rows.
     """
     if body.ambient_dim != 3 or body.dim != 3:
         raise WalkError("shadow walks need a full-dimensional 3-polytope")
     xi = as_vector(xi)
     chart = shadow_chart(xi)
     frame = _frame(body, chart, xi)
-    projected = frame.images
-    center = (
-        sum(p[0] for p in projected) / len(projected),
-        sum(p[1] for p in projected) / len(projected),
-    )
-    best = max(p[0] for p in projected)
-    start = next(p for p in projected if p[0] == best)
-    state = WalkState(xi, chart, center, start, frame=frame)
+    grid, images = frame.grid, frame.images
+    n = len(grid)
+    sx, sy = frame.total
+    center = (Fraction(sx, n) * frame.factors[0], Fraction(sy, n) * frame.factors[1])
+    best = max(g[0] for g in grid)
+    start = next(i for i, g in enumerate(grid) if g[0] == best)
 
-    emitted: list[ChartPoint] = []
+    extreme = set(
+        _hull_of_grid(list(dict.fromkeys(grid)), frame.factors, identity_flat(2)).vertices
+    )
+    # image indices; points are compared by their grid rows
+    emitted: list[int] = []
     max_steps = len(body.vertices) + 2
     steps = 0
-    shadow_hull = convex_hull(projected)
+    current = start
     while steps < max_steps:
-        outcome = step_g(body, state)
+        g = grid[current]
+        kind, following = _step(frame, (g[0], g[1], 1), (sx, sy, n))[:2]
         steps += 1
-        if outcome.kind == "isolated-extreme":
-            v = state.current
-            if emitted and v == emitted[0]:
+        if kind == "isolated-extreme":
+            if emitted and g == grid[emitted[0]]:
                 break
             if emitted:
                 # exact counterclockwise monotonicity around the center
-                prev = emitted[-1]
-                if _cross2(vsub(prev, center), vsub(v, center)) <= 0:
+                prev = grid[emitted[-1]]
+                turn = _cross2(
+                    (n * prev[0] - sx, n * prev[1] - sy), (n * g[0] - sx, n * g[1] - sy)
+                )
+                if turn <= 0:
                     raise WalkError("walk angle failed to increase")
-            if not is_extreme(v, shadow_hull):
+            if images[current] not in extreme:
                 raise WalkError("walk emitted a non-extreme shadow point")
-            emitted.append(v)
-        state.current = outcome.next_point
-        if emitted and state.current == emitted[0]:
+            emitted.append(current)
+        current = following
+        if emitted and grid[current] == grid[emitted[0]]:
             break
     else:
         raise WalkError("walk exceeded the vertex bound without closing")
     if not emitted:
         raise WalkError("walk closed without emitting any vertex")
+    vertices = tuple(images[i] for i in emitted)
     angles = tuple(
         math.atan2(float(v[1] - center[1]), float(v[0] - center[0]))
-        for v in emitted
+        for v in vertices
     )
-    return WalkResult(xi, chart, tuple(emitted), angles, steps, start)
+    return WalkResult(xi, chart, vertices, angles, steps, images[start])

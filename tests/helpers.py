@@ -327,8 +327,11 @@ def step_g_via_sections(body, state):
     from polysect.cones import visual_cone
     from polysect.geometry import AffineFlat, nullspace, vneg
     from polysect.silhouette import (
-        StepOutcome, WalkError, _chart_point, _cross2, _d2,
+        StepOutcome, WalkError, _cross2,
     )
+
+    def _d2(a, b):
+        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
     xi, chart, x = state.xi, state.chart, state.current
     apex = _make_apex(body, chart, x, xi)
@@ -346,7 +349,7 @@ def step_g_via_sections(body, state):
         sec = section_two_hulls(body, AffineFlat.spanning(apex, nullspace([n])))
         if sec is None:
             raise WalkError("active cone facet misses the body")
-        pts = [_chart_point(chart, v) for v in sec.ambient_vertices]
+        pts = [chart.projected_coordinates(v) for v in sec.ambient_vertices]
         a = b = pts[0]
         best = F(0)
         for i in range(len(pts)):
@@ -830,3 +833,194 @@ def no_extreme_in_cone_in_fractions(body, p, q, epsilon):
         elif dot > 0 and dot * dot > cos_bound ** 2 * ab:
             return False
     return True
+
+
+def convex_hull_by_gram_schmidt(points):
+    """convex_hull as it found the span by Fraction Gram-Schmidt over every
+    point and projected every point into the span chart with
+    projected_coordinates.  Reference for the integer pivots and the
+    chart-grid hull."""
+    from polysect.geometry import (
+        AffineFlat, DimensionMismatch, as_point, identity_flat, is_zero_vector,
+        norm2,
+    )
+    from polysect.hull import hull_full_dim
+    from polysect.polytope import (
+        Polytope, PolytopeError, _dim0_polytope, _integer_halfspace,
+    )
+
+    pts = list(dict.fromkeys(as_point(p) for p in points))
+    if not pts:
+        raise PolytopeError("convex hull of no points")
+    d = len(pts[0])
+    for p in pts:
+        if len(p) != d:
+            raise DimensionMismatch("points live in different dimensions")
+    if d not in (1, 2, 3, 4):
+        raise PolytopeError(f"ambient dimension {d} unsupported (need 1..4)")
+
+    base = pts[0]
+    ortho, ortho_n2 = [], []
+    for p in pts[1:]:
+        w = vsub(p, base)
+        for b, n2 in zip(ortho, ortho_n2):
+            w = vsub(w, vscale(b, vdot(w, b) / n2))
+        if not is_zero_vector(w):
+            ortho.append(w)
+            ortho_n2.append(norm2(w))
+        if len(ortho) == d:
+            break
+    k = len(ortho)
+    if k == 0:
+        return _dim0_polytope(base)
+    if k == d:
+        span = identity_flat(d)
+        chart_pts = pts
+    else:
+        span = AffineFlat(base, tuple(ortho))
+        chart_pts = [span.projected_coordinates(p) for p in pts]
+
+    if k == 1:
+        lo = min(range(len(pts)), key=lambda i: chart_pts[i])
+        hi = max(range(len(pts)), key=lambda i: chart_pts[i])
+        vert_idx = [lo, hi]
+        facets = [
+            (_canonical_halfspace((F(-1),), -chart_pts[lo][0]), (lo,)),
+            (_canonical_halfspace((F(1),), chart_pts[hi][0]), (hi,)),
+        ]
+    else:
+        scales = [math.lcm(*[cv[j].denominator for cv in chart_pts]) for j in range(k)]
+        int_pts = [tuple(int(cv[j] * scales[j]) for j in range(k)) for cv in chart_pts]
+        data = hull_full_dim(int_pts)
+        vert_idx = data.vertex_indices
+        facets = [
+            (_integer_halfspace([n[j] * scales[j] for j in range(k)], c), fverts)
+            for (n, c, fverts) in data.facets
+        ]
+
+    order = sorted(vert_idx, key=lambda i: pts[i])
+    position = {i: pos for pos, i in enumerate(order)}
+    facets.sort(key=lambda f: (f[0].normal, f[0].offset))
+    return Polytope(
+        tuple(pts[i] for i in order),
+        tuple(chart_pts[i] for i in order),
+        span,
+        tuple(hs for hs, _ in facets),
+        tuple(frozenset(position[i] for i in fverts) for _, fverts in facets),
+    )
+
+
+def project_by_projected_coordinates(body, subspace):
+    """project() as it hulled every vertex's projected_coordinates with the
+    Gram-Schmidt hull.  Reference for hulling the chart-grid rows."""
+    from polysect.geometry import DimensionMismatch
+    from polysect.polytope import Projection
+
+    if subspace.ambient_dim != body.ambient_dim:
+        raise DimensionMismatch("subspace and body dimensions disagree")
+    poly = convex_hull_by_gram_schmidt(
+        [subspace.projected_coordinates(v) for v in body.vertices]
+    )
+    ambient = tuple(subspace.point_at(cv) for cv in poly.vertices)
+    return Projection(poly, subspace, ambient)
+
+
+def lift_base_facets_in_fractions(base, w):
+    """cones._lift_base_facets as it summed Fraction multiples of the span's
+    basis vectors.  Reference for the integer lift on the grid basis."""
+    from polysect.geometry import vadd
+    from polysect.polytope import _canonical_halfspace
+
+    span = base.span
+    out = []
+    for hs in base.halfspaces:
+        m = tuple(F(0) for _ in w)
+        for a_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
+            m = vadd(m, vscale(b_j, a_j / n2))
+        c = hs.offset + vdot(m, span.base)
+        out.append(_canonical_halfspace(vsub(m, vscale(w, c)), F(0)))
+    return tuple(sorted(out, key=lambda h: (h.normal, h.offset)))
+
+
+def visual_cone_over_all_vertices(apex, body):
+    """visual_cone as it passed a ray through every vertex of the body on to
+    _cone_from_rays, hulled their base points with the Gram-Schmidt hull and
+    lifted the base facets in Fractions.  Reference for the horizon rule."""
+    from unittest import mock
+
+    import polysect.cones as cones
+    from polysect.geometry import DimensionMismatch, as_point, vneg
+    from polysect.polytope import Polytope
+
+    poly = body if isinstance(body, Polytope) else convex_hull_by_gram_schmidt(
+        list(getattr(body, "vertices", body))
+    )
+    z = as_point(apex)
+    if len(z) != poly.ambient_dim:
+        raise DimensionMismatch("apex dimension differs from the body")
+    if poly.contains(z) != "outside":
+        raise cones.ConeError("apex must lie strictly outside the body")
+    if poly.dim == poly.ambient_dim:
+        w = next(vneg(hs.normal) for hs in poly.halfspaces if hs.evaluate(z) > 0)
+    else:
+        w = cones._separating_functional(z, poly)
+    gens = [vsub(v, z) for v in poly.vertices]
+    with mock.patch.object(cones, "convex_hull", convex_hull_by_gram_schmidt), \
+            mock.patch.object(cones, "_lift_base_facets", lift_base_facets_in_fractions):
+        return cones._cone_from_rays(z, gens, w)
+
+
+def shadow_walk_by_step_g(body, xi, step=None):
+    """shadow_walk as a loop of step_g (or of another step with its
+    signature), checking each emitted point with is_extreme on the
+    Gram-Schmidt hull of the projected vertices.  Reference for the walk's
+    own step and its chart-grid shadow check."""
+    from polysect import silhouette as S
+    from polysect.geometry import as_vector
+    from polysect.polytope import is_extreme
+
+    step = step or S.step_g
+    if body.ambient_dim != 3 or body.dim != 3:
+        raise S.WalkError("shadow walks need a full-dimensional 3-polytope")
+    xi = as_vector(xi)
+    chart = S.shadow_chart(xi)
+    frame = S._frame(body, chart, xi)
+    projected = tuple(chart.projected_coordinates(v) for v in body.vertices)
+    center = (
+        sum(p[0] for p in projected) / len(projected),
+        sum(p[1] for p in projected) / len(projected),
+    )
+    best = max(p[0] for p in projected)
+    start = next(p for p in projected if p[0] == best)
+    state = S.WalkState(xi, chart, center, start, frame=frame)
+
+    emitted = []
+    max_steps = len(body.vertices) + 2
+    steps = 0
+    shadow_hull = convex_hull_by_gram_schmidt(projected)
+    while steps < max_steps:
+        outcome = step(body, state)
+        steps += 1
+        if outcome.kind == "isolated-extreme":
+            v = state.current
+            if emitted and v == emitted[0]:
+                break
+            if emitted:
+                prev = emitted[-1]
+                if S._cross2(vsub(prev, center), vsub(v, center)) <= 0:
+                    raise S.WalkError("walk angle failed to increase")
+            if not is_extreme(v, shadow_hull):
+                raise S.WalkError("walk emitted a non-extreme shadow point")
+            emitted.append(v)
+        state.current = outcome.next_point
+        if emitted and state.current == emitted[0]:
+            break
+    else:
+        raise S.WalkError("walk exceeded the vertex bound without closing")
+    if not emitted:
+        raise S.WalkError("walk closed without emitting any vertex")
+    angles = tuple(
+        math.atan2(float(v[1] - center[1]), float(v[0] - center[0]))
+        for v in emitted
+    )
+    return S.WalkResult(xi, chart, tuple(emitted), angles, steps, start)

@@ -21,11 +21,16 @@ def test_top_level_names_are_the_readme_example_imports():
         assert getattr(polysect, name) is not None
 
 
-def _tracer_tables():
+def _tracer_module():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _tracer_tables():
+    module = _tracer_module()
     return module.FUNCTIONS, module.METHODS
 
 
@@ -39,3 +44,47 @@ def test_traced_functions_and_methods_exist():
     for short, cls_name, meth in methods:
         cls = getattr(importlib.import_module(f"polysect.{short}"), cls_name)
         assert meth in cls.__dict__, f"polysect.{short}.{cls_name}.{meth}"
+
+
+def test_tracer_round_trip_reaches_the_exact_layers():
+    # a --trace 1 run installs the tracer after importing polysect.cli; the
+    # exact queries must still pass through the wrapped layers, and
+    # uninstalling must put every original back
+    importlib.import_module("polysect.cli")
+    mod = {m: importlib.import_module(f"polysect.{m}") for m in (
+        "geometry", "polytope", "cones", "silhouette",
+    )}
+    functions, methods = _tracer_tables()
+    originals = {
+        (short, name): getattr(importlib.import_module(f"polysect.{short}"), name)
+        for short, names in functions.items() for name in names
+    }
+    raw_methods = {
+        key: getattr(importlib.import_module(f"polysect.{key[0]}"), key[1]).__dict__[key[2]]
+        for key in methods
+    }
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        cube = mod["polytope"].convex_hull(
+            [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        )
+        plane = mod["geometry"].AffineFlat.spanning((0, 0, 0), [(1, 2, 0), (0, 1, 1)])
+        mod["polytope"].project(cube, plane)
+        mod["cones"].visual_cone((3, 1, 2), cube)
+        mod["silhouette"].shadow_walk(cube, (1, 2, 3))
+        assert mod["polytope"].Polytope.contains(cube, (0, 0, 0)) == "interior"
+    finally:
+        tracer.uninstall()
+    calls = {name: st[0] for name, st in tracer.snapshot()["stats"].items()}
+    for name in (
+        "polytope.convex_hull", "hull.hull_full_dim", "polytope.project",
+        "cones.visual_cone", "silhouette.shadow_walk", "geometry.flat_spanning",
+        "polytope.contains",
+    ):
+        assert calls.get(name, 0) >= 1, name
+    for (short, name), fn in originals.items():
+        assert getattr(importlib.import_module(f"polysect.{short}"), name) is fn
+    for (short, cls_name, meth), raw in raw_methods.items():
+        cls = getattr(importlib.import_module(f"polysect.{short}"), cls_name)
+        assert cls.__dict__[meth] is raw

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polysect.geometry import AffineFlat, GeometryError, identity_flat, nullspace, vsub
+from polysect.geometry import AffineFlat, DimensionMismatch, GeometryError, identity_flat, nullspace, vsub
 from polysect.polytope import (
     DiamondConfigError,
     Halfspace,
@@ -286,6 +286,28 @@ class TestIntegerContains:
     def test_lattice_sphere(self):
         poly = convex_hull(random.Random(3).sample(helpers.lattice_sphere(94), 60))
         self.check(poly)
+
+    @pytest.mark.parametrize("pts", [
+        helpers.CUBE_VERTICES,
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        [(1, 2, 3)],
+    ], ids=["cube", "triangle-in-3d", "point"])
+    @pytest.mark.parametrize("point", [(0, 0, 0, 9), (5, 0)])
+    def test_wrong_dimension_point_raises(self, pts, point):
+        poly = convex_hull(pts)
+        for query in (poly.contains, poly.face_of):
+            with pytest.raises(DimensionMismatch):
+                query(point)
+
+    @pytest.mark.parametrize("pts", [
+        helpers.CUBE_VERTICES, [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+    ], ids=["cube", "triangle-in-3d"])
+    def test_wrong_dimension_chart_point_raises(self, pts):
+        poly = convex_hull(pts)
+        for chart_point in ((0,) * (poly.dim + 1), (0,) * (poly.dim - 1)):
+            for query in (poly.chart_contains, poly.active_facets):
+                with pytest.raises(DimensionMismatch):
+                    query(chart_point)
 
 
 class TestFaces:

@@ -7,9 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES, lattice_sphere, lift_line, step_g_via_sections
+from helpers import (
+    CUBE_VERTICES,
+    lattice_sphere,
+    lift_line,
+    shadow_walk_by_step_g,
+    step_g_via_sections,
+)
 
-from polysect import silhouette
 from polysect.geometry import as_vector, cross3, vdot
 from polysect.polytope import convex_hull, project
 from polysect.silhouette import (
@@ -277,9 +282,7 @@ class TestFaceRoute:
         if body.dim != 3:
             return
         new = shadow_walk(body, xi)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(silhouette, "step_g", step_g_via_sections)
-            old = shadow_walk(body, xi)
+        old = shadow_walk_by_step_g(body, xi, step_g_via_sections)
         assert new == old
 
     @pytest.mark.parametrize("xi", [(0, 0, 1), (1, 2, 3)])
@@ -288,7 +291,5 @@ class TestFaceRoute:
         body = convex_hull(random.Random(1).sample(lattice_sphere(94), 60))
         assert len(body.vertices) == 60
         new = shadow_walk(body, xi)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(silhouette, "step_g", step_g_via_sections)
-            old = shadow_walk(body, xi)
+        old = shadow_walk_by_step_g(body, xi, step_g_via_sections)
         assert new == old
