@@ -25,6 +25,8 @@ import random
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub, truediv
 from typing import Callable, Sequence
 
 from .geometry import AffineFlat, DimensionMismatch, GeometryError
@@ -69,28 +71,44 @@ MAX_MAGNITUDE = 1e100
 BODY_CEILING = 1e102
 
 
+# The float kernels below iterate in C (sum over map).  sum adds the same
+# terms in the same order as over a generator, so every float equals the
+# one a per-element generator gave (tests/helpers.py keeps those forms).
+# Inputs may be ints or Fractions, so the generic helpers convert with float.
+
+
 def _fdot(a, b) -> float:
-    return sum(float(x) * float(y) for x, y in zip(a, b))
+    return sum(map(mul, map(float, a), map(float, b)))
 
 
 def _fnorm(v) -> float:
     try:
-        return math.sqrt(sum(float(x) ** 2 for x in v))
+        return math.sqrt(sum(map(pow, map(float, v), repeat(2))))
     except OverflowError:  # float ** raises where x * x would give inf
         return math.inf
 
 
+def _axpy(a, x, y):
+    """The map of y + a*x, termwise."""
+    return map(add, y, map(mul, repeat(a), x))
+
+
+def _lincomb(a, x, b, y):
+    """The map of a*x + b*y, termwise."""
+    return map(add, map(mul, repeat(a), x), map(mul, repeat(b), y))
+
+
 def _funit(v):
     n = _fnorm(v)
-    return tuple(x / n for x in v) if n > 1e-15 else None
+    return tuple(map(truediv, v, repeat(n))) if n > 1e-15 else None
 
 
 def _gauss_unit(rng: random.Random, d: int) -> tuple[float, ...]:
     while True:
         v = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        n = math.sqrt(sum(x * x for x in v))
+        n = math.sqrt(sum(map(mul, v, v)))
         if n > 1e-9:
-            return tuple(x / n for x in v)
+            return tuple(map(truediv, v, repeat(n)))
 
 
 def _orthonormal_frame(rng: random.Random, d: int, k: int):
@@ -98,14 +116,14 @@ def _orthonormal_frame(rng: random.Random, d: int, k: int):
     while True:
         vecs = []
         for _ in range(k):
-            v = list(_gauss_unit(rng, d))
+            v = _gauss_unit(rng, d)
             for u in vecs:
-                dot = sum(a * b for a, b in zip(v, u))
-                v = [a - dot * b for a, b in zip(v, u)]
-            n = math.sqrt(sum(x * x for x in v))
+                dot = sum(map(mul, v, u))
+                v = tuple(map(sub, v, map(mul, repeat(dot), u)))
+            n = math.sqrt(sum(map(mul, v, v)))
             if n < 1e-6:
                 break
-            vecs.append(tuple(x / n for x in v))
+            vecs.append(tuple(map(truediv, v, repeat(n))))
         if len(vecs) == k:
             return tuple(vecs)
 
@@ -116,19 +134,24 @@ def make_ball(center, radius) -> BodyOracle:
     if r <= 0:
         raise BodyError("ball radius must be positive")
 
+    r_tol = r + 1e-12
+    try:
+        rr = r_tol**2
+    except OverflowError:
+        raise BodyError("ball radius is too large for float arithmetic") from None
+
     def support(u):
         nu = _fnorm(u)
         if nu == 0:
             raise BodyError("support direction must be nonzero")
-        point = tuple(ci + r * ui / nu for ci, ui in zip(c, u))
+        point = tuple(map(add, c, map(truediv, map(mul, repeat(r), u), repeat(nu))))
         return _fdot(u, c) + r * nu, point
 
     def member(x):
-        return _fnorm(tuple(xi - ci for xi, ci in zip(x, c))) <= r + 1e-12
+        return _fnorm(map(sub, x, c)) <= r_tol
 
     def ray_interval(z, u):
-        w = tuple(zi - ci for zi, ci in zip(z, c))
-        return _sphere_interval(w, u, (r + 1e-12) ** 2)
+        return _sphere_interval(tuple(map(sub, z, c)), tuple(map(float, u)), rr)
 
     return BodyOracle(len(c), support, member, c, "ball", None, ray_interval)
 
@@ -141,34 +164,35 @@ def make_ellipsoid(center, semi_axes) -> BodyOracle:
     if any(x <= 0 for x in a):
         raise BodyError("semi-axes must be positive")
 
+    aa = tuple(map(mul, a, a))
+
     def support(u):
-        s = math.sqrt(sum((ai * ui) ** 2 for ai, ui in zip(a, u)))
+        s = math.sqrt(sum(map(pow, map(mul, a, u), repeat(2))))
         if s == 0:
             raise BodyError("support direction must be nonzero")
-        point = tuple(ci + ai * ai * ui / s for ci, ai, ui in zip(c, a, u))
+        point = tuple(map(add, c, map(truediv, map(mul, aa, u), repeat(s))))
         return _fdot(u, c) + s, point
 
     def member(x):
-        return (
-            sum(((xi - ci) / ai) ** 2 for xi, ci, ai in zip(x, c, a))
-            <= 1.0 + 1e-12
-        )
+        return sum(map(pow, map(truediv, map(sub, x, c), a), repeat(2))) <= 1.0 + 1e-12
 
     def ray_interval(z, u):
-        w = tuple((zi - ci) / ai for zi, ci, ai in zip(z, c, a))
-        v = tuple(ui / ai for ui, ai in zip(u, a))
-        return _sphere_interval(w, v, 1.0 + 1e-12)
+        w = tuple(map(truediv, map(sub, z, c), a))
+        return _sphere_interval(w, tuple(map(truediv, u, a)), 1.0 + 1e-12)
 
     return BodyOracle(len(c), support, member, c, "ellipsoid", None, ray_interval)
 
 
 def _sphere_interval(w, v, rr):
-    """Roots of |w + t*v|^2 = rr as (t0, t1), or None when the line misses."""
-    a = _fdot(v, v)
+    """Roots of |w + t*v|^2 = rr as (t0, t1), or None when the line misses.
+
+    w and v are float sequences, so the dot products need no float().
+    """
+    a = sum(map(mul, v, v))
     if a == 0:
         raise BodyError("ray direction must be nonzero")
-    b = _fdot(w, v)
-    cc = _fdot(w, w) - rr
+    b = sum(map(mul, w, v))
+    cc = sum(map(mul, w, w)) - rr
     # |w + t*v|^2 <= rr is -(a*t^2 + 2*b*t + cc) >= 0 with -a < 0: one interval
     return _nappe_interval(-a, -b, -cc, 0.0)
 
@@ -207,14 +231,15 @@ def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
     verts = [tuple(float(x) for x in v) for v in poly.vertices]
     hint = tuple(float(x) for x in poly.interior_point())
 
+    columns = tuple(zip(*verts))
+
     def support(u):
-        best = None
-        best_pt = None
-        for v in verts:
-            val = _fdot(u, v)
-            if best is None or val > best:
-                best, best_pt = val, v
-        return best, best_pt
+        # vertex k's values u_i * v_i, summed in _fdot's order
+        terms = [map(mul, repeat(ui), col) for ui, col in zip(map(float, u), columns)]
+        values = list(map(sum, zip(*terms)))
+        # max keeps the first vertex of largest value, as a strict > scan does
+        k = max(range(len(verts)), key=values.__getitem__)
+        return values[k], verts[k]
 
     def member(x):
         xq = tuple(Fraction(float(xi)) for xi in x)
@@ -341,14 +366,13 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
         # conv(K ∪ B) = ∪_t (t·K + (1-t)·B); membership minimizes
         # f(t) = dist(x, t·K + (1-t)·c) - (1-t)·r, which is convex in t.
         def f(t):
-            scaled = tuple(
-                (xi - (1.0 - t) * ci) / t for xi, ci in zip(x, c)
-            )
+            shifted = map(sub, x, map(mul, repeat(1.0 - t), c))
+            scaled = tuple(map(truediv, shifted, repeat(t)))
             if inside(scaled):
                 d = 0.0
             else:
                 q = closest_point(scaled)
-                d = _fnorm(tuple(a - b for a, b in zip(scaled, q)))
+                d = _fnorm(map(sub, scaled, q))
             return t * d - (1.0 - t) * r
 
         return _convex_min_at_most(f, 1e-9, 1.0, 1e-9)
@@ -439,7 +463,7 @@ def sample_section_boundary(
     u2 = _funit(tuple(float(x) for x in flat.basis[1]))
 
     def at(cx, cy):
-        return tuple(b + cx * a1 + cy * a2 for b, a1, a2 in zip(base, u1, u2))
+        return tuple(_axpy(cy, u2, _axpy(cx, u1, base)))
 
     def sweep(x0):
         rel = radial_sweep(
@@ -489,7 +513,7 @@ def ray_exit(member, ray_interval, start, u, ceiling: float) -> float | None:
         return r if r < ceiling else None
 
     def inside(r):
-        return member(tuple(si + r * ui for si, ui in zip(start, u)))
+        return member(tuple(_axpy(r, u, start)))
 
     lo, hi = 0.0, 1.0
     while inside(hi):
@@ -518,7 +542,7 @@ def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
     for j in range(count):
         th = offset + 2.0 * math.pi * j / count
         ct, st = math.cos(th), math.sin(th)
-        u = tuple(ct * a1 + st * a2 for a1, a2 in zip(e1, e2))
+        u = tuple(_lincomb(ct, e1, st, e2))
         r = ray_exit(member, ray_interval, start, u, ceiling)
         if r is None:
             return None
@@ -530,21 +554,22 @@ def _interior_chart_point(body: BodyOracle, at):
     # project the body's interior hint onto the chart, then spiral outward
     hint = body.interior_hint
     base = at(0.0, 0.0)
-    u1 = tuple(at(1.0, 0.0)[i] - base[i] for i in range(body.dim))
-    u2 = tuple(at(0.0, 1.0)[i] - base[i] for i in range(body.dim))
-    d = tuple(h - b for h, b in zip(hint, base))
+    u1 = tuple(map(sub, at(1.0, 0.0), base))
+    u2 = tuple(map(sub, at(0.0, 1.0), base))
+    d = tuple(map(sub, hint, base))
     c0 = (_fdot(d, u1), _fdot(d, u2))
     scale = max(1.0, _fnorm(d))
-    candidates = [c0, (0.0, 0.0)]
-    for ring in range(1, 9):
-        rad = scale * ring / 4.0
-        for k in range(8 * ring):
-            th = 2 * math.pi * k / (8 * ring)
-            candidates.append((c0[0] + rad * math.cos(th), c0[1] + rad * math.sin(th)))
-    for cand in candidates:
-        if body.member(at(*cand)):
-            return cand
-    return None
+
+    def candidates():  # drawn lazily: the first one usually lies inside
+        yield c0
+        yield (0.0, 0.0)
+        for ring in range(1, 9):
+            rad = scale * ring / 4.0
+            for k in range(8 * ring):
+                th = 2 * math.pi * k / (8 * ring)
+                yield (c0[0] + rad * math.cos(th), c0[1] + rad * math.sin(th))
+
+    return next((cand for cand in candidates() if body.member(at(*cand))), None)
 
 
 # ---------------------------------------------------------------------------

@@ -464,9 +464,10 @@ def _positive(text: str) -> float:
     return value
 
 
-# upper bounds on counts: polygonality_detect is O(n^2) in a point count, and
-# a 4x re-verification samples four times the points; a budget multiplies
-# whole samples
+# upper bounds on counts: polygonality_detect's diameter is still O(n^2) in
+# a point count in the worst case (its block pruning helps only on spread-out
+# samples), and a 4x re-verification samples four times the points; a
+# budget multiplies whole samples
 MAX_POINTS = 1024
 MAX_BUDGET = 1000
 

@@ -20,8 +20,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from .bodies import (
@@ -411,7 +413,8 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
 def _orthonormal_complement_3d(w):
     # any vector not parallel to w, then two Gram-Schmidt steps
     pick = (1.0, 0.0, 0.0) if abs(w[0]) <= 0.9 else (0.0, 1.0, 0.0)
-    e1 = _funit(tuple(p - _fdot(pick, w) * x for p, x in zip(pick, w)))
+    dot = _fdot(pick, w)
+    e1 = _funit(tuple(map(sub, pick, map(mul, repeat(dot), w))))
     return e1, _cross3f(w, e1)
 
 
@@ -461,6 +464,11 @@ def _scan_three_dim(member, ray_interval, hint, rng: random.Random, n: int):
     return radial_sweep(member, ray_interval, w, frame, n, offset, 2.0**30)
 
 
+def _lift(columns, s):
+    """The point sum_i s_i * f_i of a frame (f_i), given the frame's columns."""
+    return tuple([sum(map(mul, s, col)) for col in columns])
+
+
 def mirkil_scan(
     oracle: ConeOracle,
     samples: int,
@@ -498,9 +506,7 @@ def mirkil_scan(
             hint3 = oracle.axis_hint
         else:
             frame = _orthonormal_frame(rng, oracle.dim, 3)
-            lift = lambda s: tuple(
-                sum(si * fi[j] for si, fi in zip(s, frame)) for j in range(oracle.dim)
-            )
+            lift = partial(_lift, tuple(zip(*frame)))
             member3 = lambda s: oracle.member(lift(s))
             ray3 = None
             if oracle.ray_interval is not None:

@@ -19,15 +19,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from itertools import chain, combinations, product, repeat, starmap
+from operator import mul, sub, truediv
 from typing import Iterable
 
 from .bodies import (
     BodyOracle,
     FlatMissesBody,
+    _axpy,
     _cross3f,
     _gauss_unit,
+    _lincomb,
     _orthonormal_frame,
     check_sampling,
     sample_section_boundary,
@@ -83,6 +85,41 @@ def _triple_area(a, b, c) -> float:
     )
 
 
+def _diameter(points) -> float:
+    """The largest math.dist over all pairs of finite 2-D points.
+
+    math.dist is the same C norm as math.hypot(dx, dy), so this is the
+    float the pair loop gives.  The points are cut into about sqrt(n) runs
+    of consecutive points (neighbours in angle order), each with its
+    bounding box.  Two boxes are at most the far-corner distance apart, so
+    block pairs are visited in decreasing order of that bound, and the scan
+    stops once the bound, widened by 1e-9 for rounding, is below the
+    largest distance found: every pair left is then provably shorter.  The
+    worst case (all points in a small disc) is still quadratic.
+    """
+    n = len(points)
+    size = math.isqrt(n)
+    blocks = [points[i:i + size] for i in range(0, n, size)]
+    boxes = []
+    for block in blocks:
+        xs, ys = [p[0] for p in block], [p[1] for p in block]
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    bounds = []
+    for i, (ax0, ax1, ay0, ay1) in enumerate(boxes):
+        for j in range(i, len(boxes)):
+            bx0, bx1, by0, by1 = boxes[j]
+            far = math.hypot(max(ax1 - bx0, bx1 - ax0), max(ay1 - by0, by1 - ay0))
+            bounds.append((far, i, j))
+    bounds.sort(reverse=True)
+    best = 0.0
+    for far, i, j in bounds:
+        if far * (1.0 + 1e-9) < best:
+            break
+        pairs = combinations(blocks[i], 2) if i == j else product(blocks[i], blocks[j])
+        best = max(best, max(starmap(math.dist, pairs), default=0.0))
+    return best
+
+
 def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
     """Decide whether angularly-ordered 2-D boundary points trace a polygon.
 
@@ -98,11 +135,9 @@ def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
         raise CriterionError("polygonality detection needs at least 8 points")
     if not (math.isfinite(tau) and tau > 0):
         raise CriterionError("tau must be finite and positive")
-    # math.dist is the same C norm as math.hypot(dx, dy): the same float
-    diam = max(
-        max(map(math.dist, repeat(points[i], n - i - 1), points[i + 1:]))
-        for i in range(n - 1)
-    )
+    if not all(map(math.isfinite, chain.from_iterable(points))):
+        raise CriterionError("boundary points must be finite")
+    diam = _diameter(points)
     tau_area = tau * diam * diam
     if diam == 0.0:
         return PolygonalityVerdict("polygon", 0, None, 0.0, tau_area, 0.0)
@@ -454,14 +489,8 @@ def _support_shadow(oracle: BodyOracle, frame, count):
     pts = []
     for j in range(count):
         th = 2.0 * math.pi * j / count
-        u = tuple(
-            math.cos(th) * a + math.sin(th) * b for a, b in zip(e1, e2)
-        )
-        _, s = oracle.support(u)
-        pts.append((
-            sum(si * ai for si, ai in zip(s, e1)),
-            sum(si * bi for si, bi in zip(s, e2)),
-        ))
+        _, s = oracle.support(tuple(_lincomb(math.cos(th), e1, math.sin(th), e2)))
+        pts.append((sum(map(mul, s, e1)), sum(map(mul, s, e2))))
     return tuple(pts)
 
 
@@ -545,7 +574,7 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
     if body.member(z):
         raise ConeError("apex must lie strictly outside the body")
     hint = body.interior_hint
-    reach = math.sqrt(sum((h - a) ** 2 for h, a in zip(hint, z)))
+    reach = math.sqrt(sum(map(pow, map(sub, hint, z), repeat(2))))
     spread = 0.0
     for axis in range(body.dim):
         e = tuple(1.0 if i == axis else 0.0 for i in range(body.dim))
@@ -557,7 +586,7 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
     def gauge(x) -> float:
         # Minkowski functional of the body anchored at the interior hint
         lo, hi = 0.0, 1.0
-        probe = lambda s: tuple(h + s * (xi - h) for h, xi in zip(hint, x))
+        probe = lambda s: tuple(_axpy(s, map(sub, x, hint), hint))
         if body.member(x):
             return 1.0
         for _ in range(30):
@@ -570,14 +599,14 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
         return 1.0 / max(s, 1e-30)
 
     def member(u):
-        nu = math.sqrt(sum(x * x for x in u))
+        nu = math.sqrt(sum(map(mul, u, u)))
         if nu == 0:
             return True
-        uu = tuple(x / nu for x in u)
+        uu = tuple(map(truediv, u, repeat(nu)))
         if body.ray_interval is not None:
             span = body.ray_interval(z, uu)
             return span is not None and span[1] >= 0.0
-        at = lambda t: tuple(zi + t * ui for zi, ui in zip(z, uu))
+        at = lambda t: tuple(_axpy(t, uu, z))
         # cheap pass: any coarse sample inside decides immediately
         for j in range(1, 33):
             if body.member(at(tmax * j / 32.0)):
@@ -594,7 +623,7 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
                 lo = m1
         return g(0.5 * (lo + hi)) <= 1.0 + 1e-7
 
-    axis_hint = tuple(h - a for h, a in zip(hint, z))
+    axis_hint = tuple(map(sub, hint, z))
     return ConeOracle(body.dim, member, axis_hint)
 
 

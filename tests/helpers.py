@@ -419,7 +419,7 @@ def chart_contains_by_evaluate(poly, chart_point):
 
 def diameter_by_pair_loop(points):
     """polygonality_detect's diameter as the pair loop over math.hypot gave
-    it.  Reference for the math.dist rows."""
+    it.  Reference for the block-pruned diameter."""
     diam = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -1024,3 +1024,174 @@ def shadow_walk_by_step_g(body, xi, step=None):
         for v in emitted
     )
     return S.WalkResult(xi, chart, tuple(emitted), angles, steps, start)
+
+
+# ---------------------------------------------------------------------------
+# the float oracle kernels as per-element generators, as they were written
+# before they iterated in C; references for bit-for-bit comparisons
+
+
+def fdot_by_generator(a, b):
+    return sum(float(x) * float(y) for x, y in zip(a, b))
+
+
+def fnorm_by_generator(v):
+    try:
+        return math.sqrt(sum(float(x) ** 2 for x in v))
+    except OverflowError:
+        return math.inf
+
+
+def funit_by_generator(v):
+    n = fnorm_by_generator(v)
+    return tuple(x / n for x in v) if n > 1e-15 else None
+
+
+def gauss_unit_by_generator(rng, d):
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        n = math.sqrt(sum(x * x for x in v))
+        if n > 1e-9:
+            return tuple(x / n for x in v)
+
+
+def orthonormal_frame_by_generator(rng, d, k):
+    while True:
+        vecs = []
+        for _ in range(k):
+            v = list(gauss_unit_by_generator(rng, d))
+            for u in vecs:
+                dot = sum(a * b for a, b in zip(v, u))
+                v = [a - dot * b for a, b in zip(v, u)]
+            n = math.sqrt(sum(x * x for x in v))
+            if n < 1e-6:
+                break
+            vecs.append(tuple(x / n for x in v))
+        if len(vecs) == k:
+            return tuple(vecs)
+
+
+def sphere_interval_by_generator(w, v, rr):
+    from polysect.bodies import BodyError, _nappe_interval
+
+    a = fdot_by_generator(v, v)
+    if a == 0:
+        raise BodyError("ray direction must be nonzero")
+    b = fdot_by_generator(w, v)
+    cc = fdot_by_generator(w, w) - rr
+    return _nappe_interval(-a, -b, -cc, 0.0)
+
+
+def ball_by_generators(center, radius):
+    """(support, member, ray_interval) of make_ball, per-element generators."""
+    from polysect.bodies import BodyError
+
+    c = tuple(float(x) for x in center)
+    r = float(radius)
+
+    def support(u):
+        nu = fnorm_by_generator(u)
+        if nu == 0:
+            raise BodyError("support direction must be nonzero")
+        point = tuple(ci + r * ui / nu for ci, ui in zip(c, u))
+        return fdot_by_generator(u, c) + r * nu, point
+
+    def member(x):
+        return fnorm_by_generator(tuple(xi - ci for xi, ci in zip(x, c))) <= r + 1e-12
+
+    def ray_interval(z, u):
+        w = tuple(zi - ci for zi, ci in zip(z, c))
+        return sphere_interval_by_generator(w, u, (r + 1e-12) ** 2)
+
+    return support, member, ray_interval
+
+
+def ellipsoid_by_generators(center, semi_axes):
+    """(support, member, ray_interval) of make_ellipsoid, per-element generators."""
+    from polysect.bodies import BodyError
+
+    c = tuple(float(x) for x in center)
+    a = tuple(float(x) for x in semi_axes)
+
+    def support(u):
+        s = math.sqrt(sum((ai * ui) ** 2 for ai, ui in zip(a, u)))
+        if s == 0:
+            raise BodyError("support direction must be nonzero")
+        point = tuple(ci + ai * ai * ui / s for ci, ai, ui in zip(c, a, u))
+        return fdot_by_generator(u, c) + s, point
+
+    def member(x):
+        return (
+            sum(((xi - ci) / ai) ** 2 for xi, ci, ai in zip(x, c, a))
+            <= 1.0 + 1e-12
+        )
+
+    def ray_interval(z, u):
+        w = tuple((zi - ci) / ai for zi, ci, ai in zip(z, c, a))
+        v = tuple(ui / ai for ui, ai in zip(u, a))
+        return sphere_interval_by_generator(w, v, 1.0 + 1e-12)
+
+    return support, member, ray_interval
+
+
+def polytope_support_by_scan(verts, u):
+    """wrap_polytope's support as a strict > scan over the float vertices."""
+    best = None
+    best_pt = None
+    for v in verts:
+        val = fdot_by_generator(u, v)
+        if best is None or val > best:
+            best, best_pt = val, v
+    return best, best_pt
+
+
+def support_shadow_by_generator(oracle, frame, count):
+    e1, e2 = frame
+    pts = []
+    for j in range(count):
+        th = 2.0 * math.pi * j / count
+        u = tuple(math.cos(th) * a + math.sin(th) * b for a, b in zip(e1, e2))
+        _, s = oracle.support(u)
+        pts.append((
+            sum(si * ai for si, ai in zip(s, e1)),
+            sum(si * bi for si, bi in zip(s, e2)),
+        ))
+    return tuple(pts)
+
+
+def radial_sweep_by_generator(member, ray_interval, start, frame, count, offset, ceiling):
+    """radial_sweep with its ray directions and bisection probes built by
+    generators (ray_exit written out)."""
+    e1, e2 = frame
+    pts = []
+    for j in range(count):
+        th = offset + 2.0 * math.pi * j / count
+        ct, st = math.cos(th), math.sin(th)
+        u = tuple(ct * a1 + st * a2 for a1, a2 in zip(e1, e2))
+        if ray_interval is not None:
+            span = ray_interval(start, u)
+            r = max(span[1], 0.0) if span is not None else 0.0
+            if r >= ceiling:
+                return None
+        else:
+            inside = lambda r: member(tuple(si + r * ui for si, ui in zip(start, u)))
+            lo, hi = 0.0, 1.0
+            while inside(hi):
+                lo = hi
+                hi *= 2.0
+                if hi > ceiling:
+                    return None
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if inside(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            r = 0.5 * (lo + hi)
+        pts.append((r * ct, r * st))
+    return tuple(pts)
+
+
+def frame_lift_by_generator(s, frame, dim):
+    """mirkil_scan's lift of a point s of a frame's span, by a generator."""
+    return tuple(sum(si * fi[j] for si, fi in zip(s, frame)) for j in range(dim))

@@ -127,9 +127,22 @@ class TestPolygonalityDetect:
         verdict = polygonality_detect(polar_sample(lambda t: 1.0, 32), tau=0.5)
         assert verdict.kind == "polygon"
 
+    @pytest.mark.parametrize("index", [0, 3, 15])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_points_must_be_finite(self, index, bad):
+        # an inf point once read as a polygon of infinite diameter, and a
+        # NaN past index 0 was silently skipped by the diameter's max
+        for coord in (0, 1):
+            pts = list(polar_sample(lambda t: 1.0, 16))
+            p = list(pts[index])
+            p[coord] = bad
+            pts[index] = tuple(p)
+            with pytest.raises(CriterionError, match="finite"):
+                polygonality_detect(tuple(pts))
+
 
 class TestDiameterBits:
-    """The math.dist rows give the pair loop's math.hypot float, bit for bit."""
+    """The block-pruned diameter gives the pair loop's float, bit for bit."""
 
     def check(self, pts):
         got = polygonality_detect(tuple(pts)).diameter
@@ -157,6 +170,74 @@ class TestDiameterBits:
         self.check([(0.5, -2.0)] * 12)
         pts = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
         self.check([p for p in pts for _ in range(rng.randint(1, 4))] + pts)
+
+    @pytest.mark.parametrize("n", [8, 100, 1024])
+    def test_all_points_equal(self, n):
+        self.check([(-1.25, 3.5)] * n)
+
+    @pytest.mark.parametrize("n", [8, 11, 17, 26, 50, 99, 143, 257, 500, 1000, 1023])
+    def test_counts_off_the_block_size(self, n):
+        # isqrt(n) does not divide these n, so the last block is short
+        rng = random.Random(n)
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+        a, b = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        self.check([(a * math.cos(t), b * math.sin(t)) for t in angles])
+
+    @pytest.mark.parametrize("n", [16, 64, 200])
+    def test_far_pair_inside_one_block(self, n):
+        size = math.isqrt(n)
+        for start in (0, size - 2, n - 2):
+            # a tight cluster, and one block holding two far-apart neighbours
+            rng = random.Random(start)
+            pts = [(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3)) for _ in range(n)]
+            pts[start], pts[start + 1] = (-5.0, 2.0), (5.0, -2.0)
+            self.check(pts)
+
+    def test_two_distant_clusters(self):
+        rng = random.Random(5)
+        for n in (20, 90, 301):
+            pts = [(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n // 2)]
+            pts += [(1e4 + rng.gauss(0, 1), -3e3 + rng.gauss(0, 1)) for _ in range(n - n // 2)]
+            self.check(pts)
+            rng.shuffle(pts)
+            self.check(pts)
+
+    @pytest.mark.parametrize("n", [9, 40, 121])
+    def test_collinear_runs(self, n):
+        line = [(0.1 * i, -0.3 * i + 2.0) for i in range(n)]
+        self.check(line)
+        self.check(line[::-1])
+        # a square traced with many points per side
+        k = max(2, n // 4)
+        side = [i / k for i in range(k)]
+        square = [(t, 0.0) for t in side] + [(1.0, t) for t in side]
+        square += [(1.0 - t, 1.0) for t in side] + [(0.0, 1.0 - t) for t in side]
+        self.check(square)
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e300])
+    @pytest.mark.parametrize("n", [8, 48, 192])
+    def test_extreme_radii(self, radius, n):
+        rng = random.Random(n)
+        pts = [
+            (radius * math.cos(t), radius * math.sin(t))
+            for t in sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+        ]
+        self.check(pts)
+        self.check([(x + 3 * radius, y - radius) for x, y in pts])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-6, 1e6),
+        st.lists(
+            st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 2),
+            min_size=8,
+            max_size=400,
+        ),
+    )
+    def test_random_clouds(self, cx, cy, scale, unit):
+        self.check([(cx + scale * x, cy + scale * y) for x, y in unit])
 
 
 class TestKleeSectionTest:
