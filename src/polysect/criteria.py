@@ -402,10 +402,12 @@ def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
     relint P iff o lies in relint N(P), since a linear map sends relint P
     onto relint N(P) (Rockafellar, Convex Analysis, Thm 6.6).  One hull of
     the d-k dimensional image decides both, for bodies of any dimension;
-    `contains` classifies relative to the image's own span.
+    `contains` classifies relative to the image's own span.  The image is in
+    ints (N and the vertices times positive lcms), and o is scaled to match.
     """
-    image = convex_hull([tuple(vdot(n, v) for n in normals) for v in poly.vertices])
-    where = image.contains(tuple(offsets))
+    (rows, a), (verts, b) = int_scaled(normals), int_scaled(poly.vertices)
+    image = convex_hull([[sum(map(mul, n, v)) for n in rows] for v in verts])
+    where = image.contains(tuple(o * a * b for o in offsets))
     if where == "outside":
         return "coverage violation (flat misses the body)"
     if where != "interior":

@@ -2,16 +2,26 @@
 
 This is the package's only hot loop, so it works on denominator-cleared
 integer points (the caller scales each axis independently, which is a
-linear bijection and preserves the whole face lattice).  Orientation
-predicates are exact integer determinants; degenerate inserts produce
-coplanar simplicial facets that get merged at the end.  Each inserted
-point is tested against every live facet, with the dot product written
-out per dimension on flat int tuples; there is no conflict graph.
+linear bijection and preserves the whole face lattice).  Degenerate inserts
+produce coplanar simplicial facets that get merged at the end.  The work
+per facet is written out per dimension on flat int tuples: its oriented
+plane comes from one closure for k = 2, 3 or 4 (the perpendicular, the
+cross product, or a cofactor expansion through shared 2x2 minors, then the
+side test against the reference point), and its k ridge keys are built
+once, as sorted vertex tuples, when it is added.  Each inserted point is
+tested against every live facet; there is no conflict graph.
+
+A merged candidate is a vertex when it lies on k facets for k <= 3: a
+boundary point that is not extreme lies in the relative interior of an edge
+(2 facets) or of a facet (1).  In 4-D an edge can lie on any number of
+facets, so there its facet normals must reach rank 4, found by pivots that
+stop there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -24,36 +34,6 @@ class HullError(ValueError):
 
 class DegenerateInput(HullError):
     """Points do not affinely span the requested dimension."""
-
-
-def det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def int_rank(rows: Sequence[IntVec]) -> int:
-    """Rank of small integer matrices via fraction-free elimination."""
-    mat = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pr = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][c] != 0:
-                f, g = pr[c], mat[i][c]
-                mat[i] = [f * x - g * y for x, y in zip(mat[i], pr)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
 
 def int_pivots(rows: Iterable[IntVec], limit: int) -> list[int]:
     """Indices of the rows that raise the rank of the rows before them.
@@ -89,35 +69,6 @@ def affine_pivots(points: Sequence[IntVec], limit: int) -> list[int]:
     return [i + 1 for i in int_pivots(diffs, limit)]
 
 
-def facet_normal(diffs: Sequence[IntVec], k: int) -> IntVec:
-    """Integer vector orthogonal to k-1 difference vectors in dimension k."""
-    if k == 2:
-        (dx, dy), = diffs
-        return (dy, -dx)
-    if k == 3:
-        a, b = diffs
-        return (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-    if k == 4:
-        # cofactor expansion of the 3x4 difference matrix
-        rows = list(diffs)
-        out = []
-        sign = 1
-        for c in range(4):
-            minor = [[rows[r][cc] for cc in range(4) if cc != c] for r in range(3)]
-            out.append(sign * det3(minor))
-            sign = -sign
-        return tuple(out)
-    raise HullError(f"unsupported hull dimension {k}")
-
-
-def _dot(a: IntVec, b: IntVec) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 @dataclass
 class _Facet:
     vertices: tuple[int, ...]
@@ -146,6 +97,72 @@ def _initial_simplex(points: Sequence[IntVec], k: int) -> list[int]:
     return [0] + pivots
 
 
+def _plane_closure(points: Sequence[IntVec], ref_sum: IntVec, ref_den: int):
+    """plane(verts): normal + (offset,) of the plane through points[v], v in
+    verts, with ref_sum / ref_den strictly inside (normal·x < offset).  The
+    normal is the perpendicular, cross product or cofactor vector (k = 2, 3,
+    4) of the differences points[v] - points[verts[0]]."""
+    k = len(ref_sum)
+    if k == 2:
+        sx, sy = ref_sum
+
+        def plane(verts):
+            i, j = verts
+            x0, y0 = points[i]
+            x1, y1 = points[j]
+            a, b = y1 - y0, x0 - x1
+            o = a * x0 + b * y0
+            side = a * sx + b * sy - o * ref_den
+            if side:
+                return (a, b, o) if side < 0 else (-a, -b, -o)
+            raise HullError("reference point landed on a facet hyperplane")
+
+    elif k == 3:
+        sx, sy, sz = ref_sum
+
+        def plane(verts):
+            i, j, l = verts
+            x0, y0, z0 = points[i]
+            x1, y1, z1 = points[j]
+            x2, y2, z2 = points[l]
+            ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+            vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+            a = uy * vz - uz * vy
+            b = uz * vx - ux * vz
+            c = ux * vy - uy * vx
+            o = a * x0 + b * y0 + c * z0
+            side = a * sx + b * sy + c * sz - o * ref_den
+            if side:
+                return (a, b, c, o) if side < 0 else (-a, -b, -c, -o)
+            raise HullError("reference point landed on a facet hyperplane")
+
+    else:
+        sx, sy, sz, sw = ref_sum
+
+        def plane(verts):
+            i, j, l, m = verts
+            x0, y0, z0, w0 = points[i]
+            x1, y1, z1, w1 = points[j]
+            x2, y2, z2, w2 = points[l]
+            x3, y3, z3, w3 = points[m]
+            ux, uy, uz, uw = x1 - x0, y1 - y0, z1 - z0, w1 - w0
+            vx, vy, vz, vw = x2 - x0, y2 - y0, z2 - z0, w2 - w0
+            tx, ty, tz, tw = x3 - x0, y3 - y0, z3 - z0, w3 - w0
+            m01, m02, m03 = vx * ty - vy * tx, vx * tz - vz * tx, vx * tw - vw * tx
+            m12, m13, m23 = vy * tz - vz * ty, vy * tw - vw * ty, vz * tw - vw * tz
+            a = uy * m23 - uz * m13 + uw * m12
+            b = uz * m03 - ux * m23 - uw * m02
+            c = ux * m13 - uy * m03 + uw * m01
+            e = uy * m02 - ux * m12 - uz * m01
+            o = a * x0 + b * y0 + c * z0 + e * w0
+            side = a * sx + b * sy + c * sz + e * sw - o * ref_den
+            if side:
+                return (a, b, c, e, o) if side < 0 else (-a, -b, -c, -e, -o)
+            raise HullError("reference point landed on a facet hyperplane")
+
+    return plane
+
+
 def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
     """The incremental hull's simplicial facets, coplanar ones not merged."""
     if not points:
@@ -153,55 +170,39 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
     k = len(points[0])
     if k not in (2, 3, 4):
         raise HullError(f"unsupported hull dimension {k}")
+    if any(len(p) != k for p in points):
+        raise HullError("points live in different dimensions")
 
     simplex = _initial_simplex(points, k)
     # Strictly interior reference point, kept as (sum, count) to stay integral.
     ref_sum = tuple(sum(points[i][c] for i in simplex) for c in range(k))
-    ref_den = k + 1
+    plane = _plane_closure(points, ref_sum, k + 1)
 
-    facets: dict[int, _Facet] = {}
-    # each live facet's plane as one flat int tuple, normal + (offset,), for
-    # the inline visibility tests below
+    # per live facet id: its plane for the inline visibility tests below, and
+    # its vertex tuple with its k ridge keys (sorted vertex tuples)
     planes: dict[int, IntVec] = {}
-    ridge_owners: dict[frozenset[int], list[int]] = {}
-    next_id = 0
+    faces: dict[int, tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
+    ridge_owners: dict[tuple[int, ...], list[int]] = {}
+    ids = count()
 
-    def oriented(verts: tuple[int, ...]) -> _Facet:
-        p0 = points[verts[0]]
-        diffs = [tuple(a - b for a, b in zip(points[v], p0)) for v in verts[1:]]
-        n = facet_normal(diffs, k)
-        c = _dot(n, p0)
-        side = _dot(n, ref_sum) - c * ref_den
-        if side > 0:
-            n = tuple(-x for x in n)
-            c = -c
-        elif side == 0:
-            raise HullError("reference point landed on a facet hyperplane")
-        return _Facet(verts, n, c)
-
-    def add_facet(f: _Facet) -> None:
-        nonlocal next_id
-        fid = next_id
-        next_id += 1
-        facets[fid] = f
-        planes[fid] = f.normal + (f.offset,)
-        for drop in range(k):
-            ridge = frozenset(f.vertices[:drop] + f.vertices[drop + 1:])
-            ridge_owners.setdefault(ridge, []).append(fid)
+    def add_facet(verts: tuple[int, ...]) -> None:
+        fid = next(ids)
+        planes[fid] = plane(verts)
+        keys = [tuple(sorted(verts[:drop] + verts[drop + 1:])) for drop in range(k)]
+        faces[fid] = (verts, keys)
+        for key in keys:
+            ridge_owners.setdefault(key, []).append(fid)
 
     def remove_facet(fid: int) -> None:
-        f = facets.pop(fid)
         del planes[fid]
-        for drop in range(k):
-            ridge = frozenset(f.vertices[:drop] + f.vertices[drop + 1:])
-            owners = ridge_owners[ridge]
+        for key in faces.pop(fid)[1]:
+            owners = ridge_owners[key]
             owners.remove(fid)
             if not owners:
-                del ridge_owners[ridge]
+                del ridge_owners[key]
 
     for drop in range(k + 1):
-        verts = tuple(simplex[:drop] + simplex[drop + 1:])
-        add_facet(oriented(verts))
+        add_facet(tuple(simplex[:drop] + simplex[drop + 1:]))
 
     in_simplex = set(simplex)
     for ip, p in enumerate(points):
@@ -225,23 +226,21 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
         if not visible:
             continue
         visible_set = set(visible)
-        horizon: list[frozenset[int]] = []
+        horizon: list[tuple[int, ...]] = []
         for fid in visible:
-            f = facets[fid]
-            for drop in range(k):
-                ridge = frozenset(f.vertices[:drop] + f.vertices[drop + 1:])
-                owners = ridge_owners[ridge]
+            for key in faces[fid][1]:
+                owners = ridge_owners[key]
                 if len(owners) != 2:
                     raise HullError("hull boundary lost ridge pairing")
                 other = owners[0] if owners[1] == fid else owners[1]
                 if other not in visible_set:
-                    horizon.append(ridge)
+                    horizon.append(key)
         for fid in visible:
             remove_facet(fid)
-        for ridge in horizon:
-            add_facet(oriented(tuple(sorted(ridge)) + (ip,)))
+        for key in horizon:
+            add_facet(key + (ip,))
 
-    return list(facets.values())
+    return [_Facet(faces[fid][0], pl[:k], pl[k]) for fid, pl in planes.items()]
 
 
 def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
@@ -257,13 +256,16 @@ def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
     # Incidence is read off the merged sets, with no rescan: hull ∩ H is the
     # union of the simplicial facets on H, so a true vertex is in the set of
     # every facet it is tight on (full rank there), and a candidate that is
-    # not extreme keeps rank < k on any subset of its tight normals.
+    # not extreme keeps rank < k on any subset of its tight normals; for
+    # k <= 3 the count alone decides (module docstring).
     active: dict[int, list[IntVec]] = {}
     for (n, _), verts in merged.items():
         for v in verts:
             active.setdefault(v, []).append(n)
     true_vertices = sorted(
-        v for v, ns in active.items() if len(ns) >= k and int_rank(ns) == k
+        v
+        for v, ns in active.items()
+        if len(ns) >= k and (k < 4 or len(int_pivots(ns, 4)) == 4)
     )
     vert_set = set(true_vertices)
 

@@ -84,8 +84,8 @@ class Polytope:
 
     `span` is the affine hull with an orthogonal chart basis; halfspaces and
     chart_vertices live in that chart, and the halfspaces are canonical
-    integer ones (see `convex_hull`).  Edges and the int facet data that
-    `chart_contains` and `active_facets` read are computed lazily and cached.
+    integer ones (see `convex_hull`), also kept as int (normal, offset)
+    pairs in `_int_facets`.  Edges are computed lazily and cached.
     """
 
     __slots__ = (
@@ -95,17 +95,22 @@ class Polytope:
         "halfspaces",
         "facet_vertices",
         "_edges",
-        "_int_halfspaces",
+        "_int_facets",
     )
 
-    def __init__(self, vertices, chart_vertices, span, halfspaces, facet_vertices):
+    def __init__(
+        self, vertices, chart_vertices, span, halfspaces, facet_vertices, int_facets=None
+    ):
         self.vertices: tuple[Point, ...] = vertices
         self.chart_vertices: tuple[Point, ...] = chart_vertices
         self.span: AffineFlat | None = span
         self.halfspaces: tuple[Halfspace, ...] = halfspaces
         self.facet_vertices: tuple[frozenset[int], ...] = facet_vertices
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._int_halfspaces: tuple[tuple[tuple[int, ...], int], ...] | None = None
+        self._int_facets: tuple[tuple[tuple[int, ...], int], ...] = int_facets or tuple(
+            (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
+            for hs in halfspaces
+        )
 
     # -- basic geometry -----------------------------------------------------
 
@@ -149,19 +154,14 @@ class Polytope:
         """normal·p - offset per facet, times the lcm of p's denominators.
 
         The scale is positive, so each value has the sign of the facet's
-        exact slack; the integer facet data is built once per polytope.
+        exact slack.
         """
-        if self._int_halfspaces is None:
-            self._int_halfspaces = tuple(
-                (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
-                for hs in self.halfspaces
-            )
         if len(chart_point) != self.dim:
             raise DimensionMismatch("chart point dimension differs from the polytope")
         (p,), den = int_scaled((chart_point,))
         return (
             sum(map(mul, normal, p)) - offset * den
-            for normal, offset in self._int_halfspaces
+            for normal, offset in self._int_facets
         )
 
     def contains(self, point: Point) -> str:
@@ -173,11 +173,7 @@ class Polytope:
 
     def interior_point(self) -> Point:
         """A relative-interior point (vertex centroid)."""
-        n = Fraction(len(self.vertices))
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = vadd(acc, v)
-        return vscale(acc, 1 / n)
+        return tuple(sum(c) / len(self.vertices) for c in zip(*self.vertices))
 
     def support(self, direction: Vector) -> tuple[Fraction, int]:
         """Exact support value and the index of a vertex attaining it."""
@@ -219,6 +215,7 @@ class Polytope:
             return ((0, 1),) if len(self.vertices) == 2 else ()
         # a pair spans an edge when the facets it shares have rank k - 1, so
         # only pairs on a common facet are tried, through a vertex-facet index
+        # (two vertices never share rank-k normals: pivots stop at k - 1)
         incident = [[] for _ in self.vertices]
         for f, verts in enumerate(self.facet_vertices):
             for v in verts:
@@ -232,11 +229,9 @@ class Polytope:
                 if shared[j] < k - 1:
                     continue
                 rows = [
-                    tuple(int(x) for x in self.halfspaces[f].normal)
-                    for f in facets
-                    if j in self.facet_vertices[f]
+                    self._int_facets[f][0] for f in facets if j in self.facet_vertices[f]
                 ]
-                if _hull.int_rank(rows) == k - 1:
+                if len(_hull.int_pivots(rows, k - 1)) == k - 1:
                     out.append((i, j))
         return tuple(out)
 
@@ -351,6 +346,7 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
     n.g <= c is sum_j (n_j / f_j) s_j <= c in chart coordinates s, an
     integer halfspace once multiplied by the lcm of the factors'
     numerators.  Chart coordinates are made for the hull's vertices only.
+    Facets are canonicalised and sorted as ints and become Fractions last.
     """
 
     def chart(i):
@@ -360,19 +356,21 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
         lo = min(range(len(grid)), key=grid.__getitem__)
         hi = max(range(len(grid)), key=grid.__getitem__)
         vert_idx = [lo, hi]
+        a, b = chart(lo)[0], chart(hi)[0]
         facets = [
-            (_canonical_halfspace((Fraction(-1),), -chart(lo)[0]), (lo,)),
-            (_canonical_halfspace((Fraction(1),), chart(hi)[0]), (hi,)),
+            ((-a.denominator,), -a.numerator, (lo,)),
+            ((b.denominator,), b.numerator, (hi,)),
         ]
     else:
         data = _hull.hull_full_dim(grid)
         vert_idx = data.vertex_indices
         scale = lcm(*[f.numerator for f in factors])
         axis = [f.denominator * (scale // f.numerator) for f in factors]
-        facets = [
-            (_integer_halfspace(list(map(mul, n, axis)), c * scale), fverts)
-            for (n, c, fverts) in data.facets
-        ]
+        facets = []
+        for n, c, fverts in data.facets:
+            n = tuple(map(mul, n, axis))
+            g = gcd(*n, c * scale)
+            facets.append((tuple(x // g for x in n), c * scale // g, fverts))
 
     if points is None:
         points = charts = {i: chart(i) for i in vert_idx}
@@ -384,12 +382,11 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
     position = {i: pos for pos, i in enumerate(order)}
     vertices = tuple(points[i] for i in order)
     chart_vertices = tuple(charts[i] for i in order)
-    facets.sort(key=lambda f: (f[0].normal, f[0].offset))
-    halfspaces = tuple(hs for hs, _ in facets)
-    facet_vertices = tuple(
-        frozenset(position[i] for i in fverts) for _, fverts in facets
-    )
-    return Polytope(vertices, chart_vertices, span, halfspaces, facet_vertices)
+    facets.sort()  # on (normal, offset): no two facets share both
+    ints = tuple((n, c) for n, c, _ in facets)
+    halfspaces = tuple(Halfspace(tuple(map(Fraction, n)), Fraction(c)) for n, c in ints)
+    facet_vertices = tuple(frozenset(position[i] for i in f[2]) for f in facets)
+    return Polytope(vertices, chart_vertices, span, halfspaces, facet_vertices, ints)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +409,8 @@ def vertices_of(halfspaces: Iterable[Halfspace]) -> Polytope | None:
             raise DimensionMismatch("halfspace dimensions disagree")
 
     normals = [hs.normal for hs in hss]
-    rank = _hull.int_rank([tuple(int(x) for x in n) for n in normals])
-    if rank < d:
+    int_normals = [tuple(int(x) for x in n) for n in normals]
+    if len(_hull.int_pivots(int_normals, d)) < d:
         # Directions orthogonal to every normal are free lines of the set,
         # so a nonempty intersection is unbounded.  Substituting
         # x = sum_i s_i b_i over a basis of the normal span keeps emptiness.
@@ -434,8 +431,7 @@ def vertices_of(halfspaces: Iterable[Halfspace]) -> Polytope | None:
         # A pointed nonzero recession cone has an extreme ray tight on d-1
         # independent constraints, so scanning those subsets is complete.
         for combo in combinations(range(len(hss)), d - 1):
-            rows = [tuple(int(x) for x in hss[i].normal) for i in combo]
-            if _hull.int_rank(rows) != d - 1:
+            if len(_hull.int_pivots([int_normals[i] for i in combo], d - 1)) < d - 1:
                 continue
             null = nullspace([hss[i].normal for i in combo])
             if not null:

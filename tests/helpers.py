@@ -14,8 +14,67 @@ from math import gcd, isqrt
 
 from polysect import convex_hull
 from polysect.geometry import solve_linear, vadd, vdot, vscale, vsub
-from polysect.hull import IntHull, _simplicial_facets, facet_normal, int_rank
+from polysect.hull import IntHull, _simplicial_facets
 from polysect.polytope import _canonical_halfspace
+
+
+def det3(m) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def int_rank(rows) -> int:
+    """Rank of small integer matrices via fraction-free elimination.
+    Reference for hull.int_pivots, which stops at a given rank."""
+    mat = [list(r) for r in rows if any(r)]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pr = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][c] != 0:
+                f, g = pr[c], mat[i][c]
+                mat[i] = [f * x - g * y for x, y in zip(mat[i], pr)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def facet_normal(diffs, k):
+    """Integer vector orthogonal to k-1 difference vectors in dimension k.
+    Reference for the per-dimension plane closures of hull._simplicial_facets."""
+    if k == 2:
+        (dx, dy), = diffs
+        return (dy, -dx)
+    if k == 3:
+        a, b = diffs
+        return (
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        )
+    # cofactor expansion of the 3x4 difference matrix
+    rows = list(diffs)
+    out = []
+    sign = 1
+    for c in range(4):
+        minor = [[rows[r][cc] for cc in range(4) if cc != c] for r in range(3)]
+        out.append(sign * det3(minor))
+        sign = -sign
+    return tuple(out)
+
+
+def dot(a, b):
+    """The generator dot product the hull's visibility scan once used."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, den: int = 8) -> F:
@@ -406,6 +465,19 @@ def hull_by_rescan(points):
     return IntHull(tuple(true_vertices), tuple(facets))
 
 
+def coverage_note_by_fraction_image(poly, normals, offsets):
+    """criteria._coverage_note as it built the image N(P) from Fraction dot
+    products and classified the unscaled offsets.  Reference for the
+    integer image."""
+    image = convex_hull([tuple(vdot(n, v) for n in normals) for v in poly.vertices])
+    where = image.contains(tuple(offsets))
+    if where == "outside":
+        return "coverage violation (flat misses the body)"
+    if where != "interior":
+        return "coverage violation (flat misses the interior)"
+    return None
+
+
 def chart_contains_by_evaluate(poly, chart_point):
     """Polytope.chart_contains as it evaluated each Halfspace in Fractions.
     Reference for the integer evaluation."""
@@ -653,9 +725,6 @@ def simplicial_facets_by_dot_scan(points):
     """hull._simplicial_facets as it tested visibility through a generator
     dot product on each live facet.  Reference for the unrolled int scan."""
     from polysect.hull import HullError, _Facet, _initial_simplex
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
 
     if not points:
         raise HullError("no points")

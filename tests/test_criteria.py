@@ -49,7 +49,13 @@ from polysect.criteria import (
     sphere_apexes,
     visual_cone_test,
 )
-from polysect.geometry import AffineFlat, DimensionMismatch, nullspace, solve_particular
+from polysect.geometry import (
+    AffineFlat,
+    DimensionMismatch,
+    nullspace,
+    solve_particular,
+    vdot,
+)
 from polysect.polytope import convex_hull, section
 
 OCTA_VERTICES = [
@@ -478,6 +484,40 @@ class TestCoverageFromImage:
         ours = [klee_section_test(b, 12, seed=5, k=k, delta=delta) for b in bodies]
         monkeypatch.setattr(criteria, "_coverage_note", section_note)
         assert ours == [klee_section_test(b, 12, seed=5, k=k, delta=delta) for b in bodies]
+
+
+class TestIntegerCoverageImage:
+    """_coverage_note hulls N(P) in ints; the Fraction image is the reference."""
+
+    @pytest.mark.parametrize("dim, k", [(3, 2), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("delta", [None, 0.25, 2])
+    def test_drawn_flats_match_fraction_image(self, dim, k, delta):
+        rng = random.Random(dim * 10 + k)
+        seen = set()
+        for seed in range(3):
+            body = centered_polytope(random.Random(seed), dim, 8)
+            for _ in range(4):
+                # a K1 or T1.1 flat as the tester draws it, then the same
+                # normals through a vertex that maximises the first, past it,
+                # and through a point of a facet
+                _, normals, offsets, _, _ = criteria._draw_flat(rng, dim, k, delta)
+                top = max(body.vertices, key=lambda v: vdot(normals[0], v))
+                at_top = [vdot(n, top) for n in normals]
+                f = rng.randrange(len(body.halfspaces))
+                fverts = body.facet(f).vertices
+                facet_pt = tuple(sum(c) / len(fverts) for c in zip(*fverts))
+                on_facet = [body.halfspaces[f].normal] + normals[1:]
+                flats = [
+                    (normals, offsets),
+                    (normals, at_top),
+                    (normals, [at_top[0] + F(1, 3)] + at_top[1:]),
+                    (on_facet, [vdot(n, facet_pt) for n in on_facet]),
+                ]
+                for ns, os in flats:
+                    note = _coverage_note(body, ns, os)
+                    assert note == helpers.coverage_note_by_fraction_image(body, ns, os)
+                    seen.add(note)
+        assert seen == {None, MISSES_INTERIOR, MISSES_BODY}
 
 
 def _ball():

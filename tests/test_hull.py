@@ -5,17 +5,17 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from polysect import convex_hull
 from polysect.hull import (
     DegenerateInput,
+    HullError,
+    _plane_closure,
     _simplicial_facets,
-    det3,
-    facet_normal,
     hull_full_dim,
-    int_rank,
 )
 
 import helpers
-from helpers import brute_force_facets, matrix_rank
+from helpers import brute_force_facets, det3, dot, facet_normal, int_rank, matrix_rank
 
 
 def permanent_det(m):
@@ -255,3 +255,118 @@ class TestUnrolledVisibilityScan:
         out = hull_full_dim(pts)
         assert len(out.vertex_indices) == 150
         assert out == helpers.hull_by_dot_scan(pts)
+
+
+class TestMixedDimensions:
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1)],
+            [(0, 0), (1, 0), (0, 1), (1, 1, 1)],
+            [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1)],
+        ],
+    )
+    def test_points_of_different_lengths_raise_hull_error(self, pts):
+        with pytest.raises(HullError, match="points live in different dimensions"):
+            hull_full_dim(pts)
+
+
+huge = st.integers(min_value=-10**40, max_value=10**40)
+coords = st.one_of(st.integers(-3, 3), huge)
+
+
+class TestPlaneClosures:
+    """Each unrolled plane closure gives the generic facet normal, its offset
+    and the orientation that puts the reference point inside."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_match_facet_normal_and_orientation(self, data):
+        k = data.draw(st.sampled_from((2, 3, 4)))
+        pts = data.draw(st.lists(st.tuples(*[coords] * k), min_size=k, max_size=k))
+        ref_sum = data.draw(st.tuples(*[coords] * k))
+        ref_den = data.draw(st.integers(1, 10**40))
+        verts = tuple(data.draw(st.permutations(range(k))))
+        p0 = pts[verts[0]]
+        n = facet_normal([tuple(a - b for a, b in zip(pts[v], p0)) for v in verts[1:]], k)
+        c = dot(n, p0)
+        side = dot(n, ref_sum) - c * ref_den
+        plane = _plane_closure(pts, ref_sum, ref_den)
+        if side == 0:
+            with pytest.raises(HullError):
+                plane(verts)
+            return
+        if side > 0:
+            n, c = tuple(-x for x in n), -c
+        assert plane(verts) == n + (c,)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_reference_on_the_plane_raises(self, k):
+        pts = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        # the centroid of the k unit points, times k: on their plane
+        with pytest.raises(HullError, match="reference point"):
+            _plane_closure(pts, (1,) * k, k)(tuple(range(k)))
+
+
+class TestVertexRule:
+    """A candidate is a vertex by its facet count for k <= 3, by the rank of
+    its facet normals for k = 4."""
+
+    HEXAGON = [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)]
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_midpoint_of_a_join_segment_is_not_a_vertex(self, order):
+        # the join of a lattice hexagon and a skew segment has 8 facets; the
+        # segment's midpoint lies on the 6 that contain the segment, whose
+        # normals have rank 3, so a count of 4 facets would take it
+        lo, mid, hi = (0, 0, 1, -1), (0, 0, 1, 0), (0, 0, 1, 1)
+        pts = [(x, y, 0, 0) for x, y in self.HEXAGON] + [lo, mid]
+        if order:
+            random.Random(order).shuffle(pts)
+        pts.append(hi)  # after the midpoint, so the midpoint is inserted
+        out = hull_full_dim(pts)
+        assert out == helpers.hull_by_rescan(pts)
+        assert len(out.vertex_indices) == 8 and len(out.facets) == 8
+        assert pts.index(mid) not in out.vertex_indices
+        on_mid = [n for n, c, _ in out.facets if dot(n, mid) == c]
+        assert len(on_mid) == 6 and int_rank(on_mid) == 3
+        # the midpoint is a candidate: some simplicial facet has it
+        assert any(pts.index(mid) in f.vertices for f in _simplicial_facets(pts))
+
+    @staticmethod
+    def _with_face_points(vertices, scale):
+        """The vertices times scale, plus edge midpoints and facet centroids
+        (integral at that scale), in an order that inserts them early."""
+        body = convex_hull(vertices)
+        verts = [tuple(int(x) * scale for x in v) for v in body.vertices]
+        extra = [
+            tuple((a + b) // 2 for a, b in zip(verts[i], verts[j])) for i, j in body.edges()
+        ]
+        for fverts in body.facet_vertices:
+            extra.append(
+                tuple(sum(verts[i][c] for i in fverts) // len(fverts) for c in range(len(verts[0])))
+            )
+        return verts, extra
+
+    @pytest.mark.parametrize(
+        "name, vertices, scale",
+        [
+            ("square", [(0, 0), (2, 0), (2, 2), (0, 2)], 2),
+            ("lattice hexagon", HEXAGON, 2),
+            ("cube", [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], 4),
+            ("octahedron", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 6),
+            ("hexagonal prism", [(x, y, z) for x, y in HEXAGON for z in (0, 1)], 12),
+        ],
+    )
+    def test_lattice_bodies_with_face_points_match_rescan(self, name, vertices, scale):
+        verts, extra = self._with_face_points(vertices, scale)
+        for seed in range(4):
+            pts = extra + verts if seed == 0 else verts + extra
+            if seed > 1:
+                random.Random(seed).shuffle(pts)
+            out = hull_full_dim(pts)
+            assert out == helpers.hull_by_rescan(pts)
+            assert sorted(pts[i] for i in out.vertex_indices) == sorted(verts)
+            if seed == 0:  # face points inserted first stay candidates
+                candidates = set().union(*(f.vertices for f in _simplicial_facets(pts)))
+                assert len(candidates) > len(verts)
