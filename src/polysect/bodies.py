@@ -227,7 +227,7 @@ def _nappe_interval(a, b, c, q):
     return (hi, inf) if q > 0 else (-inf, lo)
 
 
-def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
+def wrap_polytope(poly: Polytope) -> BodyOracle:
     verts = [tuple(float(x) for x in v) for v in poly.vertices]
     hint = tuple(float(x) for x in poly.interior_point())
 
@@ -245,7 +245,7 @@ def wrap_polytope(poly: Polytope, name: str = "polytope") -> BodyOracle:
         xq = tuple(Fraction(float(xi)) for xi in x)
         return poly.contains(xq) != "outside"
 
-    return BodyOracle(poly.ambient_dim, support, member, hint, name, poly)
+    return BodyOracle(poly.ambient_dim, support, member, hint, "polytope", poly)
 
 
 def _closest_point_finder(poly: Polytope):

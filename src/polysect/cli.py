@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 
 from .bodies import MAX_MAGNITUDE, BodyOracle, body_from_spec, sample_section_boundary
+from .bodies import _num, _vec
 from .cones import (
     ball_visual_cone_oracle,
     cone_oracle_from_exact,
@@ -405,10 +406,10 @@ def _cmd_mirkil(args, body):
         cone = visual_cone(apex, body.poly)
         oracle = cone_oracle_from_exact(cone)
     elif body.spec is not None and body.spec.get("kind") == "ball":
-        center = [float(Fraction(str(c))) for c in body.spec.get("center", [0, 0, 0])]
-        radius = float(Fraction(str(body.spec.get("radius", 1))))
+        # body_from_spec has read both keys through the same parsers
+        center = tuple(map(float, _vec(body.spec["center"], "center")))
         oracle = ball_visual_cone_oracle(
-            tuple(float(a) for a in apex), tuple(center), radius
+            tuple(float(a) for a in apex), center, float(_num(body.spec["radius"]))
         )
     else:
         oracle = _ray_hit_cone_oracle(body.oracle, tuple(float(a) for a in apex))

@@ -74,11 +74,8 @@ def primitive_direction(v: Vector) -> Vector:
     v = as_vector(v)
     if is_zero_vector(v):
         raise ConeError("zero vector has no direction")
-    scale = lcm(*[x.denominator for x in v])
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    (ints,), _ = int_scaled((v,))
+    g = math.gcd(*ints)
     return tuple(Fraction(x // g) for x in ints)
 
 

@@ -53,12 +53,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .polytope import (
-    Polytope,
-    convex_hull,
-    is_extreme,
-    project,
-)
+from .polytope import Polytope, _slice, convex_hull, is_extreme, project
 
 
 class CriterionError(GeometryError):
@@ -280,7 +275,8 @@ RATIONALIZE_DENOMINATOR = 2**20
 MAX_DELTA = 1e100
 
 
-def _rationalize(v, den: int = RATIONALIZE_DENOMINATOR) -> Vector:
+def _rationalize(v) -> Vector:
+    den = RATIONALIZE_DENOMINATOR
     return tuple(Fraction(round(float(x) * den), den) for x in v)
 
 
@@ -649,14 +645,14 @@ class EpsilonCert:
     interior_point: Point | None = None
 
 
-def default_normal_family(dim: int, count: int = 24, seed: int = 0):
-    """Axis directions plus seeded rationalized random normals."""
+def default_normal_family(dim: int, seed: int = 0):
+    """Axis directions plus seeded rationalized random normals, 24 in all."""
     rng = random.Random(seed)
     family = [
         tuple(Fraction(1 if i == a else 0) for i in range(dim))
         for a in range(dim)
     ]
-    while len(family) < count:
+    while len(family) < 24:
         v = _rationalize(_gauss_unit(rng, dim))
         if not is_zero_vector(v):
             family.append(v)
@@ -726,7 +722,7 @@ def epsilon_certificate(
             continue
         num, n2 = dot * dot, sum(map(mul, N, N))
         if best is None or num * best_n2 > best_num * n2:
-            best, best_num, best_n2, best_int = nu, num, n2, N
+            best, best_num, best_n2 = nu, num, n2
     if best is None:
         raise CriterionError(
             "family-coverage failure: no flat transversal to the segment"
@@ -734,29 +730,13 @@ def epsilon_certificate(
 
     # The section S of the body by the flat H meets relint P (H separates p
     # from q), so S's facets through mid are the S ∩ F for the facets F of
-    # P tight at mid.  Their vertices are the slice points in a tight F: a
-    # vertex of P on H that F holds, or the crossing of an edge (i, j) with
-    # H when F holds both i and j.
-    (M, *V), scale = int_scaled((mid,) + body.vertices)
-    level = sum(map(mul, best_int, M))
-    sides = [sum(map(mul, best_int, v)) - level for v in V]
+    # P tight at mid.  Their vertices are the points of the cut of P by H
+    # whose vertex indices (a vertex on H, or an edge crossing H) all lie
+    # in one tight F.
     tight_sets = [body.facet_vertices[f] for f in tight]
-    slice_pts = []
-    kept = []
-    for i, a in enumerate(sides):
-        if a == 0:
-            slice_pts.append(body.vertices[i])
-            if any(i in fv for fv in tight_sets):
-                kept.append(body.vertices[i])
-    for i, j in body.edges():
-        a, b = sides[i], sides[j]
-        if a * b < 0:
-            # v_i + a/(a-b)·(v_j - v_i), with v = V/scale
-            den = (a - b) * scale
-            x = tuple(Fraction(a * y - b * w, den) for w, y in zip(V[i], V[j]))
-            slice_pts.append(x)
-            if any(i in fv and j in fv for fv in tight_sets):
-                kept.append(x)
+    cut = _slice(body, best, mid)
+    slice_pts = [x for x, _ in cut]
+    kept = [x for x, ids in cut if any(fv.issuperset(ids) for fv in tight_sets)]
     # listed in the flat's chart order, as the section's vertices are
     flat = AffineFlat.spanning(mid, nullspace([best]))
     xs = sorted((x for x in kept if x != mid), key=flat.projected_coordinates)
@@ -911,7 +891,7 @@ def drift_inequality_eval(cfg: DriftConfig) -> DriftResult:
 
 
 def drift_config_from_geometry(
-    p, q, q_n, gamma: float = 0.15, tilt: float = math.pi / 4
+    p, q, q_n, gamma: float = 0.15
 ) -> tuple[DriftConfig, dict]:
     """Measure a DriftConfig from actual 3-dimensional points.
 
@@ -942,7 +922,8 @@ def drift_config_from_geometry(
         raise CriterionError("q_n must lie off the segment's line")
     wp = tuple(x / wn for x in w_perp)
     nrm = _cross3f(uh, wp)
-    # section-plane direction: tilt between the offset and its normal
+    # section-plane direction: halfway (pi/4) between the offset and its normal
+    tilt = math.pi / 4
     h2 = tuple(
         math.cos(tilt) * a + math.sin(tilt) * b for a, b in zip(wp, nrm)
     )

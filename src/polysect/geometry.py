@@ -118,18 +118,6 @@ def cross3(a: Vector, b: Vector) -> Vector:
 # linear systems
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of an exact linear solve.
-
-    status is one of "unique", "no_solution", "underdetermined"; values is
-    the solution vector only in the unique case.
-    """
-
-    status: str
-    values: tuple[Fraction, ...] | None = None
-
-
 def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Forward elimination; returns (rows, pivots) with rows = [coeffs + [b]]."""
     m = len(matrix)
@@ -160,35 +148,20 @@ def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return rows, pivots, n
 
 
-def _solve(matrix, rhs) -> tuple[tuple[Fraction, ...] | None, int]:
-    """(one solution with free variables at 0, or None if inconsistent; free count)."""
+def solve_particular(matrix, rhs) -> tuple[Fraction, ...] | None:
+    """One exact solution of matrix @ x = rhs, with free variables at 0.
+
+    None when the system is inconsistent.  A caller that needs the unique
+    solution checks the rank first (`hull.int_pivots` on integer rows).
+    """
     rows, pivots, n = _eliminate(matrix, rhs)
     pivot_rows = {r for r, _ in pivots}
     if any(row[n] != 0 for i, row in enumerate(rows) if i not in pivot_rows):
-        return None, n - len(pivots)
+        return None
     values = [ZERO] * n
     for r, c in pivots:
         values[c] = rows[r][n]
-    return tuple(values), n - len(pivots)
-
-
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LinearSolution:
-    """Solve matrix @ x = rhs exactly.
-
-    Flags rank deficiency instead of guessing: an inconsistent system is
-    "no_solution", a consistent one with free columns is "underdetermined".
-    """
-    values, free = _solve(matrix, rhs)
-    if values is None:
-        return LinearSolution("no_solution")
-    if free:
-        return LinearSolution("underdetermined")
-    return LinearSolution("unique", values)
-
-
-def solve_particular(matrix, rhs) -> tuple[Fraction, ...] | None:
-    """One exact solution of a consistent system (free variables set to 0)."""
-    return _solve(matrix, rhs)[0]
+    return tuple(values)
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:

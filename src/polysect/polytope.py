@@ -28,9 +28,8 @@ from .geometry import (
     identity_flat,
     int_scaled,
     is_zero_vector,
-    nullspace,
     orthogonalize,
-    solve_linear,
+    solve_particular,
     vadd,
     vdot,
     vscale,
@@ -99,7 +98,7 @@ class Polytope:
     )
 
     def __init__(
-        self, vertices, chart_vertices, span, halfspaces, facet_vertices, int_facets=None
+        self, vertices, chart_vertices, span, halfspaces, facet_vertices, int_facets
     ):
         self.vertices: tuple[Point, ...] = vertices
         self.chart_vertices: tuple[Point, ...] = chart_vertices
@@ -107,10 +106,7 @@ class Polytope:
         self.halfspaces: tuple[Halfspace, ...] = halfspaces
         self.facet_vertices: tuple[frozenset[int], ...] = facet_vertices
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._int_facets: tuple[tuple[tuple[int, ...], int], ...] = int_facets or tuple(
-            (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
-            for hs in halfspaces
-        )
+        self._int_facets: tuple[tuple[tuple[int, ...], int], ...] = int_facets
 
     # -- basic geometry -----------------------------------------------------
 
@@ -174,16 +170,6 @@ class Polytope:
     def interior_point(self) -> Point:
         """A relative-interior point (vertex centroid)."""
         return tuple(sum(c) / len(self.vertices) for c in zip(*self.vertices))
-
-    def support(self, direction: Vector) -> tuple[Fraction, int]:
-        """Exact support value and the index of a vertex attaining it."""
-        best = None
-        best_i = -1
-        for i, v in enumerate(self.vertices):
-            val = vdot(direction, v)
-            if best is None or val > best:
-                best, best_i = val, i
-        return best, best_i
 
     # -- faces ---------------------------------------------------------------
 
@@ -290,7 +276,7 @@ class FaceRef:
 
 
 def _dim0_polytope(point: Point) -> Polytope:
-    return Polytope((point,), ((),), None, (), ())
+    return Polytope((point,), ((),), None, (), (), ())
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
@@ -396,9 +382,13 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
 def vertices_of(halfspaces: Iterable[Halfspace]) -> Polytope | None:
     """Enumerate the vertex form of a bounded halfspace intersection.
 
-    Basic points come from d-subsets of halfspace boundaries (classical
-    basic-solution enumeration); returns None for an empty intersection and
-    raises UnboundedPolyhedron when a recession direction exists.
+    Returns None for an empty intersection and raises UnboundedPolyhedron
+    when a recession direction exists (ambient dimension 1 to 4, as for
+    `convex_hull`).  When the integer normals have rank d, the set is
+    bounded iff {u : n.u <= 0 for every normal n} = {0}, which by Farkas'
+    lemma holds iff the origin is interior to the hull of the normals.  The
+    basic points are then the solutions of the d-subsets of boundaries whose
+    normals reach rank d under `int_pivots` that satisfy every halfspace.
     """
     hss = [hs.canonical() for hs in halfspaces]
     if not hss:
@@ -407,6 +397,8 @@ def vertices_of(halfspaces: Iterable[Halfspace]) -> Polytope | None:
     for hs in hss:
         if len(hs.normal) != d:
             raise DimensionMismatch("halfspace dimensions disagree")
+    if d not in (1, 2, 3, 4):
+        raise PolytopeError(f"ambient dimension {d} unsupported (need 1..4)")
 
     normals = [hs.normal for hs in hss]
     int_normals = [tuple(int(x) for x in n) for n in normals]
@@ -422,35 +414,18 @@ def vertices_of(halfspaces: Iterable[Halfspace]) -> Polytope | None:
         if vertices_of(chart) is None:
             return None
         raise UnboundedPolyhedron("halfspace normals do not span the space")
-
-    if d == 1:
-        for cand in ((Fraction(1),), (Fraction(-1),)):
-            if all(vdot(hs.normal, cand) <= 0 for hs in hss):
-                raise UnboundedPolyhedron("recession direction found")
-    else:
-        # A pointed nonzero recession cone has an extreme ray tight on d-1
-        # independent constraints, so scanning those subsets is complete.
-        for combo in combinations(range(len(hss)), d - 1):
-            if len(_hull.int_pivots([int_normals[i] for i in combo], d - 1)) < d - 1:
-                continue
-            null = nullspace([hss[i].normal for i in combo])
-            if not null:
-                continue
-            u = null[0]
-            for cand in (u, tuple(-x for x in u)):
-                if all(vdot(hs.normal, cand) <= 0 for hs in hss):
-                    raise UnboundedPolyhedron("recession direction found")
+    if convex_hull(normals).contains((ZERO,) * d) != "interior":
+        raise UnboundedPolyhedron("recession direction found")
 
     found: dict[Point, None] = {}
     for combo in combinations(range(len(hss)), d):
-        sol = solve_linear(
+        if len(_hull.int_pivots([int_normals[i] for i in combo], d)) < d:
+            continue
+        x = solve_particular(
             [hss[i].normal for i in combo], [hss[i].offset for i in combo]
         )
-        if sol.status != "unique":
-            continue
-        x = sol.values
         if all(hs.evaluate(x) <= 0 for hs in hss):
-            found.setdefault(tuple(x))
+            found.setdefault(x)
     if not found:
         return None
     return convex_hull(list(found))
@@ -474,23 +449,38 @@ class Section:
     meets_interior: bool
 
 
-def _hyperplane_slice_points(body: Polytope, normal: Vector, offset: Fraction) -> list[Point]:
-    vals = [vdot(normal, v) - offset for v in body.vertices]
-    pts = [v for v, val in zip(body.vertices, vals) if val == 0]
+def _slice(
+    body: Polytope, normal: Vector, point: Point
+) -> list[tuple[Point, tuple[int, ...]]]:
+    """The cut of the body by the hyperplane {x : normal.x = normal.point}.
+
+    Lists (x, indices): each vertex on the plane with (i,), then each edge
+    (i, j) whose ends lie strictly on opposite sides, in `edges()` order,
+    with its crossing.  The normal, the point and the vertices are scaled to
+    ints, so each side is an int a_i and the crossing of (i, j) is
+    (a_i V_j - a_j V_i) / ((a_i - a_j) D) for the int vertices V over their
+    common denominator D.
+    """
+    (N,), _ = int_scaled((normal,))
+    (M, *V), scale = int_scaled((point,) + body.vertices)
+    level = sum(map(mul, N, M))
+    sides = [sum(map(mul, N, v)) - level for v in V]
+    cut = [(body.vertices[i], (i,)) for i, a in enumerate(sides) if a == 0]
     for i, j in body.edges():
-        a, b = vals[i], vals[j]
-        if (a < 0 < b) or (b < 0 < a):
-            t = a / (a - b)
-            pts.append(vadd(body.vertices[i], vscale(vsub(body.vertices[j], body.vertices[i]), t)))
-    return pts
+        a, b = sides[i], sides[j]
+        if a * b < 0:
+            den = (a - b) * scale
+            x = tuple(Fraction(a * y - b * w, den) for w, y in zip(V[i], V[j]))
+            cut.append((x, (i, j)))
+    return cut
 
 
 def section(body: Polytope, flat: AffineFlat) -> Section | None:
     """Exact section of a polytope by an affine flat (None when disjoint).
 
     The flat is intersected one bounding hyperplane at a time; at each stage
-    new vertices are edge crossings or on-plane vertices of the current
-    polytope, so everything stays rational.  The last stage's slice points
+    `_slice` lists the on-plane vertices and the edge crossings of the
+    current polytope, computed in ints.  The last stage's slice points
     are already the section's vertices, each once: an on-plane vertex is
     extreme, a crossing lies in the relative interior of one edge and is
     extreme in the slice, so they are hulled once, in the flat's chart.
@@ -503,7 +493,7 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
     normals = flat.normal_directions()
     current = body
     for i, n in enumerate(normals):
-        pts = _hyperplane_slice_points(current, n, vdot(n, flat.base))
+        pts = [x for x, _ in _slice(current, n, flat.base)]
         if not pts:
             return None
         if i + 1 < len(normals):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 VIEWPORT = 480.0
+STROKE = "#2f6f8f"
 
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -27,7 +28,7 @@ def _fmt(v: float) -> str:
 class _Frame:
     """Affine map from data coordinates to the fixed viewport (y up)."""
 
-    def __init__(self, points: Sequence[Sequence], size: float = VIEWPORT):
+    def __init__(self, points: Sequence[Sequence]):
         xs = [float(p[0]) for p in points]
         ys = [float(p[1]) for p in points]
         xmin, xmax = min(xs), max(xs)
@@ -36,29 +37,26 @@ class _Frame:
         margin = 0.05 * max(w, h, 1e-9)
         if w == 0 and h == 0:
             margin = 1.0
-        self.size = size
-        self.scale = size / max(w + 2 * margin, h + 2 * margin)
-        self.ox = (size - self.scale * (w + 2 * margin)) / 2 + self.scale * (
+        self.scale = VIEWPORT / max(w + 2 * margin, h + 2 * margin)
+        self.ox = (VIEWPORT - self.scale * (w + 2 * margin)) / 2 + self.scale * (
             margin - xmin
         )
-        self.oy = (size - self.scale * (h + 2 * margin)) / 2 + self.scale * (
+        self.oy = (VIEWPORT - self.scale * (h + 2 * margin)) / 2 + self.scale * (
             margin - ymin
         )
 
     def map(self, p) -> tuple[float, float]:
         return (
             self.ox + self.scale * float(p[0]),
-            self.size - (self.oy + self.scale * float(p[1])),
+            VIEWPORT - (self.oy + self.scale * float(p[1])),
         )
 
 
 def render_polygon(
     points: Sequence[Sequence],
     *,
-    labels: bool = True,
     closed: bool = True,
     marker_indices: Sequence[int] | None = None,
-    stroke: str = "#2f6f8f",
 ) -> str:
     """Draw ordered 2-dim points as a polygon (or polyline) with markers.
 
@@ -69,29 +67,28 @@ def render_polygon(
         raise ValueError("nothing to draw")
     frame = _Frame(points)
     mapped = [frame.map(p) for p in points]
-    parts = [_HEADER.format(s=_fmt(frame.size))]
+    parts = [_HEADER.format(s=_fmt(VIEWPORT))]
     parts.append(
-        f'<rect width="{_fmt(frame.size)}" height="{_fmt(frame.size)}" '
+        f'<rect width="{_fmt(VIEWPORT)}" height="{_fmt(VIEWPORT)}" '
         'fill="#ffffff"/>\n'
     )
     if len(mapped) > 1:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in mapped)
         tag = "polygon" if closed else "polyline"
         parts.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
+            f'<{tag} points="{coords}" fill="none" stroke="{STROKE}" '
             'stroke-width="1.5"/>\n'
         )
     highlighted = set(marker_indices or ())
     for i, (x, y) in enumerate(mapped):
-        colour = "#c0392b" if i in highlighted else stroke
+        colour = "#c0392b" if i in highlighted else STROKE
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{colour}"/>\n'
         )
-        if labels:
-            parts.append(
-                f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 5)}" '
-                f'font-family="monospace" font-size="12" fill="#333333">'
-                f"v{i}</text>\n"
-            )
+        parts.append(
+            f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 5)}" '
+            f'font-family="monospace" font-size="12" fill="#333333">'
+            f"v{i}</text>\n"
+        )
     parts.append("</svg>\n")
     return "".join(parts)

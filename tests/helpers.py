@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from polysect import convex_hull
-from polysect.geometry import solve_linear, vadd, vdot, vscale, vsub
+from polysect.geometry import solve_particular, vadd, vdot, vscale, vsub
 from polysect.hull import IntHull, _simplicial_facets
 from polysect.polytope import _canonical_halfspace
 
@@ -125,9 +125,10 @@ def in_hull_exact(points, x) -> bool:
         for combo in combinations(pts, size):
             matrix = [[p[i] for p in combo] for i in range(d)]
             matrix.append([F(1)] * size)
-            rhs = list(x) + [F(1)]
-            sol = solve_linear(matrix, rhs)
-            if sol.status == "unique" and all(l >= 0 for l in sol.values):
+            if matrix_rank(matrix) < size:
+                continue
+            sol = solve_particular(matrix, list(x) + [F(1)])
+            if sol is not None and all(l >= 0 for l in sol):
                 return True
     return False
 
@@ -300,11 +301,11 @@ def exact_cone_oracle_sampling_only(cone):
 def section_two_hulls(body, flat):
     """section() that hulls the last stage in ambient space, then again in
     the flat's chart.  Reference for the library's single chart hull."""
-    from polysect.polytope import Section, _hyperplane_slice_points
+    from polysect.polytope import Section, _slice
 
     current = body
     for n in flat.normal_directions():
-        pts = _hyperplane_slice_points(current, n, vdot(n, flat.base))
+        pts = [x for x, _ in _slice(current, n, flat.base)]
         if not pts:
             return None
         current = convex_hull(pts)
@@ -976,6 +977,10 @@ def convex_hull_by_gram_schmidt(points):
         span,
         tuple(hs for hs, _ in facets),
         tuple(frozenset(position[i] for i in fverts) for _, fverts in facets),
+        tuple(
+            (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
+            for hs, _ in facets
+        ),
     )
 
 
@@ -1264,3 +1269,84 @@ def radial_sweep_by_generator(member, ray_interval, start, frame, count, offset,
 def frame_lift_by_generator(s, frame, dim):
     """mirkil_scan's lift of a point s of a frame's span, by a generator."""
     return tuple(sum(si * fi[j] for si, fi in zip(s, frame)) for j in range(dim))
+
+
+def vertices_of_by_subset_scan(halfspaces):
+    """polytope.vertices_of as it scanned (d-1)-subsets of the normals for a
+    recession ray and solved each d-subset that Gaussian elimination found
+    nonsingular.  Reference for the hull-of-normals boundedness test and
+    the int_pivots bases."""
+    from polysect.geometry import DimensionMismatch, nullspace, orthogonalize
+    from polysect.polytope import Halfspace, PolytopeError, UnboundedPolyhedron
+
+    hss = [hs.canonical() for hs in halfspaces]
+    if not hss:
+        raise PolytopeError("no halfspaces")
+    d = len(hss[0].normal)
+    for hs in hss:
+        if len(hs.normal) != d:
+            raise DimensionMismatch("halfspace dimensions disagree")
+    normals = [hs.normal for hs in hss]
+    if matrix_rank(normals) < d:
+        ortho = orthogonalize(normals)
+        chart = [
+            Halfspace(tuple(vdot(hs.normal, b) for b in ortho), hs.offset).canonical()
+            for hs in hss
+        ]
+        if vertices_of_by_subset_scan(chart) is None:
+            return None
+        raise UnboundedPolyhedron("halfspace normals do not span the space")
+    if d == 1:
+        rays = [(F(1),), (F(-1),)]
+    else:
+        # an extreme ray of a pointed recession cone is tight on d-1
+        # independent constraints
+        rays = []
+        for combo in combinations(normals, d - 1):
+            if matrix_rank(combo) == d - 1:
+                (u,) = nullspace(list(combo))
+                rays += [u, tuple(-x for x in u)]
+    for ray in rays:
+        if all(vdot(n, ray) <= 0 for n in normals):
+            raise UnboundedPolyhedron("recession direction found")
+    found = {}
+    for combo in combinations(hss, d):
+        matrix = [hs.normal for hs in combo]
+        if matrix_rank(matrix) < d:
+            continue
+        x = solve_particular(matrix, [hs.offset for hs in combo])
+        if all(hs.evaluate(x) <= 0 for hs in hss):
+            found.setdefault(x)
+    if not found:
+        return None
+    return convex_hull(list(found))
+
+
+def slice_points_by_fractions(body, normal, offset):
+    """The cut of a polytope by {x : normal.x = offset} in Fractions: the
+    on-plane vertices, then the edge crossings in edges() order.  Reference
+    for polytope._slice's integer cut."""
+    vals = [vdot(normal, v) - offset for v in body.vertices]
+    pts = [v for v, val in zip(body.vertices, vals) if val == 0]
+    for i, j in body.edges():
+        a, b = vals[i], vals[j]
+        if (a < 0 < b) or (b < 0 < a):
+            t = a / (a - b)
+            vi, vj = body.vertices[i], body.vertices[j]
+            pts.append(vadd(vi, vscale(vsub(vj, vi), t)))
+    return pts
+
+
+def primitive_direction_by_gcd_loop(v):
+    """cones.primitive_direction as it cleared denominators by their lcm and
+    folded a gcd over the absolute values.  Reference for int_scaled plus
+    one gcd call."""
+    from polysect.geometry import as_vector
+
+    v = as_vector(v)
+    scale = math.lcm(*[x.denominator for x in v])
+    ints = [int(x * scale) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(F(x // g) for x in ints)

@@ -88,3 +88,46 @@ def test_tracer_round_trip_reaches_the_exact_layers():
     for (short, cls_name, meth), raw in raw_methods.items():
         cls = getattr(importlib.import_module(f"polysect.{short}"), cls_name)
         assert cls.__dict__[meth] is raw
+
+
+def _readme_table_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## What's inside", 1)[1].split("\n### ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert rows, "the README's module table is missing"
+    return sorted({name for row in rows for name in re.findall(r"`([^`]+)`", row)})
+
+
+def _resolves(name: str) -> bool:
+    """Is a README name a polysect module, a name in one, an attribute of a
+    class defined in one (each possibly followed by attributes), or a
+    builtin?  A call such as `edges()` is looked up without its arguments."""
+    import builtins
+    import pkgutil
+
+    name = name.split("(", 1)[0]
+    if name == "polysect" or name.startswith("polysect."):
+        return importlib.util.find_spec(name) is not None
+    modules = [
+        importlib.import_module(f"polysect.{m.name}")
+        for m in pkgutil.iter_modules(polysect.__path__)
+    ]
+    head, *rest = name.split(".")
+    found = [vars(m)[head] for m in modules if head in vars(m)]
+    found += [
+        vars(cls)[head]
+        for m in modules
+        for cls in vars(m).values()
+        if isinstance(cls, type) and cls.__module__ == m.__name__ and head in vars(cls)
+    ]
+    if hasattr(builtins, head):
+        found.append(getattr(builtins, head))
+    for attr in rest:
+        found = [getattr(obj, attr) for obj in found if hasattr(obj, attr)]
+    return bool(found)
+
+
+def test_readme_module_table_names_resolve():
+    # a name deleted from the package must leave the README's table too
+    missing = [name for name in _readme_table_names() if not _resolves(name)]
+    assert not missing, missing

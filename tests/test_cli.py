@@ -232,6 +232,21 @@ class TestCriteriaCommands:
         assert rep["witness"] is not None
         assert (tmp_path / "witness.svg").exists()
 
+    def test_mirkil_ball_spec_values_pinned(self, tmp_path):
+        # the ball's center and radius reach the cone oracle as the floats of
+        # their exact rationals; these report bytes predate reading them
+        # through the body-spec parsers
+        spec = tmp_path / "ball.json"
+        spec.write_text(
+            '{"kind": "ball", "center": ["1/2", 0.1, 1e-7], "radius": "1/2"}\n'
+        )
+        report = tmp_path / "report.json"
+        argv = ["mirkil", "--body", str(spec), "--apex", "3,0,0", "--seed", "1"]
+        assert main(argv + ["--report", str(report)]) == 2
+        assert _sha(report.read_bytes()) == (
+            "c744f59e9638b17910d4073996b0a6daa0ae599213251793bf6dc75dd3d8b3f1"
+        )
+
     def test_mirkil_cube_consistent(self, cube_off, tmp_path):
         code, rep = run(
             ["mirkil", "--body", cube_off, "--apex", "0,0,3", "--samples", "5"],

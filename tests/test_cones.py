@@ -15,6 +15,7 @@ from helpers import (
     exact_cone_oracle_sampling_only,
     from_generators,
     is_extreme_oracle,
+    primitive_direction_by_gcd_loop,
 )
 
 from polysect.bodies import ray_exit
@@ -70,6 +71,12 @@ class TestPrimitiveDirection:
     def test_scale_invariance(self):
         v = (F(3, 7), F(-2, 5), F(1))
         assert primitive_direction(v) == primitive_direction(vscale(v, F(11, 4)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=60), min_size=1, max_size=4))
+    def test_matches_gcd_loop(self, v):
+        assume(any(v))
+        assert primitive_direction(v) == primitive_direction_by_gcd_loop(v)
 
 
 class TestVisualCone:

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from polysect.geometry import AffineFlat, DimensionMismatch, GeometryError, identity_flat, nullspace, vsub
 from polysect.polytope import (
+    _slice,
     DiamondConfigError,
     Halfspace,
     PolytopeError,
@@ -22,7 +23,12 @@ from polysect.polytope import (
 )
 
 import helpers
-from helpers import restrict_halfspaces
+from helpers import (
+    polytope_fields,
+    restrict_halfspaces,
+    slice_points_by_fractions,
+    vertices_of_by_subset_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +508,98 @@ class TestVerticesOf:
         back = vertices_of(body.halfspaces)
         assert back is not None
         assert back.vertices == body.vertices
+
+    def test_five_dimensional_systems_rejected(self):
+        # bounded, and empty: both fail up front, as convex_hull does
+        for offset in (F(1), F(-1)):
+            hss = [
+                Halfspace(tuple(F(s if i == axis else 0) for i in range(5)), offset)
+                for axis in range(5) for s in (1, -1)
+            ]
+            with pytest.raises(PolytopeError, match="unsupported"):
+                vertices_of(hss)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_subset_scan(self, data):
+        d = data.draw(st.integers(1, 4), label="dim")
+        hss = data.draw(halfspace_systems(d), label="halfspaces")
+        assert vertices_of_outcome(vertices_of, hss) == vertices_of_outcome(
+            vertices_of_by_subset_scan, hss
+        )
+
+    def test_subset_scan_sweep_reaches_every_outcome(self):
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(240):
+            d = rng.randint(1, 4)
+            free = rng.choice((0, 0, 0, rng.randint(0, d - 1)))
+            hss, m = [], rng.randint(d + 1, d + 4)
+            while len(hss) < m:
+                n = [F(rng.randint(-2, 2)) for _ in range(d - free)] + [F(0)] * free
+                if any(n):
+                    hss.append(Halfspace(tuple(n), F(rng.randint(-2, 6), 2)))
+            got = vertices_of_outcome(vertices_of, hss)
+            assert got == vertices_of_outcome(vertices_of_by_subset_scan, hss), hss
+            kinds.add(got[0])
+        assert kinds == {"empty", "unbounded", "polytope"}
+
+
+def halfspace_systems(d):
+    """Halfspace lists in dimension d with small integer normals; a drawn
+    number of trailing coordinates is zero in every normal, so some systems
+    are rank-deficient."""
+    free = st.integers(0, d - 1)
+    coords = st.integers(-2, 2).map(F)
+    offsets = st.fractions(min_value=-2, max_value=3, max_denominator=2)
+
+    def system(z):
+        normal = st.tuples(*[coords] * (d - z)).filter(any).map(
+            lambda n: n + (F(0),) * z
+        )
+        hs = st.builds(Halfspace, normal, offsets)
+        return st.lists(hs, min_size=1, max_size=d + 4)
+
+    return free.flatmap(system)
+
+
+def vertices_of_outcome(route, hss):
+    try:
+        poly = route(hss)
+    except UnboundedPolyhedron as e:
+        return ("unbounded", str(e))
+    if poly is None:
+        return ("empty",)
+    return ("polytope", polytope_fields(poly))
+
+
+class TestSlice:
+    """_slice's integer cut against helpers' Fraction cut."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_cut(self, data):
+        d = data.draw(st.integers(2, 4), label="dim")
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        body = convex_hull(data.draw(points(d, d + 1, 2 * d + 2, small), label="body"))
+        normal = data.draw(st.tuples(*[small] * d).filter(any), label="normal")
+        point = data.draw(
+            st.one_of(
+                st.just(body.interior_point()),
+                st.sampled_from(body.vertices),
+                # beyond the body's box [-2, 2]^d
+                st.tuples(*[small] * d).map(lambda p: tuple(3 + abs(x) for x in p)),
+            ),
+            label="point",
+        )
+        cut = _slice(body, normal, point)
+        level = sum(n * x for n, x in zip(normal, point))
+        assert [x for x, _ in cut] == slice_points_by_fractions(body, normal, level)
+        for x, ids in cut:
+            if len(ids) == 1:
+                assert x == body.vertices[ids[0]]
+            else:
+                assert ids in body.edges()
 
 
 class TestSectionDifferential:
