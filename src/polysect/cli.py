@@ -445,8 +445,9 @@ _HANDLERS = {
 
 
 def _add_body_flags(p):
-    p.add_argument("--body", help="path to an OFF polytope or body-spec JSON")
-    p.add_argument("--body-json", help="inline body-spec JSON")
+    body = p.add_mutually_exclusive_group()
+    body.add_argument("--body", help="path to an OFF polytope or body-spec JSON")
+    body.add_argument("--body-json", help="inline body-spec JSON")
     p.add_argument("--report", default="-", help="report path (default stdout)")
     p.add_argument("--svg", help="write an SVG rendering of 2-dim output")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")

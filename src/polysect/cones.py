@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from math import lcm
-from operator import mul, sub
+from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
 from .bodies import (
@@ -47,8 +47,6 @@ from .geometry import (
     as_vector,
     int_scaled,
     is_zero_vector,
-    nullspace,
-    vadd,
     vdot,
     vneg,
     vscale,
@@ -186,11 +184,10 @@ def _separating_functional(z: Point, poly: Polytope) -> Vector:
     cz = poly.to_chart(z)
     for hs in poly.halfspaces:
         if hs.evaluate(cz) > 0:
-            m = tuple(Fraction(0) for _ in range(poly.ambient_dim))
+            # minus the chart normal n lifted: sum_j (n_j / |b_j|^2) b_j
             span = poly.span
-            for n_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
-                m = vadd(m, vscale(b_j, n_j / n2))
-            return vneg(m)
+            lifted = span.point_at(tuple(map(truediv, hs.normal, span.basis_norm2s)))
+            return vsub(span.base, lifted)
     raise ConeError("no separating halfspace found for an outside point")
 
 
@@ -247,9 +244,11 @@ def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
     """Intersect a cone with a flat through its apex (None = only the apex).
 
     The result cone lives in the flat's chart, re-anchored so the apex is
-    the chart origin.  The nonzero part of the intersection corresponds to
-    the section of the cone's base polytope by the flat, so everything is
-    exact.
+    the chart origin.  The cone's base lies in {w.y = 1} for its positive
+    normal w, so the nonzero part of the intersection is spanned by the
+    section of the base by the flat's linear span, which meets the span's
+    slice of {w.y = 1}; that section's chart vertices are the rays of the
+    result, and everything is exact.
     """
     if flat.ambient_dim != cone.ambient_dim:
         raise DimensionMismatch("flat and cone dimensions disagree")
@@ -258,39 +257,13 @@ def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
     anchored = AffineFlat(cone.apex, flat.basis)
     if cone.base is None:
         return None
-    w = cone.positive_normal
-    w_chart = tuple(vdot(w, b) for b in anchored.basis)
-    if all(x == 0 for x in w_chart):
+    origin = tuple(Fraction(0) for _ in range(cone.ambient_dim))
+    sec = _polytope_section(cone.base, AffineFlat(origin, flat.basis))
+    if sec is None:
         return None
-
-    if anchored.dim == 1:
-        y0 = vscale(anchored.basis[0], 1 / w_chart[0])
-        if cone.base.contains(y0) == "outside":
-            return None
-        ray_points = [y0]
-    else:
-        j = next(i for i, x in enumerate(w_chart) if x != 0)
-        y0 = vscale(anchored.basis[j], 1 / w_chart[j])
-        dirs = []
-        for coeffs in nullspace([w_chart]):
-            v = tuple(Fraction(0) for _ in range(cone.ambient_dim))
-            for c, b in zip(coeffs, anchored.basis):
-                v = vadd(v, vscale(b, c))
-            dirs.append(v)
-        sub = AffineFlat.spanning(y0, dirs)
-        sec = _polytope_section(cone.base, sub)
-        if sec is None:
-            return None
-        ray_points = list(sec.ambient_vertices)
-
-    chart_rays = [
-        tuple(
-            vdot(r, b) / n2 for b, n2 in zip(anchored.basis, anchored.basis_norm2s)
-        )
-        for r in ray_points
-    ]
-    origin = tuple(Fraction(0) for _ in range(anchored.dim))
-    chart_cone = _cone_from_rays(origin, chart_rays, w_chart)
+    # the section's chart vertices are the rays in the anchored chart
+    w_chart = tuple(vdot(cone.positive_normal, b) for b in flat.basis)
+    chart_cone = _cone_from_rays(origin[: anchored.dim], sec.polytope.vertices, w_chart)
     return ConeSection(cone.apex, anchored, chart_cone)
 
 

@@ -38,7 +38,10 @@ def frac(value: int | str | Fraction) -> Fraction:
     Floats are rejected on purpose: a binary float usually encodes a
     different rational than the decimal the caller had in mind.  Decimal
     strings are exact in base 10 and go through Fraction's own parser.
+    A Fraction is returned as it is.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"refusing inexact scalar {value!r}; pass int, str, or Fraction")
     return Fraction(value)
@@ -271,7 +274,7 @@ class AffineFlat:
             raise DimensionMismatch("coefficient count differs from flat dimension")
         p = self.base
         for c, b in zip(coeffs, self.basis):
-            p = vadd(p, vscale(b, frac(c) if not isinstance(c, Fraction) else c))
+            p = vadd(p, vscale(b, frac(c)))
         return p
 
     def project_point(self, point: Point) -> Point:

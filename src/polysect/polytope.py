@@ -30,9 +30,7 @@ from .geometry import (
     is_zero_vector,
     orthogonalize,
     solve_particular,
-    vadd,
     vdot,
-    vscale,
     vsub,
 )
 from . import hull as _hull
@@ -484,20 +482,19 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
     are already the section's vertices, each once: an on-plane vertex is
     extreme, a crossing lies in the relative interior of one edge and is
     extreme in the slice, so they are hulled once, in the flat's chart.
+    Any flat is accepted: a line gives the chord (a point or a segment
+    whose chart vertices are its end parameters), and a flat spanning the
+    whole space has no bounding hyperplane and gives the body in its chart.
     """
     if flat.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("flat and body dimensions disagree")
-    if flat.dim >= body.ambient_dim:
-        raise PolytopeError("section flat must be a proper flat")
 
-    normals = flat.normal_directions()
-    current = body
-    for i, n in enumerate(normals):
+    pts = body.vertices
+    for i, n in enumerate(flat.normal_directions()):
+        current = body if i == 0 else convex_hull(pts)
         pts = [x for x, _ in _slice(current, n, flat.base)]
         if not pts:
             return None
-        if i + 1 < len(normals):
-            current = convex_hull(pts)
 
     chart_pts = []
     # sorted, as an ambient hull lists vertices: a lower-dimensional chart
@@ -556,61 +553,22 @@ def is_extreme(point, body) -> bool:
     return p in poly.vertices
 
 
-def _line_interval(body: Polytope, base, u):
-    """Exact parameter interval {t : base + t*u in body} as (lo, hi), or None.
-
-    A line in the body's affine hull is clipped against the facets in the
-    hull's chart.  Any other line meets the hull in at most one point t0,
-    and the interval is (t0, t0) when that point lies in the body.
-    """
-    span = body.span
-    if span is None:  # a single point: every direction is normal to its hull
-        origin, normals = body.vertices[0], identity_flat(len(u)).basis
-    else:
-        origin, normals = span.base, span.normal_directions()
-    cons = [(vdot(n, u), vdot(n, vsub(origin, base))) for n in normals]
-    crossing = next(((a, b) for a, b in cons if a != 0), None)
-    if crossing is not None:
-        t0 = crossing[1] / crossing[0]
-        if any(a * t0 != b for a, b in cons):
-            return None
-        if body.contains(vadd(base, vscale(u, t0))) == "outside":
-            return None
-        return (t0, t0)
-    if any(b != 0 for _, b in cons):
-        return None
-    cb = span.coordinates(base)
-    cd = tuple(vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s))
-    lo = hi = None
-    for hs in body.halfspaces:
-        a = vdot(hs.normal, cd)
-        b = hs.offset - vdot(hs.normal, cb)
-        if a == 0:
-            if b < 0:
-                return None
-        elif a > 0:
-            hi = b / a if hi is None else min(hi, b / a)
-        else:
-            lo = b / a if lo is None else max(lo, b / a)
-    return (lo, hi) if lo <= hi else None
-
-
 def supporting_line_test(line: AffineFlat, body: Polytope) -> bool:
     """Does the line meet the body only in boundary points?
 
     False when the line misses the body or passes through the (relative)
     interior; true exactly when the nonempty intersection sits inside the
-    boundary.  A chord meets the relative interior iff its midpoint does;
-    a single point is all relative interior, so no line supports it.
+    boundary.  The answer is read off `section(body, line)`: a chord meets
+    the relative interior iff its midpoint, the section's vertex centroid
+    that `Section.meets_interior` probes, does; a single point is all
+    relative interior, so no line supports it.
     """
     if line.dim != 1:
         raise PolytopeError("supporting_line_test needs a 1-dimensional flat")
     if line.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("line and body dimensions disagree")
-    chord = _line_interval(body, line.base, line.basis[0])
-    if chord is None:
-        return False
-    return body.contains(line.point_at(((chord[0] + chord[1]) / 2,))) != "interior"
+    sec = section(body, line)
+    return sec is not None and not sec.meets_interior
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +588,9 @@ def diamond_hull(face, p, q) -> Polytope:
 
     The open segment (p q) must meet the face in a single point; every other
     configuration (miss, endpoint contact, overlap in a segment) raises
-    DiamondConfigError.
+    DiamondConfigError.  The chord is read off the section of the face by
+    the line p + t(q - p), whose chart coordinate is t: the first and last
+    section vertices are its end parameters.
     """
     Q = _face_polytope(face)
     p = as_point(p)
@@ -640,10 +600,13 @@ def diamond_hull(face, p, q) -> Polytope:
     if len(p) != Q.ambient_dim or len(q) != Q.ambient_dim:
         raise DimensionMismatch("segment and face dimensions disagree")
 
-    chord = _line_interval(Q, p, vsub(q, p))
-    if chord is None or chord[0] > 1 or chord[1] < 0:
+    sec = section(Q, AffineFlat(p, (vsub(q, p),)))
+    if sec is None:
         raise DiamondConfigError("segment misses the face")
-    lo, hi = max(chord[0], Fraction(0)), min(chord[1], Fraction(1))
+    (lo,), (hi,) = sec.polytope.vertices[0], sec.polytope.vertices[-1]
+    if lo > 1 or hi < 0:
+        raise DiamondConfigError("segment misses the face")
+    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
     if lo != hi:
         raise DiamondConfigError("segment overlaps the face in more than a point")
     if lo == 0 or lo == 1:

@@ -223,12 +223,12 @@ def _facet_normal(state: WalkState, u) -> Vector:
     along u, for a u with the shadow on its clockwise side.
 
     A vertex v with image p differs from the apex by lift(p - x) plus a
-    multiple of ξ, so n = ξ × lift(u) gives n.(v - apex) =
+    multiple of ξ, so n = ξ × lift(u) (`point_at` of the chart, which
+    passes through the origin) gives n.(v - apex) =
     det[e1, e2, ξ] * cross(u, p - x).  The shadow chart is right-handed,
     so the body lies on the non-positive side, as on the cone's facets.
     """
-    e1, e2 = state.chart.basis
-    n = cross3(state.xi, vadd(vscale(e1, u[0]), vscale(e2, u[1])))
+    n = cross3(state.xi, state.chart.point_at(u))
     return _canonical_halfspace(n, Fraction(0)).normal
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from polysect import convex_hull
-from polysect.geometry import solve_particular, vadd, vdot, vscale, vsub
+from polysect.geometry import identity_flat, solve_particular, vadd, vdot, vscale, vsub
 from polysect.hull import IntHull, _simplicial_facets
 from polysect.polytope import _canonical_halfspace
 
@@ -97,6 +97,49 @@ def centered_polytope(rng, dim, base_points, lo=-4, hi=4, den=8):
             continue
         c = poly.interior_point()
         return convex_hull([vsub(v, c) for v in poly.vertices])
+
+
+def polytope_of_dim(rng, dim, k):
+    """Random k-dimensional polytope in dimension `dim` (0 <= k <= dim):
+    integer combinations of k random directions from a random base point."""
+    base = random_points(rng, dim, 1)[0]
+    if k == 0:
+        return convex_hull([base])
+    while True:
+        dirs = random_points(rng, dim, k, -2, 2, 2)
+        pts = []
+        for _ in range(rng.randint(k + 1, k + 5)):
+            coeffs = [rng.randint(-2, 2) for _ in dirs]
+            pts.append(tuple(
+                x + sum(c * v[i] for c, v in zip(coeffs, dirs))
+                for i, x in enumerate(base)
+            ))
+        poly = convex_hull(pts)
+        if poly.dim == k:
+            return poly
+
+
+def random_line(rng, poly):
+    """(base, direction) of a line through a vertex, an edge midpoint or a
+    random point, along two vertices (so inside the affine hull) or a
+    random direction; never a zero direction."""
+    verts = poly.vertices
+    kind = rng.randrange(3)
+    if kind == 0:
+        base = rng.choice(verts)
+    elif kind == 1 and len(verts) > 1:
+        a, b = rng.sample(verts, 2)
+        base = tuple((x + y) / 2 for x, y in zip(a, b))
+    else:
+        base = random_points(rng, len(verts[0]), 1)[0]
+    if len(verts) > 1 and rng.random() < 0.5:
+        a, b = rng.sample(verts, 2)
+        u = vsub(b, a)
+    else:
+        u = random_points(rng, len(verts[0]), 1, -2, 2, 2)[0]
+    if all(x == 0 for x in u):
+        u = (F(1),) + (F(0),) * (len(u) - 1)
+    return base, u
 
 
 def matrix_rank(rows) -> int:
@@ -1350,3 +1393,86 @@ def primitive_direction_by_gcd_loop(v):
     for x in ints:
         g = gcd(g, abs(x))
     return tuple(F(x // g) for x in ints)
+
+
+def line_interval_by_clipping(body, base, u):
+    """Exact parameter interval {t : base + t*u in body} as (lo, hi), or None.
+
+    The clipping route `supporting_line_test` and `diamond_hull` once took:
+    a line in the body's affine hull is clipped against the facets in the
+    hull's chart; any other line meets the hull in at most one point t0,
+    and the interval is (t0, t0) when that point lies in the body.
+    """
+    span = body.span
+    if span is None:  # a single point: every direction is normal to its hull
+        origin, normals = body.vertices[0], identity_flat(len(u)).basis
+    else:
+        origin, normals = span.base, span.normal_directions()
+    cons = [(vdot(n, u), vdot(n, vsub(origin, base))) for n in normals]
+    crossing = next(((a, b) for a, b in cons if a != 0), None)
+    if crossing is not None:
+        t0 = crossing[1] / crossing[0]
+        if any(a * t0 != b for a, b in cons):
+            return None
+        if body.contains(vadd(base, vscale(u, t0))) == "outside":
+            return None
+        return (t0, t0)
+    if any(b != 0 for _, b in cons):
+        return None
+    cb = span.coordinates(base)
+    cd = tuple(vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s))
+    lo = hi = None
+    for hs in body.halfspaces:
+        a = vdot(hs.normal, cd)
+        b = hs.offset - vdot(hs.normal, cb)
+        if a == 0:
+            if b < 0:
+                return None
+        elif a > 0:
+            hi = b / a if hi is None else min(hi, b / a)
+        else:
+            lo = b / a if lo is None else max(lo, b / a)
+    return (lo, hi) if lo <= hi else None
+
+
+def cone_section_by_subflat(cone, flat):
+    """`cones.cone_section` by the route it once took: the base is cut by
+    the sub-flat {w.y = 1} ∩ span built from a nullspace (a point for a
+    line), and the rays are charted one by one."""
+    from polysect.cones import ConeError, ConeSection, _cone_from_rays
+    from polysect.geometry import AffineFlat, nullspace
+    from polysect.polytope import section
+
+    if not flat.contains(cone.apex):
+        raise ConeError("flat must pass through the apex")
+    anchored = AffineFlat(cone.apex, flat.basis)
+    if cone.base is None:
+        return None
+    w = cone.positive_normal
+    w_chart = tuple(vdot(w, b) for b in anchored.basis)
+    if all(x == 0 for x in w_chart):
+        return None
+    if anchored.dim == 1:
+        y0 = vscale(anchored.basis[0], 1 / w_chart[0])
+        if cone.base.contains(y0) == "outside":
+            return None
+        ray_points = [y0]
+    else:
+        j = next(i for i, x in enumerate(w_chart) if x != 0)
+        y0 = vscale(anchored.basis[j], 1 / w_chart[j])
+        dirs = []
+        for coeffs in nullspace([w_chart]):
+            v = tuple(F(0) for _ in range(cone.ambient_dim))
+            for c, b in zip(coeffs, anchored.basis):
+                v = vadd(v, vscale(b, c))
+            dirs.append(v)
+        sec = section(cone.base, AffineFlat.spanning(y0, dirs))
+        if sec is None:
+            return None
+        ray_points = list(sec.ambient_vertices)
+    chart_rays = [
+        tuple(vdot(r, b) / n2 for b, n2 in zip(anchored.basis, anchored.basis_norm2s))
+        for r in ray_points
+    ]
+    origin = tuple(F(0) for _ in range(anchored.dim))
+    return ConeSection(cone.apex, anchored, _cone_from_rays(origin, chart_rays, w_chart))

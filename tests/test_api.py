@@ -1,5 +1,6 @@
 """The package's public surface: top-level names and the names the bench wraps."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -131,3 +132,42 @@ def test_readme_module_table_names_resolve():
     # a name deleted from the package must leave the README's table too
     missing = [name for name in _readme_table_names() if not _resolves(name)]
     assert not missing, missing
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads (a name in `__all__` counts
+    as read: the package re-exports it)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the repo has no linter; an import orphaned by a deletion must fail here
+    orphans = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "polysect").glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not orphans, orphans
+
+
+def test_unused_import_check_sees_plain_dotted_and_aliased_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nfrom math import gcd, lcm as l\n"
+        "__all__ = ['gcd']\n"
+    )
+    assert _unused_imports(tree) == ["l", "os", "system"]

@@ -440,6 +440,20 @@ class TestPlumbing:
         )
         assert code == 2
 
+    def test_body_and_body_json_together_is_error(self, tmp_path, capsys):
+        # one body per call: neither flag may silently win over the other
+        code, rep = run(
+            ["klee-k1", "--body", str(tmp_path / "missing.off"), "--body-json",
+             '{"kind": "ball", "center": [0, 0, 0], "radius": 1}',
+             "--flats", "1", "--boundary-points", "8"],
+            tmp_path,
+        )
+        assert code == 1
+        assert rep is None
+        assert capsys.readouterr().err == (
+            "error: argument --body-json: not allowed with argument --body\n"
+        )
+
     def test_missing_body_is_error(self, tmp_path, capsys):
         code, _ = run(["walk", "--xi", "0,0,1"], tmp_path)
         assert code == 1

@@ -12,10 +12,14 @@ from helpers import (
     CUBE_VERTICES,
     centered_polytope,
     cone_contains_point,
+    cone_section_by_subflat,
     exact_cone_oracle_sampling_only,
     from_generators,
     is_extreme_oracle,
+    matrix_rank,
+    polytope_of_dim,
     primitive_direction_by_gcd_loop,
+    random_points,
 )
 
 from polysect.bodies import ray_exit
@@ -210,6 +214,104 @@ class TestConeSection:
         flat = AffineFlat.spanning((F(5), F(5), F(5)), [(0, 1, 0), (0, 0, 1)])
         with pytest.raises(ConeError):
             cone_section(self.cone, flat)
+
+
+def _cone_section_fields(sec):
+    """Everything of a cone section but the chart its cone's base polytope
+    is hulled in, which follows the order the rays arrive in."""
+    if sec is None:
+        return None
+    c = sec.cone
+    base = None if c.base is None else (c.base.vertices, c.base.dim)
+    return (
+        sec.apex, sec.flat, c.apex, c.generators, c.span_dim, c.halfspaces,
+        c.positive_normal, base,
+    )
+
+
+def _cone_section_case(seed):
+    """The visual cone of a random body of any dimension in dimension 1-4
+    from an outside apex, and a flat of any dimension through the apex,
+    sometimes along one of the cone's rays."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    body = polytope_of_dim(rng, d, rng.randint(0, d))
+    apex = random_points(rng, d, 1, -6, 6, 2)[0]
+    while body.contains(apex) != "outside":
+        apex = random_points(rng, d, 1, -6, 6, 2)[0]
+    cone = visual_cone(apex, body)
+    k = rng.randint(1, d)
+    dirs = random_points(rng, d, k, -2, 2, 1)
+    while matrix_rank(dirs) < k:
+        dirs = random_points(rng, d, k, -2, 2, 1)
+    if rng.random() < 0.5:
+        dirs[0] = rng.choice(cone.generators)
+    shift = rng.randint(-2, 2)
+    base = tuple(a + shift * b for a, b in zip(apex, dirs[-1]))
+    return cone, AffineFlat.spanning(base, dirs)
+
+
+class TestConeSectionRoute:
+    """cone_section cuts the base by the flat's linear span in one
+    `section`; `helpers.cone_section_by_subflat` is the sub-flat route it
+    took before, kept as the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_subflat_route(self, seed):
+        cone, flat = _cone_section_case(seed)
+        assert _cone_section_fields(cone_section(cone, flat)) == _cone_section_fields(
+            cone_section_by_subflat(cone, flat)
+        )
+
+    def test_every_outcome_class_occurs(self):
+        seen = set()
+        for seed in range(200):
+            cone, flat = _cone_section_case(seed)
+            got = cone_section(cone, flat)
+            assert _cone_section_fields(got) == _cone_section_fields(
+                cone_section_by_subflat(cone, flat)
+            )
+            seen.add((cone.ambient_dim, flat.dim, got is None))
+        assert {(d, k) for d, k, _ in seen} == {
+            (d, k) for d in range(1, 5) for k in range(1, d + 1)
+        }
+        for d in range(2, 5):
+            assert {none for dd, _, none in seen if dd == d} == {True, False}
+
+    def test_flat_off_the_apex_raises_on_both_routes(self):
+        cone = visual_cone((0, 0, 3), cube())
+        flat = AffineFlat.spanning((F(5), F(5), F(5)), [(0, 1, 0), (0, 0, 1)])
+        for route in (cone_section, cone_section_by_subflat):
+            with pytest.raises(ConeError, match="flat must pass through the apex"):
+                route(cone, flat)
+
+
+class TestApexInTheBodysAffineHull:
+    """A lower-dimensional body seen from an apex in its own affine hull:
+    the separating functional is the lifted chart normal of a facet that
+    sees the apex, so the cone is the chart body's visual cone, lifted."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_the_chart_cone_lifted(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(2, 4)
+        body = polytope_of_dim(rng, d, rng.randint(1, d - 1))
+        span = body.span
+        chart_apex = tuple(F(rng.randint(-12, 12), 2) for _ in range(body.dim))
+        assume(body.chart_contains(chart_apex) == "outside")
+        cone = visual_cone(span.point_at(chart_apex), body)
+        chart_cone = visual_cone(chart_apex, convex_hull(body.chart_vertices))
+        lifted = {
+            primitive_direction(vsub(span.point_at(g), span.base))
+            for g in chart_cone.generators
+        }
+        assert set(cone.generators) == lifted
+        assert cone.span_dim == chart_cone.span_dim
+        # the functional is a direction of the body's span
+        w = cone.positive_normal
+        assert span.contains(tuple(b + x for b, x in zip(span.base, w)))
 
 
 class TestConeOracle:

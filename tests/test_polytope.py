@@ -824,3 +824,144 @@ class TestDiamond:
         q = vsub(centre, tuple(x * shrink for x in b))
         dia = diamond_hull(q_face, p, q)
         assert check_diamond_boundary(body, dia) is True
+
+
+def _diamond_by_clipping(face, p, q):
+    """diamond_hull as it read the chord off the facet-clipping route."""
+    if p == q:
+        raise DiamondConfigError("segment endpoints coincide")
+    chord = helpers.line_interval_by_clipping(face, p, vsub(q, p))
+    if chord is None or chord[0] > 1 or chord[1] < 0:
+        raise DiamondConfigError("segment misses the face")
+    lo, hi = max(chord[0], F(0)), min(chord[1], F(1))
+    if lo != hi:
+        raise DiamondConfigError("segment overlaps the face in more than a point")
+    if lo == 0 or lo == 1:
+        raise DiamondConfigError("segment meets the face at an endpoint")
+    return convex_hull(face.vertices + (p, q))
+
+
+def _outcome(route, *args):
+    try:
+        return polytope_fields(route(*args))
+    except GeometryError as exc:  # the error type and message are outcomes too
+        return (type(exc), str(exc))
+
+
+def _line_case(seed):
+    """A random body of any dimension in dimension 1-4 and a line by it."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    body = helpers.polytope_of_dim(rng, d, rng.randint(0, d))
+    base, u = helpers.random_line(rng, body)
+    return rng, body, base, u
+
+
+def _diamond_case(seed):
+    """A face of any dimension and a segment on a line by it, whose ends
+    sit at, before or beyond a point of the line or the face's centroid."""
+    rng, face, base, u = _line_case(seed)
+    x = rng.choice((base, face.interior_point()))
+    p = tuple(a - rng.choice((0, F(1, 2), 1, 3)) * b for a, b in zip(x, u))
+    q = tuple(a + rng.choice((0, F(1, 3), 1, 2)) * b for a, b in zip(x, u))
+    return face, p, q
+
+
+class TestLineSectionRoute:
+    """supporting_line_test and diamond_hull read the chord off `section`;
+    `helpers.line_interval_by_clipping` is the facet-clipping route they
+    took before, kept as the reference."""
+
+    def _check(self, body, base, u):
+        line = AffineFlat(base, (u,))
+        ref = helpers.line_interval_by_clipping(body, base, u)
+        sec = section(body, line)
+        # the chart coordinate of base + t*u is t
+        if sec is None:
+            assert ref is None
+        else:
+            assert ref == (sec.polytope.vertices[0][0], sec.polytope.vertices[-1][0])
+        supported = ref is not None and body.contains(
+            line.point_at(((ref[0] + ref[1]) / 2,))
+        ) != "interior"
+        assert supporting_line_test(line, body) is supported
+        return ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_chord_matches_clipping(self, seed):
+        _, body, base, u = _line_case(seed)
+        self._check(body, base, u)
+
+    def test_every_outcome_class_occurs(self):
+        seen = set()
+        for seed in range(240):
+            _, body, base, u = _line_case(seed)
+            chord = self._check(body, base, u)
+            kind = "none" if chord is None else (
+                "point" if chord[0] == chord[1] else "segment"
+            )
+            seen.add((body.ambient_dim, body.dim, kind))
+        assert {c for _, _, c in seen} == {"none", "point", "segment"}
+        assert {(d, k) for d, k, _ in seen} == {
+            (d, k) for d in range(1, 5) for k in range(d + 1)
+        }
+        for d in range(2, 5):
+            assert {c for dd, _, c in seen if dd == d} == {"none", "point", "segment"}
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_diamond_matches_clipping(self, seed):
+        face, p, q = _diamond_case(seed)
+        assert _outcome(diamond_hull, face, p, q) == _outcome(
+            _diamond_by_clipping, face, p, q
+        )
+
+    def test_diamond_outcomes_cover_every_error(self):
+        outcomes = set()
+        for seed in range(300):
+            face, p, q = _diamond_case(seed)
+            got = _outcome(diamond_hull, face, p, q)
+            assert got == _outcome(_diamond_by_clipping, face, p, q)
+            outcomes.add(got[1] if isinstance(got[1], str) else "hull")
+        assert outcomes == {
+            "hull",
+            "segment endpoints coincide",
+            "segment misses the face",
+            "segment overlaps the face in more than a point",
+            "segment meets the face at an endpoint",
+        }
+
+    def test_wrong_dimension_line_raises(self, cube):
+        with pytest.raises(DimensionMismatch):
+            supporting_line_test(AffineFlat.spanning((0, 0), [(1, 0)]), cube)
+        with pytest.raises(DimensionMismatch):
+            diamond_hull(cube, (0, 0), (1, 1))
+
+
+class TestWholeSpaceSection:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_flat_spanning_the_space_gives_the_body(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(1, 4)
+        body = helpers.polytope_of_dim(rng, d, rng.randint(0, d))
+        sec = section(body, identity_flat(d))
+        assert sec.ambient_vertices == body.vertices
+        assert sec.polytope.vertices == body.vertices
+        assert sec.meets_interior
+        if body.dim == d:
+            assert polytope_fields(sec.polytope) == polytope_fields(body)
+        # any chart of the whole space: the body in that chart
+        while True:
+            dirs = helpers.random_points(rng, d, d, -2, 2, 1)
+            if helpers.matrix_rank(dirs) == d:
+                break
+        flat = AffineFlat.spanning(helpers.random_points(rng, d, 1)[0], dirs)
+        sec = section(body, flat)
+        assert sorted(sec.ambient_vertices) == list(body.vertices)
+        assert sec.polytope.dim == body.dim
+        assert polytope_fields(sec.polytope) == polytope_fields(
+            # section hulls the chart points in the order of the ambient ones
+            convex_hull([flat.coordinates(v) for v in body.vertices])
+        )
