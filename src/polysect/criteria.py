@@ -53,7 +53,8 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .polytope import Polytope, _slice, convex_hull, is_extreme, project
+from .hull import affine_pivots, int_pivots
+from .polytope import Polytope, _slice, convex_hull, project
 
 
 class CriterionError(GeometryError):
@@ -275,9 +276,20 @@ RATIONALIZE_DENOMINATOR = 2**20
 MAX_DELTA = 1e100
 
 
-def _rationalize(v) -> Vector:
+def _grid_row(v) -> tuple[int, ...]:
+    """The floats of v rounded onto the 1/RATIONALIZE_DENOMINATOR grid, as
+    numerators over that denominator."""
     den = RATIONALIZE_DENOMINATOR
-    return tuple(Fraction(round(float(x) * den), den) for x in v)
+    return tuple(round(float(x) * den) for x in v)
+
+
+def _grid_vector(row) -> Vector:
+    """The point of the 1/RATIONALIZE_DENOMINATOR grid with these numerators."""
+    return tuple(Fraction(n, RATIONALIZE_DENOMINATOR) for n in row)
+
+
+def _rationalize(v) -> Vector:
+    return _grid_vector(_grid_row(v))
 
 
 def _resolve_body(body) -> tuple[Polytope | None, BodyOracle | None, str, bool]:
@@ -345,13 +357,14 @@ def klee_section_test(
     rng = random.Random(seed)
 
     def trial(i, notes):
-        flat, normals, offsets, normals_f, offsets_f = _draw_flat(rng, d, k, delta)
         if poly is not None:
-            # exact sections are polytopes by construction; only coverage is checked
-            note = _coverage_note(poly, normals, offsets)
+            # exact sections are polytopes by construction; only coverage is
+            # checked, and it needs the flat's normals and offsets alone
+            note = _coverage_note(poly, *_draw_normals(rng, d, k, delta)[:2])
             if note is not None:
                 notes.append(f"sample {i}: {note}")
             return None
+        flat, _, _, normals_f, offsets_f = _draw_flat(rng, d, k, delta)
         draw = lambda n: sample_section_boundary(oracle, flat, n)
         try:
             found = _confirmed_curve(draw, boundary_points, 4, tau)
@@ -367,28 +380,30 @@ def klee_section_test(
     return _report(criterion, name, exact, flats, outcome, boundary_points, tau, seed)
 
 
-def _draw_flat(rng, d, k, delta):
-    """A seeded k-flat {x : N x = o} with d - k gaussian unit normals.
+def _draw_normals(rng, d, k, delta):
+    """The d - k seeded gaussian unit normals and offsets of a k-flat {x : N x = o}.
 
-    Returns (flat, rational N, rational o, float N, float o): the floats are
-    the drawn normals and their offsets delta(normal), the rationals those
+    Returns (rational N, rational o, float N, float o): the floats are the
+    drawn normals and their offsets delta(normal), the rationals those
     rounded onto the 1/RATIONALIZE_DENOMINATOR grid.  A draw whose rounded
-    normals are dependent is redrawn.
+    normals are dependent (integer rank below d - k on the grid rows) is
+    redrawn; independent normals always define a k-flat.
     """
     while True:
         normals_f = [_gauss_unit(rng, d) for _ in range(d - k)]
         offsets_f = [_delta_value(delta, f) for f in normals_f]
-        normals = [_rationalize(f) for f in normals_f]
-        offsets = [_rationalize((v,))[0] for v in offsets_f]
-        base = solve_particular(normals, offsets)
-        if base is None:
-            continue
-        try:
-            flat = AffineFlat.spanning(base, nullspace(normals))
-        except GeometryError:
-            continue
-        if flat.dim == k:
-            return flat, normals, offsets, normals_f, offsets_f
+        rows = [_grid_row(f) for f in normals_f]
+        if len(int_pivots(rows, d - k)) == d - k:
+            offsets = [_rationalize((v,))[0] for v in offsets_f]
+            return list(map(_grid_vector, rows)), offsets, normals_f, offsets_f
+
+
+def _draw_flat(rng, d, k, delta):
+    """`_draw_normals` with its flat first: (flat, N, o, float N, float o)."""
+    normals, offsets, normals_f, offsets_f = _draw_normals(rng, d, k, delta)
+    base = solve_particular(normals, offsets)
+    flat = AffineFlat.spanning(base, nullspace(normals))
+    return flat, normals, offsets, normals_f, offsets_f
 
 
 def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
@@ -426,8 +441,9 @@ def klee_projection_test(
 ) -> CriterionReport:
     """Sample k-dimensional orthogonal shadows and test each for polygonality.
 
-    Exact polytopes: the shadow is hulled exactly and cross-checked against
-    the hull of the independently extreme-filtered projected vertices.
+    Exact polytopes: the shadow is hulled exactly, and an integer
+    certificate (`_certify_hull`) proves it is the hull of the projected
+    vertices, with the same vertices and facets.
     Oracle bodies: the shadow's support function is the restriction of the
     body's (h_{K|E}(u) = h_K(u) for u in E), so support points traced
     around the direction circle sample the shadow boundary; piecewise
@@ -471,15 +487,88 @@ def _random_subspace_exact(rng, origin, d, k) -> AffineFlat:
 
 
 def _exact_projection_check(poly: Polytope, E: AffineFlat) -> None:
-    """Shadow via project() must equal the hull of extreme projected vertices."""
-    proj = project(poly, E)
-    pts = [E.projected_coordinates(v) for v in poly.vertices]
-    ext = [p for p in dict.fromkeys(pts) if is_extreme(p, proj.polytope)]
-    rehull = convex_hull(ext)
-    if proj.polytope.vertices != rehull.vertices:
-        raise CriterionError("projection disagrees with the extreme-point hull")
-    if proj.polytope.halfspaces != rehull.halfspaces:
-        raise CriterionError("projection facets disagree with the extreme-point hull")
+    """Certify that project() returned the hull of the projected vertices.
+
+    The shadow is checked in ints against the `chart_grid` rows of the
+    body's vertices by `_certify_hull`.  A shadow that does not span the
+    chart is checked in the chart of its own span, once every projected
+    vertex is seen to lie on that span (on the point, for a point shadow).
+    """
+    shadow = project(poly, E).polytope
+    rows, factors = E.chart_grid(poly.vertices)
+    vertices = shadow.vertices
+    if shadow.dim < len(factors):
+        pts = [tuple(map(mul, r, factors)) for r in rows]
+        span = shadow.span
+        if not all(span.contains(p) if span else p == vertices[0] for p in pts):
+            raise CriterionError("projected vertices leave the projection's span")
+        if span is None:
+            return
+        rows, factors = span.chart_grid(pts)
+        vertices = shadow.chart_vertices
+    _certify_hull(rows, factors, vertices, shadow._int_facets)
+
+
+def _certify_hull(rows, factors, vertices, facets) -> None:
+    """Raise unless the chart polytope (vertices, facets) is the hull H of
+    the chart points given as integer rows, with H's vertices and facets.
+
+    Chart coordinate j of a row r is r[j] * factors[j], every factor is
+    positive, so a chart facet n.s <= c reads (n_j f_j L)_j . r <= c L on
+    the rows, L the lcm of the factors' denominators.  In a chart of
+    dimension k = 1, 2 or 3:
+    (1) every facet normal is nonzero and every row satisfies every facet,
+        so H lies in the facets' polyhedron Q;
+    (2) every vertex is a row, and no vertex or facet is listed twice;
+    (3) the vertices tight on a facet have affine rank k - 1, so each facet
+        is a facet of H and its listed vertices span it;
+    (4) the facets tight at a vertex have rank k: it is a vertex of Q in H,
+        hence of H;
+    (5) every ridge of a listed facet lies in a second listed facet.
+    The facet-ridge graph of a polytope is connected, so by (5) the facets
+    are all of H's and Q = H, and by (3) every vertex of H is listed.  (5)
+    reads "two facets" for k = 1 and follows from (4) for k = 2, a polygon
+    vertex lying on two edges only.  For k = 3 the vertices of each facet
+    must form as many edges of H (pairs tight on facets of rank 2) as there
+    are vertices, which a polygon reaches only with all its vertices and
+    edges; without it, a 3-D shadow missing one facet of an octahedron passes.
+    """
+    k = len(factors)
+    scale = math.lcm(*[f.denominator for f in factors])
+    axis = [f.numerator * (scale // f.denominator) for f in factors]
+    planes = [(tuple(map(mul, n, axis)), c * scale) for n, c in facets]
+    for normal, c in planes:
+        if not any(normal) or any(sum(map(mul, normal, r)) > c for r in rows):
+            raise CriterionError("a projected vertex violates a projection facet")
+    # a vertex over the factors is a row when it equals one (ints and
+    # Fractions of equal value hash alike); the row itself is kept
+    grid = {r: r for r in rows}
+    verts = [grid.get(tuple(map(truediv, v, factors))) for v in vertices]
+    if None in verts:
+        raise CriterionError("a projection vertex is not a projected vertex")
+    if len(set(verts)) != len(verts) or len(set(planes)) != len(planes):
+        raise CriterionError("projection lists a vertex or a facet twice")
+    on = [
+        [i for i, v in enumerate(verts) if sum(map(mul, normal, v)) == c]
+        for normal, c in planes
+    ]
+    at = [set() for _ in verts]
+    for f, ids in enumerate(on):
+        if not ids or len(affine_pivots([verts[i] for i in ids], k - 1)) < k - 1:
+            raise CriterionError("a projection facet is not a facet of the hull")
+        for i in ids:
+            at[i].add(f)
+    if any(len(int_pivots([planes[f][0] for f in fs], k)) < k for fs in at):
+        raise CriterionError("a projection vertex is not a vertex of the hull")
+    if k == 1 and len(planes) != 2:
+        raise CriterionError("projection facets do not close up")
+    for ids in on if k == 3 else ():
+        edges = sum(
+            len(int_pivots([planes[f][0] for f in at[a] & at[b]], 2)) == 2
+            for a, b in combinations(ids, 2)
+        )
+        if edges != len(ids):
+            raise CriterionError("projection facets do not close up")
 
 
 def _support_shadow(oracle: BodyOracle, frame, count):
@@ -645,18 +734,21 @@ class EpsilonCert:
     interior_point: Point | None = None
 
 
+def _normal_family_rows(dim: int, seed: int) -> list[tuple[int, ...]]:
+    """`default_normal_family` as int rows over RATIONALIZE_DENOMINATOR."""
+    rng = random.Random(seed)
+    den = RATIONALIZE_DENOMINATOR
+    rows = [tuple(den if i == a else 0 for i in range(dim)) for a in range(dim)]
+    while len(rows) < 24:
+        row = _grid_row(_gauss_unit(rng, dim))
+        if any(row):
+            rows.append(row)
+    return rows
+
+
 def default_normal_family(dim: int, seed: int = 0):
     """Axis directions plus seeded rationalized random normals, 24 in all."""
-    rng = random.Random(seed)
-    family = [
-        tuple(Fraction(1 if i == a else 0) for i in range(dim))
-        for a in range(dim)
-    ]
-    while len(family) < 24:
-        v = _rationalize(_gauss_unit(rng, dim))
-        if not is_zero_vector(v):
-            family.append(v)
-    return tuple(family)
+    return tuple(map(_grid_vector, _normal_family_rows(dim, seed)))
 
 
 def epsilon_certificate(
@@ -706,27 +798,31 @@ def epsilon_certificate(
 
     # boundary segment: most transverse family flat through the midpoint.
     # The score (N·U)² / (N·N · U·U) on integer multiples N, U of nu and u
+    # (N is a default member's int row, or a given member times its lcm)
     # is the rational (nu·u)² / (|nu|² |u|²); U·U is common to all, so two
     # scores compare by cross-multiplying (N·U)² and N·N.
     u = vsub(q, p)
     (U,), _ = int_scaled((u,))
     if family is None:
-        family = default_normal_family(d, seed=seed)
+        rows = _normal_family_rows(d, seed)
+    else:
+        family = [as_vector(nu) for nu in family]
+        for nu in family:
+            require_same_dim(u, nu)
+        rows = [int_scaled((nu,))[0][0] for nu in family]
     best = None
-    for nu in family:
-        nu = as_vector(nu)
-        require_same_dim(u, nu)
-        (N,), _ = int_scaled((nu,))
+    for i, N in enumerate(rows):
         dot = sum(map(mul, N, U))
         if dot == 0:
             continue
         num, n2 = dot * dot, sum(map(mul, N, N))
         if best is None or num * best_n2 > best_num * n2:
-            best, best_num, best_n2 = nu, num, n2
+            best, best_num, best_n2 = i, num, n2
     if best is None:
         raise CriterionError(
             "family-coverage failure: no flat transversal to the segment"
         )
+    best = family[best] if family else _grid_vector(rows[best])
 
     # The section S of the body by the flat H meets relint P (H separates p
     # from q), so S's facets through mid are the S ∩ F for the facets F of

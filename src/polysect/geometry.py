@@ -11,7 +11,7 @@ orthonormal for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -341,8 +341,13 @@ class AffineFlat:
         return self.coordinates(point) is not None
 
 
+@lru_cache(maxsize=8)
 def identity_flat(dim: int) -> AffineFlat:
-    """The whole space as a flat with the standard basis chart."""
+    """The whole space as a flat with the standard basis chart.
+
+    One instance per dimension is built and shared: an `AffineFlat` is
+    frozen, and its cached values depend on its fields alone.
+    """
     base = tuple(ZERO for _ in range(dim))
     basis = tuple(
         tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)

@@ -282,17 +282,19 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 
     Lower-dimensional input is handled inside its affine span: the span is
     reported on the result and the halfspace form lives in the span chart.
-    The span is found on integers: with each axis scaled by the lcm of its
-    denominators, the points whose differences from the first raise the
-    integer rank are the pivots, and Gram-Schmidt runs on the pivot
-    differences alone.  Full-dimensional input is hulled on the scaled
-    points and keeps its points as chart vertices; lower-dimensional input
-    is hulled on its `chart_grid` rows, and chart coordinates are made for
-    the returned vertices only.  Every halfspace is canonical: an integer
-    normal and offset with no common factor (a Fraction with denominator 1
-    in each entry).
+    The work is done on an integer grid: each axis is scaled by the lcm of
+    its denominators, repeated points are dropped by their grid rows, and
+    the points whose differences from the first raise the integer rank are
+    the pivots; Gram-Schmidt runs on the pivot differences alone.
+    Full-dimensional input is hulled on the grid rows, keeps its points as
+    chart vertices and lists them in grid-row order, which is their
+    lexicographic order since every scale is positive; lower-dimensional
+    input is hulled on its `chart_grid` rows, and chart coordinates are
+    made for the returned vertices only.  Every halfspace is canonical: an
+    integer normal and offset with no common factor (a Fraction with
+    denominator 1 in each entry).
     """
-    pts = list(dict.fromkeys(as_point(p) for p in points))
+    pts = [as_point(p) for p in points]
     if not pts:
         raise PolytopeError("convex hull of no points")
     d = len(pts[0])
@@ -303,10 +305,12 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         raise PolytopeError(f"ambient dimension {d} unsupported (need 1..4)")
 
     scales = [lcm(*[p[j].denominator for p in pts]) for j in range(d)]
-    grid = [
-        tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales))
-        for p in pts
-    ]
+    rows = {}  # grid row -> its first point; the scaling is injective
+    for p in pts:
+        rows.setdefault(
+            tuple(x.numerator * (s // x.denominator) for x, s in zip(p, scales)), p
+        )
+    grid, pts = list(rows), list(rows.values())
     pivots = _hull.affine_pivots(grid, d)
     if not pivots:
         return _dim0_polytope(pts[0])
@@ -356,13 +360,16 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
             g = gcd(*n, c * scale)
             facets.append((tuple(x // g for x in n), c * scale // g, fverts))
 
+    # a grid row is its chart point under positive per-axis scales, so for a
+    # chart spanning the whole space the rows sort as the reported points do
+    full = span.dim == span.ambient_dim
     if points is None:
         points = charts = {i: chart(i) for i in vert_idx}
-    elif span.dim < span.ambient_dim:
+    elif not full:
         charts = {i: chart(i) for i in vert_idx}
     else:
         charts = points
-    order = sorted(vert_idx, key=points.__getitem__)
+    order = sorted(vert_idx, key=(grid if full else points).__getitem__)
     position = {i: pos for pos, i in enumerate(order)}
     vertices = tuple(points[i] for i in order)
     chart_vertices = tuple(charts[i] for i in order)

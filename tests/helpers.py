@@ -1476,3 +1476,64 @@ def cone_section_by_subflat(cone, flat):
     ]
     origin = tuple(F(0) for _ in range(anchored.dim))
     return ConeSection(cone.apex, anchored, _cone_from_rays(origin, chart_rays, w_chart))
+
+
+def projection_check_by_rehull(poly, E, shadow):
+    """criteria's K2 check as it re-derived the shadow: chart coordinates of
+    every vertex through projected_coordinates, an is_extreme filter against
+    the shadow, and a second hull of the extreme points, which must list the
+    shadow's vertices and halfspaces.  Reference for the integer
+    certificate; raises CriterionError, or PolytopeError when a projected
+    vertex falls outside the shadow."""
+    from polysect.criteria import CriterionError
+    from polysect.polytope import is_extreme
+
+    pts = [E.projected_coordinates(v) for v in poly.vertices]
+    ext = [p for p in dict.fromkeys(pts) if is_extreme(p, shadow)]
+    rehull = convex_hull(ext)
+    if shadow.vertices != rehull.vertices:
+        raise CriterionError("projection disagrees with the extreme-point hull")
+    if shadow.halfspaces != rehull.halfspaces:
+        raise CriterionError("projection facets disagree with the extreme-point hull")
+
+
+def draw_flat_by_solving(rng, d, k, delta):
+    """criteria._draw_flat as every K1/T1.1 draw once ran it: the flat is
+    built from a particular solution and the normals' nullspace, and a draw
+    is redrawn when the system has no solution, the nullspace spans nothing
+    or the flat's dimension is not k.  Reference for the normals-only draw,
+    which redraws on the integer rank of the rounded normals."""
+    from polysect.bodies import _gauss_unit
+    from polysect.criteria import _delta_value, _rationalize
+    from polysect.geometry import AffineFlat, GeometryError, nullspace
+
+    while True:
+        normals_f = [_gauss_unit(rng, d) for _ in range(d - k)]
+        offsets_f = [_delta_value(delta, f) for f in normals_f]
+        normals = [_rationalize(f) for f in normals_f]
+        offsets = [_rationalize((v,))[0] for v in offsets_f]
+        base = solve_particular(normals, offsets)
+        if base is None:
+            continue
+        try:
+            flat = AffineFlat.spanning(base, nullspace(normals))
+        except GeometryError:
+            continue
+        if flat.dim == k:
+            return flat, normals, offsets, normals_f, offsets_f
+
+
+def default_normal_family_by_rationalize(dim, seed=0):
+    """criteria.default_normal_family as it built each member as Fractions
+    through _rationalize.  Reference for drawing the members as int rows."""
+    from polysect.bodies import _gauss_unit
+    from polysect.criteria import _rationalize
+    from polysect.geometry import is_zero_vector
+
+    rng = random.Random(seed)
+    family = [tuple(F(1 if i == a else 0) for i in range(dim)) for a in range(dim)]
+    while len(family) < 24:
+        v = _rationalize(_gauss_unit(rng, dim))
+        if not is_zero_vector(v):
+            family.append(v)
+    return tuple(family)

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -52,11 +53,20 @@ from polysect.criteria import (
 from polysect.geometry import (
     AffineFlat,
     DimensionMismatch,
+    GeometryError,
     nullspace,
     solve_particular,
     vdot,
 )
-from polysect.polytope import convex_hull, section
+from polysect.polytope import (
+    Halfspace,
+    Polytope,
+    Projection,
+    _integer_halfspace,
+    convex_hull,
+    project,
+    section,
+)
 
 OCTA_VERTICES = [
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
@@ -767,6 +777,325 @@ class TestKleeProjectionTest:
             assert rep.verdict == "polytope-consistent"
 
 
+def _shadow_with(shadow, chart=None, ints=None):
+    """The shadow with the given chart vertices and/or int facets; ambient
+    vertices, halfspaces and facet-vertex sets are rebuilt to match."""
+    chart = shadow.chart_vertices if chart is None else tuple(chart)
+    ints = shadow._int_facets if ints is None else tuple(ints)
+    halfspaces = tuple(Halfspace(tuple(map(F, n)), F(c)) for n, c in ints)
+    return Polytope(
+        tuple(map(shadow.span.point_at, chart)), chart, shadow.span, halfspaces,
+        tuple(
+            frozenset(i for i, v in enumerate(chart) if hs.evaluate(v) == 0)
+            for hs in halfspaces
+        ),
+        ints,
+    )
+
+
+def _tight(shadow, v):
+    return [f for f, hs in zip(shadow._int_facets, shadow.halfspaces) if hs.evaluate(v) == 0]
+
+
+def _drop_vertex(shadow):
+    return _shadow_with(shadow, chart=shadow.chart_vertices[1:])
+
+
+def _drop_vertex_and_its_facets(shadow):
+    at = _tight(shadow, shadow.chart_vertices[0])
+    return _shadow_with(
+        shadow, chart=shadow.chart_vertices[1:],
+        ints=[f for f in shadow._int_facets if f not in at],
+    )
+
+
+def _repeat_vertex(shadow):
+    return _shadow_with(shadow, chart=shadow.chart_vertices[:1] + shadow.chart_vertices)
+
+
+def _add_edge_midpoint(shadow):
+    # two vertices of facet 0; their midpoint is on the boundary, not extreme
+    a, b = [v for v in shadow.chart_vertices if shadow.halfspaces[0].evaluate(v) == 0][:2]
+    return _shadow_with(shadow, chart=shadow.chart_vertices + (tuple((x + y) / 2 for x, y in zip(a, b)),))
+
+
+def _drop_facet(shadow):
+    return _shadow_with(shadow, ints=shadow._int_facets[1:])
+
+
+def _repeat_facet(shadow):
+    return _shadow_with(shadow, ints=shadow._int_facets[:1] + shadow._int_facets)
+
+
+def _shift_offset(step):
+    def mutate(shadow):
+        (n, c), *rest = shadow._int_facets
+        return _shadow_with(shadow, ints=[(n, c + step), *rest])
+    return mutate
+
+
+def _with_halfspace(shadow, normal, offset):
+    hs = _integer_halfspace(normal, offset)
+    new = (tuple(int(x) for x in hs.normal), int(hs.offset))
+    return _shadow_with(shadow, ints=[*shadow._int_facets, new])
+
+
+def _add_parallel_halfspace(shadow):
+    n, c = shadow._int_facets[0]
+    return _with_halfspace(shadow, n, c + 1)
+
+
+def _add_vertex_supporting_halfspace(shadow):
+    # the sum of two facets tight at a vertex supports the shadow there only
+    (a, c), (b, e) = _tight(shadow, shadow.chart_vertices[0])[:2]
+    return _with_halfspace(shadow, tuple(map(add, a, b)), c + e)
+
+
+def _add_cutting_halfspace(shadow):
+    # a hyperplane through k vertices with vertices strictly on both sides:
+    # tight on enough vertices to pass for a facet, but it cuts the shadow
+    verts, k = shadow.chart_vertices, shadow.dim
+    for combo in itertools.combinations(verts, k):
+        normals = nullspace([[y - x for x, y in zip(combo[0], v)] for v in combo[1:]])
+        if len(normals) != 1:
+            continue
+        (n,) = normals
+        level = vdot(n, combo[0])
+        if min(vdot(n, v) for v in verts) < level < max(vdot(n, v) for v in verts):
+            scale = math.lcm(*[x.denominator for x in n])
+            return _with_halfspace(
+                shadow, tuple(int(x * scale) for x in n), int(level * scale)
+            )
+    raise AssertionError("no cutting hyperplane through vertices")
+
+
+SHADOW_MUTATIONS = {
+    "drop-vertex": _drop_vertex,
+    "drop-vertex-and-its-facets": _drop_vertex_and_its_facets,
+    "repeat-vertex": _repeat_vertex,
+    "add-edge-midpoint": _add_edge_midpoint,
+    "drop-facet": _drop_facet,
+    "repeat-facet": _repeat_facet,
+    "offset-plus-1": _shift_offset(1),
+    "offset-minus-1": _shift_offset(-1),
+    "redundant-parallel": _add_parallel_halfspace,
+    "redundant-at-a-vertex": _add_vertex_supporting_halfspace,
+    "cutting-through-vertices": _add_cutting_halfspace,
+}
+SEGMENT_FREE_MUTATIONS = {
+    "redundant-at-a-vertex", "add-edge-midpoint", "cutting-through-vertices",
+}
+
+
+def _random_plane(rng, d, k):
+    """A k-flat through a rational point along small rational directions."""
+    while True:
+        try:
+            E = AffineFlat.spanning(
+                helpers.random_points(rng, d, 1)[0],
+                helpers.random_points(rng, d, k, -2, 2, 2),
+            )
+        except GeometryError:
+            continue
+        if E.dim == k:
+            return E
+
+
+def _certify(body, E, shadow, monkeypatch):
+    """criteria's K2 check of body on E, with project() returning shadow."""
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "project", lambda b, sub: Projection(shadow, sub, ()))
+        criteria._exact_projection_check(body, E)
+
+
+class TestProjectionCertificate:
+    """K2 on an exact body certifies project()'s shadow in ints; the re-hull
+    it replaced (helpers.projection_check_by_rehull) is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32), st.sampled_from([(3, 2), (4, 2), (4, 3)]),
+        st.integers(0, 4),
+    )
+    def test_both_routes_accept_honest_shadows(self, seed, dk, body_dim):
+        d, k = dk
+        rng = random.Random(seed)
+        body = helpers.polytope_of_dim(rng, d, min(body_dim, d))
+        E = _random_plane(rng, d, k)
+        shadow = project(body, E).polytope
+        criteria._exact_projection_check(body, E)
+        if shadow.dim == k:
+            # a lower-dimensional shadow's chart starts at its first point,
+            # which the re-hull could drop (test_rehull_refused_...)
+            helpers.projection_check_by_rehull(body, E, shadow)
+
+    def test_sweep_reaches_every_shadow_dimension(self):
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            d, k = rng.choice([(3, 2), (4, 2), (4, 3)])
+            body = helpers.polytope_of_dim(rng, d, rng.randrange(d + 1))
+            E = _random_plane(rng, d, k)
+            shadow = project(body, E).polytope
+            criteria._exact_projection_check(body, E)
+            seen.add((k, shadow.dim))
+        assert seen == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)}
+
+    @pytest.mark.parametrize("d, k, body_dim, mutation", [
+        (d, k, body_dim, mutation)
+        for d, k, body_dim in [
+            (3, 2, 3), (4, 2, 4), (4, 3, 4),
+            # lower-dimensional bodies: shadows checked in their span's chart
+            (3, 2, 1), (4, 3, 2), (4, 3, 1),
+        ]
+        for mutation in sorted(SHADOW_MUTATIONS)
+        # a segment's vertex lies on one facet, which has no other vertex,
+        # and no hyperplane through a vertex cuts a segment
+        if body_dim > 1 or mutation not in SEGMENT_FREE_MUTATIONS
+    ])
+    def test_mutations_fail_both_routes(self, d, k, body_dim, mutation, monkeypatch):
+        for seed in range(4):
+            rng = random.Random(seed)
+            if body_dim == d:
+                body = centered_polytope(rng, d, 10)
+            else:
+                body = helpers.polytope_of_dim(rng, d, body_dim)
+            E = _random_plane(rng, d, k)
+            honest = project(body, E).polytope
+            assert honest.dim == min(body_dim, k)
+            _certify(body, E, honest, monkeypatch)
+            bad = SHADOW_MUTATIONS[mutation](honest)
+            with pytest.raises(CriterionError):
+                _certify(body, E, bad, monkeypatch)
+            with pytest.raises(GeometryError):
+                helpers.projection_check_by_rehull(body, E, bad)
+
+    @pytest.mark.parametrize("body_dim", [0, 1, 2])
+    def test_shadow_moved_off_its_span_fails_both_routes(self, body_dim, monkeypatch):
+        for seed in range(4):
+            rng = random.Random(seed)
+            body = helpers.polytope_of_dim(rng, 4, body_dim)
+            E = _random_plane(rng, 4, 3)
+            honest = project(body, E).polytope
+            # off the span: along a chart axis that the span's basis misses
+            span_dirs = () if honest.span is None else honest.span.basis
+            step = next(
+                e for e in ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+                if AffineFlat.spanning((0, 0, 0), [*span_dirs, e]).dim > len(span_dirs)
+            )
+            bad = convex_hull([tuple(map(add, v, step)) for v in honest.vertices])
+            with pytest.raises(CriterionError, match="leave the projection's span"):
+                _certify(body, E, bad, monkeypatch)
+            with pytest.raises(GeometryError):
+                helpers.projection_check_by_rehull(body, E, bad)
+
+    def test_octahedron_missing_a_facet_needs_the_closing_check(self, monkeypatch):
+        # the 4-D cross-polytope's shadow on the first three axes is the
+        # octahedron; without one facet, its other facets still each touch
+        # three vertices and every vertex still sits on rank-3 normals
+        body = convex_hull(
+            [tuple(s if i == a else 0 for i in range(4)) for a in range(4) for s in (1, -1)]
+        )
+        E = AffineFlat.spanning((0,) * 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        bad = _drop_facet(project(body, E).polytope)
+        with pytest.raises(CriterionError, match="do not close up"):
+            _certify(body, E, bad, monkeypatch)
+        with pytest.raises(GeometryError):
+            helpers.projection_check_by_rehull(body, E, bad)
+
+    def test_square_missing_a_vertex_fails_on_its_facets(self, monkeypatch):
+        # every projected point is still a row tight on the two facets at
+        # the dropped corner, so the facets must be read on listed vertices
+        body = convex_hull(CUBE_VERTICES)
+        E = AffineFlat.spanning((0, 0, 0), [(1, 0, 0), (0, 1, 0)])
+        bad = _drop_vertex(project(body, E).polytope)
+        with pytest.raises(CriterionError, match="not a facet of the hull"):
+            _certify(body, E, bad, monkeypatch)
+
+    def test_rehull_refused_an_honest_segment_shadow(self):
+        # the first vertex projects inside the segment shadow: project()'s
+        # chart starts there, the re-hull's at an end, so their chart
+        # halfspaces differ although both hulls are right
+        body = convex_hull([(-1, 0, 0), (0, -1, 0), (1, 1, 0)])
+        E = AffineFlat.spanning((0, 0, 0), [(0, 1, 0), (0, 0, 1)])
+        shadow = project(body, E).polytope
+        assert shadow.dim == 1 and shadow.span.base == (0, 0)
+        criteria._exact_projection_check(body, E)
+        with pytest.raises(CriterionError, match="facets disagree"):
+            helpers.projection_check_by_rehull(body, E, shadow)
+
+    def test_point_shadow_is_certified(self, monkeypatch):
+        body = convex_hull([(1, 2, 3), (1, 2, 5)])
+        E = AffineFlat.spanning((0, 0, 0), [(1, 0, 0), (0, 1, 0)])
+        criteria._exact_projection_check(body, E)
+        moved = convex_hull([(1, 3)])
+        with pytest.raises(CriterionError):
+            _certify(body, E, moved, monkeypatch)
+
+
+class _ScriptedRandom(random.Random):
+    """random.Random whose first gauss() calls return scripted values."""
+
+    def __init__(self, seed, gausses):
+        super().__init__(seed)
+        self.script = list(gausses)
+        self.calls = 0
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        self.calls += 1
+        return self.script.pop(0) if self.script else super().gauss(mu, sigma)
+
+
+class TestNormalsOnlyDraw:
+    """Exact K1/T1.1 draws only normals; helpers.draw_flat_by_solving is the
+    route that built a flat for every draw."""
+
+    DELTAS = {"K1": None, "T1.1": 0.25, "T1.1-callable": lambda u: u[0] - 0.5}
+
+    @pytest.mark.parametrize("delta", sorted(DELTAS))
+    @pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (4, 3)])
+    def test_same_draws_as_the_flat_route(self, d, k, delta):
+        delta = self.DELTAS[delta]
+        for seed in range(150):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                flat, *drawn = helpers.draw_flat_by_solving(ref, d, k, delta)
+                assert list(criteria._draw_normals(ours, d, k, delta)) == drawn
+            assert ours.getstate() == ref.getstate()
+        rng = random.Random(d * k)
+        assert criteria._draw_flat(rng, d, k, delta) == helpers.draw_flat_by_solving(
+            random.Random(d * k), d, k, delta
+        )
+
+    @pytest.mark.parametrize("delta", [None, 0.25])
+    def test_dependent_rounding_is_redrawn(self, delta):
+        # A seeded gaussian pair rounds to dependent rows with probability
+        # about 2^-40, so one is scripted: (1, 1e-7, 0, 0) and (1, 0, 0, 0)
+        # are independent floats whose rows on the 2^-20 grid are equal.
+        script = [1.0, 1e-7, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        ours, ref = _ScriptedRandom(3, script), _ScriptedRandom(3, script)
+        normals, offsets, normals_f, _ = criteria._draw_normals(ours, 4, 2, delta)
+        assert ours.calls == 16  # the scripted pair and one redraw
+        expected = helpers.draw_flat_by_solving(ref, 4, 2, delta)
+        assert (normals, offsets) == expected[1:3]
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("delta", sorted(DELTAS))
+    @pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (4, 3)])
+    def test_exact_reports_repr_equal_to_the_flat_route(self, d, k, delta, monkeypatch):
+        delta = self.DELTAS[delta]
+        bodies = [centered_polytope(random.Random(s), d, 9) for s in range(3)]
+        bodies.append(helpers.polytope_of_dim(random.Random(7), d, 2))
+        ours = [repr(klee_section_test(b, 8, seed=s, k=k, delta=delta))
+                for s, b in enumerate(bodies)]
+        monkeypatch.setattr(
+            criteria, "_draw_normals",
+            lambda *a: helpers.draw_flat_by_solving(*a)[1:],
+        )
+        assert ours == [repr(klee_section_test(b, 8, seed=s, k=k, delta=delta))
+                        for s, b in enumerate(bodies)]
+
+
 class TestVisualConeTest:
     def test_cube_apexes_give_exact_cones(self):
         rep = visual_cone_test(cube(), [(0, 0, 3), (3, 0, 0)], seed=1)
@@ -1190,3 +1519,10 @@ class TestNormalFamily:
     def test_deterministic(self):
         assert default_normal_family(3, seed=5) == default_normal_family(3, seed=5)
         assert default_normal_family(3, seed=5) != default_normal_family(3, seed=6)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_int_rows_give_the_rationalized_family(self, dim):
+        for seed in range(40):
+            fam = default_normal_family(dim, seed)
+            assert fam == helpers.default_normal_family_by_rationalize(dim, seed)
+            assert all(type(x) is F for v in fam for x in v)

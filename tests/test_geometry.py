@@ -165,3 +165,16 @@ class TestAffineFlat:
         flat = identity_flat(3)
         assert flat.coordinates((F(1), F(2), F(3))) == (F(1), F(2), F(3))
         assert flat.normal_directions() == ()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_identity_flat_is_shared_and_its_cached_values_stay_right(self, d):
+        flat = identity_flat(d)
+        assert identity_flat(d) is flat
+        # use the shared flat first, then compare with a flat of its own
+        flat.chart_grid([(F(1, 2),) * d, (F(-3),) * d])
+        flat.coordinates((F(1, 3),) * d)
+        fresh = AffineFlat(flat.base, flat.basis)
+        assert fresh is not flat and fresh == flat
+        assert identity_flat(d).basis_norm2s == fresh.basis_norm2s == (F(1),) * d
+        assert identity_flat(d)._grid_basis == fresh._grid_basis
+        assert flat._grid_basis[1] == (F(1),) * d
