@@ -40,12 +40,7 @@ from .criteria import (
     polygonality_detect,
     visual_cone_test,
 )
-from .geometry import (
-    AffineFlat,
-    GeometryError,
-    nullspace,
-    solve_particular,
-)
+from .geometry import AffineFlat, GeometryError
 from .offio import load_polytope
 from .polytope import Polytope, project, section
 from .silhouette import shadow_chart, shadow_walk
@@ -127,9 +122,7 @@ def parse_flat(text: str, dim: int) -> tuple[AffineFlat, tuple, Fraction]:
         )
     if all(x == 0 for x in normal):
         raise ValueError("flat normal must be nonzero")
-    base = solve_particular([list(normal)], [offset])
-    basis = nullspace([list(normal)])
-    return AffineFlat.spanning(base, basis), normal, offset
+    return AffineFlat.from_equations([normal], [offset]), normal, offset
 
 
 class BodyInput:

@@ -37,6 +37,7 @@ from .bodies import (
 from .geometry import (
     AffineFlat,
     GeometryError,
+    ONE,
     Point,
     Vector,
     as_point,
@@ -47,14 +48,13 @@ from .geometry import (
     norm2,
     nullspace,
     require_same_dim,
-    solve_particular,
     vadd,
     vdot,
     vscale,
     vsub,
 )
 from .hull import affine_pivots, int_pivots
-from .polytope import Polytope, _slice, convex_hull, project
+from .polytope import Polytope, _hull_of_rows, _slice, convex_hull, project
 
 
 class CriterionError(GeometryError):
@@ -380,30 +380,35 @@ def klee_section_test(
     return _report(criterion, name, exact, flats, outcome, boundary_points, tau, seed)
 
 
+def _independent_rows(rng, d, count):
+    """`count` seeded gaussian unit vectors in R^d and their `_grid_row`s,
+    redrawn together until the rows are independent (integer rank `count`):
+    the rounded vectors then span a `count`-dimensional space."""
+    while True:
+        floats = [_gauss_unit(rng, d) for _ in range(count)]
+        rows = [_grid_row(f) for f in floats]
+        if len(int_pivots(rows, count)) == count:
+            return floats, rows
+
+
 def _draw_normals(rng, d, k, delta):
     """The d - k seeded gaussian unit normals and offsets of a k-flat {x : N x = o}.
 
     Returns (rational N, rational o, float N, float o): the floats are the
     drawn normals and their offsets delta(normal), the rationals those
-    rounded onto the 1/RATIONALIZE_DENOMINATOR grid.  A draw whose rounded
-    normals are dependent (integer rank below d - k on the grid rows) is
-    redrawn; independent normals always define a k-flat.
+    rounded onto the 1/RATIONALIZE_DENOMINATOR grid.  The normals come from
+    `_independent_rows`, and independent normals always define a k-flat.
     """
-    while True:
-        normals_f = [_gauss_unit(rng, d) for _ in range(d - k)]
-        offsets_f = [_delta_value(delta, f) for f in normals_f]
-        rows = [_grid_row(f) for f in normals_f]
-        if len(int_pivots(rows, d - k)) == d - k:
-            offsets = [_rationalize((v,))[0] for v in offsets_f]
-            return list(map(_grid_vector, rows)), offsets, normals_f, offsets_f
+    normals_f, rows = _independent_rows(rng, d, d - k)
+    offsets_f = [_delta_value(delta, f) for f in normals_f]
+    offsets = [_rationalize((v,))[0] for v in offsets_f]
+    return list(map(_grid_vector, rows)), offsets, normals_f, offsets_f
 
 
 def _draw_flat(rng, d, k, delta):
     """`_draw_normals` with its flat first: (flat, N, o, float N, float o)."""
-    normals, offsets, normals_f, offsets_f = _draw_normals(rng, d, k, delta)
-    base = solve_particular(normals, offsets)
-    flat = AffineFlat.spanning(base, nullspace(normals))
-    return flat, normals, offsets, normals_f, offsets_f
+    drawn = _draw_normals(rng, d, k, delta)
+    return (AffineFlat.from_equations(*drawn[:2]), *drawn)
 
 
 def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
@@ -414,11 +419,14 @@ def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
     onto relint N(P) (Rockafellar, Convex Analysis, Thm 6.6).  One hull of
     the d-k dimensional image decides both, for bodies of any dimension;
     `contains` classifies relative to the image's own span.  The image is in
-    ints (N and the vertices times positive lcms), and o is scaled to match.
+    ints (N and the vertices times positive lcms), hulled as chart rows with
+    unit factors, and o is scaled to match.
     """
     (rows, a), (verts, b) = int_scaled(normals), int_scaled(poly.vertices)
-    image = convex_hull([[sum(map(mul, n, v)) for n in rows] for v in verts])
-    where = image.contains(tuple(o * a * b for o in offsets))
+    image = [tuple(sum(map(mul, n, v)) for n in rows) for v in verts]
+    where = _hull_of_rows(image, (ONE,) * len(rows)).contains(
+        tuple(o * a * b for o in offsets)
+    )
     if where == "outside":
         return "coverage violation (flat misses the body)"
     if where != "interior":
@@ -460,11 +468,12 @@ def klee_projection_test(
     if poly is None and k != 2:
         raise CriterionError("oracle bodies support k = 2 only")
     rng = random.Random(seed)
-    origin = tuple(Fraction(0) for _ in range(d))
 
     def trial(i, notes):
         if poly is not None:
-            _exact_projection_check(poly, _random_subspace_exact(rng, origin, d, k))
+            rows = _independent_rows(rng, d, k)[1]
+            E = AffineFlat.spanning((0,) * d, map(_grid_vector, rows))
+            _exact_projection_check(poly, E)
             return None
         frame = _orthonormal_frame(rng, d, 2)
         draw = lambda n: _support_shadow(oracle, frame, n)
@@ -473,17 +482,6 @@ def klee_projection_test(
 
     outcome = _sample_loop(subspaces, trial)
     return _report("K2", name, exact, subspaces, outcome, boundary_points, tau, seed)
-
-
-def _random_subspace_exact(rng, origin, d, k) -> AffineFlat:
-    while True:
-        dirs = [_rationalize(_gauss_unit(rng, d)) for _ in range(k)]
-        try:
-            E = AffineFlat.spanning(origin, dirs)
-        except GeometryError:
-            continue
-        if E.dim == k:
-            return E
 
 
 def _exact_projection_check(poly: Polytope, E: AffineFlat) -> None:
@@ -611,15 +609,23 @@ def visual_cone_test(
     exact cones (polyhedral by construction, so the run validates apex
     placement); oracle bodies get a ray-hit membership cone scanned by
     mirkil_scan's cross-section sampler.  An apex inside or on the body is
-    an error, per the outside-apex precondition.
+    an error, per the outside-apex precondition.  A negative budget or
+    section count and a sphere radius that is not finite are errors before
+    any cone is built.
     """
     from .cones import mirkil_scan, visual_cone
 
     check_sampling(boundary_points, tau)
+    if budget < 0:
+        raise CriterionError("apex budget must be nonnegative")
+    if sections_per_apex < 0:
+        raise CriterionError("sections per apex must be nonnegative")
     poly, oracle, name, exact = _resolve_body(body)
     rng = random.Random(seed)
     if isinstance(apex_source, tuple) and apex_source and apex_source[0] == "sphere":
         _, center, radius = apex_source
+        if not math.isfinite(float(radius)):
+            raise CriterionError("sphere radius must be finite")
         apexes = sphere_apexes(center, float(radius), budget, rng)
     else:
         apexes = [tuple(float(x) for x in a) for a in apex_source]

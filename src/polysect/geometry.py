@@ -241,6 +241,12 @@ class AffineFlat:
             raise GeometryError("directions span nothing")
         return cls(b, dirs)
 
+    @classmethod
+    def from_equations(cls, normals, offsets) -> "AffineFlat":
+        """The flat {x : N x = o} for independent normal rows N: through one
+        solution, spanned by the nullspace of N."""
+        return cls.spanning(solve_particular(normals, offsets), nullspace(normals))
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -261,10 +267,7 @@ class AffineFlat:
         """Chart coordinates of a point on the flat; None if it is off the flat."""
         if len(point) != self.ambient_dim:
             raise DimensionMismatch("point dimension differs from flat")
-        rel = vsub(point, self.base)
-        coeffs = tuple(
-            vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)
-        )
+        coeffs = self.projected_coordinates(point)
         if self.point_at(coeffs) != point:
             return None
         return coeffs
@@ -279,13 +282,10 @@ class AffineFlat:
 
     def project_point(self, point: Point) -> Point:
         """Orthogonal projection of any ambient point onto the flat."""
-        rel = vsub(point, self.base)
-        coeffs = tuple(
-            vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)
-        )
-        return self.point_at(coeffs)
+        return self.point_at(self.projected_coordinates(point))
 
     def projected_coordinates(self, point: Point) -> tuple[Fraction, ...]:
+        """Chart coordinates of the orthogonal projection of any point."""
         rel = vsub(point, self.base)
         return tuple(
             vdot(rel, b) / n2 for b, n2 in zip(self.basis, self.basis_norm2s)

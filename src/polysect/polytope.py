@@ -380,6 +380,19 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
     return Polytope(vertices, chart_vertices, span, halfspaces, facet_vertices, ints)
 
 
+def _hull_of_rows(rows, factors) -> Polytope:
+    """The hull of chart points given as `chart_grid` rows (coordinate j of
+    row i is rows[i][j] * factors[j]), repeated rows dropped.  Rows spanning
+    the chart are hulled by `_hull_of_grid`; a lower-dimensional set by
+    `convex_hull` of its chart points, in a span charted from the first row.
+    """
+    grid = list(dict.fromkeys(rows))
+    k = len(factors)
+    if len(_hull.affine_pivots(grid, k)) == k:
+        return _hull_of_grid(grid, factors, identity_flat(k))
+    return convex_hull([tuple(map(mul, g, factors)) for g in grid])
+
+
 # ---------------------------------------------------------------------------
 # vertex enumeration from halfspace data
 
@@ -488,7 +501,7 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
     current polytope, computed in ints.  The last stage's slice points
     are already the section's vertices, each once: an on-plane vertex is
     extreme, a crossing lies in the relative interior of one edge and is
-    extreme in the slice, so they are hulled once, in the flat's chart.
+    extreme in the slice, so their `chart_grid` rows are hulled once.
     Any flat is accepted: a line gives the chord (a point or a segment
     whose chart vertices are its end parameters), and a flat spanning the
     whole space has no bounding hyperplane and gives the body in its chart.
@@ -503,16 +516,14 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
         if not pts:
             return None
 
-    chart_pts = []
     # sorted, as an ambient hull lists vertices: a lower-dimensional chart
-    # hull takes its span's base point from the first input point
-    for v in sorted(pts):
-        cv = flat.coordinates(v)
-        if cv is None:
-            raise PolytopeError("section vertex fell off the flat")
-        chart_pts.append(cv)
-    sec_poly = convex_hull(chart_pts)
+    # hull takes its span's base point from the first row; every slice point
+    # is a section vertex, so the hull's vertices lift back to exactly them
+    pts = sorted(pts)
+    sec_poly = _hull_of_rows(*flat.chart_grid(pts))
     ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
+    if sorted(ambient) != pts:
+        raise PolytopeError("section vertex fell off the flat")
 
     probe = flat.point_at(sec_poly.interior_point())
     meets_interior = body.contains(probe) == "interior"
@@ -525,26 +536,18 @@ class Projection:
 
     polytope: Polytope
     subspace: AffineFlat
-    ambient_vertices: tuple[Point, ...]
+
+    @property
+    def ambient_vertices(self) -> tuple[Point, ...]:
+        """The shadow's vertices lifted into the ambient space on each read."""
+        return tuple(self.subspace.point_at(cv) for cv in self.polytope.vertices)
 
 
 def project(body: Polytope, subspace: AffineFlat) -> Projection:
-    """Orthogonal projection: hull the vertices' `chart_grid` rows.
-
-    A shadow that does not span the chart is hulled by `convex_hull` of its
-    chart points, inside its own span.
-    """
+    """Orthogonal projection: hull the vertices' `chart_grid` rows."""
     if subspace.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("subspace and body dimensions disagree")
-    grid, factors = subspace.chart_grid(body.vertices)
-    grid = list(dict.fromkeys(grid))
-    k = len(factors)
-    if len(_hull.affine_pivots(grid, k)) == k:
-        poly = _hull_of_grid(grid, factors, identity_flat(k))
-    else:
-        poly = convex_hull([tuple(map(mul, g, factors)) for g in grid])
-    ambient = tuple(subspace.point_at(cv) for cv in poly.vertices)
-    return Projection(poly, subspace, ambient)
+    return Projection(_hull_of_rows(*subspace.chart_grid(body.vertices)), subspace)
 
 
 # ---------------------------------------------------------------------------

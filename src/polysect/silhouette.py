@@ -36,7 +36,6 @@ from .geometry import (
     Vector,
     as_vector,
     cross3,
-    identity_flat,
     int_scaled,
     is_zero_vector,
     norm2,
@@ -45,7 +44,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .polytope import Polytope, _canonical_halfspace, _hull_of_grid
+from .polytope import Polytope, _canonical_halfspace, _hull_of_rows
 
 
 class WalkError(GeometryError):
@@ -326,9 +325,7 @@ def shadow_walk(body: Polytope, xi) -> WalkResult:
     best = max(g[0] for g in grid)
     start = next(i for i, g in enumerate(grid) if g[0] == best)
 
-    extreme = set(
-        _hull_of_grid(list(dict.fromkeys(grid)), frame.factors, identity_flat(2)).vertices
-    )
+    extreme = set(_hull_of_rows(grid, frame.factors).vertices)
     # image indices; points are compared by their grid rows
     emitted: list[int] = []
     max_steps = len(body.vertices) + 2

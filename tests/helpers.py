@@ -1038,8 +1038,7 @@ def project_by_projected_coordinates(body, subspace):
     poly = convex_hull_by_gram_schmidt(
         [subspace.projected_coordinates(v) for v in body.vertices]
     )
-    ambient = tuple(subspace.point_at(cv) for cv in poly.vertices)
-    return Projection(poly, subspace, ambient)
+    return Projection(poly, subspace)
 
 
 def lift_base_facets_in_fractions(base, w):
@@ -1537,3 +1536,54 @@ def default_normal_family_by_rationalize(dim, seed=0):
         if not is_zero_vector(v):
             family.append(v)
     return tuple(family)
+
+
+def section_by_chart_coordinates(body, flat):
+    """section() as it charted every last-stage slice point through
+    `flat.coordinates` (raising for a point off the flat) and hulled those
+    Fractions with `convex_hull`.  Reference for hulling the slice points'
+    `chart_grid` rows."""
+    from polysect.geometry import DimensionMismatch
+    from polysect.polytope import PolytopeError, Section, _slice
+
+    if flat.ambient_dim != body.ambient_dim:
+        raise DimensionMismatch("flat and body dimensions disagree")
+    pts = body.vertices
+    for i, n in enumerate(flat.normal_directions()):
+        current = body if i == 0 else convex_hull(pts)
+        pts = [x for x, _ in _slice(current, n, flat.base)]
+        if not pts:
+            return None
+    chart_pts = []
+    for v in sorted(pts):
+        cv = flat.coordinates(v)
+        if cv is None:
+            raise PolytopeError("section vertex fell off the flat")
+        chart_pts.append(cv)
+    sec_poly = convex_hull(chart_pts)
+    ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
+    probe = flat.point_at(sec_poly.interior_point())
+    return Section(sec_poly, flat, ambient, body.contains(probe) == "interior")
+
+
+def random_subspace_by_spanning(rng, origin, d, k):
+    """K2's exact subspace draw as it redrew k rounded gaussian directions
+    until `AffineFlat.spanning` gave a k-flat.  Reference for the shared
+    draw of independent grid rows."""
+    from polysect.bodies import _gauss_unit
+    from polysect.criteria import _rationalize
+    from polysect.geometry import AffineFlat, GeometryError
+
+    while True:
+        dirs = [_rationalize(_gauss_unit(rng, d)) for _ in range(k)]
+        try:
+            E = AffineFlat.spanning(origin, dirs)
+        except GeometryError:
+            continue
+        if E.dim == k:
+            return E
+
+
+def every_polytope_field(poly):
+    """`polytope_fields` and the integer facets."""
+    return polytope_fields(poly) + (poly._int_facets,)

@@ -164,6 +164,76 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not orphans, orphans
 
 
+def _private_definitions(stmt) -> list[str]:
+    """Module-level `_name`s a top-level statement defines (dunders aside)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _referenced_names(node) -> set[str]:
+    """Names a statement reads: plain names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no other top-level statement of any
+    module references (a statement's references to itself do not count)."""
+    statements = [
+        (name, stmt)
+        for name, text in sorted(sources.items())
+        for stmt in ast.parse(text).body
+    ]
+    refs = [_referenced_names(stmt) for _, stmt in statements]
+    orphans = []
+    for i, (module, stmt) in enumerate(statements):
+        for name in _private_definitions(stmt):
+            if not any(name in r for j, r in enumerate(refs) if j != i):
+                orphans.append(f"{module}: {name}")
+    return orphans
+
+
+def test_no_private_helper_in_src_is_orphaned():
+    # a route moved to tests/helpers.py must not leave a caller-less copy
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in (ROOT / "src" / "polysect").glob("*.py")
+    }
+    orphans = _orphaned_private_names(sources)
+    assert not orphans, orphans
+
+
+def test_orphan_check_sees_functions_classes_and_assignments():
+    sources = {
+        "a.py": (
+            "def _used(): return _rec()\n"
+            "def _rec(): return _rec()\n"
+            "def _self(): return _self()\n"
+            "class _Lonely: pass\n"
+            "_TABLE = {}\n"
+            "_SEEN: int = 0\n"
+            "def __dunder__(): pass\n"
+        ),
+        "b.py": "from a import _used\nprint(_SEEN)\n",
+    }
+    assert _orphaned_private_names(sources) == [
+        "a.py: _self", "a.py: _Lonely", "a.py: _TABLE"
+    ]
+
+
 def test_unused_import_check_sees_plain_dotted_and_aliased_imports():
     tree = ast.parse(
         "from __future__ import annotations\n"

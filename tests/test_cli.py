@@ -425,6 +425,23 @@ class TestPlumbing:
             assert rep is None
             assert capsys.readouterr().err == f"error: argument --radius: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--apexes", "-5"], "apex budget must be nonnegative"),
+            (["--apexes", "-1"], "apex budget must be nonnegative"),
+            (["--sections-per-apex", "-3"], "sections per apex must be nonnegative"),
+        ],
+    )
+    def test_negative_t12_count_is_error(
+        self, flags, message, ball_json, cube_off, tmp_path, capsys
+    ):
+        for body in (cube_off, ball_json):
+            code, rep = run(["t12", "--body", body, "--apexes", "1"] + flags, tmp_path)
+            assert code == 1
+            assert rep is None
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["klee-k1", "--help"])

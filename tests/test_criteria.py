@@ -904,7 +904,7 @@ def _random_plane(rng, d, k):
 def _certify(body, E, shadow, monkeypatch):
     """criteria's K2 check of body on E, with project() returning shadow."""
     with monkeypatch.context() as m:
-        m.setattr(criteria, "project", lambda b, sub: Projection(shadow, sub, ()))
+        m.setattr(criteria, "project", lambda b, sub: Projection(shadow, sub))
         criteria._exact_projection_check(body, E)
 
 
@@ -1094,6 +1094,88 @@ class TestNormalsOnlyDraw:
         )
         assert ours == [repr(klee_section_test(b, 8, seed=s, k=k, delta=delta))
                         for s, b in enumerate(bodies)]
+
+
+class TestIndependentRowsDraw:
+    """K1/T1.1 normals and K2 subspaces come from one draw of independent
+    grid rows; helpers.random_subspace_by_spanning is K2's old draw."""
+
+    @pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (4, 3)])
+    def test_k2_subspaces_and_rng_match_the_spanning_draw(self, d, k, monkeypatch):
+        drawn, states = [], []
+        real = criteria._independent_rows
+
+        def spy(rng, dim, count):
+            out = real(rng, dim, count)
+            states.append(rng.getstate())
+            return out
+
+        monkeypatch.setattr(criteria, "_independent_rows", spy)
+        monkeypatch.setattr(
+            criteria, "_exact_projection_check", lambda poly, E: drawn.append(E)
+        )
+        body = centered_polytope(random.Random(d * k), d, 8)
+        origin = (F(0),) * d
+        for seed in range(150):
+            drawn.clear()
+            states.clear()
+            klee_projection_test(body, 3, seed=seed, k=k)
+            ref = random.Random(seed)
+            for E, state in zip(drawn, states, strict=True):
+                assert E == helpers.random_subspace_by_spanning(ref, origin, d, k)
+                assert state == ref.getstate()
+            assert len(drawn) == 3
+
+    def test_callable_delta_is_evaluated_on_the_accepted_draw_only(self):
+        # the first scripted pair rounds to dependent rows and is redrawn
+        script = [1.0, 1e-7, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        calls = []
+        delta = lambda u: calls.append(u) or 0.25
+        normals_f = criteria._draw_normals(_ScriptedRandom(3, script), 4, 2, delta)[2]
+        assert calls == normals_f
+
+
+class TestVisualConeChecks:
+    """Negative counts and a sphere radius that is not finite fail before
+    any cone is built, on exact and oracle bodies alike."""
+
+    @staticmethod
+    def no_cones(monkeypatch):
+        from polysect import cones
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a cone was built")
+
+        monkeypatch.setattr(cones, "visual_cone", fail)
+        monkeypatch.setattr(cones, "mirkil_scan", fail)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"budget": -5}, "apex budget must be nonnegative"),
+            ({"budget": -1}, "apex budget must be nonnegative"),
+            ({"sections_per_apex": -3}, "sections per apex must be nonnegative"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["sphere", "apex list"])
+    def test_negative_counts_rejected(self, kwargs, message, source, monkeypatch):
+        self.no_cones(monkeypatch)
+        apexes = ("sphere", (0.0, 0.0, 0.0), 6.0) if source == "sphere" else [(0, 0, 3)]
+        for body in (cube(), make_ball((0, 0, 0), 1)):
+            with pytest.raises(CriterionError, match=message):
+                visual_cone_test(body, apexes, **kwargs)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, radius, monkeypatch):
+        self.no_cones(monkeypatch)
+        for body in (cube(), make_ball((0, 0, 0), 1)):
+            with pytest.raises(CriterionError, match="sphere radius must be finite"):
+                visual_cone_test(body, ("sphere", (0.0, 0.0, 0.0), radius), budget=2)
+
+    def test_zero_section_count_is_allowed(self):
+        ball = make_ball((0, 0, 0), 1)
+        rep = visual_cone_test(ball, [(0, 0, 3)], sections_per_apex=0)
+        assert (rep.verdict, rep.samples_used) == ("polytope-consistent", 1)
 
 
 class TestVisualConeTest:

@@ -178,3 +178,51 @@ class TestAffineFlat:
         assert identity_flat(d).basis_norm2s == fresh.basis_norm2s == (F(1),) * d
         assert identity_flat(d)._grid_basis == fresh._grid_basis
         assert flat._grid_basis[1] == (F(1),) * d
+
+
+class TestFlatFromEquations:
+    """{x : N x = o} through one solution, spanned by the nullspace of N,
+    as `cli.parse_flat` and K1/T1.1 oracle draws build it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_solution_and_nullspace(self, data):
+        d = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(1, d - 1))
+        normals = data.draw(st.lists(st.tuples(*[rationals] * d), min_size=m, max_size=m))
+        if matrix_rank(normals) < m:
+            return
+        offsets = data.draw(st.lists(rationals, min_size=m, max_size=m))
+        flat = AffineFlat.from_equations(normals, offsets)
+        assert flat == AffineFlat.spanning(
+            solve_particular(normals, offsets), nullspace(normals)
+        )
+        assert flat.dim == d - m
+        for p in (flat.base, flat.point_at((F(1),) * flat.dim)):
+            assert [vdot(n, p) for n in normals] == list(offsets)
+
+    def test_hyperplane_and_whole_normal_rank(self):
+        flat = AffineFlat.from_equations([(1, 1, 1)], [F(3)])
+        assert flat.base == (3, 0, 0) and flat.dim == 2
+        with pytest.raises(GeometryError):
+            AffineFlat.from_equations([(1, 0), (0, 1)], [F(1), F(2)])
+
+
+class TestCoefficientRoutes:
+    """`coordinates` and `project_point` read `projected_coordinates`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_routes_agree(self, data):
+        d = data.draw(st.integers(1, 4))
+        dirs = data.draw(st.lists(st.tuples(*[rationals] * d), min_size=1, max_size=d))
+        try:
+            flat = AffineFlat.spanning(data.draw(st.tuples(*[rationals] * d)), dirs)
+        except GeometryError:
+            return
+        p = data.draw(st.tuples(*[rationals] * d))
+        coeffs = flat.projected_coordinates(p)
+        assert flat.project_point(p) == flat.point_at(coeffs)
+        on = flat.point_at(coeffs)
+        assert flat.coordinates(on) == coeffs
+        assert flat.coordinates(p) == (coeffs if on == p else None)

@@ -965,3 +965,142 @@ class TestWholeSpaceSection:
             # section hulls the chart points in the order of the ambient ones
             convex_hull([flat.coordinates(v) for v in body.vertices])
         )
+
+
+def _chart_rows_case(seed):
+    """A body of any dimension in R^d, d = 1..4, and a flat of any dimension
+    through a vertex, an edge midpoint, the centroid or any point, spanned by
+    differences of body vertices or by random directions."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    body = helpers.polytope_of_dim(rng, d, rng.randint(0, d))
+    verts = body.vertices
+    kind = rng.randrange(4)
+    if kind == 0:
+        base = rng.choice(verts)
+    elif kind == 1 and len(verts) > 1:
+        a, b = rng.sample(verts, 2)
+        base = tuple((x + y) / 2 for x, y in zip(a, b))
+    elif kind == 2:
+        base = body.interior_point()
+    else:
+        base = helpers.random_points(rng, d, 1)[0]
+    m = rng.randint(1, d)
+    while True:
+        dirs = []
+        for _ in range(m):
+            if len(verts) > 1 and rng.random() < 0.5:
+                a, b = rng.sample(verts, 2)
+                dirs.append(vsub(b, a))
+            else:
+                dirs.append(helpers.random_points(rng, d, 1, -2, 2, 2)[0])
+        try:
+            flat = AffineFlat.spanning(base, dirs)
+        except GeometryError:
+            continue
+        if flat.dim == m:
+            return body, flat
+
+
+def _section_fields(sec):
+    if sec is None:
+        return None
+    return (
+        helpers.every_polytope_field(sec.polytope), sec.flat, sec.ambient_vertices,
+        sec.meets_interior,
+    )
+
+
+def _outcome_classes(poly, flat):
+    """The classes a section or shadow in the flat's chart falls in."""
+    if poly is None:
+        return {"empty"}
+    out = {("point", "segment")[poly.dim] if poly.dim < 2 else "polytope"}
+    out.add("full" if poly.dim == flat.dim else "lower-dimensional")
+    return out
+
+
+EVERY_OUTCOME = {"empty", "point", "segment", "polytope", "full", "lower-dimensional"}
+
+
+class TestChartRowsHull:
+    """section() and project() hull `chart_grid` rows through one helper;
+    section's chart-coordinates route and project's Gram-Schmidt route are
+    the references, field by field."""
+
+    @staticmethod
+    def check(body, flat):
+        sec = section(body, flat)
+        assert _section_fields(sec) == _section_fields(
+            helpers.section_by_chart_coordinates(body, flat)
+        )
+        proj = project(body, flat)
+        ref = helpers.project_by_projected_coordinates(body, flat)
+        assert helpers.every_polytope_field(proj.polytope) == (
+            helpers.every_polytope_field(ref.polytope)
+        )
+        # lifted on read, each to the projection of a body vertex
+        lifted = proj.ambient_vertices
+        assert lifted == tuple(flat.point_at(cv) for cv in ref.polytope.vertices)
+        assert set(lifted) <= {flat.project_point(v) for v in body.vertices}
+        return _outcome_classes(sec and sec.polytope, flat), _outcome_classes(
+            proj.polytope, flat
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_every_field_matches_the_references(self, seed):
+        self.check(*_chart_rows_case(seed))
+
+    def test_sweep_reaches_every_outcome(self):
+        sections, shadows = set(), set()
+        for seed in range(300):
+            a, b = self.check(*_chart_rows_case(seed))
+            sections |= a
+            shadows |= b
+        assert sections == EVERY_OUTCOME
+        assert shadows == EVERY_OUTCOME - {"empty"}
+
+    def test_lower_dimensional_polygon_in_a_three_flat(self):
+        square = convex_hull([(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (2, 2, 0, 0)])
+        flat = AffineFlat.spanning((1, 1, 0, 0), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+        sections, shadows = self.check(square, flat)
+        assert sections == shadows == {"polytope", "lower-dimensional"}
+
+    def test_projection_stores_no_lift(self, cube):
+        import dataclasses
+
+        from polysect.polytope import Projection
+
+        assert [f.name for f in dataclasses.fields(Projection)] == ["polytope", "subspace"]
+        proj = project(cube, AffineFlat.spanning((0, 0, 0), [(1, 0, 0), (0, 1, 1)]))
+        with pytest.raises(AttributeError):
+            proj.ambient_vertices = ()
+
+
+class TestSectionOffFlatGuard:
+    """A slice point off the flat, or on it but not a vertex, makes the
+    hull's lifted vertices differ from the slice points: the guard raises."""
+
+    @pytest.mark.parametrize("move", ["along-normal", "off-to-interior", "on-to-interior"])
+    def test_moved_slice_point_raises(self, cube, monkeypatch, move):
+        from polysect import polytope
+
+        flat = AffineFlat.spanning((0, 0, F(1, 2)), [(1, 0, 0), (0, 1, 0)])
+        real = polytope._slice
+
+        def moved(body, normal, point):
+            cut = real(body, normal, point)
+            (x, ids), rest = cut[0], cut[1:]
+            if move != "along-normal":
+                x = tuple(sum(c) / len(cut) for c in zip(*(p for p, _ in cut)))
+            if move != "on-to-interior":
+                x = (x[0], x[1], x[2] + F(1, 3))
+            return [(x, ids)] + rest
+
+        monkeypatch.setattr(polytope, "_slice", moved)
+        with pytest.raises(PolytopeError, match="section vertex fell off the flat"):
+            section(cube, flat)
+        if move != "on-to-interior":
+            with pytest.raises(PolytopeError, match="section vertex fell off the flat"):
+                helpers.section_by_chart_coordinates(cube, flat)

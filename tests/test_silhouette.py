@@ -293,3 +293,39 @@ class TestFaceRoute:
         new = shadow_walk(body, xi)
         old = shadow_walk_by_step_g(body, xi, step_g_via_sections)
         assert new == old
+
+
+class TestWalkCheck:
+    """Each emitted point is checked against the shadow hulled by the shared
+    chart-rows helper, which is the shadow `project` returns."""
+
+    def test_check_hull_is_the_projection(self, monkeypatch):
+        from polysect import silhouette
+
+        hulls = []
+        real = silhouette._hull_of_rows
+
+        def recorded(rows, factors):
+            hulls.append(real(rows, factors))
+            return hulls[-1]
+
+        monkeypatch.setattr(silhouette, "_hull_of_rows", recorded)
+        xi = (1, 2, 3)
+        result = shadow_walk(octahedron(), xi)
+        (hull,) = hulls
+        shadow = project(octahedron(), shadow_chart(as_vector(xi))).polytope
+        assert hull.vertices == shadow.vertices
+        assert set(result.vertices) == set(shadow.vertices)
+
+    def test_point_missing_from_the_check_hull_raises(self, monkeypatch):
+        from polysect import silhouette
+
+        real = silhouette._hull_of_rows
+
+        def drop_a_vertex(rows, factors):
+            hull = real(rows, factors)
+            return convex_hull(hull.vertices[1:])
+
+        monkeypatch.setattr(silhouette, "_hull_of_rows", drop_a_vertex)
+        with pytest.raises(WalkError, match="non-extreme"):
+            shadow_walk(cube(), (1, 2, 3))
