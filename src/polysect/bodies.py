@@ -259,8 +259,8 @@ def _closest_point_finder(poly: Polytope):
     """
     verts = [tuple(float(x) for x in v) for v in poly.vertices]
     facets = []
-    for hs, face in zip(poly.halfspaces, poly.facet_vertices):
-        n = tuple(float(x) for x in hs.normal)
+    for (normal, offset), face in zip(poly._int_facets, poly.facet_vertices):
+        n = tuple(map(float, normal))
         pts = [verts[i] for i in face]
         centroid = tuple(sum(q[i] for q in pts) / len(pts) for i in range(3))
         m = len(pts)
@@ -271,7 +271,7 @@ def _closest_point_finder(poly: Polytope):
             b = pts[order[(k + 1) % m]]
             e = tuple(bi - ai for ai, bi in zip(a, b))
             edges.append((a, e, _cross3f(e, n), _fdot(e, e)))
-        facets.append((n, float(hs.offset), _fdot(n, n), tuple(edges)))
+        facets.append((n, float(offset), _fdot(n, n), tuple(edges)))
     planes = [(nx, ny, nz, c) for (nx, ny, nz), c, _, _ in facets]
 
     def inside(p) -> bool:
@@ -350,7 +350,7 @@ def glue_cap(poly: Polytope, center, radius) -> BodyOracle:
     # the member test squares vertex coordinates and facet normals in floats
     # (huge normals come from huge coordinates or huge denominators)
     data = [x for v in poly.vertices for x in v]
-    data += [x for hs in poly.halfspaces for x in hs.normal]
+    data += [x for normal, _ in poly._int_facets for x in normal]
     if any(abs(x) > MAX_MAGNITUDE for x in data):
         raise BodyError("cap polytope is too large for float arithmetic")
     inside, closest_point = _closest_point_finder(poly)

@@ -595,10 +595,10 @@ def main(argv=None) -> int:
         report, svg_payload, code = _HANDLERS[args.command](args, body)
         report.update(command=args.command, body=body.describe(), seed=args.seed)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.svg and svg_payload is None:  # before any output is written
+            raise GeometryError("no 2-dimensional output to render")
         _write_text(args.report, text)
         if args.svg:
-            if svg_payload is None:
-                raise GeometryError("no 2-dimensional output to render")
             points, opts = svg_payload
             _write_text(args.svg, render_polygon(points, **opts))
         return code

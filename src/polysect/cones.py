@@ -145,11 +145,9 @@ def _lift_base_facets(base: Polytope, w: Vector) -> tuple[Halfspace, ...]:
     axes = [[r.numerator * (scale // r.denominator) * x for x in b] for r, b in zip(rs, basis)]
     (o, wi), den = int_scaled((span.base, w))
     out = []
-    for hs in base.halfspaces:
-        m = [0] * len(w)
-        for a, axis in zip(hs.normal, axes):
-            m = [x + a.numerator * y for x, y in zip(m, axis)]
-        c = den * scale * hs.offset.numerator + sum(map(mul, m, o))
+    for normal, offset in base._int_facets:
+        m = [sum(map(mul, normal, column)) for column in zip(*axes)]
+        c = den * scale * offset + sum(map(mul, m, o))
         out.append(_integer_halfspace([den * den * x - c * y for x, y in zip(m, wi)], 0))
     return tuple(sorted(out, key=lambda h: (h.normal, h.offset)))
 
@@ -182,11 +180,11 @@ def _separating_functional(z: Point, poly: Polytope) -> Vector:
     if zp != z:
         return vsub(zp, z)
     cz = poly.to_chart(z)
-    for hs in poly.halfspaces:
-        if hs.evaluate(cz) > 0:
+    for slack, (normal, _) in zip(poly._int_slacks(cz), poly._int_facets):
+        if slack > 0:
             # minus the chart normal n lifted: sum_j (n_j / |b_j|^2) b_j
             span = poly.span
-            lifted = span.point_at(tuple(map(truediv, hs.normal, span.basis_norm2s)))
+            lifted = span.point_at(tuple(map(truediv, normal, span.basis_norm2s)))
             return vsub(span.base, lifted)
     raise ConeError("no separating halfspace found for an outside point")
 
@@ -237,7 +235,7 @@ def visual_cone(apex, body) -> PolyCone:
         for i, v in enumerate(poly.vertices)
         if i <= last or sides[i] not in (1, 2)
     ]
-    return _cone_from_rays(z, gens, vneg(poly.halfspaces[seen].normal))
+    return _cone_from_rays(z, gens, tuple(Fraction(-x) for x in poly._int_facets[seen][0]))
 
 
 def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:

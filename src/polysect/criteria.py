@@ -125,6 +125,7 @@ def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
     every stretch between vertex groups hugs its chord; otherwise the
     verdict is "curved" with the highest-area triple as witness.  Repeated
     consecutive points (support-point plateaus) are naturally zero-area.
+    The points and tau must be finite, and tau positive.
     """
     n = len(points)
     if n < 8:
@@ -785,13 +786,13 @@ def epsilon_certificate(
     tight = body.active_facets(body.to_chart(mid))
 
     if body.dim == d and not tight:
-        # inscribed ball at the midpoint; exact distances, float trig
-        r2_min = None
-        for hs in body.halfspaces:
-            num = hs.offset - vdot(hs.normal, mid)
-            val = float(num) / math.sqrt(float(norm2(hs.normal)))
-            if r2_min is None or val < r2_min:
-                r2_min = val
+        # inscribed ball at the midpoint: facet distances -slack / den / |n| in
+        # ints (int / int rounds as a Fraction's float does), float trig
+        den = math.lcm(*[x.denominator for x in mid])
+        r2_min = min(
+            -slack / den / math.sqrt(sum(map(mul, n, n)))
+            for slack, (n, _) in zip(body._int_slacks(mid), body._int_facets)
+        )
         dist_px = math.sqrt(float(dist2(p, mid)))
         radius = min(r2_min, 0.99 * dist_px)
         branch1 = math.sqrt(max(dist_px * dist_px - radius * radius, 0.0))

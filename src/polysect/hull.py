@@ -38,10 +38,10 @@ class DegenerateInput(HullError):
 def int_pivots(rows: Iterable[IntVec], limit: int) -> list[int]:
     """Indices of the rows that raise the rank of the rows before them.
 
-    Stops once the rank reaches limit, so a lazy iterable is read no
-    further than its last pivot.  Fraction-free elimination (Bareiss-style
-    cross-multiplication): each kept row is reduced against the earlier
-    ones, so it is zero in their pivot columns.
+    The package's one integer rank primitive: Fraction-free (Bareiss-style)
+    elimination, each kept row reduced against the earlier ones so it is
+    zero in their pivot columns.  Stops once the rank reaches limit, so a
+    lazy iterable is read no further than its last pivot.
     """
     kept: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
     out = []
@@ -244,8 +244,8 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
 
 
 def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
-    """Convex hull of integer points that affinely span their space."""
-    # Merge coplanar simplicial facets by canonical oriented hyperplane.
+    """Convex hull of integer points that affinely span their space; coplanar
+    simplicial facets are merged by canonical oriented hyperplane."""
     merged: dict[tuple[IntVec, int], set[int]] = {}
     for f in _simplicial_facets(points):
         g = gcd(*f.normal, f.offset)

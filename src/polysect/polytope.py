@@ -1,10 +1,10 @@
 """Exact polytope representations and operations.
 
-A `Polytope` carries both forms at once: extreme vertices in ambient
-coordinates, plus irredundant halfspaces in the coordinates of its own
-affine span chart (for a full-dimensional polytope the chart is the
-identity, so those halfspaces are ambient).  sections, projections and
-boundary tests all stay in rational arithmetic.
+A `Polytope` stores its extreme vertices in ambient coordinates and its
+irredundant facets once, as canonical integer (normal, offset) pairs in its
+own affine span chart (the identity chart for a full-dimensional polytope);
+the Fraction `halfspaces` are built from them when read.  Sections,
+projections and boundary tests all stay in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -77,34 +77,36 @@ def _integer_halfspace(normal: Sequence[int], offset: int) -> Halfspace:
 
 
 class Polytope:
-    """Immutable exact polytope with vertex form, halfspace form, incidence.
+    """Immutable exact polytope with vertex form, facet form, incidence.
 
-    `span` is the affine hull with an orthogonal chart basis; halfspaces and
-    chart_vertices live in that chart, and the halfspaces are canonical
-    integer ones (see `convex_hull`), also kept as int (normal, offset)
-    pairs in `_int_facets`.  Edges are computed lazily and cached.
+    `span` is the affine hull with an orthogonal chart basis; chart_vertices
+    and facets live in that chart.  The facets are stored once, as canonical
+    int (normal, offset) pairs in `_int_facets` (see `convex_hull`); edges
+    are computed lazily and cached.
     """
 
     __slots__ = (
         "vertices",
         "chart_vertices",
         "span",
-        "halfspaces",
+        "_int_facets",
         "facet_vertices",
         "_edges",
-        "_int_facets",
     )
 
-    def __init__(
-        self, vertices, chart_vertices, span, halfspaces, facet_vertices, int_facets
-    ):
+    def __init__(self, vertices, chart_vertices, span, int_facets, facet_vertices):
         self.vertices: tuple[Point, ...] = vertices
         self.chart_vertices: tuple[Point, ...] = chart_vertices
         self.span: AffineFlat | None = span
-        self.halfspaces: tuple[Halfspace, ...] = halfspaces
+        self._int_facets: tuple[tuple[tuple[int, ...], int], ...] = int_facets
         self.facet_vertices: tuple[frozenset[int], ...] = facet_vertices
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._int_facets: tuple[tuple[tuple[int, ...], int], ...] = int_facets
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        """The facets as Fraction `Halfspace`s, built on each read."""
+        ints = self._int_facets
+        return tuple(Halfspace(tuple(map(Fraction, n)), Fraction(c)) for n, c in ints)
 
     # -- basic geometry -----------------------------------------------------
 
@@ -131,8 +133,7 @@ class Polytope:
     def chart_contains(self, chart_point: Sequence[Fraction]) -> str:
         """Relative classification in the span chart: interior/boundary/outside.
 
-        The halfspaces are integer, so the point is scaled once by the
-        (positive) lcm of its denominators and each facet is evaluated in ints.
+        Each integer facet is evaluated in ints (`_int_slacks`).
         """
         if self.dim == 0:
             return "interior"
@@ -159,7 +160,8 @@ class Polytope:
         )
 
     def contains(self, point: Point) -> str:
-        """Relative classification of an ambient point (interior = rel. interior)."""
+        """Relative classification of an ambient point (interior = rel.
+        interior); a point of the wrong dimension raises DimensionMismatch."""
         cv = self.to_chart(as_point(point))
         if cv is None:
             return "outside"
@@ -186,7 +188,7 @@ class Polytope:
         return FaceRef(self, frozenset(self.active_facets(cv)))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Vertex index pairs forming 1-faces (computed once)."""
+        """Vertex pairs forming 1-faces, tried on a common facet only (computed once)."""
         if self._edges is None:
             self._edges = self._compute_edges()
         return self._edges
@@ -274,14 +276,14 @@ class FaceRef:
 
 
 def _dim0_polytope(point: Point) -> Polytope:
-    return Polytope((point,), ((),), None, (), (), ())
+    return Polytope((point,), ((),), None, (), ())
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
     """Exact convex hull of rational points (ambient dimension 1 to 4).
 
     Lower-dimensional input is handled inside its affine span: the span is
-    reported on the result and the halfspace form lives in the span chart.
+    reported on the result and the facet form lives in the span chart.
     The work is done on an integer grid: each axis is scaled by the lcm of
     its denominators, repeated points are dropped by their grid rows, and
     the points whose differences from the first raise the integer rank are
@@ -290,9 +292,8 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     chart vertices and lists them in grid-row order, which is their
     lexicographic order since every scale is positive; lower-dimensional
     input is hulled on its `chart_grid` rows, and chart coordinates are
-    made for the returned vertices only.  Every halfspace is canonical: an
-    integer normal and offset with no common factor (a Fraction with
-    denominator 1 in each entry).
+    made for the returned vertices only.  Every facet is canonical: an
+    integer normal and offset with no common factor, sorted as ints.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -334,7 +335,7 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
     n.g <= c is sum_j (n_j / f_j) s_j <= c in chart coordinates s, an
     integer halfspace once multiplied by the lcm of the factors'
     numerators.  Chart coordinates are made for the hull's vertices only.
-    Facets are canonicalised and sorted as ints and become Fractions last.
+    Facets are canonicalised and sorted as ints.
     """
 
     def chart(i):
@@ -375,9 +376,8 @@ def _hull_of_grid(grid, factors, span: AffineFlat, points=None) -> Polytope:
     chart_vertices = tuple(charts[i] for i in order)
     facets.sort()  # on (normal, offset): no two facets share both
     ints = tuple((n, c) for n, c, _ in facets)
-    halfspaces = tuple(Halfspace(tuple(map(Fraction, n)), Fraction(c)) for n, c in ints)
     facet_vertices = tuple(frozenset(position[i] for i in f[2]) for f in facets)
-    return Polytope(vertices, chart_vertices, span, halfspaces, facet_vertices, ints)
+    return Polytope(vertices, chart_vertices, span, ints, facet_vertices)
 
 
 def _hull_of_rows(rows, factors) -> Polytope:
@@ -628,17 +628,17 @@ def check_diamond_boundary(body: Polytope, diamond) -> bool:
     """Is the diamond contained in the body's boundary?
 
     For a polytope this is exact: a convex subset lies in the boundary iff
-    one facet halfspace is tight at every diamond vertex.  The diamond must
-    be contained in the body (anything else raises).
+    one facet is tight at every diamond vertex (the vertices' active facets
+    meet).  The diamond must be contained in the body (anything else raises).
     """
     if body.dim != body.ambient_dim:
         raise PolytopeError("boundary check needs a full-dimensional body")
     verts = diamond.vertices if isinstance(diamond, Polytope) else tuple(
         as_point(v) for v in diamond
     )
+    tight = set(range(len(body._int_facets)))
     for v in verts:
         if body.contains(v) == "outside":
             raise PolytopeError("diamond is not contained in the body")
-    return any(
-        all(hs.evaluate(v) == 0 for v in verts) for hs in body.halfspaces
-    )
+        tight.intersection_update(body.active_facets(v))
+    return bool(tight)

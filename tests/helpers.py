@@ -401,7 +401,7 @@ def edges_by_pair_scan(poly):
         ]
         if len(common) < k - 1:
             continue
-        rows = [tuple(int(x) for x in poly.halfspaces[f].normal) for f in common]
+        rows = [poly._int_facets[f][0] for f in common]
         if int_rank(rows) == k - 1:
             out.append((i, j))
     return tuple(out)
@@ -1018,12 +1018,11 @@ def convex_hull_by_gram_schmidt(points):
         tuple(pts[i] for i in order),
         tuple(chart_pts[i] for i in order),
         span,
-        tuple(hs for hs, _ in facets),
-        tuple(frozenset(position[i] for i in fverts) for _, fverts in facets),
         tuple(
             (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
             for hs, _ in facets
         ),
+        tuple(frozenset(position[i] for i in fverts) for _, fverts in facets),
     )
 
 

@@ -91,12 +91,44 @@ def test_tracer_round_trip_reaches_the_exact_layers():
         assert cls.__dict__[meth] is raw
 
 
-def _readme_table_names():
+def _readme_table_rows():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("## What's inside", 1)[1].split("\n### ", 1)[0]
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     assert rows, "the README's module table is missing"
+    return rows
+
+
+def _readme_table_names():
+    rows = _readme_table_rows()
     return sorted({name for row in rows for name in re.findall(r"`([^`]+)`", row)})
+
+
+README_CELL_LIMIT = 600
+
+
+def _long_readme_cells(rows):
+    """(module, length) of each row whose contents cell is over the limit."""
+    out = []
+    for row in rows:
+        module, cell = (c.strip() for c in row.strip().strip("|").split("|", 1))
+        if len(cell) > README_CELL_LIMIT:
+            out.append((module, len(cell)))
+    return out
+
+
+def test_readme_module_table_cells_say_what_not_how():
+    # a cell names what its module offers; how it works lives in docstrings,
+    # so a row that grows into a route history fails here
+    assert not _long_readme_cells(_readme_table_rows())
+
+
+def test_long_readme_cell_is_caught():
+    short = "| `polysect.svg` | " + "x" * README_CELL_LIMIT + " |"
+    assert _long_readme_cells([short]) == []
+    assert _long_readme_cells([short.replace("x |", "xx |")]) == [
+        ("`polysect.svg`", README_CELL_LIMIT + 1)
+    ]
 
 
 def _resolves(name: str) -> bool:

@@ -500,6 +500,19 @@ class TestPlumbing:
         assert code == 1
         assert "no 2-dimensional output" in capsys.readouterr().err
 
+    def test_svg_without_two_dim_output_writes_no_report(
+        self, cube_off, tmp_path, capsys
+    ):
+        # the check comes before any output: no report file, nothing on stdout
+        args = ["cone", "--body", cube_off, "--apex", "0,0,3"]
+        code, rep = run(args, tmp_path, svg="nope.svg")
+        assert (code, rep) == (1, None)
+        assert main(args + ["--svg", str(tmp_path / "nope.svg")]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("error: no 2-dimensional output") == 2
+        assert not (tmp_path / "nope.svg").exists()
+
     def test_no_timestamps_anywhere(self, cube_off, tmp_path):
         _, rep = run(
             ["section", "--body", cube_off, "--flat", "n=1,1,1;c=0"], tmp_path

@@ -313,6 +313,17 @@ class TestApexInTheBodysAffineHull:
         w = cone.positive_normal
         assert span.contains(tuple(b + x for b, x in zip(span.base, w)))
 
+    def test_apex_on_a_facet_line_is_separated_by_a_seeing_facet(self):
+        # the edge whose line holds the apex has zero slack there and does
+        # not separate: its vertices would get w.(v - z) = 0
+        tri = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        for z, rays in (
+            ((2, 0, 0), {(-2, 1, 0), (-1, 0, 0)}),
+            ((0, 2, 0), {(0, -1, 0), (1, -2, 0)}),
+            ((0, -1, 0), {(0, 1, 0), (1, 1, 0)}),
+        ):
+            assert set(visual_cone(z, tri).generators) == rays
+
 
 class TestConeOracle:
     def test_exact_oracle_matches_cone(self):

@@ -779,17 +779,16 @@ class TestKleeProjectionTest:
 
 def _shadow_with(shadow, chart=None, ints=None):
     """The shadow with the given chart vertices and/or int facets; ambient
-    vertices, halfspaces and facet-vertex sets are rebuilt to match."""
+    vertices and facet-vertex sets are rebuilt to match."""
     chart = shadow.chart_vertices if chart is None else tuple(chart)
     ints = shadow._int_facets if ints is None else tuple(ints)
     halfspaces = tuple(Halfspace(tuple(map(F, n)), F(c)) for n, c in ints)
     return Polytope(
-        tuple(map(shadow.span.point_at, chart)), chart, shadow.span, halfspaces,
+        tuple(map(shadow.span.point_at, chart)), chart, shadow.span, ints,
         tuple(
             frozenset(i for i, v in enumerate(chart) if hs.evaluate(v) == 0)
             for hs in halfspaces
         ),
-        ints,
     )
 
 

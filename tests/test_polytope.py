@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -10,6 +11,7 @@ from polysect.polytope import (
     _slice,
     DiamondConfigError,
     Halfspace,
+    Polytope,
     PolytopeError,
     UnboundedPolyhedron,
     check_diamond_boundary,
@@ -148,6 +150,63 @@ def rederived_incidence(poly):
         )
         for hs in poly.halfspaces
     )
+
+
+def fraction_halfspaces(poly):
+    return tuple(Halfspace(tuple(map(F, n)), F(c)) for n, c in poly._int_facets)
+
+
+class TestOneFacetForm:
+    """The facets are stored once, as ints; `halfspaces` is built on each read."""
+
+    def test_five_fields_and_no_halfspaces_slot(self):
+        assert list(inspect.signature(Polytope.__init__).parameters) == [
+            "self", "vertices", "chart_vertices", "span", "int_facets", "facet_vertices",
+        ]
+        assert Polytope.__slots__ == (
+            "vertices", "chart_vertices", "span", "_int_facets", "facet_vertices", "_edges",
+        )
+        assert Polytope.halfspaces.fset is None
+
+    def test_every_hull_dimension(self):
+        for k in range(5):
+            simplex = [(F(0),) * 4] + [tuple(F(int(i == j)) for j in range(4)) for i in range(k)]
+            poly = convex_hull(simplex)
+            assert poly.dim == k
+            assert len(poly.halfspaces) == (k + 1 if k else 0)
+            assert poly.halfspaces == fraction_halfspaces(poly)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_halfspaces_are_the_int_facets_as_fractions(self, data):
+        d = data.draw(st.integers(1, 4), label="ambient dim")
+        k = data.draw(st.integers(0, d), label="flat dim")
+        base = data.draw(st.tuples(*[rationals] * d), label="base")
+        vectors = st.tuples(*[rationals] * d)
+        dirs = data.draw(st.lists(vectors, min_size=k, max_size=k), label="directions")
+        coeffs = data.draw(
+            st.lists(st.tuples(*[rationals] * k), min_size=1, max_size=10),
+            label="coefficients",
+        )
+        pts = [
+            tuple(b + sum(c * v[j] for c, v in zip(cs, dirs)) for j, b in enumerate(base))
+            for cs in coeffs
+        ]
+        poly = convex_hull(pts)
+        assert poly.dim <= k
+        assert all(
+            type(x) is int for n, c in poly._int_facets for x in n + (c,)
+        )
+        hss = poly.halfspaces
+        assert hss == fraction_halfspaces(poly)
+        assert len(hss) == len(poly.facet_vertices)
+        if poly.dim == 0:
+            assert hss == ()
+        else:
+            assert poly.halfspaces is not hss  # built again, not cached
+        assert not hasattr(poly, "__dict__")
+        with pytest.raises(AttributeError):
+            poly.halfspaces = hss
 
 
 class TestFacetIncidence:
