@@ -131,6 +131,8 @@ def _orthonormal_frame(rng: random.Random, d: int, k: int):
 def make_ball(center, radius) -> BodyOracle:
     c = tuple(float(x) for x in center)
     r = float(radius)
+    if not all(map(math.isfinite, (*c, r))):
+        raise BodyError("ball center and radius must be finite")
     if r <= 0:
         raise BodyError("ball radius must be positive")
 
@@ -161,6 +163,8 @@ def make_ellipsoid(center, semi_axes) -> BodyOracle:
     a = tuple(float(x) for x in semi_axes)
     if len(a) != len(c):
         raise DimensionMismatch("center and semi-axes dimensions disagree")
+    if not all(map(math.isfinite, c + a)):
+        raise BodyError("ellipsoid center and semi-axes must be finite")
     if any(x <= 0 for x in a):
         raise BodyError("semi-axes must be positive")
 

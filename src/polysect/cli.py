@@ -595,12 +595,17 @@ def main(argv=None) -> int:
         report, svg_payload, code = _HANDLERS[args.command](args, body)
         report.update(command=args.command, body=body.describe(), seed=args.seed)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.svg and svg_payload is None:  # before any output is written
-            raise GeometryError("no 2-dimensional output to render")
-        _write_text(args.report, text)
-        if args.svg:
+        if args.svg:  # both texts are rendered before any output is written
+            if svg_payload is None:
+                raise GeometryError("no 2-dimensional output to render")
             points, opts = svg_payload
             _write_text(args.svg, render_polygon(points, **opts))
+        try:
+            _write_text(args.report, text)
+        except OSError:  # exit 1 leaves no output file behind
+            if args.svg and args.svg != "-":
+                os.remove(args.svg)
+            raise
         return code
     except (_UsageError, GeometryError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

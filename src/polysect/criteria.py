@@ -53,8 +53,8 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .hull import affine_pivots, int_pivots
-from .polytope import Polytope, _hull_of_rows, _slice, convex_hull, project
+from .hull import int_pivots
+from .polytope import Polytope, _certify_hull, _hull_of_rows, _slice, convex_hull, project
 
 
 class CriterionError(GeometryError):
@@ -450,9 +450,9 @@ def klee_projection_test(
 ) -> CriterionReport:
     """Sample k-dimensional orthogonal shadows and test each for polygonality.
 
-    Exact polytopes: the shadow is hulled exactly, and an integer
-    certificate (`_certify_hull`) proves it is the hull of the projected
-    vertices, with the same vertices and facets.
+    Exact polytopes: `project` hulls the shadow, and `polytope._certify_hull`
+    proves in integers that its vertices, facets and span are those of the
+    hull of the vertices' `chart_grid` rows (else `PolytopeError`).
     Oracle bodies: the shadow's support function is the restriction of the
     body's (h_{K|E}(u) = h_K(u) for u in E), so support points traced
     around the direction circle sample the shadow boundary; piecewise
@@ -474,7 +474,7 @@ def klee_projection_test(
         if poly is not None:
             rows = _independent_rows(rng, d, k)[1]
             E = AffineFlat.spanning((0,) * d, map(_grid_vector, rows))
-            _exact_projection_check(poly, E)
+            _certify_hull(project(poly, E).polytope, *E.chart_grid(poly.vertices))
             return None
         frame = _orthonormal_frame(rng, d, 2)
         draw = lambda n: _support_shadow(oracle, frame, n)
@@ -483,91 +483,6 @@ def klee_projection_test(
 
     outcome = _sample_loop(subspaces, trial)
     return _report("K2", name, exact, subspaces, outcome, boundary_points, tau, seed)
-
-
-def _exact_projection_check(poly: Polytope, E: AffineFlat) -> None:
-    """Certify that project() returned the hull of the projected vertices.
-
-    The shadow is checked in ints against the `chart_grid` rows of the
-    body's vertices by `_certify_hull`.  A shadow that does not span the
-    chart is checked in the chart of its own span, once every projected
-    vertex is seen to lie on that span (on the point, for a point shadow).
-    """
-    shadow = project(poly, E).polytope
-    rows, factors = E.chart_grid(poly.vertices)
-    vertices = shadow.vertices
-    if shadow.dim < len(factors):
-        pts = [tuple(map(mul, r, factors)) for r in rows]
-        span = shadow.span
-        if not all(span.contains(p) if span else p == vertices[0] for p in pts):
-            raise CriterionError("projected vertices leave the projection's span")
-        if span is None:
-            return
-        rows, factors = span.chart_grid(pts)
-        vertices = shadow.chart_vertices
-    _certify_hull(rows, factors, vertices, shadow._int_facets)
-
-
-def _certify_hull(rows, factors, vertices, facets) -> None:
-    """Raise unless the chart polytope (vertices, facets) is the hull H of
-    the chart points given as integer rows, with H's vertices and facets.
-
-    Chart coordinate j of a row r is r[j] * factors[j], every factor is
-    positive, so a chart facet n.s <= c reads (n_j f_j L)_j . r <= c L on
-    the rows, L the lcm of the factors' denominators.  In a chart of
-    dimension k = 1, 2 or 3:
-    (1) every facet normal is nonzero and every row satisfies every facet,
-        so H lies in the facets' polyhedron Q;
-    (2) every vertex is a row, and no vertex or facet is listed twice;
-    (3) the vertices tight on a facet have affine rank k - 1, so each facet
-        is a facet of H and its listed vertices span it;
-    (4) the facets tight at a vertex have rank k: it is a vertex of Q in H,
-        hence of H;
-    (5) every ridge of a listed facet lies in a second listed facet.
-    The facet-ridge graph of a polytope is connected, so by (5) the facets
-    are all of H's and Q = H, and by (3) every vertex of H is listed.  (5)
-    reads "two facets" for k = 1 and follows from (4) for k = 2, a polygon
-    vertex lying on two edges only.  For k = 3 the vertices of each facet
-    must form as many edges of H (pairs tight on facets of rank 2) as there
-    are vertices, which a polygon reaches only with all its vertices and
-    edges; without it, a 3-D shadow missing one facet of an octahedron passes.
-    """
-    k = len(factors)
-    scale = math.lcm(*[f.denominator for f in factors])
-    axis = [f.numerator * (scale // f.denominator) for f in factors]
-    planes = [(tuple(map(mul, n, axis)), c * scale) for n, c in facets]
-    for normal, c in planes:
-        if not any(normal) or any(sum(map(mul, normal, r)) > c for r in rows):
-            raise CriterionError("a projected vertex violates a projection facet")
-    # a vertex over the factors is a row when it equals one (ints and
-    # Fractions of equal value hash alike); the row itself is kept
-    grid = {r: r for r in rows}
-    verts = [grid.get(tuple(map(truediv, v, factors))) for v in vertices]
-    if None in verts:
-        raise CriterionError("a projection vertex is not a projected vertex")
-    if len(set(verts)) != len(verts) or len(set(planes)) != len(planes):
-        raise CriterionError("projection lists a vertex or a facet twice")
-    on = [
-        [i for i, v in enumerate(verts) if sum(map(mul, normal, v)) == c]
-        for normal, c in planes
-    ]
-    at = [set() for _ in verts]
-    for f, ids in enumerate(on):
-        if not ids or len(affine_pivots([verts[i] for i in ids], k - 1)) < k - 1:
-            raise CriterionError("a projection facet is not a facet of the hull")
-        for i in ids:
-            at[i].add(f)
-    if any(len(int_pivots([planes[f][0] for f in fs], k)) < k for fs in at):
-        raise CriterionError("a projection vertex is not a vertex of the hull")
-    if k == 1 and len(planes) != 2:
-        raise CriterionError("projection facets do not close up")
-    for ids in on if k == 3 else ():
-        edges = sum(
-            len(int_pivots([planes[f][0] for f in at[a] & at[b]], 2)) == 2
-            for a, b in combinations(ids, 2)
-        )
-        if edges != len(ids):
-            raise CriterionError("projection facets do not close up")
 
 
 def _support_shadow(oracle: BodyOracle, frame, count):

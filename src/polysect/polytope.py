@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, truediv
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -391,6 +391,91 @@ def _hull_of_rows(rows, factors) -> Polytope:
     if len(_hull.affine_pivots(grid, k)) == k:
         return _hull_of_grid(grid, factors, identity_flat(k))
     return convex_hull([tuple(map(mul, g, factors)) for g in grid])
+
+
+def _certify_hull(poly: Polytope, rows, factors) -> None:
+    """Raise PolytopeError unless `poly` is the hull H of the chart points
+    given as integer rows, with H's vertices, facets and span.
+
+    Chart coordinate j of row i is rows[i][j] * factors[j], every factor
+    positive.  A poly spanning the chart has the identity span, with its
+    vertices as chart vertices.  Otherwise every point lies on `poly.span`
+    (or is poly's one vertex, which has no facets), and the check goes on
+    in the span's chart, each chart vertex lifting to its listed vertex.
+    In a chart of dimension k = 1, 2 or 3, a facet n.s <= c reads
+    (n_j f_j L)_j . r <= c L on the rows, L the lcm of the denominators:
+    (1) every facet normal is nonzero and every row satisfies every facet,
+        so H lies in the facets' polyhedron Q;
+    (2) every vertex is a row, and no vertex or facet is listed twice;
+    (3) the vertices tight on a facet have affine rank k - 1, so each facet
+        is a facet of H and its listed vertices span it;
+    (4) the facets tight at a vertex have rank k: it is a vertex of Q in H,
+        hence of H;
+    (5) every ridge of a listed facet lies in a second listed facet.
+    The facet-ridge graph of a polytope is connected, so by (5) the facets
+    are all of H's and Q = H, and by (3) every vertex of H is listed.  (5)
+    reads "two facets" for k = 1 and follows from (4) for k = 2, a polygon
+    vertex lying on two edges only.  For k = 3 the vertices of each facet
+    must form as many edges of H (pairs tight on facets of rank 2) as there
+    are vertices, which a polygon reaches only with all its vertices and
+    edges; without it, an octahedron missing one facet passes.  Last, each
+    facet's vertex set must be its tight vertices.
+    """
+    k = len(factors)
+    span, vertices, charts = poly.span, poly.vertices, poly.chart_vertices
+    pts = None
+    if poly.dim != k:
+        pts = [tuple(map(mul, r, factors)) for r in rows]
+        if span is None:
+            if {*pts} != {*vertices} or len(vertices) > 1 or poly._int_facets:
+                raise PolytopeError("hull points leave the hull's span")
+            return
+        if span.ambient_dim != k or span.dim != poly.dim or not all(map(span.contains, pts)):
+            raise PolytopeError("hull points leave the hull's span")
+        rows, factors = span.chart_grid(pts)
+        k = poly.dim
+    elif span != identity_flat(k) or charts != vertices:
+        raise PolytopeError("a full-dimensional hull must keep the identity chart")
+    if k > 3:
+        raise PolytopeError("the hull certificate covers charts of dimension 0-3")
+    scale = lcm(*[f.denominator for f in factors])
+    axis = [f.numerator * (scale // f.denominator) for f in factors]
+    planes = [(tuple(map(mul, n, axis)), c * scale) for n, c in poly._int_facets]
+    for normal, c in planes:
+        if not any(normal) or any(sum(map(mul, normal, r)) > c for r in rows):
+            raise PolytopeError("a hull point violates a hull facet")
+    # a chart vertex over the factors is a row when it equals one (ints and
+    # Fractions of equal value hash alike)
+    index = {r: i for i, r in enumerate(rows)}
+    ids = [index.get(tuple(map(truediv, v, factors))) for v in charts]
+    if None in ids or pts is not None and tuple(pts[i] for i in ids) != vertices:
+        raise PolytopeError("a hull vertex is not a hull point")
+    verts = [rows[i] for i in ids]
+    if len(set(verts)) != len(verts) or len(set(planes)) != len(planes):
+        raise PolytopeError("the hull lists a vertex or a facet twice")
+    on = [
+        [i for i, v in enumerate(verts) if sum(map(mul, normal, v)) == c]
+        for normal, c in planes
+    ]
+    at = [set() for _ in verts]
+    for f, tight in enumerate(on):
+        if not tight or len(_hull.affine_pivots([verts[i] for i in tight], k - 1)) < k - 1:
+            raise PolytopeError("a hull facet is not a facet of the hull")
+        for i in tight:
+            at[i].add(f)
+    if any(len(_hull.int_pivots([planes[f][0] for f in fs], k)) < k for fs in at):
+        raise PolytopeError("a hull vertex is not a vertex of the hull")
+    if k == 1 and len(planes) != 2:
+        raise PolytopeError("the hull's facets do not close up")
+    for tight in on if k == 3 else ():
+        edges = sum(
+            len(_hull.int_pivots([planes[f][0] for f in at[a] & at[b]], 2)) == 2
+            for a, b in combinations(tight, 2)
+        )
+        if edges != len(tight):
+            raise PolytopeError("the hull's facets do not close up")
+    if poly.facet_vertices != tuple(map(frozenset, on)):
+        raise PolytopeError("a facet's vertex set is not its tight vertices")
 
 
 # ---------------------------------------------------------------------------

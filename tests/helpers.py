@@ -1,7 +1,15 @@
-"""Shared test utilities: independent oracles and random geometry builders.
+"""Shared test utilities, of four kinds:
 
-Everything here is deliberately written as straight-line brute force so it
-can serve as an oracle for the fast library implementations.
+- straight-line brute force, an oracle on small inputs: ranks, facets,
+  extreme points, hull membership, vertex enumeration, section points and
+  edges;
+- builders of random and fixed geometry, and `certify`, which runs the
+  library's integer hull certificate on an answer;
+- wrong answers (`SHADOW_MUTATIONS`) that the certificate must refuse;
+- routes the library replaced, kept as references where no check of the
+  answer itself stands in for them yet: the float kernels written per
+  element, the cap, sphere and sweep routes, the flat and normal draws,
+  the pair-loop diameter and the Fraction cone exclusion.
 """
 
 from __future__ import annotations
@@ -11,11 +19,13 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd, isqrt
+from operator import add, mul
 
 from polysect import convex_hull
-from polysect.geometry import identity_flat, solve_particular, vadd, vdot, vscale, vsub
-from polysect.hull import IntHull, _simplicial_facets
-from polysect.polytope import _canonical_halfspace
+from polysect.geometry import (
+    identity_flat, nullspace, solve_particular, vadd, vdot, vscale, vsub,
+)
+from polysect.polytope import Halfspace, Polytope, _canonical_halfspace, _integer_halfspace
 
 
 def det3(m) -> int:
@@ -341,39 +351,11 @@ def exact_cone_oracle_sampling_only(cone):
     return ConeOracle(full.dim, full.member, full.axis_hint)
 
 
-def section_two_hulls(body, flat):
-    """section() that hulls the last stage in ambient space, then again in
-    the flat's chart.  Reference for the library's single chart hull."""
-    from polysect.polytope import Section, _slice
-
-    current = body
-    for n in flat.normal_directions():
-        pts = [x for x, _ in _slice(current, n, flat.base)]
-        if not pts:
-            return None
-        current = convex_hull(pts)
-    chart_pts = [flat.coordinates(v) for v in current.vertices]
-    assert None not in chart_pts
-    sec_poly = convex_hull(chart_pts)
-    ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
-    probe = flat.point_at(sec_poly.interior_point())
-    return Section(sec_poly, flat, ambient, body.contains(probe) == "interior")
-
-
 def polytope_fields(poly):
     """Every field of a Polytope, edges included, as one comparable tuple."""
     return (
         poly.vertices, poly.chart_vertices, poly.span, poly.halfspaces,
         poly.facet_vertices, poly.edges(),
-    )
-
-
-def section_fields(sec):
-    if sec is None:
-        return None
-    return (
-        polytope_fields(sec.polytope), sec.flat, sec.ambient_vertices,
-        sec.meets_interior,
     )
 
 
@@ -384,153 +366,6 @@ def lattice_sphere(n2):
     return sorted(
         (x, y, z) for x in span for y in span for z in span if x * x + y * y + z * z == n2
     )
-
-
-def edges_by_pair_scan(poly):
-    """Polytope.edges() as it tested every vertex pair against every facet.
-    Reference for the vertex-facet index."""
-    k = poly.dim
-    if k <= 0:
-        return ()
-    if k == 1:
-        return ((0, 1),) if len(poly.vertices) == 2 else ()
-    out = []
-    for i, j in combinations(range(len(poly.vertices)), 2):
-        common = [
-            f for f, verts in enumerate(poly.facet_vertices) if i in verts and j in verts
-        ]
-        if len(common) < k - 1:
-            continue
-        rows = [poly._int_facets[f][0] for f in common]
-        if int_rank(rows) == k - 1:
-            out.append((i, j))
-    return tuple(out)
-
-
-def _make_apex(body, chart, x, xi):
-    """A point of the lifted line far beyond the body's support along xi."""
-    from polysect.geometry import norm2
-    from polysect.silhouette import WalkError
-
-    vals = [vdot(xi, v) for v in body.vertices]
-    top, bottom = max(vals), min(vals)
-    spread = top - bottom
-    if spread == 0:
-        raise WalkError("body is flat along the walk direction")
-    p = chart.point_at(tuple(F(c) for c in x))
-    t = (top + 3 * spread - vdot(p, xi)) / norm2(xi)
-    return vadd(p, vscale(xi, t))
-
-
-def step_g_via_sections(body, state):
-    """The walk step that built the whole visual cone from the apex, cut each
-    active facet's plane with section() and took the farthest pair of the
-    section's chart points as the shadow edge.  Reference for step_g's
-    angular scan of the vertex images."""
-    from polysect.cones import visual_cone
-    from polysect.geometry import AffineFlat, nullspace, vneg
-    from polysect.silhouette import (
-        StepOutcome, WalkError, _cross2,
-    )
-
-    def _d2(a, b):
-        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-
-    xi, chart, x = state.xi, state.chart, state.current
-    apex = _make_apex(body, chart, x, xi)
-    state.apex = apex
-    cone = visual_cone(apex, body)
-    if cone.halfspaces is None:
-        raise WalkError("visual cone unexpectedly degenerate")
-    if not cone.contains_direction(vneg(xi)):
-        raise WalkError("point lies outside the shadow")
-    active = [hs.normal for hs in cone.halfspaces if vdot(hs.normal, xi) == 0]
-    if not active:
-        raise WalkError("point lies in the shadow's interior, not its boundary")
-    candidates = []
-    for n in active:
-        sec = section_two_hulls(body, AffineFlat.spanning(apex, nullspace([n])))
-        if sec is None:
-            raise WalkError("active cone facet misses the body")
-        pts = [chart.projected_coordinates(v) for v in sec.ambient_vertices]
-        a = b = pts[0]
-        best = F(0)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _d2(pts[i], pts[j]) > best:
-                    best, a, b = _d2(pts[i], pts[j]), pts[i], pts[j]
-        if a == b:
-            raise WalkError("facet section projects to a point")
-        for g, f in ((a, b), (b, a)):
-            if g != x and _cross2(vsub(x, state.center), vsub(g, x)) > 0:
-                candidates.append((g, f))
-    if not candidates:
-        raise WalkError("no forward endpoint found on the active facets")
-    best_g, best_f = candidates[0]
-    for g, f in candidates[1:]:
-        turn = _cross2(vsub(g, x), vsub(best_g, x))
-        if turn > 0 or (turn == 0 and _d2(g, x) > _d2(best_g, x)):
-            best_g, best_f = g, f
-    if len(active) >= 2:
-        return StepOutcome("isolated-extreme", best_g, tuple(active), None)
-    return StepOutcome("edge", best_g, tuple(active), (best_f, best_g))
-
-
-def hull_by_rescan(points):
-    """hull_full_dim as it rescanned every candidate against every merged
-    hyperplane for its tight set.  Reference for reading incidence off the
-    merged simplicial facets."""
-    k = len(points[0])
-    merged = {}
-    for f in _simplicial_facets(points):
-        g = 0
-        for x in f.normal:
-            g = gcd(g, abs(x))
-        g = gcd(g, abs(f.offset)) or 1
-        key = (tuple(x // g for x in f.normal), f.offset // g)
-        merged.setdefault(key, set()).update(f.vertices)
-    candidates = sorted(set().union(*merged.values()))
-    tight = {
-        (n, c): [v for v in candidates if sum(x * y for x, y in zip(n, points[v])) == c]
-        for (n, c) in merged
-    }
-    active = {}
-    for (n, _), verts in tight.items():
-        for v in verts:
-            active.setdefault(v, []).append(n)
-    true_vertices = [
-        v for v in candidates if len(active[v]) >= k and int_rank(active[v]) == k
-    ]
-    vert_set = set(true_vertices)
-    facets = sorted(
-        (n, c, tuple(v for v in verts if v in vert_set))
-        for (n, c), verts in tight.items()
-    )
-    return IntHull(tuple(true_vertices), tuple(facets))
-
-
-def coverage_note_by_fraction_image(poly, normals, offsets):
-    """criteria._coverage_note as it built the image N(P) from Fraction dot
-    products and classified the unscaled offsets.  Reference for the
-    integer image."""
-    image = convex_hull([tuple(vdot(n, v) for n in normals) for v in poly.vertices])
-    where = image.contains(tuple(offsets))
-    if where == "outside":
-        return "coverage violation (flat misses the body)"
-    if where != "interior":
-        return "coverage violation (flat misses the interior)"
-    return None
-
-
-def chart_contains_by_evaluate(poly, chart_point):
-    """Polytope.chart_contains as it evaluated each Halfspace in Fractions.
-    Reference for the integer evaluation."""
-    if poly.dim == 0:
-        return "interior"
-    vals = [hs.evaluate(chart_point) for hs in poly.halfspaces]
-    if any(v > 0 for v in vals):
-        return "outside"
-    return "boundary" if any(v == 0 for v in vals) else "interior"
 
 
 def diameter_by_pair_loop(points):
@@ -598,6 +433,55 @@ def restrict_halfspaces(halfspaces, flat):
             continue
         out.append(_canonical_halfspace(n, c))
     return tuple(out)
+
+
+def section_points_by_subsets(body, flat):
+    """Every point where the flat meets the affine hull of at most c + 1
+    vertices of the body (c the flat's codimension) in exactly one point,
+    inside their hull.  Each is in the section, and each section vertex is
+    one: it is the flat's only point on the smallest face holding it."""
+    normals = flat.normal_directions()
+    rhs = [F(1)] + [vdot(n, flat.base) for n in normals]
+    # the side of each normal's level each vertex lies on: the hull of
+    # vertices all strictly on one side misses the flat
+    sides = {v: [(vdot(n, v) > c) - (vdot(n, v) < c) for n, c in zip(normals, rhs[1:])] for v in body.vertices}
+    out = set()
+    for size in range(1, len(normals) + 2):
+        for combo in combinations(body.vertices, size):
+            if any({sides[v][j] for v in combo} in ({1}, {-1}) for j in range(len(normals))):
+                continue
+            # barycentric weights l with sum l = 1 and n . sum l_i v_i = n . base
+            matrix = [[F(1)] * size] + [[vdot(n, v) for v in combo] for n in normals]
+            if matrix_rank(matrix) < size:
+                continue
+            lam = solve_particular(matrix, rhs)
+            if lam is not None and min(lam) >= 0:
+                out.add(tuple(sum(map(F.__mul__, lam, c)) for c in zip(*combo)))
+    return sorted(out)
+
+
+def edges_by_face_meet(poly):
+    """Vertex pairs whose smallest common face, the meet of the facets that
+    hold both (the whole polytope when none does), has no other vertex."""
+    out = []
+    on = [[verts for verts in poly.facet_vertices if i in verts] for i in range(len(poly.vertices))]
+    for i, j in combinations(range(len(poly.vertices)), 2):
+        face = set(range(len(poly.vertices)))
+        for verts in on[i]:
+            if j in verts:
+                face &= verts
+        if len(face) == 2:
+            out.append((i, j))
+    return tuple(out)
+
+
+def certify(poly, points, flat=None):
+    """`polytope._certify_hull` of poly against the points' `chart_grid` rows
+    in the flat's chart (by default the identity chart of their space)."""
+    from polysect.polytope import _certify_hull
+
+    flat = flat or identity_flat(len(points[0]))
+    _certify_hull(poly, *flat.chart_grid(points))
 
 
 # ---------------------------------------------------------------------------
@@ -765,163 +649,6 @@ def sample_section_boundary_chart_form(body, flat, count):
     return pts
 
 
-def simplicial_facets_by_dot_scan(points):
-    """hull._simplicial_facets as it tested visibility through a generator
-    dot product on each live facet.  Reference for the unrolled int scan."""
-    from polysect.hull import HullError, _Facet, _initial_simplex
-
-    if not points:
-        raise HullError("no points")
-    k = len(points[0])
-    if k not in (2, 3, 4):
-        raise HullError(f"unsupported hull dimension {k}")
-    simplex = _initial_simplex(points, k)
-    ref_sum = tuple(sum(points[i][c] for i in simplex) for c in range(k))
-    ref_den = k + 1
-    facets = {}
-    ridge_owners = {}
-    next_id = 0
-
-    def oriented(verts):
-        p0 = points[verts[0]]
-        diffs = [tuple(a - b for a, b in zip(points[v], p0)) for v in verts[1:]]
-        n = facet_normal(diffs, k)
-        c = dot(n, p0)
-        side = dot(n, ref_sum) - c * ref_den
-        if side > 0:
-            n = tuple(-x for x in n)
-            c = -c
-        elif side == 0:
-            raise HullError("reference point landed on a facet hyperplane")
-        return _Facet(verts, n, c)
-
-    def ridges(f):
-        return [frozenset(f.vertices[:d] + f.vertices[d + 1:]) for d in range(k)]
-
-    def add_facet(f):
-        nonlocal next_id
-        facets[next_id] = f
-        for ridge in ridges(f):
-            ridge_owners.setdefault(ridge, []).append(next_id)
-        next_id += 1
-
-    def remove_facet(fid):
-        for ridge in ridges(facets.pop(fid)):
-            ridge_owners[ridge].remove(fid)
-            if not ridge_owners[ridge]:
-                del ridge_owners[ridge]
-
-    for drop in range(k + 1):
-        add_facet(oriented(tuple(simplex[:drop] + simplex[drop + 1:])))
-    in_simplex = set(simplex)
-    for ip, p in enumerate(points):
-        if ip in in_simplex:
-            continue
-        visible = [fid for fid, f in facets.items() if dot(f.normal, p) > f.offset]
-        if not visible:
-            continue
-        visible_set = set(visible)
-        horizon = []
-        for fid in visible:
-            for ridge in ridges(facets[fid]):
-                owners = ridge_owners[ridge]
-                if len(owners) != 2:
-                    raise HullError("hull boundary lost ridge pairing")
-                other = owners[0] if owners[1] == fid else owners[1]
-                if other not in visible_set:
-                    horizon.append(ridge)
-        for fid in visible:
-            remove_facet(fid)
-        for ridge in horizon:
-            add_facet(oriented(tuple(sorted(ridge)) + (ip,)))
-    return list(facets.values())
-
-
-def epsilon_certificate_by_section(body, p, q, family=None, seed=0):
-    """criteria.epsilon_certificate as it built the whole section through the
-    midpoint, hulled it in the flat's chart and kept the section facets
-    through the midpoint, scoring the family in Fractions.  Reference for
-    reading the section facets off the body's tight facets."""
-    from polysect.criteria import (
-        CriterionError, EpsilonCert, _angle, default_normal_family,
-    )
-    from polysect.geometry import AffineFlat, as_point, as_vector, dist2, norm2, nullspace
-    from polysect.polytope import section
-
-    p = as_point(p)
-    q = as_point(q)
-    if p == q:
-        raise CriterionError("certificate needs two distinct points")
-    if body.contains(p) == "outside" or body.contains(q) == "outside":
-        raise CriterionError("both points must lie in the body")
-    mid = vscale(vadd(p, q), F(1, 2))
-    d = body.ambient_dim
-    if body.dim == d and body.contains(mid) == "interior":
-        r2_min = None
-        for hs in body.halfspaces:
-            num = hs.offset - vdot(hs.normal, mid)
-            val = float(num) / math.sqrt(float(norm2(hs.normal)))
-            if r2_min is None or val < r2_min:
-                r2_min = val
-        dist_px = math.sqrt(float(dist2(p, mid)))
-        radius = min(r2_min, 0.99 * dist_px)
-        branch1 = math.sqrt(max(dist_px * dist_px - radius * radius, 0.0))
-        branch2 = math.asin(min(radius / dist_px, 1.0))
-        eps = 0.5 * min(branch1, branch2)
-        return EpsilonCert(
-            p, q, "interior-crossing", eps, mid, (branch1, branch2), radius=radius,
-        )
-
-    u = vsub(q, p)
-    if family is None:
-        family = default_normal_family(d, seed=seed)
-    best = None
-    best_score = None
-    for nu in family:
-        nu = as_vector(nu)
-        dot = vdot(u, nu)
-        if dot == 0:
-            continue
-        score = dot * dot / (norm2(u) * norm2(nu))
-        if best_score is None or score > best_score:
-            best, best_score = nu, score
-    if best is None:
-        raise CriterionError("family-coverage failure: no flat transversal to the segment")
-    flat = AffineFlat.spanning(mid, nullspace([best]))
-    sec = section(body, flat)
-    spoly = sec.polytope
-    x_chart = spoly.to_chart(flat.coordinates(mid))
-    vertex_ids = set()
-    for hs, face in zip(spoly.halfspaces, spoly.facet_vertices):
-        if hs.evaluate(x_chart) == 0:
-            vertex_ids.update(face)
-    xs = [
-        sec.ambient_vertices[i] for i in sorted(vertex_ids)
-        if sec.ambient_vertices[i] != mid
-    ]
-    delta = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
-    branches = [delta]
-    for xj in xs:
-        branches.append(_angle(vsub(xj, p), vsub(q, p)))
-    eps = 0.5 * min(branches)
-    interior_pt = flat.point_at(spoly.interior_point())
-    return EpsilonCert(
-        p, q, "boundary-segment", eps, mid, tuple(branches),
-        flat_normal=best, flat_offset=vdot(best, mid),
-        vertex_set=tuple(xs), distance=delta, interior_point=interior_pt,
-    )
-
-
-def hull_by_dot_scan(points):
-    """hull_full_dim on the simplicial facets of the generator-dot scan."""
-    from unittest import mock
-
-    import polysect.hull as hull
-
-    with mock.patch.object(hull, "_simplicial_facets", simplicial_facets_by_dot_scan):
-        return hull.hull_full_dim(points)
-
-
 def no_extreme_in_cone_in_fractions(body, p, q, epsilon):
     """criteria.no_extreme_in_cone as it compared Fraction lengths and dot
     products.  Reference for the common-denominator integer route."""
@@ -946,199 +673,6 @@ def no_extreme_in_cone_in_fractions(body, p, q, epsilon):
         elif dot > 0 and dot * dot > cos_bound ** 2 * ab:
             return False
     return True
-
-
-def convex_hull_by_gram_schmidt(points):
-    """convex_hull as it found the span by Fraction Gram-Schmidt over every
-    point and projected every point into the span chart with
-    projected_coordinates.  Reference for the integer pivots and the
-    chart-grid hull."""
-    from polysect.geometry import (
-        AffineFlat, DimensionMismatch, as_point, identity_flat, is_zero_vector,
-        norm2,
-    )
-    from polysect.hull import hull_full_dim
-    from polysect.polytope import (
-        Polytope, PolytopeError, _dim0_polytope, _integer_halfspace,
-    )
-
-    pts = list(dict.fromkeys(as_point(p) for p in points))
-    if not pts:
-        raise PolytopeError("convex hull of no points")
-    d = len(pts[0])
-    for p in pts:
-        if len(p) != d:
-            raise DimensionMismatch("points live in different dimensions")
-    if d not in (1, 2, 3, 4):
-        raise PolytopeError(f"ambient dimension {d} unsupported (need 1..4)")
-
-    base = pts[0]
-    ortho, ortho_n2 = [], []
-    for p in pts[1:]:
-        w = vsub(p, base)
-        for b, n2 in zip(ortho, ortho_n2):
-            w = vsub(w, vscale(b, vdot(w, b) / n2))
-        if not is_zero_vector(w):
-            ortho.append(w)
-            ortho_n2.append(norm2(w))
-        if len(ortho) == d:
-            break
-    k = len(ortho)
-    if k == 0:
-        return _dim0_polytope(base)
-    if k == d:
-        span = identity_flat(d)
-        chart_pts = pts
-    else:
-        span = AffineFlat(base, tuple(ortho))
-        chart_pts = [span.projected_coordinates(p) for p in pts]
-
-    if k == 1:
-        lo = min(range(len(pts)), key=lambda i: chart_pts[i])
-        hi = max(range(len(pts)), key=lambda i: chart_pts[i])
-        vert_idx = [lo, hi]
-        facets = [
-            (_canonical_halfspace((F(-1),), -chart_pts[lo][0]), (lo,)),
-            (_canonical_halfspace((F(1),), chart_pts[hi][0]), (hi,)),
-        ]
-    else:
-        scales = [math.lcm(*[cv[j].denominator for cv in chart_pts]) for j in range(k)]
-        int_pts = [tuple(int(cv[j] * scales[j]) for j in range(k)) for cv in chart_pts]
-        data = hull_full_dim(int_pts)
-        vert_idx = data.vertex_indices
-        facets = [
-            (_integer_halfspace([n[j] * scales[j] for j in range(k)], c), fverts)
-            for (n, c, fverts) in data.facets
-        ]
-
-    order = sorted(vert_idx, key=lambda i: pts[i])
-    position = {i: pos for pos, i in enumerate(order)}
-    facets.sort(key=lambda f: (f[0].normal, f[0].offset))
-    return Polytope(
-        tuple(pts[i] for i in order),
-        tuple(chart_pts[i] for i in order),
-        span,
-        tuple(
-            (tuple(x.numerator for x in hs.normal), hs.offset.numerator)
-            for hs, _ in facets
-        ),
-        tuple(frozenset(position[i] for i in fverts) for _, fverts in facets),
-    )
-
-
-def project_by_projected_coordinates(body, subspace):
-    """project() as it hulled every vertex's projected_coordinates with the
-    Gram-Schmidt hull.  Reference for hulling the chart-grid rows."""
-    from polysect.geometry import DimensionMismatch
-    from polysect.polytope import Projection
-
-    if subspace.ambient_dim != body.ambient_dim:
-        raise DimensionMismatch("subspace and body dimensions disagree")
-    poly = convex_hull_by_gram_schmidt(
-        [subspace.projected_coordinates(v) for v in body.vertices]
-    )
-    return Projection(poly, subspace)
-
-
-def lift_base_facets_in_fractions(base, w):
-    """cones._lift_base_facets as it summed Fraction multiples of the span's
-    basis vectors.  Reference for the integer lift on the grid basis."""
-    from polysect.geometry import vadd
-    from polysect.polytope import _canonical_halfspace
-
-    span = base.span
-    out = []
-    for hs in base.halfspaces:
-        m = tuple(F(0) for _ in w)
-        for a_j, b_j, n2 in zip(hs.normal, span.basis, span.basis_norm2s):
-            m = vadd(m, vscale(b_j, a_j / n2))
-        c = hs.offset + vdot(m, span.base)
-        out.append(_canonical_halfspace(vsub(m, vscale(w, c)), F(0)))
-    return tuple(sorted(out, key=lambda h: (h.normal, h.offset)))
-
-
-def visual_cone_over_all_vertices(apex, body):
-    """visual_cone as it passed a ray through every vertex of the body on to
-    _cone_from_rays, hulled their base points with the Gram-Schmidt hull and
-    lifted the base facets in Fractions.  Reference for the horizon rule."""
-    from unittest import mock
-
-    import polysect.cones as cones
-    from polysect.geometry import DimensionMismatch, as_point, vneg
-    from polysect.polytope import Polytope
-
-    poly = body if isinstance(body, Polytope) else convex_hull_by_gram_schmidt(
-        list(getattr(body, "vertices", body))
-    )
-    z = as_point(apex)
-    if len(z) != poly.ambient_dim:
-        raise DimensionMismatch("apex dimension differs from the body")
-    if poly.contains(z) != "outside":
-        raise cones.ConeError("apex must lie strictly outside the body")
-    if poly.dim == poly.ambient_dim:
-        w = next(vneg(hs.normal) for hs in poly.halfspaces if hs.evaluate(z) > 0)
-    else:
-        w = cones._separating_functional(z, poly)
-    gens = [vsub(v, z) for v in poly.vertices]
-    with mock.patch.object(cones, "convex_hull", convex_hull_by_gram_schmidt), \
-            mock.patch.object(cones, "_lift_base_facets", lift_base_facets_in_fractions):
-        return cones._cone_from_rays(z, gens, w)
-
-
-def shadow_walk_by_step_g(body, xi, step=None):
-    """shadow_walk as a loop of step_g (or of another step with its
-    signature), checking each emitted point with is_extreme on the
-    Gram-Schmidt hull of the projected vertices.  Reference for the walk's
-    own step and its chart-grid shadow check."""
-    from polysect import silhouette as S
-    from polysect.geometry import as_vector
-    from polysect.polytope import is_extreme
-
-    step = step or S.step_g
-    if body.ambient_dim != 3 or body.dim != 3:
-        raise S.WalkError("shadow walks need a full-dimensional 3-polytope")
-    xi = as_vector(xi)
-    chart = S.shadow_chart(xi)
-    frame = S._frame(body, chart, xi)
-    projected = tuple(chart.projected_coordinates(v) for v in body.vertices)
-    center = (
-        sum(p[0] for p in projected) / len(projected),
-        sum(p[1] for p in projected) / len(projected),
-    )
-    best = max(p[0] for p in projected)
-    start = next(p for p in projected if p[0] == best)
-    state = S.WalkState(xi, chart, center, start, frame=frame)
-
-    emitted = []
-    max_steps = len(body.vertices) + 2
-    steps = 0
-    shadow_hull = convex_hull_by_gram_schmidt(projected)
-    while steps < max_steps:
-        outcome = step(body, state)
-        steps += 1
-        if outcome.kind == "isolated-extreme":
-            v = state.current
-            if emitted and v == emitted[0]:
-                break
-            if emitted:
-                prev = emitted[-1]
-                if S._cross2(vsub(prev, center), vsub(v, center)) <= 0:
-                    raise S.WalkError("walk angle failed to increase")
-            if not is_extreme(v, shadow_hull):
-                raise S.WalkError("walk emitted a non-extreme shadow point")
-            emitted.append(v)
-        state.current = outcome.next_point
-        if emitted and state.current == emitted[0]:
-            break
-    else:
-        raise S.WalkError("walk exceeded the vertex bound without closing")
-    if not emitted:
-        raise S.WalkError("walk closed without emitting any vertex")
-    angles = tuple(
-        math.atan2(float(v[1] - center[1]), float(v[0] - center[0]))
-        for v in emitted
-    )
-    return S.WalkResult(xi, chart, tuple(emitted), angles, steps, start)
 
 
 # ---------------------------------------------------------------------------
@@ -1363,138 +897,6 @@ def vertices_of_by_subset_scan(halfspaces):
     return convex_hull(list(found))
 
 
-def slice_points_by_fractions(body, normal, offset):
-    """The cut of a polytope by {x : normal.x = offset} in Fractions: the
-    on-plane vertices, then the edge crossings in edges() order.  Reference
-    for polytope._slice's integer cut."""
-    vals = [vdot(normal, v) - offset for v in body.vertices]
-    pts = [v for v, val in zip(body.vertices, vals) if val == 0]
-    for i, j in body.edges():
-        a, b = vals[i], vals[j]
-        if (a < 0 < b) or (b < 0 < a):
-            t = a / (a - b)
-            vi, vj = body.vertices[i], body.vertices[j]
-            pts.append(vadd(vi, vscale(vsub(vj, vi), t)))
-    return pts
-
-
-def primitive_direction_by_gcd_loop(v):
-    """cones.primitive_direction as it cleared denominators by their lcm and
-    folded a gcd over the absolute values.  Reference for int_scaled plus
-    one gcd call."""
-    from polysect.geometry import as_vector
-
-    v = as_vector(v)
-    scale = math.lcm(*[x.denominator for x in v])
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(F(x // g) for x in ints)
-
-
-def line_interval_by_clipping(body, base, u):
-    """Exact parameter interval {t : base + t*u in body} as (lo, hi), or None.
-
-    The clipping route `supporting_line_test` and `diamond_hull` once took:
-    a line in the body's affine hull is clipped against the facets in the
-    hull's chart; any other line meets the hull in at most one point t0,
-    and the interval is (t0, t0) when that point lies in the body.
-    """
-    span = body.span
-    if span is None:  # a single point: every direction is normal to its hull
-        origin, normals = body.vertices[0], identity_flat(len(u)).basis
-    else:
-        origin, normals = span.base, span.normal_directions()
-    cons = [(vdot(n, u), vdot(n, vsub(origin, base))) for n in normals]
-    crossing = next(((a, b) for a, b in cons if a != 0), None)
-    if crossing is not None:
-        t0 = crossing[1] / crossing[0]
-        if any(a * t0 != b for a, b in cons):
-            return None
-        if body.contains(vadd(base, vscale(u, t0))) == "outside":
-            return None
-        return (t0, t0)
-    if any(b != 0 for _, b in cons):
-        return None
-    cb = span.coordinates(base)
-    cd = tuple(vdot(u, bb) / n2 for bb, n2 in zip(span.basis, span.basis_norm2s))
-    lo = hi = None
-    for hs in body.halfspaces:
-        a = vdot(hs.normal, cd)
-        b = hs.offset - vdot(hs.normal, cb)
-        if a == 0:
-            if b < 0:
-                return None
-        elif a > 0:
-            hi = b / a if hi is None else min(hi, b / a)
-        else:
-            lo = b / a if lo is None else max(lo, b / a)
-    return (lo, hi) if lo <= hi else None
-
-
-def cone_section_by_subflat(cone, flat):
-    """`cones.cone_section` by the route it once took: the base is cut by
-    the sub-flat {w.y = 1} ∩ span built from a nullspace (a point for a
-    line), and the rays are charted one by one."""
-    from polysect.cones import ConeError, ConeSection, _cone_from_rays
-    from polysect.geometry import AffineFlat, nullspace
-    from polysect.polytope import section
-
-    if not flat.contains(cone.apex):
-        raise ConeError("flat must pass through the apex")
-    anchored = AffineFlat(cone.apex, flat.basis)
-    if cone.base is None:
-        return None
-    w = cone.positive_normal
-    w_chart = tuple(vdot(w, b) for b in anchored.basis)
-    if all(x == 0 for x in w_chart):
-        return None
-    if anchored.dim == 1:
-        y0 = vscale(anchored.basis[0], 1 / w_chart[0])
-        if cone.base.contains(y0) == "outside":
-            return None
-        ray_points = [y0]
-    else:
-        j = next(i for i, x in enumerate(w_chart) if x != 0)
-        y0 = vscale(anchored.basis[j], 1 / w_chart[j])
-        dirs = []
-        for coeffs in nullspace([w_chart]):
-            v = tuple(F(0) for _ in range(cone.ambient_dim))
-            for c, b in zip(coeffs, anchored.basis):
-                v = vadd(v, vscale(b, c))
-            dirs.append(v)
-        sec = section(cone.base, AffineFlat.spanning(y0, dirs))
-        if sec is None:
-            return None
-        ray_points = list(sec.ambient_vertices)
-    chart_rays = [
-        tuple(vdot(r, b) / n2 for b, n2 in zip(anchored.basis, anchored.basis_norm2s))
-        for r in ray_points
-    ]
-    origin = tuple(F(0) for _ in range(anchored.dim))
-    return ConeSection(cone.apex, anchored, _cone_from_rays(origin, chart_rays, w_chart))
-
-
-def projection_check_by_rehull(poly, E, shadow):
-    """criteria's K2 check as it re-derived the shadow: chart coordinates of
-    every vertex through projected_coordinates, an is_extreme filter against
-    the shadow, and a second hull of the extreme points, which must list the
-    shadow's vertices and halfspaces.  Reference for the integer
-    certificate; raises CriterionError, or PolytopeError when a projected
-    vertex falls outside the shadow."""
-    from polysect.criteria import CriterionError
-    from polysect.polytope import is_extreme
-
-    pts = [E.projected_coordinates(v) for v in poly.vertices]
-    ext = [p for p in dict.fromkeys(pts) if is_extreme(p, shadow)]
-    rehull = convex_hull(ext)
-    if shadow.vertices != rehull.vertices:
-        raise CriterionError("projection disagrees with the extreme-point hull")
-    if shadow.halfspaces != rehull.halfspaces:
-        raise CriterionError("projection facets disagree with the extreme-point hull")
-
-
 def draw_flat_by_solving(rng, d, k, delta):
     """criteria._draw_flat as every K1/T1.1 draw once ran it: the flat is
     built from a particular solution and the normals' nullspace, and a draw
@@ -1537,34 +939,6 @@ def default_normal_family_by_rationalize(dim, seed=0):
     return tuple(family)
 
 
-def section_by_chart_coordinates(body, flat):
-    """section() as it charted every last-stage slice point through
-    `flat.coordinates` (raising for a point off the flat) and hulled those
-    Fractions with `convex_hull`.  Reference for hulling the slice points'
-    `chart_grid` rows."""
-    from polysect.geometry import DimensionMismatch
-    from polysect.polytope import PolytopeError, Section, _slice
-
-    if flat.ambient_dim != body.ambient_dim:
-        raise DimensionMismatch("flat and body dimensions disagree")
-    pts = body.vertices
-    for i, n in enumerate(flat.normal_directions()):
-        current = body if i == 0 else convex_hull(pts)
-        pts = [x for x, _ in _slice(current, n, flat.base)]
-        if not pts:
-            return None
-    chart_pts = []
-    for v in sorted(pts):
-        cv = flat.coordinates(v)
-        if cv is None:
-            raise PolytopeError("section vertex fell off the flat")
-        chart_pts.append(cv)
-    sec_poly = convex_hull(chart_pts)
-    ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
-    probe = flat.point_at(sec_poly.interior_point())
-    return Section(sec_poly, flat, ambient, body.contains(probe) == "interior")
-
-
 def random_subspace_by_spanning(rng, origin, d, k):
     """K2's exact subspace draw as it redrew k rounded gaussian directions
     until `AffineFlat.spanning` gave a k-flat.  Reference for the shared
@@ -1583,6 +957,128 @@ def random_subspace_by_spanning(rng, origin, d, k):
             return E
 
 
-def every_polytope_field(poly):
-    """`polytope_fields` and the integer facets."""
-    return polytope_fields(poly) + (poly._int_facets,)
+# ---------------------------------------------------------------------------
+# wrong answers for the hull certificate: each takes an honest hull, charted
+# polytope or shadow of dimension 1 to 3 and breaks one of its claims
+
+
+def _shadow_with(shadow, chart=None, ints=None):
+    """The shadow with the given chart vertices and/or int facets; ambient
+    vertices and facet-vertex sets are rebuilt to match."""
+    chart = shadow.chart_vertices if chart is None else tuple(chart)
+    ints = shadow._int_facets if ints is None else tuple(ints)
+    halfspaces = tuple(Halfspace(tuple(map(F, n)), F(c)) for n, c in ints)
+    return Polytope(
+        tuple(map(shadow.span.point_at, chart)), chart, shadow.span, ints,
+        tuple(
+            frozenset(i for i, v in enumerate(chart) if hs.evaluate(v) == 0)
+            for hs in halfspaces
+        ),
+    )
+
+
+def _tight(shadow, v):
+    return [f for f, hs in zip(shadow._int_facets, shadow.halfspaces) if hs.evaluate(v) == 0]
+
+
+def _drop_vertex(shadow):
+    return _shadow_with(shadow, chart=shadow.chart_vertices[1:])
+
+
+def _drop_vertex_and_its_facets(shadow):
+    at = _tight(shadow, shadow.chart_vertices[0])
+    return _shadow_with(
+        shadow, chart=shadow.chart_vertices[1:],
+        ints=[f for f in shadow._int_facets if f not in at],
+    )
+
+
+def _repeat_vertex(shadow):
+    return _shadow_with(shadow, chart=shadow.chart_vertices[:1] + shadow.chart_vertices)
+
+
+def _add_edge_midpoint(shadow):
+    # two vertices of facet 0; their midpoint is on the boundary, not extreme
+    a, b = [v for v in shadow.chart_vertices if shadow.halfspaces[0].evaluate(v) == 0][:2]
+    return _shadow_with(shadow, chart=shadow.chart_vertices + (tuple((x + y) / 2 for x, y in zip(a, b)),))
+
+
+def _drop_facet(shadow):
+    return _shadow_with(shadow, ints=shadow._int_facets[1:])
+
+
+def _repeat_facet(shadow):
+    return _shadow_with(shadow, ints=shadow._int_facets[:1] + shadow._int_facets)
+
+
+def _shift_offset(step):
+    def mutate(shadow):
+        (n, c), *rest = shadow._int_facets
+        return _shadow_with(shadow, ints=[(n, c + step), *rest])
+    return mutate
+
+
+def _with_halfspace(shadow, normal, offset):
+    hs = _integer_halfspace(normal, offset)
+    new = (tuple(int(x) for x in hs.normal), int(hs.offset))
+    return _shadow_with(shadow, ints=[*shadow._int_facets, new])
+
+
+def _add_parallel_halfspace(shadow):
+    n, c = shadow._int_facets[0]
+    return _with_halfspace(shadow, n, c + 1)
+
+
+def _add_vertex_supporting_halfspace(shadow):
+    # the sum of two facets tight at a vertex supports the shadow there only
+    (a, c), (b, e) = _tight(shadow, shadow.chart_vertices[0])[:2]
+    return _with_halfspace(shadow, tuple(map(add, a, b)), c + e)
+
+
+def _add_cutting_halfspace(shadow):
+    # a hyperplane through k vertices with vertices strictly on both sides:
+    # tight on enough vertices to pass for a facet, but it cuts the shadow
+    verts, k = shadow.chart_vertices, shadow.dim
+    for combo in combinations(verts, k):
+        normals = nullspace([[y - x for x, y in zip(combo[0], v)] for v in combo[1:]])
+        if len(normals) != 1:
+            continue
+        (n,) = normals
+        level = vdot(n, combo[0])
+        if min(vdot(n, v) for v in verts) < level < max(vdot(n, v) for v in verts):
+            scale = math.lcm(*[x.denominator for x in n])
+            return _with_halfspace(
+                shadow, tuple(int(x * scale) for x in n), int(level * scale)
+            )
+    raise AssertionError("no cutting hyperplane through vertices")
+
+
+def _grow_about_the_centroid(shadow):
+    # twice as large: every point still satisfies every facet, but no
+    # vertex is one of the points
+    verts = shadow.chart_vertices
+    m = tuple(sum(c) / len(verts) for c in zip(*verts))
+    ints = []
+    for n, c in shadow._int_facets:
+        offset = 2 * c - sum(map(mul, n, m))
+        ints.append((tuple(x * offset.denominator for x in n), offset.numerator))
+    return _shadow_with(shadow, [tuple(2 * x - y for x, y in zip(v, m)) for v in verts], ints)
+
+
+SHADOW_MUTATIONS = {
+    "drop-vertex": _drop_vertex,
+    "drop-vertex-and-its-facets": _drop_vertex_and_its_facets,
+    "repeat-vertex": _repeat_vertex,
+    "add-edge-midpoint": _add_edge_midpoint,
+    "drop-facet": _drop_facet,
+    "grow-about-the-centroid": _grow_about_the_centroid,
+    "repeat-facet": _repeat_facet,
+    "offset-plus-1": _shift_offset(1),
+    "offset-minus-1": _shift_offset(-1),
+    "redundant-parallel": _add_parallel_halfspace,
+    "redundant-at-a-vertex": _add_vertex_supporting_halfspace,
+    "cutting-through-vertices": _add_cutting_halfspace,
+}
+SEGMENT_FREE_MUTATIONS = {
+    "redundant-at-a-vertex", "add-edge-midpoint", "cutting-through-vertices",
+}

@@ -198,14 +198,17 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def _private_definitions(stmt) -> list[str]:
     """Module-level `_name`s a top-level statement defines (dunders aside)."""
+    return [n for n in _defined_names(stmt) if n.startswith("_") and not n.startswith("__")]
+
+
+def _defined_names(stmt) -> list[str]:
+    """The names a top-level def, class or assignment defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
 
 
 def _referenced_names(node) -> set[str]:
@@ -273,3 +276,42 @@ def test_unused_import_check_sees_plain_dotted_and_aliased_imports():
         "__all__ = ['gcd']\n"
     )
     assert _unused_imports(tree) == ["l", "os", "system"]
+
+
+def _unused_helpers(helpers_text: str, test_sources) -> list[str]:
+    """Top-level definitions of a helpers module that no test module reads,
+    directly or through another definition that one reads."""
+    refs = {
+        name: _referenced_names(stmt) - {*_defined_names(stmt)}
+        for stmt in ast.parse(helpers_text).body
+        for name in _defined_names(stmt)
+    }
+    todo = set().union(*(_referenced_names(ast.parse(t)) for t in test_sources))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in refs and name not in reached:
+            reached.add(name)
+            todo |= refs[name]
+    return sorted(refs.keys() - reached)
+
+
+def test_every_helper_is_used_by_a_test_module():
+    # a deleted test must not leave its reference behind in tests/helpers.py
+    tests = ROOT / "tests"
+    sources = [path.read_text(encoding="utf-8") for path in sorted(tests.glob("test_*.py"))]
+    unused = _unused_helpers((tests / "helpers.py").read_text(encoding="utf-8"), sources)
+    assert not unused, unused
+
+
+def test_unused_helper_check_follows_helpers_that_call_helpers():
+    helpers = (
+        "def a(): return b()\n"
+        "def b(): return b()\n"
+        "def c(): return d()\n"
+        "def d(): pass\n"
+        "E = F = 1\n"
+        "def g(): return E\n"
+    )
+    tests = ["from helpers import a\n", "import helpers\nhelpers.g()\n"]
+    assert _unused_helpers(helpers, tests) == ["F", "c", "d"]

@@ -44,6 +44,9 @@ def cube():
     return convex_hull(CUBE_VERTICES)
 
 
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
 class TestBall:
     def setup_method(self):
         self.ball = make_ball((0, 0, 0), 1)
@@ -79,6 +82,13 @@ class TestBall:
         with pytest.raises(BodyError):
             make_ball((0, 0, 0), 0)
 
+    @pytest.mark.parametrize("x", NOT_FINITE)
+    def test_center_and_radius_must_be_finite(self, x):
+        # a NaN radius used to give a ball that K1 called polytope-consistent
+        for center, radius in [((0, 0, 0), x), ((0, x, 0), 1)]:
+            with pytest.raises(BodyError, match="must be finite"):
+                make_ball(center, radius)
+
 
 class TestEllipsoid:
     def test_support_closed_form(self):
@@ -100,6 +110,13 @@ class TestEllipsoid:
     def test_degenerate_axis_rejected(self):
         with pytest.raises(BodyError):
             make_ellipsoid((0, 0, 0), (1, 0, 1))
+
+    @pytest.mark.parametrize("x", NOT_FINITE)
+    def test_center_and_semi_axes_must_be_finite(self, x):
+        # an infinite semi-axis used to give a "non-polytope" verdict
+        for center, axes in [((0, 0, 0), (1, x, 1)), ((x, 0, 0), (1, 1, 1))]:
+            with pytest.raises(BodyError, match="must be finite"):
+                make_ellipsoid(center, axes)
 
 
 class TestWrapPolytope:
@@ -127,6 +144,13 @@ class TestWrapPolytope:
 
 
 class TestGlueCap:
+    @pytest.mark.parametrize("x", NOT_FINITE)
+    def test_center_and_radius_must_be_finite(self, x):
+        # a NaN radius used to fail later, in a criterion
+        for center, radius in [((1, 0, 0), x), ((1, x, 0), 1)]:
+            with pytest.raises(BodyError):
+                glue_cap(cube(), center, radius)
+
     def setup_method(self):
         # unit cube with a spherical cap glued on the +x side
         self.body = glue_cap(cube(), (1, 0, 0), 1)

@@ -513,6 +513,20 @@ class TestPlumbing:
         assert out.err.count("error: no 2-dimensional output") == 2
         assert not (tmp_path / "nope.svg").exists()
 
+    @pytest.mark.parametrize("missing", ["svg", "report"])
+    def test_failed_write_leaves_no_output_file(self, cube_off, tmp_path, capsys, missing):
+        # the svg is written first: a failed svg leaves no report, and a
+        # failed report removes the svg
+        paths = {"svg": tmp_path / "x.svg", "report": tmp_path / "r.json"}
+        paths[missing] = tmp_path / "nodir" / paths[missing].name
+        code = main([
+            "section", "--body", cube_off, "--flat", "n=1,1,1;c=0",
+            "--svg", str(paths["svg"]), "--report", str(paths["report"]),
+        ])
+        assert code == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not any(path.exists() for path in paths.values())
+
     def test_no_timestamps_anywhere(self, cube_off, tmp_path):
         _, rep = run(
             ["section", "--body", cube_off, "--flat", "n=1,1,1;c=0"], tmp_path

@@ -11,15 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     CUBE_VERTICES,
     centered_polytope,
+    certify,
     cone_contains_point,
-    cone_section_by_subflat,
     exact_cone_oracle_sampling_only,
     from_generators,
     is_extreme_oracle,
     matrix_rank,
     polytope_of_dim,
-    primitive_direction_by_gcd_loop,
     random_points,
+    section_points_by_subsets,
 )
 
 from polysect.bodies import ray_exit
@@ -78,9 +78,13 @@ class TestPrimitiveDirection:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(max_denominator=60), min_size=1, max_size=4))
-    def test_matches_gcd_loop(self, v):
+    def test_coprime_ints_along_the_direction(self, v):
         assume(any(v))
-        assert primitive_direction(v) == primitive_direction_by_gcd_loop(v)
+        p = primitive_direction(v)
+        assert all(x.denominator == 1 for x in p) and math.gcd(*map(int, p)) == 1
+        # p = s v for one s > 0
+        s = next(a / b for a, b in zip(p, v) if b)
+        assert s > 0 and p == tuple(s * x for x in v)
 
 
 class TestVisualCone:
@@ -216,19 +220,6 @@ class TestConeSection:
             cone_section(self.cone, flat)
 
 
-def _cone_section_fields(sec):
-    """Everything of a cone section but the chart its cone's base polytope
-    is hulled in, which follows the order the rays arrive in."""
-    if sec is None:
-        return None
-    c = sec.cone
-    base = None if c.base is None else (c.base.vertices, c.base.dim)
-    return (
-        sec.apex, sec.flat, c.apex, c.generators, c.span_dim, c.halfspaces,
-        c.positive_normal, base,
-    )
-
-
 def _cone_section_case(seed):
     """The visual cone of a random body of any dimension in dimension 1-4
     from an outside apex, and a flat of any dimension through the apex,
@@ -251,27 +242,39 @@ def _cone_section_case(seed):
     return cone, AffineFlat.spanning(base, dirs)
 
 
+def check_cone_section(cone, flat):
+    """cone_section against brute force: the section points of the cone's
+    base by the flat's linear span lie on w . y = 1, so in that span's chart
+    they lie on w_chart . s = 1, and the section cone's base is their
+    certified hull; None when there are none."""
+    got = cone_section(cone, flat)
+    linear = AffineFlat((F(0),) * cone.ambient_dim, flat.basis)
+    pts = [] if cone.base is None else section_points_by_subsets(cone.base, linear)
+    if not pts:
+        assert got is None
+        return None
+    assert (got.apex, got.flat) == (cone.apex, AffineFlat(cone.apex, flat.basis))
+    w_chart = tuple(vdot(cone.positive_normal, b) for b in flat.basis)
+    assert got.cone.positive_normal == w_chart
+    certify(got.cone.base, [linear.coordinates(p) for p in pts])
+    return got
+
+
 class TestConeSectionRoute:
     """cone_section cuts the base by the flat's linear span in one
-    `section`; `helpers.cone_section_by_subflat` is the sub-flat route it
-    took before, kept as the reference."""
+    `section`; the brute-force section points of the base are the
+    reference, through the hull certificate."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_matches_subflat_route(self, seed):
-        cone, flat = _cone_section_case(seed)
-        assert _cone_section_fields(cone_section(cone, flat)) == _cone_section_fields(
-            cone_section_by_subflat(cone, flat)
-        )
+    def test_certified(self, seed):
+        check_cone_section(*_cone_section_case(seed))
 
     def test_every_outcome_class_occurs(self):
         seen = set()
         for seed in range(200):
             cone, flat = _cone_section_case(seed)
-            got = cone_section(cone, flat)
-            assert _cone_section_fields(got) == _cone_section_fields(
-                cone_section_by_subflat(cone, flat)
-            )
+            got = check_cone_section(cone, flat)
             seen.add((cone.ambient_dim, flat.dim, got is None))
         assert {(d, k) for d, k, _ in seen} == {
             (d, k) for d in range(1, 5) for k in range(1, d + 1)
@@ -279,12 +282,11 @@ class TestConeSectionRoute:
         for d in range(2, 5):
             assert {none for dd, _, none in seen if dd == d} == {True, False}
 
-    def test_flat_off_the_apex_raises_on_both_routes(self):
+    def test_flat_off_the_apex_raises(self):
         cone = visual_cone((0, 0, 3), cube())
         flat = AffineFlat.spanning((F(5), F(5), F(5)), [(0, 1, 0), (0, 0, 1)])
-        for route in (cone_section, cone_section_by_subflat):
-            with pytest.raises(ConeError, match="flat must pass through the apex"):
-                route(cone, flat)
+        with pytest.raises(ConeError, match="flat must pass through the apex"):
+            cone_section(cone, flat)
 
 
 class TestApexInTheBodysAffineHull:

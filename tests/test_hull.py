@@ -15,7 +15,7 @@ from polysect.hull import (
 )
 
 import helpers
-from helpers import brute_force_facets, det3, dot, facet_normal, int_rank, matrix_rank
+from helpers import brute_force_facets, certify, det3, dot, facet_normal, int_rank, matrix_rank
 
 
 def permanent_det(m):
@@ -201,17 +201,40 @@ def degenerate_clouds(draw):
     return draw(st.permutations(pts))
 
 
-class TestIncidenceFromMergedFacets:
-    """The whole IntHull equals the route that rescanned every candidate."""
+def check_hull(pts, out):
+    """The whole IntHull without another hull route: facets sorted as ints,
+    vertices one index per point in ascending order, and each facet listing
+    exactly the vertices tight on it; the facets and vertices are those of
+    the certified `convex_hull` for k <= 3, and brute force for k = 4 (the
+    brute-force facets and the points where their tight normals reach
+    rank 4)."""
+    k = len(pts[0])
+    if k < 4:
+        poly = convex_hull(pts)
+        certify(poly, pts)
+        facets, vertices = list(poly._int_facets), list(poly.vertices)
+    else:
+        vertices = sorted(set(pts))
+        facets = brute_force_facets(vertices)
+        vertices = [p for p in vertices if int_rank([n for n, c in facets if dot(n, p) == c]) == k]
+    assert [(n, c) for n, c, _ in out.facets] == facets
+    assert list(out.vertex_indices) == sorted(out.vertex_indices)
+    assert sorted(pts[i] for i in out.vertex_indices) == vertices
+    for n, c, fverts in out.facets:
+        assert fverts == tuple(v for v in out.vertex_indices if dot(n, pts[v]) == c)
 
-    @settings(max_examples=150, deadline=None)
+
+class TestWholeHull:
+    """The IntHull of degenerate and wide clouds, checked whole."""
+
+    @settings(max_examples=30, deadline=None)
     @given(degenerate_clouds())
-    def test_degenerate_clouds_match_rescan(self, pts):
+    def test_degenerate_clouds(self, pts):
         k = len(pts[0])
         assume(int_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts]) == k)
-        assert hull_full_dim(pts) == helpers.hull_by_rescan(pts)
+        check_hull(pts, hull_full_dim(pts))
 
-    def test_lattice_sphere_with_inner_points_matches_rescan(self):
+    def test_lattice_sphere_with_inner_points(self):
         rng = random.Random(4)
         sphere = rng.sample(helpers.lattice_sphere(94), 60)
         # doubled, with chord midpoints: inside the body or on its facets
@@ -223,38 +246,24 @@ class TestIncidenceFromMergedFacets:
         pts += rng.sample(pts, 5)
         out = hull_full_dim(pts)
         assert len(out.vertex_indices) == 60
-        assert out == helpers.hull_by_rescan(pts)
-
-
-class TestUnrolledVisibilityScan:
-    """The inline per-dimension visibility test builds the same simplicial
-    facets, in the same order, and the same IntHull as the generator dot."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(degenerate_clouds())
-    def test_degenerate_clouds_match_dot_scan(self, pts):
-        k = len(pts[0])
-        assume(int_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts]) == k)
-        assert _simplicial_facets(pts) == helpers.simplicial_facets_by_dot_scan(pts)
-        assert hull_full_dim(pts) == helpers.hull_by_dot_scan(pts)
+        check_hull(pts, out)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_wide_clouds_with_duplicates_match_dot_scan(self, k):
+    def test_wide_clouds_with_duplicates(self, k):
         rng = random.Random(k)
-        for _ in range(20):
-            pts = [tuple(rng.randint(-10**6, 10**6) for _ in range(k)) for _ in range(25)]
+        for _ in range(20 if k < 4 else 3):
+            pts = [tuple(rng.randint(-10**6, 10**6) for _ in range(k)) for _ in range(25 if k < 4 else 10)]
             # a coplanar run on the first coordinate hyperplane, and repeats
             pts += [(10**6,) + tuple(rng.randint(-9, 9) for _ in range(k - 1)) for _ in range(6)]
             pts += rng.sample(pts, 4)
             rng.shuffle(pts)
-            assert _simplicial_facets(pts) == helpers.simplicial_facets_by_dot_scan(pts)
-            assert hull_full_dim(pts) == helpers.hull_by_dot_scan(pts)
+            check_hull(pts, hull_full_dim(pts))
 
-    def test_lattice_sphere_matches_dot_scan(self):
+    def test_lattice_sphere(self):
         pts = random.Random(3).sample(helpers.lattice_sphere(426), 150)
         out = hull_full_dim(pts)
         assert len(out.vertex_indices) == 150
-        assert out == helpers.hull_by_dot_scan(pts)
+        check_hull(pts, out)
 
 
 class TestMixedDimensions:
@@ -325,7 +334,7 @@ class TestVertexRule:
             random.Random(order).shuffle(pts)
         pts.append(hi)  # after the midpoint, so the midpoint is inserted
         out = hull_full_dim(pts)
-        assert out == helpers.hull_by_rescan(pts)
+        check_hull(pts, out)
         assert len(out.vertex_indices) == 8 and len(out.facets) == 8
         assert pts.index(mid) not in out.vertex_indices
         on_mid = [n for n, c, _ in out.facets if dot(n, mid) == c]
@@ -358,14 +367,14 @@ class TestVertexRule:
             ("hexagonal prism", [(x, y, z) for x, y in HEXAGON for z in (0, 1)], 12),
         ],
     )
-    def test_lattice_bodies_with_face_points_match_rescan(self, name, vertices, scale):
+    def test_lattice_bodies_with_face_points(self, name, vertices, scale):
         verts, extra = self._with_face_points(vertices, scale)
         for seed in range(4):
             pts = extra + verts if seed == 0 else verts + extra
             if seed > 1:
                 random.Random(seed).shuffle(pts)
             out = hull_full_dim(pts)
-            assert out == helpers.hull_by_rescan(pts)
+            check_hull(pts, out)
             assert sorted(pts[i] for i in out.vertex_indices) == sorted(verts)
             if seed == 0:  # face points inserted first stay candidates
                 candidates = set().union(*(f.vertices for f in _simplicial_facets(pts)))

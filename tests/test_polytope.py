@@ -6,7 +6,9 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polysect.geometry import AffineFlat, DimensionMismatch, GeometryError, identity_flat, nullspace, vsub
+from polysect.geometry import (
+    AffineFlat, DimensionMismatch, GeometryError, identity_flat, nullspace, vdot, vsub,
+)
 from polysect.polytope import (
     _slice,
     DiamondConfigError,
@@ -26,9 +28,11 @@ from polysect.polytope import (
 
 import helpers
 from helpers import (
+    certify,
+    edges_by_face_meet,
     polytope_fields,
     restrict_halfspaces,
-    slice_points_by_fractions,
+    section_points_by_subsets,
     vertices_of_by_subset_scan,
 )
 
@@ -142,16 +146,6 @@ def points(dim, min_size, max_size, coords=rationals):
     return st.lists(st.tuples(*[coords] * dim), min_size=min_size, max_size=max_size)
 
 
-def rederived_incidence(poly):
-    """Reference incidence: every halfspace evaluated at every chart vertex."""
-    return tuple(
-        frozenset(
-            i for i, cv in enumerate(poly.chart_vertices) if hs.evaluate(cv) == 0
-        )
-        for hs in poly.halfspaces
-    )
-
-
 def fraction_halfspaces(poly):
     return tuple(Halfspace(tuple(map(F, n)), F(c)) for n, c in poly._int_facets)
 
@@ -209,45 +203,9 @@ class TestOneFacetForm:
             poly.halfspaces = hss
 
 
-class TestFacetIncidence:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.tuples(st.sampled_from((1, 2, 3, 4)), grids).flatmap(
-            lambda dg: points(dg[0], 1, 12, dg[1])
-        )
-    )
-    @example([(F(2),)])
-    @example([(F(3),), (F(-1, 2),)])
-    @example([(F(1),), (F(3),), (F(2),), (F(1),), (F(5, 2),), (F(-1),)])
-    def test_cloud_matches_rederived_incidence(self, pts):
-        poly = convex_hull(pts)
-        assert poly.facet_vertices == rederived_incidence(poly)
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_flat_cloud_matches_rederived_incidence(self, data):
-        # clouds on a line, plane or 3-flat inside 3-D or 4-D space
-        d = data.draw(st.sampled_from((3, 4)), label="ambient dim")
-        m = data.draw(st.integers(1, d - 1), label="flat dim")
-        base = data.draw(st.tuples(*[rationals] * d), label="base")
-        dirs = data.draw(points(d, m, m), label="directions")
-        grid = data.draw(grids, label="coefficient grid")
-        coeffs = data.draw(points(m, 1, 12, grid), label="coefficients")
-        pts = [
-            tuple(base[i] + sum(c[j] * dirs[j][i] for j in range(m)) for i in range(d))
-            for c in coeffs
-        ]
-        poly = convex_hull(pts)
-        assert poly.dim <= m
-        assert poly.facet_vertices == rederived_incidence(poly)
-        if poly.dim == 1:
-            seg = convex_hull(list(poly.chart_vertices))
-            assert seg.facet_vertices == rederived_incidence(seg)
-
-
 class TestEdgeIndex:
-    """edges() finds pairs through a vertex-facet index; the scan of every
-    pair against every facet gives the same tuple."""
+    """edges() finds pairs through a vertex-facet index and a rank test; the
+    pairs whose smallest common face has no third vertex are the same."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -255,13 +213,13 @@ class TestEdgeIndex:
             lambda dg: points(dg[0], 1, 14, dg[1])
         )
     )
-    def test_cloud_matches_pair_scan(self, pts):
+    def test_cloud_matches_face_meet(self, pts):
         poly = convex_hull(pts)
-        assert poly.edges() == helpers.edges_by_pair_scan(poly)
+        assert poly.edges() == edges_by_face_meet(poly)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_flat_cloud_matches_pair_scan(self, data):
+    def test_flat_cloud_matches_face_meet(self, data):
         d = data.draw(st.sampled_from((3, 4)), label="ambient dim")
         m = data.draw(st.integers(1, d - 1), label="flat dim")
         dirs = data.draw(points(d, m, m), label="directions")
@@ -271,14 +229,14 @@ class TestEdgeIndex:
             for c in coeffs
         ]
         poly = convex_hull(pts)
-        assert poly.edges() == helpers.edges_by_pair_scan(poly)
+        assert poly.edges() == edges_by_face_meet(poly)
 
-    def test_lattice_sphere_matches_pair_scan(self):
+    def test_lattice_sphere_matches_face_meet(self):
         pts = random.Random(3).sample(helpers.lattice_sphere(426), 150)
         poly = convex_hull(pts)
         assert len(poly.vertices) == 150
         edges = poly.edges()
-        assert edges == helpers.edges_by_pair_scan(poly)
+        assert edges == edges_by_face_meet(poly)
         # Euler: V - E + F = 2 for a 3-polytope
         assert 150 - len(edges) + len(poly.halfspaces) == 2
 
@@ -309,12 +267,13 @@ def contains_probes(poly):
 
 class TestIntegerContains:
     """chart_contains evaluates integer facets at a denominator-cleared
-    point; Halfspace.evaluate in Fractions gives the same class."""
+    point; vertices, edge midpoints, facet centroids and points pushed in
+    or out from the centroid get their known class."""
 
     def check(self, poly):
         for q, expected in contains_probes(poly):
             got = poly.chart_contains(q)
-            assert got == helpers.chart_contains_by_evaluate(poly, q) == expected
+            assert got == expected
             assert poly.contains(poly.span.point_at(q)) == got
 
     @settings(max_examples=60, deadline=None)
@@ -505,6 +464,10 @@ class TestProjection:
         proj = project(cube, flat)
         assert len(proj.polytope.vertices) == 6
 
+    def test_wrong_dimension_raises(self, cube):
+        with pytest.raises(DimensionMismatch):
+            project(cube, AffineFlat.spanning((0, 0), [(1, 0)]))
+
     def test_projection_onto_line(self, cube):
         flat = AffineFlat.spanning((0, 0, 0), [(1, 1, 1)])
         proj = project(cube, flat)
@@ -633,11 +596,13 @@ def vertices_of_outcome(route, hss):
 
 
 class TestSlice:
-    """_slice's integer cut against helpers' Fraction cut."""
+    """_slice's integer cut by its definition: the vertices on the plane,
+    then the crossing of every edge whose ends lie strictly on opposite
+    sides, in edges() order."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(st.data())
-    def test_matches_fraction_cut(self, data):
+    def test_matches_its_definition(self, data):
         d = data.draw(st.integers(2, 4), label="dim")
         small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
         body = convex_hull(data.draw(points(d, d + 1, 2 * d + 2, small), label="body"))
@@ -653,12 +618,19 @@ class TestSlice:
         )
         cut = _slice(body, normal, point)
         level = sum(n * x for n, x in zip(normal, point))
-        assert [x for x, _ in cut] == slice_points_by_fractions(body, normal, level)
+        side = [(v > level) - (v < level) for v in (vdot(normal, u) for u in body.vertices)]
+        assert [ids for _, ids in cut] == [(i,) for i, s in enumerate(side) if s == 0] + [
+            (i, j) for i, j in body.edges() if side[i] * side[j] < 0
+        ]
         for x, ids in cut:
+            assert vdot(normal, x) == level
             if len(ids) == 1:
                 assert x == body.vertices[ids[0]]
-            else:
-                assert ids in body.edges()
+            else:  # on the segment: x = a + t (b - a) for one t in (0, 1)
+                a, b = (body.vertices[i] for i in ids)
+                t = {(p - q) / (r - q) for p, q, r in zip(x, a, b) if r != q}
+                assert len(t) == 1 and 0 < t.pop() < 1
+                assert all(p == q for p, q, r in zip(x, a, b) if r == q)
 
 
 class TestSectionDifferential:
@@ -727,21 +699,48 @@ def sections_through_faces(draw):
         assume(False)
 
 
-class TestSectionOneChartHull:
-    """section() hulls the last slice points once, in the chart; the route
-    that hulls them in ambient space first gives the same Section."""
+def certify_in_chart(poly, points, flat):
+    """Certify a hull of dimension 3 or less; a 4-polytope here is a body of
+    R^4 in a chart of the whole space, whose points are all vertices."""
+    if poly.dim < 4:
+        certify(poly, points, flat)
+    else:
+        assert set(poly.vertices) == {flat.projected_coordinates(p) for p in points}
 
-    @settings(max_examples=150, deadline=None)
+
+def check_section(body, flat):
+    """section() against the brute-force point set: None when that is empty,
+    else its certified hull in the flat's chart with sorted vertices, lifted
+    to the ambient vertices, charted from its least vertex when it spans
+    less than the flat, and meeting the body's relative interior exactly
+    when its vertex centroid does."""
+    sec = section(body, flat)
+    pts = section_points_by_subsets(body, flat)
+    if not pts:
+        assert sec is None
+        return None
+    certify_in_chart(sec.polytope, pts, flat)
+    assert list(sec.polytope.vertices) == sorted(sec.polytope.vertices)
+    assert sec.ambient_vertices == tuple(map(flat.point_at, sec.polytope.vertices))
+    if 0 < sec.polytope.dim < flat.dim:
+        assert sec.polytope.span.base == flat.coordinates(min(sec.ambient_vertices))
+    centroid = tuple(sum(c) / len(c) for c in zip(*sec.ambient_vertices))
+    assert sec.meets_interior == (body.contains(centroid) == "interior")
+    return sec
+
+
+class TestSectionThroughFaces:
+    """Sections through vertices, edges and facets, and in supporting
+    hyperplanes, are certified against the brute-force point set."""
+
+    @settings(max_examples=60, deadline=None)
     @given(sections_through_faces())
     @example(  # a flat triangle cut in a segment listed against sorted order
         (convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)]),
          AffineFlat.spanning((F(3, 2), 0, 0), [(-1, F(3, 2), 0), (0, 0, 1)]))
     )
-    def test_every_field_matches_two_hulls(self, case):
-        body, flat = case
-        assert helpers.section_fields(section(body, flat)) == helpers.section_fields(
-            helpers.section_two_hulls(body, flat)
-        )
+    def test_certified_against_subset_points(self, case):
+        check_section(*case)
 
 
 class TestSupportingLine:
@@ -885,11 +884,19 @@ class TestDiamond:
         assert check_diamond_boundary(body, dia) is True
 
 
-def _diamond_by_clipping(face, p, q):
-    """diamond_hull as it read the chord off the facet-clipping route."""
+def _chord(body, base, u):
+    """(lo, hi) of {t : base + t u in body} from the line's brute-force
+    section points, whose chart coordinate is t; None when the line misses."""
+    line = AffineFlat(base, (u,))
+    ts = [line.coordinates(x)[0] for x in section_points_by_subsets(body, line)]
+    return (min(ts), max(ts)) if ts else None
+
+
+def _diamond_by_chord(face, p, q):
+    """diamond_hull with the chord read off the brute-force section points."""
     if p == q:
         raise DiamondConfigError("segment endpoints coincide")
-    chord = helpers.line_interval_by_clipping(face, p, vsub(q, p))
+    chord = _chord(face, p, vsub(q, p))
     if chord is None or chord[0] > 1 or chord[1] < 0:
         raise DiamondConfigError("segment misses the face")
     lo, hi = max(chord[0], F(0)), min(chord[1], F(1))
@@ -928,12 +935,11 @@ def _diamond_case(seed):
 
 class TestLineSectionRoute:
     """supporting_line_test and diamond_hull read the chord off `section`;
-    `helpers.line_interval_by_clipping` is the facet-clipping route they
-    took before, kept as the reference."""
+    the chord of the brute-force section points is the reference."""
 
     def _check(self, body, base, u):
         line = AffineFlat(base, (u,))
-        ref = helpers.line_interval_by_clipping(body, base, u)
+        ref = _chord(body, base, u)
         sec = section(body, line)
         # the chart coordinate of base + t*u is t
         if sec is None:
@@ -948,13 +954,13 @@ class TestLineSectionRoute:
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_chord_matches_clipping(self, seed):
+    def test_chord_matches_subset_points(self, seed):
         _, body, base, u = _line_case(seed)
         self._check(body, base, u)
 
     def test_every_outcome_class_occurs(self):
         seen = set()
-        for seed in range(240):
+        for seed in range(150):
             _, body, base, u = _line_case(seed)
             chord = self._check(body, base, u)
             kind = "none" if chord is None else (
@@ -970,18 +976,18 @@ class TestLineSectionRoute:
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_diamond_matches_clipping(self, seed):
+    def test_diamond_matches_subset_points(self, seed):
         face, p, q = _diamond_case(seed)
         assert _outcome(diamond_hull, face, p, q) == _outcome(
-            _diamond_by_clipping, face, p, q
+            _diamond_by_chord, face, p, q
         )
 
     def test_diamond_outcomes_cover_every_error(self):
         outcomes = set()
-        for seed in range(300):
+        for seed in range(150):
             face, p, q = _diamond_case(seed)
             got = _outcome(diamond_hull, face, p, q)
-            assert got == _outcome(_diamond_by_clipping, face, p, q)
+            assert got == _outcome(_diamond_by_chord, face, p, q)
             outcomes.add(got[1] if isinstance(got[1], str) else "hull")
         assert outcomes == {
             "hull",
@@ -1061,15 +1067,6 @@ def _chart_rows_case(seed):
             return body, flat
 
 
-def _section_fields(sec):
-    if sec is None:
-        return None
-    return (
-        helpers.every_polytope_field(sec.polytope), sec.flat, sec.ambient_vertices,
-        sec.meets_interior,
-    )
-
-
 def _outcome_classes(poly, flat):
     """The classes a section or shadow in the flat's chart falls in."""
     if poly is None:
@@ -1084,31 +1081,29 @@ EVERY_OUTCOME = {"empty", "point", "segment", "polytope", "full", "lower-dimensi
 
 class TestChartRowsHull:
     """section() and project() hull `chart_grid` rows through one helper;
-    section's chart-coordinates route and project's Gram-Schmidt route are
-    the references, field by field."""
+    the section is certified against the brute-force point set and the
+    shadow against the body's vertices, a lower-dimensional shadow charted
+    from the first vertex's image."""
 
     @staticmethod
     def check(body, flat):
-        sec = section(body, flat)
-        assert _section_fields(sec) == _section_fields(
-            helpers.section_by_chart_coordinates(body, flat)
-        )
+        sec = check_section(body, flat)
         proj = project(body, flat)
-        ref = helpers.project_by_projected_coordinates(body, flat)
-        assert helpers.every_polytope_field(proj.polytope) == (
-            helpers.every_polytope_field(ref.polytope)
-        )
+        certify_in_chart(proj.polytope, body.vertices, flat)
+        assert list(proj.polytope.vertices) == sorted(proj.polytope.vertices)
+        if 0 < proj.polytope.dim < flat.dim:
+            assert proj.polytope.span.base == flat.projected_coordinates(body.vertices[0])
         # lifted on read, each to the projection of a body vertex
         lifted = proj.ambient_vertices
-        assert lifted == tuple(flat.point_at(cv) for cv in ref.polytope.vertices)
+        assert lifted == tuple(flat.point_at(cv) for cv in proj.polytope.vertices)
         assert set(lifted) <= {flat.project_point(v) for v in body.vertices}
         return _outcome_classes(sec and sec.polytope, flat), _outcome_classes(
             proj.polytope, flat
         )
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_every_field_matches_the_references(self, seed):
+    def test_certified(self, seed):
         self.check(*_chart_rows_case(seed))
 
     def test_sweep_reaches_every_outcome(self):
@@ -1160,6 +1155,3 @@ class TestSectionOffFlatGuard:
         monkeypatch.setattr(polytope, "_slice", moved)
         with pytest.raises(PolytopeError, match="section vertex fell off the flat"):
             section(cube, flat)
-        if move != "on-to-interior":
-            with pytest.raises(PolytopeError, match="section vertex fell off the flat"):
-                helpers.section_by_chart_coordinates(cube, flat)

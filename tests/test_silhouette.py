@@ -7,15 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (
-    CUBE_VERTICES,
-    lattice_sphere,
-    lift_line,
-    shadow_walk_by_step_g,
-    step_g_via_sections,
-)
+from helpers import CUBE_VERTICES, certify, lattice_sphere, lift_line
 
-from polysect.geometry import as_vector, cross3, vdot
+from polysect.geometry import as_vector, cross3, vdot, vsub
 from polysect.polytope import convex_hull, project
 from polysect.silhouette import (
     WalkError,
@@ -236,63 +230,88 @@ directions = st.one_of(
 )
 
 
-def _attempt(step, body, state):
-    try:
-        return step(body, state), state.apex
-    except WalkError as e:
-        return str(e), state.apex
+def check_step(body, state, shadow):
+    """step_g at state.current against the certified shadow in the walk's
+    chart: an interior or outside point raises, a vertex is an isolated
+    extreme and a point inside an edge steps along it, each to the next
+    shadow vertex counterclockwise; the active cone facets contain the
+    direction xi and support the body at the apex, which lies on the lifted
+    line beyond the body."""
+    x, xi = state.current, as_vector(state.xi)
+    where = shadow.chart_contains(x)
+    if where != "boundary":
+        with pytest.raises(WalkError, match=where):
+            step_g(body, state)
+        return None
+    out = step_g(body, state)
+    assert state.chart.projected_coordinates(state.apex) == x
+    assert vdot(xi, state.apex) > max(vdot(xi, v) for v in body.vertices)
+    for n in out.active_normals:
+        assert vdot(n, xi) == 0
+        assert max(vdot(n, vsub(v, state.apex)) for v in body.vertices) == 0
+    cycle = [shadow.vertices[i] for i in shadow.boundary_cycle()]
+    if x in cycle:
+        assert out.kind == "isolated-extreme" and len(out.active_normals) == 2
+        assert out.next_point == cycle[(cycle.index(x) + 1) % len(cycle)]
+    else:
+        a, b = out.segment
+        assert out.kind == "edge" and len(out.active_normals) == 1
+        assert b == out.next_point == cycle[(cycle.index(a) + 1) % len(cycle)]
+        assert shadow.active_facets(x) == shadow.active_facets(tuple((p + q) / 2 for p, q in zip(a, b)))
+    return out
 
 
-class TestFaceRoute:
-    """step_g wraps the vertex images around the point; the route that built
-    the whole visual cone, cut each active facet's plane with section() and
-    took the farthest chart pair gives the same steps, errors and apexes."""
+def check_walk(body, xi):
+    """shadow_walk's vertices are the certified shadow's, each once, in
+    counterclockwise order from the start rule's point."""
+    chart = shadow_chart(xi)
+    result = shadow_walk(body, xi)
+    shadow = convex_hull(result.vertices)
+    certify(shadow, body.vertices, chart)
+    assert len(shadow.vertices) == len(result.vertices)
+    cycle = [shadow.vertices[i] for i in shadow.boundary_cycle()]
+    i = cycle.index(result.vertices[0])
+    assert tuple(cycle[i:] + cycle[:i]) == result.vertices
+    images = [chart.projected_coordinates(v) for v in body.vertices]
+    assert result.start == next(p for p in images if p[0] == max(q[0] for q in images))
+    assert result.steps <= len(body.vertices) + 2
+    return shadow
 
-    @settings(max_examples=60, deadline=None)
+
+class TestCertifiedSteps:
+    """The walk and each step_g move are checked against the shadow that the
+    hull certificate proves, at its vertices, at midpoints of vertex pairs
+    (on an edge or inside), at the centroid and at those points mirrored
+    away from the centroid (outside, or inside for interior ones)."""
+
+    @settings(max_examples=30, deadline=None)
     @given(st.one_of(lattice_clouds, rational_clouds), directions)
     @example(VERTICAL_TRIANGLE, (0, 0, 1))
     @example(VERTICAL_EDGE, (0, 0, 1))
-    def test_steps_match_section_route(self, pts, xi):
+    def test_steps_and_walk(self, pts, xi):
         body = convex_hull(pts)
         if body.dim != 3:
             return
-        xi = as_vector(xi)
-        chart = shadow_chart(xi)
-        shadow = project(body, chart).polytope.vertices
-        n = len(shadow)
-        center = tuple(sum(c) / n for c in zip(*shadow))
-        # shadow vertices, midpoints of vertex pairs (boundary or interior)
-        # and the centroid (interior); then each of those points mirrored
-        # away from the centroid, 2p - center: outside for every vertex and
-        # boundary midpoint, inside or outside for the others
-        points = set(shadow) | {center}
-        points |= {tuple((a + b) / 2 for a, b in zip(p, q)) for p in shadow for q in shadow}
+        shadow = check_walk(body, xi)
+        n = len(shadow.vertices)
+        center = tuple(sum(c) / n for c in zip(*shadow.vertices))
+        points = set(shadow.vertices) | {center}
+        points |= {tuple((a + b) / 2 for a, b in zip(p, q)) for p in shadow.vertices for q in shadow.vertices}
         points |= {tuple(2 * a - c for a, c in zip(p, center)) for p in points}
-        for x in sorted(points):
-            new = _attempt(step_g, body, WalkState(xi, chart, center, x))
-            old = _attempt(step_g_via_sections, body, WalkState(xi, chart, center, x))
-            assert new == old
+        chart = shadow_chart(xi)
+        kinds = {check_step(body, WalkState(as_vector(xi), chart, center, x), shadow) is None for x in sorted(points)}
+        assert kinds == {True, False}
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(lattice_clouds, rational_clouds), directions)
-    @example(VERTICAL_TRIANGLE, (0, 0, 1))
-    @example(VERTICAL_EDGE, (0, 0, 1))
-    def test_walk_matches_section_route(self, pts, xi):
-        body = convex_hull(pts)
-        if body.dim != 3:
-            return
-        new = shadow_walk(body, xi)
-        old = shadow_walk_by_step_g(body, xi, step_g_via_sections)
-        assert new == old
-
-    @pytest.mark.parametrize("xi", [(0, 0, 1), (1, 2, 3)])
-    def test_lattice_sphere_walk_matches_section_route(self, xi):
-        # 60 extreme points; along (0, 0, 1) antipodal pairs give vertical edges
-        body = convex_hull(random.Random(1).sample(lattice_sphere(94), 60))
-        assert len(body.vertices) == 60
-        new = shadow_walk(body, xi)
-        old = shadow_walk_by_step_g(body, xi, step_g_via_sections)
-        assert new == old
+    @pytest.mark.parametrize("xi", [(0, 0, 1), (1, 2, 3), (1, 1, 0)])
+    def test_lattice_sphere(self, xi):
+        # 150 extreme points; along (0, 0, 1) antipodal pairs give vertical edges
+        body = convex_hull(random.Random(3).sample(lattice_sphere(101), 150))
+        shadow = check_walk(body, xi)
+        x = shadow.vertices[0]
+        state = WalkState(as_vector(xi), shadow_chart(xi), shadow.interior_point(), x)
+        for _ in shadow.vertices:
+            state.current = check_step(body, state, shadow).next_point
+        assert state.current == x
 
 
 class TestWalkCheck:
