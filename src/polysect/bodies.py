@@ -29,7 +29,7 @@ from itertools import repeat
 from operator import add, mul, sub, truediv
 from typing import Callable, Sequence
 
-from .geometry import AffineFlat, DimensionMismatch, GeometryError
+from .geometry import MAX_MAGNITUDE, AffineFlat, DimensionMismatch, GeometryError
 from .polytope import Polytope, convex_hull
 
 
@@ -63,8 +63,6 @@ class BodyOracle:
     ) = None
 
 
-# The float oracles square coordinates; beyond this magnitude they overflow.
-MAX_MAGNITUDE = 1e100
 # Spec bodies lie within ±2·MAX_MAGNITUDE (a cap's ball may reach past its
 # polytope's box), so a unit-speed ray from an interior point leaves one
 # long before this parameter.

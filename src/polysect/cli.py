@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bodies import MAX_MAGNITUDE, BodyOracle, body_from_spec, sample_section_boundary
+from .bodies import BodyOracle, body_from_spec, sample_section_boundary
 from .bodies import _num, _vec
 from .cones import (
     ball_visual_cone_oracle,
@@ -40,7 +40,7 @@ from .criteria import (
     polygonality_detect,
     visual_cone_test,
 )
-from .geometry import AffineFlat, GeometryError
+from .geometry import MAX_MAGNITUDE, AffineFlat, GeometryError
 from .offio import load_polytope
 from .polytope import Polytope, project, section
 from .silhouette import shadow_chart, shadow_walk

@@ -3,8 +3,9 @@
 A cone is stored as apex + primitive extreme-ray directions together with a
 functional that is strictly positive on every ray.  Scaling the rays onto
 the hyperplane {positive_normal . y = 1} gives a bounded base polytope; ray
-reduction, halfspace forms, membership, and sections through the apex all
-reduce to exact polytope operations on that base.
+reduction, membership, and sections through the apex reduce to exact
+polytope operations on that base.  The halfspace form is read off the
+integer hull of the apex and the rays: its facets through the apex.
 
 Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: random 3-dimensional subspaces
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from math import lcm
+from math import gcd
 from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
@@ -48,7 +49,6 @@ from .geometry import (
     int_scaled,
     is_zero_vector,
     vdot,
-    vneg,
     vscale,
     vsub,
 )
@@ -56,7 +56,6 @@ from .hull import int_pivots
 from .polytope import (
     Halfspace,
     Polytope,
-    _canonical_halfspace,
     _integer_halfspace,
     convex_hull,
     section as _polytope_section,
@@ -65,16 +64,6 @@ from .polytope import (
 
 class ConeError(GeometryError):
     pass
-
-
-def primitive_direction(v: Vector) -> Vector:
-    """Scale a rational direction to coprime integers (same orientation)."""
-    v = as_vector(v)
-    if is_zero_vector(v):
-        raise ConeError("zero vector has no direction")
-    (ints,), _ = int_scaled((v,))
-    g = math.gcd(*ints)
-    return tuple(Fraction(x // g) for x in ints)
 
 
 @dataclass(frozen=True)
@@ -129,48 +118,37 @@ class ConeSection:
     cone: PolyCone
 
 
-def _lift_base_facets(base: Polytope, w: Vector) -> tuple[Halfspace, ...]:
-    """Homogenize the base polytope's chart facets into cone halfspaces.
-
-    A chart constraint a.s <= b on {w.y = 1} becomes m.y <= b + m.base0 with
-    m = sum_j (a_j/|b_j|^2) b_j, and homogenizing against w.y = 1 yields
-    (m - c*w).y <= 0 on the whole cone.  It runs in integers: b_j / |b_j|^2
-    is r_j B_j on the span's grid basis, so L m is an integer vector for
-    the lcm L of the r_j's denominators, and the normal times L den^2 is
-    one too, with den the common denominator of base0 and w.
-    """
-    span = base.span
-    basis, rs = span._grid_basis
-    scale = lcm(*[r.denominator for r in rs])
-    axes = [[r.numerator * (scale // r.denominator) * x for x in b] for r, b in zip(rs, basis)]
-    (o, wi), den = int_scaled((span.base, w))
-    out = []
-    for normal, offset in base._int_facets:
-        m = [sum(map(mul, normal, column)) for column in zip(*axes)]
-        c = den * scale * offset + sum(map(mul, m, o))
-        out.append(_integer_halfspace([den * den * x - c * y for x, y in zip(m, wi)], 0))
-    return tuple(sorted(out, key=lambda h: (h.normal, h.offset)))
-
-
 def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
-    gens = [as_vector(g) for g in directions]
-    gens = [g for g in gens if not is_zero_vector(g)]
-    if not gens:
+    """The cone at `apex` over rational or int `directions`, with w.g > 0
+    on every nonzero direction g.
+
+    Each ray is reduced once to coprime ints G (a repeated ray keeps its
+    first occurrence) and its base point G/(w.G) is hulled as the base; the
+    generators are the G over the base's vertices.  When the base spans
+    {w.y = 1}, the halfspaces are the facets through 0 of conv({0} u G):
+    0 is a vertex of that hull, near 0 it is the cone, and every other
+    facet has a positive offset.
+    """
+    (wi, *dirs), den = int_scaled((w, *directions))
+    rays = {}  # coprime ints -> base point
+    for g in filter(any, dirs):
+        k = gcd(*g)
+        g = tuple(x // k for x in g)
+        if g not in rays:
+            t = sum(map(mul, wi, g))
+            if t <= 0:
+                raise ConeError("functional is not strictly positive on a generator")
+            rays[g] = tuple(Fraction(x * den, t) for x in g)
+    if not rays:
         return PolyCone(tuple(apex), (), 0, None, tuple(w), None)
-    for g in gens:
-        if vdot(w, g) <= 0:
-            raise ConeError("functional is not strictly positive on a generator")
-    base_pts = [vscale(g, 1 / vdot(w, g)) for g in gens]
-    d = len(apex)
-    base = convex_hull(base_pts)
-    rays = tuple(sorted(primitive_direction(v) for v in base.vertices))
-    if d == 1:
-        halfspaces = (_canonical_halfspace(vneg(rays[0]), Fraction(0)),)
-    elif base.dim == d - 1:
-        halfspaces = _lift_base_facets(base, tuple(w))
-    else:
-        halfspaces = None
-    return PolyCone(tuple(apex), rays, base.dim + 1, halfspaces, tuple(w), base)
+    base = convex_hull(rays.values())
+    ray_of = {p: g for g, p in rays.items()}
+    gens = tuple(tuple(map(Fraction, g)) for g in sorted(ray_of[v] for v in base.vertices))
+    halfspaces = None
+    if base.dim == len(apex) - 1:
+        ints = convex_hull([(Fraction(0),) * len(w), *gens])._int_facets
+        halfspaces = tuple(_integer_halfspace(n, 0) for n, c in ints if c == 0)
+    return PolyCone(tuple(apex), gens, base.dim + 1, halfspaces, tuple(w), base)
 
 
 def _separating_functional(z: Point, poly: Polytope) -> Vector:
@@ -203,7 +181,8 @@ def visual_cone(apex, body) -> PolyCone:
     rays are kept too: they fix the base hull's chart (its first point and
     pivots), so the base, its span and the halfspaces are those of the
     hull over every vertex.  The facet slacks at the apex are integers
-    (`Polytope._int_slacks`).
+    (`Polytope._int_slacks`), and the vertex rays are made once, as ints
+    over one denominator, for both the rank prefix and the cone.
     """
     if isinstance(body, Polytope):
         poly = body
@@ -212,11 +191,12 @@ def visual_cone(apex, body) -> PolyCone:
     z = as_point(apex)
     if len(z) != poly.ambient_dim:
         raise DimensionMismatch("apex dimension differs from the body")
+    (zi, *vi), _ = int_scaled((z, *poly.vertices))
+    rays = [list(map(sub, v, zi)) for v in vi]
     if poly.dim < poly.ambient_dim:
         if poly.contains(z) != "outside":
             raise ConeError("apex must lie strictly outside the body")
-        w = _separating_functional(z, poly)
-        return _cone_from_rays(z, [vsub(v, z) for v in poly.vertices], w)
+        return _cone_from_rays(z, rays, _separating_functional(z, poly))
     slacks = list(poly._int_slacks(z))
     seen = next((f for f, s in enumerate(slacks) if s > 0), None)
     if seen is None:
@@ -228,13 +208,8 @@ def visual_cone(apex, body) -> PolyCone:
         bit = 1 if s > 0 else 2 if s < 0 else 4
         for v in verts:
             sides[v] |= bit
-    rank_rays = (int_scaled((vsub(v, z),))[0][0] for v in poly.vertices)
-    last = int_pivots(rank_rays, len(z))[-1]
-    gens = [
-        vsub(v, z)
-        for i, v in enumerate(poly.vertices)
-        if i <= last or sides[i] not in (1, 2)
-    ]
+    last = int_pivots(rays, len(z))[-1]
+    gens = [r for i, r in enumerate(rays) if i <= last or sides[i] not in (1, 2)]
     return _cone_from_rays(z, gens, tuple(Fraction(-x) for x in poly._int_facets[seen][0]))
 
 

@@ -36,6 +36,7 @@ from .bodies import (
 )
 from .geometry import (
     AffineFlat,
+    DimensionMismatch,
     GeometryError,
     ONE,
     Point,
@@ -580,6 +581,8 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
     from .cones import ConeError, ConeOracle
 
     z = tuple(float(x) for x in apex)
+    if len(z) != body.dim:
+        raise DimensionMismatch("apex dimension differs from the body")
     if body.member(z):
         raise ConeError("apex must lie strictly outside the body")
     hint = body.interior_hint

@@ -22,6 +22,9 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# The bound on every number read from outside (body specs, vector flags, OFF
+# coordinates): beyond it the float oracles overflow when they square one.
+MAX_MAGNITUDE = 1e100
 
 
 class GeometryError(ValueError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import GeometryError, Point
+from .geometry import MAX_MAGNITUDE, GeometryError, Point
 from .polytope import Polytope, convex_hull
 
 
@@ -70,6 +70,10 @@ def parse_off(text: str) -> OffData:
             coords = tuple(Fraction(f) for f in fields)
         except (ValueError, ZeroDivisionError) as exc:
             raise OffFormatError(f"bad coordinate on vertex line {i}: {exc}") from None
+        if any(abs(x) > MAX_MAGNITUDE for x in coords):
+            raise OffFormatError(
+                f"coordinate on vertex line {i} is beyond 1e100 in absolute value"
+            )
         if dim is None:
             dim = len(coords)
             if dim == 0:

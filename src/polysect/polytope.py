@@ -199,9 +199,9 @@ class Polytope:
             return ()
         if k == 1:
             return ((0, 1),) if len(self.vertices) == 2 else ()
-        # a pair spans an edge when the facets it shares have rank k - 1, so
-        # only pairs on a common facet are tried, through a vertex-facet index
-        # (two vertices never share rank-k normals: pivots stop at k - 1)
+        # a pair spans an edge iff it shares k - 1 facets (k <= 4): a polygon's
+        # facet is an edge, two facets of a 3-polytope meet in an edge or less,
+        # and so do three of a 4-polytope, whose 2-faces lie in just two facets
         incident = [[] for _ in self.vertices]
         for f, verts in enumerate(self.facet_vertices):
             for v in verts:
@@ -211,14 +211,7 @@ class Polytope:
             shared = Counter(
                 j for f in facets for j in self.facet_vertices[f] if j > i
             )
-            for j in sorted(shared):
-                if shared[j] < k - 1:
-                    continue
-                rows = [
-                    self._int_facets[f][0] for f in facets if j in self.facet_vertices[f]
-                ]
-                if len(_hull.int_pivots(rows, k - 1)) == k - 1:
-                    out.append((i, j))
+            out.extend((i, j) for j in sorted(shared) if shared[j] >= k - 1)
         return tuple(out)
 
     def boundary_cycle(self) -> tuple[int, ...]:

@@ -488,13 +488,26 @@ def certify(poly, points, flat=None):
 # test-only constructors and the routes the library's ray primitive replaced
 
 
+def primitive_direction(v):
+    """Scale a rational direction to coprime integers (same orientation)."""
+    from polysect.cones import ConeError
+    from polysect.geometry import as_vector, int_scaled, is_zero_vector
+
+    v = as_vector(v)
+    if is_zero_vector(v):
+        raise ConeError("zero vector has no direction")
+    (ints,), _ = int_scaled((v,))
+    g = gcd(*ints)
+    return tuple(F(x // g) for x in ints)
+
+
 def _positive_functional(gens):
     """A w with w.g > 0 for every generator; raises when the cone is not pointed.
 
     w is a relative-interior point of the dual {w : w.g >= 0} clipped to the
     unit box; strict positivity on every generator certifies pointedness.
     """
-    from polysect.cones import ConeError, primitive_direction
+    from polysect.cones import ConeError
     from polysect.geometry import vneg
     from polysect.polytope import Halfspace, vertices_of
 

@@ -20,6 +20,7 @@ from helpers import (
     centered_polytope,
     edge_plane_crossings,
     is_extreme_oracle,
+    primitive_direction,
 )
 
 from polysect.bodies import make_ball, make_ellipsoid
@@ -27,7 +28,6 @@ from polysect.cli import EXAMPLES, main
 from polysect.cones import (
     ball_visual_cone_oracle,
     mirkil_scan,
-    primitive_direction,
     visual_cone,
 )
 from polysect.criteria import (

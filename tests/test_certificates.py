@@ -32,11 +32,12 @@ from helpers import (
     lattice_sphere,
     matrix_rank,
     polytope_fields,
+    primitive_direction,
     section_points_by_subsets,
 )
 
 from polysect import cones
-from polysect.cones import ConeError, primitive_direction, visual_cone
+from polysect.cones import ConeError, visual_cone
 from polysect.geometry import (
     AffineFlat,
     DimensionMismatch,
@@ -326,7 +327,7 @@ class TestMetamorphic:
 def cone_cases(draw):
     """A body and an apex: anywhere, on the plane of a facet (slack 0), or
     on the line through two vertices (two rays in one direction)."""
-    body = convex_hull(draw(clouds(dims=(2, 3, 4))))
+    body = convex_hull(draw(clouds()))
     d = body.ambient_dim
     how = draw(st.sampled_from(["free", "facet-plane", "collinear"]))
     if how == "free" or len(body.vertices) < 2:
@@ -359,10 +360,19 @@ def check_cone(cone, body):
     assert cone.generators == tuple(sorted(map(primitive_direction, cone.base.vertices)))
     assert cone.span_dim == cone.base.dim + 1
     d = len(cone.apex)
-    if cone.base.dim < d - 1 or d == 1:
-        assert cone.halfspaces is None or d == 1
+    if cone.base.dim < d - 1:
+        assert cone.halfspaces is None
         return
+    # the forms the CLI's bytes rely on: coprime int normals, offsets 0,
+    # sorted by normal
+    normals = [hs.normal for hs in cone.halfspaces]
+    assert normals == sorted(normals)
+    for n in normals:
+        assert all(x.denominator == 1 for x in n) and math.gcd(*map(int, n)) == 1
     rays = [primitive_direction(v) for v in cone.base.vertices]
+    if d == 1:
+        assert normals == [tuple(-x for x in rays[0])] and cone.halfspaces[0].offset == 0
+        return
     tight = set()
     for hs in cone.halfspaces:
         assert hs.offset == 0 and all(vdot(hs.normal, g) <= 0 for g in rays)

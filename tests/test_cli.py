@@ -247,6 +247,23 @@ class TestCriteriaCommands:
             "c744f59e9638b17910d4073996b0a6daa0ae599213251793bf6dc75dd3d8b3f1"
         )
 
+    @pytest.mark.parametrize("apex", ["0,3", "0,0,3,7"])
+    def test_apex_of_another_dimension_is_error(
+        self, apex, ball_json, cube_off, tmp_path, capsys
+    ):
+        ellipsoid = tmp_path / "ellipsoid.json"
+        ellipsoid.write_text(
+            '{"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 1, 2]}'
+        )
+        for body in (cube_off, ball_json, str(ellipsoid)):
+            code, rep = run(
+                ["mirkil", "--body", body, "--apex", apex, "--samples", "1"], tmp_path
+            )
+            assert code == 1 and rep is None
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "dimension" in err
+
     def test_mirkil_cube_consistent(self, cube_off, tmp_path):
         code, rep = run(
             ["mirkil", "--body", cube_off, "--apex", "0,0,3", "--samples", "5"],
@@ -392,6 +409,44 @@ class TestPlumbing:
             assert code == 1
             assert rep is None
             assert capsys.readouterr().err == f"error: bad flat spec {flat!r}: {reason}\n"
+
+    @staticmethod
+    def _scaled_cube(tmp_path, scale):
+        path = tmp_path / "big.off"
+        rows = [" ".join("-" * (x < 0) + scale for x in v) for v in CUBE_VERTICES]
+        path.write_text("OFF\n8 0 0\n" + "\n".join(rows) + "\n")
+        return str(path)
+
+    COMMANDS_ON_A_CUBE = [  # (argv, svg file name or None)
+        (["t12", "--apexes", "1"], None),
+        (["section", "--flat", "n=1,1,1;c=0"], None),
+        (["walk", "--xi", "0,0,1"], None),
+        (["project", "--xi", "0,0,1"], "p.svg"),
+        (["epsilon", "--p", "1,1,1", "--q=-1,-1,-1"], None),
+    ]
+
+    @pytest.mark.parametrize("scale", ["1e101", "1e400"])
+    def test_off_coordinate_beyond_bound_is_error(self, scale, tmp_path, capsys):
+        # OFF coordinates are held to the bound on every number read from
+        # outside, in an OFF file and in one a body spec names
+        off = self._scaled_cube(tmp_path, scale)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "polytope", "off": "big.off"}))
+        for body in (off, str(spec)):
+            for (cmd, *flags), svg in self.COMMANDS_ON_A_CUBE:
+                code, rep = run([cmd, "--body", body, *flags], tmp_path, svg=svg)
+                assert code == 1 and rep is None
+                assert capsys.readouterr().err == (
+                    "error: coordinate on vertex line 0 is beyond 1e100 in absolute value\n"
+                )
+                assert not (tmp_path / "p.svg").exists()
+
+    def test_off_coordinates_at_the_bound_run(self, tmp_path):
+        off = self._scaled_cube(tmp_path, "1e100")
+        for (cmd, *flags), svg in self.COMMANDS_ON_A_CUBE:
+            code, rep = run([cmd, "--body", off, *flags], tmp_path, svg=svg)
+            assert code == 0 and rep["verdict"] in ("success", "polytope-consistent")
+        assert (tmp_path / "p.svg").exists()
 
     @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
     def test_non_finite_delta_is_error(self, delta, ball_json, cube_off, tmp_path, capsys):

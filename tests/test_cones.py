@@ -18,6 +18,7 @@ from helpers import (
     is_extreme_oracle,
     matrix_rank,
     polytope_of_dim,
+    primitive_direction,
     random_points,
     section_points_by_subsets,
 )
@@ -30,7 +31,6 @@ from polysect.cones import (
     cone_oracle_from_exact,
     cone_section,
     mirkil_scan,
-    primitive_direction,
     visual_cone,
 )
 from polysect.geometry import AffineFlat, vdot, vscale, vsub

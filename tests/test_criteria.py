@@ -1085,6 +1085,14 @@ class TestVisualConeTest:
         with pytest.raises(ConeError):
             visual_cone_test(cube(), [(0, 0, 0)], seed=0)
 
+    @pytest.mark.parametrize("apex", [(0.0, 3.0), (0.0, 0.0, 3.0, 7.0)])
+    def test_apex_of_another_dimension_raises(self, apex):
+        # float bodies check the apex as the exact path does, not truncate it
+        bodies = (cube(), make_ball((0, 0, 0), 1), make_ellipsoid((0, 0, 0), (1, 1, 2)))
+        for body in bodies:
+            with pytest.raises(DimensionMismatch, match="^apex dimension differs from the body$"):
+                visual_cone_test(body, [apex], 1, sections_per_apex=1, boundary_points=8)
+
     def test_sphere_apexes_deterministic(self):
         rng1, rng2 = random.Random(5), random.Random(5)
         a = sphere_apexes((0.0, 0.0, 0.0), 4.0, 6, rng1)

@@ -44,6 +44,8 @@ class TestParse:
             "1 0\n",  # missing coordinates
             "2 0\n1 2\n3\n",  # ragged dimensions
             "1 0\n1 0.5.5\n",  # malformed number
+            "1 0\n0 1e101\n",  # beyond the 1e100 bound on every input number
+            "1 0\n-1e400 0\n",
             "3 1\n0 0\n1 0\n0 1\n3 0 1 9\n",  # facet index out of range
             "3 1\n0 0\n1 0\n0 1\n2 0 1 2\n",  # facet count mismatch
         ],
