@@ -330,7 +330,8 @@ def _default_sphere(body: BodyInput):
             math.sqrt(sum(float(v - c) ** 2 for v, c in zip(vtx, center)))
             for vtx in body.poly.vertices
         )
-        return tuple(float(c) for c in center), 3.0 * reach
+        # a one-point body has reach 0: radius 1 keeps the apexes off it
+        return tuple(float(c) for c in center), 3.0 * reach or 1.0
     oracle = body.oracle
     center = oracle.interior_hint
     reach = 0.0
@@ -341,7 +342,7 @@ def _default_sphere(body: BodyInput):
             reach = max(
                 reach, math.sqrt(sum((p - c) ** 2 for p, c in zip(pt, center)))
             )
-    return tuple(center), 3.0 * reach
+    return tuple(center), 3.0 * reach or 1.0
 
 
 def _cmd_t12(args, body):

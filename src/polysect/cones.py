@@ -1,11 +1,11 @@
 """Pointed polyhedral cones and the subspace polyhedrality scan.
 
 A cone is stored as apex + primitive extreme-ray directions together with a
-functional that is strictly positive on every ray.  Scaling the rays onto
-the hyperplane {positive_normal . y = 1} gives a bounded base polytope; ray
-reduction, membership, and sections through the apex reduce to exact
-polytope operations on that base.  The halfspace form is read off the
-integer hull of the apex and the rays: its facets through the apex.
+functional w that is strictly positive on every ray, and one exact hull: the
+pyramid conv({0} u B), B the rays scaled onto {w . y = 1}.  Its vertices
+other than 0 are B's, and its facets through 0 are the cone's halfspaces
+(faces of a pyramid: Ziegler, Lectures on Polytopes, 1995); ray
+membership and sections through the apex are polytope operations on it.
 
 Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: random 3-dimensional subspaces
@@ -52,7 +52,6 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .hull import int_pivots
 from .polytope import (
     Halfspace,
     Polytope,
@@ -72,20 +71,23 @@ class PolyCone:
 
     halfspaces (when full-dimensional) are apex-relative:
     cone = {apex + y : normal . y <= 0 for every halfspace}.
-    positive_normal is strictly positive on every generator; base is the
-    hull of the generators scaled onto {positive_normal . y = 1}.
+    positive_normal is strictly positive on every generator; pyramid is
+    conv({0} u generators scaled onto {positive_normal . y = 1}), or None.
     """
 
     apex: Point
     generators: tuple[Vector, ...]
-    span_dim: int
     halfspaces: tuple[Halfspace, ...] | None
     positive_normal: Vector
-    base: Polytope | None
+    pyramid: Polytope | None
 
     @property
     def ambient_dim(self) -> int:
         return len(self.apex)
+
+    @property
+    def span_dim(self) -> int:
+        return 0 if self.pyramid is None else self.pyramid.dim
 
     @property
     def extreme_ray_count(self) -> int:
@@ -98,12 +100,12 @@ class PolyCone:
             raise DimensionMismatch("direction dimension differs from the cone")
         if is_zero_vector(u):
             return True
-        if self.base is None:
+        if self.pyramid is None:
             return False
         t = vdot(self.positive_normal, u)
         if t <= 0:
             return False
-        return self.base.contains(vscale(u, 1 / t)) != "outside"
+        return self.pyramid.contains(vscale(u, 1 / t)) != "outside"
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,12 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
     on every nonzero direction g.
 
     Each ray is reduced once to coprime ints G (a repeated ray keeps its
-    first occurrence) and its base point G/(w.G) is hulled as the base; the
-    generators are the G over the base's vertices.  When the base spans
-    {w.y = 1}, the halfspaces are the facets through 0 of conv({0} u G):
-    0 is a vertex of that hull, near 0 it is the cone, and every other
-    facet has a positive offset.
+    first occurrence) and scaled onto {w.y = 1}; one hull of 0 and those
+    points is the pyramid.  The points share a hyperplane that misses 0, so
+    the pyramid's nonzero vertices are the extreme rays' points, and the
+    generators are the G over them.  A full-dimensional pyramid is the cone
+    near its vertex 0: its facets through 0 are the halfspaces, and its one
+    other facet lies in {w.y = 1}.
     """
     (wi, *dirs), den = int_scaled((w, *directions))
     rays = {}  # coprime ints -> base point
@@ -140,15 +143,14 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
                 raise ConeError("functional is not strictly positive on a generator")
             rays[g] = tuple(Fraction(x * den, t) for x in g)
     if not rays:
-        return PolyCone(tuple(apex), (), 0, None, tuple(w), None)
-    base = convex_hull(rays.values())
-    ray_of = {p: g for g, p in rays.items()}
-    gens = tuple(tuple(map(Fraction, g)) for g in sorted(ray_of[v] for v in base.vertices))
+        return PolyCone(tuple(apex), (), None, tuple(w), None)
+    pyramid = convex_hull([(Fraction(0),) * len(w), *rays.values()])
+    ray_of = {p: tuple(map(Fraction, g)) for g, p in rays.items()}
+    gens = tuple(sorted(ray_of[v] for v in pyramid.vertices if any(v)))
     halfspaces = None
-    if base.dim == len(apex) - 1:
-        ints = convex_hull([(Fraction(0),) * len(w), *gens])._int_facets
-        halfspaces = tuple(_integer_halfspace(n, 0) for n, c in ints if c == 0)
-    return PolyCone(tuple(apex), gens, base.dim + 1, halfspaces, tuple(w), base)
+    if pyramid.dim == len(w):
+        halfspaces = tuple(_integer_halfspace(n, 0) for n, c in pyramid._int_facets if c == 0)
+    return PolyCone(tuple(apex), gens, halfspaces, tuple(w), pyramid)
 
 
 def _separating_functional(z: Point, poly: Polytope) -> Vector:
@@ -177,12 +179,10 @@ def visual_cone(apex, body) -> PolyCone:
     every one strictly hides it, the vertex's ray passes through the
     body's interior, so its base point is interior to the cone's base and
     the vertex is dropped.  A facet with the apex on its plane keeps the
-    vertex.  The vertices up to the last one that raises the rank of the
-    rays are kept too: they fix the base hull's chart (its first point and
-    pivots), so the base, its span and the halfspaces are those of the
-    hull over every vertex.  The facet slacks at the apex are integers
+    vertex.  In R^1 every ray is kept: each vertex lies on one facet there,
+    yet both rays are extreme.  The facet slacks at the apex are integers
     (`Polytope._int_slacks`), and the vertex rays are made once, as ints
-    over one denominator, for both the rank prefix and the cone.
+    over one denominator.
     """
     if isinstance(body, Polytope):
         poly = body
@@ -208,35 +208,33 @@ def visual_cone(apex, body) -> PolyCone:
         bit = 1 if s > 0 else 2 if s < 0 else 4
         for v in verts:
             sides[v] |= bit
-    last = int_pivots(rays, len(z))[-1]
-    gens = [r for i, r in enumerate(rays) if i <= last or sides[i] not in (1, 2)]
-    return _cone_from_rays(z, gens, tuple(Fraction(-x) for x in poly._int_facets[seen][0]))
+    if len(z) > 1:
+        rays = [r for r, side in zip(rays, sides) if side not in (1, 2)]
+    return _cone_from_rays(z, rays, tuple(Fraction(-x) for x in poly._int_facets[seen][0]))
 
 
 def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
     """Intersect a cone with a flat through its apex (None = only the apex).
 
     The result cone lives in the flat's chart, re-anchored so the apex is
-    the chart origin.  The cone's base lies in {w.y = 1} for its positive
-    normal w, so the nonzero part of the intersection is spanned by the
-    section of the base by the flat's linear span, which meets the span's
-    slice of {w.y = 1}; that section's chart vertices are the rays of the
-    result, and everything is exact.
+    the chart origin.  The section of the cone's pyramid by the flat's
+    linear span is the pyramid over the span's slice of the base, so its
+    nonzero chart vertices are the rays of the result, and everything is
+    exact.
     """
     if flat.ambient_dim != cone.ambient_dim:
         raise DimensionMismatch("flat and cone dimensions disagree")
     if not flat.contains(cone.apex):
         raise ConeError("flat must pass through the apex")
     anchored = AffineFlat(cone.apex, flat.basis)
-    if cone.base is None:
+    if cone.pyramid is None:
         return None
     origin = tuple(Fraction(0) for _ in range(cone.ambient_dim))
-    sec = _polytope_section(cone.base, AffineFlat(origin, flat.basis))
-    if sec is None:
+    sec = _polytope_section(cone.pyramid, AffineFlat(origin, flat.basis)).polytope
+    if sec.dim == 0:
         return None
-    # the section's chart vertices are the rays in the anchored chart
     w_chart = tuple(vdot(cone.positive_normal, b) for b in flat.basis)
-    chart_cone = _cone_from_rays(origin[: anchored.dim], sec.polytope.vertices, w_chart)
+    chart_cone = _cone_from_rays(origin[: anchored.dim], sec.vertices, w_chart)
     return ConeSection(cone.apex, anchored, chart_cone)
 
 
@@ -292,11 +290,7 @@ def cone_oracle_from_exact(cone: PolyCone) -> ConeOracle:
         return cone.contains_direction(tuple(Fraction(float(x)) for x in u))
 
     if cone.generators:
-        acc = [0.0] * cone.ambient_dim
-        for g in cone.generators:
-            gu = _funit(g)
-            for i, x in enumerate(gu):
-                acc[i] += x
+        acc = [sum(c) for c in zip(*map(_funit, cone.generators))]
         hint = _funit(acc) or tuple(float(x) for x in cone.generators[0])
     else:
         hint = tuple(0.0 for _ in range(cone.ambient_dim))

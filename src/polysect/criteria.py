@@ -687,9 +687,9 @@ def epsilon_certificate(
     "boundary-segment" ([p q] lies in the boundary): a transversal flat
     through x is chosen from the family (most transverse wins), the facets
     of the section at x supply vertices x_j, and
-    ε = ½·min{dist(p, flat), min_j angle(x_j, p, q)}.  The midpoint decides
-    the case exactly: for a convex body, the open segment meets the
-    interior iff its midpoint does.
+    ε = ½·min{dist(p, flat), min_j angle(x_j, p, q)}, or CriterionError with
+    no x_j but the midpoint.  The midpoint decides the case exactly: for a
+    convex body, the open segment meets the interior iff its midpoint does.
     """
     p = as_point(p)
     q = as_point(q)
@@ -761,6 +761,8 @@ def epsilon_certificate(
     # listed in the flat's chart order, as the section's vertices are
     flat = AffineFlat.spanning(mid, nullspace([best]))
     xs = sorted((x for x in kept if x != mid), key=flat.projected_coordinates)
+    if not xs:
+        raise CriterionError("boundary case: no section vertex besides the midpoint")
     delta = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
     branches = [delta]
     for xj in xs:

@@ -53,12 +53,13 @@ def parse_off(text: str) -> OffData:
     if not 1 <= len(counts) <= 3:
         raise OffFormatError("counts line must hold one to three integers")
     try:
-        nv = int(counts[0])
-        nf = int(counts[1]) if len(counts) > 1 else 0
+        nv, nf, ne = [int(c) for c in counts] + [0] * (3 - len(counts))
     except ValueError as exc:
         raise OffFormatError(f"bad counts line: {exc}") from None
     if nv <= 0:
         raise OffFormatError("vertex count must be positive")
+    if nf < 0 or ne < 0:
+        raise OffFormatError("counts must not be negative")
     if pos + nv > len(lines):
         raise OffFormatError(f"expected {nv} vertex lines")
 

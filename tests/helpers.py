@@ -484,6 +484,37 @@ def certify(poly, points, flat=None):
     _certify_hull(poly, *flat.chart_grid(points))
 
 
+def certify_pyramid(pyramid, rays):
+    """Certify a cone's pyramid against its rays scaled onto one hyperplane
+    w . y = 1 (w . y > 0 on each): `certify` against 0 and the rays up to
+    dimension 3.  A 4-D pyramid is past the certificate, so its base, the
+    hull of its nonzero vertices, is certified against the rays instead, and
+    its facets must be one through 0 over each base facet, tight on 0 and
+    that facet's vertices, plus one tight on the whole base."""
+    zero = (F(0),) * len(rays[0])
+    if pyramid.dim <= 3:
+        certify(pyramid, [zero, *rays])
+        return
+    verts = pyramid.vertices
+    base = convex_hull([v for v in verts if v != zero])
+    certify(base, rays)
+    assert zero in verts and len(verts) == len(base.vertices) + 1
+    index = {v: i for i, v in enumerate(verts)}
+    facets = pyramid._int_facets
+    tight = tuple(
+        frozenset(i for i, v in enumerate(verts) if sum(map(mul, n, v)) == c) for n, c in facets
+    )
+    assert all(sum(map(mul, n, v)) <= c for n, c in facets for v in verts)
+    assert tight == pyramid.facet_vertices
+    sides = [
+        frozenset(index[base.vertices[j]] for j in fv) | {index[zero]}
+        for fv in base.facet_vertices
+    ]
+    assert [t for (_, c), t in zip(facets, tight) if c] == [frozenset(map(index.get, base.vertices))]
+    through = [t for (_, c), t in zip(facets, tight) if not c]
+    assert len(through) == len(sides) and set(through) == set(sides)
+
+
 # ---------------------------------------------------------------------------
 # test-only constructors and the routes the library's ray primitive replaced
 
@@ -548,7 +579,7 @@ def from_generators(apex, directions):
     gens = [g for g in gens if not is_zero_vector(g)]
     if not gens:
         zero = tuple(F(0) for _ in apex)
-        return PolyCone(apex, (), 0, None, zero, None)
+        return PolyCone(apex, (), None, zero, None)
     w = _positive_functional(gens)
     return _cone_from_rays(apex, gens, w)
 

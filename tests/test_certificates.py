@@ -28,6 +28,7 @@ from helpers import (
     SHADOW_MUTATIONS,
     brute_force_facets,
     certify,
+    certify_pyramid,
     int_rank,
     lattice_sphere,
     matrix_rank,
@@ -350,17 +351,19 @@ def scaled_rays(cone, body):
 
 
 def check_cone(cone, body):
-    """The base is the certified hull of every vertex ray, with the chart that
-    hull has (so the horizon rule drops no ray that matters); the rays are
-    the base's vertices, and each halfspace is tight on the rays over one
-    base facet."""
-    pts = scaled_rays(cone, body)
-    certify(cone.base, pts)
-    assert polytope_fields(cone.base) == polytope_fields(convex_hull(pts))
-    assert cone.generators == tuple(sorted(map(primitive_direction, cone.base.vertices)))
-    assert cone.span_dim == cone.base.dim + 1
+    """The pyramid is the certified hull of 0 and every vertex ray, field for
+    field (so the horizon rule drops no ray that matters); the rays are its
+    nonzero vertices, and the halfspaces are its facets through 0."""
+    rays = scaled_rays(cone, body)
+    pyramid = cone.pyramid
+    certify_pyramid(pyramid, rays)
+    zero = (F(0),) * len(cone.apex)
+    assert polytope_fields(pyramid) == polytope_fields(convex_hull([zero, *rays]))
+    tops = [v for v in pyramid.vertices if v != zero]
+    assert cone.generators == tuple(sorted(map(primitive_direction, tops)))
+    assert cone.span_dim == pyramid.dim
     d = len(cone.apex)
-    if cone.base.dim < d - 1:
+    if pyramid.dim < d:
         assert cone.halfspaces is None
         return
     # the forms the CLI's bytes rely on: coprime int normals, offsets 0,
@@ -369,16 +372,10 @@ def check_cone(cone, body):
     assert normals == sorted(normals)
     for n in normals:
         assert all(x.denominator == 1 for x in n) and math.gcd(*map(int, n)) == 1
-    rays = [primitive_direction(v) for v in cone.base.vertices]
+    assert all(hs.offset == 0 for hs in cone.halfspaces)
+    assert normals == [n for n, c in pyramid._int_facets if c == 0]
     if d == 1:
-        assert normals == [tuple(-x for x in rays[0])] and cone.halfspaces[0].offset == 0
-        return
-    tight = set()
-    for hs in cone.halfspaces:
-        assert hs.offset == 0 and all(vdot(hs.normal, g) <= 0 for g in rays)
-        tight.add(frozenset(i for i, g in enumerate(rays) if vdot(hs.normal, g) == 0))
-    assert len(cone.halfspaces) == len(tight) == len(cone.base.facet_vertices)
-    assert tight == set(cone.base.facet_vertices)
+        assert normals == [tuple(-x for x in primitive_direction(tops[0]))]
 
 
 class TestVisualCone:
@@ -468,12 +465,12 @@ def _honest_answers():
     for name, body, flat in sections:
         out[name] = (section(body, flat).polytope, section_points_by_subsets(body, flat), flat)
     for name, body, apex in [
-        ("cone-base-2d", _cube(3), (F(1, 2), F(1, 3), 3)),
-        ("cone-base-3d", _cube(4), (3, F(1, 2), F(1, 3), F(1, 5))),
-        ("cone-base-segment", convex_hull([(0, 0, 0), (1, 0, 0)]), (0, 1, 0)),
+        ("cone-pyramid-3d", _cube(3), (F(1, 2), F(1, 3), 3)),
+        ("cone-pyramid-3d-in-4d", convex_hull(square), (1, F(1, 3), 2, F(1, 2))),
+        ("cone-pyramid-segment", convex_hull([(0, 0, 0), (1, 0, 0)]), (3, 0, 0)),
     ]:
         cone = visual_cone(apex, body)
-        out[name] = (cone.base, scaled_rays(cone, body), None)
+        out[name] = (cone.pyramid, [(F(0),) * len(apex), *scaled_rays(cone, body)], None)
     xi = (1, 2, 3)
     walk = shadow_walk(_cube(3), xi)
     out["walk-shadow"] = (convex_hull(walk.vertices), _cube(3).vertices, shadow_chart(xi))
@@ -482,13 +479,14 @@ def _honest_answers():
 
 # built on first use, so that a kernel fault fails these tests, not collection
 ANSWER_NAMES = [
-    "cone-base-2d", "cone-base-3d", "cone-base-segment", "hull-2d-in-3d", "hull-3d",
+    "cone-pyramid-3d", "cone-pyramid-3d-in-4d", "cone-pyramid-segment",
+    "hull-2d-in-3d", "hull-3d",
     "hull-3d-in-4d", "hull-segment", "project-2d", "project-2d-in-3d", "project-3d",
     "project-segment", "section-2d", "section-2d-in-3d", "section-3d",
     "section-segment", "walk-shadow",
 ]
-# the answers that span less than their chart, cone bases always among them
-LOWER = [n for n in ANSWER_NAMES if n.startswith("cone") or n.endswith(("-in-3d", "-in-4d", "segment"))]
+# the answers that span less than their chart
+LOWER = [n for n in ANSWER_NAMES if n.endswith(("-in-3d", "-in-4d", "segment"))]
 
 
 @functools.lru_cache(maxsize=1)
@@ -533,6 +531,16 @@ class TestCertifierStrength:
         moved = convex_hull([tuple(map(F.__add__, v, step)) for v in answer.vertices])
         with pytest.raises(PolytopeError, match="leave the hull's span"):
             certify(moved, points, flat)
+
+    @pytest.mark.parametrize("mutation", sorted(SHADOW_MUTATIONS))
+    def test_refuses_every_mutation_of_a_4d_pyramid(self, mutation):
+        # past the certificate's dimensions: checked through its base
+        body = _cube(4)
+        cone = visual_cone((3, F(1, 2), F(1, 3), F(1, 5)), body)
+        rays = scaled_rays(cone, body)
+        certify_pyramid(cone.pyramid, rays)
+        with pytest.raises((AssertionError, PolytopeError)):
+            certify_pyramid(SHADOW_MUTATIONS[mutation](cone.pyramid), rays)
 
     def test_point_answers(self):
         point = convex_hull([(1, 2, 3)])

@@ -220,6 +220,25 @@ class TestCriteriaCommands:
         assert rep["certificate"]["case"] == "interior-crossing"
         assert rep["no_extreme_in_cone"] is True
 
+    def test_epsilon_without_an_angle_bound_is_error(self, tmp_path, capsys):
+        # the section of the thin triangle through the midpoint of its long
+        # edge has no vertex on that edge besides the midpoint
+        thin = tmp_path / "thin.off"
+        thin.write_text("OFF\n3 0 0\n0 0\n1 0\n0 8\n")
+        code, rep = run(["epsilon", "--body", str(thin), "--p", "0,0", "--q", "0,8"], tmp_path)
+        assert code == 1 and rep is None
+        assert capsys.readouterr().err == (
+            "error: boundary case: no section vertex besides the midpoint\n"
+        )
+
+    def test_t12_on_a_one_point_body(self, tmp_path):
+        # the default sphere of a point has radius 1, not 3 * 0
+        point = tmp_path / "pt.off"
+        point.write_text("1\n2 3 4\n")
+        code, rep = run(["t12", "--body", str(point)], tmp_path)
+        assert code == 0
+        assert rep["sphere"] == {"center": [2.0, 3.0, 4.0], "radius": 1.0}
+
     def test_mirkil_ball_witness(self, ball_json, tmp_path):
         code, rep = run(
             ["mirkil", "--body", ball_json, "--apex", "0,0,3",

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     CUBE_VERTICES,
     centered_polytope,
-    certify,
+    certify_pyramid,
     cone_contains_point,
     exact_cone_oracle_sampling_only,
     from_generators,
@@ -105,6 +105,14 @@ class TestVisualCone:
             assert all(v <= 0 for v in vals)
             # each facet of a 3-dim pointed cone holds at least two rays
             assert sum(1 for v in vals if v == 0) >= 2
+
+    @pytest.mark.parametrize("apex, ray, normal", [(5, (-1,), (1,)), (-4, (1,), (-1,))])
+    def test_segment_in_one_dimension_keeps_its_ray(self, apex, ray, normal):
+        # each end of the segment lies on one facet, which sees or hides the
+        # apex, so the horizon rule would drop both rays: R^1 keeps them all
+        cone = visual_cone((apex,), convex_hull([(-1,), (2,)]))
+        assert cone.generators == (ray,)
+        assert [(hs.normal, hs.offset) for hs in cone.halfspaces] == [(normal, 0)]
 
     def test_octahedron_from_above_has_four_rays(self):
         cone = visual_cone((0, 0, 3), octahedron())
@@ -244,25 +252,26 @@ def _cone_section_case(seed):
 
 def check_cone_section(cone, flat):
     """cone_section against brute force: the section points of the cone's
-    base by the flat's linear span lie on w . y = 1, so in that span's chart
-    they lie on w_chart . s = 1, and the section cone's base is their
-    certified hull; None when there are none."""
+    pyramid by the flat's linear span other than 0 lie on w . y = 1, so in
+    that span's chart they lie on w_chart . s = 1, and the section cone's
+    pyramid is the certified hull of 0 and them; None when there are none."""
     got = cone_section(cone, flat)
     linear = AffineFlat((F(0),) * cone.ambient_dim, flat.basis)
-    pts = [] if cone.base is None else section_points_by_subsets(cone.base, linear)
+    pts = [] if cone.pyramid is None else section_points_by_subsets(cone.pyramid, linear)
+    pts = [p for p in pts if any(p)]
     if not pts:
         assert got is None
         return None
     assert (got.apex, got.flat) == (cone.apex, AffineFlat(cone.apex, flat.basis))
     w_chart = tuple(vdot(cone.positive_normal, b) for b in flat.basis)
     assert got.cone.positive_normal == w_chart
-    certify(got.cone.base, [linear.coordinates(p) for p in pts])
+    certify_pyramid(got.cone.pyramid, [linear.coordinates(p) for p in pts])
     return got
 
 
 class TestConeSectionRoute:
-    """cone_section cuts the base by the flat's linear span in one
-    `section`; the brute-force section points of the base are the
+    """cone_section cuts the pyramid by the flat's linear span in one
+    `section`; the brute-force section points of the pyramid are the
     reference, through the hull certificate."""
 
     @settings(max_examples=80, deadline=None)

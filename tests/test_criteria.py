@@ -1212,23 +1212,45 @@ class TestNoExtremeInCone:
         assert got == helpers.no_extreme_in_cone_in_fractions(body, p, q, eps)
 
 
+def _boundary_reference(body, p, q, family, seed):
+    """The boundary case by its definition: the flat through the midpoint
+    normal to the family member most transverse to q - p (the first on
+    ties), its built section, and the vertices of the section's facets
+    through the midpoint other than the midpoint, in the section's order."""
+    u, mid = vsub(q, p), tuple((a + b) / 2 for a, b in zip(p, q))
+    members = [as_vector(nu) for nu in family or default_normal_family(len(u), seed=seed)]
+    scores = [vdot(u, nu) ** 2 / norm2(nu) if vdot(u, nu) else -1 for nu in members]
+    best = members[scores.index(max(scores))]
+    flat = AffineFlat.spanning(mid, nullspace([best]))
+    sec = section(body, flat)
+    tight = sec.polytope.active_facets(sec.polytope.to_chart(flat.coordinates(mid)))
+    on = set().union(*(sec.polytope.facet_vertices[f] for f in tight))
+    xs = tuple(sec.ambient_vertices[i] for i in sorted(on) if sec.ambient_vertices[i] != mid)
+    return best, flat, sec, xs
+
+
 def _same_certificate(body, p, q, family=None, seed=0):
     """epsilon_certificate against its definition.  Interior case: the
     inscribed radius is the least facet distance of the midpoint (capped at
-    0.99 |p - mid|).  Boundary case: the flat through the midpoint normal to
-    the family member most transverse to q - p (the first on ties), the
-    vertices of the built section's facets through the midpoint in its
-    chart order, their angles at p, and the section's vertex centroid."""
+    0.99 |p - mid|).  Boundary case (`_boundary_reference`): the vertices,
+    their angles at p, and the section's vertex centroid; with no vertex
+    there is no angle bound, and the certificate is refused.  Every
+    certificate returned passes its own check, `no_extreme_in_cone`."""
     try:
         cert = epsilon_certificate(body, p, q, family=family, seed=seed)
     except CriterionError as exc:
-        u = vsub(as_point(q), as_point(p))
+        p, q = as_point(p), as_point(q)
+        u = vsub(q, p)
         if not any(u):
             assert str(exc) == "certificate needs two distinct points"
-        else:
-            assert str(exc).startswith("family-coverage failure")
+        elif str(exc).startswith("family-coverage failure"):
             family = family or default_normal_family(len(u), seed=seed)
             assert all(vdot(u, as_vector(nu)) == 0 for nu in family)
+        else:
+            assert str(exc) == "boundary case: no section vertex besides the midpoint"
+            mid = tuple((a + b) / 2 for a, b in zip(p, q))
+            assert body.dim < body.ambient_dim or body.contains(mid) == "boundary"
+            assert _boundary_reference(body, p, q, family, seed)[-1] == ()
         return str(exc)
     p, q, mid = cert.p, cert.q, cert.midpoint
     assert mid == tuple((a + b) / 2 for a, b in zip(p, q))
@@ -1247,21 +1269,15 @@ def _same_certificate(body, p, q, family=None, seed=0):
         assert (cert.radius, cert.bound_branches) == (radius, branches)
     else:
         assert body.dim < body.ambient_dim or body.contains(mid) == "boundary"
+        best, flat, sec, xs = _boundary_reference(body, p, q, family, seed)
         u = vsub(q, p)
-        members = [as_vector(nu) for nu in family or default_normal_family(len(u), seed=seed)]
-        scores = [vdot(u, nu) ** 2 / norm2(nu) if vdot(u, nu) else -1 for nu in members]
-        best = members[scores.index(max(scores))]
-        flat = AffineFlat.spanning(mid, nullspace([best]))
-        sec = section(body, flat)
-        tight = sec.polytope.active_facets(sec.polytope.to_chart(flat.coordinates(mid)))
-        on = set().union(*(sec.polytope.facet_vertices[f] for f in tight))
-        xs = tuple(sec.ambient_vertices[i] for i in sorted(on) if sec.ambient_vertices[i] != mid)
         distance = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
         assert (cert.flat_normal, cert.flat_offset) == (best, vdot(best, mid))
-        assert (cert.vertex_set, cert.distance) == (xs, distance)
+        assert xs and (cert.vertex_set, cert.distance) == (xs, distance)
         assert cert.bound_branches == (distance, *(criteria._angle(vsub(x, p), u) for x in xs))
         assert cert.interior_point == flat.point_at(sec.polytope.interior_point())
     assert cert.epsilon == 0.5 * min(cert.bound_branches)
+    assert no_extreme_in_cone(body, p, q, cert.epsilon)
     return repr(cert)
 
 

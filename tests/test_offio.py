@@ -48,11 +48,18 @@ class TestParse:
             "1 0\n-1e400 0\n",
             "3 1\n0 0\n1 0\n0 1\n3 0 1 9\n",  # facet index out of range
             "3 1\n0 0\n1 0\n0 1\n2 0 1 2\n",  # facet count mismatch
+            "3 0 x\n0 0\n1 0\n0 1\n",  # every count is an integer
+            "3 -2\n0 0\n1 0\n0 1\n",  # and none is negative
+            "3 0 -5\n0 0\n1 0\n0 1\n",
         ],
     )
     def test_malformed_inputs_rejected(self, bad):
         with pytest.raises(OffFormatError):
             parse_off(bad)
+
+    @pytest.mark.parametrize("counts", ["3", "3 0", "3 0 0"])
+    def test_one_to_three_counts(self, counts):
+        assert len(parse_off(f"{counts}\n0 0\n1 0\n0 1\n").vertices) == 3
 
 
 class TestLoad:
