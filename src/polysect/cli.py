@@ -154,23 +154,24 @@ class BodyInput:
 
 
 def load_body(args) -> BodyInput:
-    if getattr(args, "body_json", None):
-        spec = json.loads(args.body_json)
-        oracle = body_from_spec(spec, ".")
-        name = spec.get("name", oracle.name)
-        return BodyInput(oracle.polytope, oracle, spec, [], name)
-    path = args.body
-    if path is None:
-        raise ValueError("provide --body PATH or --body-json SPEC")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stem = os.path.splitext(os.path.basename(path))[0]
-    if path.endswith(".off") or text.lstrip()[:3].upper() == "OFF":
-        poly, warnings = load_polytope(text)
-        return BodyInput(poly, None, None, warnings, stem)
+    text, base_dir, name = getattr(args, "body_json", None), ".", None
+    if not text:
+        path = args.body
+        if path is None:
+            raise ValueError("provide --body PATH or --body-json SPEC")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        name = os.path.splitext(os.path.basename(path))[0]
+        if path.endswith(".off") or text.lstrip()[:3].upper() == "OFF":
+            poly, warnings = load_polytope(text)
+            return BodyInput(poly, None, None, warnings, name)
+        base_dir = os.path.dirname(path) or "."
     spec = json.loads(text)
-    oracle = body_from_spec(spec, os.path.dirname(path) or ".")
-    name = spec.get("name", stem)
+    oracle = body_from_spec(spec, base_dir)
+    name = spec.get("name", oracle.name if name is None else name)
+    # the name is echoed into every report, which must stay valid JSON
+    if not isinstance(name, str):
+        raise ValueError("body spec name must be a string")
     return BodyInput(oracle.polytope, oracle, spec, [], name)
 
 
@@ -590,6 +591,8 @@ def _env_seed() -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.svg == "-" and args.report == "-":
+            raise _UsageError("--svg - needs --report PATH: both cannot go to stdout")
         if args.seed is None:
             args.seed = _env_seed()
         body = load_body(args)

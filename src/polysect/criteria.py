@@ -4,7 +4,10 @@ Four one-sided testers decide "is this body a polytope?" from different
 angles: planar sections through a chosen point family (K1 and its offset
 variant), orthogonal shadows (K2), and visual cones from outside apexes.
 Exact polytope inputs are decided exactly; oracle bodies are sampled, so a
-witness refutes but a clean run only reports "polytope-consistent".
+witness refutes but a clean run only reports "polytope-consistent".  On an
+exact polytope K1/T1.1 decide flat coverage and K2 certifies the hull of its
+shadow, both on the integer image R·V of the vertices under the drawn grid
+rows R, since an invertible linear map keeps relative interiors and faces.
 
 The module also builds exclusion certificates: given two points of a
 polytope, an angle/distance radius ε such that no extreme point can sit
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product, repeat, starmap
 from operator import mul, sub, truediv
-from typing import Iterable
 
 from .bodies import (
     BodyOracle,
@@ -42,7 +44,6 @@ from .geometry import (
     Point,
     Vector,
     as_point,
-    as_vector,
     dist2,
     is_zero_vector,
     int_scaled,
@@ -55,7 +56,7 @@ from .geometry import (
     vsub,
 )
 from .hull import int_pivots
-from .polytope import Polytope, _certify_hull, _hull_of_rows, _slice, convex_hull, project
+from .polytope import Polytope, _certify_hull, _hull_of_rows, _slice, convex_hull
 
 
 class CriterionError(GeometryError):
@@ -290,10 +291,6 @@ def _grid_vector(row) -> Vector:
     return tuple(Fraction(n, RATIONALIZE_DENOMINATOR) for n in row)
 
 
-def _rationalize(v) -> Vector:
-    return _grid_vector(_grid_row(v))
-
-
 def _resolve_body(body) -> tuple[Polytope | None, BodyOracle | None, str, bool]:
     """Split the input into (exact polytope, oracle, name, exactness)."""
     if isinstance(body, Polytope):
@@ -336,12 +333,12 @@ def klee_section_test(
     random directions xi; delta=None means central sections (criterion
     "K1"), any other delta non-central ones ("T1.1").  An exact
     section is always a polygon, so for exact polytopes the run only checks
-    the flat family's interior coverage; it decides that from the body's
-    image under the flat's normals and builds no section (_coverage_note
-    says why that is exact).  Oracle bodies are boundary-sampled
-    and a curved section, re-verified at 4x density, refutes.  Flats that
-    miss the interior are reported as coverage violations, never silently
-    skipped.
+    the flat family's interior coverage: `_coverage_note` decides it from the
+    body's image under the normals' grid rows and the offsets' numerators
+    (the flat scaled by RATIONALIZE_DENOMINATOR) and builds no flat.  Oracle
+    bodies are boundary-sampled and a curved section, re-verified at 4x
+    density, refutes.  Flats that miss the interior are reported as coverage
+    violations, never silently skipped.
     """
     poly, oracle, name, exact = _resolve_body(body)
     if flats < 0:
@@ -361,12 +358,12 @@ def klee_section_test(
     def trial(i, notes):
         if poly is not None:
             # exact sections are polytopes by construction; only coverage is
-            # checked, and it needs the flat's normals and offsets alone
-            note = _coverage_note(poly, *_draw_normals(rng, d, k, delta)[:2])
+            # checked, and it needs the flat's grid rows and offsets alone
+            note = _coverage_note(poly, *_draw_rows(rng, d, k, delta)[:2])
             if note is not None:
                 notes.append(f"sample {i}: {note}")
             return None
-        flat, _, _, normals_f, offsets_f = _draw_flat(rng, d, k, delta)
+        flat, normals_f, offsets_f = _draw_flat(rng, d, k, delta)
         draw = lambda n: sample_section_boundary(oracle, flat, n)
         try:
             found = _confirmed_curve(draw, boundary_points, 4, tau)
@@ -393,24 +390,36 @@ def _independent_rows(rng, d, count):
             return floats, rows
 
 
-def _draw_normals(rng, d, k, delta):
+def _draw_rows(rng, d, k, delta):
     """The d - k seeded gaussian unit normals and offsets of a k-flat {x : N x = o}.
 
-    Returns (rational N, rational o, float N, float o): the floats are the
-    drawn normals and their offsets delta(normal), the rationals those
-    rounded onto the 1/RATIONALIZE_DENOMINATOR grid.  The normals come from
-    `_independent_rows`, and independent normals always define a k-flat.
+    Returns (N, o, float N, float o): the floats are the drawn normals and
+    their offsets delta(normal), N and o their `_grid_row` numerators over
+    RATIONALIZE_DENOMINATOR.  The normals come from `_independent_rows`, and
+    independent normals always define a k-flat.
     """
     normals_f, rows = _independent_rows(rng, d, d - k)
     offsets_f = [_delta_value(delta, f) for f in normals_f]
-    offsets = [_rationalize((v,))[0] for v in offsets_f]
-    return list(map(_grid_vector, rows)), offsets, normals_f, offsets_f
+    return rows, _grid_row(offsets_f), normals_f, offsets_f
 
 
 def _draw_flat(rng, d, k, delta):
-    """`_draw_normals` with its flat first: (flat, N, o, float N, float o)."""
-    drawn = _draw_normals(rng, d, k, delta)
-    return (AffineFlat.from_equations(*drawn[:2]), *drawn)
+    """The flat `_draw_rows` draws, built on the grid: (flat, float N, float o)."""
+    rows, offsets, normals_f, offsets_f = _draw_rows(rng, d, k, delta)
+    flat = AffineFlat.from_equations(list(map(_grid_vector, rows)), _grid_vector(offsets))
+    return flat, normals_f, offsets_f
+
+
+def _image_hull(poly: Polytope, rows):
+    """The hull of the image of poly's vertices under the integer rows R.
+
+    The vertices are scaled to ints by their common denominator D > 0, and
+    the image rows R (D v) are hulled as chart rows with unit factors.
+    Returns (hull, image rows, D).
+    """
+    verts, den = int_scaled(poly.vertices)
+    image = [tuple(sum(map(mul, r, v)) for r in rows) for v in verts]
+    return _hull_of_rows(image, (ONE,) * len(rows)), image, den
 
 
 def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
@@ -420,15 +429,13 @@ def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
     relint P iff o lies in relint N(P), since a linear map sends relint P
     onto relint N(P) (Rockafellar, Convex Analysis, Thm 6.6).  One hull of
     the d-k dimensional image decides both, for bodies of any dimension;
-    `contains` classifies relative to the image's own span.  The image is in
-    ints (N and the vertices times positive lcms), hulled as chart rows with
-    unit factors, and o is scaled to match.
+    `contains` classifies relative to the image's own span.  N (rational or
+    int) is scaled to int rows by a positive lcm a, `_image_hull` hulls
+    their image of the vertices scaled by D, and o is scaled by a D to match.
     """
-    (rows, a), (verts, b) = int_scaled(normals), int_scaled(poly.vertices)
-    image = [tuple(sum(map(mul, n, v)) for n in rows) for v in verts]
-    where = _hull_of_rows(image, (ONE,) * len(rows)).contains(
-        tuple(o * a * b for o in offsets)
-    )
+    rows, a = int_scaled(normals)
+    hull, _, den = _image_hull(poly, rows)
+    where = hull.contains(tuple(o * a * den for o in offsets))
     if where == "outside":
         return "coverage violation (flat misses the body)"
     if where != "interior":
@@ -451,9 +458,12 @@ def klee_projection_test(
 ) -> CriterionReport:
     """Sample k-dimensional orthogonal shadows and test each for polygonality.
 
-    Exact polytopes: `project` hulls the shadow, and `polytope._certify_hull`
-    proves in integers that its vertices, facets and span are those of the
-    hull of the vertices' `chart_grid` rows (else `PolytopeError`).
+    Exact polytopes: the shadow on the span of k independent grid rows R
+    is, in any chart of that span, M (R v) for an invertible k x k matrix
+    M, so the integer image R·V has the shadow's dimension, facets and
+    vertex preimages.  `_image_hull` hulls that image, and
+    `polytope._certify_hull` proves in integers that its vertices, facets
+    and span are those of the hull of the image rows (else `PolytopeError`).
     Oracle bodies: the shadow's support function is the restriction of the
     body's (h_{K|E}(u) = h_K(u) for u in E), so support points traced
     around the direction circle sample the shadow boundary; piecewise
@@ -473,9 +483,8 @@ def klee_projection_test(
 
     def trial(i, notes):
         if poly is not None:
-            rows = _independent_rows(rng, d, k)[1]
-            E = AffineFlat.spanning((0,) * d, map(_grid_vector, rows))
-            _certify_hull(project(poly, E).polytope, *E.chart_grid(poly.vertices))
+            hull, image, _ = _image_hull(poly, _independent_rows(rng, d, k)[1])
+            _certify_hull(hull, image, (ONE,) * k)
             return None
         frame = _orthonormal_frame(rng, d, 2)
         draw = lambda n: _support_shadow(oracle, frame, n)
@@ -550,7 +559,7 @@ def visual_cone_test(
     def trial(i, notes):
         apex = apexes[i]
         if poly is not None:
-            cone = visual_cone(_rationalize(apex), poly)
+            cone = visual_cone(_grid_vector(_grid_row(apex)), poly)
             notes.append(f"apex {i}: exact cone, {cone.extreme_ray_count} extreme rays")
             return None
         report = mirkil_scan(
@@ -676,20 +685,20 @@ def default_normal_family(dim: int, seed: int = 0):
     return tuple(map(_grid_vector, _normal_family_rows(dim, seed)))
 
 
-def epsilon_certificate(
-    body: Polytope, p, q, family: Iterable[Vector] | None = None, seed: int = 0
-) -> EpsilonCert:
+def epsilon_certificate(body: Polytope, p, q, seed: int = 0) -> EpsilonCert:
     """Exclusion radius around p for the segment [p q] inside a polytope.
 
     Case "interior-crossing" (the open segment meets the interior): around
     the midpoint x an inscribed ball of radius R gives
     ε = ½·min{sqrt(|p-x|² − R²), arcsin(R/|p-x|)}.  Case
-    "boundary-segment" ([p q] lies in the boundary): a transversal flat
-    through x is chosen from the family (most transverse wins), the facets
-    of the section at x supply vertices x_j, and
-    ε = ½·min{dist(p, flat), min_j angle(x_j, p, q)}, or CriterionError with
-    no x_j but the midpoint.  The midpoint decides the case exactly: for a
-    convex body, the open segment meets the interior iff its midpoint does.
+    "boundary-segment" ([p q] lies in the boundary): the flat through x
+    normal to the member of `default_normal_family(d, seed)` most
+    transverse to q - p is chosen (the family holds every axis, so some
+    member is transverse), the facets of the section at x supply vertices
+    x_j, and ε = ½·min{dist(p, flat), min_j angle(x_j, p, q)}, or
+    CriterionError with no x_j but the midpoint.  The midpoint decides the
+    case exactly: for a convex body, the open segment meets the interior iff
+    its midpoint does.
     """
     p = as_point(p)
     q = as_point(q)
@@ -721,33 +730,19 @@ def epsilon_certificate(
             (branch1, branch2), radius=radius,
         )
 
-    # boundary segment: most transverse family flat through the midpoint.
-    # The score (N·U)² / (N·N · U·U) on integer multiples N, U of nu and u
-    # (N is a default member's int row, or a given member times its lcm)
-    # is the rational (nu·u)² / (|nu|² |u|²); U·U is common to all, so two
-    # scores compare by cross-multiplying (N·U)² and N·N.
-    u = vsub(q, p)
-    (U,), _ = int_scaled((u,))
-    if family is None:
-        rows = _normal_family_rows(d, seed)
-    else:
-        family = [as_vector(nu) for nu in family]
-        for nu in family:
-            require_same_dim(u, nu)
-        rows = [int_scaled((nu,))[0][0] for nu in family]
-    best = None
-    for i, N in enumerate(rows):
+    # boundary segment: most transverse family flat through the midpoint (the
+    # first on ties).  For a member nu with int row N and an integer multiple
+    # U of u, the score (N·U)² / (N·N · U·U) is (nu·u)² / (|nu|² |u|²); U·U is
+    # common to all, so two scores compare by cross-multiplying (N·U)² and
+    # N·N.
+    (U,), _ = int_scaled((vsub(q, p),))
+    best, best_num, best_n2 = None, 0, 1
+    for N in _normal_family_rows(d, seed):
         dot = sum(map(mul, N, U))
-        if dot == 0:
-            continue
         num, n2 = dot * dot, sum(map(mul, N, N))
-        if best is None or num * best_n2 > best_num * n2:
-            best, best_num, best_n2 = i, num, n2
-    if best is None:
-        raise CriterionError(
-            "family-coverage failure: no flat transversal to the segment"
-        )
-    best = family[best] if family else _grid_vector(rows[best])
+        if num * best_n2 > best_num * n2:
+            best, best_num, best_n2 = N, num, n2
+    best = _grid_vector(best)
 
     # The section S of the body by the flat H meets relint P (H separates p
     # from q), so S's facets through mid are the S ∩ F for the facets F of

@@ -941,21 +941,29 @@ def vertices_of_by_subset_scan(halfspaces):
     return convex_hull(list(found))
 
 
+def rationalize(v):
+    """The floats of v rounded onto the 1/RATIONALIZE_DENOMINATOR grid, as
+    Fractions: the rounding every reference draw below applies."""
+    from polysect.criteria import RATIONALIZE_DENOMINATOR as den
+
+    return tuple(F(round(float(x) * den), den) for x in v)
+
+
 def draw_flat_by_solving(rng, d, k, delta):
     """criteria._draw_flat as every K1/T1.1 draw once ran it: the flat is
     built from a particular solution and the normals' nullspace, and a draw
     is redrawn when the system has no solution, the nullspace spans nothing
-    or the flat's dimension is not k.  Reference for the normals-only draw,
-    which redraws on the integer rank of the rounded normals."""
+    or the flat's dimension is not k.  Reference for the rows-only draw,
+    which redraws on the integer rank of the rounded normals' grid rows."""
     from polysect.bodies import _gauss_unit
-    from polysect.criteria import _delta_value, _rationalize
+    from polysect.criteria import _delta_value
     from polysect.geometry import AffineFlat, GeometryError, nullspace
 
     while True:
         normals_f = [_gauss_unit(rng, d) for _ in range(d - k)]
         offsets_f = [_delta_value(delta, f) for f in normals_f]
-        normals = [_rationalize(f) for f in normals_f]
-        offsets = [_rationalize((v,))[0] for v in offsets_f]
+        normals = [rationalize(f) for f in normals_f]
+        offsets = [rationalize((v,))[0] for v in offsets_f]
         base = solve_particular(normals, offsets)
         if base is None:
             continue
@@ -969,15 +977,14 @@ def draw_flat_by_solving(rng, d, k, delta):
 
 def default_normal_family_by_rationalize(dim, seed=0):
     """criteria.default_normal_family as it built each member as Fractions
-    through _rationalize.  Reference for drawing the members as int rows."""
+    through `rationalize`.  Reference for drawing the members as int rows."""
     from polysect.bodies import _gauss_unit
-    from polysect.criteria import _rationalize
     from polysect.geometry import is_zero_vector
 
     rng = random.Random(seed)
     family = [tuple(F(1 if i == a else 0) for i in range(dim)) for a in range(dim)]
     while len(family) < 24:
-        v = _rationalize(_gauss_unit(rng, dim))
+        v = rationalize(_gauss_unit(rng, dim))
         if not is_zero_vector(v):
             family.append(v)
     return tuple(family)
@@ -988,11 +995,10 @@ def random_subspace_by_spanning(rng, origin, d, k):
     until `AffineFlat.spanning` gave a k-flat.  Reference for the shared
     draw of independent grid rows."""
     from polysect.bodies import _gauss_unit
-    from polysect.criteria import _rationalize
     from polysect.geometry import AffineFlat, GeometryError
 
     while True:
-        dirs = [_rationalize(_gauss_unit(rng, d)) for _ in range(k)]
+        dirs = [rationalize(_gauss_unit(rng, d)) for _ in range(k)]
         try:
             E = AffineFlat.spanning(origin, dirs)
         except GeometryError:

@@ -224,48 +224,64 @@ def _referenced_names(node) -> set[str]:
     return out
 
 
-def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names that no other top-level statement of any
-    module references (a statement's references to itself do not count)."""
-    statements = [
-        (name, stmt)
-        for name, text in sorted(sources.items())
-        for stmt in ast.parse(text).body
-    ]
-    refs = [_referenced_names(stmt) for _, stmt in statements]
-    orphans = []
-    for i, (module, stmt) in enumerate(statements):
-        for name in _private_definitions(stmt):
-            if not any(name in r for j, r in enumerate(refs) if j != i):
-                orphans.append(f"{module}: {name}")
-    return orphans
+def _unreached_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no public statement of any module
+    reads, directly or through private definitions that one reads (a
+    definition's reads of itself do not count): the src counterpart of
+    `_unused_helpers`."""
+    refs, defined, todo = {}, [], set()
+    for module, text in sorted(sources.items()):
+        for stmt in ast.parse(text).body:
+            private = _private_definitions(stmt)
+            read = _referenced_names(stmt) - {*private}
+            if private and len(private) == len(_defined_names(stmt)):
+                for name in private:
+                    refs.setdefault(name, set()).update(read)
+                    defined.append((module, name))
+            else:
+                todo |= read
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in refs and name not in reached:
+            reached.add(name)
+            todo |= refs[name]
+    return [f"{module}: {name}" for module, name in defined if name not in reached]
 
 
-def test_no_private_helper_in_src_is_orphaned():
-    # a route moved to tests/helpers.py must not leave a caller-less copy
+def test_every_private_src_name_has_a_src_caller():
+    # a route moved to tests/helpers.py, or replaced, must not leave a copy
+    # (or a chain of private helpers) that only tests still call
     sources = {
         path.name: path.read_text(encoding="utf-8")
         for path in (ROOT / "src" / "polysect").glob("*.py")
     }
-    orphans = _orphaned_private_names(sources)
-    assert not orphans, orphans
+    unreached = _unreached_private_names(sources)
+    assert not unreached, unreached
 
 
-def test_orphan_check_sees_functions_classes_and_assignments():
+def test_private_src_check_follows_private_names_that_call_private_names():
     sources = {
         "a.py": (
+            "def public(): return _used()\n"
             "def _used(): return _rec()\n"
             "def _rec(): return _rec()\n"
             "def _self(): return _self()\n"
+            "def _head(): return _tail()\n"
+            "def _tail(): pass\n"
+            "def _ping(): return _pong()\n"
+            "def _pong(): return _ping()\n"
             "class _Lonely: pass\n"
+            "class _Imported: pass\n"
             "_TABLE = {}\n"
             "_SEEN: int = 0\n"
             "def __dunder__(): pass\n"
         ),
-        "b.py": "from a import _used\nprint(_SEEN)\n",
+        "b.py": "from a import _Imported\nprint(_SEEN)\n",
     }
-    assert _orphaned_private_names(sources) == [
-        "a.py: _self", "a.py: _Lonely", "a.py: _TABLE"
+    assert _unreached_private_names(sources) == [
+        "a.py: _self", "a.py: _head", "a.py: _tail", "a.py: _ping", "a.py: _pong",
+        "a.py: _Lonely", "a.py: _TABLE",
     ]
 
 

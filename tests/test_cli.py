@@ -609,6 +609,47 @@ class TestPlumbing:
         assert "time" not in text
         assert "date" not in text
 
+    def test_svg_and_report_both_on_stdout_is_error(self, tmp_path, capsys):
+        # checked before the body is loaded: the missing body file is not read
+        code = main([
+            "project", "--body", str(tmp_path / "missing.off"), "--xi", "0,0,1",
+            "--svg", "-",
+        ])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --svg - needs --report PATH: both cannot go to stdout\n"
+
+    def test_svg_on_stdout_with_a_report_file(self, cube_off, tmp_path, capsys):
+        code, rep = run(["project", "--body", cube_off, "--xi", "0,0,1", "--svg", "-"], tmp_path)
+        assert (code, rep["command"]) == (0, "project")
+        out = capsys.readouterr().out
+        assert out.startswith("<?xml") and out.endswith("</svg>\n")
+
+    @pytest.mark.parametrize("name", ["NaN", "5", '{"first": "ball"}'])
+    def test_spec_name_that_is_not_a_string_is_error(self, name, tmp_path, capsys):
+        # the name is echoed into the report, which must stay valid JSON
+        spec = '{"kind": "ball", "center": [0, 0, 0], "radius": 1, "name": %s}' % name
+        path = tmp_path / "named.json"
+        path.write_text(spec)
+        for body in (["--body-json", spec], ["--body", str(path)]):
+            code, rep = run(["klee-k1", *body, "--flats", "1"], tmp_path)
+            assert (code, rep) == (1, None)
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: body spec name must be a string\n" * 2
+
+    def test_spec_name_is_kept_byte_for_byte(self, tmp_path):
+        name = 'b\u00e4ll "NaN" \\ 1e400'
+        spec = json.dumps({"kind": "ball", "center": [0, 0, 0], "radius": 1, "name": name})
+        path = tmp_path / "named.json"
+        path.write_text(spec)
+        for body in (["--body-json", spec], ["--body", str(path)]):
+            code, rep = run(
+                ["klee-k1", *body, "--flats", "1", "--boundary-points", "8"], tmp_path
+            )
+            assert code in (0, 2) and rep["body"]["name"] == name
+
     def test_stdout_report(self, cube_off, capsys):
         code = main(["cone", "--body", cube_off, "--apex", "0,0,3"])
         assert code == 0

@@ -55,7 +55,6 @@ from polysect.geometry import (
     DimensionMismatch,
     GeometryError,
     as_point,
-    as_vector,
     dist2,
     norm2,
     nullspace,
@@ -65,7 +64,6 @@ from polysect.geometry import (
 )
 from polysect.polytope import (
     PolytopeError,
-    Projection,
     _certify_hull,
     convex_hull,
     project,
@@ -515,7 +513,9 @@ class TestIntegerCoverageImage:
                 # a K1 or T1.1 flat as the tester draws it, then the same
                 # normals through a vertex that maximises the first, past it,
                 # and through a point of a facet
-                _, normals, offsets, _, _ = criteria._draw_flat(rng, dim, k, delta)
+                rows, offsets = criteria._draw_rows(rng, dim, k, delta)[:2]
+                normals = list(map(criteria._grid_vector, rows))
+                offsets = list(criteria._grid_vector(offsets))
                 top = max(body.vertices, key=lambda v: vdot(normals[0], v))
                 at_top = [vdot(n, top) for n in normals]
                 f = rng.randrange(len(body.halfspaces))
@@ -831,15 +831,16 @@ class TestProjectionCertificate:
 
     @pytest.mark.parametrize("body_dim", [2, 3])
     def test_k2_refuses_a_wrong_shadow(self, body_dim, monkeypatch):
-        # the tester's own trial reaches the certificate on project's answer
+        # the tester's own trial reaches the certificate on the image hull
         body = helpers.polytope_of_dim(random.Random(1), 3, body_dim)
-        real = criteria.project
+        real = criteria._image_hull
 
-        def wrong(b, E):
-            return Projection(SHADOW_MUTATIONS["drop-facet"](real(b, E).polytope), E)
+        def wrong(poly, rows):
+            hull, *rest = real(poly, rows)
+            return SHADOW_MUTATIONS["drop-facet"](hull), *rest
 
         assert klee_projection_test(body, 2, seed=3).verdict == "polytope-consistent"
-        monkeypatch.setattr(criteria, "project", wrong)
+        monkeypatch.setattr(criteria, "_image_hull", wrong)
         with pytest.raises(PolytopeError):
             klee_projection_test(body, 2, seed=3)
 
@@ -882,6 +883,55 @@ class TestProjectionCertificate:
             _certify(body, E, convex_hull([(1, 3)]))
 
 
+class TestImageHull:
+    """The hull of the integer image R·V is the shadow on the span of the
+    rows R, up to an invertible linear map of the chart: same dimension,
+    vertex and facet counts, and body vertices landing on hull vertices."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([(3, 2), (4, 2), (4, 3)]), st.data())
+    def test_image_hull_is_the_shadow(self, seed, dk, data):
+        d, k = dk
+        rng = random.Random(seed)
+        body = helpers.polytope_of_dim(rng, d, data.draw(st.integers(0, d)))
+        rows = criteria._independent_rows(rng, d, k)[1]
+        hull, image, den = criteria._image_hull(body, rows)
+        # the rows times the vertices scaled to ints by their common denominator
+        assert image == [tuple(vdot(r, v) * den for r in rows) for v in body.vertices]
+        assert all(type(x) is int for r in image for x in r)
+        E = AffineFlat.spanning((0,) * d, map(criteria._grid_vector, rows))
+        shadow = project(body, E).polytope
+        assert (hull.dim, len(hull.vertices), len(hull._int_facets)) == (
+            shadow.dim, len(shadow.vertices), len(shadow._int_facets)
+        )
+        on_hull = {i for i, r in enumerate(image) if r in set(hull.vertices)}
+        on_shadow = {
+            i for i, v in enumerate(body.vertices)
+            if E.projected_coordinates(v) in set(shadow.vertices)
+        }
+        assert on_hull == on_shadow
+        _certify_hull(hull, image, (F(1),) * k)
+
+    def test_exact_runs_build_no_flat_and_no_shadow(self, monkeypatch):
+        from polysect import polytope
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a flat, a shadow or a Fraction row was built")
+
+        bodies = [centered_polytope(random.Random(s), d, 8) for s, d in enumerate((3, 4))]
+        bodies += [helpers.polytope_of_dim(random.Random(5), 4, j) for j in (1, 2, 3)]
+        for name in ("spanning", "from_equations"):
+            monkeypatch.setattr(AffineFlat, name, classmethod(fail))
+        monkeypatch.setattr(polytope, "project", fail)
+        monkeypatch.setattr(criteria, "_grid_vector", fail)
+        for body in bodies:
+            d = body.ambient_dim
+            for k in range(2, d):
+                for delta in (None, 0.25, lambda u: u[0] - 0.5):
+                    klee_section_test(body, 3, seed=1, k=k, delta=delta)
+                klee_projection_test(body, 3, seed=1, k=k)
+
+
 class _ScriptedRandom(random.Random):
     """random.Random whose first gauss() calls return scripted values."""
 
@@ -895,9 +945,18 @@ class _ScriptedRandom(random.Random):
         return self.script.pop(0) if self.script else super().gauss(mu, sigma)
 
 
+def _as_grid_draw(drawn):
+    """`_draw_rows`' (N, o, float N, float o) with N and o as the Fractions
+    on the 1/RATIONALIZE_DENOMINATOR grid that their numerators stand for."""
+    rows, offsets, normals_f, offsets_f = drawn
+    grid = criteria._grid_vector
+    return [list(map(grid, rows)), list(grid(offsets)), normals_f, offsets_f]
+
+
 class TestNormalsOnlyDraw:
-    """Exact K1/T1.1 draws only normals; helpers.draw_flat_by_solving is the
-    route that built a flat for every draw."""
+    """Exact K1/T1.1 draws only grid rows and offset numerators;
+    helpers.draw_flat_by_solving is the route that built a flat for every
+    draw, and `_draw_flat` builds the same flat from the rows."""
 
     DELTAS = {"K1": None, "T1.1": 0.25, "T1.1-callable": lambda u: u[0] - 0.5}
 
@@ -909,12 +968,10 @@ class TestNormalsOnlyDraw:
             ours, ref = random.Random(seed), random.Random(seed)
             for _ in range(3):
                 flat, *drawn = helpers.draw_flat_by_solving(ref, d, k, delta)
-                assert list(criteria._draw_normals(ours, d, k, delta)) == drawn
+                assert _as_grid_draw(criteria._draw_rows(ours, d, k, delta)) == drawn
             assert ours.getstate() == ref.getstate()
-        rng = random.Random(d * k)
-        assert criteria._draw_flat(rng, d, k, delta) == helpers.draw_flat_by_solving(
-            random.Random(d * k), d, k, delta
-        )
+        flat, _, _, *floats = helpers.draw_flat_by_solving(random.Random(d * k), d, k, delta)
+        assert criteria._draw_flat(random.Random(d * k), d, k, delta) == (flat, *floats)
 
     @pytest.mark.parametrize("delta", [None, 0.25])
     def test_dependent_rounding_is_redrawn(self, delta):
@@ -923,7 +980,7 @@ class TestNormalsOnlyDraw:
         # are independent floats whose rows on the 2^-20 grid are equal.
         script = [1.0, 1e-7, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
         ours, ref = _ScriptedRandom(3, script), _ScriptedRandom(3, script)
-        normals, offsets, normals_f, _ = criteria._draw_normals(ours, 4, 2, delta)
+        normals, offsets, _, _ = _as_grid_draw(criteria._draw_rows(ours, 4, 2, delta))
         assert ours.calls == 16  # the scripted pair and one redraw
         expected = helpers.draw_flat_by_solving(ref, 4, 2, delta)
         assert (normals, offsets) == expected[1:3]
@@ -932,13 +989,14 @@ class TestNormalsOnlyDraw:
     @pytest.mark.parametrize("delta", sorted(DELTAS))
     @pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (4, 3)])
     def test_exact_reports_repr_equal_to_the_flat_route(self, d, k, delta, monkeypatch):
+        # the reference hands `_coverage_note` the Fraction normals and offsets
         delta = self.DELTAS[delta]
         bodies = [centered_polytope(random.Random(s), d, 9) for s in range(3)]
         bodies.append(helpers.polytope_of_dim(random.Random(7), d, 2))
         ours = [repr(klee_section_test(b, 8, seed=s, k=k, delta=delta))
                 for s, b in enumerate(bodies)]
         monkeypatch.setattr(
-            criteria, "_draw_normals",
+            criteria, "_draw_rows",
             lambda *a: helpers.draw_flat_by_solving(*a)[1:],
         )
         assert ours == [repr(klee_section_test(b, 8, seed=s, k=k, delta=delta))
@@ -961,7 +1019,7 @@ class TestIndependentRowsDraw:
 
         monkeypatch.setattr(criteria, "_independent_rows", spy)
         monkeypatch.setattr(
-            criteria, "project", lambda poly, E: drawn.append(E) or Projection(None, E)
+            criteria, "_image_hull", lambda poly, rows: drawn.append(rows) or (None, [], 1)
         )
         monkeypatch.setattr(criteria, "_certify_hull", lambda *args: None)
         body = centered_polytope(random.Random(d * k), d, 8)
@@ -971,17 +1029,19 @@ class TestIndependentRowsDraw:
             states.clear()
             klee_projection_test(body, 3, seed=seed, k=k)
             ref = random.Random(seed)
-            for E, state in zip(drawn, states, strict=True):
+            for rows, state in zip(drawn, states, strict=True):
+                E = AffineFlat.spanning(origin, map(criteria._grid_vector, rows))
                 assert E == helpers.random_subspace_by_spanning(ref, origin, d, k)
                 assert state == ref.getstate()
             assert len(drawn) == 3
 
-    def test_callable_delta_is_evaluated_on_the_accepted_draw_only(self):
+    @pytest.mark.parametrize("draw", ["_draw_rows", "_draw_flat"])
+    def test_callable_delta_is_evaluated_on_the_accepted_draw_only(self, draw):
         # the first scripted pair rounds to dependent rows and is redrawn
         script = [1.0, 1e-7, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
         calls = []
         delta = lambda u: calls.append(u) or 0.25
-        normals_f = criteria._draw_normals(_ScriptedRandom(3, script), 4, 2, delta)[2]
+        normals_f = getattr(criteria, draw)(_ScriptedRandom(3, script), 4, 2, delta)[-2]
         assert calls == normals_f
 
 
@@ -1156,20 +1216,6 @@ class TestEpsilonCertificate:
         with pytest.raises(CriterionError):
             epsilon_certificate(cube(), (2, 0, 0), (0, 0, 0))
 
-    def test_family_coverage_failure(self):
-        # every family normal is orthogonal to the segment: no transversal flat
-        with pytest.raises(CriterionError, match="family"):
-            epsilon_certificate(
-                cube(), (1, 1, 1), (1, 1, -1), family=[(1, 0, 0), (0, 1, 0)]
-            )
-
-    def test_custom_family_works_when_transverse(self):
-        cert = epsilon_certificate(
-            cube(), (1, 1, 1), (1, 1, -1), family=[(0, 0, 1), (1, 0, 0)]
-        )
-        assert cert.case == "boundary-segment"
-        assert cert.epsilon > 0
-
 
 class TestNoExtremeInCone:
     def test_certified_epsilon_excludes(self):
@@ -1212,13 +1258,14 @@ class TestNoExtremeInCone:
         assert got == helpers.no_extreme_in_cone_in_fractions(body, p, q, eps)
 
 
-def _boundary_reference(body, p, q, family, seed):
+def _boundary_reference(body, p, q, seed):
     """The boundary case by its definition: the flat through the midpoint
-    normal to the family member most transverse to q - p (the first on
-    ties), its built section, and the vertices of the section's facets
-    through the midpoint other than the midpoint, in the section's order."""
+    normal to the default family member most transverse to q - p (the
+    first on ties), its built section, and the vertices of the section's
+    facets through the midpoint other than the midpoint, in the section's
+    order."""
     u, mid = vsub(q, p), tuple((a + b) / 2 for a, b in zip(p, q))
-    members = [as_vector(nu) for nu in family or default_normal_family(len(u), seed=seed)]
+    members = default_normal_family(len(u), seed=seed)
     scores = [vdot(u, nu) ** 2 / norm2(nu) if vdot(u, nu) else -1 for nu in members]
     best = members[scores.index(max(scores))]
     flat = AffineFlat.spanning(mid, nullspace([best]))
@@ -1229,7 +1276,7 @@ def _boundary_reference(body, p, q, family, seed):
     return best, flat, sec, xs
 
 
-def _same_certificate(body, p, q, family=None, seed=0):
+def _same_certificate(body, p, q, seed=0):
     """epsilon_certificate against its definition.  Interior case: the
     inscribed radius is the least facet distance of the midpoint (capped at
     0.99 |p - mid|).  Boundary case (`_boundary_reference`): the vertices,
@@ -1237,20 +1284,17 @@ def _same_certificate(body, p, q, family=None, seed=0):
     there is no angle bound, and the certificate is refused.  Every
     certificate returned passes its own check, `no_extreme_in_cone`."""
     try:
-        cert = epsilon_certificate(body, p, q, family=family, seed=seed)
+        cert = epsilon_certificate(body, p, q, seed=seed)
     except CriterionError as exc:
         p, q = as_point(p), as_point(q)
         u = vsub(q, p)
         if not any(u):
             assert str(exc) == "certificate needs two distinct points"
-        elif str(exc).startswith("family-coverage failure"):
-            family = family or default_normal_family(len(u), seed=seed)
-            assert all(vdot(u, as_vector(nu)) == 0 for nu in family)
         else:
             assert str(exc) == "boundary case: no section vertex besides the midpoint"
             mid = tuple((a + b) / 2 for a, b in zip(p, q))
             assert body.dim < body.ambient_dim or body.contains(mid) == "boundary"
-            assert _boundary_reference(body, p, q, family, seed)[-1] == ()
+            assert _boundary_reference(body, p, q, seed)[-1] == ()
         return str(exc)
     p, q, mid = cert.p, cert.q, cert.midpoint
     assert mid == tuple((a + b) / 2 for a, b in zip(p, q))
@@ -1269,7 +1313,7 @@ def _same_certificate(body, p, q, family=None, seed=0):
         assert (cert.radius, cert.bound_branches) == (radius, branches)
     else:
         assert body.dim < body.ambient_dim or body.contains(mid) == "boundary"
-        best, flat, sec, xs = _boundary_reference(body, p, q, family, seed)
+        best, flat, sec, xs = _boundary_reference(body, p, q, seed)
         u = vsub(q, p)
         distance = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
         assert (cert.flat_normal, cert.flat_offset) == (best, vdot(best, mid))
@@ -1337,21 +1381,19 @@ class TestEpsilonWithoutSection:
         else:
             p, q = _body_point(data.draw, body), _body_point(data.draw, body)
         assume(p != q)
-        family = None
-        if data.draw(st.booleans()):
-            vec = st.tuples(*[st.integers(-2, 2)] * d)
-            family = data.draw(st.lists(vec, min_size=1, max_size=4))
-        _same_certificate(body, p, q, family=family, seed=data.draw(st.integers(0, 99)))
+        _same_certificate(body, p, q, seed=data.draw(st.integers(0, 99)))
 
     def test_vertex_of_the_body_on_the_flat(self):
-        body = cube()
-        p, q, family = (1, 1, 1), (1, -1, -1), [(0, 1, 1)]
-        _same_certificate(body, p, q, family=family)
-        cert = epsilon_certificate(body, p, q, family=family)
-        # y + z = 0 holds four cube vertices; the two on the facet x = 1 count
-        assert cert.case == "boundary-segment"
-        assert set(cert.vertex_set) == {(1, 1, -1), (1, -1, 1)}
-        assert cert.interior_point == (0, 0, 0)
+        # the edge runs along the z axis, so the family's z axis wins and
+        # the flat z = 0 holds the body vertices (1, -1, 0) and (-1, 0, 0),
+        # each on one facet through the edge
+        body = convex_hull([(1, 1, 1), (1, 1, -1), (1, -1, 0), (-1, 0, 0)])
+        p, q = (1, 1, 1), (1, 1, -1)
+        _same_certificate(body, p, q)
+        cert = epsilon_certificate(body, p, q)
+        assert cert.case == "boundary-segment" and cert.flat_normal == (0, 0, 1)
+        assert set(cert.vertex_set) == {(1, -1, 0), (-1, 0, 0)}
+        assert cert.interior_point == (F(1, 3), 0, 0)
 
     def test_midpoint_as_a_crossing(self):
         rng = random.Random(5)
@@ -1363,28 +1405,6 @@ class TestEpsilonWithoutSection:
                 cert = epsilon_certificate(body, p, q)
                 assert cert.case == "boundary-segment"
                 assert cert.midpoint not in cert.vertex_set
-
-    @pytest.mark.parametrize(
-        "family",
-        [
-            [(0, 0, 2), (0, 0, 1)],  # equal scores: the first wins
-            [(0, 1, 1), (0, 1, -1), (0, 0, 1)],
-            [(0, 0, 0), (1, 0, 0), (1, 1, 3)],
-            [(F(1, 3), F(-2, 7), F(5, 2))],
-        ],
-    )
-    def test_explicit_families(self, family):
-        body = cube()
-        for p, q in [((1, 1, 1), (1, 1, -1)), ((1, 1, 1), (1, -1, -1)),
-                     ((1, F(1, 2), F(1, 2)), (1, F(-1, 2), F(-1, 2)))]:
-            _same_certificate(body, p, q, family=family)
-        cert = epsilon_certificate(body, (1, 1, 1), (1, 1, -1), family=family)
-        if family[0] == (0, 0, 2):
-            assert cert.flat_normal == (0, 0, 2)
-
-    def test_family_dimension_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            epsilon_certificate(cube(), (1, 1, 1), (1, 1, -1), family=[(0, 1)])
 
     @pytest.mark.parametrize(
         "pts",
