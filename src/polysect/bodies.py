@@ -151,7 +151,7 @@ def make_ball(center, radius) -> BodyOracle:
         return _fnorm(map(sub, x, c)) <= r_tol
 
     def ray_interval(z, u):
-        return _sphere_interval(tuple(map(sub, z, c)), tuple(map(float, u)), rr)
+        return _sphere_interval([*map(sub, z, c)], [*map(float, u)], rr)
 
     return BodyOracle(len(c), support, member, c, "ball", None, ray_interval)
 
@@ -179,8 +179,8 @@ def make_ellipsoid(center, semi_axes) -> BodyOracle:
         return sum(map(pow, map(truediv, map(sub, x, c), a), repeat(2))) <= 1.0 + 1e-12
 
     def ray_interval(z, u):
-        w = tuple(map(truediv, map(sub, z, c), a))
-        return _sphere_interval(w, tuple(map(truediv, u, a)), 1.0 + 1e-12)
+        w = [*map(truediv, map(sub, z, c), a)]
+        return _sphere_interval(w, [*map(truediv, u, a)], 1.0 + 1e-12)
 
     return BodyOracle(len(c), support, member, c, "ellipsoid", None, ray_interval)
 
@@ -223,7 +223,9 @@ def _nappe_interval(a, b, c, q):
     if s == 0:
         lo = hi = 0.0
     else:
-        lo, hi = sorted((s / a, c / s))
+        lo, hi = s / a, c / s
+        if hi < lo:
+            lo, hi = hi, lo
     if a < 0:
         return (lo, hi)
     return (hi, inf) if q > 0 else (-inf, lo)
@@ -538,16 +540,23 @@ def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
     The ray at angle θ runs along cos θ·e1 + sin θ·e2 for the orthonormal
     frame (e1, e2); its exit r (ray_exit) is returned as the chart offset
     (r cos θ, r sin θ) from start.  None when a ray reaches `ceiling`.
+    A closed-form ray_interval is read here, by ray_exit's own rules.
     """
     e1, e2 = frame
     pts = []
     for j in range(count):
         th = offset + 2.0 * math.pi * j / count
         ct, st = math.cos(th), math.sin(th)
-        u = tuple(_lincomb(ct, e1, st, e2))
-        r = ray_exit(member, ray_interval, start, u, ceiling)
-        if r is None:
-            return None
+        u = tuple([ct * a + st * b for a, b in zip(e1, e2)])
+        if ray_interval is None:
+            r = ray_exit(member, None, start, u, ceiling)
+            if r is None:
+                return None
+        else:
+            span = ray_interval(start, u)
+            r = max(span[1], 0.0) if span is not None else 0.0
+            if not r < ceiling:
+                return None
         pts.append((r * ct, r * st))
     return tuple(pts)
 

@@ -185,6 +185,20 @@ class TestSweeps:
                         radial_sweep_by_generator(*args, ceiling)
                     )
 
+    def test_radial_sweep_reads_cone_intervals(self):
+        # the sweep reads the cone's closed form inline, as ray_exit would:
+        # the scan's cross-sections at its 2^30 ceiling and at a low one
+        cone = ball_visual_cone_oracle((4.0, 1.0, -2.0), (0.25, -0.5, 0.125), 1.5)
+        rng = random.Random(5)
+        for start in (cone.axis_hint, tuple(x + 0.01 for x in cone.axis_hint)):
+            for _ in range(3):
+                frame = _orthonormal_frame(rng, 3, 2)
+                args = (cone.member, cone.ray_interval, start, frame, 16, rng.uniform(0, 0.4))
+                for ceiling in (2.0**30, 0.1):
+                    assert repr(radial_sweep(*args, ceiling)) == repr(
+                        radial_sweep_by_generator(*args, ceiling)
+                    )
+
     @settings(max_examples=100, deadline=None)
     @given(vec3, st.integers(0, 10**6))
     def test_frame_lift(self, s, seed):
