@@ -9,7 +9,8 @@ into a one-dimensional convex minimization over t, searched in floats
 until a sample or a convexity bound settles it.
 
 Planar sections of a body are sampled along rays from an interior point
-of the section (radial_sweep).  Every exit comes from one primitive,
+of the section (radial_sweep): 8 rays from a first interior point find the
+centre, the centroid of their exits, and one sweep runs from there.  Every exit comes from one primitive,
 ray_exit: the upper end of a closed-form ray_interval (balls, ellipsoids),
 or else doubling and bisection of the membership oracle along the same ray,
 up to BODY_CEILING, which no spec body reaches.  The cone scan in `cones`
@@ -452,9 +453,12 @@ def sample_section_boundary(
 
     The flat must be 2-dimensional and meet the body's interior
     (FlatMissesBody otherwise); boundary points are ray exits (ray_exit)
-    from an interior chart point, found by radial_sweep.  They are returned
-    in chart coordinates of the flat's orthonormalized basis, point j on
-    the ray at angle 2πj/count around the interior chart point.
+    from an interior chart point, found by radial_sweep.  The centre is the
+    centroid of 8 exits from a first interior point x0 when member accepts
+    it, and x0 otherwise; one count-ray sweep runs from it, so a call makes
+    count + 8 exits.  The points are returned in chart coordinates of the
+    flat's orthonormalized basis, point j on the ray at angle 2πj/count
+    around the centre.
     """
     if flat.dim != 2:
         raise BodyError("section sampling needs a 2-dimensional flat")
@@ -469,9 +473,9 @@ def sample_section_boundary(
     def at(cx, cy):
         return tuple(_axpy(cy, u2, _axpy(cx, u1, base)))
 
-    def sweep(x0):
+    def sweep(x0, n):
         rel = radial_sweep(
-            body.member, body.ray_interval, at(*x0), (u1, u2), count, 0.0,
+            body.member, body.ray_interval, at(*x0), (u1, u2), n, 0.0,
             BODY_CEILING,
         )
         if rel is None:
@@ -481,13 +485,13 @@ def sample_section_boundary(
     x0 = _interior_chart_point(body, at)
     if x0 is None:
         raise FlatMissesBody("flat misses the body's interior")
-    pts = sweep(x0)
-    # recenter once: the centroid is better-conditioned than the first hit
-    cx = sum(p[0] for p in pts) / count
-    cy = sum(p[1] for p in pts) / count
+    # centre on the centroid of 8 exits: better-conditioned than the first hit
+    probe = sweep(x0, 8)
+    cx = sum(p[0] for p in probe) / 8
+    cy = sum(p[1] for p in probe) / 8
     if body.member(at(cx, cy)):
-        pts = sweep((cx, cy))
-    return pts
+        x0 = (cx, cy)
+    return sweep(x0, count)
 
 
 def check_sampling(boundary_points: int, tau: float) -> None:

@@ -645,7 +645,9 @@ def sample_section_boundary_chart_form(body, flat, count):
     Bodies without ray_interval probe at(x0 + s*cos θ, x0 + s*sin θ), the
     flat's chart point mapped out, with the exit ceiling 2^40, as the
     section sweep did before it shared ray_exit with the cone scan.  Bodies
-    with ray_interval take its exit, as the library does.
+    with ray_interval take its exit, as the library does.  The centre rule
+    is the library's: the centroid of 8 exits from the first interior
+    point, when the body holds it.
     """
     from polysect.bodies import BodyError, _funit, _interior_chart_point
 
@@ -667,7 +669,7 @@ def sample_section_boundary_chart_form(body, flat, count):
             lo, hi = (mid, hi) if inside(mid) else (lo, mid)
         return 0.5 * (lo + hi)
 
-    def sweep(x0):
+    def sweep(x0, count):
         start = at(*x0)
         pts = []
         for j in range(count):
@@ -685,12 +687,12 @@ def sample_section_boundary_chart_form(body, flat, count):
         return tuple(pts)
 
     x0 = _interior_chart_point(body, at)
-    pts = sweep(x0)
-    cx = sum(p[0] for p in pts) / count
-    cy = sum(p[1] for p in pts) / count
+    probe = sweep(x0, 8)
+    cx = sum(p[0] for p in probe) / 8
+    cy = sum(p[1] for p in probe) / 8
     if body.member(at(cx, cy)):
-        pts = sweep((cx, cy))
-    return pts
+        x0 = (cx, cy)
+    return sweep(x0, count)
 
 
 def no_extreme_in_cone_in_fractions(body, p, q, epsilon):

@@ -385,6 +385,24 @@ class TestSampleSectionBoundary:
         with pytest.raises(BodyError):
             sample_section_boundary(ball, flat, 4)
 
+    @pytest.mark.parametrize("count", [8, 16, 48, 192])
+    def test_one_sweep_after_eight_exits(self, count):
+        # 8 exits find the centre, then one count-ray sweep runs from it
+        ball = make_ball((0.25, -0.5, 0.125), 1.5)
+        calls = []
+
+        def ray_interval(z, u):
+            calls.append(z)
+            return ball.ray_interval(z, u)
+
+        counted = dataclasses.replace(ball, ray_interval=ray_interval)
+        flat = AffineFlat.spanning((F(1, 3), F(-1, 2), F(0)), [(1, 2, 0), (0, 1, -1)])
+        sample = sample_section_boundary(counted, flat, count)
+        assert len(sample) == count
+        assert len(calls) == count + 8
+        # every sweep ray starts from one point, the centre
+        assert len(set(calls[:8])) == len(set(calls[8:])) == 1
+
 
 finite = st.floats(-1e6, 1e6)
 
