@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -176,14 +177,35 @@ def load_body(args) -> BodyInput:
 
 
 def _ccw_order(points):
-    """Sort exact 2-dim points counterclockwise around their centroid."""
+    """Exact 2-dim points counterclockwise around their centroid.
+
+    The angles run as atan2's do, from just past -π up to π, and compare
+    exactly: first by half-plane, (-π, 0] before (0, π], then by the sign
+    of a cross product, which orders two angles within one half-plane.
+    Points of any other dimension keep their order.
+    """
     pts = list(points)
-    if len(pts) <= 2:
+    if len(pts) <= 2 or len(pts[0]) != 2:
         return pts
-    cx = sum(p[0] for p in pts) / len(pts)
-    cy = sum(p[1] for p in pts) / len(pts)
-    pts.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
-    return pts
+    n = len(pts)
+    sx = sum(p[0] for p in pts)
+    sy = sum(p[1] for p in pts)
+
+    def half(dx, dy):
+        return 0 if dy < 0 or (dy == 0 and dx >= 0) else 1
+
+    def cmp(a, b):
+        (ax, ay, _), (bx, by, _) = a, b
+        ha, hb = half(ax, ay), half(bx, by)
+        if ha != hb:
+            return ha - hb
+        cross = ax * by - ay * bx
+        return (cross < 0) - (cross > 0)
+
+    # offsets from the centroid, scaled by n > 0
+    rel = [(n * p[0] - sx, n * p[1] - sy, p) for p in pts]
+    rel.sort(key=functools.cmp_to_key(cmp))
+    return [p for _, _, p in rel]
 
 
 def _point_list(points):

@@ -4,14 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shlex
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import CUBE_VERTICES
 
-from polysect.cli import EXAMPLES, main, parse_flat, parse_vector
+from polysect.cli import EXAMPLES, _ccw_order, main, parse_flat, parse_vector
 from polysect.offio import emit_off
 from polysect.polytope import convex_hull
 
@@ -44,8 +46,6 @@ def run(args, tmp_path, name="report.json", svg=None):
 
 class TestParsers:
     def test_parse_vector(self):
-        from fractions import Fraction as F
-
         assert parse_vector("1,2,3") == (1, 2, 3)
         assert parse_vector("1/2, -3/4, 0") == (F(1, 2), F(-3, 4), 0)
 
@@ -101,6 +101,48 @@ class TestSection:
         assert code == 2
         assert rep["verdict"] == "non-polytope"
         assert rep["witness_triple"] is not None
+
+    def test_wide_pentagon_lists_a_counterclockwise_cycle(self, tmp_path):
+        # seen from the centroid near x = 2e19 the four small vertices lie
+        # within 1e-19 of angle ±π, where a float atan2 cannot order them
+        pentagon = [(10**20, 0), (0, -1), (-1, "-1/2"), (-1, "1/2"), (0, 1)]
+        spec = {"kind": "polytope",
+                "vertices": [[x, y, z] for x, y in pentagon for z in (-1, 1)]}
+        path = tmp_path / "pentagon.json"
+        path.write_text(json.dumps(spec))
+        code, rep = run(
+            ["section", "--body", str(path), "--flat", "n=0,0,1;c=0"], tmp_path
+        )
+        assert code == 0
+        chart = [[F(c["exact"]) for c in v] for v in rep["chart_vertices"]]
+        assert chart == [[-1, F(-1, 2)], [0, -1], [10**20, 0], [0, 1], [-1, F(1, 2)]]
+        for k in range(5):
+            (ax, ay), (bx, by), (cx, cy) = (chart[(k + i) % 5] for i in range(3))
+            assert (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                    min_size=3, max_size=12, unique=True))
+    def test_ccw_order_is_the_atan2_order(self, pts):
+        # small lattice polygons, where float atan2 orders the angles right
+        poly = convex_hull(pts)
+        if poly.dim != 2:
+            return
+        verts = list(poly.vertices)
+        cx = sum(v[0] for v in verts) / len(verts)
+        cy = sum(v[1] for v in verts) / len(verts)
+        by_float = sorted(
+            verts, key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx))
+        )
+        assert _ccw_order(verts) == by_float
+
+    def test_three_dim_chart_keeps_the_vertex_order(self, cube_off, tmp_path):
+        code, rep = run(
+            ["project", "--body", cube_off, "--basis", "1,0,0;0,1,0;0,0,1"], tmp_path
+        )
+        assert code == 0
+        chart = [tuple(F(c["exact"]) for c in v) for v in rep["chart_vertices"]]
+        assert chart == list(convex_hull(CUBE_VERTICES).vertices)
 
     def test_rational_payloads_have_both_forms(self, cube_off, tmp_path):
         _, rep = run(
