@@ -354,12 +354,13 @@ def klee_section_test(
     if poly is None and d != 3:
         raise CriterionError("oracle section sampling supports dimension 3 only")
     rng = random.Random(seed)
+    scaled = int_scaled(poly.vertices) if poly is not None else None
 
     def trial(i, notes):
         if poly is not None:
             # exact sections are polytopes by construction; only coverage is
             # checked, and it needs the flat's grid rows and offsets alone
-            note = _coverage_note(poly, *_draw_rows(rng, d, k, delta)[:2])
+            note = _coverage_note(scaled, *_draw_rows(rng, d, k, delta)[:2])
             if note is not None:
                 notes.append(f"sample {i}: {note}")
             return None
@@ -410,20 +411,22 @@ def _draw_flat(rng, d, k, delta):
     return flat, normals_f, offsets_f
 
 
-def _image_hull(poly: Polytope, rows):
-    """The hull of the image of poly's vertices under the integer rows R.
+def _image_hull(scaled, rows):
+    """The hull of the image of a polytope's vertices under the integer rows R.
 
-    The vertices are scaled to ints by their common denominator D > 0, and
-    the image rows R (D v) are hulled as chart rows with unit factors.
+    `scaled` is (V, D): the vertices scaled to ints by their common
+    denominator D > 0 (`int_scaled`), computed once per tester run.  The
+    image rows R (D v) are hulled as chart rows with unit factors.
     Returns (hull, image rows, D).
     """
-    verts, den = int_scaled(poly.vertices)
+    verts, den = scaled
     image = [tuple(sum(map(mul, r, v)) for r in rows) for v in verts]
     return _hull_of_rows(image, (ONE,) * len(rows)), image, den
 
 
-def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
-    """Coverage of the flat {x : N x = o} (rows of N independent), unbuilt.
+def _coverage_note(scaled, normals, offsets) -> str | None:
+    """Coverage of the flat {x : N x = o} (rows of N independent), unbuilt,
+    for the polytope P whose vertices `scaled` holds as `_image_hull` takes them.
 
     The flat meets P iff o lies in the image N(P) = conv{N v}, and it meets
     relint P iff o lies in relint N(P), since a linear map sends relint P
@@ -434,7 +437,7 @@ def _coverage_note(poly: Polytope, normals, offsets) -> str | None:
     their image of the vertices scaled by D, and o is scaled by a D to match.
     """
     rows, a = int_scaled(normals)
-    hull, _, den = _image_hull(poly, rows)
+    hull, _, den = _image_hull(scaled, rows)
     where = hull.contains(tuple(o * a * den for o in offsets))
     if where == "outside":
         return "coverage violation (flat misses the body)"
@@ -480,10 +483,11 @@ def klee_projection_test(
     if poly is None and k != 2:
         raise CriterionError("oracle bodies support k = 2 only")
     rng = random.Random(seed)
+    scaled = int_scaled(poly.vertices) if poly is not None else None
 
     def trial(i, notes):
         if poly is not None:
-            hull, image, _ = _image_hull(poly, _independent_rows(rng, d, k)[1])
+            hull, image, _ = _image_hull(scaled, _independent_rows(rng, d, k)[1])
             _certify_hull(hull, image, (ONE,) * k)
             return None
         frame = _orthonormal_frame(rng, d, 2)

@@ -56,6 +56,7 @@ from polysect.geometry import (
     GeometryError,
     as_point,
     dist2,
+    int_scaled,
     norm2,
     nullspace,
     solve_particular,
@@ -478,14 +479,16 @@ class TestCoverageFromImage:
         vertices, normals, offsets, expected = COVERAGE_CASES[case]
         poly = convex_hull(vertices)
         assert section_note(poly, normals, offsets) == expected
-        assert _coverage_note(poly, *_fractions(normals, offsets)) == expected
+        note = _coverage_note(int_scaled(poly.vertices), *_fractions(normals, offsets))
+        assert note == expected
 
     @settings(max_examples=150, deadline=None)
     @given(clouds_and_flats())
     def test_clouds_match_sections(self, case):
         poly, normals, offsets = case
         expected = section_note(poly, normals, offsets)
-        assert _coverage_note(poly, *_fractions(normals, offsets)) == expected
+        note = _coverage_note(int_scaled(poly.vertices), *_fractions(normals, offsets))
+        assert note == expected
 
     @pytest.mark.parametrize(
         "dim, k, delta", [(3, 2, None), (3, 2, 2), (4, 2, 0.25), (4, 2, 2), (4, 3, 1.5)]
@@ -494,8 +497,29 @@ class TestCoverageFromImage:
         # the tester draws the same flats either way, so whole reports agree
         bodies = [centered_polytope(random.Random(seed), dim, 8) for seed in range(3)]
         ours = [klee_section_test(b, 12, seed=5, k=k, delta=delta) for b in bodies]
-        monkeypatch.setattr(criteria, "_coverage_note", section_note)
-        assert ours == [klee_section_test(b, 12, seed=5, k=k, delta=delta) for b in bodies]
+        theirs = []
+        for b in bodies:
+            monkeypatch.setattr(
+                criteria, "_coverage_note", lambda _, ns, os: section_note(b, ns, os)
+            )
+            theirs.append(klee_section_test(b, 12, seed=5, k=k, delta=delta))
+        assert ours == theirs
+
+
+@pytest.mark.parametrize("tester", [klee_section_test, klee_projection_test])
+def test_exact_testers_scale_the_vertices_once_per_run(tester, monkeypatch):
+    body = centered_polytope(random.Random(2), 3, 9)
+    scaled = []
+    real = criteria.int_scaled
+
+    def spy(vectors):
+        vectors = list(vectors)
+        scaled.append(vectors == list(body.vertices))
+        return real(vectors)
+
+    monkeypatch.setattr(criteria, "int_scaled", spy)
+    assert tester(body, 6, seed=1).verdict == "polytope-consistent"
+    assert scaled.count(True) == 1
 
 
 class TestIntegerCoverageImage:
@@ -529,7 +553,7 @@ class TestIntegerCoverageImage:
                     (on_facet, [vdot(n, facet_pt) for n in on_facet]),
                 ]
                 for ns, os in flats:
-                    note = _coverage_note(body, ns, os)
+                    note = _coverage_note(int_scaled(body.vertices), ns, os)
                     assert note == section_note(body, ns, os)
                     seen.add(note)
         assert seen == {None, MISSES_INTERIOR, MISSES_BODY}
@@ -835,8 +859,8 @@ class TestProjectionCertificate:
         body = helpers.polytope_of_dim(random.Random(1), 3, body_dim)
         real = criteria._image_hull
 
-        def wrong(poly, rows):
-            hull, *rest = real(poly, rows)
+        def wrong(scaled, rows):
+            hull, *rest = real(scaled, rows)
             return SHADOW_MUTATIONS["drop-facet"](hull), *rest
 
         assert klee_projection_test(body, 2, seed=3).verdict == "polytope-consistent"
@@ -895,7 +919,7 @@ class TestImageHull:
         rng = random.Random(seed)
         body = helpers.polytope_of_dim(rng, d, data.draw(st.integers(0, d)))
         rows = criteria._independent_rows(rng, d, k)[1]
-        hull, image, den = criteria._image_hull(body, rows)
+        hull, image, den = criteria._image_hull(int_scaled(body.vertices), rows)
         # the rows times the vertices scaled to ints by their common denominator
         assert image == [tuple(vdot(r, v) * den for r in rows) for v in body.vertices]
         assert all(type(x) is int for r in image for x in r)
@@ -1019,7 +1043,7 @@ class TestIndependentRowsDraw:
 
         monkeypatch.setattr(criteria, "_independent_rows", spy)
         monkeypatch.setattr(
-            criteria, "_image_hull", lambda poly, rows: drawn.append(rows) or (None, [], 1)
+            criteria, "_image_hull", lambda scaled, rows: drawn.append(rows) or (None, [], 1)
         )
         monkeypatch.setattr(criteria, "_certify_hull", lambda *args: None)
         body = centered_polytope(random.Random(d * k), d, 8)
