@@ -47,11 +47,8 @@ from .geometry import (
     dist2,
     is_zero_vector,
     int_scaled,
-    norm2,
-    nullspace,
     require_same_dim,
     vadd,
-    vdot,
     vscale,
     vsub,
 )
@@ -746,39 +743,77 @@ def epsilon_certificate(body: Polytope, p, q, seed: int = 0) -> EpsilonCert:
         num, n2 = dot * dot, sum(map(mul, N, N))
         if num * best_n2 > best_num * n2:
             best, best_num, best_n2 = N, num, n2
-    best = _grid_vector(best)
 
     # The section S of the body by the flat H meets relint P (H separates p
     # from q), so S's facets through mid are the S ∩ F for the facets F of
     # P tight at mid.  Their vertices are the points of the cut of P by H
     # whose vertex indices (a vertex on H, or an edge crossing H) all lie
-    # in one tight F.
+    # in one tight F.  The flat's normal is the grid vector best / den.
+    den = RATIONALIZE_DENOMINATOR
     tight_sets = [body.facet_vertices[f] for f in tight]
     cut = _slice(body, best, mid)
-    slice_pts = [x for x, _ in cut]
-    kept = [x for x, ids in cut if any(fv.issuperset(ids) for fv in tight_sets)]
-    # listed in the flat's chart order, as the section's vertices are
-    flat = AffineFlat.spanning(mid, nullspace([best]))
-    xs = sorted((x for x in kept if x != mid), key=flat.projected_coordinates)
-    if not xs:
+    # p, q, mid and the cut points as ints over one common denominator D; an
+    # int over an int rounds to float as the Fraction of the two does
+    (P, Q, M, *X), D = int_scaled((p, q, mid, *(x for x, _ in cut)))
+    kept = [
+        i for i, (x, ids) in enumerate(cut)
+        if x != mid and any(fv.issuperset(ids) for fv in tight_sets)
+    ]
+    if not kept:
         raise CriterionError("boundary case: no section vertex besides the midpoint")
-    delta = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
+    # listed in the flat's chart order, as the section's vertices are
+    basis = _int_chart_basis(best)
+    kept.sort(key=lambda i: tuple(sum(map(mul, map(sub, X[i], M), b)) for b in basis))
+    delta = abs(sum(map(mul, best, map(sub, P, M)))) / (den * D)
+    delta /= math.sqrt(sum(map(mul, best, best)) / (den * den))
     branches = [delta]
-    for xj in xs:
-        branches.append(_angle(vsub(xj, p), vsub(q, p)))
+    U, dd = tuple(map(sub, Q, P)), D * D
+    for i in kept:
+        branches.append(_angle(tuple(map(sub, X[i], P)), U, dd))
     eps = 0.5 * min(branches)
-    # the slice points are S's vertices, so this is S's vertex centroid
-    interior_pt = tuple(sum(c) / len(slice_pts) for c in zip(*slice_pts))
+    # the cut points are S's vertices, so this is S's vertex centroid
+    n = len(cut) * D
+    interior_pt = tuple(Fraction(sum(c), n) for c in zip(*X))
     return EpsilonCert(
         p, q, "boundary-segment", eps, mid, tuple(branches),
-        flat_normal=best, flat_offset=vdot(best, mid),
-        vertex_set=tuple(xs), distance=delta, interior_point=interior_pt,
+        flat_normal=_grid_vector(best),
+        flat_offset=Fraction(sum(map(mul, best, M)), den * D),
+        vertex_set=tuple(cut[i][0] for i in kept), distance=delta,
+        interior_point=interior_pt,
     )
 
 
-def _angle(a: Vector, b: Vector) -> float:
-    num = float(vdot(a, b))
-    den = math.sqrt(float(norm2(a)) * float(norm2(b)))
+def _int_chart_basis(row) -> list[tuple[int, ...]]:
+    """Int vectors B_j, each a positive multiple of basis vector j of
+    `AffineFlat.spanning(x, nullspace([row]))`, so that they order points
+    as that flat's `projected_coordinates` do.
+
+    The nullspace vector of free column f is e_f - (row_f / row_c) e_c for
+    the first nonzero column c; times |row_c| it is an int vector.
+    Gram-Schmidt steps W <- (B·B) W - (W·B) B scale each Fraction step by
+    B·B > 0, and dividing by the gcd keeps the ints small.
+    """
+    c = next(i for i, x in enumerate(row) if x)
+    a, sign = abs(row[c]), (1 if row[c] > 0 else -1)
+    basis = []
+    for f in range(len(row)):
+        if f == c:
+            continue
+        w = [0] * len(row)
+        w[f], w[c] = a, -sign * row[f]
+        for b in basis:
+            bb, wb = sum(map(mul, b, b)), sum(map(mul, w, b))
+            w = [bb * x - wb * y for x, y in zip(w, b)]
+        g = math.gcd(*w)
+        basis.append(tuple(x // g for x in w))
+    return basis
+
+
+def _angle(a, b, dd: int) -> float:
+    """The angle between the vectors a / D and b / D, for int vectors a and
+    b and dd = D²: each dot product over dd rounds as its Fraction does."""
+    num = sum(map(mul, a, b)) / dd
+    den = math.sqrt(sum(map(mul, a, a)) / dd * (sum(map(mul, b, b)) / dd))
     if den == 0:
         raise CriterionError("angle of a zero vector is undefined")
     return math.acos(max(-1.0, min(1.0, num / den)))

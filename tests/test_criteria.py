@@ -1300,6 +1300,13 @@ def _boundary_reference(body, p, q, seed):
     return best, flat, sec, xs
 
 
+def _fraction_angle(a, b):
+    """The angle between two Fraction vectors, from the floats of their
+    exact dot products."""
+    num = float(vdot(a, b))
+    return math.acos(max(-1.0, min(1.0, num / math.sqrt(float(norm2(a)) * float(norm2(b))))))
+
+
 def _same_certificate(body, p, q, seed=0):
     """epsilon_certificate against its definition.  Interior case: the
     inscribed radius is the least facet distance of the midpoint (capped at
@@ -1342,7 +1349,7 @@ def _same_certificate(body, p, q, seed=0):
         distance = abs(float(vdot(best, vsub(p, mid)))) / math.sqrt(float(norm2(best)))
         assert (cert.flat_normal, cert.flat_offset) == (best, vdot(best, mid))
         assert xs and (cert.vertex_set, cert.distance) == (xs, distance)
-        assert cert.bound_branches == (distance, *(criteria._angle(vsub(x, p), u) for x in xs))
+        assert cert.bound_branches == (distance, *(_fraction_angle(vsub(x, p), u) for x in xs))
         assert cert.interior_point == flat.point_at(sec.polytope.interior_point())
     assert cert.epsilon == 0.5 * min(cert.bound_branches)
     assert no_extreme_in_cone(body, p, q, cert.epsilon)
@@ -1406,6 +1413,19 @@ class TestEpsilonWithoutSection:
             p, q = _body_point(data.draw, body), _body_point(data.draw, body)
         assume(p != q)
         _same_certificate(body, p, q, seed=data.draw(st.integers(0, 99)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=4).filter(any))
+    def test_int_chart_basis_is_the_flat_basis_scaled_up(self, row):
+        # each int vector is a positive multiple of the Fraction one, so
+        # both order points alike
+        basis = criteria._int_chart_basis(row)
+        flat = AffineFlat.spanning((0,) * len(row), nullspace([row]))
+        assert len(basis) == len(flat.basis)
+        for b, fb in zip(basis, flat.basis):
+            assert all(type(x) is int for x in b)
+            scale = vdot(b, fb) / norm2(fb)
+            assert scale > 0 and b == tuple(scale * x for x in fb)
 
     def test_vertex_of_the_body_on_the_flat(self):
         # the edge runs along the z axis, so the family's z axis wins and
