@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -176,36 +175,21 @@ def load_body(args) -> BodyInput:
     return BodyInput(oracle.polytope, oracle, spec, [], name)
 
 
-def _ccw_order(points):
-    """Exact 2-dim points counterclockwise around their centroid.
+def _ccw_order(poly: Polytope):
+    """A chart polytope's vertices; a polygon's counterclockwise from just
+    past angle -π around their centroid, as atan2 orders them.
 
-    The angles run as atan2's do, from just past -π up to π, and compare
-    exactly: first by half-plane, (-π, 0] before (0, π], then by the sign
-    of a cross product, which orders two angles within one half-plane.
-    Points of any other dimension keep their order.
+    `Polytope.boundary_cycle` orders a polygon exactly, from angle 0; the
+    cycle is turned to start at its first vertex below the centroid.  A
+    chart of any other dimension keeps the polytope's own vertex order.
     """
-    pts = list(points)
-    if len(pts) <= 2 or len(pts[0]) != 2:
-        return pts
-    n = len(pts)
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-
-    def half(dx, dy):
-        return 0 if dy < 0 or (dy == 0 and dx >= 0) else 1
-
-    def cmp(a, b):
-        (ax, ay, _), (bx, by, _) = a, b
-        ha, hb = half(ax, ay), half(bx, by)
-        if ha != hb:
-            return ha - hb
-        cross = ax * by - ay * bx
-        return (cross < 0) - (cross > 0)
-
-    # offsets from the centroid, scaled by n > 0
-    rel = [(n * p[0] - sx, n * p[1] - sy, p) for p in pts]
-    rel.sort(key=functools.cmp_to_key(cmp))
-    return [p for _, _, p in rel]
+    verts = poly.vertices
+    if poly.dim != 2 or poly.ambient_dim != 2:
+        return list(verts)
+    cycle = poly.boundary_cycle()
+    sy = sum(v[1] for v in verts)
+    k = next(i for i, j in enumerate(cycle) if len(verts) * verts[j][1] < sy)
+    return [verts[j] for j in cycle[k:] + cycle[:k]]
 
 
 def _point_list(points):
@@ -229,7 +213,7 @@ def _cmd_section(args, body):
         if sec is None:
             report.update(verdict="empty", vertices=[], vertex_count=0)
             return report, None, 0
-        chart = _ccw_order(sec.polytope.vertices)
+        chart = _ccw_order(sec.polytope)
         report.update(
             verdict="polytope-consistent",
             vertex_count=len(sec.ambient_vertices),
@@ -269,7 +253,7 @@ def _cmd_project(args, body):
         rows = [parse_vector(r) for r in args.basis.split(";") if r.strip()]
         flat = AffineFlat.spanning((Fraction(0),) * poly.ambient_dim, rows)
     shadow = project(poly, flat)
-    chart = _ccw_order(shadow.polytope.vertices)
+    chart = _ccw_order(shadow.polytope)
     report = {
         "subspace": {"base": jsonable(flat.base), "basis": jsonable(flat.basis)},
         "verdict": "polytope-consistent",

@@ -134,7 +134,7 @@ class TestSection:
         by_float = sorted(
             verts, key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx))
         )
-        assert _ccw_order(verts) == by_float
+        assert _ccw_order(poly) == by_float
 
     def test_three_dim_chart_keeps_the_vertex_order(self, cube_off, tmp_path):
         code, rep = run(
