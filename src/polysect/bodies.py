@@ -10,12 +10,13 @@ until a sample or a convexity bound settles it.
 
 Planar sections of a body are sampled along rays from an interior point
 of the section (radial_sweep): 8 rays from a first interior point find the
-centre, the centroid of their exits, and one sweep runs from there.  Every exit comes from one primitive,
-ray_exit: the upper end of a closed-form ray_interval (balls, ellipsoids),
-or else doubling and bisection of the membership oracle along the same ray,
-up to BODY_CEILING, which no spec body reaches.  The cone scan in `cones`
-samples its cross-sections with the same sweep.  The resulting boundary
-points (ordered by polar angle) feed the polygonality detector.
+centre, the centroid of their exits, and one sweep runs from there.  Each
+exit is the upper end of a closed-form ray_interval (balls, ellipsoids), or
+else comes from ray_exit, doubling and bisection of the membership oracle
+along the same ray, up to BODY_CEILING, which no spec body reaches.  The
+cone scan in `cones` samples its cross-sections with the same sweep.  The
+resulting boundary points (ordered by polar angle) feed the polygonality
+detector.
 """
 
 from __future__ import annotations
@@ -452,8 +453,8 @@ def sample_section_boundary(
     """Sample the boundary of body ∩ flat at `count` polar angles.
 
     The flat must be 2-dimensional and meet the body's interior
-    (FlatMissesBody otherwise); boundary points are ray exits (ray_exit)
-    from an interior chart point, found by radial_sweep.  The centre is the
+    (FlatMissesBody otherwise); boundary points are ray exits from an
+    interior chart point, found by radial_sweep.  The centre is the
     centroid of 8 exits from a first interior point x0 when member accepts
     it, and x0 otherwise; one count-ray sweep runs from it, so a call makes
     count + 8 exits.  The points are returned in chart coordinates of the
@@ -506,19 +507,13 @@ def check_sampling(boundary_points: int, tau: float) -> None:
         raise BodyError("tau must be finite and positive")
 
 
-def ray_exit(member, ray_interval, start, u, ceiling: float) -> float | None:
-    """Exit parameter r of the ray start + r*u, for a start inside.
+def ray_exit(member, start, u, ceiling: float) -> float | None:
+    """Exit parameter r of the ray start + r*u, for a start inside, from
+    member alone.
 
-    With a closed-form ray_interval (a BodyOracle's or a ConeOracle's) the
-    exit is its upper end.  Otherwise the step doubles from r = 1 until
-    member fails, then 60 bisection steps narrow the crossing.  None when
-    the exit lies at or beyond `ceiling`, or the doubling passes it.
+    The step doubles from r = 1 until member fails, then 60 bisection steps
+    narrow the crossing.  None when the doubling passes `ceiling`.
     """
-    if ray_interval is not None:
-        span = ray_interval(start, u)
-        # start is inside, so the interval holds 0 up to rounding
-        r = max(span[1], 0.0) if span is not None else 0.0
-        return r if r < ceiling else None
 
     def inside(r):
         return member(tuple(_axpy(r, u, start)))
@@ -542,9 +537,12 @@ def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
     """Ray exits from `start` at the angles offset + 2πj/count, j < count.
 
     The ray at angle θ runs along cos θ·e1 + sin θ·e2 for the orthonormal
-    frame (e1, e2); its exit r (ray_exit) is returned as the chart offset
-    (r cos θ, r sin θ) from start.  None when a ray reaches `ceiling`.
-    A closed-form ray_interval is read here, by ray_exit's own rules.
+    frame (e1, e2); its exit r is returned as the chart offset
+    (r cos θ, r sin θ) from start.  With a closed-form ray_interval (a
+    BodyOracle's or a ConeOracle's) r is the interval's upper end, or 0
+    when the line misses: start is inside, so the interval holds 0 up to
+    rounding.  Without one, r comes from ray_exit.  None when an exit lies
+    at or beyond `ceiling`.
     """
     e1, e2 = frame
     pts = []
@@ -553,7 +551,7 @@ def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
         ct, st = math.cos(th), math.sin(th)
         u = tuple([ct * a + st * b for a, b in zip(e1, e2)])
         if ray_interval is None:
-            r = ray_exit(member, None, start, u, ceiling)
+            r = ray_exit(member, start, u, ceiling)
             if r is None:
                 return None
         else:

@@ -11,8 +11,8 @@ Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: random 3-dimensional subspaces
 through the apex, a 2-dimensional cross-section of each, and a polygonality
 verdict per section.  Cross-sections are sampled by the section sweep of
-`bodies` (radial_sweep and its ray_exit), with rays up to 2^30.  The scan
-refutes polyhedrality or stays consistent; it never proves it.
+`bodies` (radial_sweep), with rays up to 2^30.  The scan refutes
+polyhedrality or stays consistent; it never proves it.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ class ConeOracle:
     is the closed-form counterpart of BodyOracle.ray_interval: the interval
     (r0, r1) of {r : member(w + r*d)} under member's tolerance, with
     infinite ends for unbounded rays, or None when the line misses the cone.
-    The scan's ray_exit reads exits off it, and bisects member without it.
+    The scan's sweep reads exits off it, and bisects member without it.
     """
 
     dim: int

@@ -199,7 +199,7 @@ class TestGlueCap:
             z = body.interior_hint
             for _ in range(8):
                 u = tuple(rng.gauss(0.0, 1.0) for _ in range(3))
-                t = ray_exit(body.member, None, z, u, 2.0**40)
+                t = ray_exit(body.member, z, u, 2.0**40)
                 for scale in (1 - 1e-7, 1 + 1e-7):
                     points.append(tuple(a + scale * t * b for a, b in zip(z, u)))
             for x in points:
@@ -292,7 +292,7 @@ class TestRayInterval:
             return tuple(zi + t * ui for zi, ui in zip(z, u))
 
         fallback = dataclasses.replace(body, ray_interval=None)
-        t_bisect = ray_exit(fallback.member, None, z, u, 2.0**40)
+        t_bisect = ray_exit(fallback.member, z, u, 2.0**40)
         assert abs(t1 - t_bisect) <= 1e-9 * t_bisect
         assert body.member(along(t1 * (1 - 1e-8)))
         assert not body.member(along(t1 * (1 + 1e-8)))

@@ -474,7 +474,7 @@ class TestConeRayInterval:
         def along(r):
             return tuple(wi + r * di for wi, di in zip(w, d))
 
-        r_bisect = ray_exit(fallback.member, None, w, d, 2.0**30)
+        r_bisect = ray_exit(fallback.member, w, d, 2.0**30)
         r0, r1 = oracle.ray_interval(w, d)
         assert r0 < 0 < r1
         if r_bisect is None:

@@ -186,8 +186,9 @@ class TestSweeps:
                     )
 
     def test_radial_sweep_reads_cone_intervals(self):
-        # the sweep reads the cone's closed form inline, as ray_exit would:
-        # the scan's cross-sections at its 2^30 ceiling and at a low one
+        # the sweep reads the cone's closed form by the rule it applies to
+        # every interval: the scan's cross-sections, at its 2^30 ceiling and
+        # at a low one
         cone = ball_visual_cone_oracle((4.0, 1.0, -2.0), (0.25, -0.5, 0.125), 1.5)
         rng = random.Random(5)
         for start in (cone.axis_hint, tuple(x + 0.01 for x in cone.axis_hint)):
