@@ -669,11 +669,11 @@ def sample_section_boundary_chart_form(body, flat, count):
             lo, hi = (mid, hi) if inside(mid) else (lo, mid)
         return 0.5 * (lo + hi)
 
-    def sweep(x0, count):
+    def sweep(x0, n):
         start = at(*x0)
         pts = []
-        for j in range(count):
-            th = 2.0 * math.pi * j / count
+        for j in range(n):
+            th = 2.0 * math.pi * j / n
             ct, st = math.cos(th), math.sin(th)
             if body.ray_interval is not None:
                 u = tuple(ct * a1 + st * a2 for a1, a2 in zip(u1, u2))
