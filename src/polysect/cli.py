@@ -285,32 +285,27 @@ def _cmd_cone(args, body):
     return report, None, 0
 
 
-def _tester_report(verdict, witness, notes, requested, used, boundary_points):
-    """The part shared by every sampled tester's report; a witness exits 2."""
+def _tester_report(rep):
+    """The report of a sampled tester's CriterionReport; a witness exits 2."""
+    w = rep.witness
     out = {
-        "verdict": verdict,
+        "criterion": rep.criterion,
+        "verdict": rep.verdict,
+        "exact": rep.exact,
+        "tau": rep.tau,
         "budgets": {
-            "requested": requested,
-            "samples_used": used,
-            "boundary_points": boundary_points,
+            "requested": rep.budget,
+            "samples_used": rep.samples_used,
+            "boundary_points": rep.boundary_points,
         },
-        "witness": jsonable(witness),
-        "notes": list(notes),
+        "witness": jsonable(w),
+        "notes": list(rep.notes),
     }
     svg = None
-    if witness is not None and witness.points:
-        markers = list(witness.triple) if witness.triple else None
-        svg = (list(witness.points), {"closed": True, "marker_indices": markers})
-    return out, svg, 0 if witness is None else 2
-
-
-def _criterion_report(rep):
-    out, svg, code = _tester_report(
-        rep.verdict, rep.witness, rep.notes,
-        rep.budget, rep.samples_used, rep.boundary_points,
-    )
-    out.update(criterion=rep.criterion, exact=rep.exact, tau=rep.tau)
-    return out, svg, code
+    if w is not None and w.points:
+        markers = list(w.triple) if w.triple else None
+        svg = (list(w.points), {"closed": True, "marker_indices": markers})
+    return out, svg, 0 if w is None else 2
 
 
 def _cmd_sections(args, body):
@@ -327,7 +322,7 @@ def _cmd_sections(args, body):
             delta=getattr(args, "delta", None),
             boundary_points=args.boundary_points, tau=args.tau,
         )
-    return _criterion_report(rep)
+    return _tester_report(rep)
 
 
 def _default_sphere(body: BodyInput):
@@ -365,7 +360,7 @@ def _cmd_t12(args, body):
         boundary_points=args.boundary_points,
         tau=args.tau,
     )
-    out, svg, code = _criterion_report(rep)
+    out, svg, code = _tester_report(rep)
     out["sphere"] = {"center": list(center), "radius": radius}
     return out, svg, code
 
@@ -421,13 +416,8 @@ def _cmd_mirkil(args, body):
         boundary_points=args.boundary_points,
         tau=args.tau,
     )
-    out, svg, code = _tester_report(
-        rep.verdict, rep.witness, rep.notes,
-        rep.samples_requested, rep.samples_used, args.boundary_points,
-    )
-    out.update(
-        apex=jsonable(apex), criterion="Mirkil", tau=args.tau, zero_budget=rep.zero_budget
-    )
+    out, svg, code = _tester_report(rep)
+    out["apex"] = jsonable(apex)
     return out, svg, code
 
 

@@ -12,7 +12,9 @@ visual cones and the like) are scanned: random 3-dimensional subspaces
 through the apex, a 2-dimensional cross-section of each, and a polygonality
 verdict per section.  Cross-sections are sampled by the section sweep of
 `bodies` (radial_sweep), with rays up to 2^30.  The scan refutes
-polyhedrality or stays consistent; it never proves it.
+polyhedrality or stays consistent; it never proves it.  It reports as the
+testers of `criteria` do, in one CriterionReport with a KleeWitness, and
+notes a run that sampled nothing as "zero-budget".
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .bodies import (
     check_sampling,
     radial_sweep,
 )
-from .criteria import _confirmed_curve, _sample_loop
+from .criteria import CriterionReport, _confirmed_curve, _klee_witness, _report, _sample_loop
 from .geometry import (
     AffineFlat,
     DimensionMismatch,
@@ -265,26 +267,6 @@ class ConeOracle:
     ) = None
 
 
-@dataclass(frozen=True)
-class MirkilWitness:
-    sample_index: int
-    frame: tuple[tuple[float, ...], ...]
-    points: tuple[tuple[float, float], ...]
-    triple: tuple[int, int, int]
-    triple_area: float
-
-
-@dataclass(frozen=True)
-class MirkilReport:
-    verdict: str  # "polyhedral-consistent" | "non-polyhedral"
-    samples_requested: int
-    samples_used: int
-    seed: int
-    zero_budget: bool
-    witness: MirkilWitness | None
-    notes: tuple[str, ...] = ()
-
-
 def cone_oracle_from_exact(cone: PolyCone) -> ConeOracle:
     def member(u):
         return cone.contains_direction(tuple(Fraction(float(x)) for x in u))
@@ -413,26 +395,24 @@ def mirkil_scan(
     *,
     boundary_points: int = 64,
     tau: float = 1e-9,
-) -> MirkilReport:
+) -> CriterionReport:
     """Scan a cone oracle for polyhedrality via 3-dimensional subspaces.
 
     For ambient dimension 3 the full cone's 2-dimensional cross-section is
     scanned directly; for dimension 4 random 3-subspaces through the apex
-    are drawn first.  Exact cones short-circuit: their sections are
-    polyhedral by construction.  The verdict is one-sided: a witness, a
-    curved section that stays curved at doubled density, refutes;
-    "polyhedral-consistent" only reports the surviving budget.
+    are drawn first, and a witness keeps that frame in `normals`.  Exact
+    cones short-circuit: their sections are polyhedral by construction.
+    The result is the testers' CriterionReport, criterion "Mirkil" on body
+    "cone".  The verdict is one-sided: a witness, a curved section that
+    stays curved at doubled density, refutes ("non-polyhedral");
+    "polyhedral-consistent" only reports the surviving budget, and a zero
+    budget is noted "zero-budget".
     """
     if samples < 0:
         raise ConeError("sample budget must be nonnegative")
     check_sampling(boundary_points, tau)
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
-    if oracle.exact is not None and samples:
-        return MirkilReport(
-            "polyhedral-consistent", samples, samples, seed, False, None,
-            ("exact cone: every section is polyhedral by construction",),
-        )
     rng = random.Random(seed)
 
     def trial(i, notes):
@@ -452,16 +432,16 @@ def mirkil_scan(
             hint3 = tuple(_fdot(oracle.axis_hint, f) for f in frame)
         draw = lambda n: _scan_three_dim(member3, ray3, hint3, rng, n)
         found = _confirmed_curve(draw, boundary_points, 2, tau)
-        if found is False:
-            notes.append(f"sample {i}: witness failed doubled-density re-verification")
-        if not found:
-            return None
-        points, verdict = found
-        notes.append("witness re-verified at doubled sampling density")
-        return MirkilWitness(i, frame, points, verdict.witness_triple, verdict.witness_area)
+        witness = _klee_witness(
+            found, i, notes, "cone-section", frame, (), "doubled-density"
+        )
+        if witness is not None:
+            notes.append("witness re-verified at doubled sampling density")
+        return witness
 
-    witness, used, notes = _sample_loop(samples, trial)
-    verdict = "non-polyhedral" if witness is not None else "polyhedral-consistent"
-    return MirkilReport(
-        verdict, samples, used, seed, samples == 0, witness, tuple(notes)
-    )
+    exact = oracle.exact is not None
+    if exact and samples:
+        outcome = None, samples, ["exact cone: every section is polyhedral by construction"]
+    else:
+        outcome = _sample_loop(samples, trial)
+    return _report("Mirkil", "cone", exact, samples, outcome, boundary_points, tau, seed)

@@ -4,7 +4,9 @@ Four one-sided testers decide "is this body a polytope?" from different
 angles: planar sections through a chosen point family (K1 and its offset
 variant), orthogonal shadows (K2), and visual cones from outside apexes.
 Exact polytope inputs are decided exactly; oracle bodies are sampled, so a
-witness refutes but a clean run only reports "polytope-consistent".  On an
+witness refutes but a clean run only reports "polytope-consistent".  They
+and the Mirkil scan of `cones` return one CriterionReport with at most one
+KleeWitness; one table holds each criterion's two verdict words.  On an
 exact polytope K1/T1.1 decide flat coverage and K2 certifies the hull of its
 shadow, both on the integer image R·V of the vertices under the drawn grid
 rows R, since an invertible linear map keeps relative interiors and faces.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, product, repeat, starmap
 from operator import mul, sub, truediv
@@ -190,7 +192,7 @@ def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
 @dataclass(frozen=True)
 class KleeWitness:
     sample_index: int
-    kind: str  # "section" | "projection" | "visual-cone"
+    kind: str  # "section" | "projection" | "visual-cone" | "cone-section"
     normals: tuple[tuple[float, ...], ...]
     offsets: tuple[float, ...]
     points: tuple[tuple[float, float], ...]
@@ -202,8 +204,8 @@ class KleeWitness:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    criterion: str  # "K1" | "K2" | "T1.1" | "T1.2"
-    verdict: str  # "polytope-consistent" | "non-polytope"
+    criterion: str  # "K1" | "K2" | "T1.1" | "T1.2" | "Mirkil"
+    verdict: str  # one of the criterion's pair in _VERDICTS
     body_name: str
     exact: bool
     budget: int
@@ -215,9 +217,16 @@ class CriterionReport:
     notes: tuple[str, ...] = ()
 
 
+# criterion -> (verdict of a clean run, verdict of a refutation)
+_VERDICTS = {
+    **dict.fromkeys(("K1", "T1.1", "K2", "T1.2"), ("polytope-consistent", "non-polytope")),
+    "Mirkil": ("polyhedral-consistent", "non-polyhedral"),
+}
+
+
 def _report(criterion, name, exact, budget, outcome, boundary_points, tau, seed):
     witness, used, notes = outcome
-    verdict = "non-polytope" if witness is not None else "polytope-consistent"
+    verdict = _VERDICTS[criterion][witness is not None]
     return CriterionReport(
         criterion, verdict, name, exact, budget, used,
         boundary_points, tau, seed, witness, tuple(notes),
@@ -257,10 +266,11 @@ def _confirmed_curve(draw, count: int, factor: int, tau: float):
     return (points, verdict) if verdict.kind == "curved" else False
 
 
-def _klee_witness(found, i, notes, kind, normals, offsets) -> KleeWitness | None:
-    """The witness of a 4x-confirmed curve at sample i, noting a failure."""
+def _klee_witness(found, i, notes, kind, normals, offsets, density="4x"):
+    """The witness of a curve confirmed at sample i, or None; a curve that
+    failed its re-verification at `density` is noted."""
     if found is False:
-        notes.append(f"sample {i}: witness failed 4x re-verification")
+        notes.append(f"sample {i}: witness failed {density} re-verification")
     if not found:
         return None
     points, verdict = found
@@ -538,7 +548,8 @@ def visual_cone_test(
     mirkil_scan's cross-section sampler.  An apex inside or on the body is
     an error, per the outside-apex precondition.  A negative budget or
     section count and a sphere radius that is not finite are errors before
-    any cone is built.
+    any cone is built.  An oracle run with no sections per apex sampled
+    nothing, so it notes "zero-budget" as an empty run does.
     """
     from .cones import mirkil_scan, visual_cone
 
@@ -563,19 +574,17 @@ def visual_cone_test(
             cone = visual_cone(_grid_vector(_grid_row(apex)), poly)
             notes.append(f"apex {i}: exact cone, {cone.extreme_ray_count} extreme rays")
             return None
-        report = mirkil_scan(
+        w = mirkil_scan(
             _ray_hit_cone_oracle(oracle, apex), sections_per_apex, seed=seed + i,
             boundary_points=boundary_points, tau=tau,
-        )
-        w = report.witness
+        ).witness
         if w is None:
             return None
-        return KleeWitness(
-            i, "visual-cone", (), (), w.points, w.triple,
-            w.triple_area, True, apex=apex,
-        )
+        return replace(w, sample_index=i, kind="visual-cone", normals=(), apex=apex)
 
     outcome = _sample_loop(len(apexes), trial)
+    if oracle is not None and apexes and not sections_per_apex:
+        outcome[2].append("zero-budget")  # no cone scan sampled a section
     return _report("T1.2", name, exact, len(apexes), outcome, boundary_points, tau, seed)
 
 

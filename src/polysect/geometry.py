@@ -77,10 +77,6 @@ def vscale(v: Vector, s: Fraction) -> Vector:
     return tuple(x * s for x in v)
 
 
-def vneg(v: Vector) -> Vector:
-    return tuple(-x for x in v)
-
-
 def vdot(a: Vector, b: Vector) -> Fraction:
     require_same_dim(a, b)
     return sum((x * y for x, y in zip(a, b)), ZERO)

@@ -28,6 +28,10 @@ from polysect.geometry import (
 from polysect.polytope import Halfspace, Polytope, _canonical_halfspace, _integer_halfspace
 
 
+def vneg(v):
+    return tuple(-x for x in v)
+
+
 def det3(m) -> int:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -539,7 +543,6 @@ def _positive_functional(gens):
     unit box; strict positivity on every generator certifies pointedness.
     """
     from polysect.cones import ConeError
-    from polysect.geometry import vneg
     from polysect.polytope import Halfspace, vertices_of
 
     d = len(gens[0])

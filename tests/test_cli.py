@@ -281,6 +281,36 @@ class TestCriteriaCommands:
         assert code == 0
         assert rep["sphere"] == {"center": [2.0, 3.0, 4.0], "radius": 1.0}
 
+    def test_t12_without_sections_notes_zero_budget(self, ball_json, tmp_path):
+        code, rep = run(
+            ["t12", "--body", ball_json, "--apexes", "2", "--sections-per-apex", "0"],
+            tmp_path,
+        )
+        assert code == 0
+        assert rep["verdict"] == "polytope-consistent"
+        assert rep["budgets"]["samples_used"] == 2
+        assert rep["notes"] == ["zero-budget"]
+
+    def test_tester_reports_share_one_shape(self, ball_json, cube_off, tmp_path):
+        flags = {
+            "klee-k1": ["--flats", "3"],
+            "klee-k2": ["--subspaces", "3"],
+            "t11": ["--flats", "3", "--delta", "0.25"],
+            "t12": ["--apexes", "2"],
+            "mirkil": ["--apex", "0,0,3", "--samples", "3"],
+        }
+        own = {"t12": {"sphere"}, "mirkil": {"apex"}}
+        keys, witness_keys = set(), set()
+        for body, refutes in ((cube_off, False), (ball_json, True)):
+            for command in flags:
+                code, rep = run([command, "--body", body, "--seed", "2", *flags[command]], tmp_path)
+                assert code == (2 if refutes else 0), (command, body)
+                keys.add(frozenset(rep.keys() - own.get(command, set())))
+                if refutes:
+                    witness_keys.add(frozenset(rep["witness"]))
+        assert len(keys) == 1
+        assert len(witness_keys) == 1
+
     def test_mirkil_ball_witness(self, ball_json, tmp_path):
         code, rep = run(
             ["mirkil", "--body", ball_json, "--apex", "0,0,3",
@@ -296,7 +326,8 @@ class TestCriteriaCommands:
     def test_mirkil_ball_spec_values_pinned(self, tmp_path):
         # the ball's center and radius reach the cone oracle as the floats of
         # their exact rationals; these report bytes predate reading them
-        # through the body-spec parsers
+        # through the body-spec parsers, and were recorded again when the
+        # Mirkil report took the other testers' shape
         spec = tmp_path / "ball.json"
         spec.write_text(
             '{"kind": "ball", "center": ["1/2", 0.1, 1e-7], "radius": "1/2"}\n'
@@ -305,7 +336,7 @@ class TestCriteriaCommands:
         argv = ["mirkil", "--body", str(spec), "--apex", "3,0,0", "--seed", "1"]
         assert main(argv + ["--report", str(report)]) == 2
         assert _sha(report.read_bytes()) == (
-            "c744f59e9638b17910d4073996b0a6daa0ae599213251793bf6dc75dd3d8b3f1"
+            "79596425701d04db771a61a5422581f95bba3ef15fefc2a7a222575bf8ae73ff"
         )
 
     @pytest.mark.parametrize("apex", ["0,3", "0,0,3,7"])
@@ -755,7 +786,8 @@ def _sha(data: bytes) -> str:
 # (exit code, SHA-256 of stdout, {SVG file: SHA-256}) of each documented
 # example, recorded before the section sweep and the cone scan shared one
 # ray-exit primitive; the klee-k1 entry when section sampling took its
-# centre from 8 exits
+# centre from 8 exits; the mirkil entry when its report took the other
+# testers' shape
 EXAMPLE_OUTPUTS = {
     'section --body cube.off --flat "n=1,1,1;c=0" --svg hex.svg': (
         0, "815cdf6a5c3fe8c9c9e8085172dd990631a48f5f859324d080d3b1a6a409457f",
@@ -787,7 +819,7 @@ EXAMPLE_OUTPUTS = {
         {"walk.svg": "409c2d9a7e725a03bdc959ef3e2d75fb5c004bad5643e39499aad5e5914950d2"},
     ),
     "mirkil --body ball.json --apex 0,0,3 --samples 10 --seed 2": (
-        2, "0dcde351f1ed27ac90ca1685510fa7d3a1b09c80273688b0fad5abede8f99350", {},
+        2, "806c7ca8cb7e19a9d3c27d53ce2c6dcad57328f6b891e13274656589248d6569", {},
     ),
 }
 
@@ -801,13 +833,16 @@ def test_documented_examples_are_golden(cube_off, ball_json, tmp_path, monkeypat
         if line.strip().startswith("polysect ")
     ]
     assert sorted(commands) == sorted(EXAMPLE_OUTPUTS)
+    got = {}
     for command in commands:
         code = main(shlex.split(command))
         stdout = capsys.readouterr().out
         svgs = {p.name: _sha(p.read_bytes()) for p in tmp_path.glob("*.svg")}
         for p in tmp_path.glob("*.svg"):
             p.unlink()
-        assert (code, _sha(stdout.encode()), svgs) == EXAMPLE_OUTPUTS[command], command
+        got[command] = (code, _sha(stdout.encode()), svgs)
+    # one comparison after the loop names every example that moved
+    assert got == EXAMPLE_OUTPUTS
 
 
 @pytest.fixture(scope="module")

@@ -36,6 +36,8 @@ from polysect.cones import (
 )
 from polysect.criteria import (
     CriterionError,
+    CriterionReport,
+    KleeWitness,
     _coverage_note,
     _ray_hit_cone_oracle,
     DriftConfig,
@@ -619,6 +621,15 @@ def test_bad_sampling_parameters_rejected_up_front(entry, params, message):
         SAMPLING_ENTRY_POINTS[entry](**params)
 
 
+@pytest.mark.parametrize("entry", sorted(SAMPLING_ENTRY_POINTS))
+def test_every_tester_returns_one_report_type(entry):
+    # every entry but the cube refutes at its defaults, so each witness
+    # route is checked too
+    rep = SAMPLING_ENTRY_POINTS[entry]()
+    assert type(rep) is CriterionReport
+    assert type(rep.witness) is (type(None) if entry == "K1-cube" else KleeWitness)
+
+
 def _cube_cone_sampled():
     return exact_cone_oracle_sampling_only(visual_cone((0, 0, 3), cube()))
 
@@ -1110,6 +1121,9 @@ class TestVisualConeChecks:
         ball = make_ball((0, 0, 0), 1)
         rep = visual_cone_test(ball, [(0, 0, 3)], sections_per_apex=0)
         assert (rep.verdict, rep.samples_used) == ("polytope-consistent", 1)
+        # no cone section was sampled, and the report says so once
+        assert rep.notes == ("zero-budget",)
+        assert visual_cone_test(ball, [], sections_per_apex=0).notes == ("zero-budget",)
 
 
 class TestVisualConeTest:
