@@ -8,15 +8,15 @@ conv(A ∪ B) = union over t of (t·A + (1-t)·B), which turns the question
 into a one-dimensional convex minimization over t, searched in floats
 until a sample or a convexity bound settles it.
 
-Planar sections of a body are sampled along rays from an interior point
-of the section (radial_sweep): 8 rays from a first interior point find the
-centre, the centroid of their exits, and one sweep runs from there.  Each
-exit is the upper end of a closed-form ray_interval (balls, ellipsoids), or
-else comes from ray_exit, doubling and bisection of the membership oracle
-along the same ray, up to BODY_CEILING, which no spec body reaches.  The
-cone scan in `cones` samples its cross-sections with the same sweep.  The
-resulting boundary points (ordered by polar angle) feed the polygonality
-detector.
+A planar section of a body is seen through its exit function
+(exit_function): the boundary point on the ray at angle θ from an interior
+centre.  8 rays from a first interior point find the centre, the centroid
+of their exits.  Each exit is the upper end of a closed-form ray_interval
+(balls, ellipsoids), or else comes from ray_exit, doubling and bisection of
+the membership oracle along the same ray, up to BODY_CEILING, which no spec
+body reaches.  The cone scan in `cones` reads its cross-sections through the
+same function, and the polygonality probe of `criteria` calls it at the
+angles it chooses.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ class BodyError(GeometryError):
 
 class FlatMissesBody(BodyError):
     """A section flat has no chart point in the body's interior."""
+
+
+class UnboundedSection(BodyError):
+    """A section ray is still inside the body at the exit ceiling."""
 
 
 @dataclass(frozen=True)
@@ -447,59 +451,37 @@ def _convex_lower_bound(ts, fs) -> float:
     return bound
 
 
-def sample_section_boundary(
-    body: BodyOracle, flat: AffineFlat, count: int
-) -> tuple[tuple[float, float], ...]:
-    """Sample the boundary of body ∩ flat at `count` polar angles.
-
-    The flat must be 2-dimensional and meet the body's interior
-    (FlatMissesBody otherwise); boundary points are ray exits from an
-    interior chart point, found by radial_sweep.  The centre is the
-    centroid of 8 exits from a first interior point x0 when member accepts
-    it, and x0 otherwise; one count-ray sweep runs from it, so a call makes
-    count + 8 exits.  The points are returned in chart coordinates of the
-    flat's orthonormalized basis, point j on the ray at angle 2πj/count
-    around the centre.
+def sample_section_boundary(body: BodyOracle, flat: AffineFlat):
+    """The `exit_function` of body ∩ flat from a centre, in the flat's
+    orthonormalized basis: θ maps to the boundary point at angle θ, relative
+    to the centre.  The flat must be 2-dimensional and meet the body's
+    interior (FlatMissesBody otherwise).  The centre is the centroid of the
+    exits at angles 2πj/8 from a first interior chart point x0 when member
+    accepts it, and x0 otherwise.
     """
     if flat.dim != 2:
         raise BodyError("section sampling needs a 2-dimensional flat")
     if flat.ambient_dim != body.dim:
         raise DimensionMismatch("flat and body dimensions disagree")
-    if count < 8:
-        raise BodyError("need at least 8 boundary points")
     base = tuple(float(x) for x in flat.base)
-    u1 = _funit(tuple(float(x) for x in flat.basis[0]))
-    u2 = _funit(tuple(float(x) for x in flat.basis[1]))
-
-    def at(cx, cy):
-        return tuple(_axpy(cy, u2, _axpy(cx, u1, base)))
-
-    def sweep(x0, n):
-        rel = radial_sweep(
-            body.member, body.ray_interval, at(*x0), (u1, u2), n, 0.0,
-            BODY_CEILING,
-        )
-        if rel is None:
-            raise BodyError("section boundary ray never left the body")
-        return tuple((x0[0] + px, x0[1] + py) for px, py in rel)
+    frame = tuple(_funit(tuple(float(x) for x in b)) for b in flat.basis)
+    at = lambda cx, cy: tuple(_axpy(cy, frame[1], _axpy(cx, frame[0], base)))
+    exits = lambda x: exit_function(body.member, body.ray_interval, at(*x), frame, BODY_CEILING)
 
     x0 = _interior_chart_point(body, at)
     if x0 is None:
         raise FlatMissesBody("flat misses the body's interior")
     # centre on the centroid of 8 exits: better-conditioned than the first hit
-    probe = sweep(x0, 8)
-    cx = sum(p[0] for p in probe) / 8
-    cy = sum(p[1] for p in probe) / 8
-    if body.member(at(cx, cy)):
-        x0 = (cx, cy)
-    return sweep(x0, count)
+    probe = list(map(exits(x0), (2.0 * math.pi * j / 8 for j in range(8))))
+    centre = (x0[0] + sum(p[0] for p in probe) / 8, x0[1] + sum(p[1] for p in probe) / 8)
+    return exits(centre if body.member(at(*centre)) else x0)
 
 
 def check_sampling(boundary_points: int, tau: float) -> None:
     """Reject sampling parameters that no tester can use.
 
-    Fewer than 8 boundary points cannot show a polygon; a NaN tau compares
-    false everywhere and would pass every flatness test.
+    boundary_points, the probe's vertex bound, must be at least 8; a NaN
+    tau compares false everywhere and would pass every flatness test.
     """
     if boundary_points < 8:
         raise BodyError("need at least 8 boundary points")
@@ -533,34 +515,41 @@ def ray_exit(member, start, u, ceiling: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
-    """Ray exits from `start` at the angles offset + 2πj/count, j < count.
-
-    The ray at angle θ runs along cos θ·e1 + sin θ·e2 for the orthonormal
-    frame (e1, e2); its exit r is returned as the chart offset
-    (r cos θ, r sin θ) from start.  With a closed-form ray_interval (a
-    BodyOracle's or a ConeOracle's) r is the interval's upper end, or 0
-    when the line misses: start is inside, so the interval holds 0 up to
-    rounding.  Without one, r comes from ray_exit.  None when an exit lies
-    at or beyond `ceiling`.
+def exit_function(member, ray_interval, start, frame, ceiling):
+    """The boundary of the planar section through `start` spanned by the
+    orthonormal frame (e1, e2), as a function of the angle θ: the exit r of
+    the ray along cos θ·e1 + sin θ·e2, as the chart offset (r cos θ,
+    r sin θ) from start.  With a closed-form ray_interval (a BodyOracle's
+    or a ConeOracle's) r is the interval's upper end, or 0 when the line
+    misses: start is inside, so the interval holds 0 up to rounding.
+    Without one, r comes from ray_exit.  An exit at or beyond `ceiling`
+    raises UnboundedSection.
     """
     e1, e2 = frame
-    pts = []
-    for j in range(count):
-        th = offset + 2.0 * math.pi * j / count
+
+    def point_at(th):
         ct, st = math.cos(th), math.sin(th)
         u = tuple([ct * a + st * b for a, b in zip(e1, e2)])
         if ray_interval is None:
             r = ray_exit(member, start, u, ceiling)
-            if r is None:
-                return None
         else:
             span = ray_interval(start, u)
             r = max(span[1], 0.0) if span is not None else 0.0
-            if not r < ceiling:
-                return None
-        pts.append((r * ct, r * st))
-    return tuple(pts)
+        if r is None or not r < ceiling:
+            raise UnboundedSection("section boundary ray never left the body")
+        return (r * ct, r * st)
+
+    return point_at
+
+
+def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
+    """The `exit_function` points at the angles offset + 2πj/count, j < count,
+    or None when an exit lies at or beyond `ceiling`."""
+    point_at = exit_function(member, ray_interval, start, frame, ceiling)
+    try:
+        return tuple(point_at(offset + 2.0 * math.pi * j / count) for j in range(count))
+    except UnboundedSection:
+        return None
 
 
 def _interior_chart_point(body: BodyOracle, at):

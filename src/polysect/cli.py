@@ -226,20 +226,19 @@ def _cmd_section(args, body):
         if sec.polytope.ambient_dim == 2:
             svg = (chart, {"closed": sec.polytope.dim == 2})
         return report, svg, 0
-    points = sample_section_boundary(body.oracle, flat, args.samples)
-    verdict = polygonality_detect(points, tau=args.tau)
-    polygon = verdict.kind == "polygon"
+    verdict = polygonality_detect(sample_section_boundary(body.oracle, flat), args.samples, args.tau)
+    curved = verdict.kind == "curved"
     report.update(
-        verdict="polytope-consistent" if polygon else "non-polytope",
+        verdict="non-polytope" if curved else "polytope-consistent",
         samples=args.samples,
-        polygon=polygon,
+        polygon=verdict.kind == "polygon",
         edge_count=verdict.edges,
         witness_triple=jsonable(verdict.witness_triple),
         witness_area=verdict.witness_area,
     )
     markers = list(verdict.witness_triple) if verdict.witness_triple else None
-    svg = (list(points), {"closed": True, "marker_indices": markers})
-    return report, svg, 0 if polygon else 2
+    svg = (list(verdict.points), {"closed": True, "marker_indices": markers})
+    return report, svg, 2 if curved else 0
 
 
 def _cmd_project(args, body):
@@ -442,7 +441,7 @@ def _add_body_flags(p):
     p.add_argument("--report", default="-", help="report path (default stdout)")
     p.add_argument("--svg", help="write an SVG rendering of 2-dim output")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--tau", type=_positive, default=1e-9, help="flatness tolerance")
+    p.add_argument("--tau", type=_positive, default=1e-9, help="tolerance, as a fraction of size")
 
 
 def _positive(text: str) -> float:
@@ -457,10 +456,9 @@ def _positive(text: str) -> float:
     return value
 
 
-# upper bounds on counts: polygonality_detect's diameter is still O(n^2) in
-# a point count in the worst case (its block pruning helps only on spread-out
-# samples), and a 4x re-verification samples four times the points; a
-# budget multiplies whole samples
+# upper bounds on counts: a vertex bound n lets the polygonality probe make
+# up to 8n + 16 oracle exits or support calls per sample, and a budget
+# multiplies whole samples
 MAX_POINTS = 1024
 MAX_BUDGET = 1000
 
@@ -479,6 +477,7 @@ def _at_most(limit: int):
 
 
 _points = _at_most(MAX_POINTS)
+_BOUND_HELP = "most vertices a sampled section, shadow or cross-section may have and pass"
 _budget = _at_most(MAX_BUDGET)
 
 
@@ -514,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("section", help="cut the body with a hyperplane")
     _add_body_flags(p)
     p.add_argument("--flat", required=True, help='hyperplane "n=1,1,1;c=0"')
-    p.add_argument("--samples", type=_points, default=48, help="oracle boundary samples")
+    p.add_argument("--samples", type=_points, default=48, help=_BOUND_HELP)
 
     p = sub.add_parser("project", help="orthogonal shadow of a polytope")
     _add_body_flags(p)
@@ -530,27 +529,27 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_body_flags(p)
     p.add_argument("--flats", type=_budget, default=20, help="number of sampled flats")
     p.add_argument("--k", type=int, default=2, help="section dimension")
-    p.add_argument("--boundary-points", type=_points, default=48)
+    p.add_argument("--boundary-points", type=_points, help=_BOUND_HELP, default=48)
 
     p = sub.add_parser("klee-k2", help="projection polyhedrality test")
     _add_body_flags(p)
     p.add_argument("--subspaces", type=_budget, default=20)
     p.add_argument("--k", type=int, default=2, help="shadow dimension")
-    p.add_argument("--boundary-points", type=_points, default=64)
+    p.add_argument("--boundary-points", type=_points, help=_BOUND_HELP, default=64)
 
     p = sub.add_parser("t11", help="non-central-section polyhedrality test")
     _add_body_flags(p)
     p.add_argument("--flats", type=_budget, default=20)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--delta", type=float, required=True, help="section offset")
-    p.add_argument("--boundary-points", type=_points, default=48)
+    p.add_argument("--boundary-points", type=_points, help=_BOUND_HELP, default=48)
 
     p = sub.add_parser("t12", help="visual-cone polyhedrality test")
     _add_body_flags(p)
     p.add_argument("--apexes", type=_budget, default=8, help="sampled apex count")
     p.add_argument("--radius", type=_radius, default=None, help="apex sphere radius")
     p.add_argument("--sections-per-apex", type=_budget, default=2)
-    p.add_argument("--boundary-points", type=_points, default=32)
+    p.add_argument("--boundary-points", type=_points, help=_BOUND_HELP, default=32)
 
     p = sub.add_parser("epsilon", help="extreme-point exclusion certificate")
     _add_body_flags(p)
@@ -565,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_body_flags(p)
     p.add_argument("--apex", required=True, help="cone apex, e.g. 0,0,3")
     p.add_argument("--samples", type=_budget, default=10)
-    p.add_argument("--boundary-points", type=_points, default=64)
+    p.add_argument("--boundary-points", type=_points, help=_BOUND_HELP, default=64)
     return parser
 
 

@@ -10,11 +10,12 @@ membership and sections through the apex are polytope operations on it.
 Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: random 3-dimensional subspaces
 through the apex, a 2-dimensional cross-section of each, and a polygonality
-verdict per section.  Cross-sections are sampled by the section sweep of
-`bodies` (radial_sweep), with rays up to 2^30.  The scan refutes
-polyhedrality or stays consistent; it never proves it.  It reports as the
-testers of `criteria` do, in one CriterionReport with a KleeWitness, and
-notes a run that sampled nothing as "zero-budget".
+verdict per section.  Each cross-section is read through the exit function
+of `bodies`, with rays up to 2^30, and probed by the polygonality probe of
+`criteria`.  The scan refutes polyhedrality or stays consistent; it never
+proves it.  It reports as the testers of `criteria` do, in one
+CriterionReport with a KleeWitness, and notes a run that sampled nothing
+as "zero-budget".
 """
 
 from __future__ import annotations
@@ -30,16 +31,18 @@ from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
 from .bodies import (
+    UnboundedSection,
     _cross3f,
     _fdot,
     _fnorm,
     _funit,
+    _lincomb,
     _nappe_interval,
     _orthonormal_frame,
     check_sampling,
-    radial_sweep,
+    exit_function,
 )
-from .criteria import CriterionReport, _confirmed_curve, _klee_witness, _report, _sample_loop
+from .criteria import CriterionReport, _klee_witness, _report, _sample_loop, polygonality_detect
 from .geometry import (
     AffineFlat,
     DimensionMismatch,
@@ -369,18 +372,18 @@ def _find_interior_direction(member, hint):
     return w
 
 
-def _scan_three_dim(member, ray_interval, hint, rng: random.Random, n: int):
-    """n boundary points of one cross-section, at a random angle offset.
-
-    None when no bounded cross-section was found (no interior direction,
-    or a ray still inside at 2^30).
-    """
+def _scan_three_dim(member, ray_interval, hint, rng: random.Random):
+    """The exit function of the cross-section through an interior unit
+    direction w normal to w, in a frame turned by a random angle; None when
+    no bounded one was found.  An exit past 2^30 raises UnboundedSection."""
     w = _find_interior_direction(member, hint)
-    offset = rng.uniform(0.0, 2.0 * math.pi / n)
+    offset = rng.uniform(0.0, 0.5 * math.pi)
     if w is None:
         return None
-    frame = _orthonormal_complement_3d(w)
-    return radial_sweep(member, ray_interval, w, frame, n, offset, 2.0**30)
+    e1, e2 = _orthonormal_complement_3d(w)
+    c, s = math.cos(offset), math.sin(offset)
+    frame = (tuple(_lincomb(c, e1, s, e2)), tuple(_lincomb(-s, e1, c, e2)))
+    return exit_function(member, ray_interval, w, frame, 2.0**30)
 
 
 def _lift(columns, s):
@@ -403,10 +406,11 @@ def mirkil_scan(
     are drawn first, and a witness keeps that frame in `normals`.  Exact
     cones short-circuit: their sections are polyhedral by construction.
     The result is the testers' CriterionReport, criterion "Mirkil" on body
-    "cone".  The verdict is one-sided: a witness, a curved section that
-    stays curved at doubled density, refutes ("non-polyhedral");
-    "polyhedral-consistent" only reports the surviving budget, and a zero
-    budget is noted "zero-budget".
+    "cone".  The verdict is one-sided: a witness, a cross-section that the
+    probe proves to have more than boundary_points vertices, refutes
+    ("non-polyhedral"); "polyhedral-consistent" only reports the surviving
+    budget.  A zero budget is noted "zero-budget", and a sample with no
+    bounded cross-section is noted as a coverage violation.
     """
     if samples < 0:
         raise ConeError("sample budget must be nonnegative")
@@ -430,14 +434,15 @@ def mirkil_scan(
                 # the frame map is linear, so ray parameters carry over
                 ray3 = lambda w, d: oracle.ray_interval(lift(w), lift(d))
             hint3 = tuple(_fdot(oracle.axis_hint, f) for f in frame)
-        draw = lambda n: _scan_three_dim(member3, ray3, hint3, rng, n)
-        found = _confirmed_curve(draw, boundary_points, 2, tau)
-        witness = _klee_witness(
-            found, i, notes, "cone-section", frame, (), "doubled-density"
-        )
-        if witness is not None:
-            notes.append("witness re-verified at doubled sampling density")
-        return witness
+        point_at = _scan_three_dim(member3, ray3, hint3, rng)
+        try:
+            verdict = point_at and polygonality_detect(point_at, boundary_points, tau)
+        except UnboundedSection:
+            verdict = None
+        if verdict is None:
+            notes.append(f"sample {i}: coverage violation (no bounded cross-section)")
+            return None
+        return _klee_witness(verdict, i, notes, "cone-section", frame, ())
 
     exact = oracle.exact is not None
     if exact and samples:

@@ -3,10 +3,12 @@
 Four one-sided testers decide "is this body a polytope?" from different
 angles: planar sections through a chosen point family (K1 and its offset
 variant), orthogonal shadows (K2), and visual cones from outside apexes.
-Exact polytope inputs are decided exactly; oracle bodies are sampled, so a
-witness refutes but a clean run only reports "polytope-consistent".  They
-and the Mirkil scan of `cones` return one CriterionReport with at most one
-KleeWitness; one table holds each criterion's two verdict words.  On an
+Exact polytope inputs are decided exactly.  On oracle bodies one planar
+probe (polygonality_detect) decides each sampled section, shadow or cone
+cross-section: a witness proves more vertices than boundary_points, and a
+clean run only reports "polytope-consistent".  The testers and the Mirkil
+scan of `cones` return one CriterionReport with at most one KleeWitness;
+one table holds each criterion's two verdict words.  On an
 exact polytope K1/T1.1 decide flat coverage and K2 certifies the hull of its
 shadow, both on the integer image R·V of the vertices under the drawn grid
 rows R, since an invertible linear map keeps relative interiors and faces.
@@ -20,11 +22,12 @@ real configurations.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations, product, repeat, starmap
+from itertools import repeat
 from operator import mul, sub, truediv
 
 from .bodies import (
@@ -68,121 +71,149 @@ class CriterionError(GeometryError):
 
 @dataclass(frozen=True)
 class PolygonalityVerdict:
-    kind: str  # "polygon" | "curved"
-    edges: int | None
+    kind: str  # "polygon" (closed) | "curved" (refuted) | "capped" (probe cap)
+    edges: int | None  # vertex count of a closed polygon
+    points: tuple[tuple[float, float], ...]  # every probe, in angle order
     witness_triple: tuple[int, int, int] | None
     witness_area: float
-    tau_area: float
-    diameter: float
+    vertex_bound: int  # vertices the strict corners prove
 
 
-def _triple_area(a, b, c) -> float:
-    return 0.5 * abs(
-        (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    )
+def _beyond(p, a, b) -> float:
+    """How far p lies beyond the chord a -> b of a counterclockwise boundary
+    (to its right); the distance from a when a = b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    length = math.hypot(dx, dy)
+    if length == 0.0:
+        return math.hypot(p[0] - a[0], p[1] - a[1])
+    return ((p[0] - a[0]) * dy - (p[1] - a[1]) * dx) / length
 
 
-def _diameter(points) -> float:
-    """The largest math.dist over all pairs of finite 2-D points.
+def _meet(p, a, b, q):
+    """The point where line p a meets line b q, or None when parallel."""
+    ux, uy, vx, vy = a[0] - p[0], a[1] - p[1], q[0] - b[0], q[1] - b[1]
+    den = ux * vy - uy * vx
+    if den == 0.0:
+        return None
+    t = ((b[0] - a[0]) * vy - (b[1] - a[1]) * vx) / den
+    return (a[0] + t * ux, a[1] + t * uy)
 
-    math.dist is the same C norm as math.hypot(dx, dy), so this is the
-    float the pair loop gives.  The points are cut into about sqrt(n) runs
-    of consecutive points (neighbours in angle order), each with its
-    bounding box.  Two boxes are at most the far-corner distance apart, so
-    block pairs are visited in decreasing order of that bound, and the scan
-    stops once the bound, widened by 1e-9 for rounding, is below the
-    largest distance found: every pair left is then provably shorter.  The
-    worst case (all points in a small disc) is still quadratic.
+
+def polygonality_detect(
+    point_at, bound: int, tau: float = 1e-9, *, support: bool = False
+) -> PolygonalityVerdict:
+    """Probe a convex planar body until it closes as a polygon or has more
+    than `bound` vertices.
+
+    point_at(θ) is the boundary point on the ray at angle θ from an interior
+    origin (an exit), or with `support` the support point in direction θ.
+    Four probes at θ = kπ/2 start; D, the diagonal of their bounding box,
+    sets the tolerance tau·D.  Then the unproven arc with the longest chord
+    is probed: along the chord's outward normal (support), or toward the
+    vertex the lines of its proven neighbour edges predict, else at the
+    mid-angle (exit).  A probe at most tau·D beyond the chord of its two
+    neighbours proves both of its arcs edges, as the convex boundary between
+    the neighbours runs through it; an exit on its predicted vertex proves
+    both new arcs.  Any other probe is a strict corner, with a vertex in the
+    open arc between its neighbours; a vertex lies in at most two such
+    arcs, so C corners prove ceil(C/2) vertices.  The verdict is "curved"
+    once that exceeds `bound` (so never for a polygon of at most `bound`
+    vertices, and after 2·bound + 1 probes for a smooth body), "polygon"
+    (with C vertices) when every arc is proven, and "capped" at
+    8·bound + 16 probes.
     """
-    n = len(points)
-    size = math.isqrt(n)
-    blocks = [points[i:i + size] for i in range(0, n, size)]
-    boxes = []
-    for block in blocks:
-        xs, ys = [p[0] for p in block], [p[1] for p in block]
-        boxes.append((min(xs), max(xs), min(ys), max(ys)))
-    bounds = []
-    for i, (ax0, ax1, ay0, ay1) in enumerate(boxes):
-        for j in range(i, len(boxes)):
-            bx0, bx1, by0, by1 = boxes[j]
-            far = math.hypot(max(ax1 - bx0, bx1 - ax0), max(ay1 - by0, by1 - ay0))
-            bounds.append((far, i, j))
-    bounds.sort(reverse=True)
-    best = 0.0
-    for far, i, j in bounds:
-        if far * (1.0 + 1e-9) < best:
-            break
-        pairs = combinations(blocks[i], 2) if i == j else product(blocks[i], blocks[j])
-        best = max(best, max(starmap(math.dist, pairs), default=0.0))
-    return best
-
-
-def polygonality_detect(points, tau: float = 1e-9) -> PolygonalityVerdict:
-    """Decide whether angularly-ordered 2-D boundary points trace a polygon.
-
-    Corners are consecutive triples whose triangle area exceeds
-    tau * diameter^2; cyclically adjacent corners collapse into one vertex
-    group.  The points form a polygon when corners are scarce (< n/3) and
-    every stretch between vertex groups hugs its chord; otherwise the
-    verdict is "curved" with the highest-area triple as witness.  Repeated
-    consecutive points (support-point plateaus) are naturally zero-area.
-    The points and tau must be finite, and tau positive.
-    """
-    n = len(points)
-    if n < 8:
-        raise CriterionError("polygonality detection needs at least 8 points")
+    if bound < 8:
+        raise CriterionError("polygonality detection needs a vertex bound of at least 8")
     if not (math.isfinite(tau) and tau > 0):
         raise CriterionError("tau must be finite and positive")
-    if not all(map(math.isfinite, chain.from_iterable(points))):
-        raise CriterionError("boundary points must be finite")
-    diam = _diameter(points)
-    tau_area = tau * diam * diam
-    if diam == 0.0:
-        return PolygonalityVerdict("polygon", 0, None, 0.0, tau_area, 0.0)
 
-    areas = [
-        _triple_area(points[i - 1], points[i], points[(i + 1) % n]) for i in range(n)
-    ]
-    best = max(range(n), key=lambda i: areas[i])
-    witness = ((best - 1) % n, best, (best + 1) % n)
-    corners = [i for i in range(n) if areas[i] > tau_area]
-    if not corners:
-        return PolygonalityVerdict("polygon", 1, None, areas[best], tau_area, diam)
-    if len(corners) >= n / 3:
-        return PolygonalityVerdict(
-            "curved", None, witness, areas[best], tau_area, diam
-        )
+    def probe(th):
+        p = point_at(th)
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise CriterionError("boundary points must be finite")
+        return p
 
-    # collapse cyclically-adjacent corner indices into vertex groups
-    corner_set = set(corners)
-    groups: list[list[int]] = []
-    for i in corners:
-        if groups and (i - 1) in corner_set and groups[-1][-1] == i - 1:
-            groups[-1].append(i)
+    # node i holds the probe pts[i]; nxt and prv link the nodes in angle
+    # order, and edge[i] marks the arc i -> nxt[i] proven (two of the four
+    # first probes coincide only as repeated support points)
+    pts = []
+    for k in range(4):
+        p = probe(0.5 * math.pi * k)
+        if p not in pts:
+            pts.append(p)
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    tol = tau * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    n = len(pts)
+    nxt, prv = [(i + 1) % n for i in range(n)], [(i - 1) % n for i in range(n)]
+    edge, corner, count = [False] * n, [False] * n, 0
+    heap = sorted((-math.dist(pts[i], pts[nxt[i]]), i) for i in range(n))  # a sorted list is a heap
+
+    def recheck(i):
+        nonlocal count
+        now = _beyond(pts[i], pts[prv[i]], pts[nxt[i]]) > tol
+        count += now - corner[i]
+        corner[i] = now
+        if not now:
+            edge[prv[i]] = edge[i] = True
+
+    for i in range(n):
+        recheck(i)
+    probes = 4
+    while heap and (count + 1) // 2 <= bound and probes < 8 * bound + 16:
+        i = heapq.heappop(heap)[1]
+        if edge[i]:  # proven since it was queued
+            continue
+        j = nxt[i]
+        a, b = pts[i], pts[j]
+        vertex = None
+        if support:
+            th = math.atan2(a[0] - b[0], b[1] - a[1])
         else:
-            groups.append([i])
-    if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == n - 1:
-        groups[0] = groups.pop() + groups[0]
+            lo = math.atan2(a[1], a[0])
+            hi = lo + (math.atan2(b[1], b[0]) - lo) % (2.0 * math.pi)
+            th = 0.5 * (lo + hi)
+            if edge[prv[i]] and edge[j]:
+                vertex = _meet(pts[prv[i]], a, b, pts[nxt[j]])
+                if vertex is not None:
+                    phi = lo + (math.atan2(vertex[1], vertex[0]) - lo) % (2.0 * math.pi)
+                    if lo < phi < hi:
+                        th = phi
+                    else:
+                        vertex = None
+        q = probe(th)
+        probes += 1
+        if q == a or q == b:  # a support point repeated: the chord is an edge
+            edge[i] = True
+            continue
+        k = len(pts)
+        pts.append(q)
+        nxt[i], prv[j] = k, k
+        nxt.append(j)
+        prv.append(i)
+        edge[i] = vertex is not None and math.dist(q, vertex) <= tol
+        edge.append(edge[i])
+        corner.append(False)
+        for x in (i, k, j):
+            recheck(x)
+        for x in (i, k):
+            if not edge[x]:
+                heapq.heappush(heap, (-math.dist(pts[x], pts[nxt[x]]), x))
 
-    # every stretch between vertex groups must hug its chord
-    tau_chord = math.sqrt(tau) * diam
-    g = len(groups)
-    for t in range(g):
-        a_idx = groups[t][-1]
-        b_idx = groups[(t + 1) % g][0]
-        a, b = points[a_idx], points[b_idx]
-        ab = math.hypot(b[0] - a[0], b[1] - a[1])
-        i = (a_idx + 1) % n
-        while i != b_idx:
-            if ab > 0:
-                sag = 2.0 * _triple_area(a, points[i], b) / ab
-                if sag > tau_chord:
-                    w = ((i - 1) % n, i, (i + 1) % n)
-                    return PolygonalityVerdict(
-                        "curved", None, w, areas[i], tau_area, diam
-                    )
-            i = (i + 1) % n
-    return PolygonalityVerdict("polygon", g, None, areas[best], tau_area, diam)
+    order = [0]
+    while nxt[order[-1]]:
+        order.append(nxt[order[-1]])
+    points, proven = tuple(pts[i] for i in order), (count + 1) // 2
+    if proven > bound:
+        # the corner farthest beyond its chord, and its triangle's area
+        far = max(order, key=lambda i: _beyond(pts[i], pts[prv[i]], pts[nxt[i]]))
+        a, b = pts[prv[far]], pts[nxt[far]]
+        area = 0.5 * _beyond(pts[far], a, b) * math.dist(a, b)
+        idx, m = order.index(far), len(order)
+        triple = ((idx - 1) % m, idx, (idx + 1) % m)
+        return PolygonalityVerdict("curved", None, points, triple, area, proven)
+    if not all(edge):
+        return PolygonalityVerdict("capped", None, points, None, 0.0, proven)
+    return PolygonalityVerdict("polygon", count, points, None, 0.0, proven)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +229,8 @@ class KleeWitness:
     points: tuple[tuple[float, float], ...]
     triple: tuple[int, int, int] | None
     triple_area: float
-    reverified: bool
+    reverified: bool  # always True: a refutation is a proven vertex bound
+    vertex_bound: int  # vertices the probe proved, more than boundary_points
     apex: tuple[float, ...] | None = None
 
 
@@ -248,35 +280,15 @@ def _sample_loop(budget: int, trial):
     return None, budget, notes
 
 
-def _confirmed_curve(draw, count: int, factor: int, tau: float):
-    """The refutation rule: a curved sample must stay curved when denser.
-
-    draw(n) gives n ordered boundary points, or None when it cannot.
-    Returns None when draw(count) does not look curved, False when
-    draw(factor * count) fails to confirm it, and otherwise the denser
-    (points, verdict).
-    """
-    points = draw(count)
-    if points is None or polygonality_detect(points, tau).kind != "curved":
+def _klee_witness(verdict, i, notes, kind, normals, offsets):
+    """Sample i's witness from its probe verdict, or None; a capped probe is noted."""
+    if verdict.kind == "capped":
+        notes.append(f"sample {i}: probe cap reached")
+    if verdict.kind != "curved":
         return None
-    points = draw(factor * count)
-    if points is None:
-        return False
-    verdict = polygonality_detect(points, tau)
-    return (points, verdict) if verdict.kind == "curved" else False
-
-
-def _klee_witness(found, i, notes, kind, normals, offsets, density="4x"):
-    """The witness of a curve confirmed at sample i, or None; a curve that
-    failed its re-verification at `density` is noted."""
-    if found is False:
-        notes.append(f"sample {i}: witness failed {density} re-verification")
-    if not found:
-        return None
-    points, verdict = found
     return KleeWitness(
-        i, kind, normals, offsets, points,
-        verdict.witness_triple, verdict.witness_area, True,
+        i, kind, normals, offsets, verdict.points,
+        verdict.witness_triple, verdict.witness_area, True, verdict.vertex_bound,
     )
 
 
@@ -342,10 +354,10 @@ def klee_section_test(
     section is always a polygon, so for exact polytopes the run only checks
     the flat family's interior coverage: `_coverage_note` decides it from the
     body's image under the normals' grid rows and the offsets' numerators
-    (the flat scaled by RATIONALIZE_DENOMINATOR) and builds no flat.  Oracle
-    bodies are boundary-sampled and a curved section, re-verified at 4x
-    density, refutes.  Flats that miss the interior are reported as coverage
-    violations, never silently skipped.
+    (the flat scaled by RATIONALIZE_DENOMINATOR) and builds no flat.  On an
+    oracle body `polygonality_detect` probes each section, and one with
+    more than boundary_points vertices refutes.  Flats that miss the
+    interior are reported as coverage violations, never silently skipped.
     """
     poly, oracle, name, exact = _resolve_body(body)
     if flats < 0:
@@ -372,14 +384,14 @@ def klee_section_test(
                 notes.append(f"sample {i}: {note}")
             return None
         flat, normals_f, offsets_f = _draw_flat(rng, d, k, delta)
-        draw = lambda n: sample_section_boundary(oracle, flat, n)
         try:
-            found = _confirmed_curve(draw, boundary_points, 4, tau)
+            point_at = sample_section_boundary(oracle, flat)
         except FlatMissesBody:
             notes.append(f"sample {i}: coverage violation (flat misses interior)")
             return None
+        verdict = polygonality_detect(point_at, boundary_points, tau)
         return _klee_witness(
-            found, i, notes, "section", tuple(normals_f), tuple(offsets_f)
+            verdict, i, notes, "section", tuple(normals_f), tuple(offsets_f)
         )
 
     criterion = "K1" if delta is None else "T1.1"
@@ -475,10 +487,9 @@ def klee_projection_test(
     `polytope._certify_hull` proves in integers that its vertices, facets
     and span are those of the hull of the image rows (else `PolytopeError`).
     Oracle bodies: the shadow's support function is the restriction of the
-    body's (h_{K|E}(u) = h_K(u) for u in E), so support points traced
-    around the direction circle sample the shadow boundary; piecewise
-    linearity shows up as support-point plateaus, curvature as a moving
-    point.
+    body's (h_{K|E}(u) = h_K(u) for u in E), so `polygonality_detect`
+    probes the shadow through the body's support points, and a shadow with
+    more than boundary_points vertices refutes.
     """
     poly, oracle, name, exact = _resolve_body(body)
     if subspaces < 0:
@@ -497,23 +508,17 @@ def klee_projection_test(
             hull, image, _ = _image_hull(scaled, _independent_rows(rng, d, k)[1])
             _certify_hull(hull, image, (ONE,) * k)
             return None
-        frame = _orthonormal_frame(rng, d, 2)
-        draw = lambda n: _support_shadow(oracle, frame, n)
-        found = _confirmed_curve(draw, boundary_points, 4, tau)
-        return _klee_witness(found, i, notes, "projection", frame, ())
+        e1, e2 = frame = _orthonormal_frame(rng, d, 2)
+
+        def point_at(th):
+            _, s = oracle.support(tuple(_lincomb(math.cos(th), e1, math.sin(th), e2)))
+            return (sum(map(mul, s, e1)), sum(map(mul, s, e2)))
+
+        verdict = polygonality_detect(point_at, boundary_points, tau, support=True)
+        return _klee_witness(verdict, i, notes, "projection", frame, ())
 
     outcome = _sample_loop(subspaces, trial)
     return _report("K2", name, exact, subspaces, outcome, boundary_points, tau, seed)
-
-
-def _support_shadow(oracle: BodyOracle, frame, count):
-    e1, e2 = frame
-    pts = []
-    for j in range(count):
-        th = 2.0 * math.pi * j / count
-        _, s = oracle.support(tuple(_lincomb(math.cos(th), e1, math.sin(th), e2)))
-        pts.append((sum(map(mul, s, e1)), sum(map(mul, s, e2))))
-    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +579,14 @@ def visual_cone_test(
             cone = visual_cone(_grid_vector(_grid_row(apex)), poly)
             notes.append(f"apex {i}: exact cone, {cone.extreme_ray_count} extreme rays")
             return None
-        w = mirkil_scan(
+        rep = mirkil_scan(
             _ray_hit_cone_oracle(oracle, apex), sections_per_apex, seed=seed + i,
             boundary_points=boundary_points, tau=tau,
-        ).witness
-        if w is None:
+        )
+        notes.extend(f"apex {i}: {note}" for note in rep.notes if note != "zero-budget")
+        if rep.witness is None:
             return None
-        return replace(w, sample_index=i, kind="visual-cone", normals=(), apex=apex)
+        return replace(rep.witness, sample_index=i, kind="visual-cone", normals=(), apex=apex)
 
     outcome = _sample_loop(len(apexes), trial)
     if oracle is not None and apexes and not sections_per_apex:

@@ -372,18 +372,6 @@ def lattice_sphere(n2):
     )
 
 
-def diameter_by_pair_loop(points):
-    """polygonality_detect's diameter as the pair loop over math.hypot gave
-    it.  Reference for the block-pruned diameter."""
-    diam = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
-            if d > diam:
-                diam = d
-    return diam
-
-
 def brute_force_facets(points):
     """Independent O(n^k) facet oracle for integer points: every supporting
     hyperplane through k affinely independent points with all points on one
@@ -603,19 +591,20 @@ def lift_line(x, xi):
     return AffineFlat(base, (as_vector(xi),))
 
 
-def hexagonal_prism_oracle():
-    """A hexagonal prism seen through float oracles only (polytope=None)."""
+def prism_oracle(m):
+    """A prism over a regular m-gon (its vertices rounded to 1/10^6) seen
+    through float oracles only (polytope=None)."""
     import dataclasses
 
     from polysect.bodies import wrap_polytope
 
-    hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    ngon = [(math.cos(2 * math.pi * k / m), math.sin(2 * math.pi * k / m)) for k in range(m)]
     vertices = [
-        (F(x).limit_denominator(1000), F(y).limit_denominator(1000), F(z))
-        for x, y in hexagon for z in (-1, 1)
+        (F(x).limit_denominator(10**6), F(y).limit_denominator(10**6), F(z))
+        for x, y in ngon for z in (-1, 1)
     ]
     return dataclasses.replace(
-        wrap_polytope(convex_hull(vertices)), polytope=None, name="prism"
+        wrap_polytope(convex_hull(vertices)), polytope=None, name=f"{m}-gon prism"
     )
 
 
@@ -640,62 +629,6 @@ def sphere_interval_reference(w, v, rr):
         return (0.0, 0.0)
     t0, t1 = q / a, cc / q
     return (t0, t1) if t0 <= t1 else (t1, t0)
-
-
-def sample_section_boundary_chart_form(body, flat, count):
-    """sample_section_boundary with bisection probes in chart form.
-
-    Bodies without ray_interval probe at(x0 + s*cos θ, x0 + s*sin θ), the
-    flat's chart point mapped out, with the exit ceiling 2^40, as the
-    section sweep did before it shared ray_exit with the cone scan.  Bodies
-    with ray_interval take its exit, as the library does.  The centre rule
-    is the library's: the centroid of 8 exits from the first interior
-    point, when the body holds it.
-    """
-    from polysect.bodies import BodyError, _funit, _interior_chart_point
-
-    base = tuple(float(x) for x in flat.base)
-    u1 = _funit(tuple(float(x) for x in flat.basis[0]))
-    u2 = _funit(tuple(float(x) for x in flat.basis[1]))
-
-    def at(cx, cy):
-        return tuple(b + cx * a1 + cy * a2 for b, a1, a2 in zip(base, u1, u2))
-
-    def exit_of(inside):
-        lo, hi = 0.0, 1.0
-        while inside(hi):
-            lo, hi = hi, 2.0 * hi
-            if hi > 2.0**40:
-                raise BodyError("section boundary ray never left the body")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-        return 0.5 * (lo + hi)
-
-    def sweep(x0, n):
-        start = at(*x0)
-        pts = []
-        for j in range(n):
-            th = 2.0 * math.pi * j / n
-            ct, st = math.cos(th), math.sin(th)
-            if body.ray_interval is not None:
-                u = tuple(ct * a1 + st * a2 for a1, a2 in zip(u1, u2))
-                span = body.ray_interval(start, u)
-                t = max(span[1], 0.0) if span is not None else 0.0
-            else:
-                t = exit_of(
-                    lambda s: body.member(at(x0[0] + s * ct, x0[1] + s * st))
-                )
-            pts.append((x0[0] + t * ct, x0[1] + t * st))
-        return tuple(pts)
-
-    x0 = _interior_chart_point(body, at)
-    probe = sweep(x0, 8)
-    cx = sum(p[0] for p in probe) / 8
-    cy = sum(p[1] for p in probe) / 8
-    if body.member(at(cx, cy)):
-        x0 = (cx, cy)
-    return sweep(x0, count)
 
 
 def no_extreme_in_cone_in_fractions(body, p, q, epsilon):
@@ -841,20 +774,6 @@ def polytope_support_by_scan(verts, u):
         if best is None or val > best:
             best, best_pt = val, v
     return best, best_pt
-
-
-def support_shadow_by_generator(oracle, frame, count):
-    e1, e2 = frame
-    pts = []
-    for j in range(count):
-        th = 2.0 * math.pi * j / count
-        u = tuple(math.cos(th) * a + math.sin(th) * b for a, b in zip(e1, e2))
-        _, s = oracle.support(u)
-        pts.append((
-            sum(si * ai for si, ai in zip(s, e1)),
-            sum(si * bi for si, bi in zip(s, e2)),
-        ))
-    return tuple(pts)
 
 
 def radial_sweep_by_generator(member, ray_interval, start, frame, count, offset, ceiling):

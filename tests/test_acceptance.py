@@ -109,7 +109,7 @@ def test_criterion_2_klee_k1_consistency_and_witnesses():
         assert rep.verdict == "non-polytope"
         assert rep.samples_used == 1  # witness found on the first flat
         assert rep.witness is not None
-        assert rep.witness.reverified  # survived 4x sampling density
+        assert rep.witness.reverified  # a proven bound: more vertices than allowed
     budget.check(f"{checked} polytopes x 50 flats consistent; ball+ellipsoid witnessed")
 
 

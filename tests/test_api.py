@@ -1,10 +1,13 @@
-"""The package's public surface: top-level names and the names the bench wraps."""
+"""The package's public surface: top-level names, the names the bench wraps,
+and the report shapes its checks read."""
 
 import ast
 import importlib
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 import polysect
 
@@ -22,17 +25,36 @@ def test_top_level_names_are_the_readme_example_imports():
         assert getattr(polysect, name) is not None
 
 
-def _tracer_module():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+def _perfbench_module(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _tracer_module():
+    return _perfbench_module("tracer")
+
+
 def _tracer_tables():
     module = _tracer_module()
     return module.FUNCTIONS, module.METHODS
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+@pytest.mark.parametrize("name", ["oracle-scan", "exact-sections", "exact-queries"])
+def test_benchmark_checks_pass_on_one_request_of_each_kind(name, seed, tmp_path):
+    # the in-process workloads' own checks read verdicts, witnesses and
+    # budgets; a report change that breaks them must fail here
+    workload = _perfbench_module("workloads").WORKLOADS[name](str(ROOT), seed, str(tmp_path))
+    workload.setup()
+    kinds = set()
+    for request in workload.pass_requests(0):
+        if request.kind not in kinds:
+            kinds.add(request.kind)
+            request.check(request.call())
+    assert len(kinds) >= 5
 
 
 def test_traced_functions_and_methods_exist():

@@ -14,8 +14,6 @@ from helpers import (
     centered_polytope,
     closest_point_on_polytope_reference,
     glue_cap_member_reference,
-    hexagonal_prism_oracle,
-    sample_section_boundary_chart_form,
     sphere_interval_reference,
 )
 
@@ -33,7 +31,7 @@ from polysect.bodies import (
     sample_section_boundary,
     wrap_polytope,
 )
-from polysect.criteria import klee_section_test, polygonality_detect
+from polysect.criteria import klee_section_test
 from polysect.geometry import AffineFlat, DimensionMismatch
 from polysect.polytope import convex_hull
 
@@ -308,11 +306,10 @@ class TestRayInterval:
         assume(any(any(d) for d in dirs))
         flat = AffineFlat.spanning(base, dirs)
         assume(flat.dim == 2)
-        fast = sample_section_boundary(body, flat, 16)
+        fast = _sweep(sample_section_boundary(body, flat), 16)
         fallback = dataclasses.replace(body, ray_interval=None)
-        slow = sample_section_boundary(fallback, flat, 16)
+        slow = _sweep(sample_section_boundary(fallback, flat), 16)
         scale = max(math.hypot(*p) for p in slow)
-        assert len(fast) == len(slow) == 16
         for p, q in zip(fast, slow):
             assert math.dist(p, q) <= 1e-9 * scale
 
@@ -341,53 +338,49 @@ class TestRayInterval:
         assert glue_cap(cube(), (1, 0, 0), 1).ray_interval is None
 
 
+def _sweep(point_at, count):
+    return [point_at(2.0 * math.pi * j / count) for j in range(count)]
+
+
+def _xy_plane(z=0):
+    return AffineFlat.spanning((F(0), F(0), F(z)), [(1, 0, 0), (0, 1, 0)])
+
+
 class TestSampleSectionBoundary:
     def test_ball_circle_radii(self):
-        ball = make_ball((0, 0, 0), 1)
-        flat = AffineFlat.spanning((F(0),) * 3, [(1, 0, 0), (0, 1, 0)])
-        sample = sample_section_boundary(ball, flat, 32)
-        assert len(sample) == 32
-        for p in sample:
+        for p in _sweep(sample_section_boundary(make_ball((0, 0, 0), 1), _xy_plane()), 32):
             assert abs(math.hypot(*p) - 1.0) < 1e-6
 
     def test_cube_section_square(self):
-        oracle = wrap_polytope(cube())
-        flat = AffineFlat.spanning((F(0),) * 3, [(1, 0, 0), (0, 1, 0)])
-        sample = sample_section_boundary(oracle, flat, 16)
-        for p in sample:
-            assert max(abs(c) for c in p) < 1.0 + 1e-6
+        point_at = sample_section_boundary(wrap_polytope(cube()), _xy_plane())
+        for p in _sweep(point_at, 16):
+            assert abs(max(abs(c) for c in p) - 1.0) < 1e-9
 
     def test_offset_flat(self):
-        ball = make_ball((0, 0, 0), 1)
-        flat = AffineFlat.spanning(
-            (F(0), F(0), F(1, 2)), [(1, 0, 0), (0, 1, 0)]
-        )
-        sample = sample_section_boundary(ball, flat, 16)
+        point_at = sample_section_boundary(make_ball((0, 0, 0), 1), _xy_plane(F(1, 2)))
         r = math.sqrt(1 - 0.25)
-        for p in sample:
+        for p in _sweep(point_at, 16):
             assert abs(math.hypot(*p) - r) < 1e-6
 
+    def test_points_are_relative_to_the_centre(self):
+        # the centre of an off-centre section is the centroid of 8 exits
+        ball = make_ball((0.5, -0.25, 0), 1)
+        point_at = sample_section_boundary(ball, _xy_plane())
+        for p in _sweep(point_at, 16):
+            assert abs(math.hypot(*p) - 1.0) < 1e-9
+        assert point_at(0.0)[1] == 0.0 and point_at(0.5 * math.pi)[0] < 1e-15
+
     def test_flat_missing_interior_raises(self):
-        ball = make_ball((0, 0, 0), 1)
-        flat = AffineFlat.spanning((F(0), F(0), F(5)), [(1, 0, 0), (0, 1, 0)])
         with pytest.raises(FlatMissesBody, match="interior"):
-            sample_section_boundary(ball, flat, 16)
+            sample_section_boundary(make_ball((0, 0, 0), 1), _xy_plane(5))
 
     def test_needs_two_dim_flat(self):
-        ball = make_ball((0, 0, 0), 1)
         line = AffineFlat.spanning((F(0),) * 3, [(1, 0, 0)])
         with pytest.raises(BodyError):
-            sample_section_boundary(ball, line, 16)
+            sample_section_boundary(make_ball((0, 0, 0), 1), line)
 
-    def test_minimum_count(self):
-        ball = make_ball((0, 0, 0), 1)
-        flat = AffineFlat.spanning((F(0),) * 3, [(1, 0, 0), (0, 1, 0)])
-        with pytest.raises(BodyError):
-            sample_section_boundary(ball, flat, 4)
-
-    @pytest.mark.parametrize("count", [8, 16, 48, 192])
-    def test_one_sweep_after_eight_exits(self, count):
-        # 8 exits find the centre, then one count-ray sweep runs from it
+    def test_eight_exits_then_one_per_probe(self):
+        # 8 exits find the centre; every later exit starts from it
         ball = make_ball((0.25, -0.5, 0.125), 1.5)
         calls = []
 
@@ -397,10 +390,10 @@ class TestSampleSectionBoundary:
 
         counted = dataclasses.replace(ball, ray_interval=ray_interval)
         flat = AffineFlat.spanning((F(1, 3), F(-1, 2), F(0)), [(1, 2, 0), (0, 1, -1)])
-        sample = sample_section_boundary(counted, flat, count)
-        assert len(sample) == count
-        assert len(calls) == count + 8
-        # every sweep ray starts from one point, the centre
+        point_at = sample_section_boundary(counted, flat)
+        assert len(calls) == 8
+        _sweep(point_at, 5)
+        assert len(calls) == 13
         assert len(set(calls[:8])) == len(set(calls[8:])) == 1
 
 
@@ -447,38 +440,6 @@ class TestMergedRayRoutes:
             w = [rng.gauss(0.0, scale) for _ in range(dim)]
             v = [rng.gauss(0.0, 10.0 ** rng.randint(-3, 3)) for _ in range(dim)]
             _same_roots(w, v, (rng.uniform(0.0, 2.0) * scale) ** 2)
-
-    @pytest.mark.parametrize(
-        "body, counts",
-        [
-            pytest.param(lambda: glue_cap(cube(), (1, 0, 0), 1), (16,), id="cap"),
-            pytest.param(
-                lambda: glue_cap(cube(), (1, 0.2, -0.1), 0.8), (16,), id="cap-offset"
-            ),
-            # curved at 16 points (too few for a hexagon), a polygon at 64
-            pytest.param(hexagonal_prism_oracle, (16, 64), id="hexagonal-prism"),
-        ],
-    )
-    @pytest.mark.parametrize("seed", range(2))
-    def test_section_sweep_matches_chart_form(self, body, counts, seed):
-        # the two bisections probe the same ray points with different
-        # rounding, so points agree to a tolerance and verdicts exactly
-        body = body()
-        rng = random.Random(seed)
-        base = tuple(F(rng.randint(-8, 8), 32) for _ in range(3))
-        while True:
-            dirs = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(2)]
-            flat = AffineFlat.spanning(base, dirs)
-            if flat.dim == 2:
-                break
-        for count in counts:
-            new = sample_section_boundary(body, flat, count)
-            old = sample_section_boundary_chart_form(body, flat, count)
-            scale = max(math.hypot(*p) for p in old)
-            for p, q in zip(new, old):
-                assert math.dist(p, q) <= 1e-12 * scale
-            a, b = polygonality_detect(new), polygonality_detect(old)
-            assert (a.kind, a.witness_triple) == (b.kind, b.witness_triple)
 
 
 def _cap_spec(scale):

@@ -101,6 +101,22 @@ class TestSection:
         assert code == 2
         assert rep["verdict"] == "non-polytope"
         assert rep["witness_triple"] is not None
+        assert (rep["polygon"], rep["edge_count"]) == (False, None)
+
+    def test_oracle_section_that_closes_reports_its_edges(self, tmp_path):
+        # the cap's bump lies past x = 0, so this section is the cube's square
+        cube = [[int(x) for x in v] for v in CUBE_VERTICES]
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(
+            {"kind": "cap", "polytope": {"vertices": cube}, "center": [1, 0, 0], "radius": 1}
+        ))
+        code, rep = run(
+            ["section", "--body", str(path), "--flat", "n=1,0,0;c=-0.9", "--samples", "16"],
+            tmp_path,
+        )
+        assert code == 0
+        assert rep["verdict"] == "polytope-consistent"
+        assert (rep["polygon"], rep["edge_count"], rep["witness_triple"]) == (True, 4, None)
 
     def test_wide_pentagon_lists_a_counterclockwise_cycle(self, tmp_path):
         # seen from the centroid near x = 2e19 the four small vertices lie
@@ -327,7 +343,8 @@ class TestCriteriaCommands:
         # the ball's center and radius reach the cone oracle as the floats of
         # their exact rationals; these report bytes predate reading them
         # through the body-spec parsers, and were recorded again when the
-        # Mirkil report took the other testers' shape
+        # Mirkil report took the other testers' shape and when one adaptive
+        # probe replaced the doubled-density re-draw
         spec = tmp_path / "ball.json"
         spec.write_text(
             '{"kind": "ball", "center": ["1/2", 0.1, 1e-7], "radius": "1/2"}\n'
@@ -336,8 +353,21 @@ class TestCriteriaCommands:
         argv = ["mirkil", "--body", str(spec), "--apex", "3,0,0", "--seed", "1"]
         assert main(argv + ["--report", str(report)]) == 2
         assert _sha(report.read_bytes()) == (
-            "79596425701d04db771a61a5422581f95bba3ef15fefc2a7a222575bf8ae73ff"
+            "76f5abc8a672b68d22d205fefa1048322dd76b1a38b08cd954483f84d8b78d4c"
         )
+
+    def test_mirkil_sample_without_section_is_noted(self, tmp_path):
+        # seed 0's one random 3-subspace misses the narrow 4-D cone
+        ball4 = tmp_path / "ball4.json"
+        ball4.write_text('{"kind": "ball", "center": [0, 0, 0, 0], "radius": 1}')
+        code, rep = run(
+            ["mirkil", "--body", str(ball4), "--apex", "0,0,0,3", "--samples", "1",
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert code == 0
+        assert rep["verdict"] == "polyhedral-consistent"
+        assert rep["notes"] == ["sample 0: coverage violation (no bounded cross-section)"]
 
     @pytest.mark.parametrize("apex", ["0,3", "0,0,3,7"])
     def test_apex_of_another_dimension_is_error(
@@ -787,7 +817,8 @@ def _sha(data: bytes) -> str:
 # example, recorded before the section sweep and the cone scan shared one
 # ray-exit primitive; the klee-k1 entry when section sampling took its
 # centre from 8 exits; the mirkil entry when its report took the other
-# testers' shape
+# testers' shape; both again when one adaptive probe replaced the fixed
+# samples (same exit codes, verdicts and samples_used)
 EXAMPLE_OUTPUTS = {
     'section --body cube.off --flat "n=1,1,1;c=0" --svg hex.svg': (
         0, "815cdf6a5c3fe8c9c9e8085172dd990631a48f5f859324d080d3b1a6a409457f",
@@ -800,7 +831,7 @@ EXAMPLE_OUTPUTS = {
         0, "390c756ec342c53f4bedb3edd9cb7c5a23410a9f6f20a735c76cf71050b8bec8", {},
     ),
     "klee-k1 --body ball.json --flats 5 --seed 7": (
-        2, "0727f72e0df8cd9a5996ef340d53e73c6542c74383e25d8344251be2301d0fbe", {},
+        2, "73ba08dd0d7e0e4ddfa14b78f4f71807e016b6acdb6478e10546075a30329d6a", {},
     ),
     "klee-k2 --body cube.off --subspaces 10 --seed 3": (
         0, "27d3d2c21cbafec0cc9e5c21171e14b9ac96257d32aa838a6d8b47e44759f6ca", {},
@@ -819,7 +850,7 @@ EXAMPLE_OUTPUTS = {
         {"walk.svg": "409c2d9a7e725a03bdc959ef3e2d75fb5c004bad5643e39499aad5e5914950d2"},
     ),
     "mirkil --body ball.json --apex 0,0,3 --samples 10 --seed 2": (
-        2, "806c7ca8cb7e19a9d3c27d53ce2c6dcad57328f6b891e13274656589248d6569", {},
+        2, "78515ce176661c862b840a6a605fa933a0de108edea018fd5612db8549135ab8", {},
     ),
 }
 

@@ -388,7 +388,30 @@ class TestMirkilScan:
         assert rep.samples_used <= 10
         assert rep.witness is not None
         assert rep.witness.triple_area > 0
-        assert any("re-verified" in n for n in rep.notes)
+        # a refutation proves more vertices than the bound; nothing is redrawn
+        assert rep.witness.reverified and rep.witness.vertex_bound == 65
+        assert rep.notes == ()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sample_without_bounded_section_is_noted(self, seed):
+        # a random 3-subspace may miss a narrow 4-D cone: that sample saw no
+        # cross-section, and a clean report says so
+        oracle = ball_visual_cone_oracle((0, 0, 0, 3), (0, 0, 0, 0), 1.0)
+        rep = mirkil_scan(oracle, 1, seed)
+        if rep.verdict == "polyhedral-consistent":
+            assert rep.notes == ("sample 0: coverage violation (no bounded cross-section)",)
+        else:
+            assert rep.notes == ()
+
+    def test_unbounded_cross_section_is_noted(self):
+        # a cone wider than a half-space's worth around its axis: the
+        # section normal to the axis is unbounded, and rays pass 2^30
+        oracle = ConeOracle(3, lambda u: u[2] >= -0.5 * math.hypot(u[0], u[1]), (0.0, 0.0, 1.0))
+        rep = mirkil_scan(oracle, 2, seed=1)
+        assert rep.verdict == "polyhedral-consistent"
+        assert rep.notes == tuple(
+            f"sample {i}: coverage violation (no bounded cross-section)" for i in range(2)
+        )
 
     def test_ball_cone_four_dim_witness(self):
         oracle = ball_visual_cone_oracle(
