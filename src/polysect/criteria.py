@@ -33,7 +33,6 @@ from operator import mul, sub, truediv
 from .bodies import (
     BodyOracle,
     FlatMissesBody,
-    _axpy,
     _cross3f,
     _gauss_unit,
     _lincomb,
@@ -550,7 +549,8 @@ def visual_cone_test(
     ("sphere", center, radius) sampled `budget` times.  Exact bodies give
     exact cones (polyhedral by construction, so the run validates apex
     placement); oracle bodies get a ray-hit membership cone scanned by
-    mirkil_scan's cross-section sampler.  An apex inside or on the body is
+    mirkil_scan's cross-section sampler, and one without a ray_interval is
+    an error before any apex is drawn.  An apex inside or on the body is
     an error, per the outside-apex precondition.  A negative budget or
     section count and a sphere radius that is not finite are errors before
     any cone is built.  An oracle run with no sections per apex sampled
@@ -564,6 +564,8 @@ def visual_cone_test(
     if sections_per_apex < 0:
         raise CriterionError("sections per apex must be nonnegative")
     poly, oracle, name, exact = _resolve_body(body)
+    if poly is None:
+        _need_ray_interval(oracle)
     rng = random.Random(seed)
     if isinstance(apex_source, tuple) and apex_source and apex_source[0] == "sphere":
         _, center, radius = apex_source
@@ -597,71 +599,35 @@ def visual_cone_test(
 def _ray_hit_cone_oracle(body: BodyOracle, apex):
     """Directional membership for the visual cone of an oracle body.
 
-    A direction is in the cone iff the ray from the apex meets the body.
-    With a closed-form ray_interval that is t1 >= 0; otherwise the
-    Minkowski gauge of the body (anchored at its interior hint) is convex
-    along the ray, so a ternary search finds its minimum and the comparison
-    with 1 decides the hit.
+    A direction u is in the cone iff the ray from the apex along u meets
+    the body: iff the body's ray_interval along u/|u| exists and ends at
+    t1 >= 0.  A body without a ray_interval raises CriterionError.
     """
     from .cones import ConeError, ConeOracle
 
+    _need_ray_interval(body)
     z = tuple(float(x) for x in apex)
     if len(z) != body.dim:
         raise DimensionMismatch("apex dimension differs from the body")
     if body.member(z):
         raise ConeError("apex must lie strictly outside the body")
-    hint = body.interior_hint
-    reach = math.sqrt(sum(map(pow, map(sub, hint, z), repeat(2))))
-    spread = 0.0
-    for axis in range(body.dim):
-        e = tuple(1.0 if i == axis else 0.0 for i in range(body.dim))
-        hi, _ = body.support(e)
-        lo, _ = body.support(tuple(-x for x in e))
-        spread = max(spread, hi + lo)
-    tmax = 4.0 * (reach + spread)
-
-    def gauge(x) -> float:
-        # Minkowski functional of the body anchored at the interior hint
-        lo, hi = 0.0, 1.0
-        probe = lambda s: tuple(_axpy(s, map(sub, x, hint), hint))
-        if body.member(x):
-            return 1.0
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            if body.member(probe(mid)):
-                lo = mid
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
-        return 1.0 / max(s, 1e-30)
 
     def member(u):
         nu = math.sqrt(sum(map(mul, u, u)))
         if nu == 0:
             return True
-        uu = tuple(map(truediv, u, repeat(nu)))
-        if body.ray_interval is not None:
-            span = body.ray_interval(z, uu)
-            return span is not None and span[1] >= 0.0
-        at = lambda t: tuple(_axpy(t, uu, z))
-        # cheap pass: any coarse sample inside decides immediately
-        for j in range(1, 33):
-            if body.member(at(tmax * j / 32.0)):
-                return True
-        # near-miss/near-tangent: minimize the convex gauge along the ray
-        g = lambda t: gauge(at(t))
-        lo, hi = 1e-9, tmax
-        for _ in range(30):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if g(m1) <= g(m2):
-                hi = m2
-            else:
-                lo = m1
-        return g(0.5 * (lo + hi)) <= 1.0 + 1e-7
+        span = body.ray_interval(z, tuple(map(truediv, u, repeat(nu))))
+        return span is not None and span[1] >= 0.0
 
-    axis_hint = tuple(map(sub, hint, z))
-    return ConeOracle(body.dim, member, axis_hint)
+    return ConeOracle(body.dim, member, tuple(map(sub, body.interior_hint, z)))
+
+
+def _need_ray_interval(body: BodyOracle) -> None:
+    """Reject an oracle body whose visual cone has no closed-form membership."""
+    if body.ray_interval is None:
+        raise CriterionError(
+            f"the visual cone of body {body.name!r} needs a closed-form ray_interval"
+        )
 
 
 # ---------------------------------------------------------------------------

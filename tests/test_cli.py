@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import CUBE_VERTICES
 
+import polysect
 from polysect.cli import EXAMPLES, _ccw_order, main, parse_flat, parse_vector
 from polysect.offio import emit_off
 from polysect.polytope import convex_hull
@@ -393,6 +397,51 @@ class TestCriteriaCommands:
         )
         assert code == 0
         assert rep["verdict"] == "polyhedral-consistent"
+
+
+# body -> documented exit code of t12 and mirkil on it: 2 for a witness, 0
+# for a polytope, 1 for a cap, whose visual cone has no closed-form
+# membership (a body without ray_interval)
+_CUBE = [[int(x) for x in v] for v in CUBE_VERTICES]
+CONE_BODIES = {
+    "ball.json": ({"kind": "ball", "center": [0, 0, 0], "radius": 1}, 2),
+    "ellipsoid.json": ({"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 1, 2]}, 2),
+    "polytope.json": ({"kind": "polytope", "vertices": _CUBE}, 0),
+    "cube.off": (None, 0),
+    "cap.json": (
+        {"kind": "cap", "polytope": {"vertices": _CUBE}, "center": [1, 0, 0], "radius": 1},
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_BODIES))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["t12", "--apexes", "1", "--sections-per-apex", "1", "--boundary-points", "8"],
+        ["mirkil", "--apex", "0,0,4", "--samples", "1", "--boundary-points", "8"],
+    ],
+)
+def test_visual_cone_commands_end_on_every_body_kind(name, argv, cube_off, tmp_path):
+    # each in its own process, under a time limit: a hang fails the test
+    spec, expected = CONE_BODIES[name]
+    body = cube_off if spec is None else tmp_path / name
+    if spec is not None:
+        body.write_text(json.dumps(spec))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polysect.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "polysect.cli", *argv, "--body", str(body)],
+        capture_output=True, text=True, timeout=30, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == expected, done.stderr
+    if expected == 1:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "ray_interval" in done.stderr
+    else:
+        assert json.loads(done.stdout)["command"] == argv[0]
 
 
 class TestPlumbing:

@@ -22,6 +22,7 @@ from helpers import (
 from polysect.bodies import (
     BodyError,
     BodyOracle,
+    glue_cap,
     make_ball,
     make_ellipsoid,
     wrap_polytope,
@@ -1129,15 +1130,12 @@ class TestVisualConeTest:
         assert rep.verdict == "polytope-consistent"
         assert rep.notes == ("apex 0: sample 0: coverage violation (no bounded cross-section)",)
 
-    def test_ray_hit_oracle_matches_gauge_search(self):
-        # the closed-form ray interval and the gauge search (bodies without
-        # one) must agree away from the cone's boundary
+    def test_ray_hit_oracle_matches_the_half_angle(self):
+        # the closed-form ray interval decides every direction away from
+        # the cone's boundary as the ball's analytic half-angle does
         ball = make_ball((0.1, -0.2, 0.3), 1.5)
         apex = (0.5, 0.2, 4.0)
-        fast = _ray_hit_cone_oracle(ball, apex)
-        slow = _ray_hit_cone_oracle(
-            dataclasses.replace(ball, ray_interval=None), apex
-        )
+        oracle = _ray_hit_cone_oracle(ball, apex)
         to_center = [c - a for a, c in zip(apex, ball.interior_hint)]
         dist = math.hypot(*to_center)
         half = math.asin(1.5 / dist)
@@ -1150,9 +1148,31 @@ class TestVisualConeTest:
             angle = math.acos(max(-1.0, min(1.0, cos_angle)))
             if abs(angle - half) < 1e-3:
                 continue
-            assert fast.member(u) == slow.member(u) == (angle < half)
+            assert oracle.member(u) == (angle < half)
             hits += angle < half
         assert 0 < hits < 40
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"budget": 0}, {"sections_per_apex": 0}]
+    )
+    def test_body_without_ray_interval_is_rejected_up_front(self, kwargs):
+        # no apex is drawn and no cone built: the body's member is never called
+        ball = make_ball((0, 0, 0), 1)
+        cap = glue_cap(cube(), (1, 0, 0), 1)
+        for body in (cap, dataclasses.replace(ball, ray_interval=None)):
+            calls = []
+
+            def member(x, body=body):
+                calls.append(x)
+                return body.member(x)
+
+            counted_body = dataclasses.replace(body, member=member)
+            for apexes in (("sphere", (0.0, 0.0, 0.0), 4.0), [(0, 0, 4)]):
+                with pytest.raises(CriterionError, match="ray_interval"):
+                    visual_cone_test(counted_body, apexes, **kwargs)
+            with pytest.raises(CriterionError, match="ray_interval"):
+                _ray_hit_cone_oracle(counted_body, (0, 0, 4))
+            assert calls == []
 
     def test_apex_inside_exact_body_raises(self):
         with pytest.raises(ConeError):
