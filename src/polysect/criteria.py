@@ -581,9 +581,12 @@ def visual_cone_test(
             cone = visual_cone(_grid_vector(_grid_row(apex)), poly)
             notes.append(f"apex {i}: exact cone, {cone.extreme_ray_count} extreme rays")
             return None
+        # the scan's seed comes after the apexes in the tester's own stream:
+        # a scan seeded like the apex draw would put apex 0's direction in
+        # its first 4-D frame, so apex 0's 3-subspace would hold the axis
         rep = mirkil_scan(
-            _ray_hit_cone_oracle(oracle, apex), sections_per_apex, seed=seed + i,
-            boundary_points=boundary_points, tau=tau,
+            _ray_hit_cone_oracle(oracle, apex), sections_per_apex,
+            seed=rng.randrange(1 << 30), boundary_points=boundary_points, tau=tau,
         )
         notes.extend(f"apex {i}: {note}" for note in rep.notes if note != "zero-budget")
         if rep.witness is None:

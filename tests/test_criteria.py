@@ -636,7 +636,8 @@ def _each(indices, text):
 # recorded before the testers shared one sampling loop, and again when one
 # adaptive probe replaced the fixed sample and its re-draw: the smooth
 # bodies kept their verdicts, samples and witness samples, and the polytopes
-# behind float oracles came to read consistent
+# behind float oracles came to read consistent; T1.2-ball's triple moved
+# again when T1.2 drew its cone scan's seed from its own stream
 PINNED_OUTPUTS = {
     "K1-ball": ("non-polytope", 1, (), 0, (0, 1, 2)),
     "K1-cube": ("polytope-consistent", 6, (), None, None),
@@ -667,7 +668,7 @@ PINNED_OUTPUTS = {
         _each(range(3), "coverage violation (flat misses the body)"),
         None, None,
     ),
-    "T1.2-ball": ("non-polytope", 1, (), 0, (41, 42, 43)),
+    "T1.2-ball": ("non-polytope", 1, (), 0, (24, 25, 26)),
     "T1.2-cube": (
         "polytope-consistent", 3,
         tuple(f"apex {i}: exact cone, 6 extreme rays" for i in range(3)),
@@ -1123,12 +1124,25 @@ class TestVisualConeTest:
         assert rep.witness.apex is not None
 
     def test_cone_scan_notes_carry_their_apex(self):
-        # the apex's one 3-subspace misses the narrow cone (as mirkil_scan
-        # on seed 0 does): the clean run says which apex saw no section
+        # the apex's one 3-subspace misses the narrow cone on seed 2: the
+        # clean run says which apex saw no section
         ball4 = make_ball((0, 0, 0, 0), 1)
-        rep = visual_cone_test(ball4, [(0, 0, 0, 3)], seed=0, sections_per_apex=1)
+        rep = visual_cone_test(ball4, [(0, 0, 0, 3)], seed=2, sections_per_apex=1)
         assert rep.verdict == "polytope-consistent"
         assert rep.notes == ("apex 0: sample 0: coverage violation (no bounded cross-section)",)
+
+    def test_cone_scan_seed_is_drawn_apart_from_the_apexes(self):
+        # apex 0's direction is the first gaussian of Random(seed); a scan
+        # seeded with seed drew it again as its first 4-D frame vector, so
+        # apex 0's 3-subspace always held the narrow cone's axis
+        ball4 = make_ball((0, 0, 0, 0), 1)
+        note = "apex 0: sample 0: coverage violation (no bounded cross-section)"
+        reports = [
+            visual_cone_test(ball4, ("sphere", (0, 0, 0, 0), 10.0), seed, budget=1,
+                             sections_per_apex=1)
+            for seed in range(8)
+        ]
+        assert any(note in rep.notes for rep in reports)
 
     def test_ray_hit_oracle_matches_the_half_angle(self):
         # the closed-form ray interval decides every direction away from
