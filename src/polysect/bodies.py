@@ -74,6 +74,11 @@ class BodyOracle:
 # long before this parameter.
 BODY_CEILING = 1e102
 
+# The least tau a sampled tester takes.  Float exits are rounded to about
+# 1e-16 of their size, so a tolerance tau·D near that reads rounding as
+# strict corners and would refute a polygon.
+MIN_TAU = 1e-12
+
 
 # The float kernels below iterate in C (sum over map).  sum adds the same
 # terms in the same order as over a generator, so every float equals the
@@ -481,12 +486,13 @@ def check_sampling(boundary_points: int, tau: float) -> None:
     """Reject sampling parameters that no tester can use.
 
     boundary_points, the probe's vertex bound, must be at least 8; a NaN
-    tau compares false everywhere and would pass every flatness test.
+    tau compares false everywhere and would pass every flatness test, and
+    one below MIN_TAU would refute polygons on rounding.
     """
     if boundary_points < 8:
         raise BodyError("need at least 8 boundary points")
-    if not (math.isfinite(tau) and tau > 0):
-        raise BodyError("tau must be finite and positive")
+    if not (math.isfinite(tau) and tau >= MIN_TAU):
+        raise BodyError(f"tau must be finite and positive, at least {MIN_TAU:g}")
 
 
 def ray_exit(member, start, u, ceiling: float) -> float | None:

@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bodies import BodyOracle, body_from_spec, sample_section_boundary
+from .bodies import MIN_TAU, BodyOracle, body_from_spec, sample_section_boundary
 from .bodies import _num, _vec
 from .cones import (
     ball_visual_cone_oracle,
@@ -441,7 +441,7 @@ def _add_body_flags(p):
     p.add_argument("--report", default="-", help="report path (default stdout)")
     p.add_argument("--svg", help="write an SVG rendering of 2-dim output")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--tau", type=_positive, default=1e-9, help="tolerance, as a fraction of size")
+    p.add_argument("--tau", type=_tau, default=1e-9, help="tolerance, as a fraction of size")
 
 
 def _positive(text: str) -> float:
@@ -454,6 +454,13 @@ def _positive(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError("must be finite and positive")
     return value
+
+
+def _tau(text: str) -> float:
+    tau = _positive(text)
+    if tau < MIN_TAU:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_TAU:g}")
+    return tau
 
 
 # upper bounds on counts: a vertex bound n lets the polygonality probe make

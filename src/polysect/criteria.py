@@ -33,6 +33,7 @@ from operator import mul, sub, truediv
 from .bodies import (
     BodyOracle,
     FlatMissesBody,
+    MIN_TAU,
     _cross3f,
     _gauss_unit,
     _lincomb,
@@ -119,12 +120,12 @@ def polygonality_detect(
     once that exceeds `bound` (so never for a polygon of at most `bound`
     vertices, and after 2·bound + 1 probes for a smooth body), "polygon"
     (with C vertices) when every arc is proven, and "capped" at
-    8·bound + 16 probes.
+    8·bound + 16 probes.  tau must be at least MIN_TAU, above float rounding.
     """
     if bound < 8:
         raise CriterionError("polygonality detection needs a vertex bound of at least 8")
-    if not (math.isfinite(tau) and tau > 0):
-        raise CriterionError("tau must be finite and positive")
+    if not (math.isfinite(tau) and tau >= MIN_TAU):
+        raise CriterionError(f"tau must be finite and positive, at least {MIN_TAU:g}")
 
     def probe(th):
         p = point_at(th)

@@ -521,19 +521,25 @@ class TestPlumbing:
             ["mirkil", "--apex", "0,0,3"],
         ],
     )
-    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1e-9"])
+    @pytest.mark.parametrize(
+        "tau, reason",
+        [
+            ("nan", "must be finite and positive"),
+            ("inf", "must be finite and positive"),
+            ("0", "must be finite and positive"),
+            ("-1e-9", "must be finite and positive"),
+            ("1e-13", "must be at least 1e-12"),
+        ],
+    )
     def test_bad_tau_rejected_on_every_command(
-        self, argv, tau, cube_off, tmp_path, capsys
+        self, argv, tau, reason, cube_off, tmp_path, capsys
     ):
         code, rep = run(
             [argv[0], "--body", cube_off] + argv[1:] + [f"--tau={tau}"], tmp_path
         )
         assert code == 1
         assert rep is None
-        assert (
-            capsys.readouterr().err
-            == "error: argument --tau: must be finite and positive\n"
-        )
+        assert capsys.readouterr().err == f"error: argument --tau: {reason}\n"
 
     @pytest.mark.parametrize(
         "body, argv, vector",

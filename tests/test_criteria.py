@@ -165,6 +165,14 @@ class TestPolygonalityDetect:
         with pytest.raises(CriterionError, match="tau"):
             polygonality_detect(circle(), 8, tau=tau)
 
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_tau_below_float_rounding_is_refused(self, m):
+        # at tau = 1e-17 the rounding of these exits reads as strict
+        # corners, and the probe would refute the polygon
+        with pytest.raises(CriterionError, match="at least 1e-12"):
+            polygonality_detect(ngon_exits(m), 8, tau=1e-17)
+        assert polygonality_detect(ngon_exits(m), 8, tau=1e-12).edges == m
+
     @pytest.mark.parametrize("bound", [-1, 0, 7])
     def test_bound_must_be_at_least_8(self, bound):
         with pytest.raises(CriterionError, match="at least 8"):
@@ -567,6 +575,7 @@ SAMPLING_ENTRY_POINTS = {
         ({"tau": float("nan")}, "tau must be finite and positive"),
         ({"tau": float("inf")}, "tau must be finite and positive"),
         ({"tau": 0.0}, "tau must be finite and positive"),
+        ({"tau": 1e-13}, "tau must be finite and positive, at least 1e-12"),
     ],
 )
 def test_bad_sampling_parameters_rejected_up_front(entry, params, message):
