@@ -548,16 +548,6 @@ def exit_function(member, ray_interval, start, frame, ceiling):
     return point_at
 
 
-def radial_sweep(member, ray_interval, start, frame, count, offset, ceiling):
-    """The `exit_function` points at the angles offset + 2πj/count, j < count,
-    or None when an exit lies at or beyond `ceiling`."""
-    point_at = exit_function(member, ray_interval, start, frame, ceiling)
-    try:
-        return tuple(point_at(offset + 2.0 * math.pi * j / count) for j in range(count))
-    except UnboundedSection:
-        return None
-
-
 def _interior_chart_point(body: BodyOracle, at):
     # project the body's interior hint onto the chart, then spiral outward
     hint = body.interior_hint

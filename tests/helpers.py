@@ -777,8 +777,10 @@ def polytope_support_by_scan(verts, u):
 
 
 def radial_sweep_by_generator(member, ray_interval, start, frame, count, offset, ceiling):
-    """radial_sweep with its ray directions and bisection probes built by
-    generators (ray_exit written out)."""
+    """The exit_function points at the angles offset + 2πj/count, j < count,
+    or None when an exit lies at or beyond `ceiling`, with the ray
+    directions and bisection probes built by generators (ray_exit written
+    out)."""
     e1, e2 = frame
     pts = []
     for j in range(count):

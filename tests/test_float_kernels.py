@@ -32,16 +32,17 @@ from helpers import (
 
 from polysect.bodies import (
     BodyError,
+    UnboundedSection,
     _fdot,
     _fnorm,
     _funit,
     _gauss_unit,
     _orthonormal_frame,
     _sphere_interval,
+    exit_function,
     glue_cap,
     make_ball,
     make_ellipsoid,
-    radial_sweep,
     wrap_polytope,
 )
 from polysect.cones import _lift, ball_visual_cone_oracle, mirkil_scan
@@ -154,9 +155,24 @@ def _bodies():
     ]
 
 
+def sweep_is_unbounded(member, ray_interval, start, frame, count, offset, ceiling):
+    """Compare exit_function at the angles offset + 2πj/count, j < count,
+    with the reference sweep; True when the reference ran into the ceiling,
+    where exit_function must raise UnboundedSection."""
+    point_at = exit_function(member, ray_interval, start, frame, ceiling)
+    angles = [offset + 2.0 * math.pi * j / count for j in range(count)]
+    expected = radial_sweep_by_generator(member, ray_interval, start, frame, count, offset, ceiling)
+    if expected is None:
+        with pytest.raises(UnboundedSection):
+            [point_at(th) for th in angles]
+        return True
+    assert repr(tuple(map(point_at, angles))) == repr(expected)
+    return False
+
+
 class TestSweeps:
     @pytest.mark.parametrize("with_interval", [True, False])
-    def test_radial_sweep(self, with_interval):
+    def test_exit_function(self, with_interval):
         rng = random.Random(4)
         for body in _bodies()[:2]:
             ray = body.ray_interval if with_interval else None
@@ -164,25 +180,21 @@ class TestSweeps:
                 e1, e2 = _orthonormal_frame(rng, 3, 2)
                 start = tuple(c + 0.1 * x for c, x in zip(body.interior_hint, e1))
                 args = (body.member, ray, start, (e1, e2), 12, rng.uniform(0, 0.5))
-                for ceiling in (1e102, 0.5):
-                    assert repr(radial_sweep(*args, ceiling)) == repr(
-                        radial_sweep_by_generator(*args, ceiling)
-                    )
+                assert not sweep_is_unbounded(*args, 1e102)
+                assert sweep_is_unbounded(*args, 0.5)
 
-    def test_radial_sweep_reads_cone_intervals(self):
-        # the sweep reads the cone's closed form by the rule it applies to
-        # every interval: the scan's cross-sections, at its 2^30 ceiling and
-        # at a low one
+    def test_exit_function_reads_cone_intervals(self):
+        # exits read the cone's closed form by the rule they apply to every
+        # interval: the scan's cross-sections, at its 2^30 ceiling and at a
+        # low one
         cone = ball_visual_cone_oracle((4.0, 1.0, -2.0), (0.25, -0.5, 0.125), 1.5)
         rng = random.Random(5)
         for start in (cone.axis_hint, tuple(x + 0.01 for x in cone.axis_hint)):
             for _ in range(3):
                 frame = _orthonormal_frame(rng, 3, 2)
                 args = (cone.member, cone.ray_interval, start, frame, 16, rng.uniform(0, 0.4))
-                for ceiling in (2.0**30, 0.1):
-                    assert repr(radial_sweep(*args, ceiling)) == repr(
-                        radial_sweep_by_generator(*args, ceiling)
-                    )
+                sweep_is_unbounded(*args, 2.0**30)
+                assert sweep_is_unbounded(*args, 0.1)
 
     @settings(max_examples=100, deadline=None)
     @given(vec3, st.integers(0, 10**6))
