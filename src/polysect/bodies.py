@@ -74,9 +74,8 @@ class BodyOracle:
 # long before this parameter.
 BODY_CEILING = 1e102
 
-# The least tau a sampled tester takes.  Float exits are rounded to about
-# 1e-16 of their size, so a tolerance tau·D near that reads rounding as
-# strict corners and would refute a polygon.
+# The least tau a sampled tester takes: float exits are rounded to about 1e-16
+# of their size, and a tolerance near that reads rounding as strict corners.
 MIN_TAU = 1e-12
 
 
@@ -486,8 +485,7 @@ def check_sampling(boundary_points: int, tau: float) -> None:
     """Reject sampling parameters that no tester can use.
 
     boundary_points, the probe's vertex bound, must be at least 8; a NaN
-    tau compares false everywhere and would pass every flatness test, and
-    one below MIN_TAU would refute polygons on rounding.
+    tau compares false everywhere and would pass every flatness test.
     """
     if boundary_points < 8:
         raise BodyError("need at least 8 boundary points")

@@ -525,6 +525,9 @@ def klee_projection_test(
 # T1.2: visual cones
 
 
+NO_RAY_INTERVAL = "the visual cone of an oracle body needs its closed-form ray_interval"
+
+
 def sphere_apexes(center, radius: float, count: int, rng: random.Random):
     c = tuple(float(x) for x in center)
     out = []
@@ -565,8 +568,8 @@ def visual_cone_test(
     if sections_per_apex < 0:
         raise CriterionError("sections per apex must be nonnegative")
     poly, oracle, name, exact = _resolve_body(body)
-    if poly is None:
-        _need_ray_interval(oracle)
+    if poly is None and oracle.ray_interval is None:
+        raise CriterionError(NO_RAY_INTERVAL)
     rng = random.Random(seed)
     if isinstance(apex_source, tuple) and apex_source and apex_source[0] == "sphere":
         _, center, radius = apex_source
@@ -582,9 +585,7 @@ def visual_cone_test(
             cone = visual_cone(_grid_vector(_grid_row(apex)), poly)
             notes.append(f"apex {i}: exact cone, {cone.extreme_ray_count} extreme rays")
             return None
-        # the scan's seed comes after the apexes in the tester's own stream:
-        # a scan seeded like the apex draw would put apex 0's direction in
-        # its first 4-D frame, so apex 0's 3-subspace would hold the axis
+        # a scan seeded like the apex draw would reuse apex 0's direction in its 4-D frame
         rep = mirkil_scan(
             _ray_hit_cone_oracle(oracle, apex), sections_per_apex,
             seed=rng.randrange(1 << 30), boundary_points=boundary_points, tau=tau,
@@ -609,7 +610,8 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
     """
     from .cones import ConeError, ConeOracle
 
-    _need_ray_interval(body)
+    if body.ray_interval is None:
+        raise CriterionError(NO_RAY_INTERVAL)
     z = tuple(float(x) for x in apex)
     if len(z) != body.dim:
         raise DimensionMismatch("apex dimension differs from the body")
@@ -624,14 +626,6 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
         return span is not None and span[1] >= 0.0
 
     return ConeOracle(body.dim, member, tuple(map(sub, body.interior_hint, z)))
-
-
-def _need_ray_interval(body: BodyOracle) -> None:
-    """Reject an oracle body whose visual cone has no closed-form membership."""
-    if body.ray_interval is None:
-        raise CriterionError(
-            f"the visual cone of body {body.name!r} needs a closed-form ray_interval"
-        )
 
 
 # ---------------------------------------------------------------------------
