@@ -612,7 +612,7 @@ def _ray_hit_cone_oracle(body: BodyOracle, apex):
 
     if body.ray_interval is None:
         raise CriterionError(NO_RAY_INTERVAL)
-    z = tuple(float(x) for x in apex)
+    z = tuple(map(float, apex))
     if len(z) != body.dim:
         raise DimensionMismatch("apex dimension differs from the body")
     if body.member(z):
