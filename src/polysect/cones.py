@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
@@ -60,6 +60,7 @@ from .geometry import (
 from .polytope import (
     Halfspace,
     Polytope,
+    _hull_of_rows,
     _integer_halfspace,
     convex_hull,
     section as _polytope_section,
@@ -130,15 +131,18 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
     on every nonzero direction g.
 
     Each ray is reduced once to coprime ints G (a repeated ray keeps its
-    first occurrence) and scaled onto {w.y = 1}; one hull of 0 and those
-    points is the pyramid.  The points share a hyperplane that misses 0, so
-    the pyramid's nonzero vertices are the extreme rays' points, and the
-    generators are the G over them.  A full-dimensional pyramid is the cone
-    near its vertex 0: its facets through 0 are the halfspaces, and its one
-    other facet lies in {w.y = 1}.
+    first occurrence), and its point on {w.y = 1} is G D / t for the ints
+    W = D w and t = W.G > 0.  Over L, the lcm of the t, those points are
+    the int rows G (L / t) times the factor D / L on every axis, so one
+    hull of the 0 row and those rows (`_hull_of_rows`) is the pyramid.
+    The points share a hyperplane that misses 0, so the pyramid's nonzero
+    vertices are the extreme rays' points, and each generator is the G of
+    its vertex's row.  A full-dimensional pyramid is the cone near its
+    vertex 0: its facets through 0 are the halfspaces, and its one other
+    facet lies in {w.y = 1}.
     """
     (wi, *dirs), den = int_scaled((w, *directions))
-    rays = {}  # coprime ints -> base point
+    rays = {}  # coprime ints -> t
     for g in filter(any, dirs):
         k = gcd(*g)
         g = tuple(x // k for x in g)
@@ -146,12 +150,20 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
             t = sum(map(mul, wi, g))
             if t <= 0:
                 raise ConeError("functional is not strictly positive on a generator")
-            rays[g] = tuple(Fraction(x * den, t) for x in g)
+            rays[g] = t
     if not rays:
         return PolyCone(tuple(apex), (), None, tuple(w), None)
-    pyramid = convex_hull([(Fraction(0),) * len(w), *rays.values()])
-    ray_of = {p: tuple(map(Fraction, g)) for g, p in rays.items()}
-    gens = tuple(sorted(ray_of[v] for v in pyramid.vertices if any(v)))
+    L = lcm(*rays.values())
+    ray_of = {tuple(x * (L // t) for x in g): g for g, t in rays.items()}
+    factor = Fraction(den, L)
+    pyramid = _hull_of_rows([(0,) * len(w), *ray_of], (factor,) * len(w))
+    # a vertex's row: each coordinate is row_j D / L in lowest terms, and
+    # its denominator divides L
+    rows = (
+        tuple(x.numerator * (L // x.denominator) // den for x in v)
+        for v in pyramid.vertices if any(v)
+    )
+    gens = tuple(tuple(map(Fraction, g)) for g in sorted(map(ray_of.__getitem__, rows)))
     halfspaces = None
     if pyramid.dim == len(w):
         halfspaces = tuple(_integer_halfspace(n, 0) for n, c in pyramid._int_facets if c == 0)
@@ -186,8 +198,8 @@ def visual_cone(apex, body) -> PolyCone:
     the vertex is dropped.  A facet with the apex on its plane keeps the
     vertex.  In R^1 every ray is kept: each vertex lies on one facet there,
     yet both rays are extreme.  The facet slacks at the apex are integers
-    (`Polytope._int_slacks`), and the vertex rays are made once, as ints
-    over one denominator.
+    (`Polytope._int_slacks`), and the vertex rays are ints over one
+    denominator, made from the body's int vertex form.
     """
     if isinstance(body, Polytope):
         poly = body
@@ -196,7 +208,7 @@ def visual_cone(apex, body) -> PolyCone:
     z = as_point(apex)
     if len(z) != poly.ambient_dim:
         raise DimensionMismatch("apex dimension differs from the body")
-    (zi, *vi), _ = int_scaled((z, *poly.vertices))
+    (zi, *vi), _ = poly._scaled_with((z,))
     rays = [list(map(sub, v, zi)) for v in vi]
     if poly.dim < poly.ambient_dim:
         if poly.contains(z) != "outside":

@@ -373,7 +373,7 @@ def klee_section_test(
     if poly is None and d != 3:
         raise CriterionError("oracle section sampling supports dimension 3 only")
     rng = random.Random(seed)
-    scaled = int_scaled(poly.vertices) if poly is not None else None
+    scaled = poly._scaled_with(()) if poly is not None else None
 
     def trial(i, notes):
         if poly is not None:
@@ -434,9 +434,9 @@ def _image_hull(scaled, rows):
     """The hull of the image of a polytope's vertices under the integer rows R.
 
     `scaled` is (V, D): the vertices scaled to ints by their common
-    denominator D > 0 (`int_scaled`), computed once per tester run.  The
-    image rows R (D v) are hulled as chart rows with unit factors.
-    Returns (hull, image rows, D).
+    denominator D > 0, the polytope's own int form (`Polytope._scaled_with`,
+    made once per polytope).  The image rows R (D v) are hulled as chart
+    rows with unit factors.  Returns (hull, image rows, D).
     """
     verts, den = scaled
     image = [tuple(sum(map(mul, r, v)) for r in rows) for v in verts]
@@ -501,7 +501,7 @@ def klee_projection_test(
     if poly is None and k != 2:
         raise CriterionError("oracle bodies support k = 2 only")
     rng = random.Random(seed)
-    scaled = int_scaled(poly.vertices) if poly is not None else None
+    scaled = poly._scaled_with(()) if poly is not None else None
 
     def trial(i, notes):
         if poly is not None:
@@ -596,7 +596,7 @@ def visual_cone_test(
         return replace(rep.witness, sample_index=i, kind="visual-cone", normals=(), apex=apex)
 
     outcome = _sample_loop(len(apexes), trial)
-    if oracle is not None and apexes and not sections_per_apex:
+    if poly is None and apexes and not sections_per_apex:
         outcome[2].append("zero-budget")  # no cone scan sampled a section
     return _report("T1.2", name, exact, len(apexes), outcome, boundary_points, tau, seed)
 
@@ -715,7 +715,8 @@ def epsilon_certificate(body: Polytope, p, q, seed: int = 0) -> EpsilonCert:
     # U of u, the score (N·U)² / (N·N · U·U) is (nu·u)² / (|nu|² |u|²); U·U is
     # common to all, so two scores compare by cross-multiplying (N·U)² and
     # N·N.
-    (U,), _ = int_scaled((vsub(q, p),))
+    (P, Q, M), d0 = int_scaled((p, q, mid))
+    U = list(map(sub, Q, P))
     best, best_num, best_n2 = None, 0, 1
     for N in _normal_family_rows(d, seed):
         dot = sum(map(mul, N, U))
@@ -730,13 +731,20 @@ def epsilon_certificate(body: Polytope, p, q, seed: int = 0) -> EpsilonCert:
     # in one tight F.  The flat's normal is the grid vector best / den.
     den = RATIONALIZE_DENOMINATOR
     tight_sets = [body.facet_vertices[f] for f in tight]
-    cut = _slice(body, best, mid)
-    # p, q, mid and the cut points as ints over one common denominator D; an
-    # int over an int rounds to float as the Fraction of the two does
-    (P, Q, M, *X), D = int_scaled((p, q, mid, *(x for x, _ in cut)))
+    # p, q, mid and the cut points as ints over one common denominator D: a
+    # cut point X / e with the gcd of X and e divided out needs e, so D is
+    # the lcm of every coordinate's denominator.  An int over an int rounds
+    # to float as the Fraction of the two does.
+    cut = []
+    for x, e, ids in _slice(body, best, mid):
+        g = math.gcd(e, *x)
+        cut.append(([c // g for c in x], e // g, ids))
+    D = math.lcm(d0, *[e for _, e, _ in cut])
+    P, Q, M = ([c * (D // d0) for c in v] for v in (P, Q, M))
+    X = [[c * (D // e) for c in x] for x, e, _ in cut]
     kept = [
-        i for i, (x, ids) in enumerate(cut)
-        if x != mid and any(fv.issuperset(ids) for fv in tight_sets)
+        i for i, (_, _, ids) in enumerate(cut)
+        if X[i] != M and any(fv.issuperset(ids) for fv in tight_sets)
     ]
     if not kept:
         raise CriterionError("boundary case: no section vertex besides the midpoint")
@@ -757,8 +765,8 @@ def epsilon_certificate(body: Polytope, p, q, seed: int = 0) -> EpsilonCert:
         p, q, "boundary-segment", eps, mid, tuple(branches),
         flat_normal=_grid_vector(best),
         flat_offset=Fraction(sum(map(mul, best, M)), den * D),
-        vertex_set=tuple(cut[i][0] for i in kept), distance=delta,
-        interior_point=interior_pt,
+        vertex_set=tuple(tuple(Fraction(c, cut[i][1]) for c in cut[i][0]) for i in kept),
+        distance=delta, interior_point=interior_pt,
     )
 
 
@@ -821,7 +829,8 @@ def no_extreme_in_cone(body, p, q, epsilon: float) -> bool:
     cos(ε); since certificates halve a strict bound, the sub-ulp slack
     cannot flip a certified verdict.  The points are scaled to integers by
     one common denominator s: lengths² and dot products scale by s², and
-    each comparison has the same power of s on both sides.
+    each comparison has the same power of s on both sides.  The vertices'
+    ints are the polytope's own (`Polytope._scaled_with`).
     """
     if not 0 < epsilon < math.inf:
         raise CriterionError("epsilon must be positive and finite")
@@ -834,7 +843,7 @@ def no_extreme_in_cone(body, p, q, epsilon: float) -> bool:
     require_same_dim(p, poly.vertices[0])
     eps2 = Fraction(epsilon) ** 2
     cos_bound = Fraction(math.cos(min(epsilon, math.pi)))
-    (P, Q, *Y), s = int_scaled((p, q) + poly.vertices)
+    (P, Q, *Y), s = poly._scaled_with((p, q))
     U = [b - a for a, b in zip(P, Q)]
     u2 = sum(map(mul, U, U))
     # |w|² >= eps2 becomes |W|² · eps2.denominator >= eps2.numerator · s²

@@ -320,7 +320,11 @@ class AffineFlat:
         for p in pts:
             if len(p) != d:
                 raise DimensionMismatch("point dimension differs from flat")
-        ints, den = int_scaled([self.base, *pts])
+        return self._int_chart_grid(*int_scaled([self.base, *pts]))
+
+    def _int_chart_grid(self, ints, den: int):
+        """`chart_grid` of the points whose ints over den are ints[1:], with
+        the base's ints first (as `int_scaled([base, *points])` gives them)."""
         basis, rs = self._grid_basis
         offsets = [sum(map(mul, ints[0], b)) for b in basis]
         rows = [

@@ -81,8 +81,9 @@ class Polytope:
 
     `span` is the affine hull with an orthogonal chart basis; chart_vertices
     and facets live in that chart.  The facets are stored once, as canonical
-    int (normal, offset) pairs in `_int_facets` (see `convex_hull`); edges
-    are computed lazily and cached.
+    int (normal, offset) pairs in `_int_facets` (see `convex_hull`).  The
+    edges and the vertices' integer form (`_scaled_with`) are computed
+    lazily, once per polytope.
     """
 
     __slots__ = (
@@ -92,6 +93,7 @@ class Polytope:
         "_int_facets",
         "facet_vertices",
         "_edges",
+        "_int_vertices",
     )
 
     def __init__(self, vertices, chart_vertices, span, int_facets, facet_vertices):
@@ -101,12 +103,34 @@ class Polytope:
         self._int_facets: tuple[tuple[tuple[int, ...], int], ...] = int_facets
         self.facet_vertices: tuple[frozenset[int], ...] = facet_vertices
         self._edges: tuple[tuple[int, int], ...] | None = None
+        self._int_vertices: tuple[tuple[tuple[int, ...], ...], int] | None = None
 
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
         """The facets as Fraction `Halfspace`s, built on each read."""
         ints = self._int_facets
         return tuple(Halfspace(tuple(map(Fraction, n)), Fraction(c)) for n, c in ints)
+
+    def _scaled_with(self, points: Sequence[Sequence[Fraction]]):
+        """`int_scaled((*points, *self.vertices))`, with every row a tuple.
+
+        The vertices are scaled once per polytope, by the lcm D of their
+        denominators, and kept; each call scales the extra points by their
+        own lcm E and brings both to L = lcm(D, E), which is the lcm of all
+        the denominators, so the ints and L are int_scaled's.
+        """
+        if self._int_vertices is None:
+            rows, den = int_scaled(self.vertices)
+            self._int_vertices = tuple(map(tuple, rows)), den
+        verts, den = self._int_vertices
+        if not points:
+            return list(verts), den
+        extra, e = int_scaled(points)
+        common = lcm(den, e)
+        a, b = common // e, common // den
+        rows = [tuple(x * a for x in p) for p in extra]
+        rows.extend(verts if b == 1 else (tuple(x * b for x in v) for v in verts))
+        return rows, common
 
     # -- basic geometry -----------------------------------------------------
 
@@ -547,27 +571,31 @@ class Section:
 
 def _slice(
     body: Polytope, normal: Vector, point: Point
-) -> list[tuple[Point, tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """The cut of the body by the hyperplane {x : normal.x = normal.point}.
 
-    Lists (x, indices): each vertex on the plane with (i,), then each edge
-    (i, j) whose ends lie strictly on opposite sides, in `edges()` order,
-    with its crossing.  The normal, the point and the vertices are scaled to
-    ints, so each side is an int a_i and the crossing of (i, j) is
-    (a_i V_j - a_j V_i) / ((a_i - a_j) D) for the int vertices V over their
-    common denominator D.
+    Lists (X, den, indices) for the cut point X / den: each vertex on the
+    plane with (i,), then each edge (i, j) whose ends lie strictly on
+    opposite sides, in `edges()` order, with its crossing.  The normal, the
+    point and the vertices are scaled to ints (the vertices' int form is
+    the body's own, `Polytope._scaled_with`), so each side is an int a_i,
+    a vertex on the plane is V_i / D for the int vertices V over their
+    common denominator D, and the crossing of (i, j) with a_i > 0 > a_j is
+    (a_i V_j - a_j V_i) / ((a_i - a_j) D).  Nothing is reduced.
     """
     (N,), _ = int_scaled((normal,))
-    (M, *V), scale = int_scaled((point,) + body.vertices)
+    (M, *V), scale = body._scaled_with((point,))
     level = sum(map(mul, N, M))
     sides = [sum(map(mul, N, v)) - level for v in V]
-    cut = [(body.vertices[i], (i,)) for i, a in enumerate(sides) if a == 0]
+    cut = [(V[i], scale, (i,)) for i, a in enumerate(sides) if a == 0]
     for i, j in body.edges():
         a, b = sides[i], sides[j]
         if a * b < 0:
-            den = (a - b) * scale
-            x = tuple(Fraction(a * y - b * w, den) for w, y in zip(V[i], V[j]))
-            cut.append((x, (i, j)))
+            w, y = V[i], V[j]
+            if a < 0:
+                a, b, w, y = b, a, y, w
+            x = tuple(a * yk - b * wk for wk, yk in zip(w, y))
+            cut.append((x, (a - b) * scale, (i, j)))
     return cut
 
 
@@ -576,7 +604,8 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
 
     The flat is intersected one bounding hyperplane at a time; at each stage
     `_slice` lists the on-plane vertices and the edge crossings of the
-    current polytope, computed in ints.  The last stage's slice points
+    current polytope, computed in ints, and each crossing is made a point
+    of Fractions.  The last stage's slice points
     are already the section's vertices, each once: an on-plane vertex is
     extreme, a crossing lies in the relative interior of one edge and is
     extreme in the slice, so their `chart_grid` rows are hulled once.
@@ -590,7 +619,11 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
     pts = body.vertices
     for i, n in enumerate(flat.normal_directions()):
         current = body if i == 0 else convex_hull(pts)
-        pts = [x for x, _ in _slice(current, n, flat.base)]
+        pts = [
+            current.vertices[ids[0]] if len(ids) == 1
+            else tuple(Fraction(x, den) for x in X)
+            for X, den, ids in _slice(current, n, flat.base)
+        ]
         if not pts:
             return None
 
@@ -622,10 +655,12 @@ class Projection:
 
 
 def project(body: Polytope, subspace: AffineFlat) -> Projection:
-    """Orthogonal projection: hull the vertices' `chart_grid` rows."""
+    """Orthogonal projection: hull the vertices' `chart_grid` rows, made
+    from the body's int vertex form."""
     if subspace.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("subspace and body dimensions disagree")
-    return Projection(_hull_of_rows(*subspace.chart_grid(body.vertices)), subspace)
+    grid = subspace._int_chart_grid(*body._scaled_with((subspace.base,)))
+    return Projection(_hull_of_rows(*grid), subspace)
 
 
 # ---------------------------------------------------------------------------

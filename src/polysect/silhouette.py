@@ -16,9 +16,11 @@ line, so it is the preimage of a chart line through the current point that
 supports the shadow along an edge.  One angular scan of the vertex images
 around the point wraps the cone around -ξ, as gift wrapping does (Jarvis
 1973; Chand & Kapur 1970).  The scan runs on the images' integer
-`chart_grid` rows, and `shadow_walk` takes only the kind and the next
-point from each step; the apex and the facet normals are what `step_g`
-adds for callers that read them.
+`chart_grid` rows, made from the body's int vertex form, and
+`shadow_walk` takes only the kind and the next point from each step: it
+checks, orders and measures the emitted points on their rows and makes
+chart points for the points it reports only.  The apex and the facet
+normals are what `step_g` adds for callers that read them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .polytope import Polytope, _canonical_halfspace, _hull_of_rows
+from . import hull as _hull
+from .polytope import Polytope, _canonical_halfspace
 
 
 class WalkError(GeometryError):
@@ -77,28 +80,31 @@ def shadow_chart(xi) -> AffineFlat:
 @dataclass(frozen=True)
 class _Frame:
     """What every step of one walk reads: the body's vertex images in the
-    chart, the same images as `chart_grid` rows (image i is grid[i] times
-    `factors`, axis by axis), the sum of the rows and the ξ-height of the
-    apexes.  A chart point on the grid is a triple (a, b, q) for the grid
-    point (a/q, b/q)."""
+    chart as `chart_grid` rows (image i is grid[i] times `factors`, axis by
+    axis, built by `image` where a point is reported), the sum of the rows
+    and the ξ-height of the apexes.  A chart point on the grid is a triple
+    (a, b, q) for the grid point (a/q, b/q)."""
 
     body: Polytope
-    images: tuple[ChartPoint, ...]
     grid: tuple[tuple[int, int], ...]
     factors: tuple[Fraction, Fraction]
     total: tuple[int, int]
     apex_level: Fraction
 
+    def image(self, i: int) -> ChartPoint:
+        (a, b), (f1, f2) = self.grid[i], self.factors
+        return a * f1, b * f2
+
 
 def _frame(body: Polytope, chart: AffineFlat, xi: Vector) -> _Frame:
-    vs, den = int_scaled(body.vertices)
+    # the chart base's ints, then the vertices' from the body's int form
+    ints, den = body._scaled_with((chart.base,))
     (xs,), xden = int_scaled((xi,))
-    heights = [sum(map(mul, v, xs)) for v in vs]
+    heights = [sum(map(mul, v, xs)) for v in ints[1:]]
     top, bottom = max(heights), min(heights)
     if top == bottom:
         raise WalkError("body is flat along the walk direction")
-    grid, (f1, f2) = chart.chart_grid(body.vertices)
-    images = tuple((a * f1, b * f2) for a, b in grid)
+    grid, factors = chart._int_chart_grid(ints, den)
     # the scan below needs the images to span the chart
     g0 = grid[0]
     rays = [(g[0] - g0[0], g[1] - g0[1]) for g in grid]
@@ -107,7 +113,7 @@ def _frame(body: Polytope, chart: AffineFlat, xi: Vector) -> _Frame:
         raise WalkError("the shadow along the walk direction is not 2-dimensional")
     total = (sum(g[0] for g in grid), sum(g[1] for g in grid))
     apex_level = Fraction(top + 3 * (top - bottom), den * xden)
-    return _Frame(body, images, tuple(grid), (f1, f2), total, apex_level)
+    return _Frame(body, tuple(grid), factors, total, apex_level)
 
 
 def _on_grid(frame: _Frame, p: ChartPoint) -> tuple[int, int, int]:
@@ -280,8 +286,8 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
 
     The move itself is `_step`, which `shadow_walk` runs alone; this adds
     the apex (kept in `state.apex`) and the canonical facet normals.  The
-    vertex images and the apex height are computed once per walk and kept
-    in `state.frame`.
+    grid rows and the apex height are computed once per walk and kept in
+    `state.frame`; the chart points reported are built from their rows.
     """
     frame = state.frame
     if frame is None or frame.body is not body:
@@ -291,12 +297,12 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
     p = state.chart.point_at(tuple(Fraction(c) for c in x))
     state.apex = vadd(p, vscale(xi, (frame.apex_level - vdot(p, xi)) / norm2(xi)))
     kind, g, f, hi, lo = _step(frame, _on_grid(frame, x), _on_grid(frame, state.center))
-    best = frame.images[g]
+    best = frame.image(g)
     # the rays are on the grid: back to chart directions, axis by axis
     f1, f2 = frame.factors
     hi_normal = _facet_normal(state, (hi[1][0] * f1, hi[1][1] * f2))
     if kind == "edge":
-        return StepOutcome(kind, best, (hi_normal,), (frame.images[f], best))
+        return StepOutcome(kind, best, (hi_normal,), (frame.image(f), best))
     lo_normal = _facet_normal(state, (-lo[1][0] * f1, -lo[1][1] * f2))
     return StepOutcome(kind, best, tuple(sorted((hi_normal, lo_normal))), None)
 
@@ -310,22 +316,26 @@ def shadow_walk(body: Polytope, xi) -> WalkResult:
     one.  Termination within |vertices| + 2 steps is guaranteed for
     polytopes; exceeding the bound raises.  Each step is `_step` alone: the
     apex and the facet normals that `step_g` reports are never read here.
-    Each emitted point is checked against the vertices of the shadow,
-    hulled once from the frame's grid rows.
+    The walk runs on the frame's grid rows: each emitted row is checked
+    against the vertex rows of the shadow, hulled once by
+    `hull.hull_full_dim` from the distinct rows, and chart points are made
+    for the emitted vertices and the start only.  An angle is the atan2 of
+    the floats of the exact offsets from the centroid, each an int over an
+    int, which rounds as the Fraction does.
     """
     if body.ambient_dim != 3 or body.dim != 3:
         raise WalkError("shadow walks need a full-dimensional 3-polytope")
     xi = as_vector(xi)
     chart = shadow_chart(xi)
     frame = _frame(body, chart, xi)
-    grid, images = frame.grid, frame.images
+    grid = frame.grid
     n = len(grid)
     sx, sy = frame.total
-    center = (Fraction(sx, n) * frame.factors[0], Fraction(sy, n) * frame.factors[1])
     best = max(g[0] for g in grid)
     start = next(i for i, g in enumerate(grid) if g[0] == best)
 
-    extreme = set(_hull_of_rows(grid, frame.factors).vertices)
+    rows = list(dict.fromkeys(grid))
+    extreme = {rows[i] for i in _hull.hull_full_dim(rows).vertex_indices}
     # image indices; points are compared by their grid rows
     emitted: list[int] = []
     max_steps = len(body.vertices) + 2
@@ -346,7 +356,7 @@ def shadow_walk(body: Polytope, xi) -> WalkResult:
                 )
                 if turn <= 0:
                     raise WalkError("walk angle failed to increase")
-            if images[current] not in extreme:
+            if g not in extreme:
                 raise WalkError("walk emitted a non-extreme shadow point")
             emitted.append(current)
         current = following
@@ -356,9 +366,13 @@ def shadow_walk(body: Polytope, xi) -> WalkResult:
         raise WalkError("walk exceeded the vertex bound without closing")
     if not emitted:
         raise WalkError("walk closed without emitting any vertex")
-    vertices = tuple(images[i] for i in emitted)
+    # image - center on axis j is (n g_j - s_j) f_j / n
+    (p1, q1), (p2, q2) = ((f.numerator, f.denominator) for f in frame.factors)
     angles = tuple(
-        math.atan2(float(v[1] - center[1]), float(v[0] - center[0]))
-        for v in vertices
+        math.atan2(
+            (n * grid[i][1] - sy) * p2 / (n * q2), (n * grid[i][0] - sx) * p1 / (n * q1)
+        )
+        for i in emitted
     )
-    return WalkResult(xi, chart, vertices, angles, steps, images[start])
+    vertices = tuple(map(frame.image, emitted))
+    return WalkResult(xi, chart, vertices, angles, steps, frame.image(start))

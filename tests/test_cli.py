@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import shlex
 import subprocess
@@ -12,9 +13,9 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES
+from helpers import CUBE_VERTICES, no_extreme_in_cone_in_fractions
 
 import polysect
 from polysect.cli import EXAMPLES, _ccw_order, main, parse_flat, parse_vector
@@ -310,6 +311,21 @@ class TestCriteriaCommands:
         assert rep["verdict"] == "polytope-consistent"
         assert rep["budgets"]["samples_used"] == 2
         assert rep["notes"] == ["zero-budget"]
+
+    def test_t12_without_sections_on_a_wrapped_polytope(self, cube_off, tmp_path):
+        # a polytope spec is wrapped into an oracle, yet its cones are exact
+        # and no section was asked of them: no "zero-budget" note either way
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"kind": "polytope", "off": cube_off}))
+        notes = []
+        for body in (cube_off, str(spec)):
+            code, rep = run(
+                ["t12", "--body", body, "--apexes", "1", "--sections-per-apex", "0"],
+                tmp_path,
+            )
+            assert code == 0 and rep["verdict"] == "polytope-consistent"
+            notes.append(rep["notes"])
+        assert notes[0] == notes[1] == ["apex 0: exact cone, 6 extreme rays"]
 
     def test_tester_reports_share_one_shape(self, ball_json, cube_off, tmp_path):
         flags = {
@@ -1037,7 +1053,9 @@ def body_specs(draw):
 
 
 def _check_contract(argv):
-    """Exit 0/1/2, no traceback, one error line on 1, valid JSON otherwise."""
+    """Exit 0/1/2, no traceback, one error line on 1, valid JSON otherwise.
+
+    Returns the exit code and the report (None on exit 1)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1047,8 +1065,63 @@ def _check_contract(argv):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        return code, None
+    return code, json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# small 3-D rational clouds, OFF files for the exact commands: flat, thin
+# and one-point clouds as well as full-dimensional ones
+OFF_COORDS = [F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(3, 2), F(2)]
+VECTOR_ENTRIES = ["-3", "-1", "0", "1", "2", "1/2", "5"]
+
+
+@st.composite
+def exact_calls(draw):
+    """(OFF text, cloud, argv) for a `walk`, `cone` or `epsilon` call."""
+    coord = st.sampled_from(OFF_COORDS)
+    size = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
+    cloud = draw(st.lists(st.tuples(coord, coord, coord), min_size=size, max_size=size, unique=True))
+    text = "OFF\n%d 0 0\n" % len(cloud) + "".join(
+        " ".join(map(str, p)) + "\n" for p in cloud
+    )
+    vector = st.lists(st.sampled_from(VECTOR_ENTRIES), min_size=3, max_size=3).map(",".join)
+    command = draw(st.sampled_from(["walk", "cone", "epsilon", "epsilon"]))
+    if command == "walk":
+        argv = ["walk", f"--xi={draw(vector)}"]
+    elif command == "cone":
+        argv = ["cone", f"--apex={draw(vector)}"]
     else:
-        json.loads(out.getvalue(), parse_constant=_no_constant)
+        # two cloud points, so that both lie in the body, distinct if they can be
+        p, q = draw(st.lists(st.sampled_from(cloud), min_size=2, max_size=2,
+                             unique=len(cloud) > 1))
+        argv = ["epsilon"] + [f"--{k}={','.join(map(str, v))}" for k, v in (("p", p), ("q", q))]
+    return text, cloud, argv
+
+
+def _exact(value):
+    return F(value["exact"])
+
+
+def _check_exact_report(command, report, cloud):
+    """The exact invariants of an exit-0 walk, cone or epsilon report."""
+    if command == "walk":
+        pts = [tuple(map(_exact, v)) for v in report["vertices"]]
+        assert len(pts) >= 3
+        for a, b, c in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+            assert (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+    elif command == "cone":
+        rays = [tuple(map(_exact, r)) for r in report["rays"]]
+        assert len(rays) == report["extreme_ray_count"]
+        for hs in report["halfspaces"]:
+            normal, offset = tuple(map(_exact, hs["normal"])), _exact(hs["offset"])
+            assert all(sum(map(operator.mul, normal, r)) <= offset for r in rays)
+    else:
+        cert = report["certificate"]
+        p, q = (tuple(map(_exact, cert[k])) for k in ("p", "q"))
+        assert report["verdict"] == "success" and report["no_extreme_in_cone"] is True
+        assert no_extreme_in_cone_in_fractions(
+            convex_hull(cloud), p, q, cert["epsilon"]
+        ) is True
 
 
 class TestFuzz:
@@ -1072,3 +1145,14 @@ class TestFuzz:
         _check_contract(
             ["klee-k1", "--body-json", text, "--flats", "1", "--boundary-points", "8"]
         )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(exact_calls())
+    def test_exact_reports_keep_their_invariants(self, tmp_path_factory, call):
+        text, cloud, argv = call
+        path = tmp_path_factory.mktemp("fuzz") / "body.off"
+        path.write_text(text)
+        code, report = _check_contract(argv[:1] + ["--body", str(path)] + argv[1:])
+        event(f"{argv[0]} exit {code}")
+        if code == 0:
+            _check_exact_report(argv[0], report, cloud)

@@ -470,18 +470,21 @@ class TestCoverageFromImage:
 
 
 @pytest.mark.parametrize("tester", [klee_section_test, klee_projection_test])
-def test_exact_testers_scale_the_vertices_once_per_run(tester, monkeypatch):
+def test_exact_testers_scale_the_vertices_once_per_polytope(tester, monkeypatch):
+    from polysect import polytope
+
     body = centered_polytope(random.Random(2), 3, 9)
     scaled = []
-    real = criteria.int_scaled
+    real = polytope.int_scaled
 
     def spy(vectors):
         vectors = list(vectors)
         scaled.append(vectors == list(body.vertices))
         return real(vectors)
 
-    monkeypatch.setattr(criteria, "int_scaled", spy)
-    assert tester(body, 6, seed=1).verdict == "polytope-consistent"
+    monkeypatch.setattr(polytope, "int_scaled", spy)
+    for seed in (1, 2):
+        assert tester(body, 6, seed=seed).verdict == "polytope-consistent"
     assert scaled.count(True) == 1
 
 

@@ -2,12 +2,14 @@ import inspect
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polysect.geometry import (
-    AffineFlat, DimensionMismatch, GeometryError, identity_flat, nullspace, vdot, vsub,
+    AffineFlat, DimensionMismatch, GeometryError, identity_flat, int_scaled, nullspace,
+    vdot, vsub,
 )
 from polysect.polytope import (
     _slice,
@@ -159,6 +161,7 @@ class TestOneFacetForm:
         ]
         assert Polytope.__slots__ == (
             "vertices", "chart_vertices", "span", "_int_facets", "facet_vertices", "_edges",
+            "_int_vertices",
         )
         assert Polytope.halfspaces.fset is None
 
@@ -201,6 +204,70 @@ class TestOneFacetForm:
         assert not hasattr(poly, "__dict__")
         with pytest.raises(AttributeError):
             poly.halfspaces = hss
+
+
+class TestIntVertexForm:
+    """`_scaled_with(points)` is `int_scaled((*points, *vertices))` with
+    tuple rows, from the vertices' ints made once per polytope."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_int_scaled(self, data):
+        d = data.draw(st.integers(1, 4), label="dim")
+        vden = data.draw(st.integers(1, 12), label="vertex denominator")
+        coord = st.integers(-24, 24).map(lambda n: F(n, vden))
+        body = convex_hull(data.draw(points(d, 1, 8, coord), label="vertices"))
+        D = lcm(*[x.denominator for v in body.vertices for x in v])
+        relation = data.draw(st.sampled_from(["coprime", "equal", "divides"]), label="relation")
+        if relation == "coprime":
+            pden = data.draw(st.sampled_from([p for p in (5, 7, 11, 13) if D % p]))
+        elif relation == "equal":
+            pden = D
+        else:
+            pden = data.draw(st.sampled_from([k for k in range(1, D + 1) if D % k == 0]))
+        # numerators 1 + k pden are coprime to pden: each coordinate keeps it
+        pcoord = st.integers(-3, 3).map(lambda k: F(1 + k * pden, pden))
+        pts = data.draw(points(d, 0, 3, pcoord), label="points")
+        want, want_den = int_scaled((*pts, *body.vertices))
+        for _ in range(2):  # the second call reads the cached vertex form
+            rows, den = body._scaled_with(pts)
+            assert den == want_den
+            assert rows == [tuple(r) for r in want]
+            assert all(type(r) is tuple for r in rows)
+            assert all(type(x) is int for r in rows for x in r)
+
+    @pytest.mark.parametrize("query", ["section", "project", "cone", "walk", "epsilon"])
+    def test_a_second_query_does_not_rescale_the_vertices(self, query, monkeypatch):
+        from polysect import cones, criteria, geometry, polytope, silhouette
+
+        body = convex_hull([tuple(x / 2 + F(1, 3) for x in v) for v in helpers.CUBE_VERTICES])
+        plane = AffineFlat.spanning((F(1, 3),) * 3, [(1, 0, 0), (0, 1, 1)])
+        p, q = body.vertices[0], body.vertices[1]
+        run = {
+            "section": lambda: section(body, plane),
+            "project": lambda: project(body, plane),
+            "cone": lambda: cones.visual_cone((0, 0, 5), body),
+            "walk": lambda: silhouette.shadow_walk(body, (1, 2, 3)),
+            "epsilon": lambda: criteria.no_extreme_in_cone(
+                body, p, q, criteria.epsilon_certificate(body, p, q).epsilon
+            ),
+        }[query]
+        n = len(body.vertices)
+        scaled = []
+
+        def spy(vectors):
+            vectors = list(vectors)
+            scaled.append(vectors[-n:] == list(body.vertices))
+            return real(vectors)
+
+        real = geometry.int_scaled
+        for module in (cones, criteria, geometry, polytope, silhouette):
+            monkeypatch.setattr(module, "int_scaled", spy)
+        counts = []
+        for _ in range(2):
+            run()
+            counts.append(scaled.count(True))
+        assert counts == [1, 1]
 
 
 class TestEdgeIndex:
@@ -598,7 +665,7 @@ def vertices_of_outcome(route, hss):
 class TestSlice:
     """_slice's integer cut by its definition: the vertices on the plane,
     then the crossing of every edge whose ends lie strictly on opposite
-    sides, in edges() order."""
+    sides, in edges() order, each point as ints over a positive int."""
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -619,10 +686,12 @@ class TestSlice:
         cut = _slice(body, normal, point)
         level = sum(n * x for n, x in zip(normal, point))
         side = [(v > level) - (v < level) for v in (vdot(normal, u) for u in body.vertices)]
-        assert [ids for _, ids in cut] == [(i,) for i, s in enumerate(side) if s == 0] + [
+        assert [ids for _, _, ids in cut] == [(i,) for i, s in enumerate(side) if s == 0] + [
             (i, j) for i, j in body.edges() if side[i] * side[j] < 0
         ]
-        for x, ids in cut:
+        for X, den, ids in cut:
+            assert type(den) is int and den > 0 and all(type(c) is int for c in X)
+            x = tuple(F(c, den) for c in X)
             assert vdot(normal, x) == level
             if len(ids) == 1:
                 assert x == body.vertices[ids[0]]
@@ -1145,12 +1214,14 @@ class TestSectionOffFlatGuard:
 
         def moved(body, normal, point):
             cut = real(body, normal, point)
-            (x, ids), rest = cut[0], cut[1:]
+            pts = [tuple(F(c, den) for c in X) for X, den, _ in cut]
+            x, ids = pts[0], cut[0][2]
             if move != "along-normal":
-                x = tuple(sum(c) / len(cut) for c in zip(*(p for p, _ in cut)))
+                x = tuple(sum(c) / len(cut) for c in zip(*pts))
             if move != "on-to-interior":
                 x = (x[0], x[1], x[2] + F(1, 3))
-            return [(x, ids)] + rest
+            (X,), den = int_scaled((x,))
+            return [(X, den, ids)] + cut[1:]
 
         monkeypatch.setattr(polytope, "_slice", moved)
         with pytest.raises(PolytopeError, match="section vertex fell off the flat"):

@@ -315,36 +315,43 @@ class TestCertifiedSteps:
 
 
 class TestWalkCheck:
-    """Each emitted point is checked against the shadow hulled by the shared
-    chart-rows helper, which is the shadow `project` returns."""
+    """Each emitted point is checked against the shadow's vertex rows, which
+    `hull.hull_full_dim` finds among the distinct grid rows; as chart
+    points they are the vertices of the shadow `project` returns."""
 
     def test_check_hull_is_the_projection(self, monkeypatch):
-        from polysect import silhouette
+        from polysect import hull
 
         hulls = []
-        real = silhouette._hull_of_rows
+        real = hull.hull_full_dim
 
-        def recorded(rows, factors):
-            hulls.append(real(rows, factors))
-            return hulls[-1]
+        def recorded(rows):
+            hulls.append((rows, real(rows)))
+            return hulls[-1][1]
 
-        monkeypatch.setattr(silhouette, "_hull_of_rows", recorded)
-        xi = (1, 2, 3)
-        result = shadow_walk(octahedron(), xi)
-        (hull,) = hulls
-        shadow = project(octahedron(), shadow_chart(as_vector(xi))).polytope
-        assert hull.vertices == shadow.vertices
+        body, xi = octahedron(), (1, 2, 3)
+        monkeypatch.setattr(hull, "hull_full_dim", recorded)
+        result = shadow_walk(body, xi)
+        ((rows, data),) = hulls
+        monkeypatch.undo()
+        assert len(set(rows)) == len(rows)
+        chart = shadow_chart(as_vector(xi))
+        _, (f1, f2) = chart.chart_grid(body.vertices)
+        shadow = project(body, chart).polytope
+        checked = {(rows[i][0] * f1, rows[i][1] * f2) for i in data.vertex_indices}
+        assert checked == set(shadow.vertices)
         assert set(result.vertices) == set(shadow.vertices)
 
     def test_point_missing_from_the_check_hull_raises(self, monkeypatch):
-        from polysect import silhouette
+        from polysect import hull
 
-        real = silhouette._hull_of_rows
+        real = hull.hull_full_dim
 
-        def drop_a_vertex(rows, factors):
-            hull = real(rows, factors)
-            return convex_hull(hull.vertices[1:])
+        def drop_a_vertex(rows):
+            data = real(rows)
+            return hull.IntHull(data.vertex_indices[1:], data.facets)
 
-        monkeypatch.setattr(silhouette, "_hull_of_rows", drop_a_vertex)
+        body = cube()
+        monkeypatch.setattr(hull, "hull_full_dim", drop_a_vertex)
         with pytest.raises(WalkError, match="non-extreme"):
-            shadow_walk(cube(), (1, 2, 3))
+            shadow_walk(body, (1, 2, 3))
