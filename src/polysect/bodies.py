@@ -119,13 +119,14 @@ def _gauss_unit(rng: random.Random, d: int) -> tuple[float, ...]:
             return tuple(map(truediv, v, repeat(n)))
 
 
-def _orthonormal_frame(rng: random.Random, d: int, k: int):
-    """k orthonormal float vectors in dimension d (Gram-Schmidt on gaussians)."""
+def _orthonormal_frame(rng: random.Random, d: int, k: int, given=()):
+    """k orthonormal float vectors in dimension d, normal to the orthonormal
+    vectors `given` (Gram-Schmidt on gaussians)."""
     while True:
         vecs = []
         for _ in range(k):
             v = _gauss_unit(rng, d)
-            for u in vecs:
+            for u in (*given, *vecs):
                 dot = sum(map(mul, v, u))
                 v = tuple(map(sub, v, map(mul, repeat(dot), u)))
             n = math.sqrt(sum(map(mul, v, v)))

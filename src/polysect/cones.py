@@ -8,14 +8,14 @@ other than 0 are B's, and its facets through 0 are the cone's halfspaces
 membership and sections through the apex are polytope operations on it.
 
 Cones that are only known through a directional membership oracle (round
-visual cones and the like) are scanned: random 3-dimensional subspaces
-through the apex, a 2-dimensional cross-section of each, and a polygonality
-verdict per section.  Each cross-section is read through the exit function
-of `bodies`, with rays up to 2^30, and probed by the polygonality probe of
-`criteria`.  The scan refutes polyhedrality or stays consistent; it never
-proves it.  It reports as the testers of `criteria` do, in one
-CriterionReport with a KleeWitness, and notes a run that sampled nothing
-as "zero-budget".
+visual cones and the like) are scanned: 2-dimensional cross-sections normal
+to the oracle's interior axis hint, each in a random plane through the
+hint's unit point, and a polygonality verdict per section.  Each
+cross-section is read through the exit function of `bodies`, with rays up
+to 2^30, and probed by the polygonality probe of `criteria`.  The scan
+refutes polyhedrality or stays consistent; it never proves it.  It reports
+as the testers of `criteria` do, in one CriterionReport with a
+KleeWitness, and notes a run that sampled nothing as "zero-budget".
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from math import gcd, lcm
 from operator import mul, sub, truediv
@@ -264,12 +263,15 @@ class ConeOracle:
     """Directional membership oracle for a cone.
 
     member(u) answers whether the ray apex + t*u (t >= 0) stays in the cone;
-    axis_hint is a roughly-interior direction.  When `exact` is set the scan
-    uses exact sections instead of sampling.  ray_interval(w, d), when set,
-    is the closed-form counterpart of BodyOracle.ray_interval: the interval
-    (r0, r1) of {r : member(w + r*d)} under member's tolerance, with
-    infinite ends for unbounded rays, or None when the line misses the cone.
-    The scan's sweep reads exits off it, and bisects member without it.
+    axis_hint must be an interior direction: the scan cuts every
+    cross-section normal to it, and a hint that member rejects (or whose
+    opposite member accepts) makes every sample a coverage miss.  When
+    `exact` is set the scan uses exact sections instead of sampling.
+    ray_interval(w, d), when set, is the closed-form counterpart of
+    BodyOracle.ray_interval: the interval (r0, r1) of {r : member(w + r*d)}
+    under member's tolerance, with infinite ends for unbounded rays, or
+    None when the line misses the cone.  The scan's sweep reads exits off
+    it, and bisects member without it.
     """
 
     dim: int
@@ -352,57 +354,6 @@ def _orthonormal_complement_3d(w):
     return e1, _cross3f(w, e1)
 
 
-def _fibonacci_directions(n: int):
-    out = []
-    golden = (1 + 5**0.5) / 2
-    for i in range(n):
-        z = 1 - 2 * (i + 0.5) / n
-        r = math.sqrt(max(0.0, 1 - z * z))
-        th = 2 * math.pi * i / golden
-        out.append((r * math.cos(th), r * math.sin(th), z))
-    return out
-
-
-def _find_interior_direction(member, hint):
-    cands = []
-    h = _funit(hint) if hint is not None else None
-    if h is not None and member(h):
-        cands.append(h)
-    if not cands:
-        cands = [u for u in _fibonacci_directions(96) if member(u)]
-        if not cands:
-            return None
-    acc = [0.0] * 3
-    for u in cands:
-        for i, x in enumerate(u):
-            acc[i] += x
-    w = _funit(acc)
-    if w is None or not member(w):
-        w = cands[0]
-    if member(tuple(-x for x in w)):
-        return None  # opposite direction inside too: unbounded cross-section
-    return w
-
-
-def _scan_three_dim(member, ray_interval, hint, rng: random.Random):
-    """The exit function of the cross-section through an interior unit
-    direction w normal to w, in a frame turned by a random angle; None when
-    no bounded one was found.  An exit past 2^30 raises UnboundedSection."""
-    w = _find_interior_direction(member, hint)
-    offset = rng.uniform(0.0, 0.5 * math.pi)
-    if w is None:
-        return None
-    e1, e2 = _orthonormal_complement_3d(w)
-    c, s = math.cos(offset), math.sin(offset)
-    frame = (tuple(_lincomb(c, e1, s, e2)), tuple(_lincomb(-s, e1, c, e2)))
-    return exit_function(member, ray_interval, w, frame, 2.0**30)
-
-
-def _lift(columns, s):
-    """The point sum_i s_i * f_i of a frame (f_i), given the frame's columns."""
-    return tuple([sum(map(mul, s, col)) for col in columns])
-
-
 def mirkil_scan(
     oracle: ConeOracle,
     samples: int,
@@ -411,18 +362,24 @@ def mirkil_scan(
     boundary_points: int = 64,
     tau: float = 1e-9,
 ) -> CriterionReport:
-    """Scan a cone oracle for polyhedrality via 3-dimensional subspaces.
+    """Scan a cone oracle for polyhedrality via 3-dimensional sections.
 
-    For ambient dimension 3 the full cone's 2-dimensional cross-section is
-    scanned directly; for dimension 4 random 3-subspaces through the apex
-    are drawn first, and a witness keeps that frame in `normals`.  Exact
-    cones short-circuit: their sections are polyhedral by construction.
+    Every sample cuts the cone by the affine plane through the unit axis
+    hint w normal to w.  In dimension 3 that plane is the whole normal
+    complement, and each sample turns its frame by a random angle; in
+    dimension 4 and up each sample draws a random orthonormal pair normal
+    to w, so the section lies in the 3-subspace spanned by w and the pair,
+    and a witness keeps that 3-frame (w, e1, e2) in `normals`.  Exits are
+    read off the oracle's ray_interval, or bisected from member without
+    one, up to 2^30.  Exact cones short-circuit: their sections are
+    polyhedral by construction.
     The result is the testers' CriterionReport, criterion "Mirkil" on body
     "cone".  The verdict is one-sided: a witness, a cross-section that the
     probe proves to have more than boundary_points vertices, refutes
     ("non-polyhedral"); "polyhedral-consistent" only reports the surviving
-    budget.  A zero budget is noted "zero-budget", and a sample with no
-    bounded cross-section is noted as a coverage violation.
+    budget.  A zero budget is noted "zero-budget".  A sample with no
+    bounded cross-section is noted as a coverage violation, and every
+    sample is one when w is zero, outside the cone, or has -w in the cone.
     """
     if samples < 0:
         raise ConeError("sample budget must be nonnegative")
@@ -430,31 +387,32 @@ def mirkil_scan(
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
     rng = random.Random(seed)
+    w = _funit(oracle.axis_hint)
+    if w is not None and (not oracle.member(w) or oracle.member(tuple(-x for x in w))):
+        w = None
+    if w is not None and oracle.dim == 3:
+        e1, e2 = _orthonormal_complement_3d(w)
 
     def trial(i, notes):
-        if oracle.dim == 3:
-            frame: tuple = ()
-            member3 = oracle.member
-            ray3 = oracle.ray_interval
-            hint3 = oracle.axis_hint
-        else:
-            frame = _orthonormal_frame(rng, oracle.dim, 3)
-            lift = partial(_lift, tuple(zip(*frame)))
-            member3 = lambda s: oracle.member(lift(s))
-            ray3 = None
-            if oracle.ray_interval is not None:
-                # the frame map is linear, so ray parameters carry over
-                ray3 = lambda w, d: oracle.ray_interval(lift(w), lift(d))
-            hint3 = tuple(_fdot(oracle.axis_hint, f) for f in frame)
-        point_at = _scan_three_dim(member3, ray3, hint3, rng)
-        try:
-            verdict = point_at and polygonality_detect(point_at, boundary_points, tau)
-        except UnboundedSection:
-            verdict = None
+        verdict = None
+        if w is not None:
+            if oracle.dim == 3:
+                offset = rng.uniform(0.0, 0.5 * math.pi)
+                c, s = math.cos(offset), math.sin(offset)
+                frame = (tuple(_lincomb(c, e1, s, e2)), tuple(_lincomb(-s, e1, c, e2)))
+                normals: tuple = ()
+            else:
+                frame = _orthonormal_frame(rng, oracle.dim, 2, (w,))
+                normals = (w, *frame)
+            point_at = exit_function(oracle.member, oracle.ray_interval, w, frame, 2.0**30)
+            try:
+                verdict = polygonality_detect(point_at, boundary_points, tau)
+            except UnboundedSection:
+                pass
         if verdict is None:
             notes.append(f"sample {i}: coverage violation (no bounded cross-section)")
             return None
-        return _klee_witness(verdict, i, notes, "cone-section", frame, ())
+        return _klee_witness(verdict, i, notes, "cone-section", normals, ())
 
     exact = oracle.exact is not None
     if exact and samples:

@@ -811,11 +811,6 @@ def radial_sweep_by_generator(member, ray_interval, start, frame, count, offset,
     return tuple(pts)
 
 
-def frame_lift_by_generator(s, frame, dim):
-    """mirkil_scan's lift of a point s of a frame's span, by a generator."""
-    return tuple(sum(si * fi[j] for si, fi in zip(s, frame)) for j in range(dim))
-
-
 def vertices_of_by_subset_scan(halfspaces):
     """polytope.vertices_of as it scanned (d-1)-subsets of the normals for a
     recession ray and solved each d-subset that Gaussian elimination found

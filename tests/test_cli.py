@@ -377,7 +377,21 @@ class TestCriteriaCommands:
         )
 
     def test_mirkil_sample_without_section_is_noted(self, tmp_path):
-        # seed 0's one random 3-subspace misses the narrow 4-D cone
+        # from an apex close beside a long ellipsoid the cone holds directions
+        # at right angles to its hint, so the section normal to the hint is
+        # unbounded
+        ell = tmp_path / "ell.json"
+        ell.write_text('{"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 10, 100]}')
+        code, rep = run(
+            ["mirkil", "--body", str(ell), "--apex", "1.02,5,50", "--samples", "1",
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert code == 0
+        assert rep["verdict"] == "polyhedral-consistent"
+        assert rep["notes"] == ["sample 0: coverage violation (no bounded cross-section)"]
+
+    def test_mirkil_four_dim_witness_keeps_its_frame(self, tmp_path):
         ball4 = tmp_path / "ball4.json"
         ball4.write_text('{"kind": "ball", "center": [0, 0, 0, 0], "radius": 1}')
         code, rep = run(
@@ -385,9 +399,8 @@ class TestCriteriaCommands:
              "--seed", "0"],
             tmp_path,
         )
-        assert code == 0
-        assert rep["verdict"] == "polyhedral-consistent"
-        assert rep["notes"] == ["sample 0: coverage violation (no bounded cross-section)"]
+        assert code == 2 and rep["notes"] == []
+        assert [len(v) for v in rep["witness"]["normals"]] == [4, 4, 4]
 
     @pytest.mark.parametrize("apex", ["0,3", "0,0,3,7"])
     def test_apex_of_another_dimension_is_error(

@@ -649,7 +649,9 @@ def _each(indices, text):
 # adaptive probe replaced the fixed sample and its re-draw: the smooth
 # bodies kept their verdicts, samples and witness samples, and the polytopes
 # behind float oracles came to read consistent; T1.2-ball's triple moved
-# again when T1.2 drew its cone scan's seed from its own stream
+# again when T1.2 drew its cone scan's seed from its own stream, and
+# mirkil-ball-4d's when the 4-D scan came to cut its sections normal to the
+# axis hint
 PINNED_OUTPUTS = {
     "K1-ball": ("non-polytope", 1, (), 0, (0, 1, 2)),
     "K1-cube": ("polytope-consistent", 6, (), None, None),
@@ -688,7 +690,7 @@ PINNED_OUTPUTS = {
     ),
     "T1.2-zero": ("polytope-consistent", 0, ("zero-budget",), None, None),
     "mirkil-ball-3d": ("non-polyhedral", 1, (), 0, (6, 7, 8)),
-    "mirkil-ball-4d": ("non-polyhedral", 1, (), 0, (61, 62, 63)),
+    "mirkil-ball-4d": ("non-polyhedral", 1, (), 0, (41, 42, 43)),
     "mirkil-cube-cone-16": ("polyhedral-consistent", 3, (), None, None),
     "mirkil-cube-cone-8": ("polyhedral-consistent", 3, (), None, None),
     "mirkil-exact": (
@@ -759,6 +761,41 @@ class TestVertexBoundMatrix:
             assert (rep.verdict, rep.notes) == ("polyhedral-consistent", ())
             rep = mirkil_scan(round_cone, 1, seed, boundary_points=n)
             assert rep.verdict == "non-polyhedral"
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("radius", [3, 10, 100])
+    def test_four_dim_ball_cones_refuted(self, radius, n):
+        # every cross-section is cut normal to the cone's axis, so even the
+        # narrow cone of a far apex is met by each sample
+        ball4 = make_ball((0, 0, 0, 0), 1)
+        apex = tuple(radius * x / math.sqrt(15) for x in (1, 2, -1, 3))
+        round_cone = ball_visual_cone_oracle(apex, (0, 0, 0, 0), 1.0)
+        sphere = ("sphere", (0, 0, 0, 0), float(radius))
+        for seed in range(5):
+            rep = visual_cone_test(ball4, sphere, seed, budget=1, sections_per_apex=1,
+                                   boundary_points=n)
+            assert (rep.verdict, rep.notes) == ("non-polytope", ()), seed
+            rep = mirkil_scan(round_cone, 1, seed, boundary_points=n)
+            assert (rep.verdict, rep.notes) == ("non-polyhedral", ()), seed
+
+    @pytest.mark.parametrize(
+        "vertices, apex",
+        [
+            ([tuple(s if i == a else 0 for i in range(4)) for a in range(4) for s in (1, -1)],
+             (3, 1, 0, 0)),
+            ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)],
+             (2, 2, 1, -1)),
+        ],
+        ids=["cross-polytope", "simplex"],
+    )
+    def test_four_dim_sampled_cones_pass(self, vertices, apex):
+        # a cross-section has at most one edge per facet of the cone
+        cone = visual_cone(apex, convex_hull(vertices))
+        assert len(cone.halfspaces) <= 8
+        oracle = exact_cone_oracle_sampling_only(cone)
+        for seed in range(3):
+            rep = mirkil_scan(oracle, 2, seed, boundary_points=8)
+            assert (rep.verdict, rep.notes) == ("polyhedral-consistent", ()), seed
 
 
 class TestKleeProjectionTest:
@@ -1136,25 +1173,35 @@ class TestVisualConeTest:
         assert rep.witness.apex is not None
 
     def test_cone_scan_notes_carry_their_apex(self):
-        # the apex's one 3-subspace misses the narrow cone on seed 2: the
-        # clean run says which apex saw no section
-        ball4 = make_ball((0, 0, 0, 0), 1)
-        rep = visual_cone_test(ball4, [(0, 0, 0, 3)], seed=2, sections_per_apex=1)
+        # from beside the long ellipsoid the cone holds directions at right
+        # angles to its hint, so the section normal to the hint is unbounded:
+        # the clean run says which apex saw no section
+        ell = make_ellipsoid((0, 0, 0), (1, 10, 100))
+        rep = visual_cone_test(ell, [(1.02, 5.0, 50.0)], 0, sections_per_apex=1, boundary_points=8)
         assert rep.verdict == "polytope-consistent"
         assert rep.notes == ("apex 0: sample 0: coverage violation (no bounded cross-section)",)
 
-    def test_cone_scan_seed_is_drawn_apart_from_the_apexes(self):
+    def test_cone_scan_seed_is_drawn_apart_from_the_apexes(self, monkeypatch):
         # apex 0's direction is the first gaussian of Random(seed); a scan
-        # seeded with seed drew it again as its first 4-D frame vector, so
-        # apex 0's 3-subspace always held the narrow cone's axis
+        # seeded with seed + i would draw apex i's stream again
+        from polysect import cones
+
+        seeds = []
+        real = cones.mirkil_scan
+
+        def spy(oracle, samples, seed=0, **kwargs):
+            # a scan that samples nothing, so that every apex is scanned
+            seeds.append(seed)
+            return real(oracle, 0, seed, **kwargs)
+
+        monkeypatch.setattr(cones, "mirkil_scan", spy)
         ball4 = make_ball((0, 0, 0, 0), 1)
-        note = "apex 0: sample 0: coverage violation (no bounded cross-section)"
-        reports = [
-            visual_cone_test(ball4, ("sphere", (0, 0, 0, 0), 10.0), seed, budget=1,
+        for seed in range(8):
+            seeds.clear()
+            visual_cone_test(ball4, ("sphere", (0, 0, 0, 0), 10.0), seed, budget=3,
                              sections_per_apex=1)
-            for seed in range(8)
-        ]
-        assert any(note in rep.notes for rep in reports)
+            assert len(seeds) == 3
+            assert all(s != seed + i for i, s in enumerate(seeds)), seed
 
     def test_ray_hit_oracle_matches_the_half_angle(self):
         # the closed-form ray interval decides every direction away from
