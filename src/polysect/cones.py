@@ -10,7 +10,9 @@ membership and sections through the apex are polytope operations on it.
 Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: 2-dimensional cross-sections normal
 to the oracle's interior axis hint, each in a random plane through the
-hint's unit point, and a polygonality verdict per section.  Each
+hint's unit point, drawn the same way in every dimension, and a
+polygonality verdict per section.  An oracle that carries its exact cone
+is reported without a sample.  Each
 cross-section is read through the exit function of `bodies`, with rays up
 to 2^30, and probed by the polygonality probe of `criteria`.  The scan
 refutes polyhedrality or stays consistent; it never proves it.  It reports
@@ -24,18 +26,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
 from .bodies import (
     UnboundedSection,
-    _cross3f,
     _fdot,
     _fnorm,
     _funit,
-    _lincomb,
     _nappe_interval,
     _orthonormal_frame,
     check_sampling,
@@ -266,7 +265,8 @@ class ConeOracle:
     axis_hint must be an interior direction: the scan cuts every
     cross-section normal to it, and a hint that member rejects (or whose
     opposite member accepts) makes every sample a coverage miss.  When
-    `exact` is set the scan uses exact sections instead of sampling.
+    `exact` is set the scan reports at once, without a member call: an
+    exact cone's sections are polyhedral by construction.
     ray_interval(w, d), when set, is the closed-form counterpart of
     BodyOracle.ray_interval: the interval (r0, r1) of {r : member(w + r*d)}
     under member's tolerance, with infinite ends for unbounded rays, or
@@ -346,14 +346,6 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
     )
 
 
-def _orthonormal_complement_3d(w):
-    # any vector not parallel to w, then two Gram-Schmidt steps
-    pick = (1.0, 0.0, 0.0) if abs(w[0]) <= 0.9 else (0.0, 1.0, 0.0)
-    dot = _fdot(pick, w)
-    e1 = _funit(tuple(map(sub, pick, map(mul, repeat(dot), w))))
-    return e1, _cross3f(w, e1)
-
-
 def mirkil_scan(
     oracle: ConeOracle,
     samples: int,
@@ -364,15 +356,14 @@ def mirkil_scan(
 ) -> CriterionReport:
     """Scan a cone oracle for polyhedrality via 3-dimensional sections.
 
-    Every sample cuts the cone by the affine plane through the unit axis
-    hint w normal to w.  In dimension 3 that plane is the whole normal
-    complement, and each sample turns its frame by a random angle; in
-    dimension 4 and up each sample draws a random orthonormal pair normal
-    to w, so the section lies in the 3-subspace spanned by w and the pair,
-    and a witness keeps that 3-frame (w, e1, e2) in `normals`.  Exits are
-    read off the oracle's ray_interval, or bisected from member without
-    one, up to 2^30.  Exact cones short-circuit: their sections are
-    polyhedral by construction.
+    Every sample draws a random orthonormal pair (e1, e2) normal to the
+    unit axis hint w and cuts the cone by the plane through w spanned by
+    the pair, so the section lies in the 3-subspace spanned by w, e1 and
+    e2 (in dimension 3, the whole space), and a witness keeps that 3-frame
+    (w, e1, e2) in `normals`.  Exits are read off the oracle's
+    ray_interval, or bisected from member without one, up to 2^30.  Exact
+    cones return before the oracle is touched: their sections are
+    polyhedral by construction, so no member call, draw or frame is made.
     The result is the testers' CriterionReport, criterion "Mirkil" on body
     "cone".  The verdict is one-sided: a witness, a cross-section that the
     probe proves to have more than boundary_points vertices, refutes
@@ -386,24 +377,22 @@ def mirkil_scan(
     check_sampling(boundary_points, tau)
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
+    if oracle.exact is not None:
+        outcome = (
+            (None, samples, ["exact cone: every section is polyhedral by construction"])
+            if samples
+            else _sample_loop(0, None)
+        )
+        return _report("Mirkil", "cone", True, samples, outcome, boundary_points, tau, seed)
     rng = random.Random(seed)
     w = _funit(oracle.axis_hint)
     if w is not None and (not oracle.member(w) or oracle.member(tuple(-x for x in w))):
         w = None
-    if w is not None and oracle.dim == 3:
-        e1, e2 = _orthonormal_complement_3d(w)
 
     def trial(i, notes):
         verdict = None
         if w is not None:
-            if oracle.dim == 3:
-                offset = rng.uniform(0.0, 0.5 * math.pi)
-                c, s = math.cos(offset), math.sin(offset)
-                frame = (tuple(_lincomb(c, e1, s, e2)), tuple(_lincomb(-s, e1, c, e2)))
-                normals: tuple = ()
-            else:
-                frame = _orthonormal_frame(rng, oracle.dim, 2, (w,))
-                normals = (w, *frame)
+            frame = _orthonormal_frame(rng, oracle.dim, 2, (w,))
             point_at = exit_function(oracle.member, oracle.ray_interval, w, frame, 2.0**30)
             try:
                 verdict = polygonality_detect(point_at, boundary_points, tau)
@@ -412,11 +401,7 @@ def mirkil_scan(
         if verdict is None:
             notes.append(f"sample {i}: coverage violation (no bounded cross-section)")
             return None
-        return _klee_witness(verdict, i, notes, "cone-section", normals, ())
+        return _klee_witness(verdict, i, notes, "cone-section", (w, *frame), ())
 
-    exact = oracle.exact is not None
-    if exact and samples:
-        outcome = None, samples, ["exact cone: every section is polyhedral by construction"]
-    else:
-        outcome = _sample_loop(samples, trial)
-    return _report("Mirkil", "cone", exact, samples, outcome, boundary_points, tau, seed)
+    outcome = _sample_loop(samples, trial)
+    return _report("Mirkil", "cone", False, samples, outcome, boundary_points, tau, seed)

@@ -245,26 +245,20 @@ def _step(frame: _Frame, x: tuple[int, int, int], center: tuple[int, int, int]):
     points (a, b, q).
 
     The face of each active cone facet runs from x out to the farthest
-    image on its chart line (see `step_g`), so the candidates are the far
-    ends of the rays hi and lo.  The counterclockwise-most one that moves
-    forward, counterclockwise of x around the center, is next.
+    image on its chart line (see `step_g`).  The rays are measured from the
+    inward reference r and the boundary runs counterclockwise, so the
+    forward one is always lo, the clockwise-most: next is lo's far end,
+    which must lie counterclockwise of x around the center.
     """
     hi, lo, inside_edge = _wrap(frame, x)
     (ox, oy, q), (cx, cy, n) = x, center
     # x - center, in units of 1 / (q n); the rays are in units of 1 / q
     ux, uy = n * ox - q * cx, n * oy - q * cy
-    candidates = [ray for ray in (hi, lo) if ux * ray[1][1] - uy * ray[1][0] > 0]
-    if not candidates:
+    if ux * lo[1][1] - uy * lo[1][0] <= 0:
         raise WalkError("no forward endpoint found on the active facets")
-
-    best = candidates[0]
-    for ray in candidates[1:]:
-        turn = _cross2(ray[1], best[1])
-        if turn > 0 or (turn == 0 and _farther(ray, best)):
-            best = ray
     if not inside_edge:
-        return "isolated-extreme", best[2], None, hi, lo
-    return "edge", best[2], (lo if best is hi else hi)[2], hi, lo
+        return "isolated-extreme", lo[2], None, hi, lo
+    return "edge", lo[2], hi[2], hi, lo
 
 
 def step_g(body: Polytope, state: WalkState) -> StepOutcome:
@@ -280,8 +274,8 @@ def step_g(body: Polytope, state: WalkState) -> StepOutcome:
     the face spanned by the vertices over its chart line, whose images run
     from x out to the farthest image on each side.  One active facet: that
     face shades a whole shadow edge, and the counterclockwise endpoint is
-    the next point.  Two: the counterclockwise-most forward endpoint of the
-    active facets continues the walk.  No face projects to a point: each
+    the next point.  Two: the far end of the forward one, clockwise-most
+    around x, continues the walk.  No face projects to a point: each
     active facet's chart line holds an image other than x.
 
     The move itself is `_step`, which `shadow_walk` runs alone; this adds

@@ -22,6 +22,7 @@ from polysect.bodies import (
     FlatMissesBody,
     _closest_point_finder,
     _convex_min_at_most,
+    _nappe_interval,
     _sphere_interval,
     body_from_spec,
     glue_cap,
@@ -160,6 +161,14 @@ class TestGlueCap:
     def test_convex_combination_of_pieces(self):
         # midpoint of a cube vertex and a cap point
         assert self.body.member((0.45, -0.5, -0.5))
+
+    def test_member_where_the_scaled_point_is_inside_the_polytope(self):
+        # outside the cube and the ball, inside their hull: the minimum of
+        # f(t) falls where x - (1 - t) c, scaled by 1 / t, lies inside the cube
+        body = glue_cap(cube(), (3, 0, 0), 0.5)
+        x = (1.125, 0.375, 0.25)
+        assert body.member(x)
+        assert glue_cap_member_reference(cube(), (3, 0, 0), 0.5)(x)
 
     def test_outside_both(self):
         assert not self.body.member((2.1, 0.0, 0.0))
@@ -336,6 +345,18 @@ class TestRayInterval:
     def test_bodies_without_closed_form(self):
         assert wrap_polytope(cube()).ray_interval is None
         assert glue_cap(cube(), (1, 0, 0), 1).ray_interval is None
+
+    def test_nappe_interval_linear_case(self):
+        # a == 0: the set {r : 2*b*r + c >= 0}, on either nappe's side,
+        # against the sign of 2*b*r + c on a grid that holds most roots
+        grid = [k / 4 for k in range(-40, 41)]
+        for b in (-2.0, -0.5, 0.0, 0.5, 3.0):
+            for c in (-3.0, -1.0, 0.0, 1.5):
+                for q in (-1.0, 1.0):
+                    span = _nappe_interval(0.0, b, c, q)
+                    for r in grid:
+                        inside = span is not None and span[0] <= r <= span[1]
+                        assert inside == (2.0 * b * r + c >= 0), (b, c, q, r)
 
 
 def _sweep(point_at, count):

@@ -358,13 +358,22 @@ class TestCriteriaCommands:
         assert rep["verdict"] == "non-polyhedral"
         assert rep["witness"] is not None
         assert (tmp_path / "witness.svg").exists()
+        # the section's frame: the unit axis toward the ball, then a pair
+        # normal to it
+        normals = rep["witness"]["normals"]
+        assert len(normals) == 3 and normals[0] == [0.0, 0.0, -1.0]
+        for i, a in enumerate(normals):
+            for j, b in enumerate(normals):
+                assert abs(sum(x * y for x, y in zip(a, b)) - (i == j)) <= 1e-12
 
     def test_mirkil_ball_spec_values_pinned(self, tmp_path):
         # the ball's center and radius reach the cone oracle as the floats of
         # their exact rationals; these report bytes predate reading them
         # through the body-spec parsers, and were recorded again when the
-        # Mirkil report took the other testers' shape and when one adaptive
-        # probe replaced the doubled-density re-draw
+        # Mirkil report took the other testers' shape, when one adaptive
+        # probe replaced the doubled-density re-draw, and when 3-D scans came
+        # to draw their section frame as 4-D scans do (exit code, verdict and
+        # samples_used kept)
         spec = tmp_path / "ball.json"
         spec.write_text(
             '{"kind": "ball", "center": ["1/2", 0.1, 1e-7], "radius": "1/2"}\n'
@@ -373,7 +382,7 @@ class TestCriteriaCommands:
         argv = ["mirkil", "--body", str(spec), "--apex", "3,0,0", "--seed", "1"]
         assert main(argv + ["--report", str(report)]) == 2
         assert _sha(report.read_bytes()) == (
-            "76f5abc8a672b68d22d205fefa1048322dd76b1a38b08cd954483f84d8b78d4c"
+            "c818ba8697b43a11ac0206ab08f056821dd7eebebbede74486629d99493ed4bb"
         )
 
     def test_mirkil_sample_without_section_is_noted(self, tmp_path):
@@ -902,7 +911,9 @@ def _sha(data: bytes) -> str:
 # ray-exit primitive; the klee-k1 entry when section sampling took its
 # centre from 8 exits; the mirkil entry when its report took the other
 # testers' shape; both again when one adaptive probe replaced the fixed
-# samples (same exit codes, verdicts and samples_used)
+# samples (same exit codes, verdicts and samples_used); the mirkil entry
+# again when 3-D scans came to draw their section frame as 4-D scans do
+# (same exit code, verdict and samples_used)
 EXAMPLE_OUTPUTS = {
     'section --body cube.off --flat "n=1,1,1;c=0" --svg hex.svg': (
         0, "815cdf6a5c3fe8c9c9e8085172dd990631a48f5f859324d080d3b1a6a409457f",
@@ -934,7 +945,7 @@ EXAMPLE_OUTPUTS = {
         {"walk.svg": "409c2d9a7e725a03bdc959ef3e2d75fb5c004bad5643e39499aad5e5914950d2"},
     ),
     "mirkil --body ball.json --apex 0,0,3 --samples 10 --seed 2": (
-        2, "78515ce176661c862b840a6a605fa933a0de108edea018fd5612db8549135ab8", {},
+        2, "1e2f6615b57c0d4222ce00db95da0a4bcf71c0fd440d0e30ac2938067072d4b7", {},
     ),
 }
 

@@ -353,6 +353,23 @@ class TestConeOracle:
         assert oracle.member(oracle.axis_hint)
 
 
+def _counting(oracle):
+    """The oracle with member recording its arguments, and that record."""
+    calls = []
+
+    def member(u):
+        calls.append(u)
+        return oracle.member(u)
+
+    return dataclasses.replace(oracle, member=member), calls
+
+
+def assert_orthonormal(vectors):
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            assert abs(sum(x * y for x, y in zip(a, b)) - (i == j)) <= 1e-12
+
+
 class TestMirkilScan:
     def test_negative_budget_raises(self):
         cone = visual_cone((0, 0, 3), cube())
@@ -367,12 +384,29 @@ class TestMirkilScan:
         assert rep.samples_used == 0
 
     def test_exact_cone_short_circuits(self):
+        # the report is made before the oracle is touched: no member call
         cone = visual_cone((0, 0, 3), cube())
-        rep = mirkil_scan(cone_oracle_from_exact(cone), 5, seed=1)
+        oracle, calls = _counting(cone_oracle_from_exact(cone))
+        rep = mirkil_scan(oracle, 5, seed=1)
         assert rep.verdict == "polyhedral-consistent"
         assert rep.samples_used == 5
         assert "zero-budget" not in rep.notes
         assert any("polyhedral by construction" in n for n in rep.notes)
+        assert calls == []
+
+    @pytest.mark.parametrize("negate", [True, False], ids=["negated", "zero"])
+    def test_unusable_hint_makes_every_sample_a_miss(self, negate):
+        # a hint outside the cone costs the one member call that rejects it;
+        # a zero hint costs none; no sample calls member after that
+        cone = ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0)
+        hint = tuple(-x if negate else 0.0 for x in cone.axis_hint)
+        oracle, calls = _counting(dataclasses.replace(cone, axis_hint=hint))
+        rep = mirkil_scan(oracle, 3, seed=4)
+        assert (rep.verdict, rep.samples_used) == ("polyhedral-consistent", 3)
+        assert rep.notes == tuple(
+            f"sample {i}: coverage violation (no bounded cross-section)" for i in range(3)
+        )
+        assert len(calls) == (1 if negate else 0)
 
     def test_sampled_exact_cone_stays_consistent(self):
         cone = visual_cone((0, 0, 3), cube())
@@ -388,6 +422,9 @@ class TestMirkilScan:
         assert rep.samples_used <= 10
         assert rep.witness is not None
         assert rep.witness.triple_area > 0
+        # the section's frame: the unit hint, then a pair normal to it
+        assert rep.witness.normals[0] == oracle.axis_hint
+        assert_orthonormal(rep.witness.normals)
         # a refutation proves more vertices than the bound; nothing is redrawn
         assert rep.witness.reverified and rep.witness.vertex_bound == 65
         assert rep.notes == ()
@@ -417,7 +454,8 @@ class TestMirkilScan:
         rep = mirkil_scan(oracle, 5, seed=1, boundary_points=48)
         assert rep.verdict == "non-polyhedral"
         assert rep.witness is not None
-        assert len(rep.witness.normals) == 3
+        assert rep.witness.normals[0] == oracle.axis_hint
+        assert_orthonormal(rep.witness.normals)
 
     def test_four_dim_exact_cone_consistent(self):
         cross4 = convex_hull(

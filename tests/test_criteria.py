@@ -651,7 +651,8 @@ def _each(indices, text):
 # behind float oracles came to read consistent; T1.2-ball's triple moved
 # again when T1.2 drew its cone scan's seed from its own stream, and
 # mirkil-ball-4d's when the 4-D scan came to cut its sections normal to the
-# axis hint
+# axis hint; T1.2-ball's and mirkil-ball-3d's triples moved when 3-D scans
+# came to draw their section frame as 4-D scans do
 PINNED_OUTPUTS = {
     "K1-ball": ("non-polytope", 1, (), 0, (0, 1, 2)),
     "K1-cube": ("polytope-consistent", 6, (), None, None),
@@ -682,14 +683,14 @@ PINNED_OUTPUTS = {
         _each(range(3), "coverage violation (flat misses the body)"),
         None, None,
     ),
-    "T1.2-ball": ("non-polytope", 1, (), 0, (24, 25, 26)),
+    "T1.2-ball": ("non-polytope", 1, (), 0, (35, 36, 37)),
     "T1.2-cube": (
         "polytope-consistent", 3,
         tuple(f"apex {i}: exact cone, 6 extreme rays" for i in range(3)),
         None, None,
     ),
     "T1.2-zero": ("polytope-consistent", 0, ("zero-budget",), None, None),
-    "mirkil-ball-3d": ("non-polyhedral", 1, (), 0, (6, 7, 8)),
+    "mirkil-ball-3d": ("non-polyhedral", 1, (), 0, (96, 0, 1)),
     "mirkil-ball-4d": ("non-polyhedral", 1, (), 0, (41, 42, 43)),
     "mirkil-cube-cone-16": ("polyhedral-consistent", 3, (), None, None),
     "mirkil-cube-cone-8": ("polyhedral-consistent", 3, (), None, None),

@@ -206,16 +206,34 @@ class TestSweeps:
                 assert sweep_is_unbounded(*args, 0.1)
 
 
-# sha256 over the reprs of these reports, recorded when section sampling
-# took its centre from 8 exits, again when the Mirkil scan came to return a
-# CriterionReport (the same fields and floats, under new names), and again
-# when one adaptive probe replaced the fixed samples (every verdict and
-# samples_used kept), and again when T1.2 drew its cone scan's seed from its
-# own stream (only the T1.2 report moved, with its verdict and samples_used
-# kept), and again when the Mirkil scan cut every section normal to the axis
-# hint (only the 4-D cone moved: its first sample, a miss before, now
-# refutes).  A change to any float on the oracle path changes it.
-GOLDEN_REPORTS = "03dde6872802936b1515d2dd97302c1069fa970dcf85096f7d85a4c0e3fa59a2"
+# sha256 of each report's repr, one per golden_reports() entry, recorded
+# when section sampling took its centre from 8 exits, again when the Mirkil
+# scan came to return a CriterionReport (the same fields and floats, under
+# new names), and again when one adaptive probe replaced the fixed samples
+# (every verdict and samples_used kept), and again when T1.2 drew its cone
+# scan's seed from its own stream (only the T1.2 report moved, with its
+# verdict and samples_used kept), and again when the Mirkil scan cut every
+# section normal to the axis hint (only the 4-D cone moved: its first
+# sample, a miss before, now refutes), and again when 3-D scans came to draw
+# their section frame as 4-D scans do (only entries 9, the 3-D cone, and 11,
+# T1.2 on the ball, moved, each with its verdict and samples_used kept).  A
+# change to any float on the oracle path changes one; a failure lists every
+# entry that moved.
+GOLDEN_REPORTS = (
+    "52f0f96b5a2ffcfedfc5fb74ceb129a820a2c64e55695cf6c5d5c1e38db77c16",
+    "06c21cc84377198140d004a377c57e686b0a054f8937e1ea8002504076f3ff47",
+    "6543d87fde8c0c96a440e0b72848c0bfbb302eb96efef2c280af67cb68611528",
+    "b70e11cdf0343286d556eb931de13f5892b41fa15891d6db3f147ea769a9d924",
+    "27a6ce42ae81294019b21edd300b8246cbad020b3cc0a809f0d3a0828b24415b",
+    "9b6d6105e70fd39bcbf7b127982250133f1b71073192419071e3d9a7339f2d4b",
+    "02c6baf71069002e8efebc0835db0c3b53c51d300bf2b3232e46ebcdd6810de1",
+    "3c21390e05539ce8070bcead38e486c329e5efdd00b2afc1861ee2f67199db3e",
+    "86af322a266cbe08a7a4b3a14f9cdb735c35c71f07763c63bf3dcab56ac52172",
+    "4e7b6e81e4d832610652e5d80ac0aeec604b5d5bc046a5894854dec528f29e67",
+    "0cf156ab7b55afed855549241702d9a4706cd22cbb6678e9b983a265407ef911",
+    "bd2e7faae8120edc5f88728cdccf8263e7d4910ee8bec404bc5f9eb63413db62",
+    "415f893e74c0e13fd8557dc5f79f4ce86e500ac03bcfabc52de6e8efa66c748d",
+)
 
 
 def golden_reports():
@@ -241,7 +259,5 @@ def golden_reports():
 
 
 def test_golden_oracle_reports():
-    h = hashlib.sha256()
-    for rep in golden_reports():
-        h.update(repr(rep).encode())
-    assert h.hexdigest() == GOLDEN_REPORTS
+    digests = tuple(hashlib.sha256(repr(rep).encode()).hexdigest() for rep in golden_reports())
+    assert digests == GOLDEN_REPORTS

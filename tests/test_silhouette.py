@@ -130,6 +130,17 @@ class TestStepG:
         with pytest.raises(WalkError, match="outside"):
             step_g(cube(), state)
 
+    def test_center_outside_the_shadow_has_no_forward_step(self):
+        # the center (5, 0) lies outside the shadow: around it the forward
+        # edge at (1, 0), up to (1, 1), turns clockwise, and the walk never
+        # steps back along the other end, (1, -1)
+        chart = shadow_chart((0, 0, 1))
+        state = WalkState(
+            (F(0), F(0), F(1)), chart, (F(5), F(0)), (F(1), F(0))
+        )
+        with pytest.raises(WalkError, match="no forward endpoint"):
+            step_g(cube(), state)
+
     def test_apex_is_recorded_beyond_support(self):
         chart = shadow_chart((0, 0, 1))
         state = WalkState(
