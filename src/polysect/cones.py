@@ -378,11 +378,8 @@ def mirkil_scan(
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
     if oracle.exact is not None:
-        outcome = (
-            (None, samples, ["exact cone: every section is polyhedral by construction"])
-            if samples
-            else _sample_loop(0, None)
-        )
+        notes = ["exact cone: every section is polyhedral by construction"]
+        outcome = (None, samples, notes) if samples else _sample_loop(0, None)
         return _report("Mirkil", "cone", True, samples, outcome, boundary_points, tau, seed)
     rng = random.Random(seed)
     w = _funit(oracle.axis_hint)
