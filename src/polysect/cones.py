@@ -378,8 +378,8 @@ def mirkil_scan(
     if oracle.dim < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
     if oracle.exact is not None:
-        notes = ["exact cone: every section is polyhedral by construction"]
-        outcome = (None, samples, notes) if samples else _sample_loop(0, None)
+        note = "exact cone: every section is polyhedral by construction" if samples else "zero-budget"
+        outcome = (None, samples, [note])
         return _report("Mirkil", "cone", True, samples, outcome, boundary_points, tau, seed)
     rng = random.Random(seed)
     w = _funit(oracle.axis_hint)

@@ -91,6 +91,14 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def assert_orthonormal(vectors, count):
+    """Assert that vectors holds count float vectors, orthonormal within 1e-12."""
+    assert len(vectors) == count
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            assert abs(dot(a, b) - (i == j)) <= 1e-12, (i, j)
+
+
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, den: int = 8) -> F:
     return F(rng.randint(lo * den, hi * den), den)
 

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from helpers import CUBE_VERTICES, no_extreme_in_cone_in_fractions
+from helpers import CUBE_VERTICES, assert_orthonormal, no_extreme_in_cone_in_fractions
 
 import polysect
 from polysect.cli import EXAMPLES, _ccw_order, main, parse_flat, parse_vector
@@ -361,10 +361,8 @@ class TestCriteriaCommands:
         # the section's frame: the unit axis toward the ball, then a pair
         # normal to it
         normals = rep["witness"]["normals"]
-        assert len(normals) == 3 and normals[0] == [0.0, 0.0, -1.0]
-        for i, a in enumerate(normals):
-            for j, b in enumerate(normals):
-                assert abs(sum(x * y for x, y in zip(a, b)) - (i == j)) <= 1e-12
+        assert normals[0] == [0.0, 0.0, -1.0]
+        assert_orthonormal(normals, 3)
 
     def test_mirkil_ball_spec_values_pinned(self, tmp_path):
         # the ball's center and radius reach the cone oracle as the floats of

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     CUBE_VERTICES,
+    assert_orthonormal,
     centered_polytope,
     certify_pyramid,
     cone_contains_point,
@@ -364,12 +365,6 @@ def _counting(oracle):
     return dataclasses.replace(oracle, member=member), calls
 
 
-def assert_orthonormal(vectors):
-    for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            assert abs(sum(x * y for x, y in zip(a, b)) - (i == j)) <= 1e-12
-
-
 class TestMirkilScan:
     def test_negative_budget_raises(self):
         cone = visual_cone((0, 0, 3), cube())
@@ -424,7 +419,7 @@ class TestMirkilScan:
         assert rep.witness.triple_area > 0
         # the section's frame: the unit hint, then a pair normal to it
         assert rep.witness.normals[0] == oracle.axis_hint
-        assert_orthonormal(rep.witness.normals)
+        assert_orthonormal(rep.witness.normals, 3)
         # a refutation proves more vertices than the bound; nothing is redrawn
         assert rep.witness.reverified and rep.witness.vertex_bound == 65
         assert rep.notes == ()
@@ -455,7 +450,7 @@ class TestMirkilScan:
         assert rep.verdict == "non-polyhedral"
         assert rep.witness is not None
         assert rep.witness.normals[0] == oracle.axis_hint
-        assert_orthonormal(rep.witness.normals)
+        assert_orthonormal(rep.witness.normals, 3)
 
     def test_four_dim_exact_cone_consistent(self):
         cross4 = convex_hull(

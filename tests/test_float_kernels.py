@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CUBE_VERTICES,
+    assert_orthonormal,
     ball_by_generators,
     ellipsoid_by_generators,
     fdot_by_generator,
@@ -109,11 +110,7 @@ class TestHelpers:
                 )
                 if k == d:
                     continue
-                vecs = (w, *_orthonormal_frame(random.Random(seed), d, k, (w,)))
-                assert len(vecs) == k + 1
-                for a, u in enumerate(vecs):
-                    for b, v in enumerate(vecs):
-                        assert abs(_fdot(u, v) - (a == b)) <= 1e-12, (seed, k, a, b)
+                assert_orthonormal((w, *_orthonormal_frame(random.Random(seed), d, k, (w,))), k + 1)
 
     @settings(max_examples=200, deadline=None)
     @given(fvec3, fvec3, st.floats(0.0, 1e12))
