@@ -27,7 +27,6 @@ from .bodies import MIN_TAU, BodyOracle, body_from_spec, sample_section_boundary
 from .bodies import _num, _vec
 from .cones import (
     ball_visual_cone_oracle,
-    cone_oracle_from_exact,
     mirkil_scan,
     visual_cone,
 )
@@ -70,14 +69,10 @@ def jsonable(x):
         return {"decimal": float(x), "exact": _frac(x)}
     if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
         return x
-    if isinstance(x, Polytope):
-        return {"dim": x.dim, "vertices": jsonable(x.vertices)}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {
             f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)
         }
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -399,17 +394,16 @@ def _cmd_mirkil(args, body):
     apex = parse_vector(args.apex)
     if body.poly is not None:
         cone = visual_cone(apex, body.poly)
-        oracle = cone_oracle_from_exact(cone)
     elif body.spec is not None and body.spec.get("kind") == "ball":
         # body_from_spec has read both keys through the same parsers
         center = tuple(map(float, _vec(body.spec["center"], "center")))
-        oracle = ball_visual_cone_oracle(
+        cone = ball_visual_cone_oracle(
             tuple(float(a) for a in apex), center, float(_num(body.spec["radius"]))
         )
     else:
-        oracle = _ray_hit_cone_oracle(body.oracle, tuple(float(a) for a in apex))
+        cone = _ray_hit_cone_oracle(body.oracle, tuple(float(a) for a in apex))
     rep = mirkil_scan(
-        oracle,
+        cone,
         args.samples,
         args.seed,
         boundary_points=args.boundary_points,

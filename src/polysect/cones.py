@@ -11,13 +11,13 @@ Cones that are only known through a directional membership oracle (round
 visual cones and the like) are scanned: 2-dimensional cross-sections normal
 to the oracle's interior axis hint, each in a random plane through the
 hint's unit point, drawn the same way in every dimension, and a
-polygonality verdict per section.  An oracle that carries its exact cone
-is reported without a sample.  Each
-cross-section is read through the exit function of `bodies`, with rays up
-to 2^30, and probed by the polygonality probe of `criteria`.  The scan
-refutes polyhedrality or stays consistent; it never proves it.  It reports
-as the testers of `criteria` do, in one CriterionReport with a
-KleeWitness, and notes a run that sampled nothing as "zero-budget".
+polygonality verdict per section; an exact cone is reported without a
+sample.  Each cross-section is read through the exit function of
+`bodies`, with rays up to 2^30, and probed by the polygonality probe of
+`criteria`.  The scan refutes polyhedrality or stays consistent; it never
+proves it.  It reports as the testers of `criteria` do, in one
+CriterionReport with a KleeWitness, and notes a run that sampled nothing
+as "zero-budget".
 """
 
 from __future__ import annotations
@@ -76,14 +76,14 @@ class PolyCone:
     halfspaces (when full-dimensional) are apex-relative:
     cone = {apex + y : normal . y <= 0 for every halfspace}.
     positive_normal is strictly positive on every generator; pyramid is
-    conv({0} u generators scaled onto {positive_normal . y = 1}), or None.
+    conv({0} u generators scaled onto {positive_normal . y = 1}).
     """
 
     apex: Point
     generators: tuple[Vector, ...]
     halfspaces: tuple[Halfspace, ...] | None
     positive_normal: Vector
-    pyramid: Polytope | None
+    pyramid: Polytope
 
     @property
     def ambient_dim(self) -> int:
@@ -91,7 +91,7 @@ class PolyCone:
 
     @property
     def span_dim(self) -> int:
-        return 0 if self.pyramid is None else self.pyramid.dim
+        return self.pyramid.dim
 
     @property
     def extreme_ray_count(self) -> int:
@@ -104,8 +104,6 @@ class PolyCone:
             raise DimensionMismatch("direction dimension differs from the cone")
         if is_zero_vector(u):
             return True
-        if self.pyramid is None:
-            return False
         t = vdot(self.positive_normal, u)
         if t <= 0:
             return False
@@ -132,7 +130,8 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
     first occurrence), and its point on {w.y = 1} is G D / t for the ints
     W = D w and t = W.G > 0.  Over L, the lcm of the t, those points are
     the int rows G (L / t) times the factor D / L on every axis, so one
-    hull of the 0 row and those rows (`_hull_of_rows`) is the pyramid.
+    hull of the 0 row and those rows (`_hull_of_rows`) is the pyramid, the
+    point 0 when there is no ray.
     The points share a hyperplane that misses 0, so the pyramid's nonzero
     vertices are the extreme rays' points, and each generator is the G of
     its vertex's row.  A full-dimensional pyramid is the cone near its
@@ -149,8 +148,6 @@ def _cone_from_rays(apex: Point, directions, w: Vector) -> PolyCone:
             if t <= 0:
                 raise ConeError("functional is not strictly positive on a generator")
             rays[g] = t
-    if not rays:
-        return PolyCone(tuple(apex), (), None, tuple(w), None)
     L = lcm(*rays.values())
     ray_of = {tuple(x * (L // t) for x in g): g for g, t in rays.items()}
     factor = Fraction(den, L)
@@ -242,8 +239,6 @@ def cone_section(cone: PolyCone, flat: AffineFlat) -> ConeSection | None:
     if not flat.contains(cone.apex):
         raise ConeError("flat must pass through the apex")
     anchored = AffineFlat(cone.apex, flat.basis)
-    if cone.pyramid is None:
-        return None
     origin = tuple(Fraction(0) for _ in range(cone.ambient_dim))
     sec = _polytope_section(cone.pyramid, AffineFlat(origin, flat.basis)).polytope
     if sec.dim == 0:
@@ -264,9 +259,7 @@ class ConeOracle:
     member(u) answers whether the ray apex + t*u (t >= 0) stays in the cone;
     axis_hint must be an interior direction: the scan cuts every
     cross-section normal to it, and a hint that member rejects (or whose
-    opposite member accepts) makes every sample a coverage miss.  When
-    `exact` is set the scan reports at once, without a member call: an
-    exact cone's sections are polyhedral by construction.
+    opposite member accepts) makes every sample a coverage miss.
     ray_interval(w, d), when set, is the closed-form counterpart of
     BodyOracle.ray_interval: the interval (r0, r1) of {r : member(w + r*d)}
     under member's tolerance, with infinite ends for unbounded rays, or
@@ -277,31 +270,26 @@ class ConeOracle:
     dim: int
     member: Callable[[Sequence[float]], bool]
     axis_hint: tuple[float, ...]
-    exact: PolyCone | None = None
     ray_interval: (
         Callable[[Sequence[float], Sequence[float]], tuple[float, float] | None]
         | None
     ) = None
 
 
-def cone_oracle_from_exact(cone: PolyCone) -> ConeOracle:
-    def member(u):
-        return cone.contains_direction(tuple(Fraction(float(x)) for x in u))
-
-    if cone.generators:
-        acc = [sum(c) for c in zip(*map(_funit, cone.generators))]
-        hint = _funit(acc) or tuple(float(x) for x in cone.generators[0])
-    else:
-        hint = tuple(0.0 for _ in range(cone.ambient_dim))
-    return ConeOracle(cone.ambient_dim, member, hint, cone)
-
-
 def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
-    """The round cone of directions from `apex` that hit the ball (closed)."""
+    """The round cone of directions from `apex` that hit the ball (closed).
+
+    Inputs are checked as `make_ball` checks a ball.  An apex outside then
+    has cos_half > 1e-8, so k > 0 and ray_interval may square u.a >= k|u|.
+    """
     z = tuple(float(x) for x in apex)
     c = tuple(float(x) for x in center)
     if len(z) != len(c):
         raise DimensionMismatch("apex and center dimensions disagree")
+    if not all(map(math.isfinite, (*z, *c, radius))):
+        raise ConeError("ball apex, center and radius must be finite")
+    if radius <= 0:
+        raise ConeError("ball radius must be positive")
     axis = tuple(b - a for a, b in zip(z, c))
     dist = _fnorm(axis)
     if not math.isfinite(dist):
@@ -339,31 +327,27 @@ def ball_visual_cone_oracle(apex, center, radius: float) -> ConeOracle:
             return None
         return (r0, r1) if r0 <= r1 else None
 
-    # squaring u.a >= k|u| needs k > 0; k <= 0 only when the apex sits on
-    # the sphere to within rounding, and then the scan bisects member
-    return ConeOracle(
-        len(z), member, unit_axis, None, ray_interval if k > 0 else None
-    )
+    return ConeOracle(len(z), member, unit_axis, ray_interval)
 
 
 def mirkil_scan(
-    oracle: ConeOracle,
+    cone: ConeOracle | PolyCone,
     samples: int,
     seed: int = 0,
     *,
     boundary_points: int = 64,
     tau: float = 1e-9,
 ) -> CriterionReport:
-    """Scan a cone oracle for polyhedrality via 3-dimensional sections.
+    """Scan a cone for polyhedrality via 3-dimensional sections.
 
     Every sample draws a random orthonormal pair (e1, e2) normal to the
     unit axis hint w and cuts the cone by the plane through w spanned by
     the pair, so the section lies in the 3-subspace spanned by w, e1 and
     e2 (in dimension 3, the whole space), and a witness keeps that 3-frame
     (w, e1, e2) in `normals`.  Exits are read off the oracle's
-    ray_interval, or bisected from member without one, up to 2^30.  Exact
-    cones return before the oracle is touched: their sections are
-    polyhedral by construction, so no member call, draw or frame is made.
+    ray_interval, or bisected from member without one, up to 2^30.  An
+    exact PolyCone is answered at once: its sections are polyhedral by
+    construction, so no draw or frame is made.
     The result is the testers' CriterionReport, criterion "Mirkil" on body
     "cone".  The verdict is one-sided: a witness, a cross-section that the
     probe proves to have more than boundary_points vertices, refutes
@@ -375,22 +359,23 @@ def mirkil_scan(
     if samples < 0:
         raise ConeError("sample budget must be nonnegative")
     check_sampling(boundary_points, tau)
-    if oracle.dim < 3:
+    exact = isinstance(cone, PolyCone)
+    if (cone.ambient_dim if exact else cone.dim) < 3:
         raise ConeError("scan needs ambient dimension 3 or higher")
-    if oracle.exact is not None:
+    if exact:
         note = "exact cone: every section is polyhedral by construction" if samples else "zero-budget"
         outcome = (None, samples, [note])
         return _report("Mirkil", "cone", True, samples, outcome, boundary_points, tau, seed)
     rng = random.Random(seed)
-    w = _funit(oracle.axis_hint)
-    if w is not None and (not oracle.member(w) or oracle.member(tuple(-x for x in w))):
+    w = _funit(cone.axis_hint)
+    if w is not None and (not cone.member(w) or cone.member(tuple(-x for x in w))):
         w = None
 
     def trial(i, notes):
         verdict = None
         if w is not None:
-            frame = _orthonormal_frame(rng, oracle.dim, 2, (w,))
-            point_at = exit_function(oracle.member, oracle.ray_interval, w, frame, 2.0**30)
+            frame = _orthonormal_frame(rng, cone.dim, 2, (w,))
+            point_at = exit_function(cone.member, cone.ray_interval, w, frame, 2.0**30)
             try:
                 verdict = polygonality_detect(point_at, boundary_points, tau)
             except UnboundedSection:

@@ -556,9 +556,10 @@ def visual_cone_test(
     mirkil_scan's cross-section sampler, and one without a ray_interval is
     an error before any apex is drawn.  An apex inside or on the body is
     an error, per the outside-apex precondition.  A negative budget or
-    section count and a sphere radius that is not finite are errors before
-    any cone is built.  An oracle run with no sections per apex sampled
-    nothing, so it notes "zero-budget" as an empty run does.
+    section count, a sphere radius that is not finite and an apex, listed
+    or drawn, that is not finite are errors before any cone is built.  An
+    oracle run with no sections per apex sampled nothing, so it notes
+    "zero-budget" as an empty run does.
     """
     from .cones import mirkil_scan, visual_cone
 
@@ -578,6 +579,8 @@ def visual_cone_test(
         apexes = sphere_apexes(center, float(radius), budget, rng)
     else:
         apexes = [tuple(float(x) for x in a) for a in apex_source]
+    if not all(math.isfinite(x) for a in apexes for x in a):
+        raise CriterionError("apex coordinates must be finite")
 
     def trial(i, notes):
         apex = apexes[i]

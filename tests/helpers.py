@@ -352,15 +352,21 @@ def glue_cap_member_reference(poly, center, radius):
 
 
 def exact_cone_oracle_sampling_only(cone):
-    """An exact cone's membership oracle without the exact short-cut.
+    """An exact cone as a membership oracle, which mirkil_scan samples.
 
-    mirkil_scan then samples its cross-sections by bisection of member, the
-    route every cone oracle without a closed-form ray_interval takes.
+    member decides each float direction exactly; the axis hint is the sum
+    of the unit generators.  mirkil_scan answers a PolyCone at once; on
+    this oracle it samples cross-sections by bisection of member, the route
+    of every cone oracle without a closed-form ray_interval.
     """
-    from polysect.cones import ConeOracle, cone_oracle_from_exact
+    from polysect.bodies import _funit
+    from polysect.cones import ConeOracle
 
-    full = cone_oracle_from_exact(cone)
-    return ConeOracle(full.dim, full.member, full.axis_hint)
+    def member(u):
+        return cone.contains_direction(tuple(F(float(x)) for x in u))
+
+    hint = _funit([sum(c) for c in zip(*map(_funit, cone.generators))])
+    return ConeOracle(cone.ambient_dim, member, hint)
 
 
 def polytope_fields(poly):
@@ -565,7 +571,7 @@ def from_generators(apex, directions):
 
     Requires a pointed cone; a lineality direction is detected and rejected.
     """
-    from polysect.cones import PolyCone, _cone_from_rays
+    from polysect.cones import _cone_from_rays
     from polysect.geometry import (
         DimensionMismatch, as_point, as_vector, is_zero_vector,
     )
@@ -577,8 +583,7 @@ def from_generators(apex, directions):
             raise DimensionMismatch("generator dimension differs from the apex")
     gens = [g for g in gens if not is_zero_vector(g)]
     if not gens:
-        zero = tuple(F(0) for _ in apex)
-        return PolyCone(apex, (), None, zero, None)
+        return _cone_from_rays(apex, (), tuple(F(0) for _ in apex))
     w = _positive_functional(gens)
     return _cone_from_rays(apex, gens, w)
 

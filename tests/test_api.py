@@ -2,6 +2,7 @@
 and the report shapes its checks read."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import polysect
+from polysect.bodies import BodyOracle
+from polysect.cones import ConeOracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,6 +189,40 @@ def test_readme_module_table_names_resolve():
     # a name deleted from the package must leave the README's table too
     missing = [name for name in _readme_table_names() if not _resolves(name)]
     assert not missing, missing
+
+
+COUNT_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+
+
+def _field_list_mismatches(readme: str, classes) -> list[str]:
+    """Names of the classes whose README sentence "A `C` has <n> fields:
+    `a`, ... and `z`." is missing, or does not name exactly the class's
+    dataclass fields, in order and with the right count."""
+    sentences = {
+        name: (count, re.findall(r"`(\w+)`", names))
+        for name, count, names in re.findall(r"A `(\w+)` has (\w+) fields: ([^.]+)\.", readme)
+    }
+    out = []
+    for cls in classes:
+        fields = [f.name for f in dataclasses.fields(cls)]
+        if sentences.get(cls.__name__) != (COUNT_WORDS[len(fields)], fields):
+            out.append(cls.__name__)
+    return out
+
+
+def test_readme_field_lists_match_the_oracle_classes():
+    # a field added to or deleted from an oracle class must move its README sentence
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _field_list_mismatches(readme, (BodyOracle, ConeOracle)) == []
+
+
+def test_stale_field_list_is_caught():
+    listed = "A `ConeOracle` has four fields: `dim`, `member`, `axis_hint` and\n`ray_interval`."
+    assert _field_list_mismatches(listed, (ConeOracle,)) == []
+    stale = "A `ConeOracle` has five fields: `dim`, `member`, `axis_hint`, `exact` and `ray_interval`."
+    assert _field_list_mismatches(stale, (ConeOracle,)) == ["ConeOracle"]
+    assert _field_list_mismatches(listed.replace("four", "five"), (ConeOracle,)) == ["ConeOracle"]
+    assert _field_list_mismatches(listed, (BodyOracle,)) == ["BodyOracle"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -191,6 +191,13 @@ class TestProjectConeWalk:
         assert code == 0
         assert rep["vertex_count"] == 4
 
+    def test_project_xi_on_a_planar_body_is_error(self, tmp_path, capsys):
+        tri = tmp_path / "tri.off"
+        tri.write_text("OFF\n3 0 0\n0 0\n1 0\n0 1\n")
+        code, rep = run(["project", "--body", str(tri), "--xi", "0,0,1"], tmp_path)
+        assert code == 1 and rep is None
+        assert capsys.readouterr().err == "error: --xi projection needs a 3-dimensional body\n"
+
     def test_counts_at_their_bounds_are_accepted(self, cube_off, tmp_path):
         # an exact cone answers without sampling, so the bounds cost nothing
         code, rep = run(
@@ -273,6 +280,15 @@ class TestCriteriaCommands:
         assert code == 0
         assert rep["criterion"] == "T1.2"
         assert rep["sphere"]["radius"] > 0
+
+    def test_t12_radius_places_the_apexes(self, ball_json, tmp_path):
+        code, rep = run(
+            ["t12", "--body", ball_json, "--apexes", "2", "--radius", "5", "--seed", "1"],
+            tmp_path,
+        )
+        assert code == 2
+        assert rep["sphere"] == {"center": [0.0, 0.0, 0.0], "radius": 5.0}
+        assert math.hypot(*rep["witness"]["apex"]) == pytest.approx(5.0, rel=1e-12)
 
     def test_epsilon(self, cube_off, tmp_path):
         code, rep = run(

@@ -29,7 +29,6 @@ from polysect.cones import (
     ConeError,
     ConeOracle,
     ball_visual_cone_oracle,
-    cone_oracle_from_exact,
     cone_section,
     mirkil_scan,
     visual_cone,
@@ -180,6 +179,16 @@ class TestFromGenerators:
         with pytest.raises(ConeError, match="lineality"):
             from_generators((0, 0, 0), [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
 
+    def test_empty_cone_is_its_apex(self):
+        # no ray: the pyramid is the point 0, and the general code answers
+        cone = from_generators((0, 0, 0), [(0, 0, 0)])
+        assert (cone.extreme_ray_count, cone.span_dim) == (0, 0)
+        assert cone.contains_direction((0, 0, 0))
+        for u in [(1, 0, 0), (0, -1, 0), (1, 2, 3)]:
+            assert not cone.contains_direction(u)
+        for basis in [[(1, 0, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]:
+            assert cone_section(cone, AffineFlat.spanning((0, 0, 0), basis)) is None
+
 
 class TestConeSection:
     def setup_method(self):
@@ -258,7 +267,7 @@ def check_cone_section(cone, flat):
     pyramid is the certified hull of 0 and them; None when there are none."""
     got = cone_section(cone, flat)
     linear = AffineFlat((F(0),) * cone.ambient_dim, flat.basis)
-    pts = [] if cone.pyramid is None else section_points_by_subsets(cone.pyramid, linear)
+    pts = section_points_by_subsets(cone.pyramid, linear)
     pts = [p for p in pts if any(p)]
     if not pts:
         assert got is None
@@ -340,7 +349,7 @@ class TestApexInTheBodysAffineHull:
 class TestConeOracle:
     def test_exact_oracle_matches_cone(self):
         cone = visual_cone((0, 0, 3), cube())
-        oracle = cone_oracle_from_exact(cone)
+        oracle = exact_cone_oracle_sampling_only(cone)
         rng = random.Random(3)
         for _ in range(50):
             u = tuple(rng.uniform(-1, 1) for _ in range(3))
@@ -350,7 +359,7 @@ class TestConeOracle:
 
     def test_axis_hint_is_member(self):
         cone = visual_cone((0, 0, 3), cube())
-        oracle = cone_oracle_from_exact(cone)
+        oracle = exact_cone_oracle_sampling_only(cone)
         assert oracle.member(oracle.axis_hint)
 
 
@@ -369,25 +378,35 @@ class TestMirkilScan:
     def test_negative_budget_raises(self):
         cone = visual_cone((0, 0, 3), cube())
         with pytest.raises(ConeError):
-            mirkil_scan(cone_oracle_from_exact(cone), -1)
+            mirkil_scan(cone, -1)
 
     def test_zero_budget_is_flagged(self):
         cone = visual_cone((0, 0, 3), cube())
-        rep = mirkil_scan(cone_oracle_from_exact(cone), 0)
+        rep = mirkil_scan(cone, 0)
         assert rep.verdict == "polyhedral-consistent"
         assert "zero-budget" in rep.notes
         assert rep.samples_used == 0
 
     def test_exact_cone_short_circuits(self):
-        # the report is made before the oracle is touched: no member call
+        # an exact cone is answered as it is, with no sample drawn
         cone = visual_cone((0, 0, 3), cube())
-        oracle, calls = _counting(cone_oracle_from_exact(cone))
-        rep = mirkil_scan(oracle, 5, seed=1)
+        rep = mirkil_scan(cone, 5, seed=1)
         assert rep.verdict == "polyhedral-consistent"
         assert rep.samples_used == 5
         assert "zero-budget" not in rep.notes
         assert any("polyhedral by construction" in n for n in rep.notes)
-        assert calls == []
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            visual_cone((0, 3), convex_hull([(-1, 0), (1, 0), (0, 1)])),
+            ConeOracle(2, lambda u: u[1] < 0, (0.0, -1.0)),
+        ],
+        ids=["exact", "oracle"],
+    )
+    def test_planar_cone_is_refused(self, cone):
+        with pytest.raises(ConeError, match="scan needs ambient dimension 3 or higher"):
+            mirkil_scan(cone, 1)
 
     @pytest.mark.parametrize("negate", [True, False], ids=["negated", "zero"])
     def test_unusable_hint_makes_every_sample_a_miss(self, negate):
@@ -457,7 +476,7 @@ class TestMirkilScan:
             [tuple((1 if i == j else 0) * s for j in range(4)) for i in range(4) for s in (1, -1)]
         )
         cone = visual_cone((0, 0, 0, 3), cross4)
-        rep = mirkil_scan(cone_oracle_from_exact(cone), 4, seed=3)
+        rep = mirkil_scan(cone, 4, seed=3)
         assert rep.verdict == "polyhedral-consistent"
 
     @pytest.mark.parametrize("far", [1e155, 1e200])
@@ -466,6 +485,26 @@ class TestMirkilScan:
         # answered from the zero axis that an infinite norm would give
         with pytest.raises(ConeError, match="too far"):
             ball_visual_cone_oracle((0.0, 0.0, far), (0.0, 0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "apex, radius, message",
+        [
+            ((0.0, 0.0, 3.0), math.nan, "must be finite"),
+            ((0.0, 0.0, 3.0), 0.0, "radius must be positive"),
+            ((0.0, 0.0, 3.0), -1.0, "radius must be positive"),
+            ((0.0, 0.0, math.nan), 1.0, "must be finite"),
+        ],
+        ids=["nan-radius", "zero-radius", "negative-radius", "nan-apex"],
+    )
+    def test_bad_ball_is_refused(self, apex, radius, message):
+        # unchecked, a NaN radius gives a member that rejects everything,
+        # radius 0 a lone ray read as a round cone, and radius -1 radius 1
+        with pytest.raises(ConeError, match=message):
+            ball_visual_cone_oracle(apex, (0.0, 0.0, 0.0), radius)
+
+    def test_infinite_center_is_refused(self):
+        with pytest.raises(ConeError, match="must be finite"):
+            ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, math.inf, 0.0), 1.0)
 
     def test_determinism(self):
         oracle = ball_visual_cone_oracle((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), 1.0)
@@ -563,7 +602,6 @@ class TestConeRayInterval:
     def test_positional_construction_has_no_closed_form(self):
         oracle = ConeOracle(3, lambda u: True, (0.0, 0.0, 1.0))
         assert oracle.ray_interval is None
-        assert cone_oracle_from_exact(visual_cone((0, 0, 3), cube())).ray_interval is None
 
     @pytest.mark.parametrize(
         "apex, center, radius, seed",

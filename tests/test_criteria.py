@@ -31,7 +31,6 @@ from polysect import criteria
 from polysect.cones import (
     ConeError,
     ball_visual_cone_oracle,
-    cone_oracle_from_exact,
     mirkil_scan,
     visual_cone,
 )
@@ -628,9 +627,7 @@ PINNED_CASES = {
     "mirkil-ball-4d": lambda: mirkil_scan(
         ball_visual_cone_oracle((0, 0, 0, 3), (0, 0, 0, 0), 1.0), 3, seed=1
     ),
-    "mirkil-exact": lambda: mirkil_scan(
-        cone_oracle_from_exact(visual_cone((0, 0, 3), cube())), 4, seed=3
-    ),
+    "mirkil-exact": lambda: mirkil_scan(visual_cone((0, 0, 3), cube()), 4, seed=3),
     "mirkil-cube-cone-8": lambda: mirkil_scan(_cube_cone_sampled(), 3, seed=0, boundary_points=8),
     "mirkil-cube-cone-16": lambda: mirkil_scan(_cube_cone_sampled(), 3, seed=0, boundary_points=16),
     "K1-prism-0": lambda: klee_section_test(prism_oracle(6), 3, seed=0, boundary_points=8),
@@ -1100,8 +1097,9 @@ class TestIndependentRowsDraw:
 
 
 class TestVisualConeChecks:
-    """Negative counts and a sphere radius that is not finite fail before
-    any cone is built, on exact and oracle bodies alike."""
+    """Negative counts, a sphere radius that is not finite and an apex that
+    is not finite fail before any cone is built, on exact and oracle bodies
+    alike."""
 
     @staticmethod
     def no_cones(monkeypatch):
@@ -1135,6 +1133,20 @@ class TestVisualConeChecks:
         for body in (cube(), make_ball((0, 0, 0), 1)):
             with pytest.raises(CriterionError, match="sphere radius must be finite"):
                 visual_cone_test(body, ("sphere", (0.0, 0.0, 0.0), radius), budget=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("source", ["sphere", "apex list"])
+    def test_non_finite_apex_rejected(self, bad, source, monkeypatch):
+        # unchecked, the exact route fails inside the integer grid, and the
+        # ball's cone rejects every direction, so each sample is a miss
+        self.no_cones(monkeypatch)
+        if source == "sphere":
+            apexes = ("sphere", (0.0, bad, 0.0), 6.0)
+        else:
+            apexes = [(0.0, 0.0, 3.0), (0.0, 0.0, bad)]
+        for body in (cube(), make_ball((0, 0, 0), 1)):
+            with pytest.raises(CriterionError, match="apex coordinates must be finite"):
+                visual_cone_test(body, apexes, budget=2)
 
     def test_zero_section_count_is_allowed(self):
         ball = make_ball((0, 0, 0), 1)
