@@ -7,15 +7,24 @@ produce coplanar simplicial facets that get merged at the end.  The work
 per facet is written out per dimension on flat int tuples: its oriented
 plane comes from one closure for k = 2, 3 or 4 (the perpendicular, the
 cross product, or a cofactor expansion through shared 2x2 minors, then the
-side test against the reference point), and its k ridge keys are built
-once, as sorted vertex tuples, when it is added.  Each inserted point is
-tested against every live facet; there is no conflict graph.
+side test against the reference point).  Each facet keeps, per vertex, the
+id of the facet across the opposite ridge, so an insertion reads its
+horizon off those pointers, and its new facets pair up on their (k-2)-
+subfaces through a dict that lives for that insertion only.  After the
+initial simplex the points go in farthest first from the centroid of all
+the points (as Quickhull orders them), ties by index, which leaves fewer
+facets to create and discard; the output is canonical, so the order
+changes no answer.  Each inserted point is tested against every live
+facet; there is no conflict graph.
 
 A merged candidate is a vertex when it lies on k facets for k <= 3: a
 boundary point that is not extreme lies in the relative interior of an edge
 (2 facets) or of a facet (1).  In 4-D an edge can lie on any number of
 facets, so there its facet normals must reach rank 4, found by pivots that
-stop there.
+stop there.  A member of a merged facet with exactly k members skips that
+test: the final simplicial facets triangulate the boundary, so the merged
+set of a facet H holds every vertex of the face H ∩ P, which has at least
+k; a candidate on H that is not extreme would be one member more.
 """
 
 from __future__ import annotations
@@ -179,35 +188,27 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
     plane = _plane_closure(points, ref_sum, k + 1)
 
     # per live facet id: its plane for the inline visibility tests below, and
-    # its vertex tuple with its k ridge keys (sorted vertex tuples)
+    # its vertex tuple with, per vertex, the facet across the opposite ridge;
+    # facet drop of the simplex leaves out simplex[drop] and has id drop
     planes: dict[int, IntVec] = {}
-    faces: dict[int, tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
-    ridge_owners: dict[tuple[int, ...], list[int]] = {}
-    ids = count()
-
-    def add_facet(verts: tuple[int, ...]) -> None:
-        fid = next(ids)
-        planes[fid] = plane(verts)
-        keys = [tuple(sorted(verts[:drop] + verts[drop + 1:])) for drop in range(k)]
-        faces[fid] = (verts, keys)
-        for key in keys:
-            ridge_owners.setdefault(key, []).append(fid)
-
-    def remove_facet(fid: int) -> None:
-        del planes[fid]
-        for key in faces.pop(fid)[1]:
-            owners = ridge_owners[key]
-            owners.remove(fid)
-            if not owners:
-                del ridge_owners[key]
-
+    faces: dict[int, tuple[tuple[int, ...], list[int]]] = {}
     for drop in range(k + 1):
-        add_facet(tuple(simplex[:drop] + simplex[drop + 1:]))
+        verts = tuple(simplex[:drop] + simplex[drop + 1:])
+        planes[drop] = plane(verts)
+        faces[drop] = (verts, [j + (j >= drop) for j in range(k)])
+    ids = count(k + 1)
 
+    # farthest first from the centroid of all the points, ties by index
+    n = len(points)
+    total = [sum(c) for c in zip(*points)]
     in_simplex = set(simplex)
-    for ip, p in enumerate(points):
-        if ip in in_simplex:
-            continue
+    order = sorted(
+        (i for i in range(n) if i not in in_simplex),
+        key=lambda i: sum((n * x - s) ** 2 for x, s in zip(points[i], total)),
+        reverse=True,
+    )
+    for ip in order:
+        p = points[ip]
         if k == 3:
             x, y, z = p
             visible = [
@@ -225,20 +226,35 @@ def _simplicial_facets(points: Sequence[IntVec]) -> list[_Facet]:
             ]
         if not visible:
             continue
+        # each horizon ridge (a visible facet's ridge whose neighbour is not
+        # visible) gains the cone facet ridge + (ip,), which takes over that
+        # neighbour; the new facets pair up on their (k-2)-subfaces
         visible_set = set(visible)
-        horizon: list[tuple[int, ...]] = []
+        open_subfaces: dict[tuple[int, ...], tuple[int, int]] = {}
         for fid in visible:
-            for key in faces[fid][1]:
-                owners = ridge_owners[key]
-                if len(owners) != 2:
-                    raise HullError("hull boundary lost ridge pairing")
-                other = owners[0] if owners[1] == fid else owners[1]
-                if other not in visible_set:
-                    horizon.append(key)
+            verts, across = faces[fid]
+            for j, other in enumerate(across):
+                if other in visible_set:
+                    continue
+                ridge = verts[:j] + verts[j + 1:]
+                new = next(ids)
+                planes[new] = plane(ridge + (ip,))
+                back = faces[other][1]
+                back[back.index(fid)] = new
+                links = [other] * k  # slots before the last: filled by mates
+                for m in range(k - 1):
+                    key = tuple(sorted(ridge[:m] + ridge[m + 1:]))
+                    mate = open_subfaces.pop(key, None)
+                    if mate is None:
+                        open_subfaces[key] = (new, m)
+                    else:
+                        links[m] = mate[0]
+                        faces[mate[0]][1][mate[1]] = new
+                faces[new] = (ridge + (ip,), links)
+        if open_subfaces:
+            raise HullError("hull boundary lost ridge pairing")
         for fid in visible:
-            remove_facet(fid)
-        for key in horizon:
-            add_facet(key + (ip,))
+            del planes[fid], faces[fid]
 
     return [_Facet(faces[fid][0], pl[:k], pl[k]) for fid, pl in planes.items()]
 
@@ -257,15 +273,17 @@ def hull_full_dim(points: Sequence[IntVec]) -> IntHull:
     # union of the simplicial facets on H, so a true vertex is in the set of
     # every facet it is tight on (full rank there), and a candidate that is
     # not extreme keeps rank < k on any subset of its tight normals; for
-    # k <= 3 the count alone decides (module docstring).
+    # k <= 3 the count alone decides, and for k = 4 a member of a set of
+    # exactly k is a vertex with no rank test (module docstring).
     active: dict[int, list[IntVec]] = {}
     for (n, _), verts in merged.items():
         for v in verts:
             active.setdefault(v, []).append(n)
+    on_simplex = {v for vs in merged.values() if len(vs) == k for v in vs} if k == 4 else ()
     true_vertices = sorted(
         v
         for v, ns in active.items()
-        if len(ns) >= k and (k < 4 or len(int_pivots(ns, 4)) == 4)
+        if len(ns) >= k and (k < 4 or v in on_simplex or len(int_pivots(ns, 4)) == 4)
     )
     vert_set = set(true_vertices)
 

@@ -192,8 +192,11 @@ class Polytope:
         return self.chart_contains(cv)
 
     def interior_point(self) -> Point:
-        """A relative-interior point (vertex centroid)."""
-        return tuple(sum(c) / len(self.vertices) for c in zip(*self.vertices))
+        """A relative-interior point: the vertex centroid, read off the int
+        vertex form (`_scaled_with`) as Fraction(column sum, D * count)."""
+        rows, den = self._scaled_with(())
+        n = den * len(rows)
+        return tuple(Fraction(sum(c), n) for c in zip(*rows))
 
     # -- faces ---------------------------------------------------------------
 
@@ -605,10 +608,16 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
     The flat is intersected one bounding hyperplane at a time; at each stage
     `_slice` lists the on-plane vertices and the edge crossings of the
     current polytope, computed in ints, and each crossing is made a point
-    of Fractions.  The last stage's slice points
-    are already the section's vertices, each once: an on-plane vertex is
-    extreme, a crossing lies in the relative interior of one edge and is
-    extreme in the slice, so their `chart_grid` rows are hulled once.
+    of Fractions.  The last stage's slice points are already the section's
+    vertices, each once: an on-plane vertex is extreme, a crossing lies in
+    the relative interior of one edge and is extreme in the slice.  Their
+    chart rows are made from ints: X / den has den / gcd(den, *X) as the
+    lcm of its coordinates' denominators, so over the lcm L of those and
+    the base's, the points are the ints `int_scaled([base, *points])` gives,
+    and `_int_chart_grid` makes their rows, which are hulled once.  The
+    guard checks in ints that every point is on the flat and that the
+    hull's vertices, read back on the grid, are all the rows; the vertex
+    centroid that decides `meets_interior` is the lift of the section's.
     Any flat is accepted: a line gives the chord (a point or a segment
     whose chart vertices are its end parameters), and a flat spanning the
     whole space has no bounding hyperplane and gives the body in its chart.
@@ -616,27 +625,48 @@ def section(body: Polytope, flat: AffineFlat) -> Section | None:
     if flat.ambient_dim != body.ambient_dim:
         raise DimensionMismatch("flat and body dimensions disagree")
 
-    pts = body.vertices
-    for i, n in enumerate(flat.normal_directions()):
-        current = body if i == 0 else convex_hull(pts)
-        pts = [
-            current.vertices[ids[0]] if len(ids) == 1
-            else tuple(Fraction(x, den) for x in X)
+    # each cut is (X, den, the point X / den as Fractions)
+    rows, den = body._scaled_with(())
+    cut = [(v, den, p) for v, p in zip(rows, body.vertices)]
+    normals = flat.normal_directions()
+    for i, n in enumerate(normals):
+        current = body if i == 0 else convex_hull([p for _, _, p in cut])
+        cut = [
+            (X, den, current.vertices[ids[0]] if len(ids) == 1
+             else tuple(Fraction(x, den) for x in X))
             for X, den, ids in _slice(current, n, flat.base)
         ]
-        if not pts:
+        if not cut:
             return None
 
+    (B,), bden = int_scaled((flat.base,))
+    L = lcm(bden, *[den // gcd(den, *X) for X, den, _ in cut])
+    B = tuple(x * (L // bden) for x in B)
     # sorted, as an ambient hull lists vertices: a lower-dimensional chart
-    # hull takes its span's base point from the first row; every slice point
-    # is a section vertex, so the hull's vertices lift back to exactly them
-    pts = sorted(pts)
-    sec_poly = _hull_of_rows(*flat.chart_grid(pts))
-    ambient = tuple(flat.point_at(cv) for cv in sec_poly.vertices)
-    if sorted(ambient) != pts:
+    # hull takes its span's base point from the first row
+    ints = sorted((tuple(x * L // den for x in X), p) for X, den, p in cut)
+    P = [q for q, _ in ints]
+    rows, factors = flat._int_chart_grid([B, *P], L)
+    sec_poly = _hull_of_rows(rows, factors)
+    # the hull lists its vertices in chart order, which is row order; vertex
+    # v reads back as row r when v_j = r_j f_j, compared as ints
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    N, _ = int_scaled(normals)
+    levels = [sum(map(mul, n, B)) for n in N]
+    if (
+        any(sum(map(mul, n, q)) != c for n, c in zip(N, levels) for q in P)
+        or len(sec_poly.vertices) != len(rows)
+        or any(
+            v.numerator * f.denominator != r * v.denominator * f.numerator
+            for cv, i in zip(sec_poly.vertices, order)
+            for v, f, r in zip(cv, factors, rows[i])
+        )
+    ):
         raise PolytopeError("section vertex fell off the flat")
 
-    probe = flat.point_at(sec_poly.interior_point())
+    ambient = tuple(ints[i][1] for i in order)
+    m = L * len(P)
+    probe = tuple(Fraction(sum(c), m) for c in zip(*P))
     meets_interior = body.contains(probe) == "interior"
     return Section(sec_poly, flat, ambient, meets_interior)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -172,17 +173,23 @@ class TestHullAgainstBruteForce:
                 assert fverts == tight
 
     def test_insertion_order_does_not_change_answer(self):
+        # points go in farthest first from the centroid, ties by index: on the
+        # lattice sphere every point ties, so the list order alone decides
         rng = random.Random(7)
-        pts = [(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(12)]
-        base = hull_full_dim(pts)
-        base_facets = facets_as_set(base.facets)
-        base_verts = sorted(pts[i] for i in base.vertex_indices)
-        for seed in range(5):
-            shuffled = pts[:]
-            random.Random(seed).shuffle(shuffled)
-            out = hull_full_dim(shuffled)
-            assert facets_as_set(out.facets) == base_facets
-            assert sorted(shuffled[i] for i in out.vertex_indices) == base_verts
+        clouds = [
+            [tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(n)]
+            for k, n in ((3, 12), (2, 12), (4, 10))
+        ]
+        for pts in clouds + [random.Random(1).sample(helpers.lattice_sphere(50), 84)]:
+            base = hull_full_dim(pts)
+            base_facets = facets_as_set(base.facets)
+            base_verts = sorted(pts[i] for i in base.vertex_indices)
+            for seed in range(5):
+                shuffled = pts[:]
+                random.Random(seed).shuffle(shuffled)
+                out = hull_full_dim(shuffled)
+                assert facets_as_set(out.facets) == base_facets
+                assert sorted(shuffled[i] for i in out.vertex_indices) == base_verts
 
 
 @st.composite
@@ -201,6 +208,13 @@ def degenerate_clouds(draw):
     return draw(st.permutations(pts))
 
 
+@lru_cache(maxsize=4)
+def _brute_force_facets(points):
+    """`brute_force_facets` of a sorted point tuple, once per point set, as
+    the tests hull one set in several orders."""
+    return tuple(brute_force_facets(list(points)))
+
+
 def check_hull(pts, out):
     """The whole IntHull without another hull route: facets sorted as ints,
     vertices one index per point in ascending order, and each facet listing
@@ -215,7 +229,7 @@ def check_hull(pts, out):
         facets, vertices = list(poly._int_facets), list(poly.vertices)
     else:
         vertices = sorted(set(pts))
-        facets = brute_force_facets(vertices)
+        facets = list(_brute_force_facets(tuple(vertices)))
         vertices = [p for p in vertices if int_rank([n for n, c in facets if dot(n, p) == c]) == k]
     assert [(n, c) for n, c, _ in out.facets] == facets
     assert list(out.vertex_indices) == sorted(out.vertex_indices)
@@ -332,7 +346,7 @@ class TestVertexRule:
         pts = [(x, y, 0, 0) for x, y in self.HEXAGON] + [lo, mid]
         if order:
             random.Random(order).shuffle(pts)
-        pts.append(hi)  # after the midpoint, so the midpoint is inserted
+        pts.append(hi)  # after the midpoint, so the midpoint is in the initial simplex
         out = hull_full_dim(pts)
         check_hull(pts, out)
         assert len(out.vertex_indices) == 8 and len(out.facets) == 8
@@ -345,7 +359,7 @@ class TestVertexRule:
     @staticmethod
     def _with_face_points(vertices, scale):
         """The vertices times scale, plus edge midpoints and facet centroids
-        (integral at that scale), in an order that inserts them early."""
+        (integral at that scale)."""
         body = convex_hull(vertices)
         verts = [tuple(int(x) * scale for x in v) for v in body.vertices]
         extra = [
@@ -365,10 +379,19 @@ class TestVertexRule:
             ("cube", [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], 4),
             ("octahedron", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 6),
             ("hexagonal prism", [(x, y, z) for x, y in HEXAGON for z in (0, 1)], 12),
+            # every facet is a triangular prism: no vertex lies on a facet of
+            # k = 4 members, so the rank test alone takes each one
+            (
+                "triangle duoprism",
+                [a + b for a in ((0, 0), (1, 0), (0, 1)) for b in ((0, 0), (1, 0), (0, 1))],
+                6,
+            ),
         ],
     )
     def test_lattice_bodies_with_face_points(self, name, vertices, scale):
         verts, extra = self._with_face_points(vertices, scale)
+        if len(verts[0]) == 4:
+            assert all(len(fverts) > 4 for _, _, fverts in hull_full_dim(verts).facets)
         for seed in range(4):
             pts = extra + verts if seed == 0 else verts + extra
             if seed > 1:
@@ -376,6 +399,9 @@ class TestVertexRule:
             out = hull_full_dim(pts)
             check_hull(pts, out)
             assert sorted(pts[i] for i in out.vertex_indices) == sorted(verts)
-            if seed == 0:  # face points inserted first stay candidates
+            # insertion goes farthest first from the centroid, so the face
+            # points come after the vertices; listed first, they make up the
+            # initial simplex and stay candidates
+            if seed == 0:
                 candidates = set().union(*(f.vertices for f in _simplicial_facets(pts)))
                 assert len(candidates) > len(verts)

@@ -269,6 +269,23 @@ class TestIntVertexForm:
             counts.append(scaled.count(True))
         assert counts == [1, 1]
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(2, 5)), (F(-1, 7), F(-1, 7), F(-3, 4))],
+            [(F(1, 2), F(1, 3), 1), (F(-2, 3), 0, F(1, 6)), (1, F(5, 4), F(-1, 2))],
+            [(F(1, 3), F(-2, 9))],
+        ],
+        ids=["mixed denominators", "triangle in 3-D", "one point"],
+    )
+    def test_interior_point_is_the_vertex_mean(self, pts):
+        body = convex_hull(pts)
+        n = len(body.vertices)
+        assert body.interior_point() == tuple(sum(c, F(0)) / n for c in zip(*body.vertices))
+        # the int vertex form it leaves behind is the one a fresh copy makes
+        extra = [(F(1, 11),) * len(pts[0])]
+        assert body._scaled_with(extra) == convex_hull(pts)._scaled_with(extra)
+
 
 class TestEdgeIndex:
     """edges() finds pairs through a vertex-facet index and a rank test; the
@@ -1202,8 +1219,9 @@ class TestChartRowsHull:
 
 
 class TestSectionOffFlatGuard:
-    """A slice point off the flat, or on it but not a vertex, makes the
-    hull's lifted vertices differ from the slice points: the guard raises."""
+    """A slice point off the flat fails the guard's int test of the flat's
+    normals; one on it but not a vertex leaves a grid row that no hull
+    vertex reads back as: either way the guard raises."""
 
     @pytest.mark.parametrize("move", ["along-normal", "off-to-interior", "on-to-interior"])
     def test_moved_slice_point_raises(self, cube, monkeypatch, move):
